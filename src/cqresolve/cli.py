@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import (CQChannel, Distribution, Word, channel_from_json,
-                      codebook_from_json, distribution_from_json, format_label)
+                      distribution_from_json, format_label)
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .info import RenyiOrder, binary_entropy
 from .idcodes import bridge_counting_check, idcode_from_json, \
@@ -232,6 +232,10 @@ def _cmd_softcover(cfg: RunConfig) -> int:
     print(f"std_error = {_fmt(report.std_error)}")
     for alpha in sorted(report.bounds):
         print(f"bound_alpha_{_fmt(alpha)} = {_fmt(report.bounds[alpha])}")
+    for alpha in sorted(report.bounds):
+        print(f"renyi_converged_alpha_{_fmt(alpha)} = "
+              f"{str(report.renyi_converged[alpha]).lower()}")
+        print(f"renyi_iterations_alpha_{_fmt(alpha)} = {report.renyi_iterations[alpha]}")
     rows = [(str(i), _fmt(dval)) for i, dval in enumerate(report.distances)]
     _write_csv(cfg.out_path, ("sample", "trace_distance"), rows)
     return 0
@@ -528,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", default="2",
                     help="comma list of Renyi orders in (1,2]")
     sp.add_argument("--workers", type=int, default=1,
-                    help="thread count (results are identical for any value)")
+                    help="accepted; has no effect")
     _add_caps(sp)
 
     sp = sub.add_parser("bound-ll2", help="pinching-based one-shot bound with "

@@ -2,16 +2,15 @@
 
 Exact errors brute-force the finite feasible set of M-types on the product
 alphabet. The worst-input search reports a certified lower bound from a
-simplex grid plus local refinement. Soft-covering Monte Carlo draws seeded
-codebooks whose randomness is derived from counter-based streams keyed by
-(seed, sample index, codeword index), so serial and parallel runs agree
-bit-for-bit. The one-shot error bounds are evaluated literally from their
-defining expressions.
+simplex grid plus local refinement. Soft-covering Monte Carlo draws each
+codebook sample from its own counter-based stream keyed by (seed, sample
+index), so a sample's letters do not depend on how many samples are drawn.
+The one-shot error bounds are evaluated literally from their defining
+expressions.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,11 @@ class SmoothingParams:
 
 @dataclass(frozen=True)
 class SoftCoverReport:
-    """Monte-Carlo codebook experiment summary plus the analytic bounds."""
+    """Monte-Carlo codebook experiment summary plus the analytic bounds.
+
+    ``renyi_converged`` and ``renyi_iterations`` carry, per order α, the
+    evidence of the Rényi fixed point behind ``bounds[α]``.
+    """
 
     samples: int
     mean_error: float
@@ -76,6 +79,8 @@ class SoftCoverReport:
     n: int
     std_error: float
     distances: np.ndarray = field(repr=False)
+    renyi_converged: dict[float, bool]
+    renyi_iterations: dict[float, int]
 
     def __post_init__(self):
         if self.samples < 1:
@@ -221,23 +226,15 @@ def soft_cover_bound(order: RenyiOrder, channel: CQChannel, dist: Distribution,
     """
     if not (isinstance(M, int) and M >= 1):
         raise ValidationError(f"M must be a positive integer, got {M}")
-    alpha = order.alpha
     info = renyi_mutual_info(order, channel, dist)
+    return _soft_cover_from_info(order.alpha, info.value, M)
+
+
+def _soft_cover_from_info(alpha: float, info_bits: float, M: int) -> float:
+    """The soft-covering bound given I_α in bits."""
     exponent = (2.0 / alpha - 2.0) \
-        + ((alpha - 1.0) / alpha) * (info.value - math.log2(M))
+        + ((alpha - 1.0) / alpha) * (info_bits - math.log2(M))
     return 2.0 ** exponent
-
-
-def _draw_codebook_words(seed: int, sample: int, M: int, n: int,
-                         cumulative: np.ndarray) -> np.ndarray:
-    """M codewords of length n; stream (seed, sample, m) for codeword m."""
-    k = cumulative.shape[0]
-    words = np.empty((M, n), dtype=np.int64)
-    for m in range(M):
-        bit_gen = np.random.Philox(key=seed, counter=[0, 0, m, sample])
-        u = np.random.Generator(bit_gen).random(n)
-        words[m] = np.minimum(np.searchsorted(cumulative, u, side="right"), k - 1)
-    return words
 
 
 def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
@@ -247,10 +244,14 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
                         max_dim: int = DEFAULT_MAX_DIM) -> SoftCoverReport:
     """Monte-Carlo mean of ½‖W_C − W^{⊗n}(q^{⊗n})‖₁ over i.i.d. codebooks.
 
-    Codebook sample i consists of M codewords drawn i.i.d. from q^{⊗n};
-    each (sample, codeword) pair owns a private counter-based stream, so
-    the letters — and therefore the whole report — are identical for any
-    worker count.
+    Codebook sample i consists of M codewords drawn i.i.d. from q^{⊗n}
+    out of its own Philox stream keyed by (seed, i), so sample i's letters
+    are the same for any ``samples`` ≥ i + 1. The seed must lie in
+    [0, 2¹²⁸). ``workers`` is validated (≥ 1) and has no effect.
+
+    The bound for each order uses I_α(X^n;B^n) = n·I_α(X;B), since the
+    sandwiched Rényi mutual information is additive for α ≥ 1/2; the
+    fixed point runs on the k-letter channel, not on its kⁿ-letter power.
     """
     channel._check_alphabet(dist)
     if not (isinstance(M, int) and M >= 1):
@@ -261,42 +262,34 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    if not (isinstance(seed, int) and 0 <= seed < 2 ** 128):
+        raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
     product = channel.power(n, max_dim=max_dim)
-    k, dim = channel.size, product.dim
-    masses_n = _product_masses(channel, dist, n)
-    flat = product.states.reshape(product.size, -1)
-    target_flat = masses_n @ flat
-    cumulative = np.cumsum(dist.masses)
+    k, size = channel.size, product.size
+    flat = product.states.reshape(size, -1)
+    target_flat = _product_masses(channel, dist, n) @ flat
 
-    letters = np.empty((samples, M, n), dtype=np.int64)
+    u = np.stack([np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
+                  .random((M, n)) for i in range(samples)])
+    letters = np.minimum(np.searchsorted(np.cumsum(dist.masses), u, side="right"), k - 1)
+    words = letters @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    # One product per row: a single matmul over all rows may round a row
+    # differently as the row count changes, which would break prefixes.
+    outs = np.stack([(np.bincount(w, minlength=size) / M) @ flat for w in words])
+    distances = _batched_half_trace_distances(outs, target_flat, product.dim)
 
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            letters[i] = _draw_codebook_words(seed, i, M, n, cumulative)
-
-    if workers == 1 or samples == 1:
-        fill(0, samples)
-    else:
-        chunk = -(-samples // workers)
-        ranges = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: fill(*r), ranges))
-
-    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    word_indices = letters @ radix
-    outs = np.empty((samples, flat.shape[1]), dtype=complex)
-    for i in range(samples):
-        counts = np.bincount(word_indices[i], minlength=product.size)
-        outs[i] = (counts.astype(float) / M) @ flat
-    distances = _batched_half_trace_distances(outs, target_flat, dim)
-
-    dist_n = Distribution(product.labels, masses_n)
-    bounds = {o.alpha: soft_cover_bound(o, product, dist_n, M) for o in orders}
+    bounds, converged, iterations = {}, {}, {}
+    for order in orders:
+        info = renyi_mutual_info(order, channel, dist)
+        bounds[order.alpha] = _soft_cover_from_info(order.alpha, n * info.value, M)
+        converged[order.alpha] = info.converged
+        iterations[order.alpha] = info.iterations
     mean = float(distances.mean())
     std = float(distances.std(ddof=1)) if samples > 1 else 0.0
     return SoftCoverReport(samples=samples, mean_error=mean, bounds=bounds,
                            seed=seed, M=M, n=n, std_error=std,
-                           distances=distances)
+                           distances=distances, renyi_converged=converged,
+                           renyi_iterations=iterations)
 
 
 def ceil_operator(rho, params: SmoothingParams) -> np.ndarray:
@@ -401,8 +394,8 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float, n_max: int,
                    *, max_types: int | None = None,
                    max_dim: int = DEFAULT_MAX_DIM) -> list[tuple[int, int, float]]:
     """Exact ε(p^{⊗n}, W^{⊗n}, ⌊2^{nR}⌋) for n = 1…n_max, as (n, M, error) rows."""
-    if R < 0:
-        raise ValidationError(f"rate must be nonnegative, got {R}")
+    if not (math.isfinite(R) and R >= 0):
+        raise ValidationError(f"rate must be finite and nonnegative, got {R}")
     if not (isinstance(n_max, int) and n_max >= 1):
         raise ValidationError(f"n_max must be a positive integer, got {n_max}")
     channel._check_alphabet(dist)

@@ -252,6 +252,23 @@ class TestSoftcover:
                              "--M", "4", "--samples", "5", "--alpha", "3.0")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    def test_seed_outside_key_range_exit_two(self, capsys, channel_file, seed):
+        code, _, err = run_cli(capsys, "softcover", "--channel", channel_file,
+                               "--M", "4", "--samples", "5", "--seed", seed)
+        assert code == 2
+        assert "seed" in err
+
+    def test_renyi_convergence_lines(self, capsys, channel_file):
+        code, out, _ = run_cli(capsys, "softcover", "--channel", channel_file,
+                               "--M", "4", "--samples", "5", "--seed", "1",
+                               "--alpha", "1.5,2")
+        assert code == 0
+        vals = kv(out)
+        for alpha in ("1.5", "2"):
+            assert vals[f"renyi_converged_alpha_{alpha}"] in ("true", "false")
+            assert int(vals[f"renyi_iterations_alpha_{alpha}"]) >= 1
+
 
 # ---------------------------------------------------------------------------
 # bounds / sweeps / types

@@ -214,6 +214,47 @@ class TestSoftCoverSimulate:
         se = rep.std_error / math.sqrt(rep.samples)
         assert rep.mean_error <= rep.bounds[2.0] + 3.0 * se
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bounds_match_product_channel_oracle(self, n):
+        # Additivity of I_α: the single-letter bound must equal the bound
+        # computed by the fixed point on the kⁿ-letter product channel.
+        rng = np.random.default_rng(2024)
+        labels = ("0", "1", "2", "3")
+        ch = cq.CQChannel(labels, tuple(orc.random_density(rng, 2) for _ in labels))
+        p = cq.Distribution(labels, (0.1, 0.2, 0.3, 0.4))
+        product = ch.power(n)
+        masses_n = p.masses
+        for _ in range(n - 1):
+            masses_n = np.kron(masses_n, p.masses)
+        p_n = cq.Distribution(product.labels, masses_n)
+        alphas = (1.25, 1.5, 2.0)
+        rep = cq.soft_cover_simulate(ch, p, 16, n, 2, 9,
+                                     orders=tuple(cq.RenyiOrder(a) for a in alphas))
+        for alpha in alphas:
+            oracle = cq.soft_cover_bound(cq.RenyiOrder(alpha), product, p_n, 16)
+            assert rep.bounds[alpha] == pytest.approx(oracle, rel=1e-8)
+
+    def test_samples_prefix_is_stable(self):
+        ch, p = build_binary_flip(0.2)
+        short = cq.soft_cover_simulate(ch, p, 4, 2, 20, 123)
+        long = cq.soft_cover_simulate(ch, p, 4, 2, 60, 123)
+        assert np.array_equal(short.distances, long.distances[:20])
+
+    def test_convergence_evidence_per_order(self):
+        ch, p = build_binary_flip(0.2)
+        orders = (cq.RenyiOrder(1.25), cq.RenyiOrder(2.0))
+        rep = cq.soft_cover_simulate(ch, p, 4, 2, 5, 1, orders=orders)
+        for order in orders:
+            info = cq.renyi_mutual_info(order, ch, p)
+            assert rep.renyi_converged[order.alpha] is info.converged
+            assert rep.renyi_iterations[order.alpha] == info.iterations
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        ch, p = build_binary_flip(0.2)
+        with pytest.raises(ValidationError):
+            cq.soft_cover_simulate(ch, p, 4, 1, 5, seed)
+
 
 # ---------------------------------------------------------------------------
 # ceil_operator
@@ -405,6 +446,12 @@ class TestConverseTrend:
         ch, p = build_binary_flip(0.1)
         with pytest.raises(ValidationError):
             cq.converse_trend(ch, p, -0.5, 2)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_nonfinite_rate_rejected(self, rate):
+        ch, p = build_binary_flip(0.1)
+        with pytest.raises(ValidationError):
+            cq.converse_trend(ch, p, rate, 2)
 
 
 # ---------------------------------------------------------------------------
