@@ -7,6 +7,7 @@ JSON file formats consumed by the command line front end.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ class Distribution:
         masses = np.asarray(self.masses, dtype=float).copy()
         if masses.ndim != 1 or masses.size != len(self.labels):
             raise ValidationError("masses must be one value per label")
+        if not np.all(np.isfinite(masses)):
+            raise ValidationError("masses must be finite")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("duplicate labels")
         # Tolerate harmless negative rounding residue, reject real negativity.
@@ -278,16 +281,26 @@ def empirical_output(channel: CQChannel, w: Word) -> np.ndarray:
 def compositions(total: int, parts: int) -> np.ndarray:
     """All length-`parts` nonnegative integer vectors summing to `total`.
 
-    Rows are in lexicographic (ascending) order. Shape (C(total+parts-1, parts-1), parts).
+    Stars and bars: a row is a choice of parts−1 bar positions among the
+    total+parts−1 slots of a row of stars, and each count is the number of
+    stars between neighbouring bars. `itertools.combinations` yields the bar
+    positions in lexicographic order, so the rows are in lexicographic
+    (ascending) order too. Shape (C(total+parts-1, parts-1), parts), int64.
     """
+    slots = total + parts - 1
+    rows = math.comb(slots, parts - 1)
+    out = np.empty((rows, parts), dtype=np.int64)
     if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    chunks = []
-    for first in range(total + 1):
-        rest = compositions(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        chunks.append(np.hstack([head, rest]))
-    return np.vstack(chunks)
+        out[0, 0] = total
+        return out
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64, count=rows * (parts - 1)).reshape(rows, parts - 1)
+    out[:, 0] = bars[:, 0]
+    np.subtract(bars[:, 1:], bars[:, :-1], out=out[:, 1:-1])
+    out[:, 1:-1] -= 1
+    out[:, -1] = slots - 1 - bars[:, -1]
+    return out
 
 
 def count_m_types(alphabet_size: int, M: int) -> int:

@@ -36,8 +36,10 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
 
 
 def validate_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return the input as a matrix after checking A = A† entrywise within tol."""
+    """Return the input as a matrix after checking it is finite and A = A† entrywise within tol."""
     m = as_matrix(a)
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has a NaN or infinite entry")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if dev > tol:
         raise ValidationError(f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {tol:.0e}")

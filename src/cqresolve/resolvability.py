@@ -1,7 +1,9 @@
 """Exact and bounded resolution errors.
 
 Exact errors brute-force the finite feasible set of M-types on the product
-alphabet. The worst-input search reports a certified lower bound from a
+alphabet. When every product state is diagonal, the trace distances are ℓ₁
+distances between real diagonals; otherwise they come from batched
+eigvalsh. The worst-input search reports a certified lower bound from a
 simplex grid plus local refinement. Soft-covering Monte Carlo draws each
 codebook sample from its own counter-based stream keyed by (seed, sample
 index), so a sample's letters do not depend on how many samples are drawn.
@@ -16,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as npl
 
-from .channel import (CQChannel, Distribution, MType, compositions,
-                      m_type_counts, output_state)
-from .errors import ValidationError
+from .channel import (CQChannel, Distribution, MType, m_type_counts,
+                      output_state)
+from .errors import ResourceLimitError, ValidationError
 from .info import (SUPPORT_EIG_TOL, RenyiOrder, pinch, pinching_from_spectrum,
                    renyi_mutual_info)
 from .linalg import (DEFAULT_MAX_DIM, eigh, hermitianize,
@@ -27,7 +29,16 @@ from .linalg import (DEFAULT_MAX_DIM, eigh, hermitianize,
 ARGMIN_TIE_TOL = 1e-12
 WORST_REFINE_TOL = 1e-6
 CEIL_GRID_SNAP = 1e-9
-EIG_BATCH_ROWS = 65536
+# Operand bytes per batch of candidate outputs. A row count alone would let
+# a batch grow with the output dimension.
+EIG_BATCH_BYTES = 4 * 2 ** 20
+# 2.0 ** x overflows a float from here on.
+MAX_RATE_EXPONENT = 1024
+
+
+def _check_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +68,7 @@ class SmoothingParams:
     def __post_init__(self):
         if not (self.lam > 0):
             raise ValidationError(f"lambda must be positive, got {self.lam}")
-        if not (isinstance(self.v, int) and self.v >= 1):
-            raise ValidationError(f"v must be a positive integer, got {self.v}")
+        _check_positive_int("v", self.v)
         if not (self.L > 0):
             raise ValidationError(f"L must be positive, got {self.L}")
 
@@ -89,17 +99,67 @@ class SoftCoverReport:
             raise ValidationError(f"mean error must lie in [0,1], got {self.mean_error}")
 
 
+def _batch_rows(row_bytes: int) -> int:
+    """Rows per batch that keep a batch within EIG_BATCH_BYTES (at least one)."""
+    return max(1, EIG_BATCH_BYTES // row_bytes)
+
+
 def _batched_half_trace_distances(flat_outputs: np.ndarray, target_flat: np.ndarray,
                                   dim: int) -> np.ndarray:
     """½‖row − target‖₁ for each row of vectorized Hermitian outputs, chunked."""
-    total = flat_outputs.shape[0]
-    out = np.empty(total)
-    for lo in range(0, total, EIG_BATCH_ROWS):
-        hi = min(lo + EIG_BATCH_ROWS, total)
-        diffs = (flat_outputs[lo:hi] - target_flat).reshape(-1, dim, dim)
-        vals = npl.eigvalsh(diffs)
-        out[lo:hi] = 0.5 * np.sum(np.abs(vals), axis=1)
+    out = np.empty(flat_outputs.shape[0])
+    step = _batch_rows(dim * dim * np.dtype(complex).itemsize)
+    for lo in range(0, out.size, step):
+        diffs = (flat_outputs[lo:lo + step] - target_flat).reshape(-1, dim, dim)
+        out[lo:lo + step] = 0.5 * np.sum(np.abs(npl.eigvalsh(diffs)), axis=1)
     return out
+
+
+def _half_l1_distances(diagonals: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """½‖row − target‖₁ for each row of real diagonals.
+
+    Each difference is sorted first, so its absolute values are summed in the
+    ascending order in which eigvalsh returns a diagonal matrix's eigenvalues.
+    """
+    return 0.5 * np.sum(np.abs(np.sort(diagonals - target, axis=1)), axis=1)
+
+
+class _OutputRows:
+    """Channel states as rows that mix into outputs, and the distances between them.
+
+    When every off-diagonal entry is exactly 0, the rows are the real
+    diagonals and ½‖·‖₁ is ½·Σ|sorted(difference)|. Otherwise the rows are
+    the flattened matrices and ½‖·‖₁ comes from eigvalsh.
+    """
+
+    def __init__(self, states: np.ndarray):
+        k, self.dim = states.shape[0], states.shape[1]
+        self.flat = states.reshape(k, -1)
+        self.diagonal = not np.any(states[:, ~np.eye(self.dim, dtype=bool)])
+        self.rows = np.diagonal(states, axis1=1, axis2=2).real.copy() \
+            if self.diagonal else self.flat
+
+    def target(self, weights: np.ndarray) -> np.ndarray:
+        """The row of Σ_x w_x W_x.
+
+        It is mixed from the flattened states on both paths, so both paths
+        see the same bits. A real matrix-vector product can round a diagonal
+        entry one ulp differently, which changes printed errors near zero.
+        """
+        mixed = weights @ self.flat
+        return mixed[::self.dim + 1].real if self.diagonal else mixed
+
+    def distances(self, outputs: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """½‖row − target‖₁ for each row of outputs."""
+        if self.diagonal:
+            return _half_l1_distances(outputs, target)
+        return _batched_half_trace_distances(outputs, target, self.dim)
+
+
+def _first_argmin(errors: np.ndarray) -> tuple[float, int]:
+    """The minimum, and the first index within ARGMIN_TIE_TOL of it."""
+    best = float(errors.min())
+    return best, int(np.flatnonzero(errors <= best + ARGMIN_TIE_TOL)[0])
 
 
 def _product_masses(channel: CQChannel, dist: Distribution, n: int) -> np.ndarray:
@@ -127,35 +187,31 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
                            max_dim: int = DEFAULT_MAX_DIM) -> ResolutionResult:
     """min over M-types q on X^n of ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁, exactly.
 
-    Ties within 1e-12 of the minimum resolve to the lexicographically first
-    M-type (the enumeration order).
+    The M-types come from `m_type_counts` (stars and bars, lexicographic
+    order), and ties within 1e-12 of the minimum resolve to the
+    lexicographically first one. When every product state is diagonal, the
+    outputs are real diagonals and each distance is ½·Σ|sorted(difference)|;
+    otherwise the outputs are flattened matrices and each distance comes from
+    eigvalsh. Outputs are formed in batches of about EIG_BATCH_BYTES.
+    M and n must be positive ints.
     """
-    if not (isinstance(M, int) and M >= 1):
-        raise ValidationError(f"M must be a positive integer, got {M}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n}")
+    _check_positive_int("M", M)
+    _check_positive_int("n", n)
     product = channel.power(n, max_dim=max_dim)
     masses = _resolve_target_masses(channel, product, dist, n)
-    flat = product.states.reshape(product.size, -1)
-    target_flat = masses @ flat
+    outputs = _OutputRows(product.states)
+    target = outputs.target(masses)
     kwargs = {} if max_types is None else {"max_types": max_types}
     counts = m_type_counts(product.size, M, **kwargs)
     errors = np.empty(counts.shape[0])
-    for lo in range(0, counts.shape[0], EIG_BATCH_ROWS):
-        hi = min(lo + EIG_BATCH_ROWS, counts.shape[0])
-        outs = (counts[lo:hi].astype(float) / M) @ flat
-        errors[lo:hi] = _batched_half_trace_distances(outs, target_flat, product.dim)
-    best = float(errors.min())
-    idx = int(np.flatnonzero(errors <= best + ARGMIN_TIE_TOL)[0])
+    step = _batch_rows(counts.shape[1] * np.dtype(float).itemsize
+                       + outputs.rows[0].nbytes)
+    for lo in range(0, counts.shape[0], step):
+        mixed = (counts[lo:lo + step] / M) @ outputs.rows
+        errors[lo:lo + step] = outputs.distances(mixed, target)
+    best, idx = _first_argmin(errors)
     argmin = MType.from_counts(product.labels, counts[idx], M)
     return ResolutionResult(min(best, 1.0), argmin, M, n)
-
-
-def _min_error_against_candidates(target_flat: np.ndarray, cand_flat: np.ndarray,
-                                  dim: int) -> tuple[float, int]:
-    errs = _batched_half_trace_distances(cand_flat, target_flat, dim)
-    best = float(errs.min())
-    return best, int(np.flatnonzero(errs <= best + ARGMIN_TIE_TOL)[0])
 
 
 def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
@@ -166,30 +222,33 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     Evaluates the inner minimum on a simplex grid of step 1/grid, then
     refines the best grid point by coordinatewise mass moves with step
     halving down to 1e-6. Every reported value is attained by an explicit
-    input, hence a true lower bound on the supremum.
+    input, hence a true lower bound on the supremum. Candidates and grid
+    points come from `m_type_counts` (stars and bars). When every product
+    state is diagonal, the candidate outputs are real diagonals and each
+    distance is ½·Σ|sorted(difference)|; otherwise they are flattened
+    matrices and the distances come from eigvalsh in batches of about
+    EIG_BATCH_BYTES. M, n and grid must be positive ints.
     """
-    if grid < 1:
-        raise ValidationError(f"grid must be >= 1, got {grid}")
+    _check_positive_int("M", M)
+    _check_positive_int("n", n)
+    _check_positive_int("grid", grid)
     product = channel.power(n, max_dim=max_dim)
-    k, dim = product.size, product.dim
-    flat = product.states.reshape(k, -1)
+    k = product.size
+    outputs = _OutputRows(product.states)
     kwargs = {} if max_types is None else {"max_types": max_types}
     cand_counts = m_type_counts(k, M, **kwargs)
-    cand_flat = (cand_counts.astype(float) / M) @ flat
+    cand = (cand_counts / M) @ outputs.rows
 
     def inner(p_vec: np.ndarray) -> tuple[float, int]:
-        return _min_error_against_candidates(p_vec @ flat, cand_flat, dim)
+        return _first_argmin(outputs.distances(cand, outputs.target(p_vec)))
 
-    grid_counts = m_type_counts(k, grid, **kwargs)
     best_val = -1.0
     best_p = None
-    for lo in range(0, grid_counts.shape[0], 4096):
-        hi = min(lo + 4096, grid_counts.shape[0])
-        block = grid_counts[lo:hi].astype(float) / grid
-        for row in block:
-            val, _ = inner(row)
-            if val > best_val:
-                best_val, best_p = val, row.copy()
+    for counts in m_type_counts(k, grid, **kwargs):
+        row = counts / grid
+        val, _ = inner(row)
+        if val > best_val:
+            best_val, best_p = val, row
 
     step = 1.0 / grid
     while step >= WORST_REFINE_TOL:
@@ -224,8 +283,7 @@ def soft_cover_bound(order: RenyiOrder, channel: CQChannel, dist: Distribution,
     factor would claim a 1/M decay, which the sample mean provably exceeds
     for any nondegenerate channel once M is large.
     """
-    if not (isinstance(M, int) and M >= 1):
-        raise ValidationError(f"M must be a positive integer, got {M}")
+    _check_positive_int("M", M)
     info = renyi_mutual_info(order, channel, dist)
     return _soft_cover_from_info(order.alpha, info.value, M)
 
@@ -254,10 +312,8 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     fixed point runs on the k-letter channel, not on its kⁿ-letter power.
     """
     channel._check_alphabet(dist)
-    if not (isinstance(M, int) and M >= 1):
-        raise ValidationError(f"M must be a positive integer, got {M}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n}")
+    _check_positive_int("M", M)
+    _check_positive_int("n", n)
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if workers < 1:
@@ -344,8 +400,7 @@ def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
     channel._check_alphabet(dist)
     if Cthr <= 0:
         raise ValidationError(f"threshold must be positive, got {Cthr}")
-    if not (isinstance(M, int) and M >= 1):
-        raise ValidationError(f"M must be a positive integer, got {M}")
+    _check_positive_int("M", M)
     s = validate_density(sigma)
     if s.shape[0] != channel.dim:
         raise ValidationError("reference state dimension does not match the channel")
@@ -376,8 +431,7 @@ def ll1b_bound(channel: CQChannel, dist: Distribution, params: SmoothingParams,
                M: int) -> float:
     """4√(Σ_x p(x) Tr W_x{E_τ(W_x) ≥ Lτ}) + √(vL/M) with τ = ⌈W(p)⌉_{λ,v}."""
     channel._check_alphabet(dist)
-    if not (isinstance(M, int) and M >= 1):
-        raise ValidationError(f"M must be a positive integer, got {M}")
+    _check_positive_int("M", M)
     tau = ceil_operator(output_state(channel, dist), params)
     pmap = pinching_from_spectrum(tau)
     term1 = 0.0
@@ -393,12 +447,19 @@ def ll1b_bound(channel: CQChannel, dist: Distribution, params: SmoothingParams,
 def converse_trend(channel: CQChannel, dist: Distribution, R: float, n_max: int,
                    *, max_types: int | None = None,
                    max_dim: int = DEFAULT_MAX_DIM) -> list[tuple[int, int, float]]:
-    """Exact ε(p^{⊗n}, W^{⊗n}, ⌊2^{nR}⌋) for n = 1…n_max, as (n, M, error) rows."""
+    """Exact ε(p^{⊗n}, W^{⊗n}, ⌊2^{nR}⌋) for n = 1…n_max, as (n, M, error) rows.
+
+    Raises ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a
+    float there, and its M-types are far past any enumeration cap.
+    """
     if not (math.isfinite(R) and R >= 0):
         raise ValidationError(f"rate must be finite and nonnegative, got {R}")
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise ValidationError(f"n_max must be a positive integer, got {n_max}")
+    _check_positive_int("n_max", n_max)
     channel._check_alphabet(dist)
+    if n_max * R >= MAX_RATE_EXPONENT:
+        raise ResourceLimitError(
+            f"M = 2^(n*R) at n = {n_max}, R = {R} exceeds 2^{MAX_RATE_EXPONENT}; "
+            "its M-types are far past any enumeration cap")
     rows = []
     for n in range(1, n_max + 1):
         M = max(1, math.floor(2.0 ** (n * R)))

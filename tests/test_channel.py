@@ -30,6 +30,19 @@ def test_distribution_rejects_negative_mass():
         cq.Distribution.from_dict({"a": 1.2, "b": -0.2})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_non_finite_mass(bad):
+    with pytest.raises(errors.ValidationError, match="finite"):
+        cq.Distribution(("0", "1"), [bad, 1.0])
+
+
+def test_channel_rejects_nan_state():
+    state = np.diag([0.5, 0.5]).astype(complex)
+    state[1, 0] = math.nan
+    with pytest.raises(errors.ValidationError):
+        cq.CQChannel(("a", "b"), [np.diag([1.0, 0.0]), state])
+
+
 def test_point_mass_distribution():
     d = cq.Distribution.point_mass(("a", "b"), "b")
     np.testing.assert_allclose(d.masses, [0.0, 1.0])
@@ -260,6 +273,16 @@ def test_m_type_enumeration_distinct_and_valid(k, M):
     for t in types:
         scaled = np.asarray(t.distribution.masses) * M
         assert np.max(np.abs(scaled - np.round(scaled))) < 1e-9
+
+
+@pytest.mark.parametrize("parts", range(1, 7))
+@pytest.mark.parametrize("total", range(0, 7))
+def test_compositions_match_oracle(total, parts):
+    got = cq.compositions(total, parts)
+    assert got.dtype == np.int64
+    assert got.shape == (math.comb(total + parts - 1, parts - 1), parts)
+    # The oracle sorts, so equality also checks the lexicographic row order.
+    assert [tuple(row) for row in got.tolist()] == orc.all_m_type_count_vectors(parts, total)
 
 
 def test_m_type_enumeration_matches_oracle_counts():

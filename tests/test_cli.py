@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run `python -m cqresolve.cli` in a child process that imports this checkout."""
+    src = str(Path(cq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "cqresolve.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def kv(out: str) -> dict:
@@ -94,6 +105,29 @@ class TestExitCodes:
              "state": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]}]}))
         code, _, err = run_cli(capsys, "capacity", "--channel", str(path))
         assert code == 2
+
+    def test_nan_state_rejected(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"dim": 2, "inputs": [
+            {"label": "0",
+             "state": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}]}))
+        code, _, err = run_cli(capsys, "resolve", "--channel", str(path), "--M", "2")
+        assert code == 2
+        assert "NaN" in err
+
+    def test_nan_mass_rejected(self, capsys, channel_file):
+        code, _, err = run_cli(capsys, "resolve", "--channel", channel_file,
+                               "--dist", '{"0": NaN, "1": 1.0}', "--M", "2")
+        assert code == 2
+        assert "finite" in err
+
+    def test_converse_trend_huge_rate_is_exit_three(self):
+        # 2.0 ** (n * R) overflows a float at n * R >= 1024.
+        proc = run_module("converse-trend", "--builtin", "example1", "--eps", "0.2",
+                          "--rate", "2000", "--n-max", "1")
+        assert proc.returncode == 3
+        assert "resource limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_psd_state_rejected(self, capsys, tmp_path):
         path = tmp_path / "neg.json"
@@ -435,10 +469,7 @@ class TestFormatting:
         assert "," in text and ";" not in text
 
     def test_console_script_runs(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cqresolve.cli", "capacity",
-             "--builtin", "example1", "--eps", "0.25"],
-            capture_output=True, text=True, timeout=120)
+        proc = run_module("capacity", "--builtin", "example1", "--eps", "0.25")
         assert proc.returncode == 0
         line = [l for l in proc.stdout.splitlines()
                 if l.startswith("capacity_bits")][0]

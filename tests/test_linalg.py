@@ -276,6 +276,15 @@ def test_validate_density_rejects_wrong_trace():
         cq.validate_density(np.diag([0.6, 0.6]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_validate_density_rejects_non_finite_entry(bad, where):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[where] = bad
+    with pytest.raises(errors.ValidationError, match="NaN or infinite"):
+        cq.validate_density(m)
+
+
 def test_validate_hermitian_rejects_asymmetric():
     with pytest.raises(errors.ValidationError):
         cq.validate_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqresolve as cq
+import cqresolve.resolvability as rv
 from cqresolve import ValidationError
 
 import oracles as orc
@@ -116,6 +117,117 @@ class TestResolutionErrorWorst:
                 for M in (1, 2, 4)]
         assert errs[0] >= errs[1] - 1e-12
         assert errs[1] >= errs[2] - 1e-12
+
+    def test_type_cap_raises(self):
+        with pytest.raises(cq.ResourceLimitError):
+            cq.resolution_error_worst(build_binary_flip(0.1)[0], 10, 1, max_types=3)
+
+
+# ---------------------------------------------------------------------------
+# argument checks shared by resolution_error_exact and resolution_error_worst
+# ---------------------------------------------------------------------------
+
+
+NOT_POSITIVE_INTS = [True, False, 0, -1, 2.5, "2", None]
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_INTS, ids=repr)
+@pytest.mark.parametrize("arg", ["M", "n"])
+def test_exact_rejects_non_positive_int(arg, bad):
+    ch, p = build_binary_flip(0.1)
+    args = {"M": 2, "n": 1, arg: bad}
+    with pytest.raises(ValidationError, match=f"{arg} must be a positive integer"):
+        cq.resolution_error_exact(ch, p, args["M"], args["n"])
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_INTS, ids=repr)
+@pytest.mark.parametrize("arg", ["M", "n", "grid"])
+def test_worst_rejects_non_positive_int(arg, bad):
+    ch, _ = build_binary_flip(0.1)
+    args = {"M": 2, "n": 1, "grid": 4, arg: bad}
+    with pytest.raises(ValidationError, match=f"{arg} must be a positive integer"):
+        cq.resolution_error_worst(ch, args["M"], args["n"], grid=args["grid"])
+
+
+# ---------------------------------------------------------------------------
+# exact engine: diagonal path, eigvalsh path, byte budget
+# ---------------------------------------------------------------------------
+
+
+def random_diagonal_channel(seed: int, d: int = 3):
+    rng = np.random.default_rng(seed)
+    labels = ("a", "b", "c")
+    ch = cq.CQChannel(labels, [np.diag(rng.dirichlet(np.ones(d))) for _ in labels])
+    return ch, cq.Distribution(labels, rng.dirichlet(np.ones(len(labels))))
+
+
+def non_diagonal_channel():
+    labels = ("a", "b", "c")
+    states = [np.array([[0.7, 0.2], [0.2, 0.3]]),
+              np.array([[0.5, 0.1j], [-0.1j, 0.5]]),
+              np.diag([0.2, 0.8])]
+    return cq.CQChannel(labels, states), cq.Distribution(labels, (0.2, 0.5, 0.3))
+
+
+class TestExactEngine:
+    @pytest.mark.parametrize("n, M", [(1, 6), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_diagonal_path_matches_eigvalsh_path(self, n, M, seed):
+        ch, p = random_diagonal_channel(seed)
+        product = ch.power(n)
+        outputs = rv._OutputRows(product.states)
+        assert outputs.diagonal
+        masses = rv._product_masses(ch, p, n)
+        weights = cq.m_type_counts(product.size, M) / M
+        diagonal = outputs.distances(weights @ outputs.rows, outputs.target(masses))
+        flat = product.states.reshape(product.size, -1)
+        eig = rv._batched_half_trace_distances(weights @ flat, masses @ flat, product.dim)
+        np.testing.assert_allclose(diagonal, eig, rtol=0, atol=1e-14)
+        assert rv._first_argmin(diagonal)[1] == rv._first_argmin(eig)[1]
+        res = cq.resolution_error_exact(ch, p, M, n)
+        assert res.error == pytest.approx(float(eig.min()), abs=1e-14)
+        counts = np.round(res.argmin.distribution.masses * M).astype(int)
+        assert np.array_equal(weights[rv._first_argmin(eig)[1]] * M, counts)
+
+    def test_tiny_off_diagonal_takes_eigvalsh_path(self, monkeypatch):
+        states = [np.diag([0.9, 0.1]), np.diag([0.2, 0.8]),
+                  np.array([[0.6, 1e-9], [1e-9, 0.4]])]
+        ch = cq.CQChannel(("a", "b", "c"), states)
+        p = cq.Distribution(("a", "b", "c"), (0.2, 0.5, 0.3))
+
+        def diagonal_path(*args):
+            raise AssertionError("the diagonal path was taken")
+
+        monkeypatch.setattr(rv, "_half_l1_distances", diagonal_path)
+        for M in (1, 2, 3, 5):
+            res = cq.resolution_error_exact(ch, p, M)
+            want = orc.brute_force_resolution_error(states, p.masses, M)
+            assert res.error == pytest.approx(want, abs=1e-12)
+        cq.resolution_error_worst(ch, 2, grid=4)
+
+    @pytest.mark.parametrize("make", [lambda: random_diagonal_channel(7, d=2),
+                                      non_diagonal_channel],
+                             ids=["diagonal", "non-diagonal"])
+    def test_small_byte_budget_is_bit_identical(self, monkeypatch, make):
+        ch, p = make()
+        product = ch.power(2)
+        flat = product.states.reshape(product.size, -1)
+        weights = cq.m_type_counts(product.size, 3) / 3
+        target = rv._product_masses(ch, p, 2) @ flat
+
+        def run():
+            exact = cq.resolution_error_exact(ch, p, 3, 2)
+            worst = cq.resolution_error_worst(ch, 2, 2, grid=3)
+            eig = rv._batched_half_trace_distances(weights @ flat, target, product.dim)
+            return (exact.error, tuple(exact.argmin.distribution.masses),
+                    worst.error, tuple(worst.worst_input.masses), eig.tobytes())
+
+        wide = run()
+        # A 4x4 complex matrix takes 256 bytes: three per eigvalsh batch, and
+        # two (matrices) or seven (diagonals) rows per batch of mixed outputs.
+        monkeypatch.setattr(rv, "EIG_BATCH_BYTES", 3 * product.dim ** 2 * 16)
+        assert rv._batch_rows(product.dim ** 2 * 16) == 3
+        assert run() == wide
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +564,13 @@ class TestConverseTrend:
         ch, p = build_binary_flip(0.1)
         with pytest.raises(ValidationError):
             cq.converse_trend(ch, p, rate, 2)
+
+    @pytest.mark.parametrize("rate, n_max", [(2000.0, 1), (512.0, 2)])
+    def test_rate_past_float_range_is_resource_limit(self, rate, n_max):
+        # 2.0 ** (n * R) overflows at n * R >= 1024.
+        ch, p = build_binary_flip(0.1)
+        with pytest.raises(cq.ResourceLimitError):
+            cq.converse_trend(ch, p, rate, n_max)
 
 
 # ---------------------------------------------------------------------------
