@@ -7,10 +7,9 @@ and identification-code checks. All logarithms and rates are base 2.
 """
 from .errors import (ConvergenceError, DimensionMismatchError, DomainError,
                      ResourceLimitError, ValidationError)
-from .linalg import (SpectralDecomposition, eigh, jacobi_eigh, hermitianize,
-                     mat_fn, positive_part_projector, tensor_power,
-                     trace_distance, trace_norm, validate_density,
-                     validate_hermitian)
+from .linalg import (SpectralDecomposition, eigh, hermitianize, mat_fn,
+                     positive_part_projector, tensor_power, trace_distance,
+                     trace_norm, validate_density, validate_hermitian)
 from .channel import (CQChannel, CQJointState, Codebook, Distribution, MType,
                       Word, channel_from_json, codebook_from_json,
                       codebook_state, compositions, count_m_types,

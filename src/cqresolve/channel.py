@@ -16,7 +16,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ResourceLimitError, ValidationError
+from .errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
+                     check_positive_int)
 from .linalg import DEFAULT_MAX_DIM, as_matrix, kron_all, validate_density
 
 DIST_SUM_TOL = 1e-12
@@ -337,7 +338,9 @@ def channel_from_json(source) -> CQChannel:
     """Parse a channel file: {"dim": d, "inputs": [{"label": …, "state": …}]}.
 
     `source` is a path or an already-parsed dict. State entries are
-    [re, im] pairs in a dim×dim nested array.
+    [re, im] pairs in a dim×dim nested array. A label is a JSON string or
+    number and is stored in its string form, so the JSON keys of a
+    distribution or ID-code `dist` can name it.
     """
     if isinstance(source, dict):
         doc = source
@@ -347,20 +350,23 @@ def channel_from_json(source) -> CQChannel:
     if not isinstance(doc, dict) or "dim" not in doc or "inputs" not in doc:
         raise ValidationError("channel file must be an object with 'dim' and 'inputs'")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"'dim' must be a positive integer, got {dim!r}")
+    check_positive_int("dim", dim)
     labels = []
     states = []
     for i, item in enumerate(doc["inputs"]):
         where = f"inputs[{i}]"
         if not isinstance(item, dict) or "label" not in item or "state" not in item:
             raise ValidationError(f"{where}: expected an object with 'label' and 'state'")
+        label = item["label"]
+        if isinstance(label, bool) or not isinstance(label, (str, int, float)):
+            raise ValidationError(
+                f"{where}: label must be a JSON string or number, got {label!r}")
         rows = item["state"]
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ValidationError(f"{where}: state is not {dim}x{dim}")
         mat = np.array([[_parse_complex_entry(rows[r][c], f"{where}.state[{r}][{c}]")
                          for c in range(dim)] for r in range(dim)])
-        labels.append(item["label"])
+        labels.append(str(label))
         states.append(mat)
     return CQChannel(labels, states)
 

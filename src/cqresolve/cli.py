@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .channel import (CQChannel, Distribution, Word, channel_from_json,
-                      distribution_from_json, format_label)
+from .channel import (DEFAULT_MAX_TYPES, CQChannel, Distribution, Word,
+                      channel_from_json, distribution_from_json, format_label,
+                      output_state)
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .info import RenyiOrder, binary_entropy
+from .info import RenyiOrder
 from .idcodes import bridge_counting_check, idcode_from_json, \
     pairwise_distance_check, verify_id_code
 from .linalg import DEFAULT_MAX_DIM
@@ -29,50 +30,9 @@ from .rates import capacity, fixed_input_rate
 from .resolvability import (SmoothingParams, converse_trend, ll1b_bound,
                             ll2_bound, resolution_error_exact,
                             resolution_error_worst, soft_cover_simulate)
-from .channel import DEFAULT_MAX_TYPES
-from .types_sanov import (Basis, EmpiricalState, all_empirical_states,
-                          bad_codeword_test, commuting_types_bound_check,
-                          ee31_margin, empirical_state, type_projector)
-
-COMMANDS = ("capacity", "fixed-rate", "resolve", "worst-resolve", "softcover",
-            "bound-ll2", "bound-ll1b", "sanov-sweep", "types-check",
-            "id-verify", "id-bridge", "converse-trend", "separation-figure")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus every flag it may consume."""
-
-    command: str
-    channel_path: str | None = None
-    builtin: str | None = None
-    eps: float | None = None
-    dist_path: str | None = None
-    code_path: str | None = None
-    M: int = 1
-    n: int = 1
-    alpha: str = "2"
-    lam: float = 1.0
-    v: int = 1
-    L: float = 1.0
-    delta: float | None = None
-    r: float | None = None
-    samples: int = 100
-    seed: int = 0
-    tol: float = 1e-9
-    grid: int = 20
-    out_path: str | None = None
-    max_types: int = DEFAULT_MAX_TYPES
-    max_dim: int = DEFAULT_MAX_DIM
-    workers: int = 1
-    cthr: float | None = None
-    rate: float = 0.0
-    n_max: int = 1
-    eps_grid: str = "0.05:0.45:0.05"
-    N: int = 2
-    lambda1: float = 0.1
-    lambda2: float = 0.1
-    alphabet_size: int = 2
+from .types_sanov import (Basis, all_empirical_states, bad_codeword_test,
+                          commuting_types_bound_check, ee31_margin,
+                          type_projector)
 
 
 def _fmt(x: float) -> str:
@@ -117,30 +77,33 @@ def _builtin_example1(eps: float) -> CQChannel:
     return CQChannel(("0", "1", "e"), states)
 
 
-def _load_channel(cfg: RunConfig) -> CQChannel:
-    if cfg.builtin is not None:
-        if cfg.builtin != "example1":
-            raise ValidationError(f"unknown builtin channel '{cfg.builtin}'")
-        if cfg.eps is None:
+def _load_channel(args: argparse.Namespace) -> CQChannel:
+    if args.builtin is not None:
+        if args.eps is None:
             raise ValidationError("--builtin example1 requires --eps")
-        return _builtin_example1(cfg.eps)
-    if cfg.channel_path is None:
+        return _builtin_example1(args.eps)
+    if args.channel_path is None:
         raise ValidationError("a channel is required: --channel PATH "
                               "or --builtin example1 --eps E")
-    return channel_from_json(cfg.channel_path)
+    return channel_from_json(args.channel_path)
 
 
-def _load_dist(cfg: RunConfig, channel: CQChannel) -> Distribution:
-    if cfg.dist_path is None:
+def _inline_or_path(value: str):
+    """A value starting with ``{`` is inline JSON; anything else is a path."""
+    text = value.strip()
+    return json.loads(text) if text.startswith("{") else value
+
+
+def _load_dist(args: argparse.Namespace, channel: CQChannel) -> Distribution:
+    if args.dist_path is None:
         return Distribution.uniform(channel.labels)
-    text = cfg.dist_path.strip()
-    source = json.loads(text) if text.startswith("{") else cfg.dist_path
-    return distribution_from_json(source, labels=channel.labels)
+    return distribution_from_json(_inline_or_path(args.dist_path),
+                                  labels=channel.labels)
 
 
-def _orders(cfg: RunConfig) -> tuple[RenyiOrder, ...]:
+def _orders(args: argparse.Namespace) -> tuple[RenyiOrder, ...]:
     try:
-        values = [float(tok) for tok in cfg.alpha.split(",") if tok.strip()]
+        values = [float(tok) for tok in args.alpha.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"--alpha must be a comma list of numbers: {exc}")
     if not values:
@@ -153,14 +116,14 @@ def _dist_payload(dist: Distribution) -> dict:
             for lbl, mass in zip(dist.labels, dist.masses)}
 
 
-def _cmd_capacity(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    result = capacity(channel, tol=cfg.tol)
+def _cmd_capacity(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    result = capacity(channel, tol=args.tol)
     print(f"capacity_bits = {_fmt(result.value)}")
     print(f"certificate_gap = {_fmt(result.certificate)}")
     print(f"iterations = {result.iterations}")
-    if cfg.out_path:
-        _write_json(cfg.out_path, {
+    if args.out_path:
+        _write_json(args.out_path, {
             "command": "capacity", "value": result.value,
             "certificate_gap": result.certificate,
             "iterations": result.iterations,
@@ -168,14 +131,14 @@ def _cmd_capacity(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_fixed_rate(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    dist = _load_dist(cfg, channel)
+def _cmd_fixed_rate(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    dist = _load_dist(args, channel)
     result = fixed_input_rate(channel, dist)
     print(f"fixed_input_rate_bits = {_fmt(result.value)}")
     print(f"vertices_examined = {result.iterations}")
-    if cfg.out_path:
-        _write_json(cfg.out_path, {
+    if args.out_path:
+        _write_json(args.out_path, {
             "command": "fixed-rate", "value": result.value,
             "vertices_examined": result.iterations,
             "argmin": _dist_payload(result.distribution)})
@@ -189,43 +152,43 @@ def _mtype_payload(res) -> dict:
             if mass > 0}
 
 
-def _cmd_resolve(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    dist = _load_dist(cfg, channel)
-    result = resolution_error_exact(channel, dist, cfg.M, cfg.n,
-                                    max_types=cfg.max_types, max_dim=cfg.max_dim)
+def _cmd_resolve(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    dist = _load_dist(args, channel)
+    result = resolution_error_exact(channel, dist, args.M, args.n,
+                                    max_types=args.max_types, max_dim=args.max_dim)
     print(f"exact_error = {_fmt(result.error)}")
     print(f"M = {result.M}")
     print(f"n = {result.n}")
-    if cfg.out_path:
-        _write_json(cfg.out_path, {
+    if args.out_path:
+        _write_json(args.out_path, {
             "command": "resolve", "error": result.error, "M": result.M,
             "n": result.n, "argmin_counts": _mtype_payload(result)})
     return 0
 
 
-def _cmd_worst_resolve(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    result = resolution_error_worst(channel, cfg.M, cfg.n, grid=cfg.grid,
-                                    max_types=cfg.max_types, max_dim=cfg.max_dim)
+def _cmd_worst_resolve(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    result = resolution_error_worst(channel, args.M, args.n, grid=args.grid,
+                                    max_types=args.max_types, max_dim=args.max_dim)
     print(f"worst_error_lower_bound = {_fmt(result.error)}")
     print(f"approximate = {result.approximate}")
     print(f"M = {result.M}")
     print(f"n = {result.n}")
-    if cfg.out_path:
-        _write_json(cfg.out_path, {
+    if args.out_path:
+        _write_json(args.out_path, {
             "command": "worst-resolve", "error_lower_bound": result.error,
             "approximate": result.approximate, "M": result.M, "n": result.n,
             "worst_input": _dist_payload(result.worst_input)})
     return 0
 
 
-def _cmd_softcover(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    dist = _load_dist(cfg, channel)
-    report = soft_cover_simulate(channel, dist, cfg.M, cfg.n, cfg.samples,
-                                 cfg.seed, orders=_orders(cfg),
-                                 workers=cfg.workers, max_dim=cfg.max_dim)
+def _cmd_softcover(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    dist = _load_dist(args, channel)
+    report = soft_cover_simulate(channel, dist, args.M, args.n, args.samples,
+                                 args.seed, orders=_orders(args),
+                                 workers=args.workers, max_dim=args.max_dim)
     print(f"seed = {report.seed}")
     print(f"samples = {report.samples}")
     print(f"mean_error = {_fmt(report.mean_error)}")
@@ -237,66 +200,61 @@ def _cmd_softcover(cfg: RunConfig) -> int:
               f"{str(report.renyi_converged[alpha]).lower()}")
         print(f"renyi_iterations_alpha_{_fmt(alpha)} = {report.renyi_iterations[alpha]}")
     rows = [(str(i), _fmt(dval)) for i, dval in enumerate(report.distances)]
-    _write_csv(cfg.out_path, ("sample", "trace_distance"), rows)
+    _write_csv(args.out_path, ("sample", "trace_distance"), rows)
     return 0
 
 
-def _cmd_bound_ll2(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    dist = _load_dist(cfg, channel)
-    if cfg.cthr is None:
-        raise ValidationError("bound-ll2 requires --cthr")
-    from .channel import output_state
+def _cmd_bound_ll2(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    dist = _load_dist(args, channel)
     sigma = output_state(channel, dist)
-    value = ll2_bound(channel, dist, sigma, cfg.cthr, cfg.M)
+    value = ll2_bound(channel, dist, sigma, args.cthr, args.M)
     print(f"ll2_bound = {_fmt(value)}")
-    print(f"M = {cfg.M}")
-    if cfg.out_path:
-        _write_json(cfg.out_path, {"command": "bound-ll2", "bound": value,
-                                   "Cthr": cfg.cthr, "M": cfg.M})
+    print(f"M = {args.M}")
+    if args.out_path:
+        _write_json(args.out_path, {"command": "bound-ll2", "bound": value,
+                                   "Cthr": args.cthr, "M": args.M})
     return 0
 
 
-def _cmd_bound_ll1b(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    dist = _load_dist(cfg, channel)
-    params = SmoothingParams(cfg.lam, cfg.v, cfg.L)
-    value = ll1b_bound(channel, dist, params, cfg.M)
+def _cmd_bound_ll1b(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    dist = _load_dist(args, channel)
+    params = SmoothingParams(args.lam, args.v, args.L)
+    value = ll1b_bound(channel, dist, params, args.M)
     print(f"ll1b_bound = {_fmt(value)}")
-    print(f"M = {cfg.M}")
-    if cfg.out_path:
-        _write_json(cfg.out_path, {"command": "bound-ll1b", "bound": value,
-                                   "lambda": cfg.lam, "v": cfg.v, "L": cfg.L,
-                                   "M": cfg.M})
+    print(f"M = {args.M}")
+    if args.out_path:
+        _write_json(args.out_path, {"command": "bound-ll1b", "bound": value,
+                                   "lambda": args.lam, "v": args.v, "L": args.L,
+                                   "M": args.M})
     return 0
 
 
-def _cmd_sanov_sweep(cfg: RunConfig) -> int:
-    if cfg.dist_path is None:
+def _cmd_sanov_sweep(args: argparse.Namespace) -> int:
+    if args.dist_path is None:
         raise ValidationError("sanov-sweep requires --dist (the diagonal of the "
                               "reference state)")
-    text = cfg.dist_path.strip()
-    source = json.loads(text) if text.startswith("{") else cfg.dist_path
-    dist = distribution_from_json(source)
+    dist = distribution_from_json(_inline_or_path(args.dist_path))
     rho = np.diag(dist.masses).astype(complex)
     rows = []
-    for n in range(1, cfg.n + 1):
+    for n in range(1, args.n + 1):
         for t in all_empirical_states(n, len(dist.masses)):
             check = commuting_types_bound_check(rho, t, n)
             rows.append((str(n), "|".join(str(c) for c in t.counts),
                          _fmt(check.lhs), _fmt(check.rhs),
                          "true" if check.ok else "false"))
-    _write_csv(cfg.out_path, ("n", "type_counts", "lhs", "rhs", "ok"), rows)
+    _write_csv(args.out_path, ("n", "type_counts", "lhs", "rhs", "ok"), rows)
     bad = sum(1 for row in rows if row[4] == "false")
     print(f"rows = {len(rows)}")
     print(f"violations = {bad}")
     return 0
 
 
-def _cmd_types_check(cfg: RunConfig) -> int:
-    d, n = cfg.alphabet_size, cfg.n
-    if d ** n > cfg.max_dim:
-        raise ResourceLimitError(f"d^n = {d ** n} exceeds --max-dim {cfg.max_dim}")
+def _cmd_types_check(args: argparse.Namespace) -> int:
+    d, n = args.alphabet_size, args.n
+    if d ** n > args.max_dim:
+        raise ResourceLimitError(f"d^n = {d ** n} exceeds --max-dim {args.max_dim}")
     states = all_empirical_states(n, d)
     expected = math.comb(n + d - 1, d - 1)
     print(f"type_count = {len(states)}")
@@ -305,49 +263,35 @@ def _cmd_types_check(cfg: RunConfig) -> int:
     total = np.zeros((d ** n, d ** n), dtype=complex)
     rank_sum = 0
     for t in states:
-        proj = type_projector(t, basis, max_dim=cfg.max_dim)
+        proj = type_projector(t, basis, max_dim=args.max_dim)
         total += proj.matrix
         rank_sum += proj.rank
     partition_dev = float(np.max(np.abs(total - np.eye(d ** n))))
     print(f"partition_identity_max_dev = {_fmt(partition_dev)}")
     print(f"rank_sum = {rank_sum}")
     print(f"rank_sum_ok = {str(rank_sum == d ** n).lower()}")
-    min_margin = math.inf
-    for flat in range(d ** n):
-        digits = []
-        rem = flat
-        for _ in range(n):
-            digits.append(rem % d)
-            rem //= d
-        word = Word(tuple(reversed(digits)))
-        min_margin = min(min_margin, ee31_margin(word, d, max_dim=cfg.max_dim))
+    # The margin depends on a word only through its type, so one word per
+    # type gives the same minimum as every word.
+    min_margin = min(
+        ee31_margin(Word(tuple(j for j, c in enumerate(t.counts) for _ in range(c))),
+                    d, max_dim=args.max_dim)
+        for t in states)
     print(f"twirl_domination_min_margin = {_fmt(min_margin)}")
     ok = partition_dev <= 1e-9 and rank_sum == d ** n and min_margin >= -1e-9
     print(f"all_ok = {str(ok).lower()}")
-    if cfg.channel_path or cfg.builtin:
-        channel = _load_channel(cfg)
-        dist = _load_dist(cfg, channel)
-        if cfg.delta is not None:
-            count = 0
-            totaln = channel.size ** n
-            for flat in range(totaln):
-                digits = []
-                rem = flat
-                for _ in range(n):
-                    digits.append(rem % channel.size)
-                    rem //= channel.size
-                word = Word(tuple(channel.labels[i] for i in reversed(digits)))
-                if bad_codeword_test(channel, word, dist, cfg.delta):
-                    count += 1
-            print(f"bad_codewords = {count} / {totaln}")
+    if args.channel_path or args.builtin:
+        channel = _load_channel(args)
+        dist = _load_dist(args, channel)
+        if args.delta is not None:
+            count = sum(bad_codeword_test(channel, Word(w), dist, args.delta)
+                        for w in itertools.product(channel.labels, repeat=n))
+            print(f"bad_codewords = {count} / {channel.size ** n}")
     return 0
 
 
-def _cmd_id_verify(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    if cfg.code_path is None:
-        raise ValidationError("id-verify requires --code PATH")
-    code = idcode_from_json(cfg.code_path, labels=channel.labels)
+def _cmd_id_verify(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    code = idcode_from_json(args.code_path, labels=channel.labels)
     report = verify_id_code(code, channel)
     print(f"entries = {code.size}")
     print(f"valid = {str(report.valid).lower()}")
@@ -359,8 +303,8 @@ def _cmd_id_verify(cfg: RunConfig) -> int:
     print(f"min_pairwise_distance = {_fmt(pair.min_distance)}")
     print(f"distance_threshold = {_fmt(pair.threshold)}")
     print(f"distance_ok = {str(pair.ok).lower()}")
-    if cfg.out_path:
-        _write_json(cfg.out_path, {
+    if args.out_path:
+        _write_json(args.out_path, {
             "command": "id-verify", "valid": report.valid,
             "worst_hit_margin": report.worst_hit_margin,
             "worst_cross_margin": report.worst_cross_margin,
@@ -370,34 +314,32 @@ def _cmd_id_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_id_bridge(cfg: RunConfig) -> int:
-    if cfg.eps is None:
-        raise ValidationError("id-bridge requires --eps (the resolution error ε(W,M))")
-    check = bridge_counting_check(cfg.N, cfg.alphabet_size, cfg.M,
-                                  cfg.lambda1, cfg.lambda2, cfg.eps)
+def _cmd_id_bridge(args: argparse.Namespace) -> int:
+    check = bridge_counting_check(args.N, args.alphabet_size, args.M,
+                                  args.lambda1, args.lambda2, args.eps)
     print(f"applicable = {str(check.applicable).lower()}")
     print(f"count_ok = {str(check.count_ok).lower()}")
     if check.applicable and not check.count_ok:
-        bound = 1.0 - cfg.lambda1 - cfg.lambda2
-        print(f"implied_worst_error_at_M{cfg.M} >= {_fmt(bound)} (contradiction: "
+        bound = 1.0 - args.lambda1 - args.lambda2
+        print(f"implied_worst_error_at_M{args.M} >= {_fmt(bound)} (contradiction: "
               f"no such code can exist with the supplied eps)")
-    if cfg.out_path:
-        _write_json(cfg.out_path, {
+    if args.out_path:
+        _write_json(args.out_path, {
             "command": "id-bridge", "applicable": check.applicable,
-            "count_ok": check.count_ok, "N": cfg.N, "M": cfg.M,
-            "alphabet_size": cfg.alphabet_size})
+            "count_ok": check.count_ok, "N": args.N, "M": args.M,
+            "alphabet_size": args.alphabet_size})
     return 0
 
 
-def _cmd_converse_trend(cfg: RunConfig) -> int:
-    channel = _load_channel(cfg)
-    dist = _load_dist(cfg, channel)
-    rows_raw = converse_trend(channel, dist, cfg.rate, cfg.n_max,
-                              max_types=cfg.max_types, max_dim=cfg.max_dim)
+def _cmd_converse_trend(args: argparse.Namespace) -> int:
+    channel = _load_channel(args)
+    dist = _load_dist(args, channel)
+    rows_raw = converse_trend(channel, dist, args.rate, args.n_max,
+                              max_types=args.max_types, max_dim=args.max_dim)
     rows = [(str(n), str(m), _fmt(err)) for n, m, err in rows_raw]
-    _write_csv(cfg.out_path, ("n", "M", "exact_error"), rows)
-    print(f"rate_bits = {_fmt(cfg.rate)}")
-    print(f"n_max = {cfg.n_max}")
+    _write_csv(args.out_path, ("n", "M", "exact_error"), rows)
+    print(f"rate_bits = {_fmt(args.rate)}")
+    print(f"n_max = {args.n_max}")
     return 0
 
 
@@ -422,15 +364,15 @@ def _parse_eps_grid(spec_text: str) -> list[float]:
     return values
 
 
-def _cmd_separation_figure(cfg: RunConfig) -> int:
+def _cmd_separation_figure(args: argparse.Namespace) -> int:
     rows = []
-    for eps in _parse_eps_grid(cfg.eps_grid):
+    for eps in _parse_eps_grid(args.eps_grid):
         channel = _builtin_example1(eps)
-        cap = capacity(channel, tol=cfg.tol)
+        cap = capacity(channel, tol=args.tol)
         dist = Distribution(channel.labels, np.array([0.5, 0.5, 0.0]))
         fixed = fixed_input_rate(channel, dist)
         rows.append((_fmt(eps), _fmt(cap.value), _fmt(fixed.value)))
-    _write_csv(cfg.out_path, ("epsilon", "capacity", "fixed_rate"), rows)
+    _write_csv(args.out_path, ("epsilon", "capacity", "fixed_rate"), rows)
     print(f"points = {len(rows)}")
     return 0
 
@@ -452,20 +394,13 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one parsed command; returns the process exit code."""
-    if config.command not in _DISPATCH:
-        raise ValidationError(f"unknown command '{config.command}'")
-    return _DISPATCH[config.command](config)
-
-
 def _add_channel_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--channel", dest="channel_path", metavar="PATH",
                     help="channel JSON file")
     sp.add_argument("--builtin", choices=["example1"],
                     help="use a built-in channel (requires --eps)")
-    sp.add_argument("--eps", type=float, help="flip probability for the builtin "
-                    "channel, or the supplied resolution error for id-bridge")
+    sp.add_argument("--eps", type=float,
+                    help="flip probability for the builtin channel")
 
 
 def _add_dist_flag(sp: argparse.ArgumentParser) -> None:
@@ -474,13 +409,12 @@ def _add_dist_flag(sp: argparse.ArgumentParser) -> None:
                     "{\"label\": mass} object (default: uniform)")
 
 
-def _add_caps(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--max-types", type=int, default=DEFAULT_MAX_TYPES,
-                    help="enumeration cap on M-types / grid points")
+def _add_caps(sp: argparse.ArgumentParser, *, max_types: bool = False) -> None:
+    if max_types:
+        sp.add_argument("--max-types", type=int, default=DEFAULT_MAX_TYPES,
+                        help="enumeration cap on M-types / grid points")
     sp.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
                     help="cap on product-space matrix dimension d^n")
-    sp.add_argument("--out", dest="out_path", metavar="PATH",
-                    help="write CSV/JSON artifact here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,37 +426,42 @@ def build_parser() -> argparse.ArgumentParser:
                     "checks, and identification-code verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("capacity", help="iterative maximization of the "
-                        "input-output mutual information with a gap certificate")
+    def command(name: str, summary: str, *, out: bool = True) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        if out:
+            sp.add_argument("--out", dest="out_path", metavar="PATH",
+                            help="write CSV/JSON artifact here")
+        return sp
+
+    sp = command("capacity", "iterative maximization of the input-output "
+                 "mutual information with a gap certificate")
     _add_channel_flags(sp)
     sp.add_argument("--tol", type=float, default=1e-9)
-    _add_caps(sp)
 
-    sp = sub.add_parser("fixed-rate", help="minimum mutual information over "
-                        "inputs with the same output state (vertex enumeration)")
+    sp = command("fixed-rate", "minimum mutual information over inputs with "
+                 "the same output state (vertex enumeration)")
     _add_channel_flags(sp)
     _add_dist_flag(sp)
-    _add_caps(sp)
 
-    sp = sub.add_parser("resolve", help="exact minimum half trace distance "
-                        "over M-types on the n-fold alphabet")
+    sp = command("resolve", "exact minimum half trace distance over M-types "
+                 "on the n-fold alphabet")
     _add_channel_flags(sp)
     _add_dist_flag(sp)
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--n", type=int, default=1)
-    _add_caps(sp)
+    _add_caps(sp, max_types=True)
 
-    sp = sub.add_parser("worst-resolve", help="grid + refinement lower bound "
-                        "on the worst-input resolution error")
+    sp = command("worst-resolve", "grid + refinement lower bound on the "
+                 "worst-input resolution error")
     _add_channel_flags(sp)
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--grid", type=int, default=20,
                     help="simplex grid resolution (step = 1/grid)")
-    _add_caps(sp)
+    _add_caps(sp, max_types=True)
 
-    sp = sub.add_parser("softcover", help="Monte-Carlo codebook experiment vs "
-                        "the Renyi soft-covering bound; CSV sample,trace_distance")
+    sp = command("softcover", "Monte-Carlo codebook experiment vs the Renyi "
+                 "soft-covering bound; CSV sample,trace_distance")
     _add_channel_flags(sp)
     _add_dist_flag(sp)
     sp.add_argument("--M", type=int, required=True)
@@ -535,17 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted; has no effect")
     _add_caps(sp)
 
-    sp = sub.add_parser("bound-ll2", help="pinching-based one-shot bound with "
-                        "reference sigma = W(p) and threshold C")
+    sp = command("bound-ll2", "pinching-based one-shot bound with reference "
+                 "sigma = W(p) and threshold C")
     _add_channel_flags(sp)
     _add_dist_flag(sp)
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--cthr", type=float, required=True,
                     help="threshold C in the projector {E(W_x) >= C sigma}")
-    _add_caps(sp)
 
-    sp = sub.add_parser("bound-ll1b", help="smoothing-based one-shot bound "
-                        "with ceil(W(p)) as reference")
+    sp = command("bound-ll1b", "smoothing-based one-shot bound with "
+                 "ceil(W(p)) as reference")
     _add_channel_flags(sp)
     _add_dist_flag(sp)
     sp.add_argument("--M", type=int, required=True)
@@ -553,16 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="geometric grid step of the smoothing")
     sp.add_argument("--v", type=int, default=1, help="grid depth")
     sp.add_argument("--L", type=float, default=1.0, help="threshold L")
-    _add_caps(sp)
 
-    sp = sub.add_parser("sanov-sweep", help="commuting types bound over all "
-                        "profiles for n = 1..N; CSV n,type_counts,lhs,rhs,ok")
+    sp = command("sanov-sweep", "commuting types bound over all profiles for "
+                 "n = 1..N; CSV n,type_counts,lhs,rhs,ok")
     _add_dist_flag(sp)
     sp.add_argument("--n", type=int, required=True, help="maximum block length")
-    _add_caps(sp)
 
-    sp = sub.add_parser("types-check", help="type partition identity, rank "
-                        "arithmetic, and the twirling domination margin")
+    sp = command("types-check", "type partition identity, rank arithmetic, "
+                 "and the twirling domination margin", out=False)
     _add_channel_flags(sp)
     _add_dist_flag(sp)
     sp.add_argument("--alphabet-size", type=int, default=2,
@@ -573,15 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "(needs a channel and distribution)")
     _add_caps(sp)
 
-    sp = sub.add_parser("id-verify", help="verify an identification code "
-                        "against a channel and check pairwise output distances")
+    sp = command("id-verify", "verify an identification code against a "
+                 "channel and check pairwise output distances")
     _add_channel_flags(sp)
     sp.add_argument("--code", dest="code_path", metavar="PATH", required=True,
                     help="ID-code JSON file")
-    _add_caps(sp)
 
-    sp = sub.add_parser("id-bridge", help="counting check |X|^M >= N with the "
-                        "resolvability applicability gate")
+    sp = command("id-bridge", "counting check |X|^M >= N with the "
+                 "resolvability applicability gate")
     sp.add_argument("--N", type=int, required=True, help="code size")
     sp.add_argument("--alphabet-size", type=int, required=True)
     sp.add_argument("--M", type=int, required=True)
@@ -589,34 +524,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda2", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True,
                     help="worst-input resolution error ε(W,M) to gate on")
-    _add_caps(sp)
 
-    sp = sub.add_parser("converse-trend", help="exact errors at M = floor(2^{nR}) "
-                        "for n = 1..n_max; CSV n,M,exact_error")
+    sp = command("converse-trend", "exact errors at M = floor(2^{nR}) for "
+                 "n = 1..n_max; CSV n,M,exact_error")
     _add_channel_flags(sp)
     _add_dist_flag(sp)
     sp.add_argument("--rate", type=float, required=True, help="rate R in bits")
     sp.add_argument("--n-max", dest="n_max", type=int, required=True)
-    _add_caps(sp)
+    _add_caps(sp, max_types=True)
 
-    sp = sub.add_parser("separation-figure", help="capacity vs fixed-input rate "
-                        "for the builtin three-input channel over an eps grid; "
-                        "CSV epsilon,capacity,fixed_rate")
+    sp = command("separation-figure", "capacity vs fixed-input rate for the "
+                 "builtin three-input channel over an eps grid; "
+                 "CSV epsilon,capacity,fixed_rate")
     sp.add_argument("--eps-grid", dest="eps_grid", default="0.05:0.45:0.05",
                     help="start:stop:step")
     sp.add_argument("--tol", type=float, default=1e-9)
-    _add_caps(sp)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    valid = {f.name for f in fields(RunConfig)}
-    for key, val in vars(args).items():
-        if key in valid and val is not None and key != "command":
-            setattr(cfg, key, val)
-    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -626,16 +550,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
-    cfg = _config_from_args(args)
     try:
-        return run(cfg)
+        return _DISPATCH[args.command](args)
     except OSError as exc:
         print(f"error: cannot read input file: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
+    except (ValidationError, ConvergenceError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -18,6 +18,12 @@ class ResourceLimitError(RuntimeError):
     """A configured cap (matrix dimension, type count, permutation count) would be exceeded."""
 
 
+def check_positive_int(name: str, value) -> None:
+    """Raise ValidationError unless value is an int (not a bool) and >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver ran out of iterations.
 

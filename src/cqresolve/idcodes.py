@@ -16,7 +16,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution, distribution_from_json, output_state
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, check_positive_int
 from .linalg import trace_norm, validate_hermitian
 
 TEST_OPERATOR_SLACK = 1e-9
@@ -154,8 +154,7 @@ def bridge_counting_check(N: int, alphabet_size: int, M: int, lambda1: float,
     worst-input resolution error at M exceeds 1 − λ₁ − λ₂.
     """
     for name, val in (("N", N), ("alphabet_size", alphabet_size), ("M", M)):
-        if not (isinstance(val, int) and val >= 1):
-            raise ValidationError(f"{name} must be a positive integer, got {val}")
+        check_positive_int(name, val)
     if N < 2:
         raise ValidationError(f"N must be at least 2, got {N}")
     for lam, name in ((lambda1, "lambda1"), (lambda2, "lambda2")):

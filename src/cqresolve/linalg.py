@@ -126,62 +126,6 @@ def eigh(op) -> SpectralDecomposition:
     return _decompose(vals, vecs)
 
 
-def jacobi_eigh(op, rel_tol: float = 1e-13, max_sweeps: int = 60) -> SpectralDecomposition:
-    """Cyclic Jacobi eigendecomposition for Hermitian matrices.
-
-    Rotations sweep the strict upper triangle until the off-diagonal Frobenius
-    norm falls below rel_tol times the Frobenius norm of the input. Slower than
-    eigh but dependency-light; both satisfy the same contract and the test
-    suite cross-validates them.
-    """
-    m = validate_hermitian(op)
-    d = m.shape[0]
-    a = m.astype(complex).copy()
-    u = np.eye(d, dtype=complex)
-    target = rel_tol * max(float(npl.norm(m)), np.finfo(float).tiny)
-
-    def offdiag(x: np.ndarray) -> float:
-        o = x - np.diag(np.diag(x))
-        return float(npl.norm(o))
-
-    for _ in range(max_sweeps):
-        if offdiag(a) <= target:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                app = float(np.real(a[p, p]))
-                aqq = float(np.real(a[q, q]))
-                # Phase-rotate to make the pivot real, then a real Jacobi rotation.
-                phase = apq / abs(apq)
-                r = abs(apq)
-                if app == aqq:
-                    theta = np.pi / 4
-                else:
-                    theta = 0.5 * np.arctan2(2 * r, app - aqq)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                jp = np.array([c, s * np.conj(phase)], dtype=complex)
-                jq = np.array([-s * phase, c], dtype=complex)
-                # Columns update: [p q] <- [p q] @ J with J = [[c, -s*phase],[s*conj(phase), c]].
-                col_p = a[:, p] * c + a[:, q] * s * np.conj(phase)
-                col_q = -a[:, p] * s * phase + a[:, q] * c
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = np.conj(jp[0]) * a[p, :] + np.conj(jp[1]) * a[q, :]
-                row_q = np.conj(jq[0]) * a[p, :] + np.conj(jq[1]) * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                vcol_p = u[:, p] * c + u[:, q] * s * np.conj(phase)
-                vcol_q = -u[:, p] * s * phase + u[:, q] * c
-                u[:, p] = vcol_p
-                u[:, q] = vcol_q
-    vals = np.real(np.diag(a))
-    return _decompose(vals, u)
-
-
 def mat_fn(op, f) -> np.ndarray:
     """Spectral calculus: apply the scalar function f to the eigenvalues.
 

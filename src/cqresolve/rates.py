@@ -81,7 +81,7 @@ def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL,
     the best iterate in its attributes) if the gap certificate does not
     reach tol within max_iter steps.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     states = channel.states
     k = channel.size

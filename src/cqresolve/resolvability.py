@@ -20,7 +20,7 @@ import numpy.linalg as npl
 
 from .channel import (CQChannel, Distribution, MType, m_type_counts,
                       output_state)
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, check_positive_int
 from .info import (SUPPORT_EIG_TOL, RenyiOrder, pinch, pinching_from_spectrum,
                    renyi_mutual_info)
 from .linalg import (DEFAULT_MAX_DIM, eigh, hermitianize,
@@ -34,11 +34,6 @@ CEIL_GRID_SNAP = 1e-9
 EIG_BATCH_BYTES = 4 * 2 ** 20
 # 2.0 ** x overflows a float from here on.
 MAX_RATE_EXPONENT = 1024
-
-
-def _check_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ class SmoothingParams:
     def __post_init__(self):
         if not (self.lam > 0):
             raise ValidationError(f"lambda must be positive, got {self.lam}")
-        _check_positive_int("v", self.v)
+        check_positive_int("v", self.v)
         if not (self.L > 0):
             raise ValidationError(f"L must be positive, got {self.L}")
 
@@ -195,8 +190,8 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     eigvalsh. Outputs are formed in batches of about EIG_BATCH_BYTES.
     M and n must be positive ints.
     """
-    _check_positive_int("M", M)
-    _check_positive_int("n", n)
+    check_positive_int("M", M)
+    check_positive_int("n", n)
     product = channel.power(n, max_dim=max_dim)
     masses = _resolve_target_masses(channel, product, dist, n)
     outputs = _OutputRows(product.states)
@@ -229,9 +224,9 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     matrices and the distances come from eigvalsh in batches of about
     EIG_BATCH_BYTES. M, n and grid must be positive ints.
     """
-    _check_positive_int("M", M)
-    _check_positive_int("n", n)
-    _check_positive_int("grid", grid)
+    check_positive_int("M", M)
+    check_positive_int("n", n)
+    check_positive_int("grid", grid)
     product = channel.power(n, max_dim=max_dim)
     k = product.size
     outputs = _OutputRows(product.states)
@@ -283,7 +278,7 @@ def soft_cover_bound(order: RenyiOrder, channel: CQChannel, dist: Distribution,
     factor would claim a 1/M decay, which the sample mean provably exceeds
     for any nondegenerate channel once M is large.
     """
-    _check_positive_int("M", M)
+    check_positive_int("M", M)
     info = renyi_mutual_info(order, channel, dist)
     return _soft_cover_from_info(order.alpha, info.value, M)
 
@@ -312,8 +307,8 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     fixed point runs on the k-letter channel, not on its kⁿ-letter power.
     """
     channel._check_alphabet(dist)
-    _check_positive_int("M", M)
-    _check_positive_int("n", n)
+    check_positive_int("M", M)
+    check_positive_int("n", n)
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if workers < 1:
@@ -400,7 +395,7 @@ def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
     channel._check_alphabet(dist)
     if Cthr <= 0:
         raise ValidationError(f"threshold must be positive, got {Cthr}")
-    _check_positive_int("M", M)
+    check_positive_int("M", M)
     s = validate_density(sigma)
     if s.shape[0] != channel.dim:
         raise ValidationError("reference state dimension does not match the channel")
@@ -431,7 +426,7 @@ def ll1b_bound(channel: CQChannel, dist: Distribution, params: SmoothingParams,
                M: int) -> float:
     """4√(Σ_x p(x) Tr W_x{E_τ(W_x) ≥ Lτ}) + √(vL/M) with τ = ⌈W(p)⌉_{λ,v}."""
     channel._check_alphabet(dist)
-    _check_positive_int("M", M)
+    check_positive_int("M", M)
     tau = ceil_operator(output_state(channel, dist), params)
     pmap = pinching_from_spectrum(tau)
     term1 = 0.0
@@ -454,7 +449,7 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float, n_max: int,
     """
     if not (math.isfinite(R) and R >= 0):
         raise ValidationError(f"rate must be finite and nonnegative, got {R}")
-    _check_positive_int("n_max", n_max)
+    check_positive_int("n_max", n_max)
     channel._check_alphabet(dist)
     if n_max * R >= MAX_RATE_EXPONENT:
         raise ResourceLimitError(

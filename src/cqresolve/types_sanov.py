@@ -16,7 +16,7 @@ import numpy.linalg as npl
 from .channel import (CQChannel, Distribution, Word, compositions,
                       empirical_output, output_state)
 from .errors import (DimensionMismatchError, ResourceLimitError,
-                     ValidationError)
+                     ValidationError, check_positive_int)
 from .info import SUPPORT_EIG_TOL, PinchingMap
 from .linalg import DEFAULT_MAX_DIM, eigh, hermitianize, trace_norm, validate_density
 
@@ -61,14 +61,13 @@ class EmpiricalState:
     n: int
 
     def __post_init__(self):
+        check_positive_int("n", self.n)
         counts = tuple(int(c) for c in self.counts)
         if any(c < 0 for c in counts):
             raise ValidationError(f"counts must be nonnegative, got {counts}")
         if sum(counts) != self.n:
             raise ValidationError(
                 f"counts {counts} sum to {sum(counts)}, expected n = {self.n}")
-        if self.n < 1:
-            raise ValidationError(f"block length must be >= 1, got {self.n}")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -107,6 +106,8 @@ def empirical_state(w: Word, d: int) -> EmpiricalState:
 
 def all_empirical_states(n: int, d: int) -> list[EmpiricalState]:
     """Every feasible count profile for (n, d); there are C(n+d-1, d-1)."""
+    check_positive_int("n", n)
+    check_positive_int("d", d)
     return [EmpiricalState(tuple(int(c) for c in row), n)
             for row in compositions(n, d)]
 
@@ -243,8 +244,7 @@ def twirl(op, n: int, *, max_perms: int = TWIRL_MAX_PERMUTATIONS) -> np.ndarray:
     m = np.asarray(op, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"operator must be square, got {m.shape}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n}")
+    check_positive_int("n", n)
     total = m.shape[0]
     d = round(total ** (1.0 / n))
     while d ** n < total:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +84,66 @@ def trace_norm_svd(a) -> float:
 
 def half_trace_distance_svd(a, b) -> float:
     return 0.5 * trace_norm_svd(np.asarray(a, complex) - np.asarray(b, complex))
+
+
+# ---------------------------------------------------------------------------
+# Hermitian eigendecomposition by Jacobi rotations (no LAPACK eigensolver)
+
+
+class JacobiDecomposition(NamedTuple):
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def jacobi_eigh(op, rel_tol: float = 1e-13, max_sweeps: int = 60) -> JacobiDecomposition:
+    """Cyclic Jacobi eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    Rotations sweep the strict upper triangle until the off-diagonal Frobenius
+    norm falls below rel_tol times the Frobenius norm of the input; no LAPACK
+    eigensolver is involved.
+    """
+    m = np.asarray(op, dtype=complex)
+    d = m.shape[0]
+    a = m.copy()
+    u = np.eye(d, dtype=complex)
+    target = rel_tol * max(float(np.linalg.norm(m)), np.finfo(float).tiny)
+
+    def offdiag(x: np.ndarray) -> float:
+        return float(np.linalg.norm(x - np.diag(np.diag(x))))
+
+    for _ in range(max_sweeps):
+        if offdiag(a) <= target:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p, q]
+                if abs(apq) == 0.0:
+                    continue
+                app = float(np.real(a[p, p]))
+                aqq = float(np.real(a[q, q]))
+                # Phase-rotate to make the pivot real, then a real Jacobi rotation.
+                phase = apq / abs(apq)
+                r = abs(apq)
+                theta = np.pi / 4 if app == aqq else 0.5 * np.arctan2(2 * r, app - aqq)
+                c = np.cos(theta)
+                s = np.sin(theta)
+                # Columns: [p q] <- [p q] @ J with J = [[c, -s*phase], [s*conj(phase), c]];
+                # rows: [p q] <- J^dagger @ [p q].
+                col_p = a[:, p] * c + a[:, q] * s * np.conj(phase)
+                col_q = -a[:, p] * s * phase + a[:, q] * c
+                a[:, p] = col_p
+                a[:, q] = col_q
+                row_p = c * a[p, :] + s * phase * a[q, :]
+                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
+                a[p, :] = row_p
+                a[q, :] = row_q
+                vcol_p = u[:, p] * c + u[:, q] * s * np.conj(phase)
+                vcol_q = -u[:, p] * s * phase + u[:, q] * c
+                u[:, p] = vcol_p
+                u[:, q] = vcol_q
+    vals = np.real(np.diag(a))
+    order = np.argsort(vals)[::-1]
+    return JacobiDecomposition(vals[order], u[:, order])
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,41 @@ def test_channel_json_rejects_non_density(tmp_path):
         cq.channel_from_json(str(path))
 
 
+def _one_qubit_inputs(*labels) -> dict:
+    state = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    return {"dim": 2, "inputs": [{"label": lab, "state": state} for lab in labels]}
+
+
+@pytest.mark.parametrize("label", [[0], {"a": 1}, True, None],
+                         ids=["array", "object", "bool", "null"])
+def test_channel_json_rejects_non_scalar_label(label):
+    with pytest.raises(errors.ValidationError, match="label must be a JSON string or number"):
+        cq.channel_from_json(_one_qubit_inputs("a", label))
+
+
+def test_channel_json_stores_number_labels_as_strings():
+    channel = cq.channel_from_json(_one_qubit_inputs(0, 1, 2.5, "e"))
+    assert channel.labels == ("0", "1", "2.5", "e")
+    assert [cq.format_label(lab) for lab in channel.labels] == ["0", "1", "2.5", "e"]
+
+
+def test_channel_json_number_and_string_label_collide():
+    with pytest.raises(errors.ValidationError, match="duplicate channel labels"):
+        cq.channel_from_json(_one_qubit_inputs(0, "0"))
+
+
+def test_number_labels_take_a_json_distribution_and_id_code():
+    channel = cq.channel_from_json(_one_qubit_inputs(0, 1))
+    dist = cq.distribution_from_json({"0": 0.25, "1": 0.75}, labels=channel.labels)
+    np.testing.assert_allclose(dist.masses, [0.25, 0.75])
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    code = cq.idcode_from_json({"lambda1": 0.1, "lambda2": 0.1, "entries": [
+        {"dist": {"0": 1.0}, "test": zero}, {"dist": {"1": 1.0}, "test": zero}]},
+        labels=channel.labels)
+    assert [d.as_dict() for d, _ in code.entries] == [{"0": 1.0, "1": 0.0},
+                                                      {"0": 0.0, "1": 1.0}]
+
+
 def test_distribution_json(tmp_path):
     path = tmp_path / "dist.json"
     path.write_text(json.dumps({"0": 0.25, "1": 0.75}))

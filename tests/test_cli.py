@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, CSV schemas, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import cqresolve as cq
-from cqresolve.cli import main
+from cqresolve.cli import _DISPATCH, _fmt, main
 
 import oracles as orc
 
@@ -128,6 +129,62 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "resource limit" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("capacity", "--builtin", "example1", "--eps", "0.1", "--max-types", "5"),
+        ("separation-figure", "--max-dim", "64"),
+        ("id-bridge", "--N", "9", "--alphabet-size", "3", "--M", "2",
+         "--lambda1", "0.1", "--lambda2", "0.1", "--eps", "0.0", "--max-dim", "64"),
+        ("types-check", "--n", "2", "--out", "f"),
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_command_does_not_read_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", sorted(_DISPATCH))
+    def test_every_command_help_exits_zero(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert f"usage: cqresolve {command}" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("capacity", "--builtin", "example1", "--eps", "0.1", "--tol", "nan"),
+        ("separation-figure", "--tol", "nan"),
+    ], ids=lambda argv: argv[0])
+    def test_nan_tol_is_validation_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "tol must be positive" in err
+
+    @pytest.mark.parametrize("labels, code, message", [
+        ([[0], [1]], 2, "label must be a JSON string or number"),
+        ([{"a": 1}, "b"], 2, "label must be a JSON string or number"),
+        ([0, "0"], 2, "duplicate channel labels"),
+        ([0, 1], 0, ""),
+    ], ids=["array", "object", "number-string-collision", "numbers"])
+    def test_channel_label_kinds(self, capsys, tmp_path, labels, code, message):
+        state = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"dim": 2, "inputs": [
+            {"label": lab, "state": state} for lab in labels]}))
+        got, out, err = run_cli(capsys, "fixed-rate", "--channel", str(path),
+                                "--dist", '{"0": 0.5, "1": 0.5}')
+        assert got == code
+        assert message in err
+        if code == 0:
+            assert "fixed_input_rate_bits" in kv(out)
+
+    def test_malformed_json_is_validation_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "fixed-rate", "--builtin", "example1",
+                               "--eps", "0.1", "--dist", "{bad")
+        assert code == 2
+        assert err.startswith("error: ")
+        path = tmp_path / "broken.json"
+        path.write_text("{\"dim\": 2,")
+        code, _, err = run_cli(capsys, "capacity", "--channel", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_non_psd_state_rejected(self, capsys, tmp_path):
         path = tmp_path / "neg.json"
@@ -351,6 +408,27 @@ class TestBoundCommands:
         assert vals["all_ok"] == "true"
         assert vals["rank_sum"] == "16"
         assert vals["type_count"] == "5"
+
+    @pytest.mark.parametrize("d, n", [(2, n) for n in range(1, 7)]
+                             + [(3, n) for n in range(1, 5)]
+                             + [(4, n) for n in range(1, 4)])
+    def test_types_check_margin_matches_every_word(self, capsys, d, n):
+        code, out, _ = run_cli(capsys, "types-check", "--alphabet-size", str(d),
+                               "--n", str(n))
+        assert code == 0
+        every_word = min(cq.ee31_margin(cq.Word(w), d)
+                         for w in itertools.product(range(d), repeat=n))
+        assert kv(out)["twirl_domination_min_margin"] == _fmt(every_word)
+
+    def test_types_check_counts_bad_codewords(self, capsys):
+        code, out, _ = run_cli(capsys, "types-check", "--n", "3", "--builtin",
+                               "example1", "--eps", "0.1", "--delta", "0.3")
+        assert code == 0
+        states = [np.diag([0.9, 0.1]), np.diag([0.1, 0.9]), np.diag([0.5, 0.5])]
+        average = sum(states) / 3
+        bad = sum(orc.trace_norm_svd(sum(states[i] for i in word) / 3 - average) >= 0.3
+                  for word in itertools.product(range(3), repeat=3))
+        assert kv(out)["bad_codewords"] == f"{bad} / 27"
 
     def test_types_check_cap(self, capsys):
         code, _, _ = run_cli(capsys, "types-check", "--alphabet-size", "2",

@@ -231,6 +231,14 @@ class TestBridgeCounting:
                 rhs = math.log2(M) + math.log2(math.log2(x)) if x > 2 else math.log2(M)
                 assert lhs <= rhs + 1e-12
 
+    @pytest.mark.parametrize("bad", [True, False, 0, -1, 2.5, "2"])
+    @pytest.mark.parametrize("arg", ["N", "alphabet_size", "M"])
+    def test_integer_arguments_must_be_positive_ints(self, arg, bad):
+        kwargs = dict(N=2, alphabet_size=2, M=1)
+        kwargs[arg] = bad
+        with pytest.raises(ValidationError, match=f"{arg} must be a positive integer"):
+            cq.bridge_counting_check(**kwargs, lambda1=0.1, lambda2=0.1, eps=0.0)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             cq.bridge_counting_check(1, 2, 2, 0.1, 0.1, 0.0)

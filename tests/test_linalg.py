@@ -78,7 +78,7 @@ def test_jacobi_eigh_matches_default_solver():
         d = int(rng.integers(1, 9))
         a = random_hermitian(rng, d)
         ev_default = cq.eigh(a).eigenvalues
-        jac = cq.jacobi_eigh(a)
+        jac = orc.jacobi_eigh(a)
         np.testing.assert_allclose(jac.eigenvalues, ev_default, atol=1e-9)
         recon = jac.eigenvectors @ np.diag(jac.eigenvalues) @ jac.eigenvectors.conj().T
         assert float(np.max(np.abs(recon - a))) < 1e-9

@@ -56,6 +56,14 @@ def test_capacity_rejects_nonpositive_tol(flip_erase_channel):
         cq.capacity(channel, tol=0.0)
 
 
+def test_capacity_rejects_nan_tol_before_iterating(flip_erase_channel):
+    # NaN compares false with everything, so a `tol <= 0` guard let it
+    # through to 100,000 iterations and a ConvergenceError.
+    channel, _ = flip_erase_channel
+    with pytest.raises(errors.ValidationError, match="tol must be positive"):
+        cq.capacity(channel, tol=float("nan"))
+
+
 def test_capacity_nonconvergence_carries_best_iterate():
     channel, _ = build_flip_erase_channel(0.45)
     with pytest.raises(errors.ConvergenceError) as exc_info:

@@ -269,6 +269,19 @@ class TestTwirl:
             cq.twirl(np.eye(6, dtype=complex), 2)
 
 
+@pytest.mark.parametrize("bad", [True, False, 0, -1, 2.5, "2"])
+@pytest.mark.parametrize("call", [
+    lambda bad: cq.twirl(np.eye(2, dtype=complex), bad),
+    lambda bad: cq.all_empirical_states(bad, 2),
+    lambda bad: cq.all_empirical_states(2, bad),
+    lambda bad: cq.EmpiricalState((1, 0), n=bad),
+], ids=["twirl-n", "all_empirical_states-n", "all_empirical_states-d",
+        "EmpiricalState-n"])
+def test_integer_arguments_must_be_positive_ints(call, bad):
+    with pytest.raises(ValidationError, match="must be a positive integer"):
+        call(bad)
+
+
 # ---------------------------------------------------------------------------
 # bad_codeword_test
 # ---------------------------------------------------------------------------
@@ -381,3 +394,14 @@ class TestEE31:
     def test_dimension_cap(self):
         with pytest.raises(cq.ResourceLimitError):
             cq.ee31_margin(cq.Word((0,) * 13), 2)
+
+    @pytest.mark.parametrize("d, n", [(2, 4), (2, 6), (3, 3), (3, 4), (4, 2), (5, 3)])
+    def test_margin_depends_on_the_word_only_through_its_type(self, d, n):
+        # types-check takes the margin of one word per type; every word of
+        # the type must give the same float bits.
+        by_type = {}
+        for symbols in itertools.product(range(d), repeat=n):
+            t = cq.empirical_state(cq.Word(symbols), d).counts
+            by_type.setdefault(t, set()).add(cq.ee31_margin(cq.Word(symbols), d))
+        assert len(by_type) == math.comb(n + d - 1, d - 1)
+        assert all(len(margins) == 1 for margins in by_type.values())
