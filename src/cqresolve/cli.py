@@ -252,6 +252,12 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_types_check(args: argparse.Namespace) -> int:
+    has_channel = args.channel_path is not None or args.builtin is not None
+    if has_channel != (args.delta is not None):
+        raise ValidationError("types-check counts bad codewords only with both "
+                              "--delta and a channel (--channel or --builtin)")
+    if args.dist_path is not None and not has_channel:
+        raise ValidationError("types-check reads --dist only with a channel")
     d, n = args.alphabet_size, args.n
     if d ** n > args.max_dim:
         raise ResourceLimitError(f"d^n = {d ** n} exceeds --max-dim {args.max_dim}")
@@ -279,13 +285,12 @@ def _cmd_types_check(args: argparse.Namespace) -> int:
     print(f"twirl_domination_min_margin = {_fmt(min_margin)}")
     ok = partition_dev <= 1e-9 and rank_sum == d ** n and min_margin >= -1e-9
     print(f"all_ok = {str(ok).lower()}")
-    if args.channel_path or args.builtin:
+    if has_channel:
         channel = _load_channel(args)
         dist = _load_dist(args, channel)
-        if args.delta is not None:
-            count = sum(bad_codeword_test(channel, Word(w), dist, args.delta)
-                        for w in itertools.product(channel.labels, repeat=n))
-            print(f"bad_codewords = {count} / {channel.size ** n}")
+        count = sum(bad_codeword_test(channel, Word(w), dist, args.delta)
+                    for w in itertools.product(channel.labels, repeat=n))
+        print(f"bad_codewords = {count} / {channel.size ** n}")
     return 0
 
 
@@ -395,10 +400,11 @@ _DISPATCH = {
 
 
 def _add_channel_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--channel", dest="channel_path", metavar="PATH",
-                    help="channel JSON file")
-    sp.add_argument("--builtin", choices=["example1"],
-                    help="use a built-in channel (requires --eps)")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--channel", dest="channel_path", metavar="PATH",
+                        help="channel JSON file")
+    source.add_argument("--builtin", choices=["example1"],
+                        help="use a built-in channel (requires --eps)")
     sp.add_argument("--eps", type=float,
                     help="flip probability for the builtin channel")
 
@@ -506,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--delta", type=float,
                     help="also count bad codewords at this threshold "
-                    "(needs a channel and distribution)")
+                    "(needs a channel; --dist defaults to uniform)")
     _add_caps(sp)
 
     sp = command("id-verify", "verify an identification code against a "

@@ -11,14 +11,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.linalg as npl
 
 from .channel import (CQChannel, Distribution, Word, compositions,
                       empirical_output, output_state)
 from .errors import (DimensionMismatchError, ResourceLimitError,
                      ValidationError, check_positive_int)
 from .info import SUPPORT_EIG_TOL, PinchingMap
-from .linalg import DEFAULT_MAX_DIM, eigh, hermitianize, trace_norm, validate_density
+from .linalg import DEFAULT_MAX_DIM, eigh, trace_norm, validate_density
 
 BASIS_GRAM_TOL = 1e-10
 MAJORIZATION_TOL = 1e-12
@@ -269,24 +268,20 @@ def ee31_margin(w: Word, d: int, *, max_dim: int = DEFAULT_MAX_DIM) -> float:
     """Min eigenvalue of (n+1)^{d-1}·e(x^n)^{⊗n} − twirl(|x^n⟩⟨x^n|).
 
     Nonnegative (within slack) certifies the twirling domination for the
-    word; the word's letters are standard-basis indices.
+    word; the word's letters are standard-basis indices. Twirling the word
+    projector gives the projector onto the word's type class T_c divided by
+    |T_c|, so both terms are diagonal in the word basis and the margin is
+    the minimum over types m of (n+1)^{d-1}·∏_j (c_j/n)^{m_j} − [m = c]/|T_c|.
+    No d^n matrix is built; max_dim still caps d^n.
     """
     n = len(w.symbols)
     if d ** n > max_dim:
         raise ResourceLimitError(f"d^n = {d ** n} exceeds the matrix cap {max_dim}")
     emp = empirical_state(w, d)
-    dens = emp.density(Basis.standard(d))
-    rhs = dens
-    for _ in range(n - 1):
-        rhs = np.kron(rhs, dens)
-    rhs = ((n + 1) ** (d - 1)) * rhs
-    flat_index = 0
-    for sym in w.symbols:
-        flat_index = flat_index * d + int(sym)
-    vec = np.zeros(d ** n, dtype=complex)
-    vec[flat_index] = 1.0
-    lhs = twirl(np.outer(vec, vec.conj()), n)
-    return float(npl.eigvalsh(hermitianize(rhs - lhs))[0])
+    types = compositions(n, d)
+    diag = ((n + 1) ** (d - 1)) * np.prod(emp.distribution() ** types, axis=1)
+    diag[np.all(types == np.asarray(emp.counts), axis=1)] -= 1.0 / emp.rank()
+    return float(diag.min())
 
 
 def bad_codeword_test(channel: CQChannel, w: Word, dist: Distribution,

@@ -166,6 +166,68 @@ def classical_mutual_info(T, p) -> float:
     return total
 
 
+# ---------------------------------------------------------------------------
+# cq channel capacity by the plain (unaccelerated) multiplicative ascent
+
+
+def relative_entropy_bits(rho, sigma, support_tol: float = 1e-12) -> float:
+    """D(ρ‖σ) = Tr ρ log₂ρ − Tr ρ log₂σ; +inf when ρ has weight off σ's support."""
+    r_vals = np.linalg.eigvalsh(rho)
+    r_vals = r_vals[r_vals > support_tol]
+    s_vals, s_vecs = np.linalg.eigh(sigma)
+    weights = np.real(np.einsum("ia,ij,ja->a", s_vecs.conj(), rho, s_vecs))
+    on = s_vals > support_tol
+    if np.sum(weights[~on]) > 1e-10:
+        return math.inf
+    return float(np.sum(r_vals * np.log2(r_vals)) - weights[on] @ np.log2(s_vals[on]))
+
+
+def capacity_gap(states, p) -> tuple[float, float]:
+    """(I(X;B), max_x D(W_x‖W(p)) − I(X;B)) at the input law p."""
+    states = np.asarray(states, dtype=complex)
+    p = np.asarray(p, float)
+    output = np.einsum("x,xij->ij", p, states)
+    div = np.array([relative_entropy_bits(w, output) for w in states])
+    info = float(sum(px * dx for px, dx in zip(p, div) if px > 0))
+    return info, float(div.max() - info)
+
+
+class AscentResult(NamedTuple):
+    value: float
+    gap: float
+    steps: int
+    p: np.ndarray
+
+
+def plain_capacity_ascent(states, tol: float, max_steps: int = 100000) -> AscentResult:
+    """p_x ← p_x·2^{D(W_x‖W(p))} from the uniform law, masses below 1e-15 pruned.
+
+    Stops at the first p whose gap max_x D − I is at most tol; ``steps``
+    counts the points evaluated, the last one included.
+    """
+    states = np.asarray(states, dtype=complex)
+    tr_w_log_w = np.array([-entropy_bits(v[v > 1e-12])
+                           for v in map(np.linalg.eigvalsh, states)])
+    p = np.full(len(states), 1.0 / len(states))
+    for step in range(1, max_steps + 1):
+        s_vals, s_vecs = np.linalg.eigh(np.einsum("x,xij->ij", p, states))
+        weights = np.real(np.einsum("ia,xij,ja->xa", s_vecs.conj(), states, s_vecs))
+        on = s_vals > 1e-12
+        div = tr_w_log_w - weights[:, on] @ np.log2(s_vals[on])
+        div[weights[:, ~on].sum(axis=1) > 1e-10] = math.inf
+        live = p > 0
+        info = float(np.sum(p[live] * div[live]))
+        gap = float(div.max() - info)
+        if gap <= tol:
+            return AscentResult(info, gap, step, p)
+        nxt = np.zeros_like(p)
+        nxt[live] = p[live] * np.exp2(div[live] - div[live].max())
+        nxt /= nxt.sum()
+        nxt[nxt < 1e-15] = 0.0
+        p = nxt / nxt.sum()
+    raise RuntimeError(f"plain ascent gap {gap:.3e} > {tol:.3e} after {max_steps} steps")
+
+
 @functools.lru_cache(maxsize=None)
 def _simplex_counts(k: int, total: int) -> tuple:
     if k == 1:
@@ -378,6 +440,32 @@ def multinomial_exact(n: int, counts) -> int:
     for c in counts:
         num //= math.factorial(int(c))
     return num
+
+
+def twirl_word_margin(symbols, d: int) -> float:
+    """Min eigenvalue of (n+1)^{d-1}·e(x^n)^{⊗n} − (1/n!)Σ_g U_g|x^n⟩⟨x^n|U_g†.
+
+    Brute force: the n-fold Kronecker power of the empirical density, the
+    twirl as an explicit sum over all n! permutations of tensor factors,
+    and eigvalsh of the dense d^n × d^n difference.
+    """
+    n = len(symbols)
+    counts = np.bincount(np.asarray(symbols, dtype=int), minlength=d)
+    dens = np.diag(counts / n)
+    rhs = dens
+    for _ in range(n - 1):
+        rhs = np.kron(rhs, dens)
+    flat_index = 0
+    for sym in symbols:
+        flat_index = flat_index * d + int(sym)
+    word = np.zeros((d ** n, d ** n))
+    word[flat_index, flat_index] = 1.0
+    tensor = word.reshape((d,) * (2 * n))
+    acc = np.zeros_like(tensor)
+    for g in itertools.permutations(range(n)):
+        acc = acc + tensor.transpose(list(g) + [n + i for i in g])
+    lhs = (acc / math.factorial(n)).reshape(d ** n, d ** n)
+    return float(np.linalg.eigvalsh((n + 1) ** (d - 1) * rhs - lhs)[0])
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -23,12 +23,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
-    """Run `python -m cqresolve.cli` in a child process that imports this checkout."""
+def run_module(*argv, module="cqresolve.cli"):
+    """Run `python -m <module>` in a child process that imports this checkout."""
     src = str(Path(cq.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "cqresolve.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, timeout=120, env=env)
 
 
@@ -141,6 +141,26 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "unrecognized arguments" in err
+
+    def test_channel_and_builtin_exclude_each_other(self, capsys, tmp_path):
+        # --builtin used to win without a word, and the file was never opened.
+        missing = str(tmp_path / "nonexistent.json")
+        code, out, err = run_cli(capsys, "capacity", "--channel", missing,
+                                 "--builtin", "example1", "--eps", "0.1")
+        assert code == 2
+        assert "not allowed with argument" in err
+        assert "capacity_bits" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--delta", "0.3"),
+        ("--builtin", "example1", "--eps", "0.1"),
+        ("--dist", '{"0": 1.0}'),
+    ], ids=["delta-without-channel", "channel-without-delta", "dist-without-channel"])
+    def test_types_check_channel_flags_go_together(self, capsys, argv):
+        code, out, err = run_cli(capsys, "types-check", "--n", "2", *argv)
+        assert code == 2
+        assert err.startswith("error: types-check")
+        assert out == ""
 
     @pytest.mark.parametrize("command", sorted(_DISPATCH))
     def test_every_command_help_exits_zero(self, capsys, command):
@@ -545,6 +565,16 @@ class TestFormatting:
                 "--rate", "0", "--n-max", "2", "--out", str(outp))
         text = outp.read_text()
         assert "," in text and ";" not in text
+
+    def test_package_runs_as_a_module(self):
+        proc = run_module("capacity", "--builtin", "example1", "--eps", "0.25",
+                          module="cqresolve")
+        assert proc.returncode == 0, proc.stderr
+        expected = 1.0 - orc.binary_entropy_ref(0.25)
+        assert float(kv(proc.stdout)["capacity_bits"]) == pytest.approx(expected, abs=1e-9)
+        usage = run_module(module="cqresolve")
+        assert usage.returncode == 2
+        assert "usage: cqresolve" in usage.stderr
 
     def test_console_script_runs(self, tmp_path):
         proc = run_module("capacity", "--builtin", "example1", "--eps", "0.25")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqresolve as cq
-from cqresolve import errors
+from cqresolve import errors, rates
 import oracles as orc
 
 from conftest import build_flip_erase_channel
@@ -64,14 +64,119 @@ def test_capacity_rejects_nan_tol_before_iterating(flip_erase_channel):
         cq.capacity(channel, tol=float("nan"))
 
 
+def _random_channel_states(seed: int) -> list[np.ndarray]:
+    """A seeded qubit or qutrit channel on 2-5 inputs; odd seeds make the
+    last input a mixture of the first two, which the capacity leaves unused."""
+    rng = np.random.default_rng([seed, 7])
+    d, k = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+    states = [orc.random_density(rng, d) for _ in range(k)]
+    if seed % 2 and k > 2:
+        w = rng.uniform(0.2, 0.8)
+        states[-1] = w * states[0] + (1.0 - w) * states[1]
+    return states
+
+
+SEPARATION_GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
+CERTIFY_EPS = (0.45, 0.48)
+SWEEP = ([(f"example1-eps{eps}", build_flip_erase_channel(eps)[0].states)
+          for eps in sorted(set(SEPARATION_GRID + CERTIFY_EPS))]
+         + [(f"random-{seed}", _random_channel_states(seed)) for seed in range(40)])
+
+
+@pytest.mark.parametrize("states", [states for _, states in SWEEP],
+                         ids=[name for name, _ in SWEEP])
+def test_capacity_sweep_against_plain_ascent(states):
+    tol = 1e-9
+    channel = cq.CQChannel(tuple(str(i) for i in range(len(states))), states)
+    res = cq.capacity(channel, tol=tol)
+    plain = orc.plain_capacity_ascent(states, tol)
+    assert 0.0 <= res.certificate <= tol
+    assert abs(res.value - plain.value) <= tol
+    assert res.iterations <= plain.steps
+    info, gap = orc.capacity_gap(states, res.distribution.masses)
+    assert info == pytest.approx(res.value, abs=1e-12)
+    assert max(gap, 0.0) == pytest.approx(res.certificate, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", sorted(set(SEPARATION_GRID + CERTIFY_EPS)))
+def test_capacity_example1_certifies_in_few_evaluations(eps):
+    # The plain ascent needs 41 (eps = 0.05) to 16,580 (eps = 0.48)
+    # evaluations here: the unused input "e" loses mass by only 2^-C a step.
+    channel, _ = build_flip_erase_channel(eps)
+    res = cq.capacity(channel, tol=1e-9)
+    assert res.iterations <= 10
+    assert res.certificate <= 1e-9
+    want = 1.0 - orc.binary_entropy_ref(eps)
+    assert res.value <= want + 1e-12
+    assert want <= res.value + res.certificate + 1e-12
+
+
+def test_capacity_keeps_plain_step_when_extrapolation_loses(monkeypatch):
+    # An extrapolation that always jumps back to the uniform law lowers
+    # I(X;B), so each one must be rejected and the plain steps carry on.
+    monkeypatch.setattr(rates, "_extrapolate",
+                        lambda p0, p1, p2: np.full(p2.size, 1.0 / p2.size))
+    channel, _ = build_flip_erase_channel(0.2)
+    res = cq.capacity(channel, tol=1e-9)
+    plain = orc.plain_capacity_ascent(channel.states, 1e-9)
+    assert res.certificate <= 1e-9
+    assert abs(res.value - plain.value) <= 1e-9
+    # a rejected extrapolation follows every second plain step before the last
+    assert res.iterations == plain.steps + (plain.steps - 2) // 2
+
+
+def test_extrapolation_floor_keeps_every_mass_of_the_plain_step():
+    # Masses falling geometrically extrapolate to exactly zero; the floor
+    # keeps the vanishing input at a small fraction of its plain-step mass.
+    q = 0.5
+    p0 = np.array([0.25, 0.25, 0.5])
+    e1, e2 = 0.5 * q, 0.5 * q * q
+    p1 = np.array([(1 - e1) / 2, (1 - e1) / 2, e1])
+    p2 = np.array([(1 - e2) / 2, (1 - e2) / 2, e2])
+    trial = rates._extrapolate(p0, p1, p2)
+    assert trial.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(trial > 0.0)
+    assert trial[2] >= 0.5 * rates.CAPACITY_EXTRAPOLATION_FLOOR * p2[2]
+    assert trial[2] <= 2.0 * rates.CAPACITY_EXTRAPOLATION_FLOOR * p2[2]
+
+
+def test_extrapolation_steps_at_least_as_far_as_the_plain_steps():
+    # Steps that turn back (|v| > |r|) give a step length above -1, which is
+    # clamped to -1; the extrapolation at -1 is p2 itself.
+    p0, p1, p2 = np.array([0.5, 0.5]), np.array([0.6, 0.4]), np.array([0.5, 0.5])
+    np.testing.assert_allclose(rates._extrapolate(p0, p1, p2), p2, atol=1e-15)
+
+
+def test_capacity_rejects_extrapolation_past_the_numerical_support():
+    # Input "e" is nearly the mixed state with weight 1e-3 on a third level
+    # no other input reaches, and the ascent squeezes it. An extrapolated
+    # point floors its mass near 1e-13, which puts that level under the
+    # support threshold of W(p), so D(W_e‖W(p)) reads +inf there. Such a
+    # point must lose the extrapolation test instead of winning it with an
+    # infinite I(X;B).
+    w = 1e-3
+    states = [np.diag([0.9, 0.1, 0.0]), np.diag([0.1, 0.9, 0.0]),
+              np.diag([(1 - w) / 2, (1 - w) / 2, w])]
+    channel = cq.CQChannel(("0", "1", "e"), states)
+    res = cq.capacity(channel, tol=1e-9)
+    plain = orc.plain_capacity_ascent(states, 1e-9)
+    assert res.certificate <= 1e-9
+    assert abs(res.value - plain.value) <= 1e-9
+    assert res.iterations <= plain.steps
+
+
 def test_capacity_nonconvergence_carries_best_iterate():
-    channel, _ = build_flip_erase_channel(0.45)
+    # A seeded qutrit channel on five inputs that takes the accelerated
+    # ascent 199 evaluations to certify.
+    states = _random_channel_states(38)
+    channel = cq.CQChannel(tuple(str(i) for i in range(len(states))), states)
     with pytest.raises(errors.ConvergenceError) as exc_info:
         cq.capacity(channel, tol=1e-9, max_iter=5)
     err = exc_info.value
     assert err.witness is not None
     assert err.iterations == 5
     assert 0.0 <= err.value <= 1.0
+    assert cq.mutual_info(channel, err.witness) == pytest.approx(err.value, abs=1e-12)
 
 
 def test_capacity_invariant_under_label_permutation():

@@ -395,6 +395,15 @@ class TestEE31:
         with pytest.raises(cq.ResourceLimitError):
             cq.ee31_margin(cq.Word((0,) * 13), 2)
 
+    @pytest.mark.parametrize("d, n", [(2, n) for n in range(1, 7)]
+                             + [(3, n) for n in range(1, 5)]
+                             + [(4, n) for n in range(1, 4)]
+                             + [(5, n) for n in range(1, 4)])
+    def test_closed_form_matches_twirl_and_eigvalsh(self, d, n):
+        for symbols in itertools.product(range(d), repeat=n):
+            margin = cq.ee31_margin(cq.Word(symbols), d)
+            assert abs(margin - orc.twirl_word_margin(symbols, d)) <= 1e-15
+
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 6), (3, 3), (3, 4), (4, 2), (5, 3)])
     def test_margin_depends_on_the_word_only_through_its_type(self, d, n):
         # types-check takes the margin of one word per type; every word of
