@@ -10,12 +10,10 @@ from .errors import (ConvergenceError, DimensionMismatchError, DomainError,
 from .linalg import (SpectralDecomposition, eigh, hermitianize, mat_fn,
                      positive_part_projector, tensor_power, trace_distance,
                      trace_norm, validate_density, validate_hermitian)
-from .channel import (CQChannel, CQJointState, Codebook, Distribution, MType,
-                      Word, channel_from_json, codebook_from_json,
-                      codebook_state, compositions, count_m_types,
-                      distribution_from_json, empirical_output,
-                      enumerate_m_types, format_label, joint_state,
-                      m_type_counts, output_state, word_state)
+from .channel import (CQChannel, Distribution, MType, Word, channel_from_json,
+                      compositions, count_m_types, distribution_from_json,
+                      empirical_output, format_label, m_type_counts,
+                      output_state)
 from .info import (PinchingMap, RenyiMutualInfo, RenyiOrder, binary_entropy,
                    mutual_info, phi, pinch, pinching_from_spectrum,
                    qrel_entropy, renyi_mutual_info, sandwiched_renyi,

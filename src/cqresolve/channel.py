@@ -2,8 +2,8 @@
 
 A channel maps each letter of a finite alphabet to a density operator on a
 common d-dimensional space. This module models channels, distributions,
-M-types, words, codebooks, the induced output and joint states, and the
-JSON file formats consumed by the command line front end.
+M-types, words, the induced output states, and the JSON file formats
+consumed by the command line front end.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
                      check_positive_int)
-from .linalg import DEFAULT_MAX_DIM, as_matrix, kron_all, validate_density
+from .linalg import DEFAULT_MAX_DIM, as_matrix, validate_density
 
 DIST_SUM_TOL = 1e-12
 MTYPE_INT_TOL = 1e-9
@@ -71,7 +71,11 @@ class Distribution:
         missing = [x for x in d if x not in set(labels)]
         if missing:
             raise ValidationError(f"unknown labels in distribution: {missing}")
-        return cls(tuple(labels), np.array([float(d.get(x, 0.0)) for x in labels]))
+        try:
+            masses = np.array([float(d.get(x, 0.0)) for x in labels])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"distribution masses must be numbers: {exc}")
+        return cls(tuple(labels), masses)
 
     @classmethod
     def uniform(cls, labels: Sequence[Label]) -> "Distribution":
@@ -134,29 +138,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Multiset of M equal-length words, kept as an ordered sequence."""
-
-    words: tuple[Word, ...]
-
-    def __post_init__(self):
-        if len(self.words) < 1:
-            raise ValidationError("a codebook needs at least one word")
-        lengths = {len(w) for w in self.words}
-        if len(lengths) != 1:
-            raise ValidationError(f"codebook words have mixed lengths {sorted(lengths)}")
-        object.__setattr__(self, "words", tuple(self.words))
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    @property
-    def word_length(self) -> int:
-        return len(self.words[0])
 
 
 class CQChannel:
@@ -223,52 +204,10 @@ class CQChannel:
         return CQChannel(labels, states)
 
 
-@dataclass(frozen=True)
-class CQJointState:
-    """Classical-quantum joint state: per-letter weights and output blocks."""
-
-    labels: tuple[Label, ...]
-    weights: np.ndarray
-    blocks: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """Block-diagonal matrix Σ_x p(x) |x⟩⟨x| ⊗ W_x."""
-        k, d = self.blocks.shape[0], self.blocks.shape[1]
-        out = np.zeros((k * d, k * d), dtype=complex)
-        for i in range(k):
-            out[i * d:(i + 1) * d, i * d:(i + 1) * d] = self.weights[i] * self.blocks[i]
-        return out
-
-    def marginal_output(self) -> np.ndarray:
-        return np.einsum("x,xij->ij", self.weights, self.blocks)
-
-
 def output_state(channel: CQChannel, dist: Distribution) -> np.ndarray:
     """Induced output state W(p) = Σ_x p(x) W_x."""
     channel._check_alphabet(dist)
     return np.einsum("x,xij->ij", dist.masses, channel.states)
-
-
-def joint_state(channel: CQChannel, dist: Distribution) -> CQJointState:
-    """Joint input-output state with one block (p(x), W_x) per letter."""
-    channel._check_alphabet(dist)
-    return CQJointState(channel.labels, dist.masses.copy(), channel.states)
-
-
-def word_state(channel: CQChannel, w: Word, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Tensor product of the letter states, in word order."""
-    if channel.dim ** len(w) > max_dim:
-        raise ResourceLimitError(
-            f"word state dimension {channel.dim}^{len(w)} exceeds the cap {max_dim}")
-    return kron_all(channel.state(x) for x in w.symbols)
-
-
-def codebook_state(channel: CQChannel, c: Codebook, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Uniform average of the codebook's word states."""
-    acc = word_state(channel, c.words[0], max_dim).astype(complex)
-    for w in c.words[1:]:
-        acc = acc + word_state(channel, w, max_dim)
-    return acc / c.size
 
 
 def empirical_output(channel: CQChannel, w: Word) -> np.ndarray:
@@ -320,18 +259,20 @@ def m_type_counts(alphabet_size: int, M: int, max_types: int = DEFAULT_MAX_TYPES
     return compositions(M, alphabet_size)
 
 
-def enumerate_m_types(labels: Sequence[Label], M: int,
-                      max_types: int = DEFAULT_MAX_TYPES) -> list[MType]:
-    """All M-types on the given alphabet, lexicographically ordered by mass vector."""
-    labels = tuple(labels)
-    counts = m_type_counts(len(labels), M, max_types)
-    return [MType.from_counts(labels, row, M) for row in counts]
+def _parse_complex_matrix(entry, where: str) -> np.ndarray:
+    """A square JSON matrix of [re, im] pairs as a complex array.
 
-
-def _parse_complex_entry(entry, where: str) -> complex:
-    if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
-        raise ValidationError(f"{where}: expected [re, im], got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+    Raises ValidationError on a ragged or non-square shape, or on an entry
+    that is not a number.
+    """
+    try:
+        arr = np.asarray(entry, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: expected a matrix of [re, im] numbers: {exc}")
+    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
+        raise ValidationError(
+            f"{where}: matrix must be square with [re, im] entries, got shape {arr.shape}")
+    return arr.view(complex)[..., 0]
 
 
 def channel_from_json(source) -> CQChannel:
@@ -351,6 +292,8 @@ def channel_from_json(source) -> CQChannel:
         raise ValidationError("channel file must be an object with 'dim' and 'inputs'")
     dim = doc["dim"]
     check_positive_int("dim", dim)
+    if not isinstance(doc["inputs"], list):
+        raise ValidationError("channel file 'inputs' must be an array")
     labels = []
     states = []
     for i, item in enumerate(doc["inputs"]):
@@ -361,11 +304,9 @@ def channel_from_json(source) -> CQChannel:
         if isinstance(label, bool) or not isinstance(label, (str, int, float)):
             raise ValidationError(
                 f"{where}: label must be a JSON string or number, got {label!r}")
-        rows = item["state"]
-        if len(rows) != dim or any(len(r) != dim for r in rows):
+        mat = _parse_complex_matrix(item["state"], f"{where}.state")
+        if mat.shape[0] != dim:
             raise ValidationError(f"{where}: state is not {dim}x{dim}")
-        mat = np.array([[_parse_complex_entry(rows[r][c], f"{where}.state[{r}][{c}]")
-                         for c in range(dim)] for r in range(dim)])
         labels.append(str(label))
         states.append(mat)
     return CQChannel(labels, states)
@@ -382,14 +323,3 @@ def distribution_from_json(source, labels: Sequence[Label] | None = None) -> Dis
         raise ValidationError("distribution file must be a {label: mass} object")
     return Distribution.from_dict(doc, labels)
 
-
-def codebook_from_json(source) -> Codebook:
-    """Parse a codebook file: a JSON array of arrays of labels."""
-    if isinstance(source, list):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, list) or not doc:
-        raise ValidationError("codebook file must be a nonempty array of words")
-    return Codebook(tuple(Word(tuple(w)) for w in doc))

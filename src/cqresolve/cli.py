@@ -21,7 +21,8 @@ import numpy as np
 from .channel import (DEFAULT_MAX_TYPES, CQChannel, Distribution, Word,
                       channel_from_json, distribution_from_json, format_label,
                       output_state)
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
+                     check_positive_int)
 from .info import RenyiOrder
 from .idcodes import bridge_counting_check, idcode_from_json, \
     pairwise_distance_check, verify_id_code
@@ -82,6 +83,8 @@ def _load_channel(args: argparse.Namespace) -> CQChannel:
         if args.eps is None:
             raise ValidationError("--builtin example1 requires --eps")
         return _builtin_example1(args.eps)
+    if args.eps is not None:
+        raise ValidationError("--eps is read only with --builtin example1")
     if args.channel_path is None:
         raise ValidationError("a channel is required: --channel PATH "
                               "or --builtin example1 --eps E")
@@ -184,11 +187,12 @@ def _cmd_worst_resolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_softcover(args: argparse.Namespace) -> int:
+    check_positive_int("--workers", args.workers)
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
     report = soft_cover_simulate(channel, dist, args.M, args.n, args.samples,
                                  args.seed, orders=_orders(args),
-                                 workers=args.workers, max_dim=args.max_dim)
+                                 max_dim=args.max_dim)
     print(f"seed = {report.seed}")
     print(f"samples = {report.samples}")
     print(f"mean_error = {_fmt(report.mean_error)}")
@@ -235,6 +239,7 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> int:
     if args.dist_path is None:
         raise ValidationError("sanov-sweep requires --dist (the diagonal of the "
                               "reference state)")
+    check_positive_int("--n", args.n)
     dist = distribution_from_json(_inline_or_path(args.dist_path))
     rho = np.diag(dist.masses).astype(complex)
     rows = []
@@ -258,6 +263,8 @@ def _cmd_types_check(args: argparse.Namespace) -> int:
                               "--delta and a channel (--channel or --builtin)")
     if args.dist_path is not None and not has_channel:
         raise ValidationError("types-check reads --dist only with a channel")
+    if args.eps is not None and args.builtin is None:
+        raise ValidationError("--eps is read only with --builtin example1")
     d, n = args.alphabet_size, args.n
     if d ** n > args.max_dim:
         raise ResourceLimitError(f"d^n = {d ** n} exceeds --max-dim {args.max_dim}")

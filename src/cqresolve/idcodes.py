@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import numpy.linalg as npl
 
-from .channel import CQChannel, Distribution, distribution_from_json, output_state
+from .channel import (CQChannel, Distribution, _parse_complex_matrix,
+                      distribution_from_json, output_state)
 from .errors import DimensionMismatchError, ValidationError, check_positive_int
 from .linalg import trace_norm, validate_hermitian
 
@@ -167,14 +168,6 @@ def bridge_counting_check(N: int, alphabet_size: int, M: int, lambda1: float,
     return BridgeCheck(applicable, count_ok)
 
 
-def _matrix_from_json(entry, where: str) -> np.ndarray:
-    arr = np.asarray(entry, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise ValidationError(
-            f"{where}: matrix must be square with [re, im] entries, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def idcode_from_json(source, labels=None) -> IDCode:
     """Load an ID code from a JSON object or file path.
 
@@ -191,11 +184,17 @@ def idcode_from_json(source, labels=None) -> IDCode:
     for key in ("lambda1", "lambda2", "entries"):
         if key not in data:
             raise ValidationError(f"ID-code JSON is missing the '{key}' field")
+    try:
+        lambda1, lambda2 = float(data["lambda1"]), float(data["lambda2"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"ID-code 'lambda1' and 'lambda2' must be numbers: {exc}")
+    if not isinstance(data["entries"], list):
+        raise ValidationError("ID-code 'entries' must be an array")
     entries = []
     for i, entry in enumerate(data["entries"]):
         if not isinstance(entry, dict) or "dist" not in entry or "test" not in entry:
             raise ValidationError(f"entry {i}: expected an object with 'dist' and 'test'")
         dist = distribution_from_json(entry["dist"], labels=labels)
-        test = _matrix_from_json(entry["test"], f"entry {i} test")
+        test = _parse_complex_matrix(entry["test"], f"entry {i} test")
         entries.append((dist, test))
-    return IDCode(tuple(entries), float(data["lambda1"]), float(data["lambda2"]))
+    return IDCode(tuple(entries), lambda1, lambda2)

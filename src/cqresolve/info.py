@@ -13,7 +13,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution, output_state
-from .errors import ConvergenceError, DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .linalg import (SpectralDecomposition, as_matrix, eigh, hermitianize,
                      positive_part_projector, trace_distance, validate_density,
                      validate_hermitian)
@@ -21,8 +21,9 @@ from .linalg import (SpectralDecomposition, as_matrix, eigh, hermitianize,
 SUPPORT_EIG_TOL = 1e-12
 KERNEL_MASS_TOL = 1e-10
 PINCH_COMPLETENESS_TOL = 1e-9
-
-LOG2E = math.log2(math.e)
+RENYI_MAX_ITER = 500
+RENYI_DAMPING = 0.5
+RENYI_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -182,17 +183,16 @@ def _renyi_center_objective(alpha: float, states: np.ndarray, masses: np.ndarray
     return math.log2(total) / (alpha - 1.0)
 
 
-def renyi_mutual_info(order: RenyiOrder, channel: CQChannel, dist: Distribution,
-                      *, max_iter: int = 500, damping: float = 0.5,
-                      tol: float = 1e-10) -> RenyiMutualInfo:
+def renyi_mutual_info(order: RenyiOrder, channel: CQChannel,
+                      dist: Distribution) -> RenyiMutualInfo:
     """Sandwiched Rényi mutual information I_α(X;B) of the joint state.
 
     The infimum over output states σ is approached by a damped fixed-point
     iteration; each iterate keeps full support by flooring eigenvalues at
     the support threshold and renormalizing. Returns the best value seen,
     the matching σ, the iteration count, and whether successive iterates
-    came within tol in trace distance. The d = 2 grid search in the test
-    suite is the correctness oracle for this heuristic.
+    came within RENYI_STEP_TOL in trace distance. The d = 2 grid search in
+    the test suite is the correctness oracle for this heuristic.
     """
     channel._check_alphabet(dist)
     alpha = order.alpha
@@ -212,7 +212,7 @@ def renyi_mutual_info(order: RenyiOrder, channel: CQChannel, dist: Distribution,
     best_sigma = sigma
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, RENYI_MAX_ITER + 1):
         dec = eigh(sigma)
         half = _power_on_support(dec, (1.0 - alpha) / (2.0 * alpha))
         acc = np.zeros_like(sigma)
@@ -227,14 +227,14 @@ def renyi_mutual_info(order: RenyiOrder, channel: CQChannel, dist: Distribution,
         if tr <= 0.0:
             break
         proposal = acc / tr
-        nxt = floor_and_normalize((1.0 - damping) * sigma + damping * proposal)
+        nxt = floor_and_normalize((1.0 - RENYI_DAMPING) * sigma + RENYI_DAMPING * proposal)
         step = trace_distance(nxt, sigma)
         sigma = nxt
         value = _renyi_center_objective(alpha, states, masses, sigma)
         if value < best_value:
             best_value = value
             best_sigma = sigma
-        if step < tol:
+        if step < RENYI_STEP_TOL:
             converged = True
             break
     return RenyiMutualInfo(float(best_value), best_sigma, iterations, converged)

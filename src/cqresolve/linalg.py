@@ -35,23 +35,24 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def validate_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return the input as a matrix after checking it is finite and A = A† entrywise within tol."""
+def validate_hermitian(a) -> np.ndarray:
+    """The input as a matrix, checked finite and with A = A† entrywise within 1e-10."""
     m = as_matrix(a)
     if not np.isfinite(m).all():
         raise ValidationError("matrix has a NaN or infinite entry")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > tol:
-        raise ValidationError(f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {tol:.0e}")
+    if dev > HERMITICITY_TOL:
+        raise ValidationError(
+            f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
     return m
 
 
-def validate_density(a, tol: float = DENSITY_TRACE_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace within tol, and eigenvalues ≥ -1e-10."""
+def validate_density(a) -> np.ndarray:
+    """Check Hermiticity, unit trace within 1e-10, and eigenvalues ≥ -1e-10."""
     m = validate_hermitian(a)
     tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > tol:
-        raise ValidationError(f"trace {tr!r} is not 1 within {tol:.0e}")
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        raise ValidationError(f"trace {tr!r} is not 1 within {DENSITY_TRACE_TOL:.0e}")
     lo = float(npl.eigvalsh(m)[0])
     if lo < DENSITY_EIG_FLOOR:
         raise ValidationError(f"matrix has eigenvalue {lo:.3e} below {DENSITY_EIG_FLOOR:.0e}")
@@ -186,13 +187,3 @@ def tensor_power(op, n: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
         out = np.kron(out, m)
     return out
 
-
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, in order."""
-    mats = list(mats)
-    if not mats:
-        raise ValidationError("empty Kronecker product")
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out

@@ -24,7 +24,7 @@ from .errors import ResourceLimitError, ValidationError, check_positive_int
 from .info import (SUPPORT_EIG_TOL, RenyiOrder, pinch, pinching_from_spectrum,
                    renyi_mutual_info)
 from .linalg import (DEFAULT_MAX_DIM, eigh, hermitianize,
-                     positive_part_projector, trace_norm, validate_density)
+                     positive_part_projector, validate_density)
 
 ARGMIN_TIE_TOL = 1e-12
 WORST_REFINE_TOL = 1e-6
@@ -293,14 +293,14 @@ def _soft_cover_from_info(alpha: float, info_bits: float, M: int) -> float:
 def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
                         samples: int, seed: int, *,
                         orders: tuple[RenyiOrder, ...] = (RenyiOrder(2.0),),
-                        workers: int = 1,
                         max_dim: int = DEFAULT_MAX_DIM) -> SoftCoverReport:
     """Monte-Carlo mean of ½‖W_C − W^{⊗n}(q^{⊗n})‖₁ over i.i.d. codebooks.
 
     Codebook sample i consists of M codewords drawn i.i.d. from q^{⊗n}
     out of its own Philox stream keyed by (seed, i), so sample i's letters
     are the same for any ``samples`` ≥ i + 1. The seed must lie in
-    [0, 2¹²⁸). ``workers`` is validated (≥ 1) and has no effect.
+    [0, 2¹²⁸). The draws run in one thread; the command line's
+    ``--workers`` flag is checked (≥ 1) and has no effect.
 
     The bound for each order uses I_α(X^n;B^n) = n·I_α(X;B), since the
     sandwiched Rényi mutual information is additive for α ≥ 1/2; the
@@ -311,8 +311,6 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     check_positive_int("n", n)
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     if not (isinstance(seed, int) and 0 <= seed < 2 ** 128):
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
     product = channel.power(n, max_dim=max_dim)

@@ -167,7 +167,7 @@ def type_pinching(basis: Basis, n: int, *,
     return PinchingMap(projectors)
 
 
-def majorizes(p, q, *, tol: float = MAJORIZATION_TOL) -> bool:
+def majorizes(p, q) -> bool:
     """Prefix-sum dominance of descending-sorted copies of p over q."""
     pv = np.asarray(p.masses if isinstance(p, Distribution) else p, dtype=float)
     qv = np.asarray(q.masses if isinstance(q, Distribution) else q, dtype=float)
@@ -176,7 +176,7 @@ def majorizes(p, q, *, tol: float = MAJORIZATION_TOL) -> bool:
             f"majorization needs equal-length vectors, got {pv.shape} vs {qv.shape}")
     cp = np.cumsum(np.sort(pv)[::-1])
     cq = np.cumsum(np.sort(qv)[::-1])
-    return bool(np.all(cp >= cq - tol))
+    return bool(np.all(cp >= cq - MAJORIZATION_TOL))
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def sanov_member(query: SanovQuery) -> bool:
     return sanov_exponent(query) <= query.r
 
 
-def twirl(op, n: int, *, max_perms: int = TWIRL_MAX_PERMUTATIONS) -> np.ndarray:
+def twirl(op, n: int) -> np.ndarray:
     """(1/n!) Σ_g U_g X U_g† over all permutations of the n tensor factors."""
     m = np.asarray(op, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -251,9 +251,9 @@ def twirl(op, n: int, *, max_perms: int = TWIRL_MAX_PERMUTATIONS) -> np.ndarray:
     if d ** n != total:
         raise ValidationError(
             f"dimension {total} is not a perfect n = {n} tensor power")
-    if math.factorial(n) > max_perms:
-        raise ResourceLimitError(
-            f"n! = {math.factorial(n)} exceeds the permutation cap {max_perms}")
+    if math.factorial(n) > TWIRL_MAX_PERMUTATIONS:
+        raise ResourceLimitError(f"n! = {math.factorial(n)} exceeds the "
+                                 f"permutation cap {TWIRL_MAX_PERMUTATIONS}")
     if n == 1:
         return m.copy()
     tensor = m.reshape((d,) * (2 * n))

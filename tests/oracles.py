@@ -334,39 +334,51 @@ def sibson_renyi_mi(T, q, alpha: float) -> float:
 # quantum Renyi mutual information, d = 2 brute force over the Bloch ball
 
 
-def _bloch_state(x: float, y: float, z: float) -> np.ndarray:
-    return 0.5 * np.array([[1.0 + z, x - 1j * y],
-                           [x + 1j * y, 1.0 - z]], dtype=complex)
-
-
 def bloch_grid_renyi_mi(states, masses, alpha: float, step: float = 0.02) -> float:
-    """min over Bloch-ball grid σ of (1/(α−1)) log Σ q(x)‖σ^e W_x σ^e‖_α^α."""
-    states = [np.asarray(w, complex) for w in states]
+    """min over Bloch-ball grid σ of (1/(α−1)) log Σ q(x)‖σ^e W_x σ^e‖_α^α.
+
+    Every grid point strictly inside the ball (|r| ≤ 1 − 1e-9, smallest
+    eigenvalue ≥ 1e-9) is evaluated: one batched eigh over the grid, then one
+    batched eigvalsh per letter.
+    """
     masses = np.asarray(masses, float)
     exp = (1.0 - alpha) / (2.0 * alpha)
     axis = np.arange(-1.0, 1.0 + step / 2, step)
-    best = math.inf
-    for x in axis:
-        for y in axis:
-            for z in axis:
-                r2 = x * x + y * y + z * z
-                if r2 > (1.0 - 1e-9) ** 2:
-                    continue
-                sigma = _bloch_state(x, y, z)
-                vals, vecs = np.linalg.eigh(sigma)
-                if vals[0] < 1e-9:
-                    continue
-                half = (vecs * vals ** exp) @ vecs.conj().T
-                total = 0.0
-                for w, mass in zip(states, masses):
-                    if mass <= 0:
-                        continue
-                    sand = half @ w @ half
-                    sand = (sand + sand.conj().T) / 2
-                    ev = np.linalg.eigvalsh(sand)
-                    total += mass * float(np.sum(np.clip(ev, 0, None) ** alpha))
-                best = min(best, math.log2(total) / (alpha - 1.0))
-    return best
+    x, y, z = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
+    inside = x * x + y * y + z * z <= (1.0 - 1e-9) ** 2
+    x, y, z = x[inside], y[inside], z[inside]
+    sigma = 0.5 * np.array([[1.0 + z, x - 1j * y],
+                            [x + 1j * y, 1.0 - z]]).transpose(2, 0, 1)
+    vals, vecs = np.linalg.eigh(sigma)
+    keep = vals[:, 0] >= 1e-9
+    vals, vecs = vals[keep], vecs[keep]
+    half = (vecs * vals[:, None, :] ** exp) @ vecs.conj().transpose(0, 2, 1)
+    total = np.zeros(len(vals))
+    for w, mass in zip(states, masses):
+        if mass <= 0:
+            continue
+        sand = half @ np.asarray(w, complex) @ half
+        sand = (sand + sand.conj().transpose(0, 2, 1)) / 2
+        ev = np.linalg.eigvalsh(sand)
+        total += mass * np.sum(np.clip(ev, 0, None) ** alpha, axis=1)
+    return float(np.min(np.log2(total))) / (alpha - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# word and codebook states by explicit Kronecker products
+
+
+def word_state(states, word) -> np.ndarray:
+    """W_{x_1} ⊗ … ⊗ W_{x_n} for a word given as letter indices into states."""
+    out = np.ones((1, 1), dtype=complex)
+    for x in word:
+        out = np.kron(out, np.asarray(states[x], complex))
+    return out
+
+
+def codebook_state(states, words) -> np.ndarray:
+    """Uniform average of the word states of the codewords, in order."""
+    return sum(word_state(states, w) for w in words) / len(words)
 
 
 # ---------------------------------------------------------------------------

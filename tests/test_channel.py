@@ -1,4 +1,4 @@
-"""Channel model: distributions, M-types, words, codebooks, induced states."""
+"""Channel model: distributions, M-types, words, induced states, JSON parsing."""
 from __future__ import annotations
 
 import json
@@ -91,74 +91,50 @@ def test_output_state_rejects_alphabet_mismatch(flip_erase_channel):
         cq.output_state(channel, other)
 
 
-def test_joint_state_point_mass_single_block(flip_erase_channel):
-    channel, _ = flip_erase_channel
-    p = cq.Distribution.point_mass(channel.labels, "1")
-    joint = cq.joint_state(channel, p)
-    assert list(joint.weights) == pytest.approx([0.0, 1.0, 0.0])
-
-
-def test_joint_state_weighted_trace_is_one(flip_erase_channel):
-    channel, dist = flip_erase_channel
-    joint = cq.joint_state(channel, dist)
-    total = sum(w * float(np.real(np.trace(s)))
-                for w, s in zip(joint.weights, joint.blocks))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_joint_state_marginal_equals_output_state(flip_erase_channel):
-    channel, dist = flip_erase_channel
-    joint = cq.joint_state(channel, dist)
-    np.testing.assert_allclose(joint.marginal_output(),
-                               cq.output_state(channel, dist), atol=1e-12)
-
-
 def test_word_state_single_letter(flip_erase_channel):
     channel, _ = flip_erase_channel
-    np.testing.assert_allclose(cq.word_state(channel, cq.Word(("0",))),
+    np.testing.assert_allclose(orc.word_state(channel.states, (0,)),
                                np.diag([0.9, 0.1]), atol=1e-12)
 
 
 def test_word_state_repeated_letter_is_kronecker_square(flip_erase_channel):
     channel, _ = flip_erase_channel
-    w = cq.word_state(channel, cq.Word(("0", "0")))
+    w = orc.word_state(channel.states, (0, 0))
     np.testing.assert_allclose(w, np.kron(np.diag([0.9, 0.1]),
                                           np.diag([0.9, 0.1])), atol=1e-12)
 
 
 def test_word_state_trace_one(flip_erase_channel):
     channel, _ = flip_erase_channel
-    w = cq.word_state(channel, cq.Word(("0", "1", "e")))
+    w = orc.word_state(channel.states, (0, 1, 2))
     assert float(np.real(np.trace(w))) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_word_state_concatenation_is_tensor(flip_erase_channel):
     channel, _ = flip_erase_channel
-    w1, w2 = cq.Word(("0", "e")), cq.Word(("1",))
-    combined = cq.word_state(channel, cq.Word(w1.symbols + w2.symbols))
+    w1, w2 = (0, 2), (1,)
+    combined = orc.word_state(channel.states, w1 + w2)
     np.testing.assert_allclose(
-        combined, np.kron(cq.word_state(channel, w1), cq.word_state(channel, w2)),
+        combined, np.kron(orc.word_state(channel.states, w1),
+                          orc.word_state(channel.states, w2)),
         atol=1e-10)
 
 
 def test_codebook_state_single_word(flip_erase_channel):
     channel, _ = flip_erase_channel
-    c = cq.Codebook((cq.Word(("1",)),))
-    np.testing.assert_allclose(cq.codebook_state(channel, c),
+    np.testing.assert_allclose(orc.codebook_state(channel.states, [(1,)]),
                                np.diag([0.1, 0.9]), atol=1e-12)
 
 
 def test_codebook_state_repeated_word(flip_erase_channel):
     channel, _ = flip_erase_channel
-    c = cq.Codebook((cq.Word(("e",)), cq.Word(("e",))))
-    np.testing.assert_allclose(cq.codebook_state(channel, c),
+    np.testing.assert_allclose(orc.codebook_state(channel.states, [(2,), (2,)]),
                                np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_codebook_state_averages_rows(flip_erase_channel):
     channel, _ = flip_erase_channel
-    c = cq.Codebook((cq.Word(("0",)), cq.Word(("1",))))
-    np.testing.assert_allclose(cq.codebook_state(channel, c),
+    np.testing.assert_allclose(orc.codebook_state(channel.states, [(0,), (1,)]),
                                np.diag([0.5, 0.5]), atol=1e-12)
 
 
@@ -185,11 +161,10 @@ def test_empirical_output_equals_output_of_empirical_distribution(flip_erase_cha
 
 def test_codebook_state_matches_empirical_mixture(flip_erase_channel):
     channel, _ = flip_erase_channel
-    words = (cq.Word(("0",)), cq.Word(("0",)), cq.Word(("1",)), cq.Word(("e",)))
-    c = cq.Codebook(words)
+    words = [(0,), (0,), (1,), (2,)]
     emp = cq.Distribution.from_dict({"0": 0.5, "1": 0.25, "e": 0.25},
                                     labels=channel.labels)
-    np.testing.assert_allclose(cq.codebook_state(channel, c),
+    np.testing.assert_allclose(orc.codebook_state(channel.states, words),
                                cq.output_state(channel, emp), atol=1e-10)
 
 
@@ -235,23 +210,15 @@ def test_channel_power_respects_total_footprint_cap(flip_erase_channel):
 
 
 def test_m_type_count_three_letters_resolution_two():
-    types = cq.enumerate_m_types(("a", "b", "c"), 2)
-    assert len(types) == 6
+    assert cq.m_type_counts(3, 2).shape == (6, 3)
 
 
 def test_m_type_count_single_letter():
-    types = cq.enumerate_m_types(("a",), 5)
-    assert len(types) == 1
-    np.testing.assert_allclose(types[0].distribution.masses, [1.0])
+    assert cq.m_type_counts(1, 5).tolist() == [[5]]
 
 
 def test_m_type_enumeration_binary_resolution_three():
-    types = cq.enumerate_m_types(("a", "b"), 3)
-    rows = [tuple(t.distribution.masses) for t in types]
-    expected = [(0.0, 1.0), (1/3, 2/3), (2/3, 1/3), (1.0, 0.0)]
-    assert len(rows) == 4
-    for got, want in zip(rows, expected):
-        assert got == pytest.approx(want, abs=1e-12)
+    assert cq.m_type_counts(2, 3).tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
 
 
 def test_m_type_count_formula():
@@ -260,19 +227,19 @@ def test_m_type_count_formula():
 
 def test_m_type_enumeration_cap():
     with pytest.raises(errors.ResourceLimitError):
-        cq.enumerate_m_types(tuple(str(i) for i in range(12)), 100)  # C(111, 11) >> 1e7
+        cq.m_type_counts(12, 100)  # C(111, 11) >> 1e7
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6))
 def test_m_type_enumeration_distinct_and_valid(k, M):
-    types = cq.enumerate_m_types(tuple(str(i) for i in range(k)), M)
-    assert len(types) == math.comb(M + k - 1, k - 1)
-    seen = {tuple(np.round(t.distribution.masses * M).astype(int)) for t in types}
-    assert len(seen) == len(types)
-    for t in types:
-        scaled = np.asarray(t.distribution.masses) * M
-        assert np.max(np.abs(scaled - np.round(scaled))) < 1e-9
+    counts = cq.m_type_counts(k, M)
+    assert counts.shape == (math.comb(M + k - 1, k - 1), k)
+    assert len({tuple(row) for row in counts.tolist()}) == counts.shape[0]
+    labels = tuple(str(i) for i in range(k))
+    for row in counts:
+        assert row.min() >= 0
+        cq.MType.from_counts(labels, row, M)
 
 
 @pytest.mark.parametrize("parts", range(1, 7))
@@ -286,10 +253,8 @@ def test_compositions_match_oracle(total, parts):
 
 
 def test_m_type_enumeration_matches_oracle_counts():
-    got = [tuple(np.round(np.asarray(t.distribution.masses) * 4).astype(int))
-           for t in cq.enumerate_m_types(("a", "b", "c"), 4)]
-    want = sorted(tuple(v) for v in orc.all_m_type_count_vectors(3, 4))
-    assert got == want
+    got = [tuple(row) for row in cq.m_type_counts(3, 4).tolist()]
+    assert got == orc.all_m_type_count_vectors(3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +332,3 @@ def test_distribution_json(tmp_path):
     d = cq.distribution_from_json(str(path), labels=("0", "1"))
     np.testing.assert_allclose(d.masses, [0.25, 0.75])
 
-
-def test_codebook_json(tmp_path):
-    path = tmp_path / "code.json"
-    path.write_text(json.dumps([["0", "1"], ["1", "1"]]))
-    c = cq.codebook_from_json(str(path))
-    assert len(c.words) == 2
-    assert c.words[0].symbols == ("0", "1")

@@ -206,6 +206,38 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, payload", [
+        (("capacity", "--channel", "{file}"),
+         {"dim": 2, "inputs": [{"label": "0", "state": 5}]}),
+        (("capacity", "--channel", "{file}"),
+         {"dim": 2, "inputs": [{"label": "0", "state": [[["x", 0], [0, 0]],
+                                                        [[0, 0], [1, 0]]]}]}),
+        (("capacity", "--channel", "{file}"), {"dim": 2, "inputs": 7}),
+        (("id-verify", "--builtin", "example1", "--eps", "0.1", "--code", "{file}"),
+         {"lambda1": "abc", "lambda2": 0.1, "entries": []}),
+        (("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2",
+          "--dist", '{"0": "x", "1": 1}'), None),
+        (("softcover", "--builtin", "example1", "--eps", "0.1", "--M", "2",
+          "--workers", "0"), None),
+    ], ids=["state-number", "entry-string", "inputs-number", "lambda-string",
+            "mass-string", "zero-workers"])
+    def test_malformed_input_exits_two_without_traceback(self, tmp_path, argv, payload):
+        path = tmp_path / "input.json"
+        if payload is not None:
+            path.write_text(json.dumps(payload))
+        proc = run_module(*(arg.replace("{file}", str(path)) for arg in argv))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_eps_without_builtin_is_usage_error(self, capsys, channel_file):
+        for argv in (("capacity", "--channel", channel_file, "--eps", "0.3"),
+                     ("types-check", "--n", "2", "--eps", "0.3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "--eps is read only with --builtin" in err
+            assert out == ""
+
     def test_non_psd_state_rejected(self, capsys, tmp_path):
         path = tmp_path / "neg.json"
         path.write_text(json.dumps({"dim": 2, "inputs": [
@@ -419,6 +451,14 @@ class TestBoundCommands:
         assert len(lines) == 1 + 2 + 3 + 4 + 5
         assert all(line.endswith("true") for line in lines[1:])
         assert kv(out)["violations"] == "0"
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_sanov_sweep_n_must_be_positive(self, capsys, n):
+        code, out, err = run_cli(capsys, "sanov-sweep", "--dist",
+                                 '{"0": 0.5, "1": 0.5}', "--n", n)
+        assert code == 2
+        assert "--n must be a positive integer" in err
+        assert out == ""
 
     def test_types_check_all_ok(self, capsys):
         code, out, _ = run_cli(capsys, "types-check", "--alphabet-size", "2",
