@@ -7,7 +7,10 @@ extrapolation accelerates the plain multiplicative step; an extrapolated
 point is kept only if it does not lower I(X;B), and its masses are floored
 at a fraction of the plain step's, so no input is dropped by it. The
 capacity's ``iterations`` counts evaluations of the divergence vector (one
-``eigh`` each), at plain and extrapolated points alike. The fixed-input
+``eigh`` each), at plain and extrapolated points alike. An input of positive
+mass always has a finite divergence: a level of W(p) below the eigenvalue
+tolerance that such an input reaches stays in the support, with its
+Rayleigh quotient as its eigenvalue. The fixed-input
 rate minimizes mutual information over the polytope of input distributions
 with the same output state; concavity of mutual information in the input
 puts the minimum at a vertex, so vertices are enumerated exactly.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .channel import CQChannel, Distribution, output_state
+from .channel import CQChannel, Distribution
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .info import SUPPORT_EIG_TOL, mutual_info
 from .linalg import eigh, trace_norm
@@ -30,6 +33,7 @@ CAPACITY_DEFAULT_TOL = 1e-9
 CAPACITY_MAX_ITER = 100000
 CAPACITY_PRUNE = 1e-15
 CAPACITY_EXTRAPOLATION_FLOOR = 1e-12
+SUPPORT_LEAK_TOL = 1e-10
 FEASIBLE_OUTPUT_TOL = 1e-8
 VERTEX_RANK_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-9
@@ -63,9 +67,18 @@ def _entropy_terms(states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _divergences(states: np.ndarray, target: np.ndarray,
+def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
                  tr_w_log_w: np.ndarray) -> np.ndarray:
-    """D(W_x ‖ target) for every x, with +inf on support violations."""
+    """D(W_x ‖ target) for every x, where target = W(p).
+
+    The target's support is its eigenvectors with eigenvalue above
+    SUPPORT_EIG_TOL, plus each eigenvector below it on which an input of
+    positive mass puts weight above SUPPORT_LEAK_TOL. On those the
+    eigenvalue is read as the Rayleigh quotient Σ_x p_x⟨a|W_x|a⟩, which
+    W(p) ≥ p_x W_x keeps positive, so every input of positive mass has a
+    finite divergence. An input of mass 0 with weight above
+    SUPPORT_LEAK_TOL off the support reads +inf.
+    """
     dec = eigh(target)
     support = dec.eigenvalues > SUPPORT_EIG_TOL
     cols = dec.eigenvectors[:, support]
@@ -74,8 +87,14 @@ def _divergences(states: np.ndarray, target: np.ndarray,
     div = tr_w_log_w - cross
     if not np.all(support):
         kcols = dec.eigenvectors[:, ~support]
-        leak = np.real(np.einsum("ia,xij,ja->x", kcols.conj(), states, kcols))
-        div = np.where(leak > 1e-10, math.inf, div)
+        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states, kcols))
+        live = p > 0.0
+        reached = np.any(kweights[live] > SUPPORT_LEAK_TOL, axis=0)
+        if np.any(reached):
+            rayleigh = p @ np.maximum(kweights[:, reached], 0.0)
+            div = div - kweights[:, reached] @ np.log2(rayleigh)
+        leak = np.sum(kweights[:, ~reached], axis=1)
+        div = np.where(~live & (leak > SUPPORT_LEAK_TOL), math.inf, div)
     return div
 
 
@@ -159,13 +178,9 @@ def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL,
     best_gap = math.inf
     for iteration in range(1, max_iter + 1):
         target = np.einsum("x,xij->ij", p, states)
-        div = _divergences(states, target, tr_w_log_w)
+        div = _divergences(states, p, target, tr_w_log_w)
         live = p > 0.0
         info = float(np.sum(p[live] * div[live]))
-        if not math.isfinite(info):
-            # a live input outside the target's numerical support; such a
-            # point can neither win the extrapolation test nor be best
-            info = -math.inf
         gap = float(np.max(div) - info)
         if info > best_value:
             best_value, best_p, best_gap = info, p, gap

@@ -4,9 +4,12 @@ Exact errors brute-force the finite feasible set of M-types on the product
 alphabet. When every product state is diagonal, the trace distances are ℓ₁
 distances between real diagonals; otherwise they come from batched
 eigvalsh. The worst-input search reports a certified lower bound from a
-simplex grid plus local refinement. Soft-covering Monte Carlo draws each
-codebook sample from its own counter-based stream keyed by (seed, sample
-index), so a sample's letters do not depend on how many samples are drawn.
+simplex grid plus local refinement; the grid is searched in byte-sized
+batches, and points whose upper bound from a sampled set of witness
+candidates falls strictly below the sampled lower bound are skipped.
+Soft-covering Monte Carlo draws each codebook sample from its own
+counter-based stream keyed by (seed, sample index), so a sample's letters
+do not depend on how many samples are drawn.
 The one-shot error bounds are evaluated literally from their defining
 expressions.
 """
@@ -32,6 +35,9 @@ CEIL_GRID_SNAP = 1e-9
 # Operand bytes per batch of candidate outputs. A row count alone would let
 # a batch grow with the output dimension.
 EIG_BATCH_BYTES = 4 * 2 ** 20
+# The worst-input grid search evaluates every this-many-th grid point in full
+# first, for a lower bound and the witnesses that prune the rest.
+WORST_SAMPLE_STRIDE = 32
 # 2.0 ** x overflows a float from here on.
 MAX_RATE_EXPONENT = 1024
 
@@ -99,24 +105,32 @@ def _batch_rows(row_bytes: int) -> int:
     return max(1, EIG_BATCH_BYTES // row_bytes)
 
 
+def _half_trace_distances(flat_outputs: np.ndarray, target_flat: np.ndarray,
+                          dim: int) -> np.ndarray:
+    """½‖row − target‖₁ over the last axis of flattened Hermitian matrices (broadcasts)."""
+    diffs = flat_outputs - target_flat
+    spectra = npl.eigvalsh(diffs.reshape(diffs.shape[:-1] + (dim, dim)))
+    return 0.5 * np.sum(np.abs(spectra), axis=-1)
+
+
 def _batched_half_trace_distances(flat_outputs: np.ndarray, target_flat: np.ndarray,
                                   dim: int) -> np.ndarray:
     """½‖row − target‖₁ for each row of vectorized Hermitian outputs, chunked."""
     out = np.empty(flat_outputs.shape[0])
     step = _batch_rows(dim * dim * np.dtype(complex).itemsize)
     for lo in range(0, out.size, step):
-        diffs = (flat_outputs[lo:lo + step] - target_flat).reshape(-1, dim, dim)
-        out[lo:lo + step] = 0.5 * np.sum(np.abs(npl.eigvalsh(diffs)), axis=1)
+        out[lo:lo + step] = _half_trace_distances(flat_outputs[lo:lo + step],
+                                                  target_flat, dim)
     return out
 
 
 def _half_l1_distances(diagonals: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """½‖row − target‖₁ for each row of real diagonals.
+    """½‖row − target‖₁ over the last axis of real diagonals (broadcasts).
 
     Each difference is sorted first, so its absolute values are summed in the
     ascending order in which eigvalsh returns a diagonal matrix's eigenvalues.
     """
-    return 0.5 * np.sum(np.abs(np.sort(diagonals - target, axis=1)), axis=1)
+    return 0.5 * np.sum(np.abs(np.sort(diagonals - target, axis=-1)), axis=-1)
 
 
 class _OutputRows:
@@ -124,7 +138,8 @@ class _OutputRows:
 
     When every off-diagonal entry is exactly 0, the rows are the real
     diagonals and ½‖·‖₁ is ½·Σ|sorted(difference)|. Otherwise the rows are
-    the flattened matrices and ½‖·‖₁ comes from eigvalsh.
+    the flattened matrices and ½‖·‖₁ comes from eigvalsh. Each distance
+    depends only on its own two rows, so it has the same bits in any batch.
     """
 
     def __init__(self, states: np.ndarray):
@@ -133,6 +148,9 @@ class _OutputRows:
         self.diagonal = not np.any(states[:, ~np.eye(self.dim, dtype=bool)])
         self.rows = np.diagonal(states, axis1=1, axis2=2).real.copy() \
             if self.diagonal else self.flat
+        # bytes of one distance's temporaries: the difference of two rows,
+        # its sorted copy or eigenvalues, and their absolute values
+        self.pair_bytes = self.rows[0].nbytes + 2 * self.dim * np.dtype(float).itemsize
 
     def target(self, weights: np.ndarray) -> np.ndarray:
         """The row of Σ_x w_x W_x.
@@ -146,9 +164,23 @@ class _OutputRows:
 
     def distances(self, outputs: np.ndarray, target: np.ndarray) -> np.ndarray:
         """½‖row − target‖₁ for each row of outputs."""
-        if self.diagonal:
-            return _half_l1_distances(outputs, target)
-        return _batched_half_trace_distances(outputs, target, self.dim)
+        return self.distance_table(target[None], outputs)[0]
+
+    def distance_table(self, targets: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+        """½‖output − target‖₁ for every pair, as a targets × outputs table.
+
+        Pairs are taken in blocks of about EIG_BATCH_BYTES of temporaries.
+        """
+        table = np.empty((targets.shape[0], outputs.shape[0]))
+        cols = min(outputs.shape[0], _batch_rows(self.pair_bytes))
+        rows = _batch_rows(cols * self.pair_bytes)
+        for lo in range(0, targets.shape[0], rows):
+            block = targets[lo:lo + rows, None]
+            for c in range(0, outputs.shape[0], cols):
+                table[lo:lo + rows, c:c + cols] = \
+                    _half_l1_distances(outputs[c:c + cols], block) if self.diagonal \
+                    else _half_trace_distances(outputs[c:c + cols], block, self.dim)
+        return table
 
 
 def _first_argmin(errors: np.ndarray) -> tuple[float, int]:
@@ -209,20 +241,69 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     return ResolutionResult(min(best, 1.0), argmin, M, n)
 
 
+def _worst_grid_point(outputs: _OutputRows, cand: np.ndarray,
+                      grid_counts: np.ndarray, grid: int) -> tuple[float, int]:
+    """The largest inner minimum over the grid, and the first point attaining it.
+
+    The sampled floor and the witness bound are described in
+    `resolution_error_worst`. A witness distance has the same bits as that
+    entry of the point's full row, so a point whose bound is strictly below
+    an attained value can be neither the maximum nor tied with it. Points
+    are taken in blocks whose full distance table fits in about
+    EIG_BATCH_BYTES.
+    """
+    def targets(idx: np.ndarray) -> np.ndarray:
+        out = np.empty((idx.size,) + outputs.rows.shape[1:], dtype=outputs.rows.dtype)
+        for row, i in enumerate(idx):
+            out[row] = outputs.target(grid_counts[i] / grid)
+        return out
+
+    sample = outputs.distance_table(
+        targets(np.arange(0, grid_counts.shape[0], WORST_SAMPLE_STRIDE)), cand)
+    is_witness = np.zeros(cand.shape[0], dtype=bool)
+    is_witness[np.argmin(sample, axis=1)] = True
+    witnesses = cand[is_witness]
+    floor = float(sample.min(axis=1).max())
+
+    best_val, best_idx = -1.0, 0
+    block = _batch_rows(cand.shape[0] * outputs.pair_bytes)
+    for lo in range(0, grid_counts.shape[0], block):
+        idx = np.arange(lo, min(lo + block, grid_counts.shape[0]))
+        rows = targets(idx)
+        bound = outputs.distance_table(rows, witnesses).min(axis=1)
+        keep = np.flatnonzero(bound >= max(floor, best_val))
+        if keep.size == 0:
+            continue
+        vals = outputs.distance_table(rows[keep], cand).min(axis=1)
+        top = int(np.argmax(vals))
+        if vals[top] > best_val:
+            best_val, best_idx = float(vals[top]), int(idx[keep[top]])
+    return best_val, best_idx
+
+
 def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
                            grid: int = 20, max_types: int | None = None,
                            max_dim: int = DEFAULT_MAX_DIM) -> ResolutionResult:
     """Certified lower bound on sup_p min_{M-type q} ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁.
 
-    Evaluates the inner minimum on a simplex grid of step 1/grid, then
-    refines the best grid point by coordinatewise mass moves with step
+    Finds the first point of a simplex grid of step 1/grid with the largest
+    inner minimum, then refines it by coordinatewise mass moves with step
     halving down to 1e-6. Every reported value is attained by an explicit
     input, hence a true lower bound on the supremum. Candidates and grid
     points come from `m_type_counts` (stars and bars). When every product
     state is diagonal, the candidate outputs are real diagonals and each
     distance is ½·Σ|sorted(difference)|; otherwise they are flattened
-    matrices and the distances come from eigvalsh in batches of about
-    EIG_BATCH_BYTES. M, n and grid must be positive ints.
+    matrices and the distances come from eigvalsh.
+
+    The grid phase evaluates every WORST_SAMPLE_STRIDE-th point in full. The
+    largest of those inner minima is a lower bound on the grid maximum, and
+    their argmins are witnesses: a point's least distance to a witness
+    bounds its inner minimum from above, so a point whose bound is strictly
+    below an attained value is skipped. The remaining points are evaluated
+    in full. Distances are taken in batches of about EIG_BATCH_BYTES, and
+    each point's output comes from its own matrix-vector product, so the
+    result has the same bits as evaluating every grid point in turn. M, n
+    and grid must be positive ints.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
@@ -237,13 +318,9 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     def inner(p_vec: np.ndarray) -> tuple[float, int]:
         return _first_argmin(outputs.distances(cand, outputs.target(p_vec)))
 
-    best_val = -1.0
-    best_p = None
-    for counts in m_type_counts(k, grid, **kwargs):
-        row = counts / grid
-        val, _ = inner(row)
-        if val > best_val:
-            best_val, best_p = val, row
+    grid_counts = m_type_counts(k, grid, **kwargs)
+    best_val, idx = _worst_grid_point(outputs, cand, grid_counts, grid)
+    best_p = grid_counts[idx] / grid
 
     step = 1.0 / grid
     while step >= WORST_REFINE_TOL:

@@ -166,28 +166,54 @@ def classical_mutual_info(T, p) -> float:
     return total
 
 
+def classical_mutual_infos(T, Q) -> np.ndarray:
+    """classical_mutual_info(T, q) for every row q of Q, in one array expression."""
+    T = np.asarray(T, float)
+    Q = np.asarray(Q, float)
+    out = Q @ T
+    with np.errstate(divide="ignore"):
+        logs = np.log2(T[None, :, :] / out[:, None, :])
+    kl = np.sum(np.where(T > 0, T * logs, 0.0), axis=2)
+    return np.sum(np.where(Q > 0, Q * kl, 0.0), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # cq channel capacity by the plain (unaccelerated) multiplicative ascent
 
 
-def relative_entropy_bits(rho, sigma, support_tol: float = 1e-12) -> float:
-    """D(ρ‖σ) = Tr ρ log₂ρ − Tr ρ log₂σ; +inf when ρ has weight off σ's support."""
-    r_vals = np.linalg.eigvalsh(rho)
-    r_vals = r_vals[r_vals > support_tol]
-    s_vals, s_vecs = np.linalg.eigh(sigma)
-    weights = np.real(np.einsum("ia,ij,ja->a", s_vecs.conj(), rho, s_vecs))
-    on = s_vals > support_tol
-    if np.sum(weights[~on]) > 1e-10:
-        return math.inf
-    return float(np.sum(r_vals * np.log2(r_vals)) - weights[on] @ np.log2(s_vals[on]))
+def neg_entropies(states) -> np.ndarray:
+    """Tr W_x log₂ W_x for every x, over eigenvalues above 1e-12."""
+    return np.array([-entropy_bits(v[v > 1e-12])
+                     for v in map(np.linalg.eigvalsh, np.asarray(states, dtype=complex))])
+
+
+def output_divergences(states, p, tr_w_log_w) -> np.ndarray:
+    """D(W_x‖W(p)) for every x, one eigendecomposition of W(p).
+
+    W(p)'s support is its eigenvalues above 1e-12, plus each eigenvector
+    below it on which an input of positive mass puts weight above 1e-10,
+    with ⟨a|W(p)|a⟩ as its eigenvalue there. An input of mass 0 with weight
+    above 1e-10 off that support has D = +inf.
+    """
+    states = np.asarray(states, dtype=complex)
+    p = np.asarray(p, float)
+    s_vals, s_vecs = np.linalg.eigh(np.einsum("x,xij->ij", p, states))
+    weights = np.real(np.einsum("ia,xij,ja->xa", s_vecs.conj(), states, s_vecs))
+    on = s_vals > 1e-12
+    if on.all():
+        return tr_w_log_w - weights @ np.log2(s_vals)
+    reached = ~on & np.any(weights[p > 0] > 1e-10, axis=0)
+    s_vals = np.where(reached, p @ np.clip(weights, 0.0, None), s_vals)
+    on |= reached
+    div = tr_w_log_w - weights[:, on] @ np.log2(s_vals[on])
+    div[(p <= 0) & (weights[:, ~on].sum(axis=1) > 1e-10)] = math.inf
+    return div
 
 
 def capacity_gap(states, p) -> tuple[float, float]:
     """(I(X;B), max_x D(W_x‖W(p)) − I(X;B)) at the input law p."""
-    states = np.asarray(states, dtype=complex)
     p = np.asarray(p, float)
-    output = np.einsum("x,xij->ij", p, states)
-    div = np.array([relative_entropy_bits(w, output) for w in states])
+    div = output_divergences(states, p, neg_entropies(states))
     info = float(sum(px * dx for px, dx in zip(p, div) if px > 0))
     return info, float(div.max() - info)
 
@@ -206,15 +232,10 @@ def plain_capacity_ascent(states, tol: float, max_steps: int = 100000) -> Ascent
     counts the points evaluated, the last one included.
     """
     states = np.asarray(states, dtype=complex)
-    tr_w_log_w = np.array([-entropy_bits(v[v > 1e-12])
-                           for v in map(np.linalg.eigvalsh, states)])
+    tr_w_log_w = neg_entropies(states)
     p = np.full(len(states), 1.0 / len(states))
     for step in range(1, max_steps + 1):
-        s_vals, s_vecs = np.linalg.eigh(np.einsum("x,xij->ij", p, states))
-        weights = np.real(np.einsum("ia,xij,ja->xa", s_vecs.conj(), states, s_vecs))
-        on = s_vals > 1e-12
-        div = tr_w_log_w - weights[:, on] @ np.log2(s_vals[on])
-        div[weights[:, ~on].sum(axis=1) > 1e-10] = math.inf
+        div = output_divergences(states, p, tr_w_log_w)
         live = p > 0
         info = float(np.sum(p[live] * div[live]))
         gap = float(div.max() - info)
@@ -239,9 +260,15 @@ def _simplex_counts(k: int, total: int) -> tuple:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=None)
 def simplex_grid(k: int, denominator: int) -> np.ndarray:
-    """All distributions on k letters with masses that are multiples of 1/den."""
-    return np.asarray(_simplex_counts(k, denominator), dtype=float) / denominator
+    """All distributions on k letters with masses that are multiples of 1/den.
+
+    The array is cached and read-only.
+    """
+    grid = np.asarray(_simplex_counts(k, denominator), dtype=float) / denominator
+    grid.setflags(write=False)
+    return grid
 
 
 def fixed_rate_grid_search(T, p, denominator: int, slack: float) -> float:
@@ -293,7 +320,7 @@ def fixed_rate_projected_grid(T, p, denominator: int = 50,
     Q = Q[resid <= 1e-9]
     if Q.shape[0] == 0:
         Q = np.asarray(p, float)[None, :]
-    vals = np.array([classical_mutual_info(T, q) for q in Q])
+    vals = classical_mutual_infos(T, Q)
     order = np.argsort(vals)[:n_descend]
     best = float(vals[order[0]]) if order.size else math.inf
 
@@ -404,6 +431,70 @@ def brute_force_resolution_error(states, p, M: int) -> float:
         mix = sum((c / M) * w for c, w in zip(counts, states))
         best = min(best, half_trace_distance_svd(mix, target))
     return best
+
+
+class WorstSearch(NamedTuple):
+    error: float
+    worst_input: np.ndarray
+    argmin_counts: np.ndarray
+
+
+def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
+    """The worst-input search one grid point at a time: grid scan, then refinement.
+
+    ``states`` are the product channel's states in label order. Candidates
+    and grid points are the M-types and grid-types in ascending
+    lexicographic order. Each point's output is mixed from the flattened
+    states by one complex matrix-vector product, and its inner minimum is
+    taken over every candidate: ½·Σ|sorted(difference)| when every state
+    is exactly diagonal, eigvalsh otherwise. The first grid point with the
+    largest inner minimum is refined by coordinatewise mass moves with step
+    halving down to 1e-6; the argmin is the first candidate within 1e-12 of
+    the final minimum.
+    """
+    states = np.asarray(states, dtype=complex)
+    k, dim = states.shape[0], states.shape[1]
+    flat = states.reshape(k, -1)
+    diagonal = not np.any(states[:, ~np.eye(dim, dtype=bool)])
+    rows = np.diagonal(states, axis1=1, axis2=2).real.copy() if diagonal else flat
+    cand_counts = np.asarray(_simplex_counts(k, M), dtype=np.int64)
+    cand = (cand_counts / M) @ rows
+
+    def inner(p_vec):
+        mixed = p_vec @ flat
+        if diagonal:
+            diffs = np.sort(cand - mixed[::dim + 1].real, axis=1)
+            dist = 0.5 * np.sum(np.abs(diffs), axis=1)
+        else:
+            diffs = (cand - mixed).reshape(-1, dim, dim)
+            dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1)
+        best = float(dist.min())
+        return best, int(np.flatnonzero(dist <= best + 1e-12)[0])
+
+    best_val, best_p = -1.0, None
+    for counts in np.asarray(_simplex_counts(k, grid), dtype=np.int64):
+        row = counts / grid
+        val, _ = inner(row)
+        if val > best_val:
+            best_val, best_p = val, row
+    step = 1.0 / grid
+    while step >= 1e-6:
+        improved = False
+        for i in range(k):
+            for j in range(k):
+                if i == j or best_p[j] < step:
+                    continue
+                trial = best_p.copy()
+                trial[j] -= step
+                trial[i] += step
+                val, _ = inner(trial)
+                if val > best_val + 1e-15:
+                    best_val, best_p = val, trial
+                    improved = True
+        if not improved:
+            step /= 2.0
+    final_val, q_idx = inner(best_p)
+    return WorstSearch(max(final_val, 0.0), best_p, cand_counts[q_idx])
 
 
 def binary_flip_exact_error(eps: float, n: int) -> float:

@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import cqresolve as cq
 from cqresolve.cli import main

@@ -13,8 +13,6 @@ import cqresolve as cq
 from cqresolve import errors
 import oracles as orc
 
-from conftest import build_flip_erase_channel
-
 
 # ---------------------------------------------------------------------------
 # Distribution / MType basics

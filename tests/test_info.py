@@ -12,7 +12,7 @@ import cqresolve as cq
 from cqresolve import errors
 import oracles as orc
 
-from conftest import assert_psd, build_flip_erase_channel
+from conftest import assert_psd
 
 
 # ---------------------------------------------------------------------------

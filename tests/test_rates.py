@@ -78,9 +78,18 @@ def _random_channel_states(seed: int) -> list[np.ndarray]:
 
 SEPARATION_GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
 CERTIFY_EPS = (0.45, 0.48)
+
+
+def _small_level_states(w: float) -> list[np.ndarray]:
+    """Two bit-flip states and a third that alone puts weight w on a third level."""
+    return [np.diag([0.9, 0.1, 0.0]), np.diag([0.1, 0.9, 0.0]),
+            np.diag([(1 - w) / 2, (1 - w) / 2, w])]
+
+
 SWEEP = ([(f"example1-eps{eps}", build_flip_erase_channel(eps)[0].states)
           for eps in sorted(set(SEPARATION_GRID + CERTIFY_EPS))]
-         + [(f"random-{seed}", _random_channel_states(seed)) for seed in range(40)])
+         + [(f"random-{seed}", _random_channel_states(seed)) for seed in range(40)]
+         + [(f"small-level-{w:g}", _small_level_states(w)) for w in (1e-3, 1e-4, 1e-5)])
 
 
 @pytest.mark.parametrize("states", [states for _, states in SWEEP],
@@ -147,22 +156,27 @@ def test_extrapolation_steps_at_least_as_far_as_the_plain_steps():
     np.testing.assert_allclose(rates._extrapolate(p0, p1, p2), p2, atol=1e-15)
 
 
-def test_capacity_rejects_extrapolation_past_the_numerical_support():
-    # Input "e" is nearly the mixed state with weight 1e-3 on a third level
-    # no other input reaches, and the ascent squeezes it. An extrapolated
-    # point floors its mass near 1e-13, which puts that level under the
-    # support threshold of W(p), so D(W_e‖W(p)) reads +inf there. Such a
-    # point must lose the extrapolation test instead of winning it with an
-    # infinite I(X;B).
-    w = 1e-3
-    states = [np.diag([0.9, 0.1, 0.0]), np.diag([0.1, 0.9, 0.0]),
-              np.diag([(1 - w) / 2, (1 - w) / 2, w])]
-    channel = cq.CQChannel(("0", "1", "e"), states)
-    res = cq.capacity(channel, tol=1e-9)
-    plain = orc.plain_capacity_ascent(states, 1e-9)
-    assert res.certificate <= 1e-9
-    assert abs(res.value - plain.value) <= 1e-9
-    assert res.iterations <= plain.steps
+@pytest.mark.parametrize("w", (1e-3, 1e-4, 1e-5))
+def test_divergence_of_a_live_input_off_the_eigenvalue_support_is_finite(w):
+    # W(p) puts 1e-13·w on the third level, under SUPPORT_EIG_TOL. Input "e"
+    # is live and reaches that level, so the level stays in the support and
+    # every divergence is the classical one, that of "f" (mass 0) included.
+    states = np.array(_small_level_states(w) + [np.diag([0.0, 0.5, 0.5])], dtype=complex)
+    p = np.array([0.5 - 5e-14, 0.5 - 5e-14, 1e-13, 0.0])
+    target = np.einsum("x,xij->ij", p, states)
+    div = rates._divergences(states, p, target, rates._entropy_terms(states))
+    out = np.real(np.diag(target))
+    for x in range(3):
+        assert div[x] == pytest.approx(orc.kl_bits(np.real(np.diag(states[x])), out),
+                                       rel=1e-9, abs=1e-12)
+    assert div[3] == pytest.approx(orc.kl_bits([0.0, 0.5, 0.5], out), rel=1e-9)
+
+
+def test_divergence_of_a_dead_input_off_the_support_is_infinite():
+    states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    p = np.array([1.0, 0.0])
+    div = rates._divergences(states, p, states[0], rates._entropy_terms(states))
+    assert div[0] == 0.0 and div[1] == np.inf
 
 
 def test_capacity_nonconvergence_carries_best_iterate():

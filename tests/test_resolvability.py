@@ -124,6 +124,85 @@ class TestResolutionErrorWorst:
 
 
 # ---------------------------------------------------------------------------
+# the pruned, batched worst-input grid phase against the one-point-at-a-time
+# search in oracles.grid_refine_worst: every bit of the result must agree
+# ---------------------------------------------------------------------------
+
+
+def assert_worst_matches_oracle(ch: cq.CQChannel, M: int, n: int, grid: int) -> None:
+    res = cq.resolution_error_worst(ch, M, n, grid=grid)
+    want = orc.grid_refine_worst(ch.power(n).states, M, grid)
+    assert res.error == want.error
+    assert np.array_equal(res.worst_input.masses, want.worst_input)
+    assert np.array_equal(res.argmin.distribution.masses, want.argmin_counts / M)
+
+
+EPS_SWEEP = [round(0.05 * i, 2) for i in range(1, 10)]
+
+
+@pytest.mark.parametrize("grid", range(3, 9))
+@pytest.mark.parametrize("M", (2, 3, 4))
+@pytest.mark.parametrize("eps", EPS_SWEEP)
+def test_worst_example1_n1_matches_oracle(eps, M, grid):
+    assert_worst_matches_oracle(build_flip_erase_channel(eps)[0], M, 1, grid)
+
+
+# At n = 2 each case takes up to a second, so the nine ε values cycle
+# through the M values and the grid sizes instead of taking their product.
+@pytest.mark.parametrize("i", range(len(EPS_SWEEP)))
+def test_worst_example1_n2_matches_oracle(i):
+    assert_worst_matches_oracle(build_flip_erase_channel(EPS_SWEEP[i])[0],
+                                (2, 3, 4)[i % 3], 2, 3 + i % 6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, M, grid", [(1, 3, 8), (2, 2, 5), (2, 3, 4)])
+def test_worst_random_diagonal_matches_oracle(seed, n, M, grid):
+    ch, _ = random_diagonal_channel(seed, d=2 + seed % 2)
+    assert_worst_matches_oracle(ch, M, n, grid)
+
+
+def random_qubit_channel(seed: int) -> cq.CQChannel:
+    rng = np.random.default_rng(seed)
+    return cq.CQChannel(("a", "b"), [orc.random_density(rng, 2) for _ in range(2)])
+
+
+@pytest.mark.parametrize("n, M, grid", [(1, 3, 8), (2, 2, 4)])
+@pytest.mark.parametrize("make", [lambda: non_diagonal_channel()[0],
+                                  lambda: random_qubit_channel(0),
+                                  lambda: random_qubit_channel(1)],
+                         ids=["three-letter", "random-0", "random-1"])
+def test_worst_non_diagonal_matches_oracle(make, n, M, grid):
+    assert_worst_matches_oracle(make(), M, n, grid)
+
+
+def tied_channel() -> cq.CQChannel:
+    """Two letters share a state, and every entry is dyadic.
+
+    On a grid of quarters each target and distance is exact, so the grid
+    points that split the same mass between "a" and "b" tie exactly.
+    """
+    shared = np.diag([0.75, 0.25])
+    return cq.CQChannel(("a", "b", "c"), [shared, shared, np.diag([0.25, 0.75])])
+
+
+@pytest.mark.parametrize("budget", [None, 256], ids=["default", "tiny-budget"])
+def test_worst_grid_tie_goes_to_first_point(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(rv, "EIG_BATCH_BYTES", budget)
+    ch, M, grid = tied_channel(), 2, 4
+    outputs = rv._OutputRows(ch.states)
+    cand = (cq.m_type_counts(3, M) / M) @ outputs.rows
+    grid_counts = cq.m_type_counts(3, grid)
+    values = np.array([outputs.distances(cand, outputs.target(c / grid)).min()
+                       for c in grid_counts])
+    tied = np.flatnonzero(values == values.max())
+    assert tied.size > 1
+    assert rv._worst_grid_point(outputs, cand, grid_counts, grid) == (values.max(), tied[0])
+    assert_worst_matches_oracle(ch, M, 1, grid)
+
+
+# ---------------------------------------------------------------------------
 # argument checks shared by resolution_error_exact and resolution_error_worst
 # ---------------------------------------------------------------------------
 
@@ -225,9 +304,16 @@ class TestExactEngine:
         wide = run()
         # A 4x4 complex matrix takes 256 bytes: three per eigvalsh batch, and
         # two (matrices) or seven (diagonals) rows per batch of mixed outputs.
+        # A distance pair adds two 4-vectors of floats to its operand, so a
+        # batch of pairs holds two (matrices) or eight (diagonals), and the
+        # worst-input grid phase takes one grid point per block.
         monkeypatch.setattr(rv, "EIG_BATCH_BYTES", 3 * product.dim ** 2 * 16)
         assert rv._batch_rows(product.dim ** 2 * 16) == 3
         assert run() == wide
+        worst = cq.resolution_error_worst(ch, 2, 2, grid=4)
+        want = orc.grid_refine_worst(product.states, 2, 4)
+        assert (worst.error, tuple(worst.worst_input.masses)) == \
+            (want.error, tuple(want.worst_input))
 
 
 # ---------------------------------------------------------------------------

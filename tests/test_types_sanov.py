@@ -12,7 +12,6 @@ import cqresolve as cq
 from cqresolve import ValidationError
 
 import oracles as orc
-from conftest import assert_psd
 
 
 def standard_basis(d: int) -> cq.Basis:
