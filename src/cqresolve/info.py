@@ -3,6 +3,12 @@
 All logarithms are base 2. Eigenvalues below the support threshold are
 treated as zero wherever divergences are computed; infinite divergences are
 returned as the float infinity sentinel, never as an overflow.
+
+Two spectral kernels live here and nowhere else. `_divergences` gives
+D(W_x‖W(p)) for every input from one eigendecomposition of W(p); relative
+entropy, mutual information and the capacity ascent all read it.
+`_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ in one batched eigh
+and gives the Rényi fixed point both its objective and its next proposal.
 """
 from __future__ import annotations
 
@@ -71,47 +77,76 @@ def _kernel_mass(rho: np.ndarray, dec_sigma: SpectralDecomposition) -> float:
     return float(np.real(np.einsum("ia,ij,ja->", cols.conj(), rho, cols)))
 
 
+def _entropy_terms(states: np.ndarray) -> np.ndarray:
+    """Tr W_x log₂ W_x per input, restricted to each state's support."""
+    return np.array([-_entropy_from_probs(vals) for vals in npl.eigvalsh(states)])
+
+
+def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
+                 tr_w_log_w: np.ndarray) -> np.ndarray:
+    """D(W_x ‖ target) for every x, where target = W(p), from one eigh of it.
+
+    The target's support is its eigenvectors with eigenvalue above
+    SUPPORT_EIG_TOL, plus each eigenvector below it on which an input of
+    positive mass puts weight above KERNEL_MASS_TOL. On those the
+    eigenvalue is read as the Rayleigh quotient Σ_x p_x⟨a|W_x|a⟩, which
+    W(p) ≥ p_x W_x keeps positive, so every input of positive mass has a
+    finite divergence. An input of mass 0 with weight above
+    KERNEL_MASS_TOL off the support reads +inf.
+    """
+    dec = eigh(target)
+    support = dec.eigenvalues > SUPPORT_EIG_TOL
+    cols = dec.eigenvectors[:, support]
+    weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states, cols))
+    cross = weights @ np.log2(dec.eigenvalues[support])
+    div = tr_w_log_w - cross
+    if not np.all(support):
+        kcols = dec.eigenvectors[:, ~support]
+        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states, kcols))
+        live = p > 0.0
+        reached = np.any(kweights[live] > KERNEL_MASS_TOL, axis=0)
+        if np.any(reached):
+            rayleigh = p @ np.maximum(kweights[:, reached], 0.0)
+            div = div - kweights[:, reached] @ np.log2(rayleigh)
+        leak = np.sum(kweights[:, ~reached], axis=1)
+        div = np.where(~live & (leak > KERNEL_MASS_TOL), math.inf, div)
+    return div
+
+
 def qrel_entropy(rho, sigma) -> float:
     """Relative entropy D(ρ‖σ) = Tr ρ(log ρ - log σ) in bits.
 
     Returns float('inf') when the support of ρ leaks outside the support
-    of σ by more than the kernel-mass tolerance.
+    of σ by more than the kernel-mass tolerance. This is the divergence
+    vector's one-input case, with the input at mass 0.
     """
     r = validate_density(rho)
     s = validate_density(sigma)
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shapes differ: {r.shape} vs {s.shape}")
-    dec_s = eigh(s)
-    if _kernel_mass(r, dec_s) > KERNEL_MASS_TOL:
-        return math.inf
-    vals_r = npl.eigvalsh(r)
-    tr_rho_log_rho = float(np.sum(vals_r[vals_r > SUPPORT_EIG_TOL]
-                                  * np.log2(vals_r[vals_r > SUPPORT_EIG_TOL])))
-    support = dec_s.eigenvalues > SUPPORT_EIG_TOL
-    cols = dec_s.eigenvectors[:, support]
-    weights = np.real(np.einsum("ia,ij,ja->a", cols.conj(), r, cols))
-    tr_rho_log_sigma = float(weights @ np.log2(dec_s.eigenvalues[support]))
-    return tr_rho_log_rho - tr_rho_log_sigma
+    states = r[None]
+    return float(_divergences(states, np.zeros(1), s, _entropy_terms(states))[0])
 
 
 def mutual_info(channel: CQChannel, dist: Distribution) -> float:
-    """Mutual information Σ_x p(x) D(W_x ‖ W(p)) of the joint state, in bits."""
-    target = output_state(channel, dist)
-    total = 0.0
-    for x, mass in zip(channel.labels, dist.masses):
-        if mass <= 0.0:
-            continue
-        total += float(mass) * qrel_entropy(channel.state(x), target)
-    return total
+    """Mutual information Σ_x p(x) D(W_x ‖ W(p)) of the joint state, in bits.
+
+    All divergences come from one eigendecomposition of W(p), so an input
+    of positive mass always has a finite one.
+    """
+    states = channel.states
+    p = dist.masses
+    div = _divergences(states, p, output_state(channel, dist), _entropy_terms(states))
+    live = p > 0.0
+    return float(np.sum(p[live] * div[live]))
 
 
-def _power_on_support(dec: SpectralDecomposition, exponent: float) -> np.ndarray:
-    vals = dec.eigenvalues.copy()
+def _power_on_support(vals: np.ndarray, vecs: np.ndarray, exponent: float) -> np.ndarray:
+    """U diag(λ^exponent) U† over the eigenvalues above SUPPORT_EIG_TOL, 0 elsewhere."""
     support = vals > SUPPORT_EIG_TOL
     powed = np.zeros_like(vals)
     powed[support] = vals[support] ** exponent
-    u = dec.eigenvectors
-    return (u * powed) @ u.conj().T
+    return (vecs * powed) @ vecs.conj().T
 
 
 def _phi_general(s: float, rho: np.ndarray, sigma: np.ndarray) -> float | None:
@@ -123,7 +158,8 @@ def _phi_general(s: float, rho: np.ndarray, sigma: np.ndarray) -> float | None:
     dec_s = eigh(sigma)
     if _kernel_mass(rho, dec_s) > KERNEL_MASS_TOL:
         return None
-    half = _power_on_support(dec_s, s / (2.0 * (1.0 - s)))
+    half = _power_on_support(dec_s.eigenvalues, dec_s.eigenvectors,
+                             s / (2.0 * (1.0 - s)))
     sandwich = hermitianize(half @ rho @ half)
     vals = npl.eigvalsh(sandwich)
     vals = np.clip(vals, 0.0, None)
@@ -169,18 +205,23 @@ class RenyiMutualInfo:
     converged: bool
 
 
-def _renyi_center_objective(alpha: float, states: np.ndarray, masses: np.ndarray,
-                            sigma: np.ndarray) -> float:
-    dec = eigh(sigma)
-    half = _power_on_support(dec, (1.0 - alpha) / (2.0 * alpha))
-    total = 0.0
-    for w, mass in zip(states, masses):
-        if mass <= 0.0:
-            continue
-        vals = npl.eigvalsh(hermitianize(half @ w @ half))
-        vals = np.clip(vals, 0.0, None)
-        total += float(mass) * float(np.sum(vals ** alpha))
-    return math.log2(total) / (alpha - 1.0)
+def _renyi_sandwiches(alpha: float, vals: np.ndarray, vecs: np.ndarray, states: np.ndarray,
+                      masses: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The Rényi objective at σ = U diag(vals) U† and the fixed point's proposal.
+
+    With γ = (1−α)/(2α) and A_x = σ^γ W_x σ^γ over the given (live)
+    letters, one batched eigh decomposes every A_x. The objective is
+    log₂(Σ_x p_x Tr A_x^α)/(α−1), and the proposal is Σ_x p_x A_x^α over its
+    trace, or None when that trace is not positive.
+    """
+    half = _power_on_support(vals, vecs, (1.0 - alpha) / (2.0 * alpha))
+    a_vals, a_vecs = npl.eigh(hermitianize(half @ states @ half))
+    powed = masses[:, None] * np.clip(a_vals, 0.0, None) ** alpha
+    total = float(np.sum(powed))
+    if not total > 0.0:
+        return math.inf, None
+    acc = np.sum((a_vecs * powed[:, None, :]) @ np.swapaxes(a_vecs.conj(), -1, -2), axis=0)
+    return math.log2(total) / (alpha - 1.0), acc / total
 
 
 def renyi_mutual_info(order: RenyiOrder, channel: CQChannel,
@@ -189,48 +230,39 @@ def renyi_mutual_info(order: RenyiOrder, channel: CQChannel,
 
     The infimum over output states σ is approached by a damped fixed-point
     iteration; each iterate keeps full support by flooring eigenvalues at
-    the support threshold and renormalizing. Returns the best value seen,
+    the support threshold and renormalizing, and is kept as the eigenpairs
+    of that floor step. Each iteration then makes one batched eigh of the
+    sandwiches σ^γ W_x σ^γ of the inputs of positive mass, which gives both
+    the objective at σ and the next proposal. Returns the best value seen,
     the matching σ, the iteration count, and whether successive iterates
     came within RENYI_STEP_TOL in trace distance. The d = 2 grid search in
     the test suite is the correctness oracle for this heuristic.
     """
     channel._check_alphabet(dist)
     alpha = order.alpha
-    states = channel.states
-    masses = dist.masses
-    sigma = output_state(channel, dist)
+    live = dist.masses > 0.0
+    states, masses = channel.states[live], dist.masses[live]
 
-    def floor_and_normalize(m: np.ndarray) -> np.ndarray:
+    def floor_and_normalize(m: np.ndarray):
         dec = eigh(hermitianize(m))
         vals = np.clip(dec.eigenvalues, SUPPORT_EIG_TOL, None)
         vals = vals / vals.sum()
         u = dec.eigenvectors
-        return (u * vals) @ u.conj().T
+        return vals, u, (u * vals) @ u.conj().T
 
-    sigma = floor_and_normalize(sigma)
-    best_value = _renyi_center_objective(alpha, states, masses, sigma)
+    vals, vecs, sigma = floor_and_normalize(output_state(channel, dist))
+    best_value, proposal = _renyi_sandwiches(alpha, vals, vecs, states, masses)
     best_sigma = sigma
     converged = False
     iterations = 0
     for iterations in range(1, RENYI_MAX_ITER + 1):
-        dec = eigh(sigma)
-        half = _power_on_support(dec, (1.0 - alpha) / (2.0 * alpha))
-        acc = np.zeros_like(sigma)
-        for w, mass in zip(states, masses):
-            if mass <= 0.0:
-                continue
-            inner = eigh(hermitianize(half @ w @ half))
-            vals = np.clip(inner.eigenvalues, 0.0, None) ** alpha
-            u = inner.eigenvectors
-            acc = acc + mass * ((u * vals) @ u.conj().T)
-        tr = float(np.real(np.trace(acc)))
-        if tr <= 0.0:
+        if proposal is None:
             break
-        proposal = acc / tr
-        nxt = floor_and_normalize((1.0 - RENYI_DAMPING) * sigma + RENYI_DAMPING * proposal)
+        vals, vecs, nxt = floor_and_normalize(
+            (1.0 - RENYI_DAMPING) * sigma + RENYI_DAMPING * proposal)
         step = trace_distance(nxt, sigma)
         sigma = nxt
-        value = _renyi_center_objective(alpha, states, masses, sigma)
+        value, proposal = _renyi_sandwiches(alpha, vals, vecs, states, masses)
         if value < best_value:
             best_value = value
             best_sigma = sigma

@@ -31,8 +31,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (A + A†)/2."""
-    return (a + a.conj().T) / 2
+    """Project onto the Hermitian part, (A + A†)/2, of each matrix in the last two axes."""
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
 def validate_hermitian(a) -> np.ndarray:

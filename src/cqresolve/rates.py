@@ -7,13 +7,13 @@ extrapolation accelerates the plain multiplicative step; an extrapolated
 point is kept only if it does not lower I(X;B), and its masses are floored
 at a fraction of the plain step's, so no input is dropped by it. The
 capacity's ``iterations`` counts evaluations of the divergence vector (one
-``eigh`` each), at plain and extrapolated points alike. An input of positive
-mass always has a finite divergence: a level of W(p) below the eigenvalue
-tolerance that such an input reaches stays in the support, with its
-Rayleigh quotient as its eigenvalue. The fixed-input
-rate minimizes mutual information over the polytope of input distributions
-with the same output state; concavity of mutual information in the input
-puts the minimum at a vertex, so vertices are enumerated exactly.
+``eigh`` each), at plain and extrapolated points alike. That vector,
+D(W_x‖W(p)) for every input, is the one `info.mutual_info` sums, with the
+same support rule: an input of positive mass always has a finite
+divergence. The fixed-input rate minimizes mutual information over the
+polytope of input distributions with the same output state; concavity of
+mutual information in the input puts the minimum at a vertex, so vertices
+are enumerated exactly.
 """
 from __future__ import annotations
 
@@ -26,14 +26,13 @@ import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .info import SUPPORT_EIG_TOL, mutual_info
-from .linalg import eigh, trace_norm
+from .info import _divergences, _entropy_terms, mutual_info
+from .linalg import trace_norm
 
 CAPACITY_DEFAULT_TOL = 1e-9
 CAPACITY_MAX_ITER = 100000
 CAPACITY_PRUNE = 1e-15
 CAPACITY_EXTRAPOLATION_FLOOR = 1e-12
-SUPPORT_LEAK_TOL = 1e-10
 FEASIBLE_OUTPUT_TOL = 1e-8
 VERTEX_RANK_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-9
@@ -55,47 +54,6 @@ class RateResult:
     certificate: float
     iterations: int
     distribution: Distribution | None = None
-
-
-def _entropy_terms(states: np.ndarray) -> np.ndarray:
-    """Tr W_x log₂ W_x per input, restricted to each state's support."""
-    out = np.empty(states.shape[0])
-    for i, w in enumerate(states):
-        vals = npl.eigvalsh(w)
-        vals = vals[vals > SUPPORT_EIG_TOL]
-        out[i] = float(np.sum(vals * np.log2(vals)))
-    return out
-
-
-def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
-                 tr_w_log_w: np.ndarray) -> np.ndarray:
-    """D(W_x ‖ target) for every x, where target = W(p).
-
-    The target's support is its eigenvectors with eigenvalue above
-    SUPPORT_EIG_TOL, plus each eigenvector below it on which an input of
-    positive mass puts weight above SUPPORT_LEAK_TOL. On those the
-    eigenvalue is read as the Rayleigh quotient Σ_x p_x⟨a|W_x|a⟩, which
-    W(p) ≥ p_x W_x keeps positive, so every input of positive mass has a
-    finite divergence. An input of mass 0 with weight above
-    SUPPORT_LEAK_TOL off the support reads +inf.
-    """
-    dec = eigh(target)
-    support = dec.eigenvalues > SUPPORT_EIG_TOL
-    cols = dec.eigenvectors[:, support]
-    weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states, cols))
-    cross = weights @ np.log2(dec.eigenvalues[support])
-    div = tr_w_log_w - cross
-    if not np.all(support):
-        kcols = dec.eigenvectors[:, ~support]
-        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states, kcols))
-        live = p > 0.0
-        reached = np.any(kweights[live] > SUPPORT_LEAK_TOL, axis=0)
-        if np.any(reached):
-            rayleigh = p @ np.maximum(kweights[:, reached], 0.0)
-            div = div - kweights[:, reached] @ np.log2(rayleigh)
-        leak = np.sum(kweights[:, ~reached], axis=1)
-        div = np.where(~live & (leak > SUPPORT_LEAK_TOL), math.inf, div)
-    return div
 
 
 def _ascent_step(p: np.ndarray, div: np.ndarray) -> np.ndarray:

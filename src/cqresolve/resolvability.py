@@ -9,7 +9,8 @@ batches, and points whose upper bound from a sampled set of witness
 candidates falls strictly below the sampled lower bound are skipped.
 Soft-covering Monte Carlo draws each codebook sample from its own
 counter-based stream keyed by (seed, sample index), so a sample's letters
-do not depend on how many samples are drawn.
+do not depend on how many samples are drawn; its distances take the same
+diagonal or eigvalsh path as the exact errors.
 The one-shot error bounds are evaluated literally from their defining
 expressions.
 """
@@ -24,8 +25,8 @@ import numpy.linalg as npl
 from .channel import (CQChannel, Distribution, MType, m_type_counts,
                       output_state)
 from .errors import ResourceLimitError, ValidationError, check_positive_int
-from .info import (SUPPORT_EIG_TOL, RenyiOrder, pinch, pinching_from_spectrum,
-                   renyi_mutual_info)
+from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass, pinch,
+                   pinching_from_spectrum, renyi_mutual_info)
 from .linalg import (DEFAULT_MAX_DIM, eigh, hermitianize,
                      positive_part_projector, validate_density)
 
@@ -113,17 +114,6 @@ def _half_trace_distances(flat_outputs: np.ndarray, target_flat: np.ndarray,
     return 0.5 * np.sum(np.abs(spectra), axis=-1)
 
 
-def _batched_half_trace_distances(flat_outputs: np.ndarray, target_flat: np.ndarray,
-                                  dim: int) -> np.ndarray:
-    """½‖row − target‖₁ for each row of vectorized Hermitian outputs, chunked."""
-    out = np.empty(flat_outputs.shape[0])
-    step = _batch_rows(dim * dim * np.dtype(complex).itemsize)
-    for lo in range(0, out.size, step):
-        out[lo:lo + step] = _half_trace_distances(flat_outputs[lo:lo + step],
-                                                  target_flat, dim)
-    return out
-
-
 def _half_l1_distances(diagonals: np.ndarray, target: np.ndarray) -> np.ndarray:
     """½‖row − target‖₁ over the last axis of real diagonals (broadcasts).
 
@@ -189,7 +179,7 @@ def _first_argmin(errors: np.ndarray) -> tuple[float, int]:
     return best, int(np.flatnonzero(errors <= best + ARGMIN_TIE_TOL)[0])
 
 
-def _product_masses(channel: CQChannel, dist: Distribution, n: int) -> np.ndarray:
+def _product_masses(dist: Distribution, n: int) -> np.ndarray:
     """Masses of p^{⊗n} in the product channel's label order."""
     masses = dist.masses
     out = masses
@@ -202,7 +192,7 @@ def _resolve_target_masses(channel: CQChannel, product: CQChannel,
                            dist: Distribution, n: int) -> np.ndarray:
     """Accept either a base distribution (i.i.d. power) or a product one."""
     if dist.labels == channel.labels:
-        return _product_masses(channel, dist, n)
+        return _product_masses(dist, n)
     if dist.labels == product.labels:
         return dist.masses
     raise ValidationError(
@@ -392,8 +382,7 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
     product = channel.power(n, max_dim=max_dim)
     k, size = channel.size, product.size
-    flat = product.states.reshape(size, -1)
-    target_flat = _product_masses(channel, dist, n) @ flat
+    outputs = _OutputRows(product.states)
 
     u = np.stack([np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
                   .random((M, n)) for i in range(samples)])
@@ -401,8 +390,8 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     words = letters @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
     # One product per row: a single matmul over all rows may round a row
     # differently as the row count changes, which would break prefixes.
-    outs = np.stack([(np.bincount(w, minlength=size) / M) @ flat for w in words])
-    distances = _batched_half_trace_distances(outs, target_flat, product.dim)
+    outs = np.stack([outputs.target(np.bincount(w, minlength=size) / M) for w in words])
+    distances = outputs.distances(outs, outputs.target(_product_masses(dist, n)))
 
     bounds, converged, iterations = {}, {}, {}
     for order in orders:
@@ -445,21 +434,6 @@ def ceil_operator(rho, params: SmoothingParams) -> np.ndarray:
     return hermitianize((u * new_vals) @ u.conj().T)
 
 
-def _support_violation(states: np.ndarray, masses: np.ndarray,
-                       sigma_dec) -> None:
-    kernel = sigma_dec.eigenvalues <= SUPPORT_EIG_TOL
-    if not np.any(kernel):
-        return
-    cols = sigma_dec.eigenvectors[:, kernel]
-    for w, mass in zip(states, masses):
-        if mass <= 0.0:
-            continue
-        leak = float(np.real(np.einsum("ia,ij,ja->", cols.conj(), w, cols)))
-        if leak > 1e-10:
-            raise ValidationError(
-                "a channel state with positive mass leaks outside the reference support")
-
-
 def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
               M: int) -> float:
     """4√(Σ_x p(x) Tr W_x{E_σ(W_x) ≥ Cσ}) + √((v′/M)Σ_x p(x) Tr σ⁻¹E_σ(W_x)²{E_σ(W_x) < Cσ}).
@@ -475,7 +449,10 @@ def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
     if s.shape[0] != channel.dim:
         raise ValidationError("reference state dimension does not match the channel")
     dec = eigh(s)
-    _support_violation(channel.states, dist.masses, dec)
+    if any(mass > 0.0 and _kernel_mass(w, dec) > KERNEL_MASS_TOL
+           for w, mass in zip(channel.states, dist.masses)):
+        raise ValidationError(
+            "a channel state with positive mass leaks outside the reference support")
     pmap = pinching_from_spectrum(s)
     v_prime = pmap.num_blocks
     support = dec.eigenvalues > SUPPORT_EIG_TOL

@@ -16,7 +16,7 @@ from .channel import (CQChannel, Distribution, Word, compositions,
                       empirical_output, output_state)
 from .errors import (DimensionMismatchError, ResourceLimitError,
                      ValidationError, check_positive_int)
-from .info import SUPPORT_EIG_TOL, PinchingMap
+from .info import SUPPORT_EIG_TOL, PinchingMap, _entropy_from_probs
 from .linalg import DEFAULT_MAX_DIM, eigh, trace_norm, validate_density
 
 BASIS_GRAM_TOL = 1e-10
@@ -211,11 +211,6 @@ class SanovQuery:
         object.__setattr__(self, "rho", rho)
 
 
-def _entropy_bits(vec: np.ndarray) -> float:
-    vec = vec[vec > SUPPORT_EIG_TOL]
-    return float(-np.sum(vec * np.log2(vec)))
-
-
 def sanov_exponent(query: SanovQuery) -> float:
     """D(ρ'‖ρ) + H(ρ') − H(p'), requiring p' to majorize ρ''s spectrum."""
     spectrum = query.rho_prime.distribution()
@@ -230,7 +225,7 @@ def sanov_exponent(query: SanovQuery) -> float:
         if base <= SUPPORT_EIG_TOL:
             return math.inf
         div += freq * (math.log2(freq) - math.log2(base))
-    return div + _entropy_bits(spectrum) - _entropy_bits(query.p_prime)
+    return div + _entropy_from_probs(spectrum) - _entropy_from_probs(query.p_prime)
 
 
 def sanov_member(query: SanovQuery) -> bool:

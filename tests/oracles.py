@@ -309,12 +309,16 @@ def fixed_rate_projected_grid(T, p, denominator: int = 50,
     near = grid[np.sum(np.abs(grid @ T - target), axis=1) <= pre_slack]
     if near.size == 0:
         near = np.asarray(p, float)[None, :]
-    # alternating projections: affine set <-> positive orthant
+    # alternating projections: affine set <-> positive orthant; a row stops
+    # once its own residual is below 1e-12
     Q = near.copy()
+    active = np.ones(Q.shape[0], dtype=bool)
     for _ in range(400):
-        Q = Q - (Q @ A.T - b) @ A_pinv.T
-        Q = np.maximum(Q, 0.0)
-        if np.max(np.abs(Q @ A.T - b)) < 1e-12:
+        R = Q[active]
+        R = np.maximum(R - (R @ A.T - b) @ A_pinv.T, 0.0)
+        Q[active] = R
+        active[active] = np.max(np.abs(R @ A.T - b), axis=1) >= 1e-12
+        if not active.any():
             break
     resid = np.max(np.abs(Q @ A.T - b), axis=1)
     Q = Q[resid <= 1e-9]
@@ -389,6 +393,78 @@ def bloch_grid_renyi_mi(states, masses, alpha: float, step: float = 0.02) -> flo
         ev = np.linalg.eigvalsh(sand)
         total += mass * np.sum(np.clip(ev, 0, None) ** alpha, axis=1)
     return float(np.min(np.log2(total))) / (alpha - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# quantum Renyi mutual information, the damped fixed point letter by letter
+
+
+class RenyiFixedPoint(NamedTuple):
+    value: float
+    iterations: int
+    converged: bool
+
+
+def renyi_fixed_point(states, masses, alpha: float, max_iter: int = 500,
+                      damping: float = 0.5, step_tol: float = 1e-10) -> RenyiFixedPoint:
+    """The damped fixed point for I_α(X;B), one eigendecomposition per letter.
+
+    σ starts at W(p) and every iterate has its eigenvalues floored at 1e-12
+    and renormalized. From σ, with A_x = σ^γ W_x σ^γ and γ = (1−α)/(2α)
+    over the eigenvalues above 1e-12, the proposal is Σ_x p_x A_x^α over its
+    trace; the next σ is the floored mix (1 − damping)σ + damping·proposal.
+    The objective log₂(Σ_x p_x Tr A_x^α)/(α−1) is recomputed from a fresh
+    decomposition of each new σ, and the least value seen is returned. It
+    stops when σ moves less than step_tol in trace distance (converged) or
+    after max_iter iterations.
+    """
+    states = np.asarray(states, dtype=complex)
+    masses = np.asarray(masses, float)
+    live = [(w, float(m)) for w, m in zip(states, masses) if m > 0]
+    gamma = (1.0 - alpha) / (2.0 * alpha)
+
+    def floored(m):
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        vals = np.clip(vals, 1e-12, None)
+        vals = vals / vals.sum()
+        return (vecs * vals) @ vecs.conj().T
+
+    def half_power(sigma):
+        vals, vecs = np.linalg.eigh(sigma)
+        powed = np.zeros_like(vals)
+        powed[vals > 1e-12] = vals[vals > 1e-12] ** gamma
+        return (vecs * powed) @ vecs.conj().T
+
+    def sandwich_eigh(half, w):
+        a = half @ w @ half
+        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+        return np.clip(vals, 0.0, None) ** alpha, vecs
+
+    def objective(sigma):
+        half = half_power(sigma)
+        total = sum(m * float(np.sum(sandwich_eigh(half, w)[0])) for w, m in live)
+        return math.log2(total) / (alpha - 1.0)
+
+    sigma = floored(np.einsum("x,xij->ij", masses, states))
+    best = objective(sigma)
+    iterations, converged = 0, False
+    for iterations in range(1, max_iter + 1):
+        half = half_power(sigma)
+        acc = np.zeros_like(sigma)
+        for w, m in live:
+            powed, vecs = sandwich_eigh(half, w)
+            acc = acc + m * ((vecs * powed) @ vecs.conj().T)
+        tr = float(np.real(np.trace(acc)))
+        if tr <= 0.0:
+            break
+        nxt = floored((1.0 - damping) * sigma + damping * acc / tr)
+        step = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(nxt - sigma))))
+        sigma = nxt
+        best = min(best, objective(sigma))
+        if step < step_tol:
+            converged = True
+            break
+    return RenyiFixedPoint(best, iterations, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every import in the package and the test suite is used."""
+"""Every import in the package and the test suite is used, and every private
+module-level name in the package is referenced somewhere in the package."""
 from __future__ import annotations
 
 import ast
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "cqresolve").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+SRC_MODULES = sorted((ROOT / "src" / "cqresolve").glob("*.py"))
+MODULES = SRC_MODULES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +46,48 @@ def test_no_unused_imports(path):
 def test_gate_flags_an_unused_import():
     source = "import math\nimport os.path\nfrom numpy import linalg as la, fft\nprint(fft, os)\n"
     assert unused_imports(source) == ["line 1: math", "line 3: la"]
+
+
+def _private_definitions(node: ast.stmt) -> list[str]:
+    """Names with one leading underscore that a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants that nothing reads.
+
+    A name counts as read when some module-level statement other than its
+    own definition, in any of the modules, uses it as a bare name or as an
+    attribute, so recursion alone does not keep a function alive.
+    """
+    statements = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            reads = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            reads |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            statements.append((module, node, reads))
+    return [f"{module}:{node.lineno}: {name}"
+            for module, node, _ in statements for name in _private_definitions(node)
+            if not any(name in reads for _, other, reads in statements if other is not node)]
+
+
+def test_every_private_name_in_the_package_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC_MODULES}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_gate_flags_an_unreferenced_private_name():
+    sources = {"a.py": "_X = 1\n_Y: int = 2\n__z = 3\n_Z = 4\n"
+                       "def _f():\n    return _f()\n\ndef g():\n    return _Y\n",
+               "b.py": "import a\nprint(a._X)\nclass _C:\n    pass\n"}
+    assert unreferenced_private_names(sources) == [
+        "a.py:4: _Z", "a.py:5: _f", "b.py:3: _C"]

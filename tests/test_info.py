@@ -136,6 +136,19 @@ def test_mutual_info_matches_classical_oracle():
         orc.classical_mutual_info(T, q), abs=1e-10)
 
 
+def test_mutual_info_is_finite_when_a_small_mass_reaches_a_small_level():
+    # W(p) puts 5e-14 on the third level, under SUPPORT_EIG_TOL, and only
+    # the input of mass 1e-13 reaches it; its divergence stays finite.
+    channel = cq.CQChannel(("a", "b", "c"), [np.diag([0.9, 0.1, 0.0]),
+                                             np.diag([0.1, 0.9, 0.0]),
+                                             np.diag([0.25, 0.25, 0.5])])
+    masses = (0.5, 0.5 - 1e-13, 1e-13)
+    dist = cq.Distribution(("a", "b", "c"), masses)
+    T = np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.25, 0.25, 0.5]])
+    assert cq.mutual_info(channel, dist) == pytest.approx(
+        orc.classical_mutual_info(T, masses), abs=1e-10)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_mutual_info_within_dimension_bounds(seed):
@@ -286,6 +299,42 @@ def test_renyi_mutual_info_approaches_mutual_info():
         res = cq.renyi_mutual_info(cq.RenyiOrder(1.01), channel, dist)
         gap = res.value - cq.mutual_info(channel, dist)
         assert -1e-6 < gap < 0.05
+
+
+RENYI_SWEEP_ALPHAS = (1.1, 1.25, 1.5, 2.0)
+
+
+def assert_matches_letterwise_fixed_point(states, masses):
+    labels = tuple(str(i) for i in range(len(states)))
+    channel = cq.CQChannel(labels, states)
+    dist = cq.Distribution(labels, masses)
+    for alpha in RENYI_SWEEP_ALPHAS:
+        res = cq.renyi_mutual_info(cq.RenyiOrder(alpha), channel, dist)
+        ref = orc.renyi_fixed_point(states, masses, alpha)
+        assert abs(res.value - ref.value) <= 1e-12
+        assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_renyi_mutual_info_matches_letterwise_fixed_point(d, k):
+    rng = np.random.default_rng(1000 * d + k)
+    states = [orc.random_density(rng, d) for _ in range(k)]
+    assert_matches_letterwise_fixed_point(states, rng.dirichlet(np.ones(k)))
+
+
+def test_renyi_mutual_info_matches_letterwise_fixed_point_with_a_dead_input(
+        flip_erase_channel):
+    channel, _ = flip_erase_channel
+    assert_matches_letterwise_fixed_point(list(channel.states), [0.7, 0.3, 0.0])
+
+
+def test_renyi_mutual_info_matches_letterwise_fixed_point_on_pure_states():
+    rng = np.random.default_rng(77)
+    kets = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    states = [np.outer(v, v.conj()) for v in kets]
+    assert_matches_letterwise_fixed_point(states, [0.5, 0.3, 0.2])
 
 
 def test_renyi_mutual_info_returns_density_minimizer():

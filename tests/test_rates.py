@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqresolve as cq
-from cqresolve import errors, rates
+from cqresolve import errors, info, rates
 import oracles as orc
 
 from conftest import build_flip_erase_channel
@@ -102,8 +102,8 @@ def test_capacity_sweep_against_plain_ascent(states):
     assert 0.0 <= res.certificate <= tol
     assert abs(res.value - plain.value) <= tol
     assert res.iterations <= plain.steps
-    info, gap = orc.capacity_gap(states, res.distribution.masses)
-    assert info == pytest.approx(res.value, abs=1e-12)
+    value, gap = orc.capacity_gap(states, res.distribution.masses)
+    assert value == pytest.approx(res.value, abs=1e-12)
     assert max(gap, 0.0) == pytest.approx(res.certificate, abs=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_divergence_of_a_live_input_off_the_eigenvalue_support_is_finite(w):
     states = np.array(_small_level_states(w) + [np.diag([0.0, 0.5, 0.5])], dtype=complex)
     p = np.array([0.5 - 5e-14, 0.5 - 5e-14, 1e-13, 0.0])
     target = np.einsum("x,xij->ij", p, states)
-    div = rates._divergences(states, p, target, rates._entropy_terms(states))
+    div = info._divergences(states, p, target, info._entropy_terms(states))
     out = np.real(np.diag(target))
     for x in range(3):
         assert div[x] == pytest.approx(orc.kl_bits(np.real(np.diag(states[x])), out),
@@ -175,7 +175,7 @@ def test_divergence_of_a_live_input_off_the_eigenvalue_support_is_finite(w):
 def test_divergence_of_a_dead_input_off_the_support_is_infinite():
     states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
     p = np.array([1.0, 0.0])
-    div = rates._divergences(states, p, states[0], rates._entropy_terms(states))
+    div = info._divergences(states, p, states[0], info._entropy_terms(states))
     assert div[0] == 0.0 and div[1] == np.inf
 
 

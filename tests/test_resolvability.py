@@ -256,11 +256,11 @@ class TestExactEngine:
         product = ch.power(n)
         outputs = rv._OutputRows(product.states)
         assert outputs.diagonal
-        masses = rv._product_masses(ch, p, n)
+        masses = rv._product_masses(p, n)
         weights = cq.m_type_counts(product.size, M) / M
         diagonal = outputs.distances(weights @ outputs.rows, outputs.target(masses))
         flat = product.states.reshape(product.size, -1)
-        eig = rv._batched_half_trace_distances(weights @ flat, masses @ flat, product.dim)
+        eig = rv._half_trace_distances(weights @ flat, masses @ flat, product.dim)
         np.testing.assert_allclose(diagonal, eig, rtol=0, atol=1e-14)
         assert rv._first_argmin(diagonal)[1] == rv._first_argmin(eig)[1]
         res = cq.resolution_error_exact(ch, p, M, n)
@@ -290,22 +290,21 @@ class TestExactEngine:
     def test_small_byte_budget_is_bit_identical(self, monkeypatch, make):
         ch, p = make()
         product = ch.power(2)
-        flat = product.states.reshape(product.size, -1)
-        weights = cq.m_type_counts(product.size, 3) / 3
-        target = rv._product_masses(ch, p, 2) @ flat
 
         def run():
             exact = cq.resolution_error_exact(ch, p, 3, 2)
             worst = cq.resolution_error_worst(ch, 2, 2, grid=3)
-            eig = rv._batched_half_trace_distances(weights @ flat, target, product.dim)
+            cover = cq.soft_cover_simulate(ch, p, 3, 2, samples=7, seed=5)
             return (exact.error, tuple(exact.argmin.distribution.masses),
-                    worst.error, tuple(worst.worst_input.masses), eig.tobytes())
+                    worst.error, tuple(worst.worst_input.masses),
+                    cover.distances.tobytes())
 
         wide = run()
-        # A 4x4 complex matrix takes 256 bytes: three per eigvalsh batch, and
+        # A 4x4 complex matrix takes 256 bytes: three fit in the budget, and
         # two (matrices) or seven (diagonals) rows per batch of mixed outputs.
         # A distance pair adds two 4-vectors of floats to its operand, so a
-        # batch of pairs holds two (matrices) or eight (diagonals), and the
+        # batch of pairs holds two (matrices) or eight (diagonals), the seven
+        # codebook samples' distances span four batches of matrices, and the
         # worst-input grid phase takes one grid point per block.
         monkeypatch.setattr(rv, "EIG_BATCH_BYTES", 3 * product.dim ** 2 * 16)
         assert rv._batch_rows(product.dim ** 2 * 16) == 3
