@@ -11,14 +11,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
                      check_positive_int)
-from .linalg import DEFAULT_MAX_DIM, as_matrix, validate_density
+from .linalg import DEFAULT_MAX_DIM, _check_densities, _kron_rows, as_matrix
 
 DIST_SUM_TOL = 1e-12
 MTYPE_INT_TOL = 1e-9
@@ -151,12 +150,13 @@ class CQChannel:
             raise ValidationError("duplicate channel labels")
         if len(states) != len(labels):
             raise ValidationError("one state per label required")
-        mats = [validate_density(as_matrix(s)) for s in states]
-        dims = {m.shape[0] for m in mats}
+        dims = {as_matrix(s).shape[0] for s in states}
         if len(dims) != 1:
             raise DimensionMismatchError(f"states have mixed dimensions {sorted(dims)}")
         self.labels = labels
-        self.states = np.stack(mats)
+        # Check, then copy: the check's temporaries are freed before the copy
+        # is made, so peak memory stays at two stacks.
+        self.states = np.array(_check_densities(np.asarray(states, dtype=complex)))
         self.states.setflags(write=False)
 
     @property
@@ -178,13 +178,13 @@ class CQChannel:
                 f"{[format_label(x) for x in self.labels]})")
 
     def power(self, n: int, max_dim: int = DEFAULT_MAX_DIM) -> "CQChannel":
-        """The memoryless n-letter channel over the product alphabet.
+        """The memoryless n-letter channel over the product alphabet; n a positive int.
 
-        Labels of the result are n-tuples of base labels in lexicographic
-        order of their index vectors.
+        Labels are n-tuples of base labels in C order of the letter indices,
+        the first most significant, as np.kron, np.ndindex and
+        np.ravel_multi_index order them; so is each state's product space.
         """
-        if n < 1:
-            raise ValidationError(f"power must be ≥ 1, got {n}")
+        check_positive_int("n", n)
         if self.dim ** n > max_dim:
             raise ResourceLimitError(
                 f"output dimension {self.dim}^{n} exceeds the cap {max_dim}")
@@ -196,12 +196,8 @@ class CQChannel:
                 f"materializing the {n}-letter channel needs {self.size}^{n} "
                 f"states of dimension {self.dim}^{n} ({entries} matrix entries, "
                 f"budget {max_dim}^2); raise max_dim to allow it")
-        labels = []
-        states = []
-        for idx in np.ndindex(*(self.size,) * n):
-            labels.append(tuple(self.labels[i] for i in idx))
-            states.append(reduce(np.kron, (self.states[i] for i in idx)))
-        return CQChannel(labels, states)
+        return CQChannel(itertools.product(self.labels, repeat=n),
+                         _kron_rows(self.states, n))
 
 
 def output_state(channel: CQChannel, dist: Distribution) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy.linalg as npl
 from .channel import (CQChannel, Distribution, _parse_complex_matrix,
                       distribution_from_json, output_state)
 from .errors import DimensionMismatchError, ValidationError, check_positive_int
-from .linalg import trace_norm, validate_hermitian
+from .linalg import _check_hermitian, as_matrix, trace_norm
 
 TEST_OPERATOR_SLACK = 1e-9
 
@@ -37,21 +37,16 @@ class IDCode:
         for lam, name in ((self.lambda1, "lambda1"), (self.lambda2, "lambda2")):
             if not (0.0 < lam < 1.0):
                 raise ValidationError(f"{name} must lie in (0,1), got {lam}")
-        checked = []
-        dim = None
-        for dist, test in self.entries:
-            t = validate_hermitian(test)
-            if dim is None:
-                dim = t.shape[0]
-            elif t.shape[0] != dim:
-                raise DimensionMismatchError("test operators have mixed dimensions")
-            vals = npl.eigvalsh(t)
-            if float(vals[0]) < -TEST_OPERATOR_SLACK:
-                raise ValidationError("test operator is not positive semidefinite")
-            if float(vals[-1]) > 1.0 + TEST_OPERATOR_SLACK:
-                raise ValidationError("test operator exceeds the identity")
-            checked.append((dist, t))
-        object.__setattr__(self, "entries", tuple(checked))
+        tests = [as_matrix(test) for _, test in self.entries]
+        if len({t.shape[0] for t in tests}) != 1:
+            raise DimensionMismatchError("test operators have mixed dimensions")
+        vals = npl.eigvalsh(_check_hermitian(np.stack(tests)))
+        if float(vals[:, 0].min()) < -TEST_OPERATOR_SLACK:
+            raise ValidationError("test operator is not positive semidefinite")
+        if float(vals[:, -1].max()) > 1.0 + TEST_OPERATOR_SLACK:
+            raise ValidationError("test operator exceeds the identity")
+        object.__setattr__(self, "entries", tuple(
+            (dist, t) for (dist, _), t in zip(self.entries, tests)))
 
     @property
     def size(self) -> int:

@@ -1,7 +1,8 @@
 """Dense Hermitian-matrix kernel.
 
 Eigendecompositions with degeneracy blocks, spectral matrix functions,
-trace norm, support projectors of non-negative parts, and Kronecker powers.
+trace norm, support projectors of non-negative parts, and the one Kronecker
+product kernel, which orders every product space.
 All operations are pure functions on numpy arrays and are safe to call
 from multiple threads.
 """
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import DimensionMismatchError, DomainError, ResourceLimitError, ValidationError
+from .errors import (DimensionMismatchError, DomainError, ResourceLimitError, ValidationError,
+                     check_positive_int)
 
 HERMITICITY_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
@@ -35,28 +37,43 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
-def validate_hermitian(a) -> np.ndarray:
-    """The input as a matrix, checked finite and with A = A† entrywise within 1e-10."""
-    m = as_matrix(a)
-    if not np.isfinite(m).all():
+def _check_hermitian(stack: np.ndarray) -> np.ndarray:
+    """A (k, d, d) stack, checked finite and with A = A† entrywise within 1e-10."""
+    if not np.isfinite(stack).all():
         raise ValidationError("matrix has a NaN or infinite entry")
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    # |A - A†| entrywise in real temporaries, half the size of complex ones
+    gap = stack.real - np.swapaxes(stack.real, -1, -2)
+    np.hypot(gap, stack.imag + np.swapaxes(stack.imag, -1, -2), out=gap)
+    dev = float(np.max(gap, initial=0.0))
     if dev > HERMITICITY_TOL:
         raise ValidationError(
             f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
-    return m
+    return stack
+
+
+def _check_densities(stack: np.ndarray) -> np.ndarray:
+    """A (k, d, d) stack, checked Hermitian, of unit trace within 1e-10 and with
+    eigenvalues ≥ -1e-10: one test of each kind, and one batched eigvalsh."""
+    _check_hermitian(stack)
+    traces = np.real(np.trace(stack, axis1=-2, axis2=-1))
+    off = np.flatnonzero(np.abs(traces - 1.0) > DENSITY_TRACE_TOL)
+    if off.size:
+        raise ValidationError(
+            f"trace {float(traces[off[0]])!r} is not 1 within {DENSITY_TRACE_TOL:.0e}")
+    lo = float(npl.eigvalsh(stack)[:, 0].min())
+    if lo < DENSITY_EIG_FLOOR:
+        raise ValidationError(f"matrix has eigenvalue {lo:.3e} below {DENSITY_EIG_FLOOR:.0e}")
+    return stack
+
+
+def validate_hermitian(a) -> np.ndarray:
+    """The input as a matrix, checked finite and with A = A† entrywise within 1e-10."""
+    return _check_hermitian(as_matrix(a)[None])[0]
 
 
 def validate_density(a) -> np.ndarray:
     """Check Hermiticity, unit trace within 1e-10, and eigenvalues ≥ -1e-10."""
-    m = validate_hermitian(a)
-    tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise ValidationError(f"trace {tr!r} is not 1 within {DENSITY_TRACE_TOL:.0e}")
-    lo = float(npl.eigvalsh(m)[0])
-    if lo < DENSITY_EIG_FLOOR:
-        raise ValidationError(f"matrix has eigenvalue {lo:.3e} below {DENSITY_EIG_FLOOR:.0e}")
-    return m
+    return _check_densities(as_matrix(a)[None])[0]
 
 
 def _group_blocks(eigenvalues: np.ndarray) -> list[list[int]]:
@@ -174,16 +191,32 @@ def positive_part_projector(a, b) -> np.ndarray:
     return hermitianize(cols @ cols.conj().T)
 
 
+def _kron_rows(stack: np.ndarray, n: int) -> np.ndarray:
+    """Every n-fold Kronecker product of the rows of a stack, in C order of the row indices.
+
+    Entry np.ravel_multi_index((i_1, …, i_n), (k,) * n) is stack[i_1] ⊗ … ⊗
+    stack[i_n], for rows that are scalars, vectors or matrices. Each extra
+    factor is one broadcast multiply, associating from the left as np.kron.
+    """
+    k, shape = stack.shape[0], stack.shape[1:]
+    right = stack.reshape((1, k) + sum(((1, s) for s in shape), ()))
+    out = stack
+    for _ in range(n - 1):
+        left = out.reshape((out.shape[0], 1) + sum(((s, 1) for s in out.shape[1:]), ()))
+        out = (left * right).reshape(
+            (out.shape[0] * k,) + tuple(a * b for a, b in zip(out.shape[1:], shape)))
+    return out
+
+
 def tensor_power(op, n: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """n-fold Kronecker power, capped at max_dim total dimension."""
+    """n-fold Kronecker power, capped at max_dim total dimension; n a positive int.
+
+    The product basis is in C order of the factor indices, the first factor
+    most significant, as in np.kron and np.ravel_multi_index.
+    """
     m = as_matrix(op)
-    if n < 1:
-        raise ValidationError(f"power must be a positive integer, got {n}")
+    check_positive_int("n", n)
     if m.shape[0] ** n > max_dim:
         raise ResourceLimitError(
             f"dimension {m.shape[0]}^{n} exceeds the cap {max_dim}")
-    out = m
-    for _ in range(n - 1):
-        out = np.kron(out, m)
-    return out
-
+    return _kron_rows(m[None], n)[0]

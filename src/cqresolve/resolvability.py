@@ -2,11 +2,12 @@
 
 Exact errors brute-force the finite feasible set of M-types on the product
 alphabet. When every product state is diagonal, the trace distances are ℓ₁
-distances between real diagonals; otherwise they come from batched
-eigvalsh. The worst-input search reports a certified lower bound from a
-simplex grid plus local refinement; the grid is searched in byte-sized
-batches, and points whose upper bound from a sampled set of witness
-candidates falls strictly below the sampled lower bound are skipped.
+distances between real diagonals, and the minimum's distance is recomputed
+in exact arithmetic so that it is correctly rounded; otherwise they come
+from batched eigvalsh. The worst-input search reports a certified lower
+bound from a simplex grid plus local refinement; the grid is searched in
+byte-sized batches, and points whose upper bound from a sampled set of
+witness candidates falls strictly below the sampled lower bound are skipped.
 Soft-covering Monte Carlo draws each codebook sample from its own
 counter-based stream keyed by (seed, sample index), so a sample's letters
 do not depend on how many samples are drawn; its distances take the same
@@ -16,6 +17,7 @@ expressions.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +29,7 @@ from .channel import (CQChannel, Distribution, MType, m_type_counts,
 from .errors import ResourceLimitError, ValidationError, check_positive_int
 from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass, pinch,
                    pinching_from_spectrum, renyi_mutual_info)
-from .linalg import (DEFAULT_MAX_DIM, eigh, hermitianize,
+from .linalg import (DEFAULT_MAX_DIM, _kron_rows, eigh, hermitianize,
                      positive_part_projector, validate_density)
 
 ARGMIN_TIE_TOL = 1e-12
@@ -152,6 +154,15 @@ class _OutputRows:
         mixed = weights @ self.flat
         return mixed[::self.dim + 1].real if self.diagonal else mixed
 
+    def targets(self, weights: np.ndarray) -> np.ndarray:
+        """The row of `target` for each row of weights, one matrix-vector product
+        per row: one matmul over all rows may round a row differently as the
+        row count changes, and a row's bits must not depend on that."""
+        out = np.empty((weights.shape[0],) + self.rows.shape[1:], dtype=self.rows.dtype)
+        for row, w in enumerate(weights):
+            out[row] = self.target(w)
+        return out
+
     def distances(self, outputs: np.ndarray, target: np.ndarray) -> np.ndarray:
         """½‖row − target‖₁ for each row of outputs."""
         return self.distance_table(target[None], outputs)[0]
@@ -179,24 +190,42 @@ def _first_argmin(errors: np.ndarray) -> tuple[float, int]:
     return best, int(np.flatnonzero(errors <= best + ARGMIN_TIE_TOL)[0])
 
 
-def _product_masses(dist: Distribution, n: int) -> np.ndarray:
-    """Masses of p^{⊗n} in the product channel's label order."""
-    masses = dist.masses
-    out = masses
-    for _ in range(n - 1):
-        out = np.kron(out, masses)
-    return out
+def _rational_half_l1(channel: CQChannel, dist: Distribution, n: int,
+                      counts: np.ndarray, M: int) -> float:
+    """½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁ for diagonal states, correctly rounded.
 
+    Every float is an integer over a power of two, so on one scale 2^e for
+    all diagonals and masses the sums are exact integer sums, and the one
+    division at the end rounds correctly. For a law on the base alphabet
+    the target is W(p)^{⊗n}, which costs dⁿ·n products instead of kⁿ·dⁿ·n;
+    the M-type q puts mass on at most M words.
+    """
+    diag = np.diagonal(channel.states, axis1=1, axis2=2).real.tolist()
+    ratios = [v.as_integer_ratio() for v in itertools.chain(*diag, dist.masses.tolist())]
+    e = max(den for _, den in ratios).bit_length() - 1
+    scaled = iter([num * (2 ** e // den) for num, den in ratios])
+    diagonals = [[next(scaled) for _ in row] for row in diag]
+    masses = list(scaled)
 
-def _resolve_target_masses(channel: CQChannel, product: CQChannel,
-                           dist: Distribution, n: int) -> np.ndarray:
-    """Accept either a base distribution (i.i.d. power) or a product one."""
+    def mixture(weights, words) -> list[int]:
+        terms = [[w * math.prod(f) for f in itertools.product(*(diagonals[x] for x in word))]
+                 for w, word in zip(weights, words)]
+        return [sum(column) for column in zip(*terms)]
+
+    def words(index: np.ndarray) -> list[list[int]]:
+        return np.transpose(np.unravel_index(index, (channel.size,) * n)).tolist()
+
+    # the target's scale is 2^scale, the candidate's M·2^{ne}
     if dist.labels == channel.labels:
-        return _product_masses(dist, n)
-    if dist.labels == product.labels:
-        return dist.masses
-    raise ValidationError(
-        "distribution labels match neither the base alphabet nor the n-fold product")
+        single = mixture(masses, [[x] for x in range(channel.size)])
+        target = [math.prod(f) for f in itertools.product(single, repeat=n)]
+        scale = 2 * n * e
+    else:
+        target, scale = mixture(masses, words(np.arange(len(masses)))), (n + 1) * e
+    live = np.flatnonzero(counts)
+    cand = mixture([int(counts[i]) for i in live], words(live))
+    total = sum(abs(M * t - (c << (scale - n * e))) for t, c in zip(target, cand))
+    return total / (M << (scale + 1))
 
 
 def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
@@ -204,18 +233,23 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
                            max_dim: int = DEFAULT_MAX_DIM) -> ResolutionResult:
     """min over M-types q on X^n of ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁, exactly.
 
+    The law p is on the base alphabet, taken i.i.d., or on the product one.
     The M-types come from `m_type_counts` (stars and bars, lexicographic
     order), and ties within 1e-12 of the minimum resolve to the
     lexicographically first one. When every product state is diagonal, the
     outputs are real diagonals and each distance is ½·Σ|sorted(difference)|;
     otherwise the outputs are flattened matrices and each distance comes from
     eigvalsh. Outputs are formed in batches of about EIG_BATCH_BYTES.
-    M and n must be positive ints.
+    On the diagonal path the minimum's distance is then recomputed in exact
+    arithmetic, so the reported error is correctly rounded at the argmin. M and n must be positive ints.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
     product = channel.power(n, max_dim=max_dim)
-    masses = _resolve_target_masses(channel, product, dist, n)
+    if dist.labels not in (channel.labels, product.labels):
+        raise ValidationError(
+            "distribution labels match neither the base alphabet nor the n-fold product")
+    masses = _kron_rows(dist.masses, n) if dist.labels == channel.labels else dist.masses
     outputs = _OutputRows(product.states)
     target = outputs.target(masses)
     kwargs = {} if max_types is None else {"max_types": max_types}
@@ -227,6 +261,8 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
         mixed = (counts[lo:lo + step] / M) @ outputs.rows
         errors[lo:lo + step] = outputs.distances(mixed, target)
     best, idx = _first_argmin(errors)
+    if outputs.diagonal:
+        best = _rational_half_l1(channel, dist, n, counts[idx], M)
     argmin = MType.from_counts(product.labels, counts[idx], M)
     return ResolutionResult(min(best, 1.0), argmin, M, n)
 
@@ -242,14 +278,8 @@ def _worst_grid_point(outputs: _OutputRows, cand: np.ndarray,
     are taken in blocks whose full distance table fits in about
     EIG_BATCH_BYTES.
     """
-    def targets(idx: np.ndarray) -> np.ndarray:
-        out = np.empty((idx.size,) + outputs.rows.shape[1:], dtype=outputs.rows.dtype)
-        for row, i in enumerate(idx):
-            out[row] = outputs.target(grid_counts[i] / grid)
-        return out
-
     sample = outputs.distance_table(
-        targets(np.arange(0, grid_counts.shape[0], WORST_SAMPLE_STRIDE)), cand)
+        outputs.targets(grid_counts[::WORST_SAMPLE_STRIDE] / grid), cand)
     is_witness = np.zeros(cand.shape[0], dtype=bool)
     is_witness[np.argmin(sample, axis=1)] = True
     witnesses = cand[is_witness]
@@ -259,7 +289,7 @@ def _worst_grid_point(outputs: _OutputRows, cand: np.ndarray,
     block = _batch_rows(cand.shape[0] * outputs.pair_bytes)
     for lo in range(0, grid_counts.shape[0], block):
         idx = np.arange(lo, min(lo + block, grid_counts.shape[0]))
-        rows = targets(idx)
+        rows = outputs.targets(grid_counts[idx] / grid)
         bound = outputs.distance_table(rows, witnesses).min(axis=1)
         keep = np.flatnonzero(bound >= max(floor, best_val))
         if keep.size == 0:
@@ -376,9 +406,8 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     channel._check_alphabet(dist)
     check_positive_int("M", M)
     check_positive_int("n", n)
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    if not (isinstance(seed, int) and 0 <= seed < 2 ** 128):
+    check_positive_int("samples", samples)
+    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2 ** 128):
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
     product = channel.power(n, max_dim=max_dim)
     k, size = channel.size, product.size
@@ -387,11 +416,9 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     u = np.stack([np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
                   .random((M, n)) for i in range(samples)])
     letters = np.minimum(np.searchsorted(np.cumsum(dist.masses), u, side="right"), k - 1)
-    words = letters @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    # One product per row: a single matmul over all rows may round a row
-    # differently as the row count changes, which would break prefixes.
-    outs = np.stack([outputs.target(np.bincount(w, minlength=size) / M) for w in words])
-    distances = outputs.distances(outs, outputs.target(_product_masses(dist, n)))
+    words = np.ravel_multi_index(tuple(np.moveaxis(letters, -1, 0)), (k,) * n)
+    outs = outputs.targets(np.stack([np.bincount(w, minlength=size) for w in words]) / M)
+    distances = outputs.distances(outs, outputs.target(_kron_rows(dist.masses, n)))
 
     bounds, converged, iterations = {}, {}, {}
     for order in orders:

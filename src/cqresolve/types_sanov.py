@@ -17,7 +17,7 @@ from .channel import (CQChannel, Distribution, Word, compositions,
 from .errors import (DimensionMismatchError, ResourceLimitError,
                      ValidationError, check_positive_int)
 from .info import SUPPORT_EIG_TOL, PinchingMap, _entropy_from_probs
-from .linalg import DEFAULT_MAX_DIM, eigh, trace_norm, validate_density
+from .linalg import DEFAULT_MAX_DIM, eigh, tensor_power, trace_norm, validate_density
 
 BASIS_GRAM_TOL = 1e-10
 MAJORIZATION_TOL = 1e-12
@@ -121,16 +121,10 @@ class TypeProjector:
     rank: int
 
 
-def _digit_table(n: int, d: int) -> np.ndarray:
-    """(d^n, n) table of base-d digits of 0..d^n-1, most significant first."""
-    idx = np.arange(d ** n, dtype=np.int64)
-    powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // powers) % d
-
-
 def _word_mask(t: EmpiricalState) -> np.ndarray:
-    digits = _digit_table(t.n, t.dim)
-    counts = np.stack([(digits == j).sum(axis=1) for j in range(t.dim)], axis=1)
+    """Which basis words of length n, in C order, have the profile t."""
+    letters = np.array(np.unravel_index(np.arange(t.dim ** t.n), (t.dim,) * t.n))
+    counts = (letters[..., None] == np.arange(t.dim)).sum(axis=0)
     return np.all(counts == np.asarray(t.counts), axis=1)
 
 
@@ -150,11 +144,7 @@ def type_projector(t: EmpiricalState, basis: Basis, *,
     if basis.is_standard:
         matrix = np.diag(mask.astype(complex))
     else:
-        u = basis.vectors
-        un = u
-        for _ in range(n - 1):
-            un = np.kron(un, u)
-        cols = un[:, mask]
+        cols = tensor_power(basis.vectors, n, max_dim=max_dim)[:, mask]
         matrix = cols @ cols.conj().T
     return TypeProjector(t, basis, matrix, rank)
 

@@ -9,9 +9,11 @@ commuting cases, and dense grid searches where the library iterates.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -507,6 +509,24 @@ def brute_force_resolution_error(states, p, M: int) -> float:
         mix = sum((c / M) * w for c, w in zip(counts, states))
         best = min(best, half_trace_distance_svd(mix, target))
     return best
+
+
+def rational_half_l1(diagonals, n: int, word_masses, counts, M: int) -> float:
+    """½‖Σ_w (p(w) − c_w/M)·W_w‖₁ for diagonal letter states, rounded once.
+
+    ``diagonals`` are the letters' diagonals; ``word_masses`` and ``counts``
+    have one entry per word of length n, with the words in C order. Every
+    word state is summed in exact rationals of the float inputs; masses may
+    be floats or fractions.
+    """
+    rows = [[Fraction(v) for v in row] for row in np.asarray(diagonals, float).tolist()]
+    total = collections.Counter()
+    for word, mass, c in zip(itertools.product(range(len(rows)), repeat=n),
+                             word_masses, counts):
+        weight = Fraction(mass) - Fraction(int(c), M)
+        for j, entries in enumerate(itertools.product(*(rows[x] for x in word))):
+            total[j] += weight * math.prod(entries)
+    return float(sum(abs(v) for v in total.values()) / 2)
 
 
 class WorstSearch(NamedTuple):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqresolve as cq
+import cqresolve.linalg as linalg
 from cqresolve import errors
 import oracles as orc
 
@@ -201,6 +202,46 @@ def test_channel_power_respects_total_footprint_cap(flip_erase_channel):
     # dimension check passes (1**n * (2**4)**2 == 16**2 exactly).
     single = cq.CQChannel(["a"], [np.diag([0.5, 0.5])])
     assert single.power(4, max_dim=16).dim == 16
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_product_states_match_kronecker_oracle_bitwise(k, d, n):
+    # Row i of the kernel is the word state of the i-th word in C order,
+    # with the same bits as a left-to-right chain of np.kron.
+    rng = np.random.default_rng([k, d, n])
+    states = np.stack([orc.random_density(rng, d) for _ in range(k)])
+    words = list(np.ndindex(*(k,) * n))
+    want = np.stack([orc.word_state(states, w) for w in words])
+    assert np.array_equal(linalg._kron_rows(states, n), want)
+    product = cq.CQChannel(range(k), states).power(n)
+    assert np.array_equal(product.states, want)
+    assert product.labels == (tuple(range(k)) if n == 1 else tuple(words))
+
+
+BAD_STATES = {
+    "nan": (np.array([[0.5, math.nan], [math.nan, 0.5]]), "NaN"),
+    "non-hermitian": (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+    "trace": (np.diag([0.5 + 1e-8, 0.5]), "trace"),
+    "negative-eigenvalue": (np.diag([1.0 + 1e-8, -1e-8]), "eigenvalue"),
+}
+
+
+@pytest.mark.parametrize("position", (0, 2, 4), ids=("first", "middle", "last"))
+@pytest.mark.parametrize("bad", sorted(BAD_STATES))
+def test_channel_rejects_one_bad_state_anywhere(bad, position):
+    states = [np.diag([0.5, 0.5])] * 5
+    states[position], message = BAD_STATES[bad]
+    with pytest.raises(errors.ValidationError, match=message):
+        cq.CQChannel("abcde", states)
+
+
+def test_channel_rejects_mixed_or_non_square_states():
+    with pytest.raises(errors.DimensionMismatchError):
+        cq.CQChannel("ab", [np.eye(2) / 2, np.eye(3) / 3])
+    with pytest.raises(errors.ValidationError, match="square"):
+        cq.CQChannel("ab", [np.eye(2) / 2, np.full((2, 3), 1 / 3)])
 
 
 # ---------------------------------------------------------------------------

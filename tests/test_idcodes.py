@@ -75,6 +75,20 @@ class TestIDCodeType:
         with pytest.raises(cq.DimensionMismatchError):
             cq.IDCode(((p, d2), (p, d3)), 0.1, 0.1)
 
+    @pytest.mark.parametrize("position", (0, 1, 2), ids=("first", "middle", "last"))
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([0.5, -1e-8]), "positive semidefinite"),
+        (np.diag([1.0 + 1e-8, 0.5]), "exceeds the identity"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+        (np.diag([0.5, math.nan]), "NaN"),
+    ], ids=("negative", "above-identity", "non-hermitian", "nan"))
+    def test_one_bad_operator_anywhere_is_rejected(self, bad, message, position):
+        p = cq.Distribution.point_mass(("0", "1"), "0")
+        tests = [np.eye(2) / 2.0] * 3
+        tests[position] = bad
+        with pytest.raises(ValidationError, match=message):
+            cq.IDCode(tuple((p, t) for t in tests), 0.1, 0.1)
+
     def test_size_and_dim(self):
         code = orthogonal_code()
         assert code.size == 2

@@ -1,5 +1,6 @@
-"""Every import in the package and the test suite is used, and every private
-module-level name in the package is referenced somewhere in the package."""
+"""Every import in the package and the test suite is used, every private
+module-level name in the package is referenced somewhere in the package, and
+the package makes no Kronecker product outside `linalg._kron_rows`."""
 from __future__ import annotations
 
 import ast
@@ -91,3 +92,23 @@ def test_gate_flags_an_unreferenced_private_name():
                "b.py": "import a\nprint(a._X)\nclass _C:\n    pass\n"}
     assert unreferenced_private_names(sources) == [
         "a.py:4: _Z", "a.py:5: _f", "b.py:3: _C"]
+
+
+def kron_references(source: str) -> list[str]:
+    """Lines that name ``kron``, bare or as an attribute (``np.kron``, ``numpy.kron``)."""
+    lines = {node.lineno for node in ast.walk(ast.parse(source))
+             if (isinstance(node, ast.Name) and node.id == "kron")
+             or (isinstance(node, ast.Attribute) and node.attr == "kron")}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_package_makes_no_kron_call():
+    # Product spaces are ordered in one place, the Kronecker kernel of linalg.
+    assert {p.name: kron_references(p.read_text(encoding="utf-8"))
+            for p in SRC_MODULES} == {p.name: [] for p in SRC_MODULES}
+
+
+def test_gate_flags_a_kron_call():
+    source = ("import numpy as np\nfrom numpy import kron\n"
+              "a = np.kron(x, y)\nb = kron(x, y)\nc = _kron_rows(x, 2)\nf = np.linalg.kron\n")
+    assert kron_references(source) == ["line 3", "line 4", "line 6"]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqresolve as cq
+import cqresolve.linalg as linalg
 from cqresolve import errors
 import oracles as orc
 
@@ -253,6 +254,21 @@ def test_tensor_power_trace_multiplicative():
     assert float(np.real(np.trace(out))) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tensor_power_matches_kronecker_oracle_bitwise(n):
+    rho = orc.random_density(np.random.default_rng(n), 3)
+    assert np.array_equal(cq.tensor_power(rho, n), orc.word_state([rho], [0] * n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_iid_masses_match_kronecker_loop_bitwise(n):
+    masses = np.random.default_rng(n).dirichlet(np.ones(4))
+    want = masses
+    for _ in range(n - 1):
+        want = np.kron(want, masses)
+    assert np.array_equal(linalg._kron_rows(masses, n), want)
+
+
 def test_tensor_power_respects_dimension_cap():
     with pytest.raises(errors.ResourceLimitError):
         cq.tensor_power(np.eye(2) / 2, 13)  # 2^13 = 8192 > 4096
@@ -283,6 +299,12 @@ def test_validate_density_rejects_non_finite_entry(bad, where):
     m[where] = bad
     with pytest.raises(errors.ValidationError, match="NaN or infinite"):
         cq.validate_density(m)
+
+
+@pytest.mark.parametrize("validate", [cq.validate_density, cq.validate_hermitian])
+def test_validators_take_one_square_matrix(validate):
+    with pytest.raises(errors.ValidationError, match="square matrix"):
+        validate(np.stack([np.eye(2) / 2] * 2))
 
 
 def test_validate_hermitian_rejects_asymmetric():

@@ -1,6 +1,7 @@
 """Tests for exact resolution errors, soft-covering bounds, and smoothing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqresolve as cq
+import cqresolve.linalg as linalg
 import cqresolve.resolvability as rv
 from cqresolve import ValidationError
 
@@ -228,6 +230,18 @@ def test_worst_rejects_non_positive_int(arg, bad):
         cq.resolution_error_worst(ch, args["M"], args["n"], grid=args["grid"])
 
 
+@pytest.mark.parametrize("bad", NOT_POSITIVE_INTS, ids=repr)
+@pytest.mark.parametrize("arg", ["power", "tensor_power", "n", "samples"])
+def test_product_space_entry_points_reject_non_positive_int(arg, bad):
+    ch, p = build_binary_flip(0.1)
+    calls = {"power": lambda: ch.power(bad),
+             "tensor_power": lambda: cq.tensor_power(ch.states[0], bad),
+             "n": lambda: cq.soft_cover_simulate(ch, p, 2, bad, 3, 0),
+             "samples": lambda: cq.soft_cover_simulate(ch, p, 2, 1, bad, 0)}
+    with pytest.raises(ValidationError, match="must be a positive integer"):
+        calls[arg]()
+
+
 # ---------------------------------------------------------------------------
 # exact engine: diagonal path, eigvalsh path, byte budget
 # ---------------------------------------------------------------------------
@@ -249,6 +263,31 @@ def non_diagonal_channel():
 
 
 class TestExactEngine:
+    def test_error_is_correctly_rounded_at_the_argmin(self):
+        # The float distance at this argmin is 0.012574324218749995, one ulp
+        # below the rational value 0.012574324218750006 on the same inputs.
+        ch, _ = build_flip_erase_channel(0.43)
+        p = cq.Distribution(ch.labels, np.array([1, 7, 8]) / 16)
+        res = cq.resolution_error_exact(ch, p, 4, 3)
+        assert res.error == 0.012574324218750006
+        assert f"{res.error:.12g}" == "0.0125743242188"
+
+    @pytest.mark.parametrize("n, M", [(1, 5), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_error_matches_rational_oracle(self, n, M, seed):
+        # The base law's target W(p)^{⊗n} and a product law's target both
+        # round to the oracle's sum over every word at the same argmin.
+        ch, p = random_diagonal_channel(seed, d=2)
+        product = ch.power(n)
+        base = [math.prod(Fraction(p.masses[x]) for x in w)
+                for w in np.ndindex(*(ch.size,) * n)]
+        iid = cq.Distribution(product.labels, linalg._kron_rows(p.masses, n))
+        diagonals = np.diagonal(ch.states, axis1=1, axis2=2).real
+        for dist, word_masses in ((p, base), (iid, iid.masses)):
+            res = cq.resolution_error_exact(ch, dist, M, n)
+            want = orc.rational_half_l1(diagonals, n, word_masses, res.argmin.counts, M)
+            assert res.error == want
+
     @pytest.mark.parametrize("n, M", [(1, 6), (2, 4), (3, 2)])
     @pytest.mark.parametrize("seed", range(3))
     def test_diagonal_path_matches_eigvalsh_path(self, n, M, seed):
@@ -256,7 +295,7 @@ class TestExactEngine:
         product = ch.power(n)
         outputs = rv._OutputRows(product.states)
         assert outputs.diagonal
-        masses = rv._product_masses(p, n)
+        masses = linalg._kron_rows(p.masses, n)
         weights = cq.m_type_counts(product.size, M) / M
         diagonal = outputs.distances(weights @ outputs.rows, outputs.target(masses))
         flat = product.states.reshape(product.size, -1)
@@ -458,7 +497,7 @@ class TestSoftCoverSimulate:
             assert rep.distances[i] == pytest.approx(
                 orc.half_trace_distance_svd(mix, target), abs=1e-12)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, True, False])
     def test_seed_outside_philox_key_range_rejected(self, seed):
         ch, p = build_binary_flip(0.2)
         with pytest.raises(ValidationError):
