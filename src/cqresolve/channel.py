@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -183,6 +184,8 @@ class CQChannel:
         Labels are n-tuples of base labels in C order of the letter indices,
         the first most significant, as np.kron, np.ndindex and
         np.ravel_multi_index order them; so is each state's product space.
+        The states are products of this channel's checked states and are not
+        checked again, which would also compound each factor's trace error.
         """
         check_positive_int("n", n)
         if self.dim ** n > max_dim:
@@ -196,8 +199,11 @@ class CQChannel:
                 f"materializing the {n}-letter channel needs {self.size}^{n} "
                 f"states of dimension {self.dim}^{n} ({entries} matrix entries, "
                 f"budget {max_dim}^2); raise max_dim to allow it")
-        return CQChannel(itertools.product(self.labels, repeat=n),
-                         _kron_rows(self.states, n))
+        product = CQChannel.__new__(CQChannel)
+        product.labels = tuple(itertools.product(self.labels, repeat=n))
+        product.states = _kron_rows(self.states, n)
+        product.states.setflags(write=False)
+        return product
 
 
 def output_state(channel: CQChannel, dist: Distribution) -> np.ndarray:
@@ -271,19 +277,23 @@ def _parse_complex_matrix(entry, where: str) -> np.ndarray:
     return arr.view(complex)[..., 0]
 
 
+def _read_json(source):
+    """A str or path-like source read as a UTF-8 JSON file; any other source as is."""
+    if not isinstance(source, (str, os.PathLike)):
+        return source
+    with open(source, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def channel_from_json(source) -> CQChannel:
     """Parse a channel file: {"dim": d, "inputs": [{"label": …, "state": …}]}.
 
-    `source` is a path or an already-parsed dict. State entries are
-    [re, im] pairs in a dim×dim nested array. A label is a JSON string or
-    number and is stored in its string form, so the JSON keys of a
-    distribution or ID-code `dist` can name it.
+    `source` is a path or an already-parsed document (`_read_json`). State
+    entries are [re, im] pairs in a dim×dim nested array. A label is a JSON
+    string or number and is stored in its string form, so the JSON keys of
+    a distribution or ID-code `dist` can name it.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = _read_json(source)
     if not isinstance(doc, dict) or "dim" not in doc or "inputs" not in doc:
         raise ValidationError("channel file must be an object with 'dim' and 'inputs'")
     dim = doc["dim"]
@@ -309,12 +319,8 @@ def channel_from_json(source) -> CQChannel:
 
 
 def distribution_from_json(source, labels: Sequence[Label] | None = None) -> Distribution:
-    """Parse a {label: mass} JSON map, aligned to `labels` when given."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    """Parse a {label: mass} JSON map (`_read_json`), aligned to `labels` when given."""
+    doc = _read_json(source)
     if not isinstance(doc, dict):
         raise ValidationError("distribution file must be a {label: mass} object")
     return Distribution.from_dict(doc, labels)

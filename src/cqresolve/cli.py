@@ -22,7 +22,7 @@ from .channel import (DEFAULT_MAX_TYPES, CQChannel, Distribution, Word,
                       channel_from_json, distribution_from_json, format_label,
                       output_state)
 from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
-                     check_positive_int)
+                     check_positive_int, check_real)
 from .info import RenyiOrder
 from .idcodes import bridge_counting_check, idcode_from_json, \
     pairwise_distance_check, verify_id_code
@@ -70,8 +70,7 @@ def _write_csv(path: str | None, header: Sequence[str],
 
 
 def _builtin_example1(eps: float) -> CQChannel:
-    if not (0.0 <= eps <= 1.0):
-        raise ValidationError(f"--eps must lie in [0,1], got {eps}")
+    check_real("--eps", eps, 0.0, 1.0)
     states = [np.diag([1.0 - eps, eps]).astype(complex),
               np.diag([eps, 1.0 - eps]).astype(complex),
               np.diag([0.5, 0.5]).astype(complex)]
@@ -363,17 +362,11 @@ def _parse_eps_grid(spec_text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"--eps-grid values must be numbers: {exc}")
-    if step <= 0 or stop < start:
-        raise ValidationError("--eps-grid needs step > 0 and stop >= start")
-    values = []
-    k = 0
-    while True:
-        val = start + k * step
-        if val > stop + 1e-9:
-            break
-        values.append(round(val, 12))
-        k += 1
-    return values
+    check_real("--eps-grid start", start)
+    check_real("--eps-grid step", step, 0.0, open_lo=True)
+    check_real("--eps-grid stop", stop, start)
+    points = (start + k * step for k in itertools.count())
+    return [round(val, 12) for val in itertools.takewhile(lambda v: v <= stop + 1e-9, points)]
 
 
 def _cmd_separation_figure(args: argparse.Namespace) -> int:

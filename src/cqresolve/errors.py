@@ -1,6 +1,9 @@
 """Exception types shared across the toolkit."""
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class ValidationError(ValueError):
     """An input violates a documented invariant (bad matrix, bad file, bad range)."""
@@ -22,6 +25,23 @@ def check_positive_int(name: str, value) -> None:
     """Raise ValidationError unless value is an int (not a bool) and >= 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
+               open_lo: bool = False, open_hi: bool = False) -> None:
+    """Raise ValidationError unless value is a finite int or float (not a bool) in [lo, hi].
+
+    open_lo and open_hi leave an end out; an infinite end is no bound, and
+    NaN and ±∞ are rejected whatever the interval. The message says
+    "<name> must be positive" (or "nonnegative") for (0, ∞) and [0, ∞).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            math.isfinite(value) and (lo < value if open_lo else lo <= value)
+            and (value < hi if open_hi else value <= hi)):
+        want = ("positive" if open_lo else "nonnegative") if (lo, hi) == (0, math.inf) else (
+            f"in {'[('[open_lo or lo == -math.inf]}{lo:.12g}, "
+            f"{hi:.12g}{'])'[open_hi or hi == math.inf]}")
+        raise ValidationError(f"{name} must be {want} and finite, got {value!r}")
 
 
 class ConvergenceError(RuntimeError):

@@ -7,20 +7,24 @@ worst-input resolution error. Codes are verified, never optimized.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import numpy.linalg as npl
 
-from .channel import (CQChannel, Distribution, _parse_complex_matrix,
+from .channel import (CQChannel, Distribution, _parse_complex_matrix, _read_json,
                       distribution_from_json, output_state)
-from .errors import DimensionMismatchError, ValidationError, check_positive_int
+from .errors import DimensionMismatchError, ValidationError, check_positive_int, check_real
 from .linalg import _check_hermitian, as_matrix, trace_norm
 
 TEST_OPERATOR_SLACK = 1e-9
+
+
+def _check_error_levels(lambda1, lambda2) -> None:
+    """Raise ValidationError unless both error levels lie in (0, 1)."""
+    for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
+        check_real(name, lam, 0.0, 1.0, open_lo=True, open_hi=True)
 
 
 @dataclass(frozen=True)
@@ -34,9 +38,7 @@ class IDCode:
     def __post_init__(self):
         if len(self.entries) < 2:
             raise ValidationError("an identification code needs at least 2 entries")
-        for lam, name in ((self.lambda1, "lambda1"), (self.lambda2, "lambda2")):
-            if not (0.0 < lam < 1.0):
-                raise ValidationError(f"{name} must lie in (0,1), got {lam}")
+        _check_error_levels(self.lambda1, self.lambda2)
         tests = [as_matrix(test) for _, test in self.entries]
         if len({t.shape[0] for t in tests}) != 1:
             raise DimensionMismatchError("test operators have mixed dimensions")
@@ -153,27 +155,20 @@ def bridge_counting_check(N: int, alphabet_size: int, M: int, lambda1: float,
         check_positive_int(name, val)
     if N < 2:
         raise ValidationError(f"N must be at least 2, got {N}")
-    for lam, name in ((lambda1, "lambda1"), (lambda2, "lambda2")):
-        if not (0.0 < lam < 1.0):
-            raise ValidationError(f"{name} must lie in (0,1), got {lam}")
-    if not (eps >= 0.0):
-        raise ValidationError(f"eps must be nonnegative, got {eps}")
+    _check_error_levels(lambda1, lambda2)
+    check_real("eps", eps, 0.0)
     applicable = (1.0 - lambda1 - lambda2) > eps
     count_ok = alphabet_size ** M >= N
     return BridgeCheck(applicable, count_ok)
 
 
 def idcode_from_json(source, labels=None) -> IDCode:
-    """Load an ID code from a JSON object or file path.
+    """Load an ID code from a file path or a parsed document (see `channel._read_json`).
 
     Schema: {"lambda1": float, "lambda2": float,
              "entries": [{"dist": {label: mass}, "test": [[[re, im], ...]]}]}
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    data = _read_json(source)
     if not isinstance(data, dict):
         raise ValidationError("ID-code JSON must be an object")
     for key in ("lambda1", "lambda2", "entries"):

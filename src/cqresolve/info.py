@@ -19,7 +19,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution, output_state
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, check_real
 from .linalg import (SpectralDecomposition, as_matrix, eigh, hermitianize,
                      positive_part_projector, trace_distance, validate_density,
                      validate_hermitian)
@@ -39,8 +39,7 @@ class RenyiOrder:
     alpha: float
 
     def __post_init__(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValidationError(f"order must lie in (1, 2], got {self.alpha}")
+        check_real("order", self.alpha, 1.0, 2.0, open_lo=True)
 
     @property
     def s(self) -> float:
@@ -49,8 +48,7 @@ class RenyiOrder:
 
 def binary_entropy(e: float) -> float:
     """h(e) in bits, with 0·log(1/0) = 0."""
-    if not (0.0 <= e <= 1.0):
-        raise ValidationError(f"argument must lie in [0, 1], got {e}")
+    check_real("e", e, 0.0, 1.0)
     out = 0.0
     for t in (e, 1.0 - e):
         if t > 0.0:
@@ -113,6 +111,14 @@ def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
     return div
 
 
+def _density_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as matrices, checked as densities of the same dimension."""
+    r, s = validate_density(rho), validate_density(sigma)
+    if r.shape != s.shape:
+        raise DimensionMismatchError(f"shapes differ: {r.shape} vs {s.shape}")
+    return r, s
+
+
 def qrel_entropy(rho, sigma) -> float:
     """Relative entropy D(ρ‖σ) = Tr ρ(log ρ - log σ) in bits.
 
@@ -120,10 +126,7 @@ def qrel_entropy(rho, sigma) -> float:
     of σ by more than the kernel-mass tolerance. This is the divergence
     vector's one-input case, with the input at mass 0.
     """
-    r = validate_density(rho)
-    s = validate_density(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatchError(f"shapes differ: {r.shape} vs {s.shape}")
+    r, s = _density_pair(rho, sigma)
     states = r[None]
     return float(_divergences(states, np.zeros(1), s, _entropy_terms(states))[0])
 
@@ -174,24 +177,15 @@ def phi(s: float, rho, sigma) -> float:
     φ(s|ρ‖ρ) = 0. Support violations return -inf, matching the convention
     that the corresponding divergence is +∞.
     """
-    if not (0.0 < s < 1.0):
-        raise ValidationError(f"s must lie in (0, 1), got {s}")
-    r = validate_density(rho)
-    g = validate_density(sigma)
-    if r.shape != g.shape:
-        raise DimensionMismatchError(f"shapes differ: {r.shape} vs {g.shape}")
-    out = _phi_general(s, r, g)
+    check_real("s", s, 0.0, 1.0, open_lo=True, open_hi=True)
+    out = _phi_general(s, *_density_pair(rho, sigma))
     return -math.inf if out is None else out
 
 
 def sandwiched_renyi(order: RenyiOrder, rho, sigma) -> float:
     """Sandwiched Rényi divergence D_α(ρ‖σ) = φ(-s|ρ‖σ)/s with s = α-1, in bits."""
-    r = validate_density(rho)
-    g = validate_density(sigma)
-    if r.shape != g.shape:
-        raise DimensionMismatchError(f"shapes differ: {r.shape} vs {g.shape}")
     s = order.s
-    out = _phi_general(-s, r, g)
+    out = _phi_general(-s, *_density_pair(rho, sigma))
     return math.inf if out is None else out / s
 
 
@@ -324,7 +318,9 @@ def pinching_from_spectrum(sigma) -> PinchingMap:
 
 
 def spectral_cdf(rho, sigma, a: float) -> float:
-    """Tr ρ {ρ ≤ 2^a σ} for a density ρ and a PSD reference σ."""
+    """Tr ρ {ρ ≤ 2^a σ} for a density ρ, a PSD reference σ and a finite a < 1024."""
+    # 2.0 ** a overflows a float from a = 1024 on.
+    check_real("a", a, hi=1024.0, open_hi=True)
     r = validate_density(rho)
     s = validate_hermitian(sigma)
     if r.shape != s.shape:

@@ -25,7 +25,8 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
+                     check_positive_int, check_real)
 from .info import _divergences, _entropy_terms, mutual_info
 from .linalg import trace_norm
 
@@ -125,8 +126,8 @@ def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL,
     ``max_iter`` caps them. Raises ConvergenceError, carrying the best point
     evaluated, if no gap reaches tol within max_iter evaluations.
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    check_real("tol", tol, 0.0, open_lo=True)
+    check_positive_int("max_iter", max_iter)
     states = channel.states
     tr_w_log_w = _entropy_terms(states)
     points = _squarem_points(np.full(channel.size, 1.0 / channel.size))
@@ -161,13 +162,7 @@ def _constraint_matrix(states: np.ndarray) -> np.ndarray:
 
 def _span_rank(states: np.ndarray) -> int:
     """Rank of the real-linear span of {W_x - W_x0} at the SVD threshold."""
-    diffs = states[1:] - states[0]
-    if diffs.shape[0] == 0:
-        return 0
-    mat = np.vstack([diffs.reshape(diffs.shape[0], -1).T.real,
-                     diffs.reshape(diffs.shape[0], -1).T.imag])
-    svals = npl.svd(mat, compute_uv=False)
-    return int(np.sum(svals > VERTEX_RANK_TOL))
+    return int(npl.matrix_rank(_constraint_matrix(states[1:] - states[0]), tol=VERTEX_RANK_TOL))
 
 
 def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distribution]:
@@ -185,7 +180,8 @@ def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distributi
             f"vertex enumeration supports at most {VERTEX_MAX_ALPHABET} inputs, got {k}")
     states = channel.states
     amat = _constraint_matrix(states)
-    target = amat @ dist.masses
+    rhs = np.concatenate([amat @ dist.masses, [1.0]])
+    reference = np.einsum("x,xij->ij", dist.masses, states)
     max_support = _span_rank(states) + 1
 
     vertices: list[np.ndarray] = []
@@ -195,7 +191,6 @@ def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distributi
             aug = np.vstack([sub, np.ones((1, size))])
             if npl.matrix_rank(aug, tol=VERTEX_RANK_TOL) < size:
                 continue
-            rhs = np.concatenate([target, [1.0]])
             sol, *_ = npl.lstsq(aug, rhs, rcond=None)
             if sol.min() < -1e-9:
                 continue
@@ -205,8 +200,7 @@ def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distributi
             if not math.isfinite(total) or total <= 0.0:
                 continue
             q /= total
-            out_gap = trace_norm(np.einsum("x,xij->ij", q, states)
-                                 - np.einsum("x,xij->ij", dist.masses, states))
+            out_gap = trace_norm(np.einsum("x,xij->ij", q, states) - reference)
             if out_gap > FEASIBLE_OUTPUT_TOL:
                 continue
             if any(float(np.max(np.abs(q - v))) <= VERTEX_DEDUP_TOL for v in vertices):

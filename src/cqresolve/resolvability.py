@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as npl
 
-from .channel import (CQChannel, Distribution, MType, m_type_counts,
+from .channel import (DEFAULT_MAX_TYPES, CQChannel, Distribution, MType, m_type_counts,
                       output_state)
-from .errors import ResourceLimitError, ValidationError, check_positive_int
+from .errors import ResourceLimitError, ValidationError, check_positive_int, check_real
 from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass, pinch,
                    pinching_from_spectrum, renyi_mutual_info)
 from .linalg import (DEFAULT_MAX_DIM, _kron_rows, eigh, hermitianize,
@@ -57,8 +57,7 @@ class ResolutionResult:
     worst_input: Distribution | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.error <= 1.0 + 1e-12):
-            raise ValidationError(f"error must lie in [0,1], got {self.error}")
+        check_real("error", self.error, 0.0, 1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,9 @@ class SmoothingParams:
     L: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValidationError(f"lambda must be positive, got {self.lam}")
+        check_real("lambda", self.lam, 0.0, open_lo=True)
         check_positive_int("v", self.v)
-        if not (self.L > 0):
-            raise ValidationError(f"L must be positive, got {self.L}")
+        check_real("L", self.L, 0.0, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,7 @@ class SoftCoverReport:
     def __post_init__(self):
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
-        if not (-1e-12 <= self.mean_error <= 1.0 + 1e-12):
-            raise ValidationError(f"mean error must lie in [0,1], got {self.mean_error}")
+        check_real("mean error", self.mean_error, -1e-12, 1.0 + 1e-12)
 
 
 def _batch_rows(row_bytes: int) -> int:
@@ -229,7 +225,7 @@ def _rational_half_l1(channel: CQChannel, dist: Distribution, n: int,
 
 
 def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
-                           n: int = 1, *, max_types: int | None = None,
+                           n: int = 1, *, max_types: int = DEFAULT_MAX_TYPES,
                            max_dim: int = DEFAULT_MAX_DIM) -> ResolutionResult:
     """min over M-types q on X^n of ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁, exactly.
 
@@ -252,8 +248,7 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     masses = _kron_rows(dist.masses, n) if dist.labels == channel.labels else dist.masses
     outputs = _OutputRows(product.states)
     target = outputs.target(masses)
-    kwargs = {} if max_types is None else {"max_types": max_types}
-    counts = m_type_counts(product.size, M, **kwargs)
+    counts = m_type_counts(product.size, M, max_types)
     errors = np.empty(counts.shape[0])
     step = _batch_rows(counts.shape[1] * np.dtype(float).itemsize
                        + outputs.rows[0].nbytes)
@@ -302,18 +297,20 @@ def _worst_grid_point(outputs: _OutputRows, cand: np.ndarray,
 
 
 def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
-                           grid: int = 20, max_types: int | None = None,
+                           grid: int = 20, max_types: int = DEFAULT_MAX_TYPES,
                            max_dim: int = DEFAULT_MAX_DIM) -> ResolutionResult:
     """Certified lower bound on sup_p min_{M-type q} ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁.
 
     Finds the first point of a simplex grid of step 1/grid with the largest
     inner minimum, then refines it by coordinatewise mass moves with step
-    halving down to 1e-6. Every reported value is attained by an explicit
-    input, hence a true lower bound on the supremum. Candidates and grid
-    points come from `m_type_counts` (stars and bars). When every product
-    state is diagonal, the candidate outputs are real diagonals and each
-    distance is ½·Σ|sorted(difference)|; otherwise they are flattened
-    matrices and the distances come from eigvalsh.
+    halving down to 1e-6. The reported error is ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁
+    at the reported ``worst_input`` p and ``argmin`` q, a true lower bound on
+    the supremum; on the diagonal path it is recomputed there in exact
+    arithmetic, so it is correctly rounded. Candidates and grid points come
+    from `m_type_counts` (stars and bars). When every product state is
+    diagonal, the candidate outputs are real diagonals and each distance is
+    ½·Σ|sorted(difference)|; otherwise they are flattened matrices and the
+    distances come from eigvalsh.
 
     The grid phase evaluates every WORST_SAMPLE_STRIDE-th point in full. The
     largest of those inner minima is a lower bound on the grid maximum, and
@@ -331,14 +328,13 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     product = channel.power(n, max_dim=max_dim)
     k = product.size
     outputs = _OutputRows(product.states)
-    kwargs = {} if max_types is None else {"max_types": max_types}
-    cand_counts = m_type_counts(k, M, **kwargs)
+    cand_counts = m_type_counts(k, M, max_types)
     cand = (cand_counts / M) @ outputs.rows
 
     def inner(p_vec: np.ndarray) -> tuple[float, int]:
         return _first_argmin(outputs.distances(cand, outputs.target(p_vec)))
 
-    grid_counts = m_type_counts(k, grid, **kwargs)
+    grid_counts = m_type_counts(k, grid, max_types)
     best_val, idx = _worst_grid_point(outputs, cand, grid_counts, grid)
     best_p = grid_counts[idx] / grid
 
@@ -361,6 +357,8 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     final_val, q_idx = inner(best_p)
     argmin = MType.from_counts(product.labels, cand_counts[q_idx], M)
     worst = Distribution(product.labels, best_p)
+    if outputs.diagonal:
+        final_val = _rational_half_l1(channel, worst, n, cand_counts[q_idx], M)
     return ResolutionResult(max(final_val, 0.0), argmin, M, n,
                             approximate="lower bound", worst_input=worst)
 
@@ -469,8 +467,7 @@ def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
     the pseudo-inverse on σ's support.
     """
     channel._check_alphabet(dist)
-    if Cthr <= 0:
-        raise ValidationError(f"threshold must be positive, got {Cthr}")
+    check_real("Cthr", Cthr, 0.0, open_lo=True)
     check_positive_int("M", M)
     s = validate_density(sigma)
     if s.shape[0] != channel.dim:
@@ -519,15 +516,14 @@ def ll1b_bound(channel: CQChannel, dist: Distribution, params: SmoothingParams,
 
 
 def converse_trend(channel: CQChannel, dist: Distribution, R: float, n_max: int,
-                   *, max_types: int | None = None,
+                   *, max_types: int = DEFAULT_MAX_TYPES,
                    max_dim: int = DEFAULT_MAX_DIM) -> list[tuple[int, int, float]]:
     """Exact ε(p^{⊗n}, W^{⊗n}, ⌊2^{nR}⌋) for n = 1…n_max, as (n, M, error) rows.
 
     Raises ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a
     float there, and its M-types are far past any enumeration cap.
     """
-    if not (math.isfinite(R) and R >= 0):
-        raise ValidationError(f"rate must be finite and nonnegative, got {R}")
+    check_real("rate", R, 0.0)
     check_positive_int("n_max", n_max)
     channel._check_alphabet(dist)
     if n_max * R >= MAX_RATE_EXPONENT:

@@ -15,7 +15,7 @@ import numpy as np
 from .channel import (CQChannel, Distribution, Word, compositions,
                       empirical_output, output_state)
 from .errors import (DimensionMismatchError, ResourceLimitError,
-                     ValidationError, check_positive_int)
+                     ValidationError, check_positive_int, check_real)
 from .info import SUPPORT_EIG_TOL, PinchingMap, _entropy_from_probs
 from .linalg import DEFAULT_MAX_DIM, eigh, tensor_power, trace_norm, validate_density
 
@@ -195,8 +195,7 @@ class SanovQuery:
         rho = validate_density(self.rho)
         if rho.shape[0] != self.rho_prime.dim or p.shape[0] != self.rho_prime.dim:
             raise DimensionMismatchError("query components have mismatched dimensions")
-        if not (self.r > 0):
-            raise ValidationError(f"radius must be positive, got {self.r}")
+        check_real("radius", self.r, 0.0, open_lo=True)
         object.__setattr__(self, "p_prime", p)
         object.__setattr__(self, "rho", rho)
 
@@ -272,8 +271,7 @@ def ee31_margin(w: Word, d: int, *, max_dim: int = DEFAULT_MAX_DIM) -> float:
 def bad_codeword_test(channel: CQChannel, w: Word, dist: Distribution,
                       delta: float) -> bool:
     """Whether ‖(1/n)Σ_j W_{x_j} − W(p)‖₁ ≥ δ (the word is a bad codeword)."""
-    if not (delta > 0):
-        raise ValidationError(f"delta must be positive, got {delta}")
+    check_real("delta", delta, 0.0, open_lo=True)
     gap = trace_norm(empirical_output(channel, w) - output_state(channel, dist))
     return bool(gap >= delta)
 

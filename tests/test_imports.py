@@ -1,6 +1,7 @@
 """Every import in the package and the test suite is used, every private
-module-level name in the package is referenced somewhere in the package, and
-the package makes no Kronecker product outside `linalg._kron_rows`."""
+module-level name in the package is referenced somewhere in the package, the
+package makes no Kronecker product outside `linalg._kron_rows`, and it parses
+JSON input in one function."""
 from __future__ import annotations
 
 import ast
@@ -112,3 +113,41 @@ def test_gate_flags_a_kron_call():
     source = ("import numpy as np\nfrom numpy import kron\n"
               "a = np.kron(x, y)\nb = kron(x, y)\nc = _kron_rows(x, 2)\nf = np.linalg.kron\n")
     assert kron_references(source) == ["line 3", "line 4", "line 6"]
+
+
+def json_load_callers(source: str) -> list[str]:
+    """Names of the innermost functions around each call of ``json.load``.
+
+    A call outside any function counts as ``<module>``, and ``load`` imported
+    from ``json`` under any name counts as ``json.load``.
+    """
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "json"
+               for alias in node.names if alias.name == "load"}
+    owner = {}
+    # ast.walk is breadth first, so a nested function's claim comes last and wins
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    return sorted({owner.get(id(node), "<module>") for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and (
+                       (isinstance(node.func, ast.Attribute) and node.func.attr == "load"
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+                       or (isinstance(node.func, ast.Name) and node.func.id in aliases))})
+
+
+def test_package_calls_json_load_in_one_function():
+    # Every JSON source goes through one reader, which decides file or document.
+    callers = [f"{p.name}:{name}" for p in SRC_MODULES
+               for name in json_load_callers(p.read_text(encoding="utf-8"))]
+    assert len(callers) == 1, callers
+
+
+def test_gate_flags_every_json_load_caller():
+    source = ("import json\nfrom json import load as ld\n"
+              "def a(f):\n    return json.load(f)\n"
+              "def b(f):\n    def inner():\n        return json.load(f)\n    return inner\n"
+              "def c(s):\n    return json.loads(s)\n"
+              "doc = ld(open('x'))\n")
+    assert json_load_callers(source) == ["<module>", "a", "inner"]
