@@ -278,8 +278,8 @@ def _parse_complex_matrix(entry, where: str) -> np.ndarray:
 
 
 def _read_json(source):
-    """A str or path-like source read as a UTF-8 JSON file; any other source as is."""
-    if not isinstance(source, (str, os.PathLike)):
+    """A str, bytes or path-like source read as a UTF-8 JSON file; any other source as is."""
+    if not isinstance(source, (str, bytes, os.PathLike)):
         return source
     with open(source, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -365,8 +365,12 @@ def _parse_eps_grid(spec_text: str) -> list[float]:
     check_real("--eps-grid start", start)
     check_real("--eps-grid step", step, 0.0, open_lo=True)
     check_real("--eps-grid stop", stop, start)
-    points = (start + k * step for k in itertools.count())
-    return [round(val, 12) for val in itertools.takewhile(lambda v: v <= stop + 1e-9, points)]
+    values = []
+    k = 0
+    while start + k * step <= stop + 1e-9:
+        values.append(round(start + k * step, 12))
+        k += 1
+    return values
 
 
 def _cmd_separation_figure(args: argparse.Namespace) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -31,17 +32,26 @@ def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
                open_lo: bool = False, open_hi: bool = False) -> None:
     """Raise ValidationError unless value is a finite int or float (not a bool) in [lo, hi].
 
-    open_lo and open_hi leave an end out; an infinite end is no bound, and
-    NaN and ±∞ are rejected whatever the interval. The message says
-    "<name> must be positive" (or "nonnegative") for (0, ∞) and [0, ∞).
+    Finite means at most the largest float in magnitude (no int is converted
+    to a float), so NaN, ±∞ and larger ints are rejected. open_lo and open_hi
+    leave an end out; an infinite end is no bound. The message says "<name>
+    must be positive" (or "nonnegative") for (0, ∞) and [0, ∞).
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            math.isfinite(value) and (lo < value if open_lo else lo <= value)
+    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max
+            and (lo < value if open_lo else lo <= value)
             and (value < hi if open_hi else value <= hi)):
-        want = ("positive" if open_lo else "nonnegative") if (lo, hi) == (0, math.inf) else (
-            f"in {'[('[open_lo or lo == -math.inf]}{lo:.12g}, "
-            f"{hi:.12g}{'])'[open_hi or hi == math.inf]}")
-        raise ValidationError(f"{name} must be {want} and finite, got {value!r}")
+        return
+    if (lo, hi) == (0, math.inf):
+        want = "positive" if open_lo else "nonnegative"
+    else:
+        left = "(" if open_lo or lo == -math.inf else "["
+        right = ")" if open_hi or hi == math.inf else "]"
+        want = f"in {left}{lo:.12g}, {hi:.12g}{right}"
+    # repr of an int past the digit limit of int-to-str conversion raises
+    huge = isinstance(value, int) and abs(value) > sys.float_info.max
+    got = "an int too large for a float" if huge else repr(value)
+    raise ValidationError(f"{name} must be {want} and finite, got {got}")
 
 
 class ConvergenceError(RuntimeError):

@@ -7,6 +7,7 @@ worst-input resolution error. Codes are verified, never optimized.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -121,10 +122,7 @@ class PairwiseDistanceReport:
 def pairwise_distance_check(code: IDCode, channel: CQChannel) -> PairwiseDistanceReport:
     """Assert ‖W(p_i) − W(p_j)‖₁ ≥ 2(1 − λ₁ − λ₂) for every pair i ≠ j."""
     outs = _output_states(code, channel)
-    min_distance = math.inf
-    for i in range(len(outs)):
-        for j in range(i + 1, len(outs)):
-            min_distance = min(min_distance, trace_norm(outs[i] - outs[j]))
+    min_distance = min(trace_norm(a - b) for a, b in itertools.combinations(outs, 2))
     threshold = 2.0 * (1.0 - code.lambda1 - code.lambda2)
     vacuous = threshold <= 0.0
     ok = vacuous or (min_distance >= threshold - 1e-9)

@@ -20,7 +20,7 @@ import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution, output_state
 from .errors import DimensionMismatchError, ValidationError, check_real
-from .linalg import (SpectralDecomposition, as_matrix, eigh, hermitianize,
+from .linalg import (SpectralDecomposition, _matrix_pair, as_matrix, eigh, hermitianize,
                      positive_part_projector, trace_distance, validate_density,
                      validate_hermitian)
 
@@ -111,14 +111,6 @@ def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
     return div
 
 
-def _density_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Both arguments as matrices, checked as densities of the same dimension."""
-    r, s = validate_density(rho), validate_density(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatchError(f"shapes differ: {r.shape} vs {s.shape}")
-    return r, s
-
-
 def qrel_entropy(rho, sigma) -> float:
     """Relative entropy D(ρ‖σ) = Tr ρ(log ρ - log σ) in bits.
 
@@ -126,7 +118,7 @@ def qrel_entropy(rho, sigma) -> float:
     of σ by more than the kernel-mass tolerance. This is the divergence
     vector's one-input case, with the input at mass 0.
     """
-    r, s = _density_pair(rho, sigma)
+    r, s = _matrix_pair(rho, sigma, validate_density, validate_density)
     states = r[None]
     return float(_divergences(states, np.zeros(1), s, _entropy_terms(states))[0])
 
@@ -178,14 +170,14 @@ def phi(s: float, rho, sigma) -> float:
     that the corresponding divergence is +∞.
     """
     check_real("s", s, 0.0, 1.0, open_lo=True, open_hi=True)
-    out = _phi_general(s, *_density_pair(rho, sigma))
+    out = _phi_general(s, *_matrix_pair(rho, sigma, validate_density, validate_density))
     return -math.inf if out is None else out
 
 
 def sandwiched_renyi(order: RenyiOrder, rho, sigma) -> float:
     """Sandwiched Rényi divergence D_α(ρ‖σ) = φ(-s|ρ‖σ)/s with s = α-1, in bits."""
     s = order.s
-    out = _phi_general(-s, *_density_pair(rho, sigma))
+    out = _phi_general(-s, *_matrix_pair(rho, sigma, validate_density, validate_density))
     return math.inf if out is None else out / s
 
 
@@ -321,10 +313,7 @@ def spectral_cdf(rho, sigma, a: float) -> float:
     """Tr ρ {ρ ≤ 2^a σ} for a density ρ, a PSD reference σ and a finite a < 1024."""
     # 2.0 ** a overflows a float from a = 1024 on.
     check_real("a", a, hi=1024.0, open_hi=True)
-    r = validate_density(rho)
-    s = validate_hermitian(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatchError(f"shapes differ: {r.shape} vs {s.shape}")
+    r, s = _matrix_pair(rho, sigma, validate_density, validate_hermitian)
     if float(npl.eigvalsh(s)[0]) < -1e-10:
         raise ValidationError("reference operator must be positive semidefinite")
     proj = positive_part_projector(r, (2.0 ** a) * s)

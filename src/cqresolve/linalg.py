@@ -76,6 +76,14 @@ def validate_density(a) -> np.ndarray:
     return _check_densities(as_matrix(a)[None])[0]
 
 
+def _matrix_pair(a, b, check_a, check_b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as matrices through their own checks, which must give one shape."""
+    ma, mb = check_a(a), check_b(b)
+    if ma.shape != mb.shape:
+        raise DimensionMismatchError(f"shapes differ: {ma.shape} vs {mb.shape}")
+    return ma, mb
+
+
 def _group_blocks(eigenvalues: np.ndarray) -> list[list[int]]:
     # Consecutive descending eigenvalues join a block when their gap is within
     # the grouping tolerance at the operator's spectral scale; this keeps the
@@ -181,10 +189,7 @@ def positive_part_projector(a, b) -> np.ndarray:
     Implements the support projection {A ≤ B}; swap arguments for {A ≥ B}.
     Boundary convention: eigenvalues of B - A in [-1e-10, ∞) are included.
     """
-    ma = validate_hermitian(a)
-    mb = validate_hermitian(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shapes differ: {ma.shape} vs {mb.shape}")
+    ma, mb = _matrix_pair(a, b, validate_hermitian, validate_hermitian)
     dec = eigh(mb - ma)
     keep = dec.eigenvalues >= -BOUNDARY_TOL
     cols = dec.eigenvectors[:, keep]

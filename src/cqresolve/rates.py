@@ -155,14 +155,15 @@ def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL,
 
 def _constraint_matrix(states: np.ndarray) -> np.ndarray:
     """Real matrix whose columns are the stacked (Re, Im) output states."""
-    k = states.shape[0]
-    flat = states.reshape(k, -1)
+    k, d, _ = states.shape
+    flat = states.reshape(k, d * d)
     return np.vstack([flat.T.real, flat.T.imag])
 
 
 def _span_rank(states: np.ndarray) -> int:
     """Rank of the real-linear span of {W_x - W_x0} at the SVD threshold."""
-    return int(npl.matrix_rank(_constraint_matrix(states[1:] - states[0]), tol=VERTEX_RANK_TOL))
+    diffs = _constraint_matrix(states[1:] - states[0])
+    return int(npl.matrix_rank(diffs, tol=VERTEX_RANK_TOL))
 
 
 def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distribution]:
@@ -220,11 +221,6 @@ def fixed_input_rate(channel: CQChannel, dist: Distribution) -> RateResult:
     if not vertices:
         raise ValidationError("feasible polytope has no vertices; "
                               "the reference distribution should always be feasible")
-    best = None
-    best_val = math.inf
-    for q in vertices:
-        val = mutual_info(channel, q)
-        if val < best_val:
-            best_val = val
-            best = q
-    return RateResult(float(best_val), float(len(vertices)), len(vertices), best)
+    values = [mutual_info(channel, q) for q in vertices]
+    best = min(range(len(vertices)), key=values.__getitem__)
+    return RateResult(float(values[best]), float(len(vertices)), len(vertices), vertices[best])

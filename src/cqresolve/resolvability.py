@@ -94,8 +94,7 @@ class SoftCoverReport:
     renyi_iterations: dict[float, int]
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValidationError("samples must be >= 1")
+        check_positive_int("samples", self.samples)
         check_real("mean error", self.mean_error, -1e-12, 1.0 + 1e-12)
 
 
@@ -459,6 +458,14 @@ def ceil_operator(rho, params: SmoothingParams) -> np.ndarray:
     return hermitianize((u * new_vals) @ u.conj().T)
 
 
+def _pinched_inputs(channel: CQChannel, dist: Distribution, pmap, ref: np.ndarray):
+    """Yield p(x), W_x, E(W_x) and the projector {E(W_x) ≥ ref} for each x with p(x) > 0."""
+    for w, mass in zip(channel.states, dist.masses):
+        if mass > 0.0:
+            pinched = pinch(pmap, w)
+            yield float(mass), w, pinched, positive_part_projector(ref, pinched)
+
+
 def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
               M: int) -> float:
     """4√(Σ_x p(x) Tr W_x{E_σ(W_x) ≥ Cσ}) + √((v′/M)Σ_x p(x) Tr σ⁻¹E_σ(W_x)²{E_σ(W_x) < Cσ}).
@@ -486,15 +493,11 @@ def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
 
     term1 = 0.0
     term2 = 0.0
-    for w, mass in zip(channel.states, dist.masses):
-        if mass <= 0.0:
-            continue
-        pinched = pinch(pmap, w)
-        high = positive_part_projector(Cthr * s, pinched)
+    for mass, w, pinched, high in _pinched_inputs(channel, dist, pmap, Cthr * s):
         low = np.eye(channel.dim) - high
-        term1 += float(mass) * max(0.0, float(np.real(np.trace(w @ high))))
+        term1 += mass * max(0.0, float(np.real(np.trace(w @ high))))
         quad = float(np.real(np.trace(sigma_inv @ pinched @ pinched @ low)))
-        term2 += float(mass) * max(0.0, quad)
+        term2 += mass * max(0.0, quad)
     return 4.0 * math.sqrt(term1) + math.sqrt(v_prime / M * term2)
 
 
@@ -505,13 +508,8 @@ def ll1b_bound(channel: CQChannel, dist: Distribution, params: SmoothingParams,
     check_positive_int("M", M)
     tau = ceil_operator(output_state(channel, dist), params)
     pmap = pinching_from_spectrum(tau)
-    term1 = 0.0
-    for w, mass in zip(channel.states, dist.masses):
-        if mass <= 0.0:
-            continue
-        pinched = pinch(pmap, w)
-        high = positive_part_projector(params.L * tau, pinched)
-        term1 += float(mass) * max(0.0, float(np.real(np.trace(w @ high))))
+    term1 = sum(mass * max(0.0, float(np.real(np.trace(w @ high))))
+                for mass, w, _, high in _pinched_inputs(channel, dist, pmap, params.L * tau))
     return 4.0 * math.sqrt(term1) + math.sqrt(params.v * params.L / M)
 
 

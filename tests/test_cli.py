@@ -195,6 +195,14 @@ class TestExitCodes:
         if code == 0:
             assert "fixed_input_rate_bits" in kv(out)
 
+    def test_single_letter_channel_fixed_rate(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"dim": 2, "inputs": [
+            {"label": "a", "state": [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7, 0.0]]]}]}))
+        code, out, err = run_cli(capsys, "fixed-rate", "--channel", str(path))
+        assert (code, err) == (0, "")
+        assert kv(out)["vertices_examined"] == "1"
+
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fixed-rate", "--builtin", "example1",
                                "--eps", "0.1", "--dist", "{bad")

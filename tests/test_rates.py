@@ -258,6 +258,17 @@ def test_feasible_vertices_alphabet_cap():
         cq.feasible_vertices(channel, dist)
 
 
+def test_feasible_vertices_of_a_single_letter_channel_is_the_point_mass():
+    channel = cq.CQChannel(("a",), [np.diag([0.3, 0.7])])
+    dist = cq.Distribution.point_mass(("a",), "a")
+    assert rates._span_rank(channel.states) == 0
+    vertices = cq.feasible_vertices(channel, dist)
+    assert [v.masses.tolist() for v in vertices] == [[1.0]]
+    res = cq.fixed_input_rate(channel, dist)
+    assert res.value == pytest.approx(0.0, abs=1e-12)
+    assert res.distribution.masses.tolist() == [1.0]
+
+
 def test_feasible_vertices_deduplicated():
     channel, dist = build_flip_erase_channel(0.25)
     vertices = cq.feasible_vertices(channel, dist)

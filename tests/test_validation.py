@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -70,7 +71,10 @@ REAL_ARGUMENTS = {
     "bridge_counting_check.eps": (lambda v: cq.bridge_counting_check(4, 2, 2, 0.1, 0.1, v),
                                   (-TINY,), (0.0, 1e300)),
 }
-NON_FINITE_OR_BOOL = (math.nan, math.inf, -math.inf, True)
+# Ints beyond the float range: finite as ints, but no float can hold them.
+# The second also has more digits than int-to-str conversion allows.
+HUGE_INTS = {10 ** 400: "10**400", 10 ** 5000: "10**5000"}
+NON_FINITE_OR_BOOL = (math.nan, math.inf, -math.inf, True, *HUGE_INTS)
 
 REJECTED = [(entry, bad) for entry, (_, outside, _) in REAL_ARGUMENTS.items()
             for bad in NON_FINITE_OR_BOOL + outside]
@@ -82,7 +86,8 @@ PHI_UNDERFLOW = pytest.mark.xfail(raises=ValueError, strict=True,
                                   reason="phi underflows for s near 1")
 
 
-@pytest.mark.parametrize("entry, bad", REJECTED, ids=[f"{e}={b!r}" for e, b in REJECTED])
+@pytest.mark.parametrize("entry, bad", REJECTED, ids=[
+    f"{e}={HUGE_INTS.get(b) or repr(b)}" for e, b in REJECTED])
 def test_real_argument_is_rejected(entry, bad):
     with pytest.raises(ValidationError, match="must be"):
         REAL_ARGUMENTS[entry][0](bad)
@@ -102,7 +107,7 @@ def test_capacity_max_iter_is_a_positive_int(bad):
 
 
 # ---------------------------------------------------------------------------
-# non-finite values of every float flag, each in its own child process
+# non-finite values of every float flag
 # ---------------------------------------------------------------------------
 
 CODE_DOC = {"lambda1": 0.2, "lambda2": 0.2,
@@ -126,6 +131,8 @@ BASE_ARGV = {
     "converse-trend": EXAMPLE1 + ("--rate", "0.5", "--n-max", "1"),
     "separation-figure": ("--eps-grid", "0.1:0.1:0.1"),
 }
+# A NaN or infinite bound once made the grid loop run forever, so these run
+# in child processes that a timeout can stop.
 EPS_GRIDS = ("0.05:nan:0.05", "0.05:inf:0.05", "0.05:0.45:nan", "nan:0.45:0.05")
 CHILD_TIMEOUT_S = 10
 
@@ -139,13 +146,20 @@ def float_flags() -> list[tuple[str, str]]:
             for action in sp._actions if action.type is float]
 
 
-CLI_CASES = [(command, f"{flag}={value}") for command, flag in float_flags()
-             for value in ("nan", "inf", "-inf")] \
-    + [("separation-figure", f"--eps-grid={grid}") for grid in EPS_GRIDS]
+# Each value is passed as --flag=value, so argparse does not read -inf as an option.
+FLOAT_CASES = [(command, f"{flag}={value}") for command, flag in float_flags()
+               for value in ("nan", "inf", "-inf")]
 
 
 def _base_argv(command: str, code_path: str) -> list[str]:
     return [command] + [arg.replace("{code}", code_path) for arg in BASE_ARGV[command]]
+
+
+def assert_clean_usage_error(code: int, err: str) -> None:
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
 
 
 @pytest.fixture(scope="module")
@@ -156,28 +170,26 @@ def code_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def cli_runs(code_path):
-    """Every CLI case, started two at a time in its own `python -m cqresolve.cli`.
+def eps_grid_runs():
+    """Each `--eps-grid` case, started two at a time in its own `python -m cqresolve.cli`.
 
-    A case maps to its completed process, or to None if it ran past the
-    timeout (the old `--eps-grid` loop never ends on a NaN or infinite bound).
+    A case maps to its completed process, or to None if it ran past the timeout.
     """
     src = str(Path(cq.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
 
-    def run(case):
-        argv = _base_argv(case[0], code_path) + [case[1]]
+    def run(grid):
         try:
-            return subprocess.run([sys.executable, "-m", "cqresolve.cli", *argv],
-                                  capture_output=True, text=True,
-                                  timeout=CHILD_TIMEOUT_S, env=env)
+            return subprocess.run(
+                [sys.executable, "-m", "cqresolve.cli", "separation-figure",
+                 f"--eps-grid={grid}"],
+                capture_output=True, text=True, timeout=CHILD_TIMEOUT_S, env=env)
         except subprocess.TimeoutExpired:
             return None
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = {case: pool.submit(run, case) for case in CLI_CASES}
-        yield futures
+        yield {grid: pool.submit(run, grid) for grid in EPS_GRIDS}
 
 
 def test_sweep_covers_the_float_flags_of_every_command():
@@ -192,14 +204,20 @@ def test_sweep_base_command_line_succeeds(capsys, code_path, command):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, arg", CLI_CASES, ids=[f"{c}{a[1:]}" for c, a in CLI_CASES])
-def test_non_finite_flag_exits_two(cli_runs, command, arg):
-    proc = cli_runs[(command, arg)].result()
+@pytest.mark.parametrize("command, arg", FLOAT_CASES,
+                         ids=[f"{c}{a[1:]}" for c, a in FLOAT_CASES])
+def test_non_finite_flag_exits_two(capsys, code_path, command, arg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(_base_argv(command, code_path) + [arg])
+    assert_clean_usage_error(code, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("grid", EPS_GRIDS)
+def test_non_finite_eps_grid_exits_two(eps_grid_runs, grid):
+    proc = eps_grid_runs[grid].result()
     assert proc is not None, f"no exit within {CHILD_TIMEOUT_S} s"
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
+    assert_clean_usage_error(proc.returncode, proc.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +280,7 @@ def test_loader_takes_a_non_path_as_the_document_and_opens_nothing(monkeypatch, 
         LOADERS[loader](source)
 
 
-@pytest.mark.parametrize("as_path", [str, Path], ids=["str", "path"])
+@pytest.mark.parametrize("as_path", [str, os.fsencode, Path], ids=["str", "bytes", "path"])
 @pytest.mark.parametrize("loader", sorted(LOADERS))
 def test_loader_reads_a_str_or_path_like_source_as_a_file(tmp_path, loader, as_path):
     docs = {"channel": {"dim": 1, "inputs": [{"label": "0", "state": [[[1.0, 0.0]]]}]},
