@@ -1,10 +1,16 @@
 """Command-line front end.
 
-Every command is a thin wrapper over a library call: parse inputs, run the
-operation, print ``key = value`` lines (floats at 12 significant digits),
-and optionally write CSV/JSON artifacts. Exit codes: 0 success, 2
-validation or usage error, 3 resource-cap error. Stochastic commands echo
-their effective seed.
+Every command is a thin wrapper over a library call: its handler parses the
+inputs, runs the operation and returns a record (the output lines in order,
+and a JSON payload or a CSV table) without printing anything. ``main`` alone
+turns a record into output: it prints ``key = value`` lines (floats at 12
+significant digits, booleans in lower case), prints a CSV table in its place
+or writes it to ``--out``, and writes the JSON payload, tagged with the
+command name, to ``--out``. An artifact is written before any line is
+printed, so a failed write prints no result. Exit codes: 0 success, 2
+validation or usage error (an unreadable input or unwritable ``--out``
+file too), 3 resource-cap error. Stochastic commands echo their effective
+seed.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -36,8 +42,18 @@ from .types_sanov import (Basis, all_empirical_states, bad_codeword_test,
                           type_projector)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+# Points of a separation-figure --eps-grid; each runs a capacity ascent and a
+# vertex enumeration.
+_MAX_EPS_GRID_POINTS = 10_000
+
+
+def _fmt(value) -> str:
+    """One printed value: floats at 12 significant digits, booleans in lower case."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{float(value):.12g}"
+    return str(value)
 
 
 def _json_ready(obj):
@@ -50,23 +66,38 @@ def _json_ready(obj):
     return obj
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class _Table(NamedTuple):
+    """A CSV table; each cell is formatted by ``_fmt``."""
+
+    header: tuple[str, ...]
+    rows: list[tuple]
 
 
-def _write_csv(path: str | None, header: Sequence[str],
-               rows: Sequence[Sequence[str]]) -> None:
-    if path is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+# What a command handler returns: the output lines in print order, each a
+# (key, value) field, a verbatim str line or a _Table, and the JSON payload
+# that --out writes (None for the commands whose artifact is their table).
+_Record = tuple[list, dict | None]
+
+
+def _write_table(fh: TextIO, table: _Table) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows([_fmt(cell) for cell in row] for row in table.rows)
+
+
+def _write_out(path: str, command: str, lines: list, payload: dict | None) -> None:
+    """Write the record's table, or else its JSON payload and command name, to ``path``."""
+    table = next((line for line in lines if isinstance(line, _Table)), None)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if table is not None:
+                _write_table(fh, table)
+            else:
+                json.dump(_json_ready({"command": command, **payload}), fh,
+                          indent=2, sort_keys=True)
+                fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write the --out file: {exc}") from exc
 
 
 def _builtin_example1(eps: float) -> CQChannel:
@@ -118,33 +149,21 @@ def _dist_payload(dist: Distribution) -> dict:
             for lbl, mass in zip(dist.labels, dist.masses)}
 
 
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    channel = _load_channel(args)
-    result = capacity(channel, tol=args.tol)
-    print(f"capacity_bits = {_fmt(result.value)}")
-    print(f"certificate_gap = {_fmt(result.certificate)}")
-    print(f"iterations = {result.iterations}")
-    if args.out_path:
-        _write_json(args.out_path, {
-            "command": "capacity", "value": result.value,
-            "certificate_gap": result.certificate,
-            "iterations": result.iterations,
-            "argmax": _dist_payload(result.distribution)})
-    return 0
+def _cmd_capacity(args: argparse.Namespace) -> _Record:
+    result = capacity(_load_channel(args), tol=args.tol)
+    fields = [("capacity_bits", result.value), ("certificate_gap", result.certificate),
+              ("iterations", result.iterations)]
+    return fields, {"value": result.value, "certificate_gap": result.certificate,
+                    "iterations": result.iterations,
+                    "argmax": _dist_payload(result.distribution)}
 
 
-def _cmd_fixed_rate(args: argparse.Namespace) -> int:
+def _cmd_fixed_rate(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
-    dist = _load_dist(args, channel)
-    result = fixed_input_rate(channel, dist)
-    print(f"fixed_input_rate_bits = {_fmt(result.value)}")
-    print(f"vertices_examined = {result.iterations}")
-    if args.out_path:
-        _write_json(args.out_path, {
-            "command": "fixed-rate", "value": result.value,
-            "vertices_examined": result.iterations,
-            "argmin": _dist_payload(result.distribution)})
-    return 0
+    result = fixed_input_rate(channel, _load_dist(args, channel))
+    fields = [("fixed_input_rate_bits", result.value), ("vertices_examined", result.iterations)]
+    return fields, {"value": result.value, "vertices_examined": result.iterations,
+                    "argmin": _dist_payload(result.distribution)}
 
 
 def _mtype_payload(res) -> dict:
@@ -154,87 +173,61 @@ def _mtype_payload(res) -> dict:
             if mass > 0}
 
 
-def _cmd_resolve(args: argparse.Namespace) -> int:
+def _cmd_resolve(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
     result = resolution_error_exact(channel, dist, args.M, args.n,
                                     max_types=args.max_types, max_dim=args.max_dim)
-    print(f"exact_error = {_fmt(result.error)}")
-    print(f"M = {result.M}")
-    print(f"n = {result.n}")
-    if args.out_path:
-        _write_json(args.out_path, {
-            "command": "resolve", "error": result.error, "M": result.M,
-            "n": result.n, "argmin_counts": _mtype_payload(result)})
-    return 0
+    fields = [("exact_error", result.error), ("M", result.M), ("n", result.n)]
+    return fields, {"error": result.error, "M": result.M, "n": result.n,
+                    "argmin_counts": _mtype_payload(result)}
 
 
-def _cmd_worst_resolve(args: argparse.Namespace) -> int:
+def _cmd_worst_resolve(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     result = resolution_error_worst(channel, args.M, args.n, grid=args.grid,
                                     max_types=args.max_types, max_dim=args.max_dim)
-    print(f"worst_error_lower_bound = {_fmt(result.error)}")
-    print(f"approximate = {result.approximate}")
-    print(f"M = {result.M}")
-    print(f"n = {result.n}")
-    if args.out_path:
-        _write_json(args.out_path, {
-            "command": "worst-resolve", "error_lower_bound": result.error,
-            "approximate": result.approximate, "M": result.M, "n": result.n,
-            "worst_input": _dist_payload(result.worst_input)})
-    return 0
+    fields = [("worst_error_lower_bound", result.error), ("approximate", result.approximate),
+              ("M", result.M), ("n", result.n)]
+    return fields, {"error_lower_bound": result.error, "approximate": result.approximate,
+                    "M": result.M, "n": result.n,
+                    "worst_input": _dist_payload(result.worst_input)}
 
 
-def _cmd_softcover(args: argparse.Namespace) -> int:
+def _cmd_softcover(args: argparse.Namespace) -> _Record:
     check_positive_int("--workers", args.workers)
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
     report = soft_cover_simulate(channel, dist, args.M, args.n, args.samples,
                                  args.seed, orders=_orders(args),
                                  max_dim=args.max_dim)
-    print(f"seed = {report.seed}")
-    print(f"samples = {report.samples}")
-    print(f"mean_error = {_fmt(report.mean_error)}")
-    print(f"std_error = {_fmt(report.std_error)}")
-    for alpha in sorted(report.bounds):
-        print(f"bound_alpha_{_fmt(alpha)} = {_fmt(report.bounds[alpha])}")
-    for alpha in sorted(report.bounds):
-        print(f"renyi_converged_alpha_{_fmt(alpha)} = "
-              f"{str(report.renyi_converged[alpha]).lower()}")
-        print(f"renyi_iterations_alpha_{_fmt(alpha)} = {report.renyi_iterations[alpha]}")
-    rows = [(str(i), _fmt(dval)) for i, dval in enumerate(report.distances)]
-    _write_csv(args.out_path, ("sample", "trace_distance"), rows)
-    return 0
+    alphas = sorted(report.bounds)
+    lines = [("seed", report.seed), ("samples", report.samples),
+             ("mean_error", report.mean_error), ("std_error", report.std_error)]
+    lines += [(f"bound_alpha_{_fmt(alpha)}", report.bounds[alpha]) for alpha in alphas]
+    for alpha in alphas:
+        lines += [(f"renyi_converged_alpha_{_fmt(alpha)}", report.renyi_converged[alpha]),
+                  (f"renyi_iterations_alpha_{_fmt(alpha)}", report.renyi_iterations[alpha])]
+    lines.append(_Table(("sample", "trace_distance"), list(enumerate(report.distances))))
+    return lines, None
 
 
-def _cmd_bound_ll2(args: argparse.Namespace) -> int:
+def _cmd_bound_ll2(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
-    sigma = output_state(channel, dist)
-    value = ll2_bound(channel, dist, sigma, args.cthr, args.M)
-    print(f"ll2_bound = {_fmt(value)}")
-    print(f"M = {args.M}")
-    if args.out_path:
-        _write_json(args.out_path, {"command": "bound-ll2", "bound": value,
-                                   "Cthr": args.cthr, "M": args.M})
-    return 0
+    value = ll2_bound(channel, dist, output_state(channel, dist), args.cthr, args.M)
+    return [("ll2_bound", value), ("M", args.M)], {"bound": value, "Cthr": args.cthr, "M": args.M}
 
 
-def _cmd_bound_ll1b(args: argparse.Namespace) -> int:
+def _cmd_bound_ll1b(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
-    params = SmoothingParams(args.lam, args.v, args.L)
-    value = ll1b_bound(channel, dist, params, args.M)
-    print(f"ll1b_bound = {_fmt(value)}")
-    print(f"M = {args.M}")
-    if args.out_path:
-        _write_json(args.out_path, {"command": "bound-ll1b", "bound": value,
-                                   "lambda": args.lam, "v": args.v, "L": args.L,
-                                   "M": args.M})
-    return 0
+    value = ll1b_bound(channel, dist, SmoothingParams(args.lam, args.v, args.L), args.M)
+    payload = {"bound": value, "lambda": args.lam, "v": args.v, "L": args.L, "M": args.M}
+    return [("ll1b_bound", value), ("M", args.M)], payload
 
 
-def _cmd_sanov_sweep(args: argparse.Namespace) -> int:
+def _cmd_sanov_sweep(args: argparse.Namespace) -> _Record:
     if args.dist_path is None:
         raise ValidationError("sanov-sweep requires --dist (the diagonal of the "
                               "reference state)")
@@ -245,17 +238,13 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> int:
     for n in range(1, args.n + 1):
         for t in all_empirical_states(n, len(dist.masses)):
             check = commuting_types_bound_check(rho, t, n)
-            rows.append((str(n), "|".join(str(c) for c in t.counts),
-                         _fmt(check.lhs), _fmt(check.rhs),
-                         "true" if check.ok else "false"))
-    _write_csv(args.out_path, ("n", "type_counts", "lhs", "rhs", "ok"), rows)
-    bad = sum(1 for row in rows if row[4] == "false")
-    print(f"rows = {len(rows)}")
-    print(f"violations = {bad}")
-    return 0
+            rows.append((n, "|".join(str(c) for c in t.counts), check.lhs, check.rhs,
+                         check.ok))
+    return [_Table(("n", "type_counts", "lhs", "rhs", "ok"), rows), ("rows", len(rows)),
+            ("violations", sum(not row[4] for row in rows))], None
 
 
-def _cmd_types_check(args: argparse.Namespace) -> int:
+def _cmd_types_check(args: argparse.Namespace) -> _Record:
     has_channel = args.channel_path is not None or args.builtin is not None
     if has_channel != (args.delta is not None):
         raise ValidationError("types-check counts bad codewords only with both "
@@ -268,9 +257,6 @@ def _cmd_types_check(args: argparse.Namespace) -> int:
     if d ** n > args.max_dim:
         raise ResourceLimitError(f"d^n = {d ** n} exceeds --max-dim {args.max_dim}")
     states = all_empirical_states(n, d)
-    expected = math.comb(n + d - 1, d - 1)
-    print(f"type_count = {len(states)}")
-    print(f"type_count_formula_ok = {str(len(states) == expected).lower()}")
     basis = Basis.standard(d)
     total = np.zeros((d ** n, d ** n), dtype=complex)
     rank_sum = 0
@@ -279,79 +265,63 @@ def _cmd_types_check(args: argparse.Namespace) -> int:
         total += proj.matrix
         rank_sum += proj.rank
     partition_dev = float(np.max(np.abs(total - np.eye(d ** n))))
-    print(f"partition_identity_max_dev = {_fmt(partition_dev)}")
-    print(f"rank_sum = {rank_sum}")
-    print(f"rank_sum_ok = {str(rank_sum == d ** n).lower()}")
     # The margin depends on a word only through its type, so one word per
     # type gives the same minimum as every word.
     min_margin = min(
         ee31_margin(Word(tuple(j for j, c in enumerate(t.counts) for _ in range(c))),
                     d, max_dim=args.max_dim)
         for t in states)
-    print(f"twirl_domination_min_margin = {_fmt(min_margin)}")
     ok = partition_dev <= 1e-9 and rank_sum == d ** n and min_margin >= -1e-9
-    print(f"all_ok = {str(ok).lower()}")
+    fields = [("type_count", len(states)),
+              ("type_count_formula_ok", len(states) == math.comb(n + d - 1, d - 1)),
+              ("partition_identity_max_dev", partition_dev), ("rank_sum", rank_sum),
+              ("rank_sum_ok", rank_sum == d ** n),
+              ("twirl_domination_min_margin", min_margin), ("all_ok", ok)]
     if has_channel:
         channel = _load_channel(args)
         dist = _load_dist(args, channel)
         count = sum(bad_codeword_test(channel, Word(w), dist, args.delta)
                     for w in itertools.product(channel.labels, repeat=n))
-        print(f"bad_codewords = {count} / {channel.size ** n}")
-    return 0
+        fields.append(("bad_codewords", f"{count} / {channel.size ** n}"))
+    return fields, None
 
 
-def _cmd_id_verify(args: argparse.Namespace) -> int:
+def _cmd_id_verify(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     code = idcode_from_json(args.code_path, labels=channel.labels)
     report = verify_id_code(code, channel)
-    print(f"entries = {code.size}")
-    print(f"valid = {str(report.valid).lower()}")
-    print(f"worst_hit_margin = {_fmt(report.worst_hit_margin)}")
-    print(f"worst_cross_margin = {_fmt(report.worst_cross_margin)}")
-    for line in report.failures:
-        print(f"failure: {line}")
     pair = pairwise_distance_check(code, channel)
-    print(f"min_pairwise_distance = {_fmt(pair.min_distance)}")
-    print(f"distance_threshold = {_fmt(pair.threshold)}")
-    print(f"distance_ok = {str(pair.ok).lower()}")
-    if args.out_path:
-        _write_json(args.out_path, {
-            "command": "id-verify", "valid": report.valid,
-            "worst_hit_margin": report.worst_hit_margin,
-            "worst_cross_margin": report.worst_cross_margin,
-            "min_pairwise_distance": pair.min_distance,
-            "distance_threshold": pair.threshold,
-            "distance_ok": pair.ok})
-    return 0
+    lines = [("entries", code.size), ("valid", report.valid),
+             ("worst_hit_margin", report.worst_hit_margin),
+             ("worst_cross_margin", report.worst_cross_margin),
+             *(f"failure: {line}" for line in report.failures),
+             ("min_pairwise_distance", pair.min_distance),
+             ("distance_threshold", pair.threshold), ("distance_ok", pair.ok)]
+    return lines, {"valid": report.valid, "worst_hit_margin": report.worst_hit_margin,
+                   "worst_cross_margin": report.worst_cross_margin,
+                   "min_pairwise_distance": pair.min_distance,
+                   "distance_threshold": pair.threshold, "distance_ok": pair.ok}
 
 
-def _cmd_id_bridge(args: argparse.Namespace) -> int:
+def _cmd_id_bridge(args: argparse.Namespace) -> _Record:
     check = bridge_counting_check(args.N, args.alphabet_size, args.M,
                                   args.lambda1, args.lambda2, args.eps)
-    print(f"applicable = {str(check.applicable).lower()}")
-    print(f"count_ok = {str(check.count_ok).lower()}")
+    lines = [("applicable", check.applicable), ("count_ok", check.count_ok)]
     if check.applicable and not check.count_ok:
         bound = 1.0 - args.lambda1 - args.lambda2
-        print(f"implied_worst_error_at_M{args.M} >= {_fmt(bound)} (contradiction: "
-              f"no such code can exist with the supplied eps)")
-    if args.out_path:
-        _write_json(args.out_path, {
-            "command": "id-bridge", "applicable": check.applicable,
-            "count_ok": check.count_ok, "N": args.N, "M": args.M,
-            "alphabet_size": args.alphabet_size})
-    return 0
+        lines.append(f"implied_worst_error_at_M{args.M} >= {_fmt(bound)} (contradiction: "
+                     f"no such code can exist with the supplied eps)")
+    return lines, {"applicable": check.applicable, "count_ok": check.count_ok,
+                   "N": args.N, "M": args.M, "alphabet_size": args.alphabet_size}
 
 
-def _cmd_converse_trend(args: argparse.Namespace) -> int:
+def _cmd_converse_trend(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
-    rows_raw = converse_trend(channel, dist, args.rate, args.n_max,
-                              max_types=args.max_types, max_dim=args.max_dim)
-    rows = [(str(n), str(m), _fmt(err)) for n, m, err in rows_raw]
-    _write_csv(args.out_path, ("n", "M", "exact_error"), rows)
-    print(f"rate_bits = {_fmt(args.rate)}")
-    print(f"n_max = {args.n_max}")
-    return 0
+    rows = converse_trend(channel, dist, args.rate, args.n_max,
+                          max_types=args.max_types, max_dim=args.max_dim)
+    return [_Table(("n", "M", "exact_error"), rows), ("rate_bits", args.rate),
+            ("n_max", args.n_max)], None
 
 
 def _parse_eps_grid(spec_text: str) -> list[float]:
@@ -365,25 +335,27 @@ def _parse_eps_grid(spec_text: str) -> list[float]:
     check_real("--eps-grid start", start)
     check_real("--eps-grid step", step, 0.0, open_lo=True)
     check_real("--eps-grid stop", stop, start)
-    values = []
-    k = 0
-    while start + k * step <= stop + 1e-9:
-        values.append(round(start + k * step, 12))
-        k += 1
-    return values
+    # The grid is every start + k·step <= stop + 1e-9. Count its points before
+    # building them: the quotient, capped so that int() is defined, then
+    # settled on that test, since it may round across an integer.
+    count = int(min((stop + 1e-9 - start) / step, _MAX_EPS_GRID_POINTS)) + 1
+    while count <= _MAX_EPS_GRID_POINTS and start + count * step <= stop + 1e-9:
+        count += 1
+    while start + (count - 1) * step > stop + 1e-9:
+        count -= 1
+    if count > _MAX_EPS_GRID_POINTS:
+        raise ResourceLimitError(f"--eps-grid has more than {_MAX_EPS_GRID_POINTS} points")
+    return [round(start + k * step, 12) for k in range(count)]
 
 
-def _cmd_separation_figure(args: argparse.Namespace) -> int:
+def _cmd_separation_figure(args: argparse.Namespace) -> _Record:
     rows = []
     for eps in _parse_eps_grid(args.eps_grid):
         channel = _builtin_example1(eps)
-        cap = capacity(channel, tol=args.tol)
         dist = Distribution(channel.labels, np.array([0.5, 0.5, 0.0]))
-        fixed = fixed_input_rate(channel, dist)
-        rows.append((_fmt(eps), _fmt(cap.value), _fmt(fixed.value)))
-    _write_csv(args.out_path, ("epsilon", "capacity", "fixed_rate"), rows)
-    print(f"points = {len(rows)}")
-    return 0
+        rows.append((eps, capacity(channel, tol=args.tol).value,
+                     fixed_input_rate(channel, dist).value))
+    return [_Table(("epsilon", "capacity", "fixed_rate"), rows), ("points", len(rows))], None
 
 
 _DISPATCH = {
@@ -561,7 +533,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        return _DISPATCH[args.command](args)
+        lines, payload = _DISPATCH[args.command](args)
+        out_path = getattr(args, "out_path", None)
+        if out_path:
+            _write_out(out_path, args.command, lines, payload)
+        for line in lines:
+            if isinstance(line, _Table):
+                if not out_path:
+                    _write_table(sys.stdout, line)
+            elif isinstance(line, str):
+                print(line)
+            else:
+                print(f"{line[0]} = {_fmt(line[1])}")
+        return 0
     except OSError as exc:
         print(f"error: cannot read input file: {exc}", file=sys.stderr)
         return 2

@@ -136,11 +136,12 @@ def mutual_info(channel: CQChannel, dist: Distribution) -> float:
     return float(np.sum(p[live] * div[live]))
 
 
-def _power_on_support(vals: np.ndarray, vecs: np.ndarray, exponent: float) -> np.ndarray:
-    """U diag(λ^exponent) U† over the eigenvalues above SUPPORT_EIG_TOL, 0 elsewhere."""
+def _power_on_support(vals: np.ndarray, vecs: np.ndarray, exponent: float,
+                      scale: float = 1.0) -> np.ndarray:
+    """U diag((λ/scale)^exponent) U† over the λ above SUPPORT_EIG_TOL, 0 elsewhere."""
     support = vals > SUPPORT_EIG_TOL
     powed = np.zeros_like(vals)
-    powed[support] = vals[support] ** exponent
+    powed[support] = (vals[support] / scale) ** exponent
     return (vecs * powed) @ vecs.conj().T
 
 
@@ -149,18 +150,22 @@ def _phi_general(s: float, rho: np.ndarray, sigma: np.ndarray) -> float | None:
 
     Returns None when ρ's support leaks outside σ's support (the caller maps
     this to the appropriate ±∞ sentinel). Valid for s in (-1, 1), s ≠ 0.
+    σ's largest eigenvalue λ is factored out, φ = s·log₂λ + log₂ Tr
+    ((σ/λ)^γ ρ (σ/λ)^γ)^{1-s} with γ = s/2(1-s): near s = 1, γ is huge and
+    σ^γ underflows to zero, while the top block of (σ/λ)^γ stays 1.
     """
     dec_s = eigh(sigma)
     if _kernel_mass(rho, dec_s) > KERNEL_MASS_TOL:
         return None
+    lam = float(dec_s.eigenvalues[0])  # eigh sorts descending
     half = _power_on_support(dec_s.eigenvalues, dec_s.eigenvectors,
-                             s / (2.0 * (1.0 - s)))
+                             s / (2.0 * (1.0 - s)), scale=lam)
     sandwich = hermitianize(half @ rho @ half)
     vals = npl.eigvalsh(sandwich)
     vals = np.clip(vals, 0.0, None)
     vals = vals[vals > 0.0]
     q = float(np.sum(vals ** (1.0 - s)))
-    return math.log2(q)
+    return s * math.log2(lam) + math.log2(q)
 
 
 def phi(s: float, rho, sigma) -> float:
@@ -314,8 +319,13 @@ def spectral_cdf(rho, sigma, a: float) -> float:
     # 2.0 ** a overflows a float from a = 1024 on.
     check_real("a", a, hi=1024.0, open_hi=True)
     r, s = _matrix_pair(rho, sigma, validate_density, validate_hermitian)
-    if float(npl.eigvalsh(s)[0]) < -1e-10:
+    s_vals = npl.eigvalsh(s)
+    if float(s_vals[0]) < -1e-10:
         raise ValidationError("reference operator must be positive semidefinite")
+    # Python floats: the product is inf, not a warning, when it overflows.
+    if not math.isfinite(2.0 ** a * float(s_vals[-1])):
+        raise ValidationError(f"a must be small enough that 2^a times the largest "
+                              f"eigenvalue of the reference is finite, got {a!r}")
     proj = positive_part_projector(r, (2.0 ** a) * s)
     val = float(np.real(np.trace(r @ proj)))
     return min(1.0, max(0.0, val))

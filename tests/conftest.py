@@ -1,10 +1,14 @@
 """Shared fixtures and helpers for the test suite."""
 from __future__ import annotations
 
+import argparse
+import json
+
 import numpy as np
 import pytest
 
 import cqresolve as cq
+from cqresolve.cli import build_parser
 
 
 def build_flip_erase_channel(eps: float):
@@ -38,6 +42,49 @@ def distinct_eigenvalue_count(eigenvalues: np.ndarray, tol: float = 1e-10) -> in
 @pytest.fixture
 def flip_erase_channel():
     return build_flip_erase_channel(0.1)
+
+
+# ---------------------------------------------------------------------------
+# valid command lines, shared by the CLI and validation sweeps
+
+CODE_DOC = {"lambda1": 0.2, "lambda2": 0.2,
+            "entries": [{"dist": {"0": 1.0}, "test": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                        {"dist": {"1": 1.0}, "test": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+EXAMPLE1 = ("--builtin", "example1", "--eps", "0.1")
+# A valid command line for every command with a float flag; "{code}" is an
+# ID-code file.
+BASE_ARGV = {
+    "capacity": EXAMPLE1,
+    "fixed-rate": EXAMPLE1,
+    "resolve": EXAMPLE1 + ("--M", "2"),
+    "worst-resolve": EXAMPLE1 + ("--M", "2", "--grid", "4"),
+    "softcover": EXAMPLE1 + ("--M", "2", "--samples", "3"),
+    "bound-ll2": EXAMPLE1 + ("--M", "2", "--cthr", "1.0"),
+    "bound-ll1b": EXAMPLE1 + ("--M", "2"),
+    "types-check": EXAMPLE1 + ("--n", "1", "--delta", "0.5"),
+    "id-verify": EXAMPLE1 + ("--code", "{code}"),
+    "id-bridge": ("--N", "4", "--alphabet-size", "2", "--M", "2", "--lambda1", "0.1",
+                  "--lambda2", "0.1", "--eps", "0.1"),
+    "converse-trend": EXAMPLE1 + ("--rate", "0.5", "--n-max", "1"),
+    "separation-figure": ("--eps-grid", "0.1:0.1:0.1"),
+}
+
+
+def command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of the CLI, by command name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def base_argv(command: str, code_path: str) -> list[str]:
+    return [command] + [arg.replace("{code}", code_path) for arg in BASE_ARGV[command]]
+
+
+@pytest.fixture(scope="module")
+def code_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("code") / "code.json"
+    path.write_text(json.dumps(CODE_DOC))
+    return str(path)
 
 
 # ---------------------------------------------------------------------------

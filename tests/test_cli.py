@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,12 @@ import numpy as np
 import pytest
 
 import cqresolve as cq
-from cqresolve.cli import _DISPATCH, _fmt, main
+import cqresolve.cli as cli
+from cqresolve import ResourceLimitError
+from cqresolve.cli import _DISPATCH, _fmt, _parse_eps_grid, main
 
 import oracles as orc
+from conftest import EXAMPLE1, base_argv, command_parsers
 
 
 def run_cli(capsys, *argv):
@@ -592,6 +596,30 @@ class TestSeparationFigure:
                              "--eps-grid", "0.1:0.3")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["0.05:0.45:0.05", "0.1:0.3:0.1", "0:1:0.1",
+                                      "0.3:0.3:0.1", "0.1:0.35:0.05", "0:0.45:0.0001",
+                                      "0:9999:1"])
+    def test_eps_grid_is_the_stepping_loop(self, spec):
+        start, stop, step = (float(p) for p in spec.split(":"))
+        loop, k = [], 0
+        while start + k * step <= stop + 1e-9:
+            loop.append(round(start + k * step, 12))
+            k += 1
+        assert _parse_eps_grid(spec) == loop
+
+    @pytest.mark.parametrize("spec", ["0:10000:1", "0:0.45:1e-6"])
+    def test_eps_grid_above_the_point_cap_is_a_resource_limit(self, spec):
+        with pytest.raises(ResourceLimitError, match="--eps-grid has more than 10000 points"):
+            _parse_eps_grid(spec)
+
+    def test_eps_grid_point_cap_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_EPS_GRID_POINTS", 4)
+        code, out, _ = run_cli(capsys, "separation-figure", "--eps-grid", "0.1:0.4:0.1")
+        assert code == 0 and kv(out)["points"] == "4"
+        code, out, err = run_cli(capsys, "separation-figure", "--eps-grid", "0.1:0.5:0.1")
+        assert (code, out) == (3, "")
+        assert err == "resource limit: --eps-grid has more than 4 points\n"
+
 
 # ---------------------------------------------------------------------------
 # formatting contracts and the installed entry point
@@ -631,3 +659,64 @@ class TestFormatting:
                 if l.startswith("capacity_bits")][0]
         expected = 1.0 - orc.binary_entropy_ref(0.25)
         assert float(line.split("=")[1]) == pytest.approx(expected, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# one result record per command: main alone prints it and writes --out
+# ---------------------------------------------------------------------------
+
+JSON_COMMANDS = ("capacity", "fixed-rate", "resolve", "worst-resolve", "bound-ll2",
+                 "bound-ll1b", "id-verify", "id-bridge")
+CSV_COMMANDS = ("softcover", "sanov-sweep", "converse-trend", "separation-figure")
+# Small values and malformed tokens; no draw can ask for a large array.
+FUZZ_TOKENS = ("0", "-1", "1", "2", "0.5", "nan", "inf", "1e400", "abc", "{", "",
+               "example1")
+FUZZ_DRAWS = 30
+# The one command without a float flag, so without a line in BASE_ARGV.
+SANOV_ARGV = ["sanov-sweep", "--dist", '{"0": 0.5, "1": 0.5}', "--n", "2"]
+
+
+class TestRecord:
+    def test_every_out_command_writes_json_or_csv(self):
+        with_out = {name for name, sp in command_parsers().items()
+                    if any(a.dest == "out_path" for a in sp._actions)}
+        assert with_out == set(JSON_COMMANDS) | set(CSV_COMMANDS)
+
+    @pytest.mark.parametrize("command", JSON_COMMANDS)
+    def test_json_artifact_names_its_command_and_leaves_stdout_alone(
+            self, capsys, tmp_path, code_path, command):
+        argv = base_argv(command, code_path)
+        code, plain, _ = run_cli(capsys, *argv)
+        outp = tmp_path / "record.json"
+        code_out, with_out, _ = run_cli(capsys, *argv, "--out", str(outp))
+        assert code == code_out == 0
+        assert with_out == plain
+        assert json.loads(outp.read_text())["command"] == command
+
+    @pytest.mark.parametrize("argv", [
+        ("capacity", *EXAMPLE1),
+        ("softcover", *EXAMPLE1, "--M", "2", "--samples", "3"),
+    ], ids=["json", "csv"])
+    def test_unwritable_out_is_a_write_error_with_no_result(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "artifact"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write the --out file: ")
+        assert str(target) in err
+
+    @pytest.mark.parametrize("command", sorted(_DISPATCH))
+    def test_argv_fuzz_exits_cleanly(self, capsys, tmp_path, monkeypatch, code_path,
+                                     command):
+        """A valid command line with one or two of its flags set to a drawn token."""
+        monkeypatch.chdir(tmp_path)  # a drawn --out names a file here
+        valid = SANOV_ARGV if command == "sanov-sweep" else base_argv(command, code_path)
+        flags = [a.option_strings[0] for a in command_parsers()[command]._actions
+                 if a.option_strings and a.nargs != 0]
+        rng = random.Random(command)
+        for _ in range(FUZZ_DRAWS):
+            argv = valid + [f"{flag}={rng.choice(FUZZ_TOKENS)}"
+                            for flag in rng.sample(flags, rng.randint(1, 2))]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), argv
+            assert "Traceback" not in err, argv

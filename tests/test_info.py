@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,7 +199,8 @@ def test_phi_commuting_matches_oracle_grid():
 def test_phi_maximally_mixed_reference_reduces_to_renyi_entropy():
     rng = np.random.default_rng(14)
     rho = orc.random_density(rng, 3)
-    for s in (0.25, 0.5, 0.75):
+    # Near s = 1, σ^{s/2(1-s)} = 3^{-5e11} underflows; φ is still finite.
+    for s in (0.25, 0.5, 0.75, 1.0 - 1e-12):
         got = cq.phi(s, rho, np.eye(3) / 3)
         ev = np.linalg.eigvalsh(rho)
         expected = -s * math.log2(3) + math.log2(float(np.sum(ev ** (1 - s))))
@@ -470,6 +472,15 @@ def test_spectral_cdf_commuting_matches_classical():
         got = cq.spectral_cdf(np.diag(p), np.diag(q), a)
         assert got == pytest.approx(orc.spectral_cdf_classical(p, q, a),
                                     abs=1e-10)
+
+
+def test_spectral_cdf_rejects_a_whose_scaled_reference_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.ValidationError, match=r"^a must be .*, got 1023\.0$"):
+            cq.spectral_cdf(np.eye(2) / 2, 4 * np.eye(2), 1023.0)
+        # 2^1023·λ_max stays finite for a reference with λ_max < 2.
+        assert cq.spectral_cdf(np.eye(2) / 2, np.eye(2), 1023.0) == 1.0
 
 
 def test_spectral_cdf_monotone_in_threshold():

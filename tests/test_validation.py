@@ -11,7 +11,6 @@ the edge of the trace tolerance has powers.
 """
 from __future__ import annotations
 
-import argparse
 import builtins
 import itertools
 import json
@@ -29,10 +28,11 @@ import pytest
 import cqresolve as cq
 import cqresolve.channel as channel_module
 from cqresolve import ValidationError
-from cqresolve.cli import build_parser, main
+from cqresolve.cli import main
 from cqresolve.linalg import _kron_rows
 
-from conftest import build_flip_erase_channel
+from conftest import (BASE_ARGV, CODE_DOC, base_argv, build_flip_erase_channel,
+                      command_parsers)
 
 # ---------------------------------------------------------------------------
 # real arguments of library entry points
@@ -80,10 +80,6 @@ REJECTED = [(entry, bad) for entry, (_, outside, _) in REAL_ARGUMENTS.items()
             for bad in NON_FINITE_OR_BOOL + outside]
 ACCEPTED = [(entry, good) for entry, (_, _, inside) in REAL_ARGUMENTS.items()
             for good in inside]
-# Near s = 1, σ^{s/2(1-s)} underflows to 0 and log₂ of the zero trace raises
-# a bare ValueError, though φ is finite there (2^{-s}·Tr ρ^{1-s} for σ = I/2).
-PHI_UNDERFLOW = pytest.mark.xfail(raises=ValueError, strict=True,
-                                  reason="phi underflows for s near 1")
 
 
 @pytest.mark.parametrize("entry, bad", REJECTED, ids=[
@@ -93,9 +89,7 @@ def test_real_argument_is_rejected(entry, bad):
         REAL_ARGUMENTS[entry][0](bad)
 
 
-@pytest.mark.parametrize("entry, good", [
-    pytest.param(e, g, id=f"{e}={g!r}", marks=PHI_UNDERFLOW if (e, g) == ("phi.s", 1.0 - 1e-12)
-                 else ()) for e, g in ACCEPTED])
+@pytest.mark.parametrize("entry, good", ACCEPTED, ids=[f"{e}={g!r}" for e, g in ACCEPTED])
 def test_boundary_real_argument_is_accepted(entry, good):
     REAL_ARGUMENTS[entry][0](good)
 
@@ -110,27 +104,6 @@ def test_capacity_max_iter_is_a_positive_int(bad):
 # non-finite values of every float flag
 # ---------------------------------------------------------------------------
 
-CODE_DOC = {"lambda1": 0.2, "lambda2": 0.2,
-            "entries": [{"dist": {"0": 1.0}, "test": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
-                        {"dist": {"1": 1.0}, "test": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
-EXAMPLE1 = ("--builtin", "example1", "--eps", "0.1")
-# A valid command line for every command with a float flag; "{code}" is an
-# ID-code file.
-BASE_ARGV = {
-    "capacity": EXAMPLE1,
-    "fixed-rate": EXAMPLE1,
-    "resolve": EXAMPLE1 + ("--M", "2"),
-    "worst-resolve": EXAMPLE1 + ("--M", "2", "--grid", "4"),
-    "softcover": EXAMPLE1 + ("--M", "2", "--samples", "3"),
-    "bound-ll2": EXAMPLE1 + ("--M", "2", "--cthr", "1.0"),
-    "bound-ll1b": EXAMPLE1 + ("--M", "2"),
-    "types-check": EXAMPLE1 + ("--n", "1", "--delta", "0.5"),
-    "id-verify": EXAMPLE1 + ("--code", "{code}"),
-    "id-bridge": ("--N", "4", "--alphabet-size", "2", "--M", "2", "--lambda1", "0.1",
-                  "--lambda2", "0.1", "--eps", "0.1"),
-    "converse-trend": EXAMPLE1 + ("--rate", "0.5", "--n-max", "1"),
-    "separation-figure": ("--eps-grid", "0.1:0.1:0.1"),
-}
 # A NaN or infinite bound once made the grid loop run forever, so these run
 # in child processes that a timeout can stop.
 EPS_GRIDS = ("0.05:nan:0.05", "0.05:inf:0.05", "0.05:0.45:nan", "nan:0.45:0.05")
@@ -139,10 +112,7 @@ CHILD_TIMEOUT_S = 10
 
 def float_flags() -> list[tuple[str, str]]:
     """(command, flag) for every option that build_parser parses as a float."""
-    parser = build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    return [(name, action.option_strings[0]) for name, sp in commands.items()
+    return [(name, action.option_strings[0]) for name, sp in command_parsers().items()
             for action in sp._actions if action.type is float]
 
 
@@ -151,22 +121,11 @@ FLOAT_CASES = [(command, f"{flag}={value}") for command, flag in float_flags()
                for value in ("nan", "inf", "-inf")]
 
 
-def _base_argv(command: str, code_path: str) -> list[str]:
-    return [command] + [arg.replace("{code}", code_path) for arg in BASE_ARGV[command]]
-
-
 def assert_clean_usage_error(code: int, err: str) -> None:
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err
-
-
-@pytest.fixture(scope="module")
-def code_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("code") / "code.json"
-    path.write_text(json.dumps(CODE_DOC))
-    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +159,7 @@ def test_sweep_covers_the_float_flags_of_every_command():
 
 @pytest.mark.parametrize("command", sorted(BASE_ARGV))
 def test_sweep_base_command_line_succeeds(capsys, code_path, command):
-    assert main(_base_argv(command, code_path)) == 0
+    assert main(base_argv(command, code_path)) == 0
     capsys.readouterr()
 
 
@@ -209,7 +168,7 @@ def test_sweep_base_command_line_succeeds(capsys, code_path, command):
 def test_non_finite_flag_exits_two(capsys, code_path, command, arg):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(_base_argv(command, code_path) + [arg])
+        code = main(base_argv(command, code_path) + [arg])
     assert_clean_usage_error(code, capsys.readouterr().err)
 
 
