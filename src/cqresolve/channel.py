@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
-                     check_positive_int)
+                     check_nonnegative_int, check_positive_int)
 from .linalg import DEFAULT_MAX_DIM, _check_densities, _kron_rows, as_matrix
 
 DIST_SUM_TOL = 1e-12
@@ -220,28 +220,69 @@ def empirical_output(channel: CQChannel, w: Word) -> np.ndarray:
     return acc / len(w)
 
 
+def _tail_links(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block sizes of the next enumeration level, and each of its rows' tail.
+
+    `sizes` are the block sizes of a level, blocks in order of descending
+    sum t = total…0. A row of the next level with sum t is a first part c
+    and a tail of sum t − c; over c = 0…t the tails run through blocks t,
+    t−1, …, 0, the suffix of the level from block t's start. The links are a
+    ones array with a jump back at each block start, summed by one cumsum.
+    """
+    starts = np.cumsum(sizes) - sizes
+    rows = int(sizes.sum())
+    above = rows - starts
+    links = np.ones(int(above.sum()), dtype=np.intp)
+    links[(np.cumsum(above) - above)[1:]] = starts[1:] - (rows - 1)
+    links[0] = 0
+    np.cumsum(links, out=links)
+    return above, links
+
+
 def compositions(total: int, parts: int) -> np.ndarray:
     """All length-`parts` nonnegative integer vectors summing to `total`.
 
-    Stars and bars: a row is a choice of parts−1 bar positions among the
-    total+parts−1 slots of a row of stars, and each count is the number of
-    stars between neighbouring bars. `itertools.combinations` yields the bar
-    positions in lexicographic order, so the rows are in lexicographic
-    (ascending) order too. Shape (C(total+parts-1, parts-1), parts), int64.
+    Rows in lexicographic (ascending) order, shape
+    (C(total+parts-1, parts-1), parts), int64; total is a nonnegative int
+    and parts a positive int. Level j holds the last j parts of every row:
+    all compositions into j parts of each sum t ≤ total, in blocks of
+    descending t, each block lexicographic. Each level row stores its first
+    part and a link to its tail's row on the level below (`_tail_links`),
+    and the rows of level parts−1 are the output rows, with the first part
+    total − t. The columns are then filled by following the links, one
+    gather per column. The work is a fixed number of array operations per
+    level and per column, and no Python loop runs once per row.
     """
-    slots = total + parts - 1
-    rows = math.comb(slots, parts - 1)
-    out = np.empty((rows, parts), dtype=np.int64)
+    check_nonnegative_int("total", total)
+    check_positive_int("parts", parts)
+    out = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=np.int64)
     if parts == 1:
         out[0, 0] = total
         return out
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64, count=rows * (parts - 1)).reshape(rows, parts - 1)
-    out[:, 0] = bars[:, 0]
-    np.subtract(bars[:, 1:], bars[:, :-1], out=out[:, 1:-1])
-    out[:, 1:-1] -= 1
-    out[:, -1] = slots - 1 - bars[:, -1]
+    sums = np.arange(total, -1, -1, dtype=np.int64)
+    # Level 0 is the empty composition of 0 (so every block but t = 0 is
+    # empty); it has no column.
+    sizes = (sums == 0).astype(np.int64)
+    row_sums = np.zeros(1, dtype=np.int64)
+    heads, links = [], []
+    for _ in range(parts - 2):
+        sizes, link = _tail_links(sizes)
+        block_sums = np.repeat(sums, sizes)
+        heads.append(block_sums - row_sums[link])
+        links.append(link)
+        row_sums = block_sums
+    # The top level's row sums and first parts go straight into the output
+    # (the row sum is total minus the first column), so the largest arrays
+    # alive at once are the output, the top level's links and one gather.
+    sizes, link = _tail_links(sizes)
+    np.subtract(total, np.repeat(sums, sizes), out=out[:, 0])
+    np.subtract(total, out[:, 0], out=out[:, 1])
+    out[:, 1] -= row_sums[link]
+    del row_sums
+    for col, head, below in zip(range(2, parts), reversed(heads), reversed(links)):
+        out[:, col] = head[link]
+        if col < parts - 1:
+            link = below[link]
     return out
 
 
@@ -251,9 +292,14 @@ def count_m_types(alphabet_size: int, M: int) -> int:
 
 
 def m_type_counts(alphabet_size: int, M: int, max_types: int = DEFAULT_MAX_TYPES) -> np.ndarray:
-    """Count matrix of all M-types, rows lexicographic over mass vectors."""
-    if alphabet_size < 1 or M < 1:
-        raise ValidationError("alphabet size and M must be ≥ 1")
+    """Count matrix of all M-types, rows lexicographic over mass vectors.
+
+    The rows are `compositions(M, alphabet_size)`; both arguments are
+    positive ints, and more than max_types rows raise ResourceLimitError
+    before any is built.
+    """
+    check_positive_int("alphabet_size", alphabet_size)
+    check_positive_int("M", M)
     total = count_m_types(alphabet_size, M)
     if total > max_types:
         raise ResourceLimitError(

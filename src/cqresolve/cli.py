@@ -7,18 +7,22 @@ turns a record into output: it prints ``key = value`` lines (floats at 12
 significant digits, booleans in lower case), prints a CSV table in its place
 or writes it to ``--out``, and writes the JSON payload, tagged with the
 command name, to ``--out``. An artifact is written before any line is
-printed, so a failed write prints no result. Exit codes: 0 success, 2
-validation or usage error (an unreadable input or unwritable ``--out``
-file too), 3 resource-cap error. Stochastic commands echo their effective
-seed.
+printed, so a failed write prints no result. Exit codes: 0 success, 1
+standard output closed by its reader before every line was printed (the
+``--out`` artifact is still written), 2 validation or usage error (an
+unreadable input or unwritable ``--out`` file too), 3 resource-cap error.
+Stochastic commands echo their effective seed. ``main`` builds its parser
+on its first call and reuses it.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
+import os
 import sys
 from typing import NamedTuple, Sequence, TextIO
 
@@ -525,10 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
@@ -537,15 +546,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_path = getattr(args, "out_path", None)
         if out_path:
             _write_out(out_path, args.command, lines, payload)
-        for line in lines:
-            if isinstance(line, _Table):
-                if not out_path:
-                    _write_table(sys.stdout, line)
-            elif isinstance(line, str):
-                print(line)
-            else:
-                print(f"{line[0]} = {_fmt(line[1])}")
-        return 0
     except OSError as exc:
         print(f"error: cannot read input file: {exc}", file=sys.stderr)
         return 2
@@ -555,6 +555,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    try:
+        for line in lines:
+            if isinstance(line, _Table):
+                if not out_path:
+                    _write_table(sys.stdout, line)
+            elif isinstance(line, str):
+                print(line)
+            else:
+                print(f"{line[0]} = {_fmt(line[1])}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the interpreter's
+        # own flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -28,6 +28,12 @@ def check_positive_int(name: str, value) -> None:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_nonnegative_int(name: str, value) -> None:
+    """Raise ValidationError unless value is an int (not a bool) and >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
                open_lo: bool = False, open_hi: bool = False) -> None:
     """Raise ValidationError unless value is a finite int or float (not a bool) in [lo, hi].

@@ -499,6 +499,32 @@ def all_m_type_count_vectors(k: int, M: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def stars_and_bars_compositions(total: int, parts: int) -> np.ndarray:
+    """All length-`parts` nonnegative int vectors summing to `total`, lexicographic.
+
+    Stars and bars: a row is a choice of parts−1 bar positions among the
+    total+parts−1 slots of a row of stars, and each count is the number of
+    stars between neighbouring bars. `itertools.combinations` yields the bar
+    positions in lexicographic order, so the rows are in lexicographic
+    order too. Shape (C(total+parts-1, parts-1), parts), int64. This was
+    the library's enumeration before the level-by-level kernel.
+    """
+    slots = total + parts - 1
+    rows = math.comb(slots, parts - 1)
+    out = np.empty((rows, parts), dtype=np.int64)
+    if parts == 1:
+        out[0, 0] = total
+        return out
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64, count=rows * (parts - 1)).reshape(rows, parts - 1)
+    out[:, 0] = bars[:, 0]
+    np.subtract(bars[:, 1:], bars[:, :-1], out=out[:, 1:-1])
+    out[:, 1:-1] -= 1
+    out[:, -1] = slots - 1 - bars[:, -1]
+    return out
+
+
 def brute_force_resolution_error(states, p, M: int) -> float:
     """min over M-types q of half trace distance, one candidate at a time."""
     states = [np.asarray(w, complex) for w in states]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,14 +282,44 @@ def test_m_type_enumeration_distinct_and_valid(k, M):
         cq.MType.from_counts(labels, row, M)
 
 
-@pytest.mark.parametrize("parts", range(1, 7))
-@pytest.mark.parametrize("total", range(0, 7))
+# The small grid, then many parts on a small total (the n-letter product
+# alphabets of the exact engine) and few parts on a large total.
+KERNEL_CASES = ([(total, parts) for total in range(7) for parts in range(1, 7)]
+                + [(4, 27), (3, 27), (8, 9), (6, 9), (12, 9), (300, 3), (1000, 2)])
+
+
+@pytest.mark.parametrize("total, parts", KERNEL_CASES)
 def test_compositions_match_oracle(total, parts):
     got = cq.compositions(total, parts)
-    assert got.dtype == np.int64
-    assert got.shape == (math.comb(total + parts - 1, parts - 1), parts)
-    # The oracle sorts, so equality also checks the lexicographic row order.
-    assert [tuple(row) for row in got.tolist()] == orc.all_m_type_count_vectors(parts, total)
+    want = orc.stars_and_bars_compositions(total, parts)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (math.comb(total + parts - 1, parts - 1), parts)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    if parts <= 6:
+        # The brute-force oracle sorts, so equality also checks the lexicographic row order.
+        assert [tuple(row) for row in got.tolist()] == orc.all_m_type_count_vectors(parts, total)
+
+
+def traced_peak(build, total, parts) -> int:
+    """tracemalloc's peak, in bytes, while build(total, parts) runs."""
+    tracemalloc.start()
+    try:
+        build(total, parts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The cases whose int64 output is at least 1 MiB.
+LARGE_CASES = [(total, parts) for total, parts in KERNEL_CASES
+               if math.comb(total + parts - 1, parts - 1) * parts * 8 >= 2 ** 20]
+
+
+@pytest.mark.parametrize("total, parts", LARGE_CASES)
+def test_compositions_peak_memory_is_at_most_the_oracles(total, parts):
+    assert traced_peak(cq.compositions, total, parts) <= traced_peak(
+        orc.stars_and_bars_compositions, total, parts)
 
 
 def test_m_type_enumeration_matches_oracle_counts():

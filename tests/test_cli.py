@@ -27,13 +27,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, module="cqresolve.cli"):
-    """Run `python -m <module>` in a child process that imports this checkout."""
+def module_command(*argv, module="cqresolve.cli"):
+    """The command line and environment of `python -m <module>` importing this checkout."""
     src = str(Path(cq.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, timeout=120, env=env)
+    return [sys.executable, "-m", module, *argv], env
+
+
+def run_module(*argv, module="cqresolve.cli"):
+    """Run `python -m <module>` in a child process that imports this checkout."""
+    cmd, env = module_command(*argv, module=module)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
 
 
 def kv(out: str) -> dict:
@@ -66,9 +71,49 @@ def channel_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def start_module(*argv):
+    """Start `python -m cqresolve.cli` like run_module, with stdout and stderr as pipes."""
+    cmd, env = module_command(*argv)
+    return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+
+
+SWEEP_ARGV = ("sanov-sweep", "--dist", '{"0": 0.5, "1": 0.5}')
+
+
 class TestExitCodes:
     def test_missing_command_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    def test_stdout_closed_after_one_line_exits_one(self):
+        # As `| head -1`: the table (about 350 kB) outgrows the pipe, so the
+        # child is still printing when the reader closes its end.
+        proc = start_module(*SWEEP_ARGV, "--n", "120")
+        assert proc.stdout.readline() == "n,type_counts,lhs,rhs,ok\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""
+
+    def test_stdout_closed_at_once_still_writes_the_artifact(self, capsys, tmp_path):
+        proc = start_module(*SWEEP_ARGV, "--n", "20", "--out", str(tmp_path / "closed.csv"))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""
+        assert main([*SWEEP_ARGV, "--n", "20", "--out", str(tmp_path / "open.csv")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "closed.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        main(["capacity", *EXAMPLE1])
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert main(["capacity", *EXAMPLE1]) == 0
+        assert main([]) == 2
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_unknown_builtin_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "capacity", "--builtin", "example1",

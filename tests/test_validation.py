@@ -101,6 +101,31 @@ def test_capacity_max_iter_is_a_positive_int(bad):
 
 
 # ---------------------------------------------------------------------------
+# integer arguments of the M-type enumeration
+# ---------------------------------------------------------------------------
+
+ENUMERATION_CALLS = [
+    (cq.compositions, (-1, 2)), (cq.compositions, (True, 2)), (cq.compositions, (2.0, 2)),
+    (cq.compositions, (3, 0)), (cq.compositions, (3, True)), (cq.compositions, (3, 2.0)),
+    (cq.m_type_counts, (3, True)), (cq.m_type_counts, (3, 0)), (cq.m_type_counts, (3, 2.0)),
+    (cq.m_type_counts, (2.0, 3)), (cq.m_type_counts, (0, 3)), (cq.m_type_counts, (True, 3)),
+]
+
+
+@pytest.mark.parametrize("enumerate_, args", ENUMERATION_CALLS,
+                         ids=[f"{f.__name__}{args}" for f, args in ENUMERATION_CALLS])
+def test_enumeration_argument_is_rejected(enumerate_, args):
+    with pytest.raises(ValidationError, match="must be a (positive|nonnegative) integer"):
+        enumerate_(*args)
+
+
+def test_enumeration_boundary_arguments_are_accepted():
+    assert cq.compositions(0, 1).tolist() == [[0]]
+    assert cq.compositions(0, 3).tolist() == [[0, 0, 0]]
+    assert cq.m_type_counts(1, 1).tolist() == [[1]]
+
+
+# ---------------------------------------------------------------------------
 # non-finite values of every float flag
 # ---------------------------------------------------------------------------
 
