@@ -23,6 +23,8 @@ from .linalg import DEFAULT_MAX_DIM, _check_densities, _kron_rows, as_matrix
 DIST_SUM_TOL = 1e-12
 MTYPE_INT_TOL = 1e-9
 DEFAULT_MAX_TYPES = 10 ** 7
+# Bytes of int64 counts that one M-type count matrix may take.
+MAX_COUNT_BYTES = 2 ** 31
 
 Label = Hashable
 
@@ -34,6 +36,14 @@ def format_label(label: Label) -> str:
         sep = "" if all(len(p) == 1 for p in parts) else "|"
         return sep.join(parts)
     return str(label)
+
+
+def _label_index(labels: tuple[Label, ...], label: Label) -> int:
+    """The position of a label in an alphabet; ValidationError naming it if absent."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise ValidationError(f"unknown label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,9 @@ class Distribution:
     @classmethod
     def from_dict(cls, d: dict, labels: Sequence[Label] | None = None) -> "Distribution":
         """Build from a {label: mass} map, optionally aligned to a given label order."""
+        if not isinstance(d, dict):
+            raise ValidationError(
+                f"a distribution must be a {{label: mass}} map, got {type(d).__name__}")
         if labels is None:
             labels = tuple(d.keys())
         missing = [x for x in d if x not in set(labels)]
@@ -84,18 +97,10 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, labels: Sequence[Label], at: Label) -> "Distribution":
+        labels = tuple(labels)
         masses = np.zeros(len(labels))
-        masses[list(labels).index(at)] = 1.0
-        return cls(tuple(labels), masses)
-
-    def mass(self, label: Label) -> float:
-        return float(self.masses[self.labels.index(label)])
-
-    def as_dict(self) -> dict:
-        return {label: float(m) for label, m in zip(self.labels, self.masses)}
-
-    def support(self) -> tuple[Label, ...]:
-        return tuple(x for x, m in zip(self.labels, self.masses) if m > 0)
+        masses[_label_index(labels, at)] = 1.0
+        return cls(labels, masses)
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,7 @@ class CQChannel:
         return int(self.states.shape[1])
 
     def state(self, label: Label) -> np.ndarray:
-        return self.states[self.labels.index(label)]
+        return self.states[_label_index(self.labels, label)]
 
     def _check_alphabet(self, dist: Distribution) -> None:
         if dist.labels != self.labels:
@@ -179,7 +184,7 @@ class CQChannel:
                 f"{[format_label(x) for x in self.labels]})")
 
     def power(self, n: int, max_dim: int = DEFAULT_MAX_DIM) -> "CQChannel":
-        """The memoryless n-letter channel over the product alphabet; n a positive int.
+        """The memoryless n-letter channel over the product alphabet; n and max_dim positive ints.
 
         Labels are n-tuples of base labels in C order of the letter indices,
         the first most significant, as np.kron, np.ndindex and
@@ -188,6 +193,7 @@ class CQChannel:
         checked again, which would also compound each factor's trace error.
         """
         check_positive_int("n", n)
+        check_positive_int("max_dim", max_dim)
         if self.dim ** n > max_dim:
             raise ResourceLimitError(
                 f"output dimension {self.dim}^{n} exceeds the cap {max_dim}")
@@ -286,24 +292,25 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return out
 
 
-def count_m_types(alphabet_size: int, M: int) -> int:
-    """Number of M-types on an alphabet of the given size."""
-    return math.comb(M + alphabet_size - 1, alphabet_size - 1)
-
-
 def m_type_counts(alphabet_size: int, M: int, max_types: int = DEFAULT_MAX_TYPES) -> np.ndarray:
     """Count matrix of all M-types, rows lexicographic over mass vectors.
 
-    The rows are `compositions(M, alphabet_size)`; both arguments are
-    positive ints, and more than max_types rows raise ResourceLimitError
-    before any is built.
+    The rows are `compositions(M, alphabet_size)`; all three arguments are
+    positive ints. More than max_types rows, or a matrix of more than
+    MAX_COUNT_BYTES, raise ResourceLimitError before any row is built.
     """
     check_positive_int("alphabet_size", alphabet_size)
     check_positive_int("M", M)
-    total = count_m_types(alphabet_size, M)
+    check_positive_int("max_types", max_types)
+    total = math.comb(M + alphabet_size - 1, alphabet_size - 1)
     if total > max_types:
         raise ResourceLimitError(
             f"{total} M-types exceed the enumeration cap {max_types}")
+    nbytes = total * alphabet_size * np.dtype(np.int64).itemsize
+    if nbytes > MAX_COUNT_BYTES:
+        raise ResourceLimitError(
+            f"the {total} x {alphabet_size} M-type count matrix needs {nbytes} bytes, "
+            f"over the budget of {MAX_COUNT_BYTES} bytes")
     return compositions(M, alphabet_size)
 
 
@@ -366,8 +373,5 @@ def channel_from_json(source) -> CQChannel:
 
 def distribution_from_json(source, labels: Sequence[Label] | None = None) -> Distribution:
     """Parse a {label: mass} JSON map (`_read_json`), aligned to `labels` when given."""
-    doc = _read_json(source)
-    if not isinstance(doc, dict):
-        raise ValidationError("distribution file must be a {label: mass} object")
-    return Distribution.from_dict(doc, labels)
+    return Distribution.from_dict(_read_json(source), labels)
 

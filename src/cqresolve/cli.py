@@ -258,6 +258,7 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
     if args.eps is not None and args.builtin is None:
         raise ValidationError("--eps is read only with --builtin example1")
     d, n = args.alphabet_size, args.n
+    check_positive_int("--max-dim", args.max_dim)
     if d ** n > args.max_dim:
         raise ResourceLimitError(f"d^n = {d ** n} exceeds --max-dim {args.max_dim}")
     states = all_empirical_states(n, d)

@@ -14,12 +14,8 @@ class DimensionMismatchError(ValidationError):
     """Operands live on spaces of different dimensions."""
 
 
-class DomainError(ValidationError):
-    """A scalar function was applied outside its domain (e.g. log of a zero eigenvalue)."""
-
-
 class ResourceLimitError(RuntimeError):
-    """A configured cap (matrix dimension, type count, permutation count) would be exceeded."""
+    """A configured cap (matrix dimension, type count, count-matrix bytes) would be exceeded."""
 
 
 def check_positive_int(name: str, value) -> None:

@@ -1,4 +1,4 @@
-"""Entropies, divergences, Rényi quantities, pinching, and spectral CDFs.
+"""Relative entropy, mutual information, Rényi quantities, and pinching.
 
 All logarithms are base 2. Eigenvalues below the support threshold are
 treated as zero wherever divergences are computed; infinite divergences are
@@ -21,8 +21,7 @@ import numpy.linalg as npl
 from .channel import CQChannel, Distribution, output_state
 from .errors import DimensionMismatchError, ValidationError, check_real
 from .linalg import (SpectralDecomposition, _matrix_pair, as_matrix, eigh, hermitianize,
-                     positive_part_projector, trace_distance, validate_density,
-                     validate_hermitian)
+                     trace_distance, validate_density, validate_hermitian)
 
 SUPPORT_EIG_TOL = 1e-12
 KERNEL_MASS_TOL = 1e-10
@@ -46,27 +45,6 @@ class RenyiOrder:
         return self.alpha - 1.0
 
 
-def binary_entropy(e: float) -> float:
-    """h(e) in bits, with 0·log(1/0) = 0."""
-    check_real("e", e, 0.0, 1.0)
-    out = 0.0
-    for t in (e, 1.0 - e):
-        if t > 0.0:
-            out -= t * math.log2(t)
-    return out
-
-
-def _entropy_from_probs(vals: np.ndarray) -> float:
-    vals = vals[vals > SUPPORT_EIG_TOL]
-    return float(-np.sum(vals * np.log2(vals)))
-
-
-def vn_entropy(rho) -> float:
-    """Von Neumann entropy in bits."""
-    m = validate_density(rho)
-    return _entropy_from_probs(npl.eigvalsh(m))
-
-
 def _kernel_mass(rho: np.ndarray, dec_sigma: SpectralDecomposition) -> float:
     kernel = dec_sigma.eigenvalues <= SUPPORT_EIG_TOL
     if not np.any(kernel):
@@ -77,7 +55,8 @@ def _kernel_mass(rho: np.ndarray, dec_sigma: SpectralDecomposition) -> float:
 
 def _entropy_terms(states: np.ndarray) -> np.ndarray:
     """Tr W_x log₂ W_x per input, restricted to each state's support."""
-    return np.array([-_entropy_from_probs(vals) for vals in npl.eigvalsh(states)])
+    spectra = [vals[vals > SUPPORT_EIG_TOL] for vals in npl.eigvalsh(states)]
+    return np.array([float(np.sum(vals * np.log2(vals))) for vals in spectra])
 
 
 def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
@@ -312,20 +291,3 @@ def pinching_from_spectrum(sigma) -> PinchingMap:
     """
     dec = eigh(sigma)
     return PinchingMap(tuple(hermitianize(p) for p in dec.block_projectors()))
-
-
-def spectral_cdf(rho, sigma, a: float) -> float:
-    """Tr ρ {ρ ≤ 2^a σ} for a density ρ, a PSD reference σ and a finite a < 1024."""
-    # 2.0 ** a overflows a float from a = 1024 on.
-    check_real("a", a, hi=1024.0, open_hi=True)
-    r, s = _matrix_pair(rho, sigma, validate_density, validate_hermitian)
-    s_vals = npl.eigvalsh(s)
-    if float(s_vals[0]) < -1e-10:
-        raise ValidationError("reference operator must be positive semidefinite")
-    # Python floats: the product is inf, not a warning, when it overflows.
-    if not math.isfinite(2.0 ** a * float(s_vals[-1])):
-        raise ValidationError(f"a must be small enough that 2^a times the largest "
-                              f"eigenvalue of the reference is finite, got {a!r}")
-    proj = positive_part_projector(r, (2.0 ** a) * s)
-    val = float(np.real(np.trace(r @ proj)))
-    return min(1.0, max(0.0, val))

@@ -1,8 +1,8 @@
 """Dense Hermitian-matrix kernel.
 
-Eigendecompositions with degeneracy blocks, spectral matrix functions,
-trace norm, support projectors of non-negative parts, and the one Kronecker
-product kernel, which orders every product space.
+Eigendecompositions with degeneracy blocks, trace norm, support projectors
+of non-negative parts, and the one Kronecker product kernel, which orders
+every product space.
 All operations are pure functions on numpy arrays and are safe to call
 from multiple threads.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import (DimensionMismatchError, DomainError, ResourceLimitError, ValidationError,
+from .errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
                      check_positive_int)
 
 HERMITICITY_TOL = 1e-10
@@ -114,16 +114,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
-    @property
-    def num_distinct(self) -> int:
-        """Number of degeneracy blocks (distinct eigenvalues at the grouping tolerance)."""
-        return len(self.blocks)
-
-    def matrix(self) -> np.ndarray:
-        """Reassemble U diag(λ) U†."""
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
     def block_projectors(self) -> list[np.ndarray]:
         """Orthogonal projector onto each degeneracy block's eigenspace."""
         out = []
@@ -150,26 +140,6 @@ def eigh(op) -> SpectralDecomposition:
     m = validate_hermitian(op)
     vals, vecs = npl.eigh(m)
     return _decompose(vals, vecs)
-
-
-def mat_fn(op, f) -> np.ndarray:
-    """Spectral calculus: apply the scalar function f to the eigenvalues.
-
-    Eigenvectors are unchanged. Raises DomainError when f is undefined
-    (raises, or returns a non-finite value) at some eigenvalue.
-    """
-    dec = eigh(op)
-    mapped = []
-    for lam in dec.eigenvalues:
-        try:
-            y = float(f(float(lam)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"function undefined at eigenvalue {lam!r}: {exc}") from exc
-        if not np.isfinite(y):
-            raise DomainError(f"function returned {y!r} at eigenvalue {lam!r}")
-        mapped.append(y)
-    u = dec.eigenvectors
-    return hermitianize((u * np.array(mapped)) @ u.conj().T)
 
 
 def trace_norm(op) -> float:
@@ -214,13 +184,14 @@ def _kron_rows(stack: np.ndarray, n: int) -> np.ndarray:
 
 
 def tensor_power(op, n: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """n-fold Kronecker power, capped at max_dim total dimension; n a positive int.
+    """n-fold Kronecker power, capped at max_dim total dimension; n and max_dim positive ints.
 
     The product basis is in C order of the factor indices, the first factor
     most significant, as in np.kron and np.ravel_multi_index.
     """
     m = as_matrix(op)
     check_positive_int("n", n)
+    check_positive_int("max_dim", max_dim)
     if m.shape[0] ** n > max_dim:
         raise ResourceLimitError(
             f"dimension {m.shape[0]}^{n} exceeds the cap {max_dim}")

@@ -230,13 +230,14 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
 
     The law p is on the base alphabet, taken i.i.d., or on the product one.
     The M-types come from `m_type_counts` (the level-by-level array kernel
-    of `compositions`, lexicographic order), and ties within 1e-12 of the minimum resolve to the
-    lexicographically first one. When every product state is diagonal, the
-    outputs are real diagonals and each distance is ½·Σ|sorted(difference)|;
-    otherwise the outputs are flattened matrices and each distance comes from
-    eigvalsh. Outputs are formed in batches of about EIG_BATCH_BYTES.
-    On the diagonal path the minimum's distance is then recomputed in exact
-    arithmetic, so the reported error is correctly rounded at the argmin. M and n must be positive ints.
+    of `compositions`, lexicographic order), and ties within 1e-12 of the
+    minimum resolve to the lexicographically first one. When every product
+    state is diagonal, the outputs are real diagonals and each distance is
+    ½·Σ|sorted(difference)|; otherwise the outputs are flattened matrices
+    and each distance comes from eigvalsh. Outputs are formed in batches of
+    about EIG_BATCH_BYTES. On the diagonal path the minimum's distance is
+    then recomputed in exact arithmetic, so the reported error is correctly
+    rounded at the argmin. M and n must be positive ints.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
@@ -362,9 +363,8 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
                             approximate="lower bound", worst_input=worst)
 
 
-def soft_cover_bound(order: RenyiOrder, channel: CQChannel, dist: Distribution,
-                     M: int) -> float:
-    """2^{2/α − 2} · 2^{((α−1)/α)·(I_α(X;B) − log₂ M)}, the mean-error bound.
+def _soft_cover_from_info(alpha: float, info_bits: float, M: int) -> float:
+    """The mean-error bound 2^{2/α − 2} · 2^{((α−1)/α)·(I_α − log₂ M)}, I_α in bits.
 
     The −log₂ M term sits inside the (α−1)/α factor: at α = 2 the bound is
     ½·√(2^{I₂}/M), the familiar χ²-style covering bound with the 1/√M decay
@@ -372,13 +372,6 @@ def soft_cover_bound(order: RenyiOrder, channel: CQChannel, dist: Distribution,
     factor would claim a 1/M decay, which the sample mean provably exceeds
     for any nondegenerate channel once M is large.
     """
-    check_positive_int("M", M)
-    info = renyi_mutual_info(order, channel, dist)
-    return _soft_cover_from_info(order.alpha, info.value, M)
-
-
-def _soft_cover_from_info(alpha: float, info_bits: float, M: int) -> float:
-    """The soft-covering bound given I_α in bits."""
     exponent = (2.0 / alpha - 2.0) \
         + ((alpha - 1.0) / alpha) * (info_bits - math.log2(M))
     return 2.0 ** exponent

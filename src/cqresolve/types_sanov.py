@@ -1,12 +1,11 @@
 """Method-of-types machinery in a fixed orthonormal basis.
 
-Empirical states, type projectors, permutation twirling, majorization, and
-the large-deviation set membership test, all at finite block length with
-exact integer rank arithmetic wherever counts are involved.
+Empirical states, type projectors and pinchings, the twirling domination
+margin, bad codewords, and the commuting types bound, all at finite block
+length with exact integer rank arithmetic wherever counts are involved.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,12 +15,10 @@ from .channel import (CQChannel, Distribution, Word, compositions,
                       empirical_output, output_state)
 from .errors import (DimensionMismatchError, ResourceLimitError,
                      ValidationError, check_positive_int, check_real)
-from .info import SUPPORT_EIG_TOL, PinchingMap, _entropy_from_probs
-from .linalg import DEFAULT_MAX_DIM, eigh, tensor_power, trace_norm, validate_density
+from .info import SUPPORT_EIG_TOL, PinchingMap
+from .linalg import DEFAULT_MAX_DIM, tensor_power, trace_norm, validate_density
 
 BASIS_GRAM_TOL = 1e-10
-MAJORIZATION_TOL = 1e-12
-TWIRL_MAX_PERMUTATIONS = 5040
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,6 @@ class EmpiricalState:
     def distribution(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=float) / self.n
 
-    def density(self, basis: Basis) -> np.ndarray:
-        if basis.dim != self.dim:
-            raise DimensionMismatchError(
-                f"basis dim {basis.dim} vs counts length {self.dim}")
-        v = basis.vectors
-        return (v * self.distribution()) @ v.conj().T
-
     def rank(self) -> int:
         """Exact number of words with this profile: n! / ∏ counts_j!."""
         num = math.factorial(self.n)
@@ -91,7 +81,7 @@ class EmpiricalState:
         return num
 
 
-def empirical_state(w: Word, d: int) -> EmpiricalState:
+def _empirical_state(w: Word, d: int) -> EmpiricalState:
     """Occurrence counts of the word's basis indices."""
     counts = [0] * d
     for sym in w.symbols:
@@ -130,7 +120,11 @@ def _word_mask(t: EmpiricalState) -> np.ndarray:
 
 def type_projector(t: EmpiricalState, basis: Basis, *,
                    max_dim: int = DEFAULT_MAX_DIM) -> TypeProjector:
-    """Σ over words with profile t of |v[x^n]⟩⟨v[x^n]|, with exact rank."""
+    """Σ over words with profile t of |v[x^n]⟩⟨v[x^n]|, with exact rank.
+
+    max_dim, a positive int, caps d^n.
+    """
+    check_positive_int("max_dim", max_dim)
     if basis.dim != t.dim:
         raise DimensionMismatchError(f"basis dim {basis.dim} vs profile dim {t.dim}")
     d, n = t.dim, t.n
@@ -157,97 +151,6 @@ def type_pinching(basis: Basis, n: int, *,
     return PinchingMap(projectors)
 
 
-def majorizes(p, q) -> bool:
-    """Prefix-sum dominance of descending-sorted copies of p over q."""
-    pv = np.asarray(p.masses if isinstance(p, Distribution) else p, dtype=float)
-    qv = np.asarray(q.masses if isinstance(q, Distribution) else q, dtype=float)
-    if pv.shape != qv.shape or pv.ndim != 1:
-        raise DimensionMismatchError(
-            f"majorization needs equal-length vectors, got {pv.shape} vs {qv.shape}")
-    cp = np.cumsum(np.sort(pv)[::-1])
-    cq = np.cumsum(np.sort(qv)[::-1])
-    return bool(np.all(cp >= cq - MAJORIZATION_TOL))
-
-
-@dataclass(frozen=True)
-class SanovQuery:
-    """Membership query for the exponent set {(p', ρ') : D+H-H ≤ r}.
-
-    ``p_prime`` is a sorted candidate spectrum; ``rho_prime`` is the
-    empirical profile, read as a density diagonal in the descending
-    eigenbasis of ``rho`` (count i pairs with the i-th largest eigenvalue).
-    """
-
-    p_prime: np.ndarray
-    rho_prime: EmpiricalState
-    rho: np.ndarray
-    r: float
-
-    def __post_init__(self):
-        p = np.asarray(self.p_prime, dtype=float).ravel()
-        if np.any(p < -1e-12):
-            raise ValidationError("candidate spectrum has negative entries")
-        if abs(float(p.sum()) - 1.0) > 1e-10:
-            raise ValidationError(f"candidate spectrum sums to {p.sum()}, expected 1")
-        diffs = np.diff(p)
-        if not (np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)):
-            raise ValidationError("candidate spectrum must be sorted")
-        rho = validate_density(self.rho)
-        if rho.shape[0] != self.rho_prime.dim or p.shape[0] != self.rho_prime.dim:
-            raise DimensionMismatchError("query components have mismatched dimensions")
-        check_real("radius", self.r, 0.0, open_lo=True)
-        object.__setattr__(self, "p_prime", p)
-        object.__setattr__(self, "rho", rho)
-
-
-def sanov_exponent(query: SanovQuery) -> float:
-    """D(ρ'‖ρ) + H(ρ') − H(p'), requiring p' to majorize ρ''s spectrum."""
-    spectrum = query.rho_prime.distribution()
-    if not majorizes(query.p_prime, spectrum):
-        raise ValidationError(
-            "candidate spectrum does not majorize the empirical profile")
-    lam = eigh(query.rho).eigenvalues
-    div = 0.0
-    for freq, base in zip(spectrum, lam):
-        if freq <= 0.0:
-            continue
-        if base <= SUPPORT_EIG_TOL:
-            return math.inf
-        div += freq * (math.log2(freq) - math.log2(base))
-    return div + _entropy_from_probs(spectrum) - _entropy_from_probs(query.p_prime)
-
-
-def sanov_member(query: SanovQuery) -> bool:
-    """Whether the query point lies in the radius-r exponent set."""
-    return sanov_exponent(query) <= query.r
-
-
-def twirl(op, n: int) -> np.ndarray:
-    """(1/n!) Σ_g U_g X U_g† over all permutations of the n tensor factors."""
-    m = np.asarray(op, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"operator must be square, got {m.shape}")
-    check_positive_int("n", n)
-    total = m.shape[0]
-    d = round(total ** (1.0 / n))
-    while d ** n < total:
-        d += 1
-    if d ** n != total:
-        raise ValidationError(
-            f"dimension {total} is not a perfect n = {n} tensor power")
-    if math.factorial(n) > TWIRL_MAX_PERMUTATIONS:
-        raise ResourceLimitError(f"n! = {math.factorial(n)} exceeds the "
-                                 f"permutation cap {TWIRL_MAX_PERMUTATIONS}")
-    if n == 1:
-        return m.copy()
-    tensor = m.reshape((d,) * (2 * n))
-    acc = np.zeros_like(tensor)
-    for g in itertools.permutations(range(n)):
-        axes = list(g) + [n + i for i in g]
-        acc = acc + tensor.transpose(axes)
-    return (acc / math.factorial(n)).reshape(total, total)
-
-
 def ee31_margin(w: Word, d: int, *, max_dim: int = DEFAULT_MAX_DIM) -> float:
     """Min eigenvalue of (n+1)^{d-1}·e(x^n)^{⊗n} − twirl(|x^n⟩⟨x^n|).
 
@@ -256,12 +159,15 @@ def ee31_margin(w: Word, d: int, *, max_dim: int = DEFAULT_MAX_DIM) -> float:
     projector gives the projector onto the word's type class T_c divided by
     |T_c|, so both terms are diagonal in the word basis and the margin is
     the minimum over types m of (n+1)^{d-1}·∏_j (c_j/n)^{m_j} − [m = c]/|T_c|.
-    No d^n matrix is built; max_dim still caps d^n.
+    No d^n matrix is built; max_dim still caps d^n. d and max_dim are
+    positive ints.
     """
+    check_positive_int("d", d)
+    check_positive_int("max_dim", max_dim)
     n = len(w.symbols)
     if d ** n > max_dim:
         raise ResourceLimitError(f"d^n = {d ** n} exceeds the matrix cap {max_dim}")
-    emp = empirical_state(w, d)
+    emp = _empirical_state(w, d)
     types = compositions(n, d)
     diag = ((n + 1) ** (d - 1)) * np.prod(emp.distribution() ** types, axis=1)
     diag[np.all(types == np.asarray(emp.counts), axis=1)] -= 1.0 / emp.rank()

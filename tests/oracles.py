@@ -1,11 +1,15 @@
 """Independent reference implementations used to pin expected test values.
 
-Nothing in this file imports the package under test. Every function is a
+Nothing in this file imports the package's numerics. Every function is a
 direct, brute-force, or closed-form evaluation of the quantity it names,
 kept deliberately separate from the library's algorithms: singular values
 instead of the library's Hermitian decomposition for norms, explicit
 enumeration instead of vectorized batching, classical formulas for
 commuting cases, and dense grid searches where the library iterates.
+
+Some functions here left the package because no command reads them; they
+keep their argument checks, from `cqresolve.errors`, so their tests still
+see the package's exception types.
 """
 from __future__ import annotations
 
@@ -13,10 +17,14 @@ import collections
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+
+from cqresolve.errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
+                              check_positive_int, check_real)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +76,8 @@ def commuting_phi(rho_diag, sigma_diag, s: float) -> float:
 
 
 def binary_entropy_ref(e: float) -> float:
+    """h(e) in bits, with 0·log(1/0) = 0, for e in [0, 1]."""
+    check_real("e", e, 0.0, 1.0)
     out = 0.0
     for t in (e, 1.0 - e):
         if t > 0:
@@ -469,6 +479,17 @@ def renyi_fixed_point(states, masses, alpha: float, max_iter: int = 500,
     return RenyiFixedPoint(best, iterations, converged)
 
 
+def soft_cover_bound(states, masses, alpha: float, M: int) -> float:
+    """2^{2/α − 2} · 2^{((α−1)/α)·(I_α − log₂ M)} with I_α from `renyi_fixed_point`.
+
+    Run on the kⁿ-letter product channel, it is the reference for the
+    library's single-letter bound n·I_α.
+    """
+    check_positive_int("M", M)
+    info = renyi_fixed_point(states, masses, alpha).value
+    return 2.0 ** ((2.0 / alpha - 2.0) + ((alpha - 1.0) / alpha) * (info - math.log2(M)))
+
+
 # ---------------------------------------------------------------------------
 # word and codebook states by explicit Kronecker products
 
@@ -652,6 +673,29 @@ def ceil_diag_reference(values, lam: float, v: int) -> list[float]:
     return out
 
 
+def spectral_cdf(rho, sigma, a: float) -> float:
+    """Tr ρ {ρ ≤ 2^a σ} for a density ρ, a PSD reference σ and a finite a < 1024.
+
+    {ρ ≤ 2^a σ} projects onto the eigenvalues of 2^a σ − ρ in [−1e-10, ∞).
+    """
+    # 2.0 ** a overflows a float from a = 1024 on.
+    check_real("a", a, hi=1024.0, open_hi=True)
+    rho, sigma = np.asarray(rho, complex), np.asarray(sigma, complex)
+    if rho.shape != sigma.shape:
+        raise DimensionMismatchError(f"shapes differ: {rho.shape} vs {sigma.shape}")
+    s_vals = np.linalg.eigvalsh(sigma)
+    if float(s_vals[0]) < -1e-10:
+        raise ValidationError("reference operator must be positive semidefinite")
+    # Python floats: the product is inf, not a warning, when it overflows.
+    if not math.isfinite(2.0 ** a * float(s_vals[-1])):
+        raise ValidationError(f"a must be small enough that 2^a times the largest "
+                              f"eigenvalue of the reference is finite, got {a!r}")
+    vals, vecs = np.linalg.eigh((2.0 ** a) * sigma - rho)
+    cols = vecs[:, vals >= -1e-10]
+    val = float(np.real(np.trace(rho @ cols @ cols.conj().T)))
+    return min(1.0, max(0.0, val))
+
+
 def spectral_cdf_classical(rho_diag, sigma_diag, a: float) -> float:
     total = 0.0
     for r, g in zip(np.asarray(rho_diag, float), np.asarray(sigma_diag, float)):
@@ -667,12 +711,37 @@ def multinomial_exact(n: int, counts) -> int:
     return num
 
 
+TWIRL_MAX_PERMUTATIONS = 5040
+
+
+def twirl(op, n: int) -> np.ndarray:
+    """(1/n!) Σ_g U_g X U_g†, summed explicitly over all permutations of the n factors."""
+    m = np.asarray(op)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"operator must be square, got {m.shape}")
+    check_positive_int("n", n)
+    total = m.shape[0]
+    d = round(total ** (1.0 / n))
+    while d ** n < total:
+        d += 1
+    if d ** n != total:
+        raise ValidationError(f"dimension {total} is not a perfect n = {n} tensor power")
+    if math.factorial(n) > TWIRL_MAX_PERMUTATIONS:
+        raise ResourceLimitError(f"n! = {math.factorial(n)} exceeds the "
+                                 f"permutation cap {TWIRL_MAX_PERMUTATIONS}")
+    tensor = m.reshape((d,) * (2 * n))
+    acc = np.zeros_like(tensor)
+    for g in itertools.permutations(range(n)):
+        acc = acc + tensor.transpose(list(g) + [n + i for i in g])
+    return (acc / math.factorial(n)).reshape(total, total)
+
+
 def twirl_word_margin(symbols, d: int) -> float:
     """Min eigenvalue of (n+1)^{d-1}·e(x^n)^{⊗n} − (1/n!)Σ_g U_g|x^n⟩⟨x^n|U_g†.
 
     Brute force: the n-fold Kronecker power of the empirical density, the
-    twirl as an explicit sum over all n! permutations of tensor factors,
-    and eigvalsh of the dense d^n × d^n difference.
+    `twirl` sum over all n! permutations of tensor factors, and eigvalsh of
+    the dense d^n × d^n difference.
     """
     n = len(symbols)
     counts = np.bincount(np.asarray(symbols, dtype=int), minlength=d)
@@ -685,12 +754,79 @@ def twirl_word_margin(symbols, d: int) -> float:
         flat_index = flat_index * d + int(sym)
     word = np.zeros((d ** n, d ** n))
     word[flat_index, flat_index] = 1.0
-    tensor = word.reshape((d,) * (2 * n))
-    acc = np.zeros_like(tensor)
-    for g in itertools.permutations(range(n)):
-        acc = acc + tensor.transpose(list(g) + [n + i for i in g])
-    lhs = (acc / math.factorial(n)).reshape(d ** n, d ** n)
+    lhs = twirl(word, n)
     return float(np.linalg.eigvalsh((n + 1) ** (d - 1) * rhs - lhs)[0])
+
+
+# ---------------------------------------------------------------------------
+# the Sanov exponent set, parked here until a command prints a number from it
+
+MAJORIZATION_TOL = 1e-12
+
+
+def majorizes(p, q) -> bool:
+    """Prefix-sum dominance of descending-sorted copies of p over q."""
+    pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if pv.shape != qv.shape or pv.ndim != 1:
+        raise DimensionMismatchError(
+            f"majorization needs equal-length vectors, got {pv.shape} vs {qv.shape}")
+    cp = np.cumsum(np.sort(pv)[::-1])
+    cq = np.cumsum(np.sort(qv)[::-1])
+    return bool(np.all(cp >= cq - MAJORIZATION_TOL))
+
+
+@dataclass(frozen=True)
+class SanovQuery:
+    """Membership query for the exponent set {(p', ρ') : D+H-H ≤ r}.
+
+    ``p_prime`` is a sorted candidate spectrum; ``rho_prime`` is the
+    empirical profile (an EmpiricalState), read as a density diagonal in
+    the descending eigenbasis of ``rho`` (count i pairs with the i-th
+    largest eigenvalue).
+    """
+
+    p_prime: np.ndarray
+    rho_prime: object
+    rho: np.ndarray
+    r: float
+
+    def __post_init__(self):
+        p = np.asarray(self.p_prime, dtype=float).ravel()
+        if np.any(p < -1e-12):
+            raise ValidationError("candidate spectrum has negative entries")
+        if abs(float(p.sum()) - 1.0) > 1e-10:
+            raise ValidationError(f"candidate spectrum sums to {p.sum()}, expected 1")
+        diffs = np.diff(p)
+        if not (np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)):
+            raise ValidationError("candidate spectrum must be sorted")
+        rho = np.asarray(self.rho, dtype=complex)
+        if rho.shape[0] != self.rho_prime.dim or p.shape[0] != self.rho_prime.dim:
+            raise DimensionMismatchError("query components have mismatched dimensions")
+        check_real("radius", self.r, 0.0, open_lo=True)
+        object.__setattr__(self, "p_prime", p)
+        object.__setattr__(self, "rho", rho)
+
+
+def sanov_exponent(query: SanovQuery) -> float:
+    """D(ρ'‖ρ) + H(ρ') − H(p'), requiring p' to majorize ρ''s spectrum."""
+    spectrum = query.rho_prime.distribution()
+    if not majorizes(query.p_prime, spectrum):
+        raise ValidationError(
+            "candidate spectrum does not majorize the empirical profile")
+    lam = np.sort(np.linalg.eigvalsh(query.rho))[::-1]
+    div = 0.0
+    for freq, base in zip(spectrum, lam):
+        if freq <= 0.0:
+            continue
+        if base <= 1e-12:
+            return math.inf
+        div += freq * (math.log2(freq) - math.log2(base))
+    return div + entropy_bits(spectrum) - entropy_bits(query.p_prime)
+
+
+def sanov_member(query: SanovQuery) -> bool:
+    """Whether the query point lies in the radius-r exponent set."""
+    return sanov_exponent(query) <= query.r
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -262,12 +262,28 @@ def test_m_type_enumeration_binary_resolution_three():
 
 
 def test_m_type_count_formula():
-    assert cq.count_m_types(4, 6) == math.comb(6 + 3, 3)
+    assert cq.m_type_counts(4, 6).shape == (math.comb(6 + 3, 3), 4)
 
 
 def test_m_type_enumeration_cap():
     with pytest.raises(errors.ResourceLimitError):
         cq.m_type_counts(12, 100)  # C(111, 11) >> 1e7
+
+
+def test_m_type_count_matrix_byte_budget():
+    # 10^6 rows pass the row cap, but 10^6 × 10^6 int64 counts are 8 TB.
+    with pytest.raises(errors.ResourceLimitError,
+                       match=r"needs 8000000000000 bytes, over the budget of 2147483648 bytes"):
+        cq.m_type_counts(10 ** 6, 1)
+
+
+def test_m_type_count_matrix_at_the_byte_budget_is_built(monkeypatch):
+    # 4 rows × 2 letters × 8 bytes: built at a budget of 64 bytes, refused at 63.
+    monkeypatch.setattr(cq.channel, "MAX_COUNT_BYTES", 64)
+    assert cq.m_type_counts(2, 3).shape == (4, 2)
+    monkeypatch.setattr(cq.channel, "MAX_COUNT_BYTES", 63)
+    with pytest.raises(errors.ResourceLimitError, match="needs 64 bytes"):
+        cq.m_type_counts(2, 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -392,8 +408,8 @@ def test_number_labels_take_a_json_distribution_and_id_code():
     code = cq.idcode_from_json({"lambda1": 0.1, "lambda2": 0.1, "entries": [
         {"dist": {"0": 1.0}, "test": zero}, {"dist": {"1": 1.0}, "test": zero}]},
         labels=channel.labels)
-    assert [d.as_dict() for d, _ in code.entries] == [{"0": 1.0, "1": 0.0},
-                                                      {"0": 0.0, "1": 1.0}]
+    assert [(d.labels, d.masses.tolist()) for d, _ in code.entries] == [
+        (("0", "1"), [1.0, 0.0]), (("0", "1"), [0.0, 1.0])]
 
 
 def test_distribution_json(tmp_path):

@@ -142,6 +142,18 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    def test_count_matrix_past_the_byte_budget_is_exit_three(self, tmp_path):
+        # 100^3 one-dimensional product letters at M = 1: 10^6 M-types pass
+        # the row cap, but their count matrix would take 8 TB.
+        path = tmp_path / "c100.json"
+        path.write_text(json.dumps({"dim": 1, "inputs": [
+            {"label": str(i), "state": [[[1.0, 0.0]]]} for i in range(100)]}))
+        proc = run_module("resolve", "--channel", str(path), "--n", "3", "--M", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit: ")
+        assert "bytes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_channel_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "capacity", "--channel",
                                str(tmp_path / "nope.json"))

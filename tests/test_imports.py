@@ -1,13 +1,18 @@
 """Every import in the package and the test suite is used, every private
-module-level name in the package is referenced somewhere in the package, the
-package makes no Kronecker product outside `linalg._kron_rows`, and it parses
-JSON input in one function."""
+module-level name in the package is referenced somewhere in the package,
+every exported name is reached by a command, a demo or an acceptance test,
+the package makes no Kronecker product outside `linalg._kron_rows`, and it
+parses JSON input in one function."""
 from __future__ import annotations
 
 import ast
+import collections
+import inspect
 from pathlib import Path
 
 import pytest
+
+import cqresolve as cq
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_MODULES = sorted((ROOT / "src" / "cqresolve").glob("*.py"))
@@ -50,17 +55,20 @@ def test_gate_flags_an_unused_import():
     assert unused_imports(source) == ["line 1: math", "line 3: la"]
 
 
+def _definitions(node: ast.stmt) -> list[str]:
+    """Names that a module-level def, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _private_definitions(node: ast.stmt) -> list[str]:
     """Names with one leading underscore that a module-level statement defines."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, ast.Assign):
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        names = [node.target.id]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in _definitions(node) if n.startswith("_") and not n.startswith("__")]
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
@@ -93,6 +101,64 @@ def test_gate_flags_an_unreferenced_private_name():
                "b.py": "import a\nprint(a._X)\nclass _C:\n    pass\n"}
     assert unreferenced_private_names(sources) == [
         "a.py:4: _Z", "a.py:5: _f", "b.py:3: _C"]
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names that a syntax tree uses as a bare name or as an attribute."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def unreached_exports(exports, sources: list[str], entries: list[str]) -> list[str]:
+    """Exported names that nothing reached from the entry sources reads.
+
+    `sources` are the package's modules and `entries` the sources that use
+    it from outside. A name is reached when an entry reads it, or when a
+    module-level definition of a reached name reads it: a function reaches
+    what it calls and the type it builds, a class what its methods read.
+    So a name that only the package's unreached code reads is unreached.
+    """
+    reads_of = collections.defaultdict(set)
+    for source in sources:
+        for node in ast.parse(source).body:
+            for name in _definitions(node):
+                reads_of[name] |= _reads(node)
+    reached = set().union(*(_reads(ast.parse(source)) for source in entries))
+    todo = list(reached)
+    while todo:
+        fresh = reads_of.get(todo.pop(), set()) - reached
+        reached |= fresh
+        todo.extend(fresh)
+    return sorted(set(exports) - reached)
+
+
+# Exports that no command, demo or acceptance test reaches, each kept for a reason.
+KEPT_UNREACHED = {
+    "sandwiched_renyi": "D̃_α(W_x‖σ) is the divergence kernel of the worst-input "
+                        "radius bound on the ROADMAP",
+    "qrel_entropy": "the one-input form of info._divergences; its tests are that "
+                    "kernel's direct tests of the support rule",
+}
+
+
+def test_every_export_is_reached_by_a_command_demo_or_acceptance_test():
+    exports = [name for name in cq.__all__ if not inspect.ismodule(getattr(cq, name))]
+    sources = [p.read_text(encoding="utf-8") for p in SRC_MODULES if p.name != "__init__.py"]
+    entries = [p.read_text(encoding="utf-8") for p in
+               [ROOT / "src" / "cqresolve" / "cli.py", ROOT / "tests" / "test_acceptance.py",
+                *sorted((ROOT / "demos").glob("*.py"))]]
+    assert unreached_exports(exports, sources, entries) == sorted(KEPT_UNREACHED)
+
+
+def test_gate_flags_an_unreached_export():
+    sources = ["def f():\n    return g()\n\ndef g():\n    return R(1)\n\n"
+               "class R:\n    def m(self):\n        return self.h()\n\n"
+               "def h():\n    pass\n\ndef unused():\n    return k\n\n"
+               "def k():\n    pass\n",
+               "X = 1\nY: int = 2\n"]
+    entries = ["import pkg\npkg.f()\nprint(Y)\n"]
+    exports = ["f", "g", "R", "h", "unused", "k", "X", "Y"]
+    assert unreached_exports(exports, sources, entries) == ["X", "k", "unused"]
 
 
 def kron_references(source: str) -> list[str]:

@@ -1,4 +1,4 @@
-"""Entropies, divergences, Rényi quantities, pinching, spectral CDF."""
+"""Entropies, divergences, Rényi quantities, pinching, and the reference spectral CDF."""
 from __future__ import annotations
 
 import math
@@ -11,45 +11,51 @@ from hypothesis import strategies as st
 
 import cqresolve as cq
 from cqresolve import errors
+from cqresolve.info import _entropy_terms
 import oracles as orc
 
 from conftest import assert_psd
 
 
 # ---------------------------------------------------------------------------
-# binary / von Neumann entropy
+# binary entropy (the oracle the rate tests use) and von Neumann entropy
+# (the library's per-input kernel, Tr W log₂ W = −H(W))
 
 
 def test_binary_entropy_half_is_one_bit():
-    assert cq.binary_entropy(0.5) == pytest.approx(1.0, abs=1e-12)
+    assert orc.binary_entropy_ref(0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_binary_entropy_degenerate_inputs():
-    assert cq.binary_entropy(0.0) == 0.0
-    assert cq.binary_entropy(1.0) == 0.0
+    assert orc.binary_entropy_ref(0.0) == 0.0
+    assert orc.binary_entropy_ref(1.0) == 0.0
 
 
 def test_binary_entropy_generic_point():
-    assert cq.binary_entropy(0.11) == pytest.approx(0.49992, abs=1e-5)
-    assert cq.binary_entropy(0.11) == pytest.approx(orc.binary_entropy_ref(0.11),
-                                                    abs=1e-12)
+    assert orc.binary_entropy_ref(0.11) == pytest.approx(0.49992, abs=1e-5)
 
 
 def test_binary_entropy_rejects_out_of_range():
     with pytest.raises(errors.ValidationError):
-        cq.binary_entropy(1.2)
+        orc.binary_entropy_ref(1.2)
+
+
+def vn_entropy(rho) -> float:
+    return -float(_entropy_terms(np.asarray(rho, dtype=complex)[None])[0])
 
 
 def test_vn_entropy_pure_state_is_zero():
-    assert cq.vn_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+    assert vn_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vn_entropy_maximally_mixed():
-    assert cq.vn_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-10)
+    assert vn_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_vn_entropy_matches_binary_entropy():
-    assert cq.vn_entropy(np.diag([0.8, 0.2])) == pytest.approx(0.72193, abs=1e-5)
+    assert vn_entropy(np.diag([0.8, 0.2])) == pytest.approx(0.72193, abs=1e-5)
+    assert vn_entropy(np.diag([0.8, 0.2])) == pytest.approx(orc.binary_entropy_ref(0.2),
+                                                            abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +114,7 @@ def test_qrel_entropy_matches_classical_kl():
 
 def test_mutual_info_flip_channel_value(flip_erase_channel):
     channel, dist = flip_erase_channel
-    expected = 1.0 - cq.binary_entropy(0.1)
+    expected = 1.0 - orc.binary_entropy_ref(0.1)
     assert cq.mutual_info(channel, dist) == pytest.approx(expected, abs=1e-10)
 
 
@@ -447,18 +453,18 @@ def test_type_pinching_sandwich_for_product_states():
 
 
 # ---------------------------------------------------------------------------
-# spectral CDF
+# spectral CDF (oracles)
 
 
 def test_spectral_cdf_self_reference_saturates():
     rng = np.random.default_rng(28)
     rho = orc.random_density(rng, 3)
-    assert cq.spectral_cdf(rho, rho, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert cq.spectral_cdf(rho, rho, 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert orc.spectral_cdf(rho, rho, 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert orc.spectral_cdf(rho, rho, 2.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_spectral_cdf_disjoint_supports():
-    assert cq.spectral_cdf(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+    assert orc.spectral_cdf(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                            0.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -469,7 +475,7 @@ def test_spectral_cdf_commuting_matches_classical():
         p = rng.dirichlet(np.full(d, 1.0))
         q = rng.dirichlet(np.full(d, 1.0))
         a = float(rng.uniform(-2, 2))
-        got = cq.spectral_cdf(np.diag(p), np.diag(q), a)
+        got = orc.spectral_cdf(np.diag(p), np.diag(q), a)
         assert got == pytest.approx(orc.spectral_cdf_classical(p, q, a),
                                     abs=1e-10)
 
@@ -478,9 +484,9 @@ def test_spectral_cdf_rejects_a_whose_scaled_reference_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(errors.ValidationError, match=r"^a must be .*, got 1023\.0$"):
-            cq.spectral_cdf(np.eye(2) / 2, 4 * np.eye(2), 1023.0)
+            orc.spectral_cdf(np.eye(2) / 2, 4 * np.eye(2), 1023.0)
         # 2^1023·λ_max stays finite for a reference with λ_max < 2.
-        assert cq.spectral_cdf(np.eye(2) / 2, np.eye(2), 1023.0) == 1.0
+        assert orc.spectral_cdf(np.eye(2) / 2, np.eye(2), 1023.0) == 1.0
 
 
 def test_spectral_cdf_monotone_in_threshold():
@@ -489,6 +495,6 @@ def test_spectral_cdf_monotone_in_threshold():
         d = int(rng.integers(2, 5))
         rho, sigma = orc.random_density(rng, d), orc.random_density(rng, d)
         grid = np.linspace(-3, 3, 25)
-        vals = [cq.spectral_cdf(rho, sigma, float(a)) for a in grid]
+        vals = [orc.spectral_cdf(rho, sigma, float(a)) for a in grid]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
         assert all(-1e-12 <= v <= 1 + 1e-12 for v in vals)

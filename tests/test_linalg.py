@@ -1,5 +1,4 @@
-"""Dense Hermitian kernel: eigendecomposition, matrix functions, norms,
-projectors, tensor powers."""
+"""Dense Hermitian kernel: eigendecomposition, norms, projectors, tensor powers."""
 from __future__ import annotations
 
 import math
@@ -68,7 +67,7 @@ def test_eigh_rejects_non_hermitian():
 
 def test_eigh_groups_degenerate_eigenvalues():
     dec = cq.eigh(np.diag([0.5, 0.5, 0.25]))
-    assert dec.num_distinct == 2
+    assert len(dec.blocks) == 2
     sizes = sorted(len(b) for b in dec.blocks)
     assert sizes == [1, 2]
 
@@ -83,52 +82,6 @@ def test_jacobi_eigh_matches_default_solver():
         np.testing.assert_allclose(jac.eigenvalues, ev_default, atol=1e-9)
         recon = jac.eigenvectors @ np.diag(jac.eigenvalues) @ jac.eigenvectors.conj().T
         assert float(np.max(np.abs(recon - a))) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# mat_fn
-
-
-def test_mat_fn_identity_returns_input():
-    rho = np.diag([0.3, 0.7])
-    out = cq.mat_fn(rho, lambda x: x)
-    np.testing.assert_allclose(out, rho, atol=1e-12)
-
-
-def test_mat_fn_square_on_indefinite_diagonal():
-    out = cq.mat_fn(np.diag([3.0, -1.0]), lambda x: x * x)
-    np.testing.assert_allclose(out, np.diag([9.0, 1.0]), atol=1e-12)
-
-
-def test_mat_fn_log2_on_maximally_mixed():
-    out = cq.mat_fn(np.diag([0.5, 0.5]), math.log2)
-    np.testing.assert_allclose(out, np.diag([-1.0, -1.0]), atol=1e-12)
-
-
-def test_mat_fn_rejects_function_undefined_at_eigenvalue():
-    with pytest.raises(errors.DomainError):
-        cq.mat_fn(np.diag([0.5, 0.0]), math.log2)
-
-
-def test_mat_fn_preserves_eigenvectors():
-    rng = np.random.default_rng(11)
-    a = random_hermitian(rng, 4)
-    a = a @ a.conj().T  # PSD so sqrt is defined
-    out = cq.mat_fn(a, math.sqrt)
-    np.testing.assert_allclose(out @ a, a @ out, atol=1e-9)
-    np.testing.assert_allclose(out @ out, a, atol=1e-8)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_mat_fn_composition_for_monotone_functions(seed):
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 6))
-    a = random_hermitian(rng, d)
-    a = a @ a.conj().T + 0.1 * np.eye(d)  # strictly positive spectrum
-    via_two = cq.mat_fn(cq.mat_fn(a, math.log), math.exp)
-    via_one = cq.mat_fn(a, lambda x: math.exp(math.log(x)))
-    assert float(np.max(np.abs(via_two - via_one))) < 1e-9
 
 
 # ---------------------------------------------------------------------------

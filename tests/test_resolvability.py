@@ -358,8 +358,14 @@ class TestExactEngine:
 
 
 # ---------------------------------------------------------------------------
-# soft_cover_bound
+# the soft-covering bound, as soft_cover_simulate reports it at n = 1
 # ---------------------------------------------------------------------------
+
+
+def single_letter_bound(alpha: float, channel, dist, M: int) -> float:
+    """The bound of soft_cover_simulate at n = 1 (one codebook sample)."""
+    return cq.soft_cover_simulate(channel, dist, M, 1, 1, 0,
+                                  orders=(cq.RenyiOrder(alpha),)).bounds[alpha]
 
 
 class TestSoftCoverBound:
@@ -369,28 +375,28 @@ class TestSoftCoverBound:
         state = np.diag([0.6, 0.4]).astype(complex)
         ch = cq.CQChannel(("0", "1"), (state, state))
         p = cq.Distribution(("0", "1"), (0.5, 0.5))
-        val = cq.soft_cover_bound(cq.RenyiOrder(2.0), ch, p, 4)
+        val = single_letter_bound(2.0, ch, p, 4)
         assert val == pytest.approx(0.25, abs=1e-12)
 
     def test_trivial_channel_m1_is_half(self):
         state = np.diag([0.6, 0.4]).astype(complex)
         ch = cq.CQChannel(("0", "1"), (state, state))
         p = cq.Distribution(("0", "1"), (0.5, 0.5))
-        val = cq.soft_cover_bound(cq.RenyiOrder(2.0), ch, p, 1)
+        val = single_letter_bound(2.0, ch, p, 1)
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_doubling_m_scales_by_two_to_minus_ratio(self):
         ch, p = build_binary_flip(0.1)
         for alpha in (1.25, 1.5, 2.0):
-            b1 = cq.soft_cover_bound(cq.RenyiOrder(alpha), ch, p, 8)
-            b2 = cq.soft_cover_bound(cq.RenyiOrder(alpha), ch, p, 16)
+            b1 = single_letter_bound(alpha, ch, p, 8)
+            b2 = single_letter_bound(alpha, ch, p, 16)
             assert b2 / b1 == pytest.approx(2.0 ** (-(alpha - 1.0) / alpha),
                                             rel=1e-10)
 
     def test_positive_and_finite(self):
         ch, p = build_binary_flip(0.25)
         for alpha in (1.1, 1.5, 2.0):
-            val = cq.soft_cover_bound(cq.RenyiOrder(alpha), ch, p, 32)
+            val = single_letter_bound(alpha, ch, p, 32)
             assert 0.0 < val < math.inf
 
     def test_alpha_at_most_one_rejected(self):
@@ -439,7 +445,7 @@ class TestSoftCoverSimulate:
         assert set(rep.bounds) == {1.25, 2.0}
         for alpha, bound in rep.bounds.items():
             assert bound == pytest.approx(
-                cq.soft_cover_bound(cq.RenyiOrder(alpha), ch, p, 4), rel=1e-12)
+                orc.soft_cover_bound(ch.states, p.masses, alpha, 4), rel=1e-12)
 
     def test_mean_within_three_se_of_bound(self):
         ch, p = build_binary_flip(0.1)
@@ -450,7 +456,7 @@ class TestSoftCoverSimulate:
     @pytest.mark.parametrize("n", [2, 3])
     def test_bounds_match_product_channel_oracle(self, n):
         # Additivity of I_α: the single-letter bound must equal the bound
-        # computed by the fixed point on the kⁿ-letter product channel.
+        # the oracle's fixed point computes on the kⁿ-letter product channel.
         rng = np.random.default_rng(2024)
         labels = ("0", "1", "2", "3")
         ch = cq.CQChannel(labels, tuple(orc.random_density(rng, 2) for _ in labels))
@@ -459,12 +465,11 @@ class TestSoftCoverSimulate:
         masses_n = p.masses
         for _ in range(n - 1):
             masses_n = np.kron(masses_n, p.masses)
-        p_n = cq.Distribution(product.labels, masses_n)
         alphas = (1.25, 1.5, 2.0)
         rep = cq.soft_cover_simulate(ch, p, 16, n, 2, 9,
                                      orders=tuple(cq.RenyiOrder(a) for a in alphas))
         for alpha in alphas:
-            oracle = cq.soft_cover_bound(cq.RenyiOrder(alpha), product, p_n, 16)
+            oracle = orc.soft_cover_bound(product.states, masses_n, alpha, 16)
             assert rep.bounds[alpha] == pytest.approx(oracle, rel=1e-8)
 
     def test_samples_prefix_is_stable(self):
@@ -734,6 +739,6 @@ def test_error_zero_when_p_is_m_type(M, eps):
        st.integers(min_value=1, max_value=6))
 def test_soft_cover_bound_monotone_in_m(alpha, k):
     ch, p = build_binary_flip(0.15)
-    b1 = cq.soft_cover_bound(cq.RenyiOrder(alpha), ch, p, 2 ** k)
-    b2 = cq.soft_cover_bound(cq.RenyiOrder(alpha), ch, p, 2 ** (k + 1))
+    b1 = single_letter_bound(alpha, ch, p, 2 ** k)
+    b2 = single_letter_bound(alpha, ch, p, 2 ** (k + 1))
     assert b2 <= b1 + 1e-15

@@ -1,4 +1,5 @@
-"""Tests for empirical states, type projectors, majorization, and twirling."""
+"""Tests for empirical states, type projectors, the twirling margin, and the
+reference majorization, Sanov exponent and twirl kept in the oracles."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import cqresolve as cq
 from cqresolve import ValidationError
+from cqresolve.types_sanov import _empirical_state
 
 import oracles as orc
 
@@ -42,17 +44,17 @@ class TestBasisAndEmpiricalState:
             cq.EmpiricalState((-1, 5), 4)
 
     def test_word_0010_has_counts_31(self):
-        es = cq.empirical_state(cq.Word((0, 0, 1, 0)), 2)
+        es = _empirical_state(cq.Word((0, 0, 1, 0)), 2)
         assert es.counts == (3, 1)
         assert es.n == 4
 
     def test_constant_word_point_counts(self):
-        es = cq.empirical_state(cq.Word((2, 2, 2)), 3)
+        es = _empirical_state(cq.Word((2, 2, 2)), 3)
         assert es.counts == (0, 0, 3)
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValidationError):
-            cq.empirical_state(cq.Word((0, 3)), 2)
+        with pytest.raises(ValidationError, match="basis index 3 out of range"):
+            cq.ee31_margin(cq.Word((0, 3)), 2)
 
     def test_density_matches_diagonal_channel_empirical_output(self):
         # For the channel x ↦ |x⟩⟨x| the empirical output of a word is
@@ -63,8 +65,8 @@ class TestBasisAndEmpiricalState:
             tuple(np.diag(np.eye(d)[i]).astype(complex) for i in range(d)),
         )
         w = cq.Word((0, 2, 2, 1, 0, 0))
-        es = cq.empirical_state(w, d)
-        np.testing.assert_allclose(es.density(standard_basis(d)),
+        es = _empirical_state(w, d)
+        np.testing.assert_allclose(np.diag(es.distribution()),
                                    cq.empirical_output(ch, w), atol=1e-12)
 
     def test_type_count_formula(self):
@@ -134,80 +136,80 @@ class TestTypeProjector:
 
 
 # ---------------------------------------------------------------------------
-# majorizes
+# majorizes (oracles)
 # ---------------------------------------------------------------------------
 
 
 class TestMajorizes:
     def test_example_pair(self):
-        assert cq.majorizes((0.7, 0.3), (0.6, 0.4))
-        assert not cq.majorizes((0.6, 0.4), (0.7, 0.3))
+        assert orc.majorizes((0.7, 0.3), (0.6, 0.4))
+        assert not orc.majorizes((0.6, 0.4), (0.7, 0.3))
 
     def test_reflexive(self):
-        assert cq.majorizes((0.5, 0.3, 0.2), (0.5, 0.3, 0.2))
+        assert orc.majorizes((0.5, 0.3, 0.2), (0.5, 0.3, 0.2))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10 ** 6))
     def test_uniform_majorized_by_everything(self, d, seed):
         rng = np.random.default_rng(seed)
         q = rng.dirichlet(np.ones(d))
-        assert cq.majorizes(q, np.full(d, 1.0 / d))
+        assert orc.majorizes(q, np.full(d, 1.0 / d))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            cq.majorizes((0.5, 0.5), (0.5, 0.3, 0.2))
+            orc.majorizes((0.5, 0.5), (0.5, 0.3, 0.2))
 
     def test_order_convention_irrelevant(self):
         # Inputs are resorted internally, so ascending storage gives the
         # same verdict as descending.
-        assert cq.majorizes((0.3, 0.7), (0.4, 0.6))
+        assert orc.majorizes((0.3, 0.7), (0.4, 0.6))
 
 
 # ---------------------------------------------------------------------------
-# sanov_exponent / sanov_member
+# sanov_exponent / sanov_member (oracles)
 # ---------------------------------------------------------------------------
 
 
 class TestSanov:
     def test_all_terms_cancel(self):
         rho = np.diag([0.8, 0.2]).astype(complex)
-        q = cq.SanovQuery((0.8, 0.2), cq.EmpiricalState((8, 2), 10), rho, 1.0)
-        assert cq.sanov_exponent(q) == pytest.approx(0.0, abs=1e-12)
-        assert cq.sanov_member(q)
+        q = orc.SanovQuery((0.8, 0.2), cq.EmpiricalState((8, 2), 10), rho, 1.0)
+        assert orc.sanov_exponent(q) == pytest.approx(0.0, abs=1e-12)
+        assert orc.sanov_member(q)
 
     def test_reduces_to_divergence_when_p_matches(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
-        q = cq.SanovQuery((0.7, 0.3), cq.EmpiricalState((7, 3), 10), rho, 1.0)
+        q = orc.SanovQuery((0.7, 0.3), cq.EmpiricalState((7, 3), 10), rho, 1.0)
         expected = orc.kl_bits(np.array([0.7, 0.3]), np.array([0.5, 0.5]))
-        assert cq.sanov_exponent(q) == pytest.approx(expected, abs=1e-12)
+        assert orc.sanov_exponent(q) == pytest.approx(expected, abs=1e-12)
 
     def test_commuting_value_one_minus_h(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
-        q = cq.SanovQuery((0.8, 0.2), cq.EmpiricalState((8, 2), 10), rho, 1.0)
-        val = cq.sanov_exponent(q)
+        q = orc.SanovQuery((0.8, 0.2), cq.EmpiricalState((8, 2), 10), rho, 1.0)
+        val = orc.sanov_exponent(q)
         assert val == pytest.approx(1.0 - orc.binary_entropy_ref(0.2), abs=1e-12)
         assert val == pytest.approx(0.278, abs=5e-4)
 
     def test_majorization_violation_rejected(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
-        q = cq.SanovQuery((0.5, 0.5), cq.EmpiricalState((8, 2), 10), rho, 1.0)
+        q = orc.SanovQuery((0.5, 0.5), cq.EmpiricalState((8, 2), 10), rho, 1.0)
         with pytest.raises(ValidationError):
-            cq.sanov_exponent(q)
+            orc.sanov_exponent(q)
 
     def test_support_violation_gives_infinity(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        q = cq.SanovQuery((0.9, 0.1), cq.EmpiricalState((9, 1), 10), rho, 5.0)
-        assert cq.sanov_exponent(q) == math.inf
-        assert not cq.sanov_member(q)
+        q = orc.SanovQuery((0.9, 0.1), cq.EmpiricalState((9, 1), 10), rho, 5.0)
+        assert orc.sanov_exponent(q) == math.inf
+        assert not orc.sanov_member(q)
 
     def test_membership_monotone_in_radius(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
         es = cq.EmpiricalState((8, 2), 10)
-        val = cq.sanov_exponent(cq.SanovQuery((0.8, 0.2), es, rho, 1.0))
-        below = cq.SanovQuery((0.8, 0.2), es, rho, val * 0.9)
-        above = cq.SanovQuery((0.8, 0.2), es, rho, val * 1.1)
-        assert not cq.sanov_member(below)
-        assert cq.sanov_member(above)
+        val = orc.sanov_exponent(orc.SanovQuery((0.8, 0.2), es, rho, 1.0))
+        below = orc.SanovQuery((0.8, 0.2), es, rho, val * 0.9)
+        above = orc.SanovQuery((0.8, 0.2), es, rho, val * 1.1)
+        assert not orc.sanov_member(below)
+        assert orc.sanov_member(above)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -220,12 +222,12 @@ class TestSanov:
         rho = np.diag(np.sort(probs)[::-1]).astype(complex)
         es = cq.EmpiricalState(tuple(int(c) for c in cuts), n)
         spectrum = np.asarray(cuts, dtype=float) / n
-        q = cq.SanovQuery(tuple(spectrum), es, rho, 10.0)
-        assert cq.sanov_exponent(q) >= -1e-12
+        q = orc.SanovQuery(tuple(spectrum), es, rho, 10.0)
+        assert orc.sanov_exponent(q) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
-# twirl
+# twirl (oracles; the reference sum of twirl_word_margin)
 # ---------------------------------------------------------------------------
 
 
@@ -234,7 +236,7 @@ class TestTwirl:
         e01 = np.zeros(4)
         e01[1] = 1.0
         op = np.outer(e01, e01)
-        out = cq.twirl(op, 2)
+        out = orc.twirl(op, 2)
         expected = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
         np.testing.assert_allclose(out, expected, atol=1e-12)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
@@ -242,35 +244,35 @@ class TestTwirl:
     def test_symmetric_input_fixed(self):
         t = cq.EmpiricalState((1, 1), 2)
         m = cq.type_projector(t, standard_basis(2)).matrix
-        np.testing.assert_allclose(cq.twirl(m, 2), m, atol=1e-12)
+        np.testing.assert_allclose(orc.twirl(m, 2), m, atol=1e-12)
 
     def test_product_state_fixed(self):
         rng = np.random.default_rng(12)
         rho = orc.random_density(rng, 2)
         prod = np.kron(rho, np.kron(rho, rho))
-        np.testing.assert_allclose(cq.twirl(prod, 3), prod, atol=1e-12)
+        np.testing.assert_allclose(orc.twirl(prod, 3), prod, atol=1e-12)
 
     def test_idempotent_and_trace_preserving(self):
         rng = np.random.default_rng(13)
         op = orc.random_density(rng, 4)  # d=2, n=2 tensor square
-        once = cq.twirl(op, 2)
-        twice = cq.twirl(once, 2)
+        once = orc.twirl(op, 2)
+        twice = orc.twirl(once, 2)
         np.testing.assert_allclose(once, twice, atol=1e-12)
         assert np.trace(once) == pytest.approx(np.trace(op), abs=1e-12)
 
     def test_permutation_cap(self):
         op = np.eye(2 ** 8, dtype=complex)
         with pytest.raises(cq.ResourceLimitError):
-            cq.twirl(op, 8)
+            orc.twirl(op, 8)
 
     def test_non_tensor_power_dimension_rejected(self):
         with pytest.raises(ValidationError):
-            cq.twirl(np.eye(6, dtype=complex), 2)
+            orc.twirl(np.eye(6, dtype=complex), 2)
 
 
 @pytest.mark.parametrize("bad", [True, False, 0, -1, 2.5, "2"])
 @pytest.mark.parametrize("call", [
-    lambda bad: cq.twirl(np.eye(2, dtype=complex), bad),
+    lambda bad: orc.twirl(np.eye(2, dtype=complex), bad),
     lambda bad: cq.all_empirical_states(bad, 2),
     lambda bad: cq.all_empirical_states(2, bad),
     lambda bad: cq.EmpiricalState((1, 0), n=bad),
@@ -409,7 +411,7 @@ class TestEE31:
         # the type must give the same float bits.
         by_type = {}
         for symbols in itertools.product(range(d), repeat=n):
-            t = cq.empirical_state(cq.Word(symbols), d).counts
+            t = _empirical_state(cq.Word(symbols), d).counts
             by_type.setdefault(t, set()).add(cq.ee31_margin(cq.Word(symbols), d))
         assert len(by_type) == math.comb(n + d - 1, d - 1)
         assert all(len(margins) == 1 for margins in by_type.values())

@@ -1,9 +1,12 @@
-"""The validation boundary: real arguments, float flags, JSON sources, and
-product channels built from checked factors.
+"""The validation boundary: real arguments, integer sizes and caps, labels,
+float flags, JSON sources, and product channels built from checked factors.
 
 Every library entry point that takes a real argument rejects NaN, ±∞, a
 bool and a just-out-of-range value with ValidationError, and still accepts
-its boundary values. Every float flag of every command exits 2 on a
+its boundary values; so do the references that left the library for the
+oracles with their checks. Every size and cap is a positive int, in the
+library and on the command line (exit 2). A label outside an alphabet is
+named in a ValidationError. Every float flag of every command exits 2 on a
 non-finite value. The three JSON loaders treat a str or path-like source
 as a file and anything else as the parsed document. A product channel is
 built from its checked factors and is not checked again, so a channel at
@@ -31,6 +34,7 @@ from cqresolve import ValidationError
 from cqresolve.cli import main
 from cqresolve.linalg import _kron_rows
 
+import oracles as orc
 from conftest import (BASE_ARGV, CODE_DOC, base_argv, build_flip_erase_channel,
                       command_parsers)
 
@@ -50,16 +54,16 @@ TINY = 5e-324
 # boundary or just-inside values that must still be accepted)
 REAL_ARGUMENTS = {
     "RenyiOrder": (cq.RenyiOrder, (1.0, 2.0 + 1e-12), (1.0 + 1e-12, 2.0)),
-    "binary_entropy": (cq.binary_entropy, (-TINY, 1.0 + 1e-12), (0.0, 1.0)),
+    "binary_entropy": (orc.binary_entropy_ref, (-TINY, 1.0 + 1e-12), (0.0, 1.0)),
     "phi.s": (lambda v: cq.phi(v, RHO, SIGMA), (0.0, 1.0), (1e-12, 1.0 - 1e-12)),
-    "spectral_cdf.a": (lambda v: cq.spectral_cdf(RHO, SIGMA, v), (1024.0,), (-1e300, 1023.0)),
+    "spectral_cdf.a": (lambda v: orc.spectral_cdf(RHO, SIGMA, v), (1024.0,), (-1e300, 1023.0)),
     "capacity.tol": (lambda v: cq.capacity(CHANNEL, tol=v), (0.0,), (1e300,)),
     "SmoothingParams.lam": (lambda v: cq.SmoothingParams(v, 1), (0.0,), (TINY,)),
     "SmoothingParams.L": (lambda v: cq.SmoothingParams(1.0, 1, L=v), (0.0,), (TINY,)),
     "ll2_bound.Cthr": (lambda v: cq.ll2_bound(CHANNEL, DIST, SIGMA, v, 2), (0.0,), (1e-300,)),
     "converse_trend.R": (lambda v: cq.converse_trend(CHANNEL, DIST, v, 1), (-TINY,), (0.0,)),
-    "SanovQuery.r": (lambda v: cq.SanovQuery(np.array([0.5, 0.5]), cq.EmpiricalState((1, 1), 2),
-                                             SIGMA, v), (0.0,), (TINY,)),
+    "SanovQuery.r": (lambda v: orc.SanovQuery(np.array([0.5, 0.5]), cq.EmpiricalState((1, 1), 2),
+                                              SIGMA, v), (0.0,), (TINY,)),
     "bad_codeword_test.delta": (lambda v: cq.bad_codeword_test(CHANNEL, cq.Word(("0",)), DIST, v),
                                 (0.0,), (TINY,)),
     "IDCode.lambda1": (lambda v: cq.IDCode(ORTHOGONAL, v, 0.1), (0.0, 1.0), (TINY, 1.0 - 1e-12)),
@@ -123,6 +127,87 @@ def test_enumeration_boundary_arguments_are_accepted():
     assert cq.compositions(0, 1).tolist() == [[0]]
     assert cq.compositions(0, 3).tolist() == [[0, 0, 0]]
     assert cq.m_type_counts(1, 1).tolist() == [[1]]
+
+
+# ---------------------------------------------------------------------------
+# caps and sizes
+# ---------------------------------------------------------------------------
+
+PROFILE = cq.EmpiricalState((1, 1), 2)
+# entry point: (call with the size or cap, the least value it accepts)
+SIZE_CALLS = {
+    "m_type_counts.max_types": (lambda v: cq.m_type_counts(3, 2, max_types=v), 6),
+    "CQChannel.power.max_dim": (lambda v: CHANNEL.power(2, max_dim=v), 12),
+    "tensor_power.max_dim": (lambda v: cq.tensor_power(np.eye(2), 2, max_dim=v), 4),
+    "type_projector.max_dim": (lambda v: cq.type_projector(PROFILE, cq.Basis.standard(2),
+                                                           max_dim=v), 4),
+    "ee31_margin.max_dim": (lambda v: cq.ee31_margin(cq.Word((0, 1)), 2, max_dim=v), 4),
+    "ee31_margin.d": (lambda v: cq.ee31_margin(cq.Word((0, 1)), v), 2),
+}
+NOT_SIZES = (None, "5", 0, -1, 2.5, 2.0, True)
+SIZE_CASES = [(entry, bad) for entry in SIZE_CALLS for bad in NOT_SIZES]
+
+
+@pytest.mark.parametrize("entry, bad", SIZE_CASES, ids=[f"{e}={b!r}" for e, b in SIZE_CASES])
+def test_size_or_cap_is_a_positive_int(entry, bad):
+    with pytest.raises(ValidationError, match="must be a positive integer"):
+        SIZE_CALLS[entry][0](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(SIZE_CALLS))
+def test_least_fitting_size_or_cap_is_accepted(entry):
+    call, least = SIZE_CALLS[entry]
+    call(least)
+    if entry != "ee31_margin.d":
+        with pytest.raises(cq.ResourceLimitError):
+            call(least - 1)
+
+
+def cap_flags() -> list[tuple[str, str]]:
+    """(command, flag) for every --max-types and --max-dim option."""
+    return [(name, action.option_strings[0]) for name, sp in command_parsers().items()
+            for action in sp._actions if action.dest in ("max_types", "max_dim")]
+
+
+CAP_CASES = [(command, f"{flag}={value}") for command, flag in cap_flags()
+             for value in (0, -1, -3)]
+
+
+def test_cap_sweep_covers_the_commands_with_caps():
+    assert {command for command, _ in cap_flags()} == {
+        "resolve", "worst-resolve", "converse-trend", "softcover", "types-check"}
+
+
+@pytest.mark.parametrize("command, arg", CAP_CASES, ids=[f"{c}{a[1:]}" for c, a in CAP_CASES])
+def test_non_positive_cap_flag_exits_two(capsys, code_path, command, arg):
+    code = main(base_argv(command, code_path) + [arg])
+    err = capsys.readouterr().err
+    assert_clean_usage_error(code, err)
+    assert "must be a positive integer" in err
+
+
+# ---------------------------------------------------------------------------
+# labels outside an alphabet
+# ---------------------------------------------------------------------------
+
+LABEL_CALLS = {
+    "CQChannel.state": lambda: CHANNEL.state("z"),
+    "empirical_output": lambda: cq.empirical_output(CHANNEL, cq.Word(("0", "z"))),
+    "bad_codeword_test": lambda: cq.bad_codeword_test(CHANNEL, cq.Word(("z",)), DIST, 0.5),
+    "Distribution.point_mass": lambda: cq.Distribution.point_mass(("0", "1"), "z"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_CALLS))
+def test_unknown_label_is_named(entry):
+    with pytest.raises(ValidationError, match="^unknown label 'z'$"):
+        LABEL_CALLS[entry]()
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "0", None], ids=repr)
+def test_distribution_from_a_non_map_is_rejected(doc):
+    with pytest.raises(ValidationError, match=r"must be a \{label: mass\} map"):
+        cq.Distribution.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
