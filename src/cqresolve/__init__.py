@@ -8,7 +8,7 @@ and identification-code checks. All logarithms and rates are base 2.
 from .errors import (ConvergenceError, DimensionMismatchError, ResourceLimitError,
                      ValidationError)
 from .linalg import (SpectralDecomposition, eigh, positive_part_projector, tensor_power,
-                     trace_distance, trace_norm, validate_density, validate_hermitian)
+                     trace_norm, validate_density, validate_hermitian)
 from .channel import (CQChannel, Distribution, MType, Word, channel_from_json,
                       compositions, distribution_from_json, empirical_output,
                       format_label, m_type_counts, output_state)

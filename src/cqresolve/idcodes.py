@@ -156,7 +156,14 @@ def bridge_counting_check(N: int, alphabet_size: int, M: int, lambda1: float,
     _check_error_levels(lambda1, lambda2)
     check_real("eps", eps, 0.0)
     applicable = (1.0 - lambda1 - lambda2) > eps
-    count_ok = alphabet_size ** M >= N
+    # |X|^M is built one factor at a time and stops on reaching N, so a huge
+    # M costs at most log₂ N steps; 1^M = 1 < N needs none.
+    power, count_ok = 1, False
+    for _ in range(M if alphabet_size > 1 else 0):
+        power *= alphabet_size
+        if power >= N:
+            count_ok = True
+            break
     return BridgeCheck(applicable, count_ok)
 
 

@@ -7,8 +7,10 @@ returned as the float infinity sentinel, never as an overflow.
 Two spectral kernels live here and nowhere else. `_divergences` gives
 D(W_x‖W(p)) for every input from one eigendecomposition of W(p); relative
 entropy, mutual information and the capacity ascent all read it.
-`_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ in one batched eigh
-and gives the Rényi fixed point both its objective and its next proposal.
+`_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ of every order in one
+batched eigh and gives the Rényi fixed point both its objective and its next
+proposal; `_renyi_fixed_points` runs that fixed point for all orders as one
+stack.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution, output_state
 from .errors import DimensionMismatchError, ValidationError, check_real
-from .linalg import (SpectralDecomposition, _matrix_pair, as_matrix, eigh, hermitianize,
-                     trace_distance, validate_density, validate_hermitian)
+from .linalg import (SpectralDecomposition, _check_hermitian, _matrix_pair, as_matrix, eigh,
+                     hermitianize, validate_density, validate_hermitian)
 
 SUPPORT_EIG_TOL = 1e-12
 KERNEL_MASS_TOL = 1e-10
@@ -175,23 +177,93 @@ class RenyiMutualInfo:
     converged: bool
 
 
-def _renyi_sandwiches(alpha: float, vals: np.ndarray, vecs: np.ndarray, states: np.ndarray,
-                      masses: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """The Rényi objective at σ = U diag(vals) U† and the fixed point's proposal.
+def _floor_and_normalize(mixes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per matrix of a (r, d, d) stack: the eigenpairs of its Hermitian part in
+    descending order, with the eigenvalues floored at SUPPORT_EIG_TOL and
+    renormalized, and the matrix they make. eigh returns ascending
+    eigenvalues, so reversing them sorts them as `linalg.eigh` does."""
+    vals, vecs = npl.eigh(_check_hermitian(hermitianize(mixes)))
+    vals = np.clip(vals[:, ::-1], SUPPORT_EIG_TOL, None)
+    vals = vals / vals.sum(axis=-1, keepdims=True)
+    vecs = vecs[..., ::-1]
+    return vals, vecs, (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
-    With γ = (1−α)/(2α) and A_x = σ^γ W_x σ^γ over the given (live)
-    letters, one batched eigh decomposes every A_x. The objective is
-    log₂(Σ_x p_x Tr A_x^α)/(α−1), and the proposal is Σ_x p_x A_x^α over its
-    trace, or None when that trace is not positive.
+
+def _renyi_sandwiches(alphas: tuple[float, ...], vals: np.ndarray, vecs: np.ndarray,
+                      states: np.ndarray, masses: np.ndarray) -> tuple[list, list]:
+    """The Rényi objective at each σ_j = U_j diag(vals_j) U_j† and the fixed point's proposal.
+
+    With γ = (1−α_j)/(2α_j) and A_x = σ_j^γ W_x σ_j^γ over the given (live)
+    letters, one batched eigh decomposes every A_x of every order. The
+    objective is log₂(Σ_x p_x Tr A_x^α)/(α−1), and the proposal is
+    Σ_x p_x A_x^α over its trace, or None when that trace is not positive.
+    The powers are taken one order at a time, with a scalar exponent as in
+    `_power_on_support`.
     """
-    half = _power_on_support(vals, vecs, (1.0 - alpha) / (2.0 * alpha))
+    support = vals > SUPPORT_EIG_TOL
+    powed = np.zeros_like(vals)
+    for j, alpha in enumerate(alphas):
+        powed[j, support[j]] = vals[j, support[j]] ** ((1.0 - alpha) / (2.0 * alpha))
+    half = ((vecs * powed[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2))[:, None]
     a_vals, a_vecs = npl.eigh(hermitianize(half @ states @ half))
-    powed = masses[:, None] * np.clip(a_vals, 0.0, None) ** alpha
-    total = float(np.sum(powed))
-    if not total > 0.0:
-        return math.inf, None
-    acc = np.sum((a_vecs * powed[:, None, :]) @ np.swapaxes(a_vecs.conj(), -1, -2), axis=0)
-    return math.log2(total) / (alpha - 1.0), acc / total
+    a_vals = np.clip(a_vals, 0.0, None)
+    for j, alpha in enumerate(alphas):
+        a_vals[j] = masses[:, None] * a_vals[j] ** alpha
+    acc = np.sum((a_vecs * a_vals[:, :, None, :]) @ np.swapaxes(a_vecs.conj(), -1, -2), axis=1)
+    values, proposals = [], []
+    for j, alpha in enumerate(alphas):
+        total = float(np.sum(a_vals[j]))
+        if total > 0.0:
+            values.append(math.log2(total) / (alpha - 1.0))
+            proposals.append(acc[j] / total)
+        else:
+            values.append(math.inf)
+            proposals.append(None)
+    return values, proposals
+
+
+def _renyi_fixed_points(alphas: tuple[float, ...], channel: CQChannel,
+                        dist: Distribution) -> list[RenyiMutualInfo]:
+    """The damped fixed point of `renyi_mutual_info` for every order at once.
+
+    The iterates of all orders still running form one (r, d, d) stack, so
+    each iteration makes one batched eigh of the floored mixes, one batched
+    eigvalsh of the steps and one batched eigh of the r×k sandwiches. Every
+    order gets the bits it gets when run alone.
+    """
+    channel._check_alphabet(dist)
+    live = dist.masses > 0.0
+    states, masses = channel.states[live], dist.masses[live]
+    r = len(alphas)
+    start = _floor_and_normalize(output_state(channel, dist)[None])
+    vals, vecs, sigma = (np.repeat(a, r, axis=0) for a in start)
+    best, proposals = _renyi_sandwiches(alphas, vals, vecs, states, masses)
+    best_sigma = [start[2][0]] * r
+    iterations, converged = [0] * r, [False] * r
+    running = list(range(r))
+    for iteration in range(1, RENYI_MAX_ITER + 1):
+        for j in running:
+            iterations[j] = iteration
+        running = [j for j in running if proposals[j] is not None]
+        if not running:
+            break
+        rows = np.array(running)
+        mixes = (1.0 - RENYI_DAMPING) * sigma[rows] \
+            + RENYI_DAMPING * np.stack([proposals[j] for j in running])
+        vals, vecs, nxt = _floor_and_normalize(mixes)
+        steps = 0.5 * np.sum(np.abs(npl.eigvalsh(_check_hermitian(nxt - sigma[rows]))),
+                             axis=-1)
+        sigma[rows] = nxt
+        values, fresh = _renyi_sandwiches(tuple(alphas[j] for j in running),
+                                          vals, vecs, states, masses)
+        for i, j in enumerate(running):
+            proposals[j] = fresh[i]
+            if values[i] < best[j]:
+                best[j], best_sigma[j] = values[i], nxt[i]
+            converged[j] = bool(steps[i] < RENYI_STEP_TOL)
+        running = [j for j in running if not converged[j]]
+    return [RenyiMutualInfo(float(best[j]), best_sigma[j], iterations[j], converged[j])
+            for j in range(r)]
 
 
 def renyi_mutual_info(order: RenyiOrder, channel: CQChannel,
@@ -205,41 +277,12 @@ def renyi_mutual_info(order: RenyiOrder, channel: CQChannel,
     sandwiches σ^γ W_x σ^γ of the inputs of positive mass, which gives both
     the objective at σ and the next proposal. Returns the best value seen,
     the matching σ, the iteration count, and whether successive iterates
-    came within RENYI_STEP_TOL in trace distance. The d = 2 grid search in
-    the test suite is the correctness oracle for this heuristic.
+    came within RENYI_STEP_TOL in trace distance. This is the one-order
+    case of `_renyi_fixed_points`, which runs several orders as one stack.
+    The d = 2 grid search in the test suite is the correctness oracle for
+    this heuristic.
     """
-    channel._check_alphabet(dist)
-    alpha = order.alpha
-    live = dist.masses > 0.0
-    states, masses = channel.states[live], dist.masses[live]
-
-    def floor_and_normalize(m: np.ndarray):
-        dec = eigh(hermitianize(m))
-        vals = np.clip(dec.eigenvalues, SUPPORT_EIG_TOL, None)
-        vals = vals / vals.sum()
-        u = dec.eigenvectors
-        return vals, u, (u * vals) @ u.conj().T
-
-    vals, vecs, sigma = floor_and_normalize(output_state(channel, dist))
-    best_value, proposal = _renyi_sandwiches(alpha, vals, vecs, states, masses)
-    best_sigma = sigma
-    converged = False
-    iterations = 0
-    for iterations in range(1, RENYI_MAX_ITER + 1):
-        if proposal is None:
-            break
-        vals, vecs, nxt = floor_and_normalize(
-            (1.0 - RENYI_DAMPING) * sigma + RENYI_DAMPING * proposal)
-        step = trace_distance(nxt, sigma)
-        sigma = nxt
-        value, proposal = _renyi_sandwiches(alpha, vals, vecs, states, masses)
-        if value < best_value:
-            best_value = value
-            best_sigma = sigma
-        if step < RENYI_STEP_TOL:
-            converged = True
-            break
-    return RenyiMutualInfo(float(best_value), best_sigma, iterations, converged)
+    return _renyi_fixed_points((order.alpha,), channel, dist)[0]
 
 
 @dataclass(frozen=True)

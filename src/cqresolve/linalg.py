@@ -148,11 +148,6 @@ def trace_norm(op) -> float:
     return float(np.sum(np.abs(npl.eigvalsh(m))))
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of the difference of two Hermitian matrices."""
-    return 0.5 * trace_norm(as_matrix(a) - as_matrix(b))
-
-
 def positive_part_projector(a, b) -> np.ndarray:
     """Orthogonal projector onto the non-negative eigenspace of B - A.
 

@@ -8,10 +8,10 @@ from batched eigvalsh. The worst-input search reports a certified lower
 bound from a simplex grid plus local refinement; the grid is searched in
 byte-sized batches, and points whose upper bound from a sampled set of
 witness candidates falls strictly below the sampled lower bound are skipped.
-Soft-covering Monte Carlo draws each codebook sample from its own
-counter-based stream keyed by (seed, sample index), so a sample's letters
-do not depend on how many samples are drawn; its distances take the same
-diagonal or eigvalsh path as the exact errors.
+Soft-covering Monte Carlo draws codebook sample i from the Philox stream
+keyed by the seed at counter (0, 0, 0, i), so a sample's letters do not
+depend on how many samples are drawn; its distances take the same diagonal
+or eigvalsh path as the exact errors.
 The one-shot error bounds are evaluated literally from their defining
 expressions.
 """
@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as npl
 
-from .channel import (DEFAULT_MAX_TYPES, CQChannel, Distribution, MType, m_type_counts,
-                      output_state)
+from .channel import (DEFAULT_MAX_TYPES, MAX_COUNT_BYTES, CQChannel, Distribution, MType,
+                      m_type_counts, output_state)
 from .errors import ResourceLimitError, ValidationError, check_positive_int, check_real
-from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass, pinch,
-                   pinching_from_spectrum, renyi_mutual_info)
+from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass,
+                   _renyi_fixed_points, pinch, pinching_from_spectrum)
 from .linalg import (DEFAULT_MAX_DIM, _kron_rows, eigh, hermitianize,
                      positive_part_projector, validate_density)
 
@@ -150,13 +150,14 @@ class _OutputRows:
         return mixed[::self.dim + 1].real if self.diagonal else mixed
 
     def targets(self, weights: np.ndarray) -> np.ndarray:
-        """The row of `target` for each row of weights, one matrix-vector product
-        per row: one matmul over all rows may round a row differently as the
-        row count changes, and a row's bits must not depend on that."""
-        out = np.empty((weights.shape[0],) + self.rows.shape[1:], dtype=self.rows.dtype)
-        for row, w in enumerate(weights):
-            out[row] = self.target(w)
-        return out
+        """The row of `target` for each row of weights.
+
+        One matmul of a stack of one-row matrices: numpy runs each as the
+        matrix-vector product of `target`, so a row has the same bits for any
+        row count. One matrix-matrix product over all rows would not.
+        """
+        mixed = (weights[:, None, :] @ self.flat)[:, 0]
+        return mixed[:, ::self.dim + 1].real if self.diagonal else mixed
 
     def distances(self, outputs: np.ndarray, target: np.ndarray) -> np.ndarray:
         """½‖row − target‖₁ for each row of outputs."""
@@ -377,6 +378,23 @@ def _soft_cover_from_info(alpha: float, info_bits: float, M: int) -> float:
     return 2.0 ** exponent
 
 
+def _uniform_draws(seed: int, samples: int, M: int, n: int) -> np.ndarray:
+    """(samples, M, n) uniforms; row i is Philox(key=seed, counter=[0, 0, 0, i]).random((M, n)).
+
+    One generator draws them all. Row i takes ⌈Mn/4⌉ Philox blocks and
+    leaves the counter at (0, 0, 0, i) + ⌈Mn/4⌉, so advancing by
+    2¹⁹² − ⌈Mn/4⌉ lands on (0, 0, 0, i + 1) with the buffer empty, where a
+    generator built with that counter starts.
+    """
+    bits = np.random.Philox(key=seed)
+    gen = np.random.Generator(bits)
+    u = np.empty((samples, M, n))
+    for draws in u:
+        gen.random(out=draws)
+        bits.advance(2 ** 192 - -(-M * n // 4))
+    return u
+
+
 def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
                         samples: int, seed: int, *,
                         orders: tuple[RenyiOrder, ...] = (RenyiOrder(2.0),),
@@ -384,14 +402,20 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     """Monte-Carlo mean of ½‖W_C − W^{⊗n}(q^{⊗n})‖₁ over i.i.d. codebooks.
 
     Codebook sample i consists of M codewords drawn i.i.d. from q^{⊗n}
-    out of its own Philox stream keyed by (seed, i), so sample i's letters
-    are the same for any ``samples`` ≥ i + 1. The seed must lie in
-    [0, 2¹²⁸). The draws run in one thread; the command line's
-    ``--workers`` flag is checked (≥ 1) and has no effect.
+    out of the Philox stream with key ``seed`` and counter (0, 0, 0, i), so
+    sample i's letters are the same for any ``samples`` ≥ i + 1. One
+    generator draws every sample and is advanced to the next sample's
+    counter after each one, which gives each sample the uniforms of a
+    generator built at its counter. The seed must lie in [0, 2¹²⁸). The
+    draws run in one thread; the command line's ``--workers`` flag is
+    checked (≥ 1) and has no effect. More than MAX_COUNT_BYTES of draws
+    and codeword counts (8 bytes each, samples × (M·n + kⁿ)) raise
+    ResourceLimitError before any is drawn.
 
     The bound for each order uses I_α(X^n;B^n) = n·I_α(X;B), since the
     sandwiched Rényi mutual information is additive for α ≥ 1/2; the
-    fixed point runs on the k-letter channel, not on its kⁿ-letter power.
+    fixed point runs on the k-letter channel, not on its kⁿ-letter power,
+    and for all orders at once (`info._renyi_fixed_points`).
     """
     channel._check_alphabet(dist)
     check_positive_int("M", M)
@@ -401,18 +425,25 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
     product = channel.power(n, max_dim=max_dim)
     k, size = channel.size, product.size
+    nbytes = samples * (M * n + size) * np.dtype(np.int64).itemsize
+    if nbytes > MAX_COUNT_BYTES:
+        raise ResourceLimitError(
+            f"{samples} samples of {M} x {n} draws and {size} codeword counts need "
+            f"{nbytes} bytes, over the budget of {MAX_COUNT_BYTES} bytes")
     outputs = _OutputRows(product.states)
 
-    u = np.stack([np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
-                  .random((M, n)) for i in range(samples)])
-    letters = np.minimum(np.searchsorted(np.cumsum(dist.masses), u, side="right"), k - 1)
+    letters = np.searchsorted(np.cumsum(dist.masses), _uniform_draws(seed, samples, M, n),
+                              side="right")
+    np.minimum(letters, k - 1, out=letters)
     words = np.ravel_multi_index(tuple(np.moveaxis(letters, -1, 0)), (k,) * n)
-    outs = outputs.targets(np.stack([np.bincount(w, minlength=size) for w in words]) / M)
+    words += size * np.arange(samples)[:, None]
+    counts = np.bincount(words.ravel(), minlength=samples * size).reshape(samples, size)
+    outs = outputs.targets(counts / M)
     distances = outputs.distances(outs, outputs.target(_kron_rows(dist.masses, n)))
 
+    infos = _renyi_fixed_points(tuple(order.alpha for order in orders), channel, dist)
     bounds, converged, iterations = {}, {}, {}
-    for order in orders:
-        info = renyi_mutual_info(order, channel, dist)
+    for order, info in zip(orders, infos):
         bounds[order.alpha] = _soft_cover_from_info(order.alpha, n * info.value, M)
         converged[order.alpha] = info.converged
         iterations[order.alpha] = info.iterations

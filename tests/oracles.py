@@ -479,6 +479,71 @@ def renyi_fixed_point(states, masses, alpha: float, max_iter: int = 500,
     return RenyiFixedPoint(best, iterations, converged)
 
 
+class RenyiIterate(NamedTuple):
+    value: float
+    sigma: np.ndarray
+    iterations: int
+    converged: bool
+
+
+def renyi_fixed_point_one_order(states, masses, alpha: float, max_iter: int = 500,
+                                damping: float = 0.5, step_tol: float = 1e-10,
+                                floor: float = 1e-12) -> RenyiIterate:
+    """The iteration of `renyi_fixed_point` with the floating-point steps of
+    the library's one-order loop, the reference for its stacked kernel bit
+    for bit.
+
+    Each floored iterate is kept as its eigenpairs in descending order, and
+    its half power is taken on them. One batched eigh of the sandwiches of
+    the letters of positive mass gives both the objective at σ and the next
+    proposal; the step is half the sum of |eigvalsh(next − σ)|. Returns the
+    least value seen with its σ, the iteration count and whether a step fell
+    below step_tol.
+    """
+    states = np.asarray(states, dtype=complex)
+    masses = np.asarray(masses, dtype=float)
+    live_states, live_masses = states[masses > 0], masses[masses > 0]
+
+    def hermitian(a):
+        return (a + np.swapaxes(a.conj(), -1, -2)) / 2
+
+    def floored(m):
+        vals, vecs = np.linalg.eigh(hermitian(m))
+        vals, vecs = np.clip(vals[::-1], floor, None), vecs[:, ::-1]
+        vals = vals / vals.sum()
+        return vals, vecs, (vecs * vals) @ vecs.conj().T
+
+    def objective_and_proposal(vals, vecs):
+        powed = np.zeros_like(vals)
+        powed[vals > floor] = vals[vals > floor] ** ((1.0 - alpha) / (2.0 * alpha))
+        half = (vecs * powed) @ vecs.conj().T
+        a_vals, a_vecs = np.linalg.eigh(hermitian(half @ live_states @ half))
+        weights = live_masses[:, None] * np.clip(a_vals, 0.0, None) ** alpha
+        total = float(np.sum(weights))
+        if not total > 0.0:
+            return math.inf, None
+        acc = np.sum((a_vecs * weights[:, None, :]) @ np.swapaxes(a_vecs.conj(), -1, -2),
+                     axis=0)
+        return math.log2(total) / (alpha - 1.0), acc / total
+
+    vals, vecs, sigma = floored(np.einsum("x,xij->ij", masses, states))
+    best, proposal = objective_and_proposal(vals, vecs)
+    best_sigma, iterations, converged = sigma, 0, False
+    for iterations in range(1, max_iter + 1):
+        if proposal is None:
+            break
+        vals, vecs, nxt = floored((1.0 - damping) * sigma + damping * proposal)
+        step = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(nxt - sigma))))
+        sigma = nxt
+        value, proposal = objective_and_proposal(vals, vecs)
+        if value < best:
+            best, best_sigma = value, sigma
+        if step < step_tol:
+            converged = True
+            break
+    return RenyiIterate(float(best), best_sigma, iterations, converged)
+
+
 def soft_cover_bound(states, masses, alpha: float, M: int) -> float:
     """2^{2/α − 2} · 2^{((α−1)/α)·(I_α − log₂ M)} with I_α from `renyi_fixed_point`.
 

@@ -154,6 +154,25 @@ class TestExitCodes:
         assert "bytes" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_softcover_draws_past_the_byte_budget_are_exit_three(self):
+        # 10^12 codewords of one letter would take 8 TB of draws.
+        proc = run_module("softcover", "--builtin", "example1", "--eps", "0.1",
+                          "--M", "1000000000000", "--n", "1", "--samples", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit: ")
+        assert "bytes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_id_bridge_with_a_huge_code_length_returns_at_once(self):
+        # |X|^M with M = 10^11 never finishes as an exact power; the
+        # timeout turns a hang into a failure.
+        cmd, env = module_command("id-bridge", "--N", "4", "--alphabet-size", "3",
+                                  "--M", "100000000000", "--lambda1", "0.1",
+                                  "--lambda2", "0.1", "--eps", "0.1")
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert kv(proc.stdout)["count_ok"] == "true"
+
     def test_missing_channel_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "capacity", "--channel",
                                str(tmp_path / "nope.json"))

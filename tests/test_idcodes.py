@@ -226,9 +226,9 @@ class TestBridgeCounting:
         assert not res.applicable
 
     def test_arithmetic_grid(self):
-        for N in (2, 5, 9, 16, 100):
-            for x in (2, 3, 4):
-                for M in (1, 2, 3, 5):
+        for N in (*range(2, 66), 100, 243, 244, 1024):
+            for x in range(1, 6):
+                for M in range(1, 8):
                     res = cq.bridge_counting_check(N, x, M, 0.1, 0.1, 0.0)
                     assert res.count_ok == (x ** M >= N)
 

@@ -138,6 +138,8 @@ KEPT_UNREACHED = {
                         "radius bound on the ROADMAP",
     "qrel_entropy": "the one-input form of info._divergences; its tests are that "
                     "kernel's direct tests of the support rule",
+    "renyi_mutual_info": "the one-order form of info._renyi_fixed_points, which "
+                         "soft_cover_simulate calls with all its orders at once",
 }
 
 

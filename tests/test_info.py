@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import cqresolve as cq
 from cqresolve import errors
-from cqresolve.info import _entropy_terms
+from cqresolve.info import _entropy_terms, _renyi_fixed_points
 import oracles as orc
 
 from conftest import assert_psd
@@ -343,6 +343,39 @@ def test_renyi_mutual_info_matches_letterwise_fixed_point_on_pure_states():
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
     states = [np.outer(v, v.conj()) for v in kets]
     assert_matches_letterwise_fixed_point(states, [0.5, 0.3, 0.2])
+
+
+def _stacked_cases():
+    rng = np.random.default_rng(2026)
+    cases = {f"d{d}-k{k}": ([orc.random_density(rng, d) for _ in range(k)],
+                            rng.dirichlet(np.ones(k)))
+             for d, k in ((2, 1), (2, 4), (3, 3), (4, 6))}
+    cases["dead-input"] = ([orc.random_density(rng, 3) for _ in range(4)],
+                           [0.5, 0.0, 0.3, 0.2])
+    # every state lives in the same 2-dimensional corner of a qutrit, so
+    # W(p) has a zero eigenvalue that the floor lifts
+    cases["rank-deficient"] = ([np.pad(orc.random_density(rng, 2), ((0, 1), (0, 1)))
+                                for _ in range(3)], [0.2, 0.3, 0.5])
+    return cases
+
+
+STACKED_CASES = _stacked_cases()
+STACKED_ALPHAS = (1.25, 2.0, 1.5, 1.1, 1.25)
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_stacked_fixed_point_matches_each_order_alone(case):
+    states, masses = STACKED_CASES[case]
+    labels = tuple(str(i) for i in range(len(states)))
+    channel, dist = cq.CQChannel(labels, states), cq.Distribution(labels, masses)
+    stacked = _renyi_fixed_points(STACKED_ALPHAS, channel, dist)
+    for alpha, got in zip(STACKED_ALPHAS, stacked):
+        alone = cq.renyi_mutual_info(cq.RenyiOrder(alpha), channel, dist)
+        loop = orc.renyi_fixed_point_one_order(states, masses, alpha)
+        for want in (alone, loop):
+            assert got.value == want.value
+            assert np.array_equal(got.sigma, want.sigma)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
 
 def test_renyi_mutual_info_returns_density_minimizer():

@@ -85,7 +85,7 @@ def test_jacobi_eigh_matches_default_solver():
 
 
 # ---------------------------------------------------------------------------
-# trace_norm / trace_distance
+# trace_norm
 
 
 def test_trace_norm_of_zero_difference():
@@ -130,11 +130,6 @@ def test_trace_norm_dominates_projector_functional(seed):
     lhs = cq.trace_norm(a)
     rhs = 2.0 * abs(float(np.real(np.trace(a @ p)))) - abs(float(np.real(np.trace(a))))
     assert lhs >= rhs - 1e-9
-
-
-def test_trace_distance_halves_trace_norm():
-    rho, sigma = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    assert cq.trace_distance(rho, sigma) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,18 @@ def non_diagonal_channel():
     return cq.CQChannel(labels, states), cq.Distribution(labels, (0.2, 0.5, 0.3))
 
 
+@pytest.mark.parametrize("rows", [1, 7, 200])
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "eigvalsh"])
+def test_targets_equal_row_by_row_target(rows, diagonal):
+    ch = random_diagonal_channel(5)[0] if diagonal else non_diagonal_channel()[0]
+    outputs = rv._OutputRows(ch.power(2).states)
+    assert outputs.diagonal is diagonal
+    weights = np.random.default_rng(rows).dirichlet(np.ones(9), size=rows)
+    got = outputs.targets(weights)
+    assert got.dtype == outputs.rows.dtype
+    assert np.array_equal(got, np.stack([outputs.target(w) for w in weights]))
+
+
 class TestExactEngine:
     def test_error_is_correctly_rounded_at_the_argmin(self):
         # The float distance at this argmin is 0.012574324218749995, one ulp
@@ -510,6 +522,24 @@ class TestSoftCoverSimulate:
         ch, p = build_binary_flip(0.2)
         with pytest.raises(ValidationError):
             cq.soft_cover_simulate(ch, p, 4, 1, 5, seed)
+
+    # M·n ≡ 0, 1, 2 and 3 (mod 4): a sample can end anywhere in a Philox block
+    @pytest.mark.parametrize("M, n", [(4, 1), (5, 1), (3, 2), (5, 3)])
+    def test_draws_equal_a_generator_built_at_each_sample_counter(self, M, n):
+        seed = 2 ** 100 + 17
+        u = rv._uniform_draws(seed, 5, M, n)
+        for i in range(5):
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
+            assert np.array_equal(u[i], gen.random((M, n)))
+
+    def test_draws_and_counts_past_the_byte_budget_raise(self, monkeypatch):
+        # 3 samples of 4 x 2 draws and 2^2 counts: 3 · (8 + 4) · 8 = 288 bytes
+        ch, p = build_binary_flip(0.2)
+        monkeypatch.setattr(rv, "MAX_COUNT_BYTES", 288)
+        cq.soft_cover_simulate(ch, p, 4, 2, 3, 0)
+        monkeypatch.setattr(rv, "MAX_COUNT_BYTES", 287)
+        with pytest.raises(cq.ResourceLimitError, match="288 bytes"):
+            cq.soft_cover_simulate(ch, p, 4, 2, 3, 0)
 
 
 # ---------------------------------------------------------------------------
