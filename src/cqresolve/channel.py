@@ -16,15 +16,13 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
-                     check_nonnegative_int, check_positive_int)
-from .linalg import DEFAULT_MAX_DIM, _check_densities, _kron_rows, as_matrix
+from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, MAX_TYPES, DimensionMismatchError,
+                     ValidationError, check_budget, check_nonnegative_int,
+                     check_positive_int)
+from .linalg import _check_densities, _kron_rows, as_matrix
 
 DIST_SUM_TOL = 1e-12
 MTYPE_INT_TOL = 1e-9
-DEFAULT_MAX_TYPES = 10 ** 7
-# Bytes of int64 counts that one M-type count matrix may take.
-MAX_COUNT_BYTES = 2 ** 31
 
 Label = Hashable
 
@@ -183,28 +181,23 @@ class CQChannel:
                 f"({[format_label(x) for x in dist.labels]} vs "
                 f"{[format_label(x) for x in self.labels]})")
 
-    def power(self, n: int, max_dim: int = DEFAULT_MAX_DIM) -> "CQChannel":
-        """The memoryless n-letter channel over the product alphabet; n and max_dim positive ints.
+    def power(self, n: int) -> "CQChannel":
+        """The memoryless n-letter channel over the product alphabet; n a positive int.
 
         Labels are n-tuples of base labels in C order of the letter indices,
         the first most significant, as np.kron, np.ndindex and
         np.ravel_multi_index order them; so is each state's product space.
         The states are products of this channel's checked states and are not
         checked again, which would also compound each factor's trace error.
+        For n ≥ 2 the kⁿ states of dimension dⁿ must fit in MAX_MATRIX_BYTES,
+        else ResourceLimitError before any is built; n = 1 is this channel.
         """
         check_positive_int("n", n)
-        check_positive_int("max_dim", max_dim)
-        if self.dim ** n > max_dim:
-            raise ResourceLimitError(
-                f"output dimension {self.dim}^{n} exceeds the cap {max_dim}")
         if n == 1:
             return self
-        entries = self.size ** n * self.dim ** (2 * n)
-        if entries > max_dim ** 2:
-            raise ResourceLimitError(
-                f"materializing the {n}-letter channel needs {self.size}^{n} "
-                f"states of dimension {self.dim}^{n} ({entries} matrix entries, "
-                f"budget {max_dim}^2); raise max_dim to allow it")
+        check_budget(f"the {n}-letter channel of {self.size}^{n} states of dimension "
+                     f"{self.dim}^{n}", self.size ** n * self.dim ** (2 * n)
+                     * self.states.itemsize, MAX_MATRIX_BYTES)
         product = CQChannel.__new__(CQChannel)
         product.labels = tuple(itertools.product(self.labels, repeat=n))
         product.states = _kron_rows(self.states, n)
@@ -292,25 +285,19 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return out
 
 
-def m_type_counts(alphabet_size: int, M: int, max_types: int = DEFAULT_MAX_TYPES) -> np.ndarray:
+def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     """Count matrix of all M-types, rows lexicographic over mass vectors.
 
-    The rows are `compositions(M, alphabet_size)`; all three arguments are
-    positive ints. More than max_types rows, or a matrix of more than
+    The rows are `compositions(M, alphabet_size)`; both arguments are
+    positive ints. More than MAX_TYPES rows, or a matrix of more than
     MAX_COUNT_BYTES, raise ResourceLimitError before any row is built.
     """
     check_positive_int("alphabet_size", alphabet_size)
     check_positive_int("M", M)
-    check_positive_int("max_types", max_types)
     total = math.comb(M + alphabet_size - 1, alphabet_size - 1)
-    if total > max_types:
-        raise ResourceLimitError(
-            f"{total} M-types exceed the enumeration cap {max_types}")
-    nbytes = total * alphabet_size * np.dtype(np.int64).itemsize
-    if nbytes > MAX_COUNT_BYTES:
-        raise ResourceLimitError(
-            f"the {total} x {alphabet_size} M-type count matrix needs {nbytes} bytes, "
-            f"over the budget of {MAX_COUNT_BYTES} bytes")
+    check_budget(f"enumerating {alphabet_size} letters at M = {M}", total, MAX_TYPES, "M-types")
+    check_budget(f"the {total} x {alphabet_size} M-type count matrix",
+                 total * alphabet_size * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
     return compositions(M, alphabet_size)
 
 

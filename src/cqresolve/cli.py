@@ -28,15 +28,13 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .channel import (DEFAULT_MAX_TYPES, CQChannel, Distribution, Word,
-                      channel_from_json, distribution_from_json, format_label,
-                      output_state)
-from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
-                     check_positive_int, check_real)
+from .channel import (CQChannel, Distribution, Word, channel_from_json,
+                      distribution_from_json, format_label, output_state)
+from .errors import (MAX_MATRIX_BYTES, ConvergenceError, ResourceLimitError,
+                     ValidationError, check_budget, check_positive_int, check_real)
 from .info import RenyiOrder
 from .idcodes import bridge_counting_check, idcode_from_json, \
     pairwise_distance_check, verify_id_code
-from .linalg import DEFAULT_MAX_DIM
 from .rates import capacity, fixed_input_rate
 from .resolvability import (SmoothingParams, converse_trend, ll1b_bound,
                             ll2_bound, resolution_error_exact,
@@ -180,8 +178,7 @@ def _mtype_payload(res) -> dict:
 def _cmd_resolve(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
-    result = resolution_error_exact(channel, dist, args.M, args.n,
-                                    max_types=args.max_types, max_dim=args.max_dim)
+    result = resolution_error_exact(channel, dist, args.M, args.n)
     fields = [("exact_error", result.error), ("M", result.M), ("n", result.n)]
     return fields, {"error": result.error, "M": result.M, "n": result.n,
                     "argmin_counts": _mtype_payload(result)}
@@ -189,8 +186,7 @@ def _cmd_resolve(args: argparse.Namespace) -> _Record:
 
 def _cmd_worst_resolve(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
-    result = resolution_error_worst(channel, args.M, args.n, grid=args.grid,
-                                    max_types=args.max_types, max_dim=args.max_dim)
+    result = resolution_error_worst(channel, args.M, args.n, grid=args.grid)
     fields = [("worst_error_lower_bound", result.error), ("approximate", result.approximate),
               ("M", result.M), ("n", result.n)]
     return fields, {"error_lower_bound": result.error, "approximate": result.approximate,
@@ -203,8 +199,7 @@ def _cmd_softcover(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
     report = soft_cover_simulate(channel, dist, args.M, args.n, args.samples,
-                                 args.seed, orders=_orders(args),
-                                 max_dim=args.max_dim)
+                                 args.seed, orders=_orders(args))
     alphas = sorted(report.bounds)
     lines = [("seed", report.seed), ("samples", report.samples),
              ("mean_error", report.mean_error), ("std_error", report.std_error)]
@@ -258,23 +253,23 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
     if args.eps is not None and args.builtin is None:
         raise ValidationError("--eps is read only with --builtin example1")
     d, n = args.alphabet_size, args.n
-    check_positive_int("--max-dim", args.max_dim)
-    if d ** n > args.max_dim:
-        raise ResourceLimitError(f"d^n = {d ** n} exceeds --max-dim {args.max_dim}")
+    check_positive_int("--alphabet-size", d)
+    check_positive_int("--n", n)
+    check_budget(f"the {d}^{n} x {d}^{n} type partition",
+                 d ** (2 * n) * np.dtype(complex).itemsize, MAX_MATRIX_BYTES)
     states = all_empirical_states(n, d)
     basis = Basis.standard(d)
     total = np.zeros((d ** n, d ** n), dtype=complex)
     rank_sum = 0
     for t in states:
-        proj = type_projector(t, basis, max_dim=args.max_dim)
+        proj = type_projector(t, basis)
         total += proj.matrix
         rank_sum += proj.rank
     partition_dev = float(np.max(np.abs(total - np.eye(d ** n))))
     # The margin depends on a word only through its type, so one word per
     # type gives the same minimum as every word.
     min_margin = min(
-        ee31_margin(Word(tuple(j for j, c in enumerate(t.counts) for _ in range(c))),
-                    d, max_dim=args.max_dim)
+        ee31_margin(Word(tuple(j for j, c in enumerate(t.counts) for _ in range(c))), d)
         for t in states)
     ok = partition_dev <= 1e-9 and rank_sum == d ** n and min_margin >= -1e-9
     fields = [("type_count", len(states)),
@@ -323,8 +318,7 @@ def _cmd_id_bridge(args: argparse.Namespace) -> _Record:
 def _cmd_converse_trend(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
-    rows = converse_trend(channel, dist, args.rate, args.n_max,
-                          max_types=args.max_types, max_dim=args.max_dim)
+    rows = converse_trend(channel, dist, args.rate, args.n_max)
     return [_Table(("n", "M", "exact_error"), rows), ("rate_bits", args.rate),
             ("n_max", args.n_max)], None
 
@@ -396,14 +390,6 @@ def _add_dist_flag(sp: argparse.ArgumentParser) -> None:
                     "{\"label\": mass} object (default: uniform)")
 
 
-def _add_caps(sp: argparse.ArgumentParser, *, max_types: bool = False) -> None:
-    if max_types:
-        sp.add_argument("--max-types", type=int, default=DEFAULT_MAX_TYPES,
-                        help="enumeration cap on M-types / grid points")
-    sp.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                    help="cap on product-space matrix dimension d^n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqresolve",
@@ -436,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_flag(sp)
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--n", type=int, default=1)
-    _add_caps(sp, max_types=True)
 
     sp = command("worst-resolve", "grid + refinement lower bound on the "
                  "worst-input resolution error")
@@ -445,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--grid", type=int, default=20,
                     help="simplex grid resolution (step = 1/grid)")
-    _add_caps(sp, max_types=True)
 
     sp = command("softcover", "Monte-Carlo codebook experiment vs the Renyi "
                  "soft-covering bound; CSV sample,trace_distance")
@@ -459,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of Renyi orders in (1,2]")
     sp.add_argument("--workers", type=int, default=1,
                     help="accepted; has no effect")
-    _add_caps(sp)
 
     sp = command("bound-ll2", "pinching-based one-shot bound with reference "
                  "sigma = W(p) and threshold C")
@@ -494,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float,
                     help="also count bad codewords at this threshold "
                     "(needs a channel; --dist defaults to uniform)")
-    _add_caps(sp)
 
     sp = command("id-verify", "verify an identification code against a "
                  "channel and check pairwise output distances")
@@ -518,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_flag(sp)
     sp.add_argument("--rate", type=float, required=True, help="rate R in bits")
     sp.add_argument("--n-max", dest="n_max", type=int, required=True)
-    _add_caps(sp, max_types=True)
 
     sp = command("separation-figure", "capacity vs fixed-input rate for the "
                  "builtin three-input channel over an eps grid; "

@@ -15,7 +15,25 @@ class DimensionMismatchError(ValidationError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured cap (matrix dimension, type count, count-matrix bytes) would be exceeded."""
+    """A request would exceed one of the resource budgets below."""
+
+
+# Resource budgets, each compared with what a request needs before anything
+# is allocated (the byte budgets in check_budget alone): int64 counts of an
+# M-type count matrix or of codebook draws; complex product-space matrices,
+# 4096² entries; rows of one M-type enumeration, candidates or grid points.
+MAX_COUNT_BYTES = 2 ** 31
+MAX_MATRIX_BYTES = 2 ** 28
+MAX_TYPES = 10 ** 7
+
+
+def check_budget(what: str, need: int, budget: int, unit: str = "bytes") -> None:
+    """Raise ResourceLimitError, saying what needs how many units, if need > budget."""
+    if need > budget:
+        # str() of an int past the digit limit of int-to-str conversion raises
+        size = need if need.bit_length() <= 4096 else f"more than 2^{need.bit_length() - 1}"
+        raise ResourceLimitError(
+            f"{what} needs {size} {unit}, over the budget of {budget} {unit}")
 
 
 def check_positive_int(name: str, value) -> None:

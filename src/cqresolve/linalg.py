@@ -13,15 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
-                     check_positive_int)
+from .errors import (MAX_MATRIX_BYTES, DimensionMismatchError, ValidationError,
+                     check_budget, check_positive_int)
 
 HERMITICITY_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 BLOCK_GROUP_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
-DEFAULT_MAX_DIM = 4096
 
 
 def as_matrix(a) -> np.ndarray:
@@ -178,16 +177,16 @@ def _kron_rows(stack: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def tensor_power(op, n: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """n-fold Kronecker power, capped at max_dim total dimension; n and max_dim positive ints.
+def tensor_power(op, n: int) -> np.ndarray:
+    """n-fold Kronecker power; n a positive int.
 
     The product basis is in C order of the factor indices, the first factor
-    most significant, as in np.kron and np.ravel_multi_index.
+    most significant, as in np.kron and np.ravel_multi_index. A power of
+    more than MAX_MATRIX_BYTES (mⁿ > 4096 for an m×m matrix) raises
+    ResourceLimitError before it is built.
     """
     m = as_matrix(op)
     check_positive_int("n", n)
-    check_positive_int("max_dim", max_dim)
-    if m.shape[0] ** n > max_dim:
-        raise ResourceLimitError(
-            f"dimension {m.shape[0]}^{n} exceeds the cap {max_dim}")
+    check_budget(f"the {n}-fold tensor power of a {m.shape[0]}x{m.shape[0]} matrix",
+                 m.shape[0] ** (2 * n) * m.itemsize, MAX_MATRIX_BYTES)
     return _kron_rows(m[None], n)[0]

@@ -25,8 +25,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution
-from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
-                     check_positive_int, check_real)
+from .errors import ConvergenceError, ResourceLimitError, ValidationError, check_real
 from .info import _divergences, _entropy_terms, mutual_info
 from .linalg import trace_norm
 
@@ -106,8 +105,7 @@ def _squarem_points(p: np.ndarray):
                 p, div = trial, div_t
 
 
-def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL,
-             max_iter: int = CAPACITY_MAX_ITER) -> RateResult:
+def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL) -> RateResult:
     """sup_p I(X;B) for the joint input-output state, in bits.
 
     Multiplicative ascent from the uniform distribution, accelerated by
@@ -123,11 +121,10 @@ def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL,
     max_x D(W_x‖W(p)) − I(X;B) ≥ C − I(X;B), and the first point whose gap
     is at most tol is returned. ``iterations`` counts evaluations of the
     divergence vector (one ``eigh`` each), plain and extrapolated alike, and
-    ``max_iter`` caps them. Raises ConvergenceError, carrying the best point
-    evaluated, if no gap reaches tol within max_iter evaluations.
+    CAPACITY_MAX_ITER caps them. Raises ConvergenceError, carrying the best
+    point evaluated, if no gap reaches tol within CAPACITY_MAX_ITER evaluations.
     """
     check_real("tol", tol, 0.0, open_lo=True)
-    check_positive_int("max_iter", max_iter)
     states = channel.states
     tr_w_log_w = _entropy_terms(states)
     points = _squarem_points(np.full(channel.size, 1.0 / channel.size))
@@ -135,7 +132,7 @@ def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL,
     best_value = -math.inf
     best_p = p
     best_gap = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, CAPACITY_MAX_ITER + 1):
         target = np.einsum("x,xij->ij", p, states)
         div = _divergences(states, p, target, tr_w_log_w)
         live = p > 0.0
@@ -148,8 +145,8 @@ def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL,
             return RateResult(info, max(gap, 0.0), iteration, dist)
         p = points.send((div, info))
     raise ConvergenceError(
-        f"capacity ascent gap {best_gap:.3e} > tol {tol:.3e} after {max_iter} iterations",
-        value=best_value, iterations=max_iter,
+        f"capacity ascent gap {best_gap:.3e} > tol {tol:.3e} after {CAPACITY_MAX_ITER} "
+        "iterations", value=best_value, iterations=CAPACITY_MAX_ITER,
         witness=Distribution(channel.labels, best_p))
 
 

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as npl
 
-from .channel import (DEFAULT_MAX_TYPES, MAX_COUNT_BYTES, CQChannel, Distribution, MType,
-                      m_type_counts, output_state)
-from .errors import ResourceLimitError, ValidationError, check_positive_int, check_real
+from .channel import CQChannel, Distribution, MType, m_type_counts, output_state
+from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, ResourceLimitError, ValidationError,
+                     check_budget, check_positive_int, check_real)
 from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass,
                    _renyi_fixed_points, pinch, pinching_from_spectrum)
-from .linalg import (DEFAULT_MAX_DIM, _kron_rows, eigh, hermitianize,
-                     positive_part_projector, validate_density)
+from .linalg import (_kron_rows, eigh, hermitianize, positive_part_projector,
+                     validate_density)
 
 ARGMIN_TIE_TOL = 1e-12
 WORST_REFINE_TOL = 1e-6
@@ -43,6 +43,8 @@ EIG_BATCH_BYTES = 4 * 2 ** 20
 WORST_SAMPLE_STRIDE = 32
 # 2.0 ** x overflows a float from here on.
 MAX_RATE_EXPONENT = 1024
+# Bytes of the reused buffer of uniforms that codebook draws become letters in.
+DRAW_CHUNK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,7 @@ def _rational_half_l1(channel: CQChannel, dist: Distribution, n: int,
 
 
 def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
-                           n: int = 1, *, max_types: int = DEFAULT_MAX_TYPES,
-                           max_dim: int = DEFAULT_MAX_DIM) -> ResolutionResult:
+                           n: int = 1) -> ResolutionResult:
     """min over M-types q on X^n of ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁, exactly.
 
     The law p is on the base alphabet, taken i.i.d., or on the product one.
@@ -238,18 +239,19 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     and each distance comes from eigvalsh. Outputs are formed in batches of
     about EIG_BATCH_BYTES. On the diagonal path the minimum's distance is
     then recomputed in exact arithmetic, so the reported error is correctly
-    rounded at the argmin. M and n must be positive ints.
+    rounded at the argmin. M and n must be positive ints; `CQChannel.power`
+    and `m_type_counts` hold the product channel and M-types to their budgets.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
-    product = channel.power(n, max_dim=max_dim)
+    product = channel.power(n)
     if dist.labels not in (channel.labels, product.labels):
         raise ValidationError(
             "distribution labels match neither the base alphabet nor the n-fold product")
     masses = _kron_rows(dist.masses, n) if dist.labels == channel.labels else dist.masses
     outputs = _OutputRows(product.states)
     target = outputs.target(masses)
-    counts = m_type_counts(product.size, M, max_types)
+    counts = m_type_counts(product.size, M)
     errors = np.empty(counts.shape[0])
     step = _batch_rows(counts.shape[1] * np.dtype(float).itemsize
                        + outputs.rows[0].nbytes)
@@ -298,8 +300,7 @@ def _worst_grid_point(outputs: _OutputRows, cand: np.ndarray,
 
 
 def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
-                           grid: int = 20, max_types: int = DEFAULT_MAX_TYPES,
-                           max_dim: int = DEFAULT_MAX_DIM) -> ResolutionResult:
+                           grid: int = 20) -> ResolutionResult:
     """Certified lower bound on sup_p min_{M-type q} ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁.
 
     Finds the first point of a simplex grid of step 1/grid with the largest
@@ -321,21 +322,26 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     in full. Distances are taken in batches of about EIG_BATCH_BYTES, and
     each point's output comes from its own matrix-vector product, so the
     result has the same bits as evaluating every grid point in turn. M, n
-    and grid must be positive ints.
+    and grid must be positive ints. `CQChannel.power` and `m_type_counts`
+    hold the product channel, candidates and grid points to their budgets;
+    the candidates' outputs, held at once, must fit in MAX_MATRIX_BYTES.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
     check_positive_int("grid", grid)
-    product = channel.power(n, max_dim=max_dim)
+    product = channel.power(n)
     k = product.size
     outputs = _OutputRows(product.states)
-    cand_counts = m_type_counts(k, M, max_types)
+    types = math.comb(M + k - 1, k - 1)
+    check_budget(f"the outputs of the M-types of {k} letters at M = {M}",
+                 types * outputs.rows[0].nbytes, MAX_MATRIX_BYTES)
+    cand_counts = m_type_counts(k, M)
     cand = (cand_counts / M) @ outputs.rows
 
     def inner(p_vec: np.ndarray) -> tuple[float, int]:
         return _first_argmin(outputs.distances(cand, outputs.target(p_vec)))
 
-    grid_counts = m_type_counts(k, grid, max_types)
+    grid_counts = m_type_counts(k, grid)
     best_val, idx = _worst_grid_point(outputs, cand, grid_counts, grid)
     best_p = grid_counts[idx] / grid
 
@@ -378,27 +384,43 @@ def _soft_cover_from_info(alpha: float, info_bits: float, M: int) -> float:
     return 2.0 ** exponent
 
 
-def _uniform_draws(seed: int, samples: int, M: int, n: int) -> np.ndarray:
-    """(samples, M, n) uniforms; row i is Philox(key=seed, counter=[0, 0, 0, i]).random((M, n)).
+def _codeword_indices(seed: int, samples: int, M: int, n: int,
+                      cdf: np.ndarray) -> np.ndarray:
+    """(samples, M) C-order indices of the letters searchsorted(cdf, u) of each codeword.
 
-    One generator draws them all. Row i takes ⌈Mn/4⌉ Philox blocks and
-    leaves the counter at (0, 0, 0, i) + ⌈Mn/4⌉, so advancing by
-    2¹⁹² − ⌈Mn/4⌉ lands on (0, 0, 0, i + 1) with the buffer empty, where a
-    generator built with that counter starts.
+    Row i's uniforms are Philox(key=seed, counter=[0, 0, 0, i]).random((M, n)).
+    One generator draws them all, in a reused buffer of about DRAW_CHUNK_BYTES
+    of whole codewords; successive draws continue its stream. Row i takes
+    ⌈Mn/4⌉ Philox blocks, so advancing by 2¹⁹² − ⌈Mn/4⌉ lands on counter
+    (0, 0, 0, i + 1) with the buffer empty, where a generator built there starts.
     """
+    k = cdf.size
     bits = np.random.Philox(key=seed)
     gen = np.random.Generator(bits)
-    u = np.empty((samples, M, n))
-    for draws in u:
-        gen.random(out=draws)
-        bits.advance(2 ** 192 - -(-M * n // 4))
-    return u
+    words = np.empty(samples * M, dtype=np.int64)
+    rows = max(1, DRAW_CHUNK_BYTES // (n * np.dtype(float).itemsize))
+    buf = np.empty((min(rows, words.size), n))
+    skip = 2 ** 192 - -(-M * n // 4)
+    for lo in range(0, words.size, rows):
+        hi = min(lo + rows, words.size)
+        # codewords lo…hi−1, drawn up to the end of each sample in turn
+        start = lo
+        while start < hi:
+            end = min(hi, start - start % M + M)
+            gen.random(out=buf[start - lo:end - lo])
+            if end % M == 0:
+                bits.advance(skip)
+            start = end
+        letters = np.searchsorted(cdf, buf[:hi - lo], side="right")
+        np.minimum(letters, k - 1, out=letters)
+        words[lo:hi] = np.ravel_multi_index(tuple(letters.T), (k,) * n)
+    return words.reshape(samples, M)
 
 
 def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
                         samples: int, seed: int, *,
-                        orders: tuple[RenyiOrder, ...] = (RenyiOrder(2.0),),
-                        max_dim: int = DEFAULT_MAX_DIM) -> SoftCoverReport:
+                        orders: tuple[RenyiOrder, ...] = (RenyiOrder(2.0),)
+                        ) -> SoftCoverReport:
     """Monte-Carlo mean of ½‖W_C − W^{⊗n}(q^{⊗n})‖₁ over i.i.d. codebooks.
 
     Codebook sample i consists of M codewords drawn i.i.d. from q^{⊗n}
@@ -406,11 +428,12 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     sample i's letters are the same for any ``samples`` ≥ i + 1. One
     generator draws every sample and is advanced to the next sample's
     counter after each one, which gives each sample the uniforms of a
-    generator built at its counter. The seed must lie in [0, 2¹²⁸). The
-    draws run in one thread; the command line's ``--workers`` flag is
-    checked (≥ 1) and has no effect. More than MAX_COUNT_BYTES of draws
-    and codeword counts (8 bytes each, samples × (M·n + kⁿ)) raise
-    ResourceLimitError before any is drawn.
+    generator built at its counter (`_codeword_indices`). The seed must lie
+    in [0, 2¹²⁸). The draws run in one thread; the command line's
+    ``--workers`` flag is checked (≥ 1) and has no effect. More than
+    MAX_COUNT_BYTES of draws and codeword counts (8 bytes each,
+    samples × (M·n + kⁿ)) raise ResourceLimitError before any is drawn,
+    and the draws' peak memory stays near that budget.
 
     The bound for each order uses I_α(X^n;B^n) = n·I_α(X;B), since the
     sandwiched Rényi mutual information is additive for α ≥ 1/2; the
@@ -423,19 +446,14 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     check_positive_int("samples", samples)
     if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2 ** 128):
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
-    product = channel.power(n, max_dim=max_dim)
-    k, size = channel.size, product.size
-    nbytes = samples * (M * n + size) * np.dtype(np.int64).itemsize
-    if nbytes > MAX_COUNT_BYTES:
-        raise ResourceLimitError(
-            f"{samples} samples of {M} x {n} draws and {size} codeword counts need "
-            f"{nbytes} bytes, over the budget of {MAX_COUNT_BYTES} bytes")
+    product = channel.power(n)
+    size = product.size
+    check_budget(f"a codebook experiment of {samples} samples of {M} x {n} draws and "
+                 f"{size} codeword counts", samples * (M * n + size)
+                 * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
     outputs = _OutputRows(product.states)
 
-    letters = np.searchsorted(np.cumsum(dist.masses), _uniform_draws(seed, samples, M, n),
-                              side="right")
-    np.minimum(letters, k - 1, out=letters)
-    words = np.ravel_multi_index(tuple(np.moveaxis(letters, -1, 0)), (k,) * n)
+    words = _codeword_indices(seed, samples, M, n, np.cumsum(dist.masses))
     words += size * np.arange(samples)[:, None]
     counts = np.bincount(words.ravel(), minlength=samples * size).reshape(samples, size)
     outs = outputs.targets(counts / M)
@@ -537,9 +555,8 @@ def ll1b_bound(channel: CQChannel, dist: Distribution, params: SmoothingParams,
     return 4.0 * math.sqrt(term1) + math.sqrt(params.v * params.L / M)
 
 
-def converse_trend(channel: CQChannel, dist: Distribution, R: float, n_max: int,
-                   *, max_types: int = DEFAULT_MAX_TYPES,
-                   max_dim: int = DEFAULT_MAX_DIM) -> list[tuple[int, int, float]]:
+def converse_trend(channel: CQChannel, dist: Distribution, R: float,
+                   n_max: int) -> list[tuple[int, int, float]]:
     """Exact ε(p^{⊗n}, W^{⊗n}, ⌊2^{nR}⌋) for n = 1…n_max, as (n, M, error) rows.
 
     Raises ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a
@@ -555,7 +572,5 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float, n_max: int,
     rows = []
     for n in range(1, n_max + 1):
         M = max(1, math.floor(2.0 ** (n * R)))
-        res = resolution_error_exact(channel, dist, M, n,
-                                     max_types=max_types, max_dim=max_dim)
-        rows.append((n, M, res.error))
+        rows.append((n, M, resolution_error_exact(channel, dist, M, n).error))
     return rows

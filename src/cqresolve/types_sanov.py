@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (CQChannel, Distribution, Word, compositions,
-                      empirical_output, output_state)
-from .errors import (DimensionMismatchError, ResourceLimitError,
-                     ValidationError, check_positive_int, check_real)
+from .channel import (CQChannel, Distribution, Word, empirical_output, m_type_counts,
+                      output_state)
+from .errors import (MAX_MATRIX_BYTES, DimensionMismatchError, ValidationError,
+                     check_budget, check_positive_int, check_real)
 from .info import SUPPORT_EIG_TOL, PinchingMap
-from .linalg import DEFAULT_MAX_DIM, tensor_power, trace_norm, validate_density
+from .linalg import tensor_power, trace_norm, validate_density
 
 BASIS_GRAM_TOL = 1e-10
 
@@ -94,11 +94,11 @@ def _empirical_state(w: Word, d: int) -> EmpiricalState:
 
 
 def all_empirical_states(n: int, d: int) -> list[EmpiricalState]:
-    """Every feasible count profile for (n, d); there are C(n+d-1, d-1)."""
+    """Every feasible count profile for (n, d): the C(n+d-1, d-1) rows of `m_type_counts(d, n)`."""
     check_positive_int("n", n)
     check_positive_int("d", d)
     return [EmpiricalState(tuple(int(c) for c in row), n)
-            for row in compositions(n, d)]
+            for row in m_type_counts(d, n)]
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,17 @@ def _word_mask(t: EmpiricalState) -> np.ndarray:
     return np.all(counts == np.asarray(t.counts), axis=1)
 
 
-def type_projector(t: EmpiricalState, basis: Basis, *,
-                   max_dim: int = DEFAULT_MAX_DIM) -> TypeProjector:
+def type_projector(t: EmpiricalState, basis: Basis) -> TypeProjector:
     """Σ over words with profile t of |v[x^n]⟩⟨v[x^n]|, with exact rank.
 
-    max_dim, a positive int, caps d^n.
+    A dⁿ×dⁿ projector of more than MAX_MATRIX_BYTES (dⁿ > 4096) raises
+    ResourceLimitError before it is built.
     """
-    check_positive_int("max_dim", max_dim)
     if basis.dim != t.dim:
         raise DimensionMismatchError(f"basis dim {basis.dim} vs profile dim {t.dim}")
     d, n = t.dim, t.n
-    total = d ** n
-    if total > max_dim:
-        raise ResourceLimitError(f"d^n = {total} exceeds the matrix cap {max_dim}")
+    check_budget(f"the {d}^{n} x {d}^{n} type projector",
+                 d ** (2 * n) * np.dtype(complex).itemsize, MAX_MATRIX_BYTES)
     mask = _word_mask(t)
     rank = t.rank()
     if int(mask.sum()) != rank:
@@ -138,20 +136,19 @@ def type_projector(t: EmpiricalState, basis: Basis, *,
     if basis.is_standard:
         matrix = np.diag(mask.astype(complex))
     else:
-        cols = tensor_power(basis.vectors, n, max_dim=max_dim)[:, mask]
+        cols = tensor_power(basis.vectors, n)[:, mask]
         matrix = cols @ cols.conj().T
     return TypeProjector(t, basis, matrix, rank)
 
 
-def type_pinching(basis: Basis, n: int, *,
-                  max_dim: int = DEFAULT_MAX_DIM) -> PinchingMap:
+def type_pinching(basis: Basis, n: int) -> PinchingMap:
     """Pinching map whose blocks are all type projectors for (n, basis)."""
-    projectors = tuple(type_projector(t, basis, max_dim=max_dim).matrix
+    projectors = tuple(type_projector(t, basis).matrix
                        for t in all_empirical_states(n, basis.dim))
     return PinchingMap(projectors)
 
 
-def ee31_margin(w: Word, d: int, *, max_dim: int = DEFAULT_MAX_DIM) -> float:
+def ee31_margin(w: Word, d: int) -> float:
     """Min eigenvalue of (n+1)^{d-1}·e(x^n)^{⊗n} − twirl(|x^n⟩⟨x^n|).
 
     Nonnegative (within slack) certifies the twirling domination for the
@@ -159,16 +156,13 @@ def ee31_margin(w: Word, d: int, *, max_dim: int = DEFAULT_MAX_DIM) -> float:
     projector gives the projector onto the word's type class T_c divided by
     |T_c|, so both terms are diagonal in the word basis and the margin is
     the minimum over types m of (n+1)^{d-1}·∏_j (c_j/n)^{m_j} − [m = c]/|T_c|.
-    No d^n matrix is built; max_dim still caps d^n. d and max_dim are
-    positive ints.
+    No dⁿ matrix is built, so dⁿ has no cap; the types come from
+    `m_type_counts(d, n)`, with its caps. d is a positive int.
     """
     check_positive_int("d", d)
-    check_positive_int("max_dim", max_dim)
     n = len(w.symbols)
-    if d ** n > max_dim:
-        raise ResourceLimitError(f"d^n = {d ** n} exceeds the matrix cap {max_dim}")
     emp = _empirical_state(w, d)
-    types = compositions(n, d)
+    types = m_type_counts(d, n)
     diag = ((n + 1) ** (d - 1)) * np.prod(emp.distribution() ** types, axis=1)
     diag[np.all(types == np.asarray(emp.counts), axis=1)] -= 1.0 / emp.rank()
     return float(diag.min())

@@ -189,20 +189,15 @@ def test_channel_power_respects_dim_cap(flip_erase_channel):
         channel.power(13)
 
 
-def test_channel_power_respects_total_footprint_cap(flip_erase_channel):
+def test_channel_power_respects_total_footprint_cap():
     # Per-state dimension alone is not the whole cost: the product channel
-    # holds size**n states.  With max_dim=16 a two-input channel at n=4 fits
-    # each state (2**4 = 16) but needs 2**4 * 16**2 = 4096 entries > 16**2.
-    channel, _ = flip_erase_channel
+    # holds size**n states. A two-input qubit channel at n = 12 has states of
+    # dimension 4096, but 2^12 of them take 2^12 · 4096² · 16 = 2^40 bytes.
     binary = cq.CQChannel(["0", "1"],
                           [np.diag([0.9, 0.1]), np.diag([0.1, 0.9])])
-    assert binary.power(4, max_dim=256).size == 16
-    with pytest.raises(errors.ResourceLimitError, match="matrix entries"):
-        binary.power(4, max_dim=16)
-    # A single-input channel never trips the footprint check when the
-    # dimension check passes (1**n * (2**4)**2 == 16**2 exactly).
-    single = cq.CQChannel(["a"], [np.diag([0.5, 0.5])])
-    assert single.power(4, max_dim=16).dim == 16
+    assert binary.power(4).size == 16
+    with pytest.raises(errors.ResourceLimitError, match="needs 1099511627776 bytes"):
+        binary.power(12)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

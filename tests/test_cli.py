@@ -126,10 +126,12 @@ class TestExitCodes:
         assert code == 2
 
     def test_resource_cap_is_exit_three(self, capsys):
+        # 18,156,204 M-types of 27 product letters, past MAX_TYPES
         code, _, err = run_cli(capsys, "resolve", "--builtin", "example1",
-                               "--eps", "0.1", "--M", "50", "--max-types", "5")
+                               "--eps", "0.1", "--n", "3", "--M", "8")
         assert code == 3
-        assert "resource limit" in err
+        assert err == ("resource limit: enumerating 27 letters at M = 8 needs 18156204 M-types, "
+                       "over the budget of 10000000 M-types\n")
 
     def test_large_block_length_is_exit_three_not_oom(self, capsys,
                                                       channel_file):
@@ -137,10 +139,22 @@ class TestExitCodes:
         # footprint cap must refuse cleanly before allocating.
         code, _, err = run_cli(capsys, "resolve", "--channel",
                                str(channel_file), "--dist",
-                               '{"0": 0.5, "1": 0.5}', "--M", "2",
-                               "--n", "12", "--max-types", "5")
+                               '{"0": 0.5, "1": 0.5}', "--M", "2", "--n", "12")
         assert code == 3
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2", "--n", "100000"),
+        ("types-check", "--alphabet-size", "3", "--n", "1000000"),
+        ("resolve", "--builtin", "example1", "--eps", "0.1", "--n", "3", "--M", "1" + "0" * 200),
+        ("worst-resolve", "--builtin", "example1", "--eps", "0.1", "--n", "3",
+         "--M", "1" + "0" * 200),
+    ], ids=["resolve-n", "types-check", "resolve-M", "worst-resolve-M"])
+    def test_budget_request_past_the_digit_limit_is_exit_three(self, capsys, argv):
+        # What these requests need has more digits than str() converts.
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "needs more than 2^" in err
 
     def test_count_matrix_past_the_byte_budget_is_exit_three(self, tmp_path):
         # 100^3 one-dimensional product letters at M = 1: 10^6 M-types pass
@@ -152,6 +166,22 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.startswith("resource limit: ")
         assert "bytes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_worst_input_candidates_past_the_matrix_budget_are_exit_three(self, tmp_path):
+        # 8,347,680 candidates of 8 letters fit their count budget, but their
+        # 8 x 8 complex outputs would take 8.5 GB; the timeout turns an
+        # attempt to build them into a failure.
+        path = tmp_path / "plus.json"
+        path.write_text(json.dumps({"dim": 2, "inputs": [
+            {"label": "0", "state": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            {"label": "+", "state": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]}]}))
+        cmd, env = module_command("worst-resolve", "--channel", str(path),
+                                  "--n", "3", "--M", "29")
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit: ")
+        assert "8548024320 bytes" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_softcover_draws_past_the_byte_budget_are_exit_three(self):

@@ -1,8 +1,10 @@
 """Every import in the package and the test suite is used, every private
 module-level name in the package is referenced somewhere in the package,
 every exported name is reached by a command, a demo or an acceptance test,
-the package makes no Kronecker product outside `linalg._kron_rows`, and it
-parses JSON input in one function."""
+the package makes no Kronecker product outside `linalg._kron_rows`, it
+parses JSON input in one function, it compares byte budgets in
+`errors.check_budget` alone, and no exported callable takes a cap as a
+parameter."""
 from __future__ import annotations
 
 import ast
@@ -219,3 +221,87 @@ def test_gate_flags_every_json_load_caller():
               "def c(s):\n    return json.loads(s)\n"
               "doc = ld(open('x'))\n")
     assert json_load_callers(source) == ["<module>", "a", "inner"]
+
+
+BYTE_BUDGETS = {"MAX_COUNT_BYTES", "MAX_MATRIX_BYTES"}
+
+
+def budget_reads_outside_check_budget(source: str) -> list[str]:
+    """Lines that read a byte budget other than as an argument of a ``check_budget`` call."""
+    tree = ast.parse(source)
+    arguments = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and "check_budget" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))
+                 for arg in [*node.args, *(kw.value for kw in node.keywords)]}
+    lines = {node.lineno for node in ast.walk(tree)
+             if ((isinstance(node, ast.Name) and node.id in BYTE_BUDGETS)
+                 or (isinstance(node, ast.Attribute) and node.attr in BYTE_BUDGETS))
+             and id(node) not in arguments}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_byte_budgets_are_compared_in_check_budget_alone():
+    # errors.py defines the budgets and check_budget, which compares them.
+    assert {p.name: budget_reads_outside_check_budget(p.read_text(encoding="utf-8"))
+            for p in SRC_MODULES if p.name != "errors.py"} == {
+        p.name: [] for p in SRC_MODULES if p.name != "errors.py"}
+
+
+def test_gate_flags_a_budget_read_outside_check_budget():
+    source = ("from .errors import MAX_COUNT_BYTES, check_budget\n"
+              "check_budget('a', n, MAX_COUNT_BYTES)\n"
+              "errors.check_budget('a', n, budget=errors.MAX_MATRIX_BYTES)\n"
+              "if n > MAX_COUNT_BYTES:\n    pass\n"
+              "check_budget('a', n, MAX_COUNT_BYTES - 1)\n"
+              "limit = errors.MAX_MATRIX_BYTES\n")
+    assert budget_reads_outside_check_budget(source) == ["line 4", "line 6", "line 7"]
+
+
+CAP_KNOBS = {"max_types", "max_dim", "max_iter"}
+
+
+def cap_knob_parameters(exports: dict) -> list[str]:
+    """Parameters named after a cap knob, of exported callables and their public methods."""
+    found = []
+    for name, obj in exports.items():
+        calls = {name: obj} if callable(obj) else {}
+        if inspect.isclass(obj):
+            calls |= {f"{name}.{attr}": getattr(obj, attr) for attr in vars(obj)
+                      if not attr.startswith("_") and callable(getattr(obj, attr))}
+        for label, call in calls.items():
+            try:
+                params = inspect.signature(call).parameters
+            except (TypeError, ValueError):
+                continue
+            found += [f"{label}({param})" for param in params if param in CAP_KNOBS]
+    return sorted(found)
+
+
+def test_no_exported_callable_takes_a_cap_knob():
+    # Every resource cap is a module constant.
+    assert cap_knob_parameters({name: getattr(cq, name) for name in cq.__all__}) == []
+
+
+def test_gate_flags_a_cap_knob_parameter():
+    def f(x, *, max_dim=3):
+        return x
+
+    def g(x, max_size=1):
+        return x
+
+    class C:
+        def __init__(self, max_types=2):
+            pass
+
+        def run(self, max_iter=1):
+            pass
+
+        @classmethod
+        def build(cls, max_dim=1):
+            return cls()
+
+        def _hidden(self, max_iter=1):
+            pass
+
+    assert cap_knob_parameters({"f": f, "g": g, "C": C, "K": 3}) == [
+        "C(max_types)", "C.build(max_dim)", "C.run(max_iter)", "f(max_dim)"]

@@ -179,13 +179,14 @@ def test_divergence_of_a_dead_input_off_the_support_is_infinite():
     assert div[0] == 0.0 and div[1] == np.inf
 
 
-def test_capacity_nonconvergence_carries_best_iterate():
+def test_capacity_nonconvergence_carries_best_iterate(monkeypatch):
     # A seeded qutrit channel on five inputs that takes the accelerated
     # ascent 199 evaluations to certify.
     states = _random_channel_states(38)
     channel = cq.CQChannel(tuple(str(i) for i in range(len(states))), states)
+    monkeypatch.setattr(cq.rates, "CAPACITY_MAX_ITER", 5)
     with pytest.raises(errors.ConvergenceError) as exc_info:
-        cq.capacity(channel, tol=1e-9, max_iter=5)
+        cq.capacity(channel, tol=1e-9)
     err = exc_info.value
     assert err.witness is not None
     assert err.iterations == 5

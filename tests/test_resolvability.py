@@ -1,6 +1,7 @@
 """Tests for exact resolution errors, soft-covering bounds, and smoothing."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -86,9 +87,10 @@ class TestResolutionErrorExact:
         assert res.approximate is None
 
     def test_type_cap_raises(self):
+        # 10^7 + 1 M-types of two letters, one past MAX_TYPES
         ch, p = build_binary_flip(0.1)
-        with pytest.raises(cq.ResourceLimitError):
-            cq.resolution_error_exact(ch, p, 10, 1, max_types=3)
+        with pytest.raises(cq.ResourceLimitError, match="10000001 M-types"):
+            cq.resolution_error_exact(ch, p, 10 ** 7, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +123,17 @@ class TestResolutionErrorWorst:
         assert errs[1] >= errs[2] - 1e-12
 
     def test_type_cap_raises(self):
-        with pytest.raises(cq.ResourceLimitError):
-            cq.resolution_error_worst(build_binary_flip(0.1)[0], 10, 1, max_types=3)
+        # their outputs (16 bytes each) fit MAX_MATRIX_BYTES; their count does not
+        with pytest.raises(cq.ResourceLimitError, match="10000001 M-types"):
+            cq.resolution_error_worst(build_binary_flip(0.1)[0], 10 ** 7, 1)
+
+    def test_candidate_outputs_past_the_matrix_budget_raise(self):
+        # 8,347,680 M-types of 8 letters fit their count budget (534 MB), but
+        # their 8 x 8 complex outputs would take 8.5 GB.
+        ch = cq.CQChannel(("0", "+"), (np.diag([1.0, 0.0]), np.full((2, 2), 0.5)))
+        with pytest.raises(cq.ResourceLimitError,
+                           match="8 letters at M = 29 needs 8548024320 bytes"):
+            cq.resolution_error_worst(ch, 29, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +536,31 @@ class TestSoftCoverSimulate:
 
     # M·n ≡ 0, 1, 2 and 3 (mod 4): a sample can end anywhere in a Philox block
     @pytest.mark.parametrize("M, n", [(4, 1), (5, 1), (3, 2), (5, 3)])
-    def test_draws_equal_a_generator_built_at_each_sample_counter(self, M, n):
+    def test_draws_equal_a_generator_built_at_each_sample_counter(self, monkeypatch, M, n):
         seed = 2 ** 100 + 17
-        u = rv._uniform_draws(seed, 5, M, n)
+        cdf = np.cumsum([0.2, 0.5, 0.3])
+        want = []
         for i in range(5):
             gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
-            assert np.array_equal(u[i], gen.random((M, n)))
+            letters = np.searchsorted(cdf, gen.random((M, n)), side="right")
+            want.append(np.ravel_multi_index(tuple(np.minimum(letters, 2).T), (3,) * n))
+        # buffers of one codeword, of 3 (ending inside and across samples), of
+        # one sample, and of every sample
+        for rows in (1, 3, M, 5 * M):
+            monkeypatch.setattr(rv, "DRAW_CHUNK_BYTES", rows * n * 8)
+            assert np.array_equal(rv._codeword_indices(seed, 5, M, n, cdf), want)
+
+    def test_draws_peak_near_their_byte_budget(self):
+        # 10^6 draws and 3 counts budget 8,000,024 bytes; holding the uniforms
+        # and their letters at once would peak at twice that.
+        ch, p = build_flip_erase_channel(0.1)
+        tracemalloc.start()
+        try:
+            cq.soft_cover_simulate(ch, p, 10 ** 6, 1, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (10 ** 6 + 3) * 8
 
     def test_draws_and_counts_past_the_byte_budget_raise(self, monkeypatch):
         # 3 samples of 4 x 2 draws and 2^2 counts: 3 · (8 + 4) · 8 = 288 bytes

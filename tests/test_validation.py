@@ -1,11 +1,15 @@
-"""The validation boundary: real arguments, integer sizes and caps, labels,
-float flags, JSON sources, and product channels built from checked factors.
+"""The validation boundary: real arguments, integer sizes, resource budgets,
+labels, float flags, JSON sources, and product channels built from checked
+factors.
 
 Every library entry point that takes a real argument rejects NaN, ±∞, a
 bool and a just-out-of-range value with ValidationError, and still accepts
 its boundary values; so do the references that left the library for the
-oracles with their checks. Every size and cap is a positive int, in the
-library and on the command line (exit 2). A label outside an alphabet is
+oracles with their checks. Every size is a positive int, in the library
+and on the command line (exit 2). Every resource budget is a constant: the
+largest request within it is accepted, and one past it raises
+ResourceLimitError before anything is allocated; no command takes a cap as
+a flag. A label outside an alphabet is
 named in a ValidationError. Every float flag of every command exits 2 on a
 non-finite value. The three JSON loaders treat a str or path-like source
 as a file and anything else as the parsed document. A product channel is
@@ -21,6 +25,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -30,6 +35,7 @@ import pytest
 
 import cqresolve as cq
 import cqresolve.channel as channel_module
+import cqresolve.cli as cli
 from cqresolve import ValidationError
 from cqresolve.cli import main
 from cqresolve.linalg import _kron_rows
@@ -98,12 +104,6 @@ def test_boundary_real_argument_is_accepted(entry, good):
     REAL_ARGUMENTS[entry][0](good)
 
 
-@pytest.mark.parametrize("bad", [0, True, 2.5, None], ids=repr)
-def test_capacity_max_iter_is_a_positive_int(bad):
-    with pytest.raises(ValidationError, match="max_iter must be a positive integer"):
-        cq.capacity(CHANNEL, max_iter=bad)
-
-
 # ---------------------------------------------------------------------------
 # integer arguments of the M-type enumeration
 # ---------------------------------------------------------------------------
@@ -130,18 +130,11 @@ def test_enumeration_boundary_arguments_are_accepted():
 
 
 # ---------------------------------------------------------------------------
-# caps and sizes
+# sizes and resource budgets
 # ---------------------------------------------------------------------------
 
-PROFILE = cq.EmpiricalState((1, 1), 2)
-# entry point: (call with the size or cap, the least value it accepts)
+# entry point: (call with the size, the least value it accepts)
 SIZE_CALLS = {
-    "m_type_counts.max_types": (lambda v: cq.m_type_counts(3, 2, max_types=v), 6),
-    "CQChannel.power.max_dim": (lambda v: CHANNEL.power(2, max_dim=v), 12),
-    "tensor_power.max_dim": (lambda v: cq.tensor_power(np.eye(2), 2, max_dim=v), 4),
-    "type_projector.max_dim": (lambda v: cq.type_projector(PROFILE, cq.Basis.standard(2),
-                                                           max_dim=v), 4),
-    "ee31_margin.max_dim": (lambda v: cq.ee31_margin(cq.Word((0, 1)), 2, max_dim=v), 4),
     "ee31_margin.d": (lambda v: cq.ee31_margin(cq.Word((0, 1)), v), 2),
 }
 NOT_SIZES = (None, "5", 0, -1, 2.5, 2.0, True)
@@ -158,32 +151,85 @@ def test_size_or_cap_is_a_positive_int(entry, bad):
 def test_least_fitting_size_or_cap_is_accepted(entry):
     call, least = SIZE_CALLS[entry]
     call(least)
-    if entry != "ee31_margin.d":
+
+
+PROFILE = cq.EmpiricalState((1, 1), 2)
+PLUS_CHANNEL = cq.CQChannel(("0", "+"), (np.diag([1.0, 0.0]), np.full((2, 2), 0.5)))
+
+
+def types_check(d: int, n: int) -> None:
+    cli._cmd_types_check(cli.build_parser().parse_args(
+        ["types-check", "--alphabet-size", str(d), "--n", str(n)]))
+
+
+# budget site: (module that reads the budget, its name, a call, and what
+# the call needs of it: bytes, or M-types for MAX_TYPES)
+BUDGET_SITES = {
+    "m_type_counts.MAX_TYPES": (channel_module, "MAX_TYPES", lambda: cq.m_type_counts(3, 2), 6),
+    "CQChannel.power": (channel_module, "MAX_MATRIX_BYTES", lambda: CHANNEL.power(2),
+                        9 * 4 * 4 * 16),
+    "tensor_power": (cq.linalg, "MAX_MATRIX_BYTES", lambda: cq.tensor_power(np.eye(2), 2),
+                     4 * 4 * 16),
+    "type_projector": (cq.types_sanov, "MAX_MATRIX_BYTES",
+                       lambda: cq.type_projector(PROFILE, cq.Basis.standard(2)), 4 * 4 * 16),
+    "types-check": (cli, "MAX_MATRIX_BYTES", lambda: types_check(2, 2), 4 * 4 * 16),
+    # 6 M-types of 3 letters at M = 2, each output a real diagonal of 2 floats
+    "resolution_error_worst": (cq.resolvability, "MAX_MATRIX_BYTES",
+                               lambda: cq.resolution_error_worst(CHANNEL, 2, grid=2), 6 * 16),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BUDGET_SITES))
+def test_largest_request_within_a_budget_is_accepted(monkeypatch, site):
+    # The count-matrix and soft-cover byte budgets have theirs in
+    # test_channel and test_resolvability.
+    module, name, call, need = BUDGET_SITES[site]
+    monkeypatch.setattr(module, name, need)
+    call()
+    monkeypatch.setattr(module, name, need - 1)
+    with pytest.raises(cq.ResourceLimitError, match=rf"\b{need} "):
+        call()
+
+
+# budget site at its constant: a request past it that would take gigabytes
+PAST_BUDGET_CALLS = {
+    "m_type_counts.MAX_TYPES": lambda: cq.m_type_counts(12, 100),
+    "m_type_counts.MAX_COUNT_BYTES": lambda: cq.m_type_counts(10 ** 6, 1),
+    "CQChannel.power": lambda: CHANNEL.power(13),
+    "tensor_power": lambda: cq.tensor_power(np.eye(2), 13),
+    "type_projector": lambda: cq.type_projector(cq.EmpiricalState((13, 0), 13),
+                                                cq.Basis.standard(2)),
+    "types-check": lambda: types_check(2, 13),
+    "resolution_error_worst": lambda: cq.resolution_error_worst(PLUS_CHANNEL, 29, 3),
+    "soft_cover_simulate": lambda: cq.soft_cover_simulate(CHANNEL, DIST, 10 ** 12, 1, 1, 0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PAST_BUDGET_CALLS))
+def test_request_past_a_budget_raises_before_allocating(site):
+    tracemalloc.start()
+    try:
         with pytest.raises(cq.ResourceLimitError):
-            call(least - 1)
+            PAST_BUDGET_CALLS[site]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
-def cap_flags() -> list[tuple[str, str]]:
-    """(command, flag) for every --max-types and --max-dim option."""
-    return [(name, action.option_strings[0]) for name, sp in command_parsers().items()
-            for action in sp._actions if action.dest in ("max_types", "max_dim")]
+# A valid command line for every command
+COMMAND_ARGV = {**BASE_ARGV, "sanov-sweep": ("--dist", '{"0": 0.5, "1": 0.5}', "--n", "1")}
 
 
-CAP_CASES = [(command, f"{flag}={value}") for command, flag in cap_flags()
-             for value in (0, -1, -3)]
-
-
-def test_cap_sweep_covers_the_commands_with_caps():
-    assert {command for command, _ in cap_flags()} == {
-        "resolve", "worst-resolve", "converse-trend", "softcover", "types-check"}
-
-
-@pytest.mark.parametrize("command, arg", CAP_CASES, ids=[f"{c}{a[1:]}" for c, a in CAP_CASES])
-def test_non_positive_cap_flag_exits_two(capsys, code_path, command, arg):
-    code = main(base_argv(command, code_path) + [arg])
-    err = capsys.readouterr().err
-    assert_clean_usage_error(code, err)
-    assert "must be a positive integer" in err
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_cap_flags_are_unrecognized(capsys, code_path, command):
+    assert set(COMMAND_ARGV) == set(command_parsers())
+    argv = [command] + [arg.replace("{code}", code_path) for arg in COMMAND_ARGV[command]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for flag in ("--max-types", "--max-dim"):
+        assert main(argv + [flag, "5"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
