@@ -10,8 +10,8 @@ from .errors import (ConvergenceError, DimensionMismatchError, ResourceLimitErro
 from .linalg import (SpectralDecomposition, eigh, positive_part_projector, tensor_power,
                      trace_norm, validate_density, validate_hermitian)
 from .channel import (CQChannel, Distribution, MType, Word, channel_from_json,
-                      compositions, distribution_from_json, empirical_output,
-                      format_label, m_type_counts, output_state)
+                      distribution_from_json, empirical_output, format_label,
+                      m_type_counts, output_state)
 from .info import (PinchingMap, RenyiMutualInfo, RenyiOrder, mutual_info, phi, pinch,
                    pinching_from_spectrum, qrel_entropy, renyi_mutual_info,
                    sandwiched_renyi)

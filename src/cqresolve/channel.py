@@ -17,8 +17,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, MAX_TYPES, DimensionMismatchError,
-                     ValidationError, check_budget, check_nonnegative_int,
-                     check_positive_int)
+                     ValidationError, check_budget, check_positive_int)
 from .linalg import _check_densities, _kron_rows, as_matrix
 
 DIST_SUM_TOL = 1e-12
@@ -196,8 +195,8 @@ class CQChannel:
         if n == 1:
             return self
         check_budget(f"the {n}-letter channel of {self.size}^{n} states of dimension "
-                     f"{self.dim}^{n}", self.size ** n * self.dim ** (2 * n)
-                     * self.states.itemsize, MAX_MATRIX_BYTES)
+                     f"{self.dim}^{n}", (self.states.itemsize, self.size * self.dim ** 2, n),
+                     MAX_MATRIX_BYTES)
         product = CQChannel.__new__(CQChannel)
         product.labels = tuple(itertools.product(self.labels, repeat=n))
         product.states = _kron_rows(self.states, n)
@@ -219,78 +218,38 @@ def empirical_output(channel: CQChannel, w: Word) -> np.ndarray:
     return acc / len(w)
 
 
-def _tail_links(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block sizes of the next enumeration level, and each of its rows' tail.
+def _bar_sequences(bars: int, M: int) -> np.ndarray:
+    """Every row 0 = b₀ ≤ b₁ ≤ … ≤ b_bars ≤ M, in lexicographic order.
 
-    `sizes` are the block sizes of a level, blocks in order of descending
-    sum t = total…0. A row of the next level with sum t is a first part c
-    and a tail of sum t − c; over c = 0…t the tails run through blocks t,
-    t−1, …, 0, the suffix of the level from block t's start. The links are a
-    ones array with a jump back at each block start, summed by one cumsum.
+    Level j repeats each row once per value from its bar j − 1 up to M and
+    writes those values into column j, so the rows stay lexicographic. Rows
+    are full width from the start, in the narrowest unsigned dtype that holds
+    M. The new bars step by one, and back from M to the row's bar j − 1 at
+    each row's first copy: one cumsum that wraps, but whose partial sums are
+    all bars in 0…M.
     """
-    starts = np.cumsum(sizes) - sizes
-    rows = int(sizes.sum())
-    above = rows - starts
-    links = np.ones(int(above.sum()), dtype=np.intp)
-    links[(np.cumsum(above) - above)[1:]] = starts[1:] - (rows - 1)
-    links[0] = 0
-    np.cumsum(links, out=links)
-    return above, links
-
-
-def compositions(total: int, parts: int) -> np.ndarray:
-    """All length-`parts` nonnegative integer vectors summing to `total`.
-
-    Rows in lexicographic (ascending) order, shape
-    (C(total+parts-1, parts-1), parts), int64; total is a nonnegative int
-    and parts a positive int. Level j holds the last j parts of every row:
-    all compositions into j parts of each sum t ≤ total, in blocks of
-    descending t, each block lexicographic. Each level row stores its first
-    part and a link to its tail's row on the level below (`_tail_links`),
-    and the rows of level parts−1 are the output rows, with the first part
-    total − t. The columns are then filled by following the links, one
-    gather per column. The work is a fixed number of array operations per
-    level and per column, and no Python loop runs once per row.
-    """
-    check_nonnegative_int("total", total)
-    check_positive_int("parts", parts)
-    out = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=np.int64)
-    if parts == 1:
-        out[0, 0] = total
-        return out
-    sums = np.arange(total, -1, -1, dtype=np.int64)
-    # Level 0 is the empty composition of 0 (so every block but t = 0 is
-    # empty); it has no column.
-    sizes = (sums == 0).astype(np.int64)
-    row_sums = np.zeros(1, dtype=np.int64)
-    heads, links = [], []
-    for _ in range(parts - 2):
-        sizes, link = _tail_links(sizes)
-        block_sums = np.repeat(sums, sizes)
-        heads.append(block_sums - row_sums[link])
-        links.append(link)
-        row_sums = block_sums
-    # The top level's row sums and first parts go straight into the output
-    # (the row sum is total minus the first column), so the largest arrays
-    # alive at once are the output, the top level's links and one gather.
-    sizes, link = _tail_links(sizes)
-    np.subtract(total, np.repeat(sums, sizes), out=out[:, 0])
-    np.subtract(total, out[:, 0], out=out[:, 1])
-    out[:, 1] -= row_sums[link]
-    del row_sums
-    for col, head, below in zip(range(2, parts), reversed(heads), reversed(links)):
-        out[:, col] = head[link]
-        if col < parts - 1:
-            link = below[link]
-    return out
+    dtype = np.min_scalar_type(M)
+    seqs = np.zeros((1, bars + 1), dtype=dtype)
+    for j in range(1, bars + 1):
+        last = seqs[:, j - 1]
+        fan = M + 1 - last.astype(np.intp)
+        steps = np.ones(int(fan.sum()), dtype=dtype)
+        steps[0] = last[0]
+        steps[np.cumsum(fan[:-1])] = last[1:] - M
+        seqs = np.repeat(seqs, fan, axis=0)
+        np.cumsum(steps, dtype=dtype, out=seqs[:, j])
+    return seqs
 
 
 def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     """Count matrix of all M-types, rows lexicographic over mass vectors.
 
-    The rows are `compositions(M, alphabet_size)`; both arguments are
-    positive ints. More than MAX_TYPES rows, or a matrix of more than
-    MAX_COUNT_BYTES, raise ResourceLimitError before any row is built.
+    Stars and bars: the bars b₁ ≤ … ≤ b_{k−1} of each `_bar_sequences` row cut
+    M stars into the counts c_j = b_{j+1} − b_j (b₀ = 0, b_k = M), in the same
+    order. The result is int64 in C order, k = alphabet_size columns; both
+    arguments are positive ints. More than MAX_TYPES rows, or more than
+    MAX_COUNT_BYTES, raise ResourceLimitError before any row is built; an M
+    past the largest int64 raises ValidationError.
     """
     check_positive_int("alphabet_size", alphabet_size)
     check_positive_int("M", M)
@@ -298,7 +257,13 @@ def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     check_budget(f"enumerating {alphabet_size} letters at M = {M}", total, MAX_TYPES, "M-types")
     check_budget(f"the {total} x {alphabet_size} M-type count matrix",
                  total * alphabet_size * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
-    return compositions(M, alphabet_size)
+    if M > np.iinfo(np.int64).max:
+        raise ValidationError("M must be below 2^63, the largest int64 count")
+    bars = _bar_sequences(alphabet_size - 1, M)
+    counts = np.empty((total, alphabet_size), dtype=np.int64)
+    np.subtract(bars[:, 1:], bars[:, :-1], out=counts[:, :-1])
+    np.subtract(M, bars[:, -1], out=counts[:, -1])
+    return counts
 
 
 def _parse_complex_matrix(entry, where: str) -> np.ndarray:

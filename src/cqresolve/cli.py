@@ -256,7 +256,7 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
     check_positive_int("--alphabet-size", d)
     check_positive_int("--n", n)
     check_budget(f"the {d}^{n} x {d}^{n} type partition",
-                 d ** (2 * n) * np.dtype(complex).itemsize, MAX_MATRIX_BYTES)
+                 (np.dtype(complex).itemsize, d * d, n), MAX_MATRIX_BYTES)
     states = all_empirical_states(n, d)
     basis = Basis.standard(d)
     total = np.zeros((d ** n, d ** n), dtype=complex)

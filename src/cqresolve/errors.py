@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit."""
 from __future__ import annotations
 
+import decimal
 import math
 import numbers
 import sys
@@ -27,11 +28,37 @@ MAX_MATRIX_BYTES = 2 ** 28
 MAX_TYPES = 10 ** 7
 
 
-def check_budget(what: str, need: int, budget: int, unit: str = "bytes") -> None:
-    """Raise ResourceLimitError, saying what needs how many units, if need > budget."""
-    if need > budget:
+def _log2_floor(factor: int, base: int, exponent: int) -> int:
+    """⌊log₂(factor·base^exponent)⌋ for positive ints; a power past 4096 bits is not formed.
+
+    Past that, a base other than a power of two goes through decimal logarithms
+    30 digits finer than the exponent: exact unless exponent·log₂(base) is
+    within about 10⁻²⁵ of an integer.
+    """
+    if base & (base - 1) == 0:
+        return exponent * (base.bit_length() - 1) + factor.bit_length() - 1
+    if exponent * base.bit_length() + factor.bit_length() <= 4096:
+        return (factor * base ** exponent).bit_length() - 1
+    ctx = decimal.Context(prec=exponent.bit_length() // 3 + 30)
+    ln2 = ctx.ln(2)
+    log2 = ctx.add(ctx.multiply(exponent, ctx.divide(ctx.ln(base), ln2)),
+                   ctx.divide(ctx.ln(factor), ln2))
+    return int(log2.to_integral_value(decimal.ROUND_FLOOR))
+
+
+def check_budget(what: str, need, budget: int, unit: str = "bytes") -> None:
+    """Raise ResourceLimitError, saying what needs how many units, if need > budget.
+
+    need is an int, or a triple (factor, base, exponent) of positive ints
+    for factor·base^exponent, whose bit length comes from its logarithm: past
+    4096 bits, over every budget here, it is refused without being formed.
+    """
+    bits = _log2_floor(*need) + 1 if isinstance(need, tuple) else need.bit_length()
+    if isinstance(need, tuple) and bits <= 4096:
+        need = need[0] * need[1] ** need[2]
+    if bits > 4096 or need > budget:
         # str() of an int past the digit limit of int-to-str conversion raises
-        size = need if need.bit_length() <= 4096 else f"more than 2^{need.bit_length() - 1}"
+        size = need if bits <= 4096 else f"more than 2^{bits - 1}"
         raise ResourceLimitError(
             f"{what} needs {size} {unit}, over the budget of {budget} {unit}")
 
@@ -40,12 +67,6 @@ def check_positive_int(name: str, value) -> None:
     """Raise ValidationError unless value is an int (not a bool) and >= 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-
-
-def check_nonnegative_int(name: str, value) -> None:
-    """Raise ValidationError unless value is an int (not a bool) and >= 0."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,

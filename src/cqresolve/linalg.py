@@ -188,5 +188,5 @@ def tensor_power(op, n: int) -> np.ndarray:
     m = as_matrix(op)
     check_positive_int("n", n)
     check_budget(f"the {n}-fold tensor power of a {m.shape[0]}x{m.shape[0]} matrix",
-                 m.shape[0] ** (2 * n) * m.itemsize, MAX_MATRIX_BYTES)
+                 (m.itemsize, m.shape[0] ** 2, n), MAX_MATRIX_BYTES)
     return _kron_rows(m[None], n)[0]

@@ -231,15 +231,14 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     """min over M-types q on X^n of ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁, exactly.
 
     The law p is on the base alphabet, taken i.i.d., or on the product one.
-    The M-types come from `m_type_counts` (the level-by-level array kernel
-    of `compositions`, lexicographic order), and ties within 1e-12 of the
-    minimum resolve to the lexicographically first one. When every product
-    state is diagonal, the outputs are real diagonals and each distance is
-    ½·Σ|sorted(difference)|; otherwise the outputs are flattened matrices
-    and each distance comes from eigvalsh. Outputs are formed in batches of
-    about EIG_BATCH_BYTES. On the diagonal path the minimum's distance is
-    then recomputed in exact arithmetic, so the reported error is correctly
-    rounded at the argmin. M and n must be positive ints; `CQChannel.power`
+    The M-types come from `m_type_counts` (stars and bars, lexicographic
+    order), and ties within 1e-12 of the minimum resolve to the
+    lexicographically first one. When every product state is diagonal, the
+    outputs are real diagonals and each distance is ½·Σ|sorted(difference)|;
+    otherwise the outputs are flattened matrices and each distance comes
+    from eigvalsh. Outputs are formed in batches of about EIG_BATCH_BYTES.
+    On the diagonal path the minimum's distance is then recomputed in exact
+    arithmetic, so the reported error is correctly rounded at the argmin. M and n must be positive ints; `CQChannel.power`
     and `m_type_counts` hold the product channel and M-types to their budgets.
     """
     check_positive_int("M", M)
@@ -309,10 +308,10 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     at the reported ``worst_input`` p and ``argmin`` q, a true lower bound on
     the supremum; on the diagonal path it is recomputed there in exact
     arithmetic, so it is correctly rounded. Candidates and grid points come
-    from `m_type_counts` (the array kernel of `compositions`). When every
-    product state is diagonal, the candidate outputs are real diagonals and
-    each distance is ½·Σ|sorted(difference)|; otherwise they are flattened
-    matrices and the distances come from eigvalsh.
+    from `m_type_counts`, in lexicographic order. When every product state
+    is diagonal, the candidate outputs are real diagonals and each distance
+    is ½·Σ|sorted(difference)|; otherwise they are flattened matrices and
+    the distances come from eigvalsh.
 
     The grid phase evaluates every WORST_SAMPLE_STRIDE-th point in full. The
     largest of those inner minima is a lower bound on the grid maximum, and

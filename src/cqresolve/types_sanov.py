@@ -128,7 +128,7 @@ def type_projector(t: EmpiricalState, basis: Basis) -> TypeProjector:
         raise DimensionMismatchError(f"basis dim {basis.dim} vs profile dim {t.dim}")
     d, n = t.dim, t.n
     check_budget(f"the {d}^{n} x {d}^{n} type projector",
-                 d ** (2 * n) * np.dtype(complex).itemsize, MAX_MATRIX_BYTES)
+                 (np.dtype(complex).itemsize, d * d, n), MAX_MATRIX_BYTES)
     mask = _word_mask(t)
     rank = t.rank()
     if int(mask.sum()) != rank:
@@ -157,14 +157,17 @@ def ee31_margin(w: Word, d: int) -> float:
     |T_c|, so both terms are diagonal in the word basis and the margin is
     the minimum over types m of (n+1)^{d-1}·∏_j (c_j/n)^{m_j} − [m = c]/|T_c|.
     No dⁿ matrix is built, so dⁿ has no cap; the types come from
-    `m_type_counts(d, n)`, with its caps. d is a positive int.
+    `m_type_counts(d, n)`, with its caps. d is a positive int. Past the float
+    range, (n+1)^{d-1} times a positive product is ∞, not an OverflowError.
     """
     check_positive_int("d", d)
     n = len(w.symbols)
     emp = _empirical_state(w, d)
     types = m_type_counts(d, n)
-    diag = ((n + 1) ** (d - 1)) * np.prod(emp.distribution() ** types, axis=1)
-    diag[np.all(types == np.asarray(emp.counts), axis=1)] -= 1.0 / emp.rank()
+    scale, products = (n + 1) ** (d - 1), np.prod(emp.distribution() ** types, axis=1)
+    with np.errstate(over="ignore"):  # the scale as a float mantissa and a power of two
+        diag = np.ldexp(scale / 2 ** scale.bit_length() * products, scale.bit_length())
+    diag[np.all(types == np.asarray(emp.counts), axis=1)] -= 1 / emp.rank()
     return float(diag.min())
 
 
@@ -190,9 +193,10 @@ def commuting_types_bound_check(rho, rho_prime: EmpiricalState,
     """Exact Tr ρ^{⊗n} T_{ρ'} vs 2^{−n D(ρ'‖ρ)} for diagonal ρ.
 
     The left side is multinomial(n; counts)·∏ ρ_i^{counts_i}, computed
-    without building any n-fold matrix. A support violation (a counted
-    letter with zero mass in ρ) zeroes both sides, so the bound holds
-    vacuously.
+    without building any n-fold matrix, as one correctly rounded division of
+    exact integers, so it underflows only where the value does. A support
+    violation (a counted letter with zero mass in ρ) zeroes both sides, so
+    the bound holds vacuously.
     """
     m = validate_density(rho)
     off = m - np.diag(np.diag(m))
@@ -208,7 +212,12 @@ def commuting_types_bound_check(rho, rho_prime: EmpiricalState,
     active = counts > 0
     if np.any(probs[active] <= SUPPORT_EIG_TOL):
         return TypesBoundCheck(0.0, 0.0, True)
-    lhs = float(rho_prime.rank()) * float(np.prod(probs[active] ** counts[active]))
+    # Each mass is p_num / 2^k, so the left side is num / 2^shift exactly.
+    num, shift = rho_prime.rank(), 0
+    for p, c in zip(probs[active].tolist(), counts[active].tolist()):
+        p_num, p_den = p.as_integer_ratio()
+        num, shift = num * p_num ** c, shift + c * (p_den.bit_length() - 1)
+    lhs = num / (1 << shift)
     freq = counts[active] / n
     div = float(np.sum(freq * (np.log2(freq) - np.log2(probs[active]))))
     rhs = 2.0 ** (-n * div)

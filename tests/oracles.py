@@ -823,6 +823,26 @@ def twirl_word_margin(symbols, d: int) -> float:
     return float(np.linalg.eigvalsh((n + 1) ** (d - 1) * rhs - lhs)[0])
 
 
+def ee31_margin_exact(symbols, d: int) -> Fraction:
+    """The twirl-domination margin of a word, in rational arithmetic.
+
+    The closed form min over types m of (n+1)^{d-1}·∏_j q_j^{m_j} − [m = c]/|T_c|,
+    with q_j the float c_j/n taken exactly and |T_c| from `multinomial_exact`;
+    the types are the rows of `stars_and_bars_compositions(n, d)`.
+    """
+    n = len(symbols)
+    counts = np.bincount(np.asarray(symbols, dtype=int), minlength=d).tolist()
+    freqs = [Fraction(c / n) for c in counts]
+    scale = (n + 1) ** (d - 1)
+    best = None
+    for m in stars_and_bars_compositions(n, d).tolist():
+        value = scale * math.prod(freqs[j] ** mj for j, mj in enumerate(m) if mj)
+        if m == counts:
+            value -= Fraction(1, multinomial_exact(n, counts))
+        best = value if best is None else min(best, value)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # the Sanov exponent set, parked here until a command prints a number from it
 

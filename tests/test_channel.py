@@ -282,26 +282,32 @@ def test_m_type_count_matrix_at_the_byte_budget_is_built(monkeypatch):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 6))
-def test_m_type_enumeration_distinct_and_valid(k, M):
+@given(st.tuples(st.integers(1, 30), st.integers(1, 8)).filter(
+    lambda km: math.comb(km[0] + km[1] - 1, km[1]) <= 10 ** 5))
+def test_m_type_enumeration_distinct_and_valid(km):
+    k, M = km
     counts = cq.m_type_counts(k, M)
     assert counts.shape == (math.comb(M + k - 1, k - 1), k)
-    assert len({tuple(row) for row in counts.tolist()}) == counts.shape[0]
-    labels = tuple(str(i) for i in range(k))
-    for row in counts:
-        assert row.min() >= 0
-        cq.MType.from_counts(labels, row, M)
+    assert counts.min() >= 0
+    assert np.all(counts.sum(axis=1) == M)
+    # Strictly increasing in lexicographic order: each row's first change
+    # from the row before is an increase.
+    step = np.diff(counts, axis=0)
+    first = np.argmax(step != 0, axis=1)
+    assert np.all(step[np.arange(step.shape[0]), first] > 0)
 
 
 # The small grid, then many parts on a small total (the n-letter product
-# alphabets of the exact engine) and few parts on a large total.
-KERNEL_CASES = ([(total, parts) for total in range(7) for parts in range(1, 7)]
-                + [(4, 27), (3, 27), (8, 9), (6, 9), (12, 9), (300, 3), (1000, 2)])
+# alphabets of the exact engine), few parts on a large total, and each
+# total at which the bars need a wider unsigned dtype.
+KERNEL_CASES = ([(total, parts) for total in range(1, 7) for parts in range(1, 7)]
+                + [(4, 27), (3, 27), (8, 9), (6, 9), (12, 9), (300, 3), (1000, 2),
+                   (255, 3), (256, 3), (65535, 2), (65536, 2)])
 
 
 @pytest.mark.parametrize("total, parts", KERNEL_CASES)
 def test_compositions_match_oracle(total, parts):
-    got = cq.compositions(total, parts)
+    got = cq.m_type_counts(parts, total)
     want = orc.stars_and_bars_compositions(total, parts)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape == (math.comb(total + parts - 1, parts - 1), parts)
@@ -312,11 +318,11 @@ def test_compositions_match_oracle(total, parts):
         assert [tuple(row) for row in got.tolist()] == orc.all_m_type_count_vectors(parts, total)
 
 
-def traced_peak(build, total, parts) -> int:
-    """tracemalloc's peak, in bytes, while build(total, parts) runs."""
+def traced_peak(build) -> int:
+    """tracemalloc's peak, in bytes, while build() runs."""
     tracemalloc.start()
     try:
-        build(total, parts)
+        build()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -329,8 +335,14 @@ LARGE_CASES = [(total, parts) for total, parts in KERNEL_CASES
 
 @pytest.mark.parametrize("total, parts", LARGE_CASES)
 def test_compositions_peak_memory_is_at_most_the_oracles(total, parts):
-    assert traced_peak(cq.compositions, total, parts) <= traced_peak(
-        orc.stars_and_bars_compositions, total, parts)
+    assert traced_peak(lambda: cq.m_type_counts(parts, total)) <= traced_peak(
+        lambda: orc.stars_and_bars_compositions(total, parts))
+
+
+def test_m_type_count_past_int64_is_refused():
+    assert cq.m_type_counts(1, 2 ** 63 - 1).tolist() == [[2 ** 63 - 1]]
+    with pytest.raises(errors.ValidationError, match="M must be below 2"):
+        cq.m_type_counts(1, 2 ** 63)
 
 
 def test_m_type_enumeration_matches_oracle_counts():

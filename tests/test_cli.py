@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,18 @@ class TestExitCodes:
     def test_budget_request_past_the_digit_limit_is_exit_three(self, capsys, argv):
         # What these requests need has more digits than str() converts.
         code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "needs more than 2^" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2", "--n", "10000000"),
+        ("types-check", "--alphabet-size", "3", "--n", "10000000"),
+    ], ids=["resolve", "types-check"])
+    def test_absurd_block_length_is_refused_at_once(self, capsys, argv):
+        # The budget check takes the need's logarithm, not the power itself.
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "needs more than 2^" in err
 

@@ -3,6 +3,7 @@ reference majorization, Sanov exponent and twirl kept in the oracles."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -371,6 +372,18 @@ class TestCommutingTypesBound:
         with pytest.raises(ValidationError):
             cq.commuting_types_bound_check(rho, cq.EmpiricalState((1, 1), 2), 3)
 
+    @pytest.mark.parametrize("counts", [(550, 550), (500, 500), (1000, 100)])
+    def test_left_side_past_the_float_range_of_its_factors(self, counts):
+        # multinomial(1100; 550, 550) is past the largest float, and at n = 1000
+        # the product of masses underflows; the left side is 5.4e-44 and 3.5e-40.
+        rho = np.diag([0.7, 0.3]).astype(complex)
+        n = sum(counts)
+        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState(counts, n), n)
+        exact = (orc.multinomial_exact(n, counts)
+                 * Fraction(0.7) ** counts[0] * Fraction(0.3) ** counts[1])
+        assert res.lhs == float(exact) > 0
+        assert res.ok
+
 
 # ---------------------------------------------------------------------------
 # EE31 twirling domination
@@ -405,6 +418,13 @@ class TestEE31:
         for symbols in itertools.product(range(d), repeat=n):
             margin = cq.ee31_margin(cq.Word(symbols), d)
             assert abs(margin - orc.twirl_word_margin(symbols, d)) <= 1e-15
+
+    @pytest.mark.parametrize("symbols, d", [
+        ((0,), 1100), ((0, 1) * 550, 2), ((0, 1, 1), 3)], ids=["d1100", "n1100", "n3"])
+    def test_margin_past_the_float_range_of_its_factors(self, symbols, d):
+        # (n+1)^{d-1} = 2^1099 and |T_c| = C(1100, 550) are past the largest float.
+        margin = cq.ee31_margin(cq.Word(symbols), d)
+        assert margin == float(orc.ee31_margin_exact(symbols, d))
 
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 6), (3, 3), (3, 4), (4, 2), (5, 3)])
     def test_margin_depends_on_the_word_only_through_its_type(self, d, n):
