@@ -108,9 +108,15 @@ def test_boundary_real_argument_is_accepted(entry, good):
 # integer arguments of the M-type enumeration
 # ---------------------------------------------------------------------------
 
+def compositions(total, parts):
+    """The M-types of ``total`` over ``parts`` letters, asked for total first."""
+    return cq.m_type_counts(parts, total)
+
+
 ENUMERATION_CALLS = [
+    (compositions, (-1, 2)), (compositions, (True, 2)), (compositions, (2.0, 2)),
+    (compositions, (3, 0)), (compositions, (3, True)), (compositions, (3, 2.0)),
     (cq.m_type_counts, (3, True)), (cq.m_type_counts, (3, 0)), (cq.m_type_counts, (3, 2.0)),
-    (cq.m_type_counts, (2, -1)),
     (cq.m_type_counts, (2.0, 3)), (cq.m_type_counts, (0, 3)), (cq.m_type_counts, (True, 3)),
 ]
 
