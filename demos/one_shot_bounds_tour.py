@@ -80,7 +80,7 @@ def stop_three() -> None:
     rho = np.diag([0.5, 0.5]).astype(complex)
     for counts in ((5, 5), (8, 2), (10, 0)):
         t = cq.EmpiricalState(counts, 10)
-        res = cq.commuting_types_bound_check(rho, t, 10)
+        res = cq.commuting_types_bound_check(rho, t)
         print(f"  counts {counts}: mass {res.lhs:.6f} <= 2^(-10 D) = "
               f"{res.rhs:.6f}  ok={res.ok}")
     margins = []

@@ -236,7 +236,7 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> _Record:
     rows = []
     for n in range(1, args.n + 1):
         for t in all_empirical_states(n, len(dist.masses)):
-            check = commuting_types_bound_check(rho, t, n)
+            check = commuting_types_bound_check(rho, t)
             rows.append((n, "|".join(str(c) for c in t.counts), check.lhs, check.rhs,
                          check.ok))
     return [_Table(("n", "type_counts", "lhs", "rhs", "ok"), rows), ("rows", len(rows)),
@@ -334,17 +334,13 @@ def _parse_eps_grid(spec_text: str) -> list[float]:
     check_real("--eps-grid start", start)
     check_real("--eps-grid step", step, 0.0, open_lo=True)
     check_real("--eps-grid stop", stop, start)
-    # The grid is every start + k·step <= stop + 1e-9. Count its points before
-    # building them: the quotient, capped so that int() is defined, then
-    # settled on that test, since it may round across an integer.
-    count = int(min((stop + 1e-9 - start) / step, _MAX_EPS_GRID_POINTS)) + 1
-    while count <= _MAX_EPS_GRID_POINTS and start + count * step <= stop + 1e-9:
-        count += 1
-    while start + (count - 1) * step > stop + 1e-9:
-        count -= 1
-    if count > _MAX_EPS_GRID_POINTS:
-        raise ResourceLimitError(f"--eps-grid has more than {_MAX_EPS_GRID_POINTS} points")
-    return [round(start + k * step, 12) for k in range(count)]
+    # The grid is every start + k·step <= stop + 1e-9.
+    points = []
+    while start + len(points) * step <= stop + 1e-9:
+        if len(points) == _MAX_EPS_GRID_POINTS:
+            raise ResourceLimitError(f"--eps-grid has more than {_MAX_EPS_GRID_POINTS} points")
+        points.append(round(start + len(points) * step, 12))
+    return points
 
 
 def _cmd_separation_figure(args: argparse.Namespace) -> _Record:

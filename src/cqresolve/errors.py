@@ -1,7 +1,6 @@
 """Exception types shared across the toolkit."""
 from __future__ import annotations
 
-import decimal
 import math
 import numbers
 import sys
@@ -29,21 +28,19 @@ MAX_TYPES = 10 ** 7
 
 
 def _log2_floor(factor: int, base: int, exponent: int) -> int:
-    """⌊log₂(factor·base^exponent)⌋ for positive ints; a power past 4096 bits is not formed.
+    """⌊log₂(factor·base^exponent)⌋ for positive ints, exact up to 2¹⁶ bits.
 
-    Past that, a base other than a power of two goes through decimal logarithms
-    30 digits finer than the exponent: exact unless exponent·log₂(base) is
-    within about 10⁻²⁵ of an integer.
+    Past 2¹⁶ bits, for a base other than a power of two, the power is not
+    formed: log₂ base and log₂ factor are taken from below as multiples of
+    2⁻⁵² (a float logarithm less four ulps), so the result is a lower bound,
+    and at most one below the floor while exponent·log₂ base < 2⁴⁸.
     """
     if base & (base - 1) == 0:
         return exponent * (base.bit_length() - 1) + factor.bit_length() - 1
-    if exponent * base.bit_length() + factor.bit_length() <= 4096:
+    if exponent * base.bit_length() + factor.bit_length() <= 2 ** 16:
         return (factor * base ** exponent).bit_length() - 1
-    ctx = decimal.Context(prec=exponent.bit_length() // 3 + 30)
-    ln2 = ctx.ln(2)
-    log2 = ctx.add(ctx.multiply(exponent, ctx.divide(ctx.ln(base), ln2)),
-                   ctx.divide(ctx.ln(factor), ln2))
-    return int(log2.to_integral_value(decimal.ROUND_FLOOR))
+    below = [int(x * 2 ** 52) - 4 * (int(x) + 1) for x in map(math.log2, (base, factor))]
+    return (exponent * below[0] + below[1]) >> 52
 
 
 def check_budget(what: str, need, budget: int, unit: str = "bytes") -> None:

@@ -123,15 +123,18 @@ def _half_l1_distances(diagonals: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 class _OutputRows:
-    """Channel states as rows that mix into outputs, and the distances between them.
+    """The n-letter product states as rows that mix into outputs, and their distances.
 
+    The states and labels come from `CQChannel.power`, under its budget.
     When every off-diagonal entry is exactly 0, the rows are the real
     diagonals and ½‖·‖₁ is ½·Σ|sorted(difference)|. Otherwise the rows are
     the flattened matrices and ½‖·‖₁ comes from eigvalsh. Each distance
     depends only on its own two rows, so it has the same bits in any batch.
     """
 
-    def __init__(self, states: np.ndarray):
+    def __init__(self, channel: CQChannel, n: int):
+        product = channel.power(n)
+        self.labels, states = product.labels, product.states
         k, self.dim = states.shape[0], states.shape[1]
         self.flat = states.reshape(k, -1)
         self.diagonal = not np.any(states[:, ~np.eye(self.dim, dtype=bool)])
@@ -141,29 +144,18 @@ class _OutputRows:
         # its sorted copy or eigenvalues, and their absolute values
         self.pair_bytes = self.rows[0].nbytes + 2 * self.dim * np.dtype(float).itemsize
 
-    def target(self, weights: np.ndarray) -> np.ndarray:
-        """The row of Σ_x w_x W_x.
-
-        It is mixed from the flattened states on both paths, so both paths
-        see the same bits. A real matrix-vector product can round a diagonal
-        entry one ulp differently, which changes printed errors near zero.
-        """
-        mixed = weights @ self.flat
-        return mixed[::self.dim + 1].real if self.diagonal else mixed
-
     def targets(self, weights: np.ndarray) -> np.ndarray:
-        """The row of `target` for each row of weights.
+        """The row of Σ_x w_x W_x for each row of weights.
 
+        Each is mixed from the flattened states on both paths, so both paths
+        see the same bits; a real matrix-vector product can round a diagonal
+        entry one ulp differently, which changes printed errors near zero.
         One matmul of a stack of one-row matrices: numpy runs each as the
-        matrix-vector product of `target`, so a row has the same bits for any
+        matrix-vector product w @ flat, so a row has the same bits for any
         row count. One matrix-matrix product over all rows would not.
         """
         mixed = (weights[:, None, :] @ self.flat)[:, 0]
         return mixed[:, ::self.dim + 1].real if self.diagonal else mixed
-
-    def distances(self, outputs: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """½‖row − target‖₁ for each row of outputs."""
-        return self.distance_table(target[None], outputs)[0]
 
     def distance_table(self, targets: np.ndarray, outputs: np.ndarray) -> np.ndarray:
         """½‖output − target‖₁ for every pair, as a targets × outputs table.
@@ -238,29 +230,29 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     otherwise the outputs are flattened matrices and each distance comes
     from eigvalsh. Outputs are formed in batches of about EIG_BATCH_BYTES.
     On the diagonal path the minimum's distance is then recomputed in exact
-    arithmetic, so the reported error is correctly rounded at the argmin. M and n must be positive ints; `CQChannel.power`
-    and `m_type_counts` hold the product channel and M-types to their budgets.
+    arithmetic, so the reported error is correctly rounded at the argmin.
+    M and n must be positive ints; `_OutputRows` and `m_type_counts` hold
+    the product states and M-types to their budgets.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
-    product = channel.power(n)
-    if dist.labels not in (channel.labels, product.labels):
+    outputs = _OutputRows(channel, n)
+    if dist.labels not in (channel.labels, outputs.labels):
         raise ValidationError(
             "distribution labels match neither the base alphabet nor the n-fold product")
     masses = _kron_rows(dist.masses, n) if dist.labels == channel.labels else dist.masses
-    outputs = _OutputRows(product.states)
-    target = outputs.target(masses)
-    counts = m_type_counts(product.size, M)
+    target = outputs.targets(masses[None])
+    counts = m_type_counts(len(outputs.labels), M)
     errors = np.empty(counts.shape[0])
     step = _batch_rows(counts.shape[1] * np.dtype(float).itemsize
                        + outputs.rows[0].nbytes)
     for lo in range(0, counts.shape[0], step):
         mixed = (counts[lo:lo + step] / M) @ outputs.rows
-        errors[lo:lo + step] = outputs.distances(mixed, target)
+        errors[lo:lo + step] = outputs.distance_table(target, mixed)[0]
     best, idx = _first_argmin(errors)
     if outputs.diagonal:
         best = _rational_half_l1(channel, dist, n, counts[idx], M)
-    argmin = MType.from_counts(product.labels, counts[idx], M)
+    argmin = MType.from_counts(outputs.labels, counts[idx], M)
     return ResolutionResult(min(best, 1.0), argmin, M, n)
 
 
@@ -320,49 +312,52 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     below an attained value is skipped. The remaining points are evaluated
     in full. Distances are taken in batches of about EIG_BATCH_BYTES, and
     each point's output comes from its own matrix-vector product, so the
-    result has the same bits as evaluating every grid point in turn. M, n
-    and grid must be positive ints. `CQChannel.power` and `m_type_counts`
-    hold the product channel, candidates and grid points to their budgets;
-    the candidates' outputs, held at once, must fit in MAX_MATRIX_BYTES.
+    result has the same bits as evaluating every grid point in turn.
+
+    A refinement sweep tries the moves (i, j), mass from j to i, in order.
+    It evaluates the moves from the current point in blocks that fit in
+    about EIG_BATCH_BYTES, accepts the first that beats the best value by
+    more than 1e-15, and goes on from the new point with the moves after
+    it; so it accepts the same points as trying one move at a time. M, n
+    and grid must be positive ints. `_OutputRows` and `m_type_counts` hold
+    the product states, candidates and grid points to their budgets; the
+    candidates' outputs, held at once, must fit in MAX_MATRIX_BYTES.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
     check_positive_int("grid", grid)
-    product = channel.power(n)
-    k = product.size
-    outputs = _OutputRows(product.states)
+    outputs = _OutputRows(channel, n)
+    k = len(outputs.labels)
     types = math.comb(M + k - 1, k - 1)
     check_budget(f"the outputs of the M-types of {k} letters at M = {M}",
                  types * outputs.rows[0].nbytes, MAX_MATRIX_BYTES)
     cand_counts = m_type_counts(k, M)
     cand = (cand_counts / M) @ outputs.rows
-
-    def inner(p_vec: np.ndarray) -> tuple[float, int]:
-        return _first_argmin(outputs.distances(cand, outputs.target(p_vec)))
-
     grid_counts = m_type_counts(k, grid)
     best_val, idx = _worst_grid_point(outputs, cand, grid_counts, grid)
     best_p = grid_counts[idx] / grid
 
+    to, fro = np.nonzero(~np.eye(k, dtype=bool))
+    block = _batch_rows(cand.shape[0] * outputs.pair_bytes)
     step = 1.0 / grid
     while step >= WORST_REFINE_TOL:
-        improved = False
-        for i in range(k):
-            for j in range(k):
-                if i == j or best_p[j] < step:
-                    continue
-                trial = best_p.copy()
-                trial[j] -= step
-                trial[i] += step
-                val, _ = inner(trial)
-                if val > best_val + 1e-15:
-                    best_val, best_p = val, trial
-                    improved = True
+        improved, lo = False, 0
+        while lo < to.size:
+            moves = lo + np.flatnonzero(best_p[fro[lo:lo + block]] >= step)
+            trials = np.repeat(best_p[None], moves.size, axis=0)
+            trials[np.arange(moves.size), fro[moves]] -= step
+            trials[np.arange(moves.size), to[moves]] += step
+            vals = outputs.distance_table(outputs.targets(trials), cand).min(axis=1)
+            up = np.flatnonzero(vals > best_val + 1e-15)
+            lo = moves[up[0]] + 1 if up.size else lo + block
+            if up.size:
+                best_val, best_p, improved = float(vals[up[0]]), trials[up[0]], True
         if not improved:
             step /= 2.0
-    final_val, q_idx = inner(best_p)
-    argmin = MType.from_counts(product.labels, cand_counts[q_idx], M)
-    worst = Distribution(product.labels, best_p)
+    final_val, q_idx = _first_argmin(
+        outputs.distance_table(outputs.targets(best_p[None]), cand)[0])
+    argmin = MType.from_counts(outputs.labels, cand_counts[q_idx], M)
+    worst = Distribution(outputs.labels, best_p)
     if outputs.diagonal:
         final_val = _rational_half_l1(channel, worst, n, cand_counts[q_idx], M)
     return ResolutionResult(max(final_val, 0.0), argmin, M, n,
@@ -445,18 +440,18 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     check_positive_int("samples", samples)
     if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2 ** 128):
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
-    product = channel.power(n)
-    size = product.size
+    outputs = _OutputRows(channel, n)
+    size = len(outputs.labels)
     check_budget(f"a codebook experiment of {samples} samples of {M} x {n} draws and "
                  f"{size} codeword counts", samples * (M * n + size)
                  * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
-    outputs = _OutputRows(product.states)
 
     words = _codeword_indices(seed, samples, M, n, np.cumsum(dist.masses))
     words += size * np.arange(samples)[:, None]
     counts = np.bincount(words.ravel(), minlength=samples * size).reshape(samples, size)
     outs = outputs.targets(counts / M)
-    distances = outputs.distances(outs, outputs.target(_kron_rows(dist.masses, n)))
+    distances = outputs.distance_table(
+        outputs.targets(_kron_rows(dist.masses, n)[None]), outs)[0]
 
     infos = _renyi_fixed_points(tuple(order.alpha for order in orders), channel, dist)
     bounds, converged, iterations = {}, {}, {}

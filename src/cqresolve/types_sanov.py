@@ -188,9 +188,8 @@ class TypesBoundCheck:
     ok: bool
 
 
-def commuting_types_bound_check(rho, rho_prime: EmpiricalState,
-                                n: int) -> TypesBoundCheck:
-    """Exact Tr ρ^{⊗n} T_{ρ'} vs 2^{−n D(ρ'‖ρ)} for diagonal ρ.
+def commuting_types_bound_check(rho, rho_prime: EmpiricalState) -> TypesBoundCheck:
+    """Exact Tr ρ^{⊗n} T_{ρ'} vs 2^{−n D(ρ'‖ρ)} for diagonal ρ, n the profile's n.
 
     The left side is multinomial(n; counts)·∏ ρ_i^{counts_i}, computed
     without building any n-fold matrix, as one correctly rounded division of
@@ -202,8 +201,6 @@ def commuting_types_bound_check(rho, rho_prime: EmpiricalState,
     off = m - np.diag(np.diag(m))
     if float(np.max(np.abs(off))) > 1e-10:
         raise ValidationError("the types bound check requires a diagonal state")
-    if n != rho_prime.n:
-        raise ValidationError(f"n = {n} differs from the profile's n = {rho_prime.n}")
     if m.shape[0] != rho_prime.dim:
         raise DimensionMismatchError(
             f"state dim {m.shape[0]} vs profile dim {rho_prime.dim}")
@@ -218,7 +215,7 @@ def commuting_types_bound_check(rho, rho_prime: EmpiricalState,
         p_num, p_den = p.as_integer_ratio()
         num, shift = num * p_num ** c, shift + c * (p_den.bit_length() - 1)
     lhs = num / (1 << shift)
-    freq = counts[active] / n
+    freq = counts[active] / rho_prime.n
     div = float(np.sum(freq * (np.log2(freq) - np.log2(probs[active]))))
-    rhs = 2.0 ** (-n * div)
+    rhs = 2.0 ** (-rho_prime.n * div)
     return TypesBoundCheck(lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9)))

@@ -160,7 +160,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2", "--n", "10000000"),
         ("types-check", "--alphabet-size", "3", "--n", "10000000"),
-    ], ids=["resolve", "types-check"])
+        ("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2", "--n", "1" + "0" * 4000),
+    ], ids=["resolve", "types-check", "resolve-4001-digits"])
     def test_absurd_block_length_is_refused_at_once(self, capsys, argv):
         # The budget check takes the need's logarithm, not the power itself.
         start = time.perf_counter()

@@ -1,5 +1,6 @@
 """Tests for exact resolution errors, soft-covering bounds, and smoothing."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -195,6 +196,13 @@ def test_worst_non_diagonal_matches_oracle(make, n, M, grid):
     assert_worst_matches_oracle(make(), M, n, grid)
 
 
+def test_worst_refinement_split_across_blocks_matches_oracle(monkeypatch):
+    # 256 bytes hold less than one pair of 4x4 distance temporaries, so each
+    # block of a refinement sweep holds one of its 12 moves.
+    monkeypatch.setattr(rv, "EIG_BATCH_BYTES", 256)
+    assert_worst_matches_oracle(random_qubit_channel(1), 2, 2, 4)
+
+
 def tied_channel() -> cq.CQChannel:
     """Two letters share a state, and every entry is dyadic.
 
@@ -210,10 +218,10 @@ def test_worst_grid_tie_goes_to_first_point(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(rv, "EIG_BATCH_BYTES", budget)
     ch, M, grid = tied_channel(), 2, 4
-    outputs = rv._OutputRows(ch.states)
+    outputs = rv._OutputRows(ch, 1)
     cand = (cq.m_type_counts(3, M) / M) @ outputs.rows
     grid_counts = cq.m_type_counts(3, grid)
-    values = np.array([outputs.distances(cand, outputs.target(c / grid)).min()
+    values = np.array([outputs.distance_table(outputs.targets(c[None] / grid), cand).min()
                        for c in grid_counts])
     tied = np.flatnonzero(values == values.max())
     assert tied.size > 1
@@ -283,12 +291,23 @@ def non_diagonal_channel():
 @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "eigvalsh"])
 def test_targets_equal_row_by_row_target(rows, diagonal):
     ch = random_diagonal_channel(5)[0] if diagonal else non_diagonal_channel()[0]
-    outputs = rv._OutputRows(ch.power(2).states)
+    outputs = rv._OutputRows(ch, 2)
     assert outputs.diagonal is diagonal
     weights = np.random.default_rng(rows).dirichlet(np.ones(9), size=rows)
     got = outputs.targets(weights)
     assert got.dtype == outputs.rows.dtype
-    assert np.array_equal(got, np.stack([outputs.target(w) for w in weights]))
+    # each row has the bits of its own matrix-vector product
+    mixed = np.stack([w @ outputs.flat for w in weights])
+    assert np.array_equal(got, mixed[:, ::outputs.dim + 1].real if diagonal else mixed)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_output_rows_are_the_product_channel(n):
+    ch = non_diagonal_channel()[0]
+    outputs = rv._OutputRows(ch, n)
+    assert outputs.labels == (ch.labels if n == 1 else
+                              tuple(itertools.product(ch.labels, repeat=n)))
+    assert np.array_equal(outputs.flat, linalg._kron_rows(ch.states, n).reshape(3 ** n, -1))
 
 
 class TestExactEngine:
@@ -322,11 +341,12 @@ class TestExactEngine:
     def test_diagonal_path_matches_eigvalsh_path(self, n, M, seed):
         ch, p = random_diagonal_channel(seed)
         product = ch.power(n)
-        outputs = rv._OutputRows(product.states)
+        outputs = rv._OutputRows(ch, n)
         assert outputs.diagonal
         masses = linalg._kron_rows(p.masses, n)
         weights = cq.m_type_counts(product.size, M) / M
-        diagonal = outputs.distances(weights @ outputs.rows, outputs.target(masses))
+        diagonal = outputs.distance_table(outputs.targets(masses[None]),
+                                          weights @ outputs.rows)[0]
         flat = product.states.reshape(product.size, -1)
         eig = rv._half_trace_distances(weights @ flat, masses @ flat, product.dim)
         np.testing.assert_allclose(diagonal, eig, rtol=0, atol=1e-14)

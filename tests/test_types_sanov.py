@@ -332,14 +332,14 @@ class TestBadCodeword:
 class TestCommutingTypesBound:
     def test_zero_exponent_row(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
-        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState((5, 5), 10), 10)
+        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState((5, 5), 10))
         assert res.rhs == pytest.approx(1.0, abs=1e-12)
         assert res.lhs == pytest.approx(math.comb(10, 5) / 2 ** 10, abs=1e-15)
         assert res.ok
 
     def test_binomial_example_row(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
-        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState((8, 2), 10), 10)
+        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState((8, 2), 10))
         assert res.lhs == pytest.approx(45.0 / 1024.0, abs=1e-15)
         assert res.lhs == pytest.approx(0.0439, abs=5e-5)
         expected_rhs = 2.0 ** (-10.0 * (1.0 - orc.binary_entropy_ref(0.2)))
@@ -354,23 +354,18 @@ class TestCommutingTypesBound:
             rho = np.diag(probs).astype(complex)
             for n in range(1, 8):
                 for t in cq.all_empirical_states(n, d):
-                    assert cq.commuting_types_bound_check(rho, t, n).ok
+                    assert cq.commuting_types_bound_check(rho, t).ok
 
     def test_support_violation_vacuous(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState((9, 1), 10), 10)
+        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState((9, 1), 10))
         assert res.lhs == 0.0
         assert res.ok
 
     def test_non_diagonal_rejected(self):
         rho = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
         with pytest.raises(ValidationError):
-            cq.commuting_types_bound_check(rho, cq.EmpiricalState((1, 1), 2), 2)
-
-    def test_block_length_mismatch_rejected(self):
-        rho = np.diag([0.5, 0.5]).astype(complex)
-        with pytest.raises(ValidationError):
-            cq.commuting_types_bound_check(rho, cq.EmpiricalState((1, 1), 2), 3)
+            cq.commuting_types_bound_check(rho, cq.EmpiricalState((1, 1), 2))
 
     @pytest.mark.parametrize("counts", [(550, 550), (500, 500), (1000, 100)])
     def test_left_side_past_the_float_range_of_its_factors(self, counts):
@@ -378,7 +373,7 @@ class TestCommutingTypesBound:
         # the product of masses underflows; the left side is 5.4e-44 and 3.5e-40.
         rho = np.diag([0.7, 0.3]).astype(complex)
         n = sum(counts)
-        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState(counts, n), n)
+        res = cq.commuting_types_bound_check(rho, cq.EmpiricalState(counts, n))
         exact = (orc.multinomial_exact(n, counts)
                  * Fraction(0.7) ** counts[0] * Fraction(0.3) ** counts[1])
         assert res.lhs == float(exact) > 0

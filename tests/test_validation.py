@@ -25,6 +25,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -200,6 +201,7 @@ PAST_BUDGET_CALLS = {
     "m_type_counts.MAX_TYPES": lambda: cq.m_type_counts(12, 100),
     "m_type_counts.MAX_COUNT_BYTES": lambda: cq.m_type_counts(10 ** 6, 1),
     "CQChannel.power": lambda: CHANNEL.power(13),
+    "_OutputRows": lambda: cq.resolvability._OutputRows(CHANNEL, 13),
     "tensor_power": lambda: cq.tensor_power(np.eye(2), 13),
     "type_projector": lambda: cq.type_projector(cq.EmpiricalState((13, 0), 13),
                                                 cq.Basis.standard(2)),
@@ -237,6 +239,16 @@ POWER_NEEDS = [(factor, base, exponent) for factor in (1, 16) for base in range(
 def test_power_need_gets_the_message_of_its_int():
     assert [budget_message(need) for need in POWER_NEEDS] == [
         budget_message(need[0] * need[1] ** need[2]) for need in POWER_NEEDS]
+
+
+def test_power_need_past_two_to_the_sixteen_bits_is_bounded_at_once():
+    start = time.perf_counter()
+    cq.errors._log2_floor(16, 12, 10 ** 4000)
+    assert time.perf_counter() - start < 0.1
+    # 16·12^e just past the 2^16-bit estimate: a lower bound within one of the floor
+    for exponent in range(16383, 16483):
+        exact = (16 * 12 ** exponent).bit_length() - 1
+        assert exact - 1 <= cq.errors._log2_floor(16, 12, exponent) <= exact
 
 
 # A valid command line for every command

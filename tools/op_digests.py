@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per benchmark op and per demo, to compare two source trees.
+
+Run:  python3 tools/op_digests.py SRC_DIR
+
+SRC_DIR is the directory that holds the ``cqresolve`` package (``src`` of a
+checkout). The ops are those of ``perfbench/workloads.py`` of this checkout,
+for every workload at seeds 0, 1 and 2; the demos are the scripts in
+``demos/`` next to SRC_DIR, since a demo goes with its library. One
+subprocess, with SRC_DIR first on PYTHONPATH, builds the ops' inputs in a
+temporary directory, calls ``cqresolve.cli.main`` once per op and runs each
+demo as ``__main__``, each in a directory of its own given by a relative
+path, so no output names the temporary directory. Each line is a key and
+the SHA-256 of the exit code, stdout, stderr and the bytes of every file
+the op or demo wrote. Equal output for two trees means byte-identical
+results:
+
+    python3 tools/op_digests.py old/src > old.txt
+    python3 tools/op_digests.py src > new.txt
+    diff old.txt new.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)
+
+
+def _digest(rc, stdout: str, stderr: str, written: list[Path]) -> str:
+    h = hashlib.sha256()
+    for part in (str(rc).encode(), stdout.encode(), stderr.encode(),
+                 *(p.read_bytes() for p in written)):
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def _call(run) -> tuple[object, str, str]:
+    """run()'s exit code (an uncaught exception's text instead), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = run()
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # a traceback is an outcome to compare, too
+            rc = f"{type(exc).__name__}: {exc}"
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _child(src: Path) -> None:
+    """Run every op and demo in the current directory; print key and digest."""
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    import workloads
+    import cqresolve.cli as cli
+
+    if src not in Path(cli.__file__).resolve().parents:
+        sys.exit(f"cqresolve was imported from {cli.__file__}, not from {src}")
+    for name, build in workloads.BUILDERS.items():
+        for seed in SEEDS:
+            work = Path(f"{name}-{seed}")
+            work.mkdir()
+            for op in build(seed, work):
+                rc, out, err = _call(lambda: cli.main(list(op.argv)))
+                written = [op.out] if op.out is not None and op.out.is_file() else []
+                print(f"{name}/{seed}/{op.key} {_digest(rc, out, err, written)}",
+                      file=sys.__stdout__, flush=True)
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        folder = Path(f"demo-{demo.stem}")
+        folder.mkdir()
+        os.chdir(folder)
+        sys.argv = [str(demo)]
+        rc, out, err = _call(lambda: runpy.run_path(str(demo), run_name="__main__") and 0)
+        os.chdir("..")
+        written = sorted(p for p in folder.rglob("*") if p.is_file())
+        print(f"demo/{demo.name} {_digest(rc, out, err, written)}",
+              file=sys.__stdout__, flush=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[1] == "--child":
+        _child(Path(argv[2]).resolve())
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    with tempfile.TemporaryDirectory() as tmp:
+        return subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child",
+                               str(src)], cwd=tmp, env=env).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
