@@ -169,10 +169,8 @@ def _cmd_fixed_rate(args: argparse.Namespace) -> _Record:
 
 
 def _mtype_payload(res) -> dict:
-    return {format_label(lbl): int(round(mass * res.M))
-            for lbl, mass in zip(res.argmin.distribution.labels,
-                                 res.argmin.distribution.masses)
-            if mass > 0}
+    return {format_label(lbl): int(c)
+            for lbl, c in zip(res.argmin.distribution.labels, res.argmin.counts) if c > 0}
 
 
 def _cmd_resolve(args: argparse.Namespace) -> _Record:
@@ -265,7 +263,9 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
         proj = type_projector(t, basis)
         total += proj.matrix
         rank_sum += proj.rank
-    partition_dev = float(np.max(np.abs(total - np.eye(d ** n))))
+        del proj  # so the next projector is built without this one held
+    total[np.diag_indices_from(total)] -= 1
+    partition_dev = float(np.max(np.abs(total)))
     # The margin depends on a word only through its type, so one word per
     # type gives the same minimum as every word.
     min_margin = min(

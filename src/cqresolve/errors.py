@@ -54,8 +54,12 @@ def check_budget(what: str, need, budget: int, unit: str = "bytes") -> None:
     if isinstance(need, tuple) and bits <= 4096:
         need = need[0] * need[1] ** need[2]
     if bits > 4096 or need > budget:
-        # str() of an int past the digit limit of int-to-str conversion raises
-        size = need if bits <= 4096 else f"more than 2^{bits - 1}"
+        # str() of an int past the digit limit of int-to-str conversion
+        # raises: past 4096 bits the need is named by 2^e ≤ need, e = bits − 1,
+        # and past 4096 bits e by 2^j < e
+        e = bits - 1
+        exponent = e if e.bit_length() <= 4096 else f"(2^{(e - 1).bit_length() - 1})"
+        size = need if bits <= 4096 else f"more than 2^{exponent}"
         raise ResourceLimitError(
             f"{what} needs {size} {unit}, over the budget of {budget} {unit}")
 

@@ -2,12 +2,13 @@
 
 Exact errors brute-force the finite feasible set of M-types on the product
 alphabet. When every product state is diagonal, the trace distances are ℓ₁
-distances between real diagonals, and the minimum's distance is recomputed
-in exact arithmetic so that it is correctly rounded; otherwise they come
-from batched eigvalsh. The worst-input search reports a certified lower
-bound from a simplex grid plus local refinement; the grid is searched in
-byte-sized batches, and points whose upper bound from a sampled set of
-witness candidates falls strictly below the sampled lower bound are skipped.
+distances between real diagonals, mixed and summed in plain float
+arithmetic, and the minimum's distance is recomputed in exact arithmetic so
+that it is correctly rounded; otherwise they come from batched eigvalsh.
+The worst-input search reports a certified lower bound from a simplex grid
+plus local refinement; the grid is searched in byte-sized batches, and
+points whose upper bound from a sampled set of witness candidates falls
+strictly below the sampled lower bound are skipped.
 Soft-covering Monte Carlo draws codebook sample i from the Philox stream
 keyed by the seed at counter (0, 0, 0, i), so a sample's letters do not
 depend on how many samples are drawn; its distances take the same diagonal
@@ -114,12 +115,8 @@ def _half_trace_distances(flat_outputs: np.ndarray, target_flat: np.ndarray,
 
 
 def _half_l1_distances(diagonals: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """½‖row − target‖₁ over the last axis of real diagonals (broadcasts).
-
-    Each difference is sorted first, so its absolute values are summed in the
-    ascending order in which eigvalsh returns a diagonal matrix's eigenvalues.
-    """
-    return 0.5 * np.sum(np.abs(np.sort(diagonals - target, axis=-1)), axis=-1)
+    """½‖row − target‖₁ over the last axis of real diagonals (broadcasts)."""
+    return 0.5 * np.sum(np.abs(diagonals - target), axis=-1)
 
 
 class _OutputRows:
@@ -127,35 +124,32 @@ class _OutputRows:
 
     The states and labels come from `CQChannel.power`, under its budget.
     When every off-diagonal entry is exactly 0, the rows are the real
-    diagonals and ½‖·‖₁ is ½·Σ|sorted(difference)|. Otherwise the rows are
-    the flattened matrices and ½‖·‖₁ comes from eigvalsh. Each distance
-    depends only on its own two rows, so it has the same bits in any batch.
+    diagonals and ½‖·‖₁ is ½·Σ|difference|, in real arithmetic throughout.
+    Otherwise the rows are the flattened matrices and ½‖·‖₁ comes from
+    eigvalsh. Each distance depends only on its own two rows, so it has the
+    same bits in any batch.
     """
 
     def __init__(self, channel: CQChannel, n: int):
         product = channel.power(n)
         self.labels, states = product.labels, product.states
         k, self.dim = states.shape[0], states.shape[1]
-        self.flat = states.reshape(k, -1)
         self.diagonal = not np.any(states[:, ~np.eye(self.dim, dtype=bool)])
         self.rows = np.diagonal(states, axis1=1, axis2=2).real.copy() \
-            if self.diagonal else self.flat
-        # bytes of one distance's temporaries: the difference of two rows,
-        # its sorted copy or eigenvalues, and their absolute values
+            if self.diagonal else states.reshape(k, -1)
+        # bytes of one distance's temporaries: the difference of two rows, its
+        # eigenvalues and their absolute values (the diagonal path needs no
+        # eigenvalues but is charged the same, so both paths batch alike)
         self.pair_bytes = self.rows[0].nbytes + 2 * self.dim * np.dtype(float).itemsize
 
     def targets(self, weights: np.ndarray) -> np.ndarray:
         """The row of Σ_x w_x W_x for each row of weights.
 
-        Each is mixed from the flattened states on both paths, so both paths
-        see the same bits; a real matrix-vector product can round a diagonal
-        entry one ulp differently, which changes printed errors near zero.
         One matmul of a stack of one-row matrices: numpy runs each as the
-        matrix-vector product w @ flat, so a row has the same bits for any
+        matrix-vector product w @ rows, so a row has the same bits for any
         row count. One matrix-matrix product over all rows would not.
         """
-        mixed = (weights[:, None, :] @ self.flat)[:, 0]
-        return mixed[:, ::self.dim + 1].real if self.diagonal else mixed
+        return (weights[:, None, :] @ self.rows)[:, 0]
 
     def distance_table(self, targets: np.ndarray, outputs: np.ndarray) -> np.ndarray:
         """½‖output − target‖₁ for every pair, as a targets × outputs table.
@@ -226,13 +220,13 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     The M-types come from `m_type_counts` (stars and bars, lexicographic
     order), and ties within 1e-12 of the minimum resolve to the
     lexicographically first one. When every product state is diagonal, the
-    outputs are real diagonals and each distance is ½·Σ|sorted(difference)|;
-    otherwise the outputs are flattened matrices and each distance comes
-    from eigvalsh. Outputs are formed in batches of about EIG_BATCH_BYTES.
-    On the diagonal path the minimum's distance is then recomputed in exact
-    arithmetic, so the reported error is correctly rounded at the argmin.
-    M and n must be positive ints; `_OutputRows` and `m_type_counts` hold
-    the product states and M-types to their budgets.
+    outputs are real diagonals and each distance is ½·Σ|difference|, in
+    float arithmetic; otherwise the outputs are flattened matrices and each
+    distance comes from eigvalsh. Outputs are formed in batches of about
+    EIG_BATCH_BYTES. On the diagonal path the minimum's distance is then
+    recomputed in exact arithmetic, so the reported error is correctly
+    rounded at the argmin. M and n must be positive ints; `_OutputRows` and
+    `m_type_counts` hold the product states and M-types to their budgets.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
@@ -302,8 +296,8 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     arithmetic, so it is correctly rounded. Candidates and grid points come
     from `m_type_counts`, in lexicographic order. When every product state
     is diagonal, the candidate outputs are real diagonals and each distance
-    is ½·Σ|sorted(difference)|; otherwise they are flattened matrices and
-    the distances come from eigvalsh.
+    is ½·Σ|difference|, in float arithmetic; otherwise they are flattened
+    matrices and the distances come from eigvalsh.
 
     The grid phase evaluates every WORST_SAMPLE_STRIDE-th point in full. The
     largest of those inner minima is a lower bound on the grid maximum, and

@@ -652,27 +652,27 @@ def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
 
     ``states`` are the product channel's states in label order. Candidates
     and grid points are the M-types and grid-types in ascending
-    lexicographic order. Each point's output is mixed from the flattened
-    states by one complex matrix-vector product, and its inner minimum is
-    taken over every candidate: ½·Σ|sorted(difference)| when every state
-    is exactly diagonal, eigvalsh otherwise. The first grid point with the
-    largest inner minimum is refined by coordinatewise mass moves with step
-    halving down to 1e-6; the argmin is the first candidate within 1e-12 of
-    the final minimum.
+    lexicographic order. Each point's output is mixed from the rows (the
+    real diagonals when every state is exactly diagonal, the flattened
+    states otherwise) by one matrix-vector product, and its inner minimum
+    is taken over every candidate: ½·Σ|difference| in float arithmetic on
+    diagonals, eigvalsh otherwise. The first grid point with the largest
+    inner minimum is refined by coordinatewise mass moves with step halving
+    down to 1e-6; the argmin is the first candidate within 1e-12 of the
+    final minimum.
     """
     states = np.asarray(states, dtype=complex)
     k, dim = states.shape[0], states.shape[1]
-    flat = states.reshape(k, -1)
     diagonal = not np.any(states[:, ~np.eye(dim, dtype=bool)])
-    rows = np.diagonal(states, axis1=1, axis2=2).real.copy() if diagonal else flat
+    rows = np.diagonal(states, axis1=1, axis2=2).real.copy() if diagonal \
+        else states.reshape(k, -1)
     cand_counts = np.asarray(_simplex_counts(k, M), dtype=np.int64)
     cand = (cand_counts / M) @ rows
 
     def inner(p_vec):
-        mixed = p_vec @ flat
+        mixed = p_vec @ rows
         if diagonal:
-            diffs = np.sort(cand - mixed[::dim + 1].real, axis=1)
-            dist = 0.5 * np.sum(np.abs(diffs), axis=1)
+            dist = 0.5 * np.sum(np.abs(cand - mixed), axis=1)
         else:
             diffs = (cand - mixed).reshape(-1, dim, dim)
             dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,9 +151,11 @@ class TestExitCodes:
         ("resolve", "--builtin", "example1", "--eps", "0.1", "--n", "3", "--M", "1" + "0" * 200),
         ("worst-resolve", "--builtin", "example1", "--eps", "0.1", "--n", "3",
          "--M", "1" + "0" * 200),
-    ], ids=["resolve-n", "types-check", "resolve-M", "worst-resolve-M"])
+        ("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2", "--n", "9" * 4300),
+    ], ids=["resolve-n", "types-check", "resolve-M", "worst-resolve-M", "resolve-n-4300-digits"])
     def test_budget_request_past_the_digit_limit_is_exit_three(self, capsys, argv):
-        # What these requests need has more digits than str() converts.
+        # What these requests need has more digits than str() converts; in
+        # the last, so has the exponent of the power of two that bounds it.
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert "needs more than 2^" in err
@@ -621,6 +624,19 @@ class TestBoundCommands:
         bad = sum(orc.trace_norm_svd(sum(states[i] for i in word) / 3 - average) >= 0.3
                   for word in itertools.product(range(3), repeat=3))
         assert kv(out)["bad_codewords"] == f"{bad} / 27"
+
+    def test_types_check_peak_is_near_two_matrices(self, capsys):
+        # The running sum and one projector, each 512² complex entries at
+        # (2, 9), are held at once; an older projector or a dense identity
+        # beside them would lift the peak to three matrices or more.
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "9")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2.2 * 512 ** 2 * 16
 
     def test_types_check_cap(self, capsys):
         code, _, _ = run_cli(capsys, "types-check", "--alphabet-size", "2",

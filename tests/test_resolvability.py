@@ -297,8 +297,7 @@ def test_targets_equal_row_by_row_target(rows, diagonal):
     got = outputs.targets(weights)
     assert got.dtype == outputs.rows.dtype
     # each row has the bits of its own matrix-vector product
-    mixed = np.stack([w @ outputs.flat for w in weights])
-    assert np.array_equal(got, mixed[:, ::outputs.dim + 1].real if diagonal else mixed)
+    assert np.array_equal(got, np.stack([w @ outputs.rows for w in weights]))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -307,7 +306,7 @@ def test_output_rows_are_the_product_channel(n):
     outputs = rv._OutputRows(ch, n)
     assert outputs.labels == (ch.labels if n == 1 else
                               tuple(itertools.product(ch.labels, repeat=n)))
-    assert np.array_equal(outputs.flat, linalg._kron_rows(ch.states, n).reshape(3 ** n, -1))
+    assert np.array_equal(outputs.rows, linalg._kron_rows(ch.states, n).reshape(3 ** n, -1))
 
 
 class TestExactEngine:
@@ -336,10 +335,9 @@ class TestExactEngine:
             want = orc.rational_half_l1(diagonals, n, word_masses, res.argmin.counts, M)
             assert res.error == want
 
-    @pytest.mark.parametrize("n, M", [(1, 6), (2, 4), (3, 2)])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_diagonal_path_matches_eigvalsh_path(self, n, M, seed):
-        ch, p = random_diagonal_channel(seed)
+    @staticmethod
+    def assert_diagonal_path_matches_eigvalsh_path(ch, p, n, M):
+        # eigvalsh on the product states is the oracle of the diagonal path
         product = ch.power(n)
         outputs = rv._OutputRows(ch, n)
         assert outputs.diagonal
@@ -353,8 +351,22 @@ class TestExactEngine:
         assert rv._first_argmin(diagonal)[1] == rv._first_argmin(eig)[1]
         res = cq.resolution_error_exact(ch, p, M, n)
         assert res.error == pytest.approx(float(eig.min()), abs=1e-14)
-        counts = np.round(res.argmin.distribution.masses * M).astype(int)
-        assert np.array_equal(weights[rv._first_argmin(eig)[1]] * M, counts)
+        assert np.array_equal(weights[rv._first_argmin(eig)[1]] * M, res.argmin.counts)
+
+    @pytest.mark.parametrize("n, M", [(1, 6), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_diagonal_path_matches_eigvalsh_path(self, n, M, seed):
+        self.assert_diagonal_path_matches_eigvalsh_path(*random_diagonal_channel(seed), n, M)
+
+    @pytest.mark.parametrize("n, M", [(1, 6), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("law", ["uniform", "half"])
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+    def test_example1_diagonal_path_matches_eigvalsh_path(self, n, M, law, eps):
+        # Letters "0" and "1" mirror each other, so many M-types tie; the
+        # first argmin must still be the eigvalsh path's.
+        ch, half = build_flip_erase_channel(eps)
+        p = half if law == "half" else cq.Distribution(ch.labels, np.full(3, 1 / 3))
+        self.assert_diagonal_path_matches_eigvalsh_path(ch, p, n, M)
 
     def test_tiny_off_diagonal_takes_eigvalsh_path(self, monkeypatch):
         states = [np.diag([0.9, 0.1]), np.diag([0.2, 0.8]),
