@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, resource budgets and input checks shared across the toolkit.
+
+A request past a budget raises ResourceLimitError (exit 3 from the CLI)
+naming what it needs, before anything is allocated; `check_budget`, the one
+place a budget is compared, refuses an absurd block length by its exponent.
+"""
 from __future__ import annotations
 
 import math
@@ -27,39 +32,26 @@ MAX_MATRIX_BYTES = 2 ** 28
 MAX_TYPES = 10 ** 7
 
 
-def _log2_floor(factor: int, base: int, exponent: int) -> int:
-    """⌊log₂(factor·base^exponent)⌋ for positive ints, exact up to 2¹⁶ bits.
-
-    Past 2¹⁶ bits, for a base other than a power of two, the power is not
-    formed: log₂ base and log₂ factor are taken from below as multiples of
-    2⁻⁵² (a float logarithm less four ulps), so the result is a lower bound,
-    and at most one below the floor while exponent·log₂ base < 2⁴⁸.
-    """
-    if base & (base - 1) == 0:
-        return exponent * (base.bit_length() - 1) + factor.bit_length() - 1
-    if exponent * base.bit_length() + factor.bit_length() <= 2 ** 16:
-        return (factor * base ** exponent).bit_length() - 1
-    below = [int(x * 2 ** 52) - 4 * (int(x) + 1) for x in map(math.log2, (base, factor))]
-    return (exponent * below[0] + below[1]) >> 52
-
-
 def check_budget(what: str, need, budget: int, unit: str = "bytes") -> None:
     """Raise ResourceLimitError, saying what needs how many units, if need > budget.
 
     need is an int, or a triple (factor, base, exponent) of positive ints
-    for factor·base^exponent, whose bit length comes from its logarithm: past
-    4096 bits, over every budget here, it is refused without being formed.
+    for factor·base^exponent. With base ≥ 2 that is at least 2^exponent, so
+    an exponent past L, the budget's bit length, is refused at once as
+    "more than 2^L" without forming the power; any other triple is formed
+    and compared as an int. An int need is named exactly up to 4096 bits,
+    past that by the power of two below it, since str() of an int past the
+    digit limit of int-to-str conversion raises.
     """
-    bits = _log2_floor(*need) + 1 if isinstance(need, tuple) else need.bit_length()
-    if isinstance(need, tuple) and bits <= 4096:
-        need = need[0] * need[1] ** need[2]
-    if bits > 4096 or need > budget:
-        # str() of an int past the digit limit of int-to-str conversion
-        # raises: past 4096 bits the need is named by 2^e ≤ need, e = bits − 1,
-        # and past 4096 bits e by 2^j < e
-        e = bits - 1
-        exponent = e if e.bit_length() <= 4096 else f"(2^{(e - 1).bit_length() - 1})"
-        size = need if bits <= 4096 else f"more than 2^{exponent}"
+    if isinstance(need, tuple):
+        factor, base, exponent = need
+        if base >= 2 and exponent > budget.bit_length():
+            raise ResourceLimitError(f"{what} needs more than 2^{budget.bit_length()} "
+                                     f"{unit}, over the budget of {budget} {unit}")
+        need = factor * base ** exponent
+    if need > budget:
+        bits = need.bit_length()
+        size = need if bits <= 4096 else f"more than 2^{bits - 1}"
         raise ResourceLimitError(
             f"{what} needs {size} {unit}, over the budget of {budget} {unit}")
 

@@ -292,11 +292,13 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     inner minimum, then refines it by coordinatewise mass moves with step
     halving down to 1e-6. The reported error is ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁
     at the reported ``worst_input`` p and ``argmin`` q, a true lower bound on
-    the supremum; on the diagonal path it is recomputed there in exact
-    arithmetic, so it is correctly rounded. Candidates and grid points come
-    from `m_type_counts`, in lexicographic order. When every product state
-    is diagonal, the candidate outputs are real diagonals and each distance
-    is ½·Σ|difference|, in float arithmetic; otherwise they are flattened
+    the supremum. On the diagonal path every candidate within 1e-12 of the
+    float minimum at p is recomputed in exact arithmetic, q is the first
+    with the least exact distance, and the error is that distance, correctly
+    rounded. Candidates and grid points come from `m_type_counts`, in
+    lexicographic order. When every product state is diagonal, the
+    candidate outputs are real diagonals and each distance is
+    ½·Σ|difference|, in float arithmetic; otherwise they are flattened
     matrices and the distances come from eigvalsh.
 
     The grid phase evaluates every WORST_SAMPLE_STRIDE-th point in full. The
@@ -348,12 +350,14 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
                 best_val, best_p, improved = float(vals[up[0]]), trials[up[0]], True
         if not improved:
             step /= 2.0
-    final_val, q_idx = _first_argmin(
-        outputs.distance_table(outputs.targets(best_p[None]), cand)[0])
-    argmin = MType.from_counts(outputs.labels, cand_counts[q_idx], M)
+    dists = outputs.distance_table(outputs.targets(best_p[None]), cand)[0]
+    final_val, q_idx = _first_argmin(dists)
     worst = Distribution(outputs.labels, best_p)
     if outputs.diagonal:
-        final_val = _rational_half_l1(channel, worst, n, cand_counts[q_idx], M)
+        ties = np.flatnonzero(dists <= final_val + ARGMIN_TIE_TOL)
+        final_val, q_idx = min((_rational_half_l1(channel, worst, n, cand_counts[i], M), int(i))
+                               for i in ties)
+    argmin = MType.from_counts(outputs.labels, cand_counts[q_idx], M)
     return ResolutionResult(max(final_val, 0.0), argmin, M, n,
                             approximate="lower bound", worst_input=worst)
 

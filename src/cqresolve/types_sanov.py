@@ -155,15 +155,17 @@ def ee31_margin(w: Word, d: int) -> float:
     word; the word's letters are standard-basis indices. Twirling the word
     projector gives the projector onto the word's type class T_c divided by
     |T_c|, so both terms are diagonal in the word basis and the margin is
-    the minimum over types m of (n+1)^{d-1}·∏_j (c_j/n)^{m_j} − [m = c]/|T_c|.
-    No dⁿ matrix is built, so dⁿ has no cap; the types come from
-    `m_type_counts(d, n)`, with its caps. d is a positive int. Past the float
-    range, (n+1)^{d-1} times a positive product is ∞, not an OverflowError.
+    the minimum over types m of (n+1)^{d-1}·∏_j q_j^{m_j} − [m = c]/|T_c|,
+    q = c/n. Over m ≠ c the product is least with all n letters on the
+    rarest letter (0 when the word lacks a letter), so only that type and c
+    are evaluated; for d = 1 both are c. No dⁿ matrix and no type list is
+    built, so neither has a cap. d is a positive int. Past the float range,
+    (n+1)^{d-1} times a positive product is ∞, not an OverflowError.
     """
     check_positive_int("d", d)
     n = len(w.symbols)
     emp = _empirical_state(w, d)
-    types = m_type_counts(d, n)
+    types = np.array([emp.counts, n * (np.arange(d) == np.argmin(emp.counts))])
     scale, products = (n + 1) ** (d - 1), np.prod(emp.distribution() ** types, axis=1)
     with np.errstate(over="ignore"):  # the scale as a float mantissa and a power of two
         diag = np.ldexp(scale / 2 ** scale.bit_length() * products, scale.bit_length())

@@ -645,6 +645,7 @@ class WorstSearch(NamedTuple):
     error: float
     worst_input: np.ndarray
     argmin_counts: np.ndarray
+    tie_counts: np.ndarray
 
 
 def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
@@ -659,7 +660,7 @@ def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
     diagonals, eigvalsh otherwise. The first grid point with the largest
     inner minimum is refined by coordinatewise mass moves with step halving
     down to 1e-6; the argmin is the first candidate within 1e-12 of the
-    final minimum.
+    final minimum, and ``tie_counts`` are every such candidate, in order.
     """
     states = np.asarray(states, dtype=complex)
     k, dim = states.shape[0], states.shape[1]
@@ -677,7 +678,7 @@ def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
             diffs = (cand - mixed).reshape(-1, dim, dim)
             dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1)
         best = float(dist.min())
-        return best, int(np.flatnonzero(dist <= best + 1e-12)[0])
+        return best, np.flatnonzero(dist <= best + 1e-12)
 
     best_val, best_p = -1.0, None
     for counts in np.asarray(_simplex_counts(k, grid), dtype=np.int64):
@@ -701,8 +702,8 @@ def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
                     improved = True
         if not improved:
             step /= 2.0
-    final_val, q_idx = inner(best_p)
-    return WorstSearch(max(final_val, 0.0), best_p, cand_counts[q_idx])
+    final_val, ties = inner(best_p)
+    return WorstSearch(max(final_val, 0.0), best_p, cand_counts[ties[0]], cand_counts[ties])
 
 
 def binary_flip_exact_error(eps: float, n: int) -> float:

@@ -154,8 +154,8 @@ class TestExitCodes:
         ("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2", "--n", "9" * 4300),
     ], ids=["resolve-n", "types-check", "resolve-M", "worst-resolve-M", "resolve-n-4300-digits"])
     def test_budget_request_past_the_digit_limit_is_exit_three(self, capsys, argv):
-        # What these requests need has more digits than str() converts; in
-        # the last, so has the exponent of the power of two that bounds it.
+        # What these requests need has more digits than str() converts, so
+        # the message names a power of two below it.
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert "needs more than 2^" in err
@@ -166,12 +166,24 @@ class TestExitCodes:
         ("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2", "--n", "1" + "0" * 4000),
     ], ids=["resolve", "types-check", "resolve-4001-digits"])
     def test_absurd_block_length_is_refused_at_once(self, capsys, argv):
-        # The budget check takes the need's logarithm, not the power itself.
+        # The budget check compares the need's exponent, not the power itself.
         start = time.perf_counter()
         code, _, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "needs more than 2^" in err
+
+    @pytest.mark.parametrize("n, need", [
+        (29, "316501751733026408438600388575232 bytes"),
+        (30, "more than 2^29 bytes"),
+    ])
+    def test_block_length_past_the_budget_bit_length_is_named_by_it(self, capsys, n, need):
+        # 16·12^n bytes: exact up to n = 29, the bit length of the 2^28 budget
+        code, _, err = run_cli(capsys, "resolve", "--builtin", "example1", "--eps", "0.1",
+                               "--M", "2", "--n", str(n))
+        assert code == 3
+        assert err == (f"resource limit: the {n}-letter channel of 3^{n} states of "
+                       f"dimension 2^{n} needs {need}, over the budget of 268435456 bytes\n")
 
     def test_count_matrix_past_the_byte_budget_is_exit_three(self, tmp_path):
         # 100^3 one-dimensional product letters at M = 1: 10^6 M-types pass

@@ -147,14 +147,18 @@ def assert_worst_matches_oracle(ch: cq.CQChannel, M: int, n: int, grid: int) -> 
     res = cq.resolution_error_worst(ch, M, n, grid=grid)
     want = orc.grid_refine_worst(ch.power(n).states, M, grid)
     assert np.array_equal(res.worst_input.masses, want.worst_input)
-    assert np.array_equal(res.argmin.distribution.masses, want.argmin_counts / M)
     if np.any(ch.states[:, ~np.eye(ch.dim, dtype=bool)]):
+        assert np.array_equal(res.argmin.distribution.masses, want.argmin_counts / M)
         assert res.error == want.error
     else:
-        # diagonal states: the distance at that input and argmin, correctly rounded
-        assert res.error == orc.rational_half_l1(
-            np.diagonal(ch.states, axis1=1, axis2=2).real, n, want.worst_input,
-            want.argmin_counts, M)
+        # diagonal states: the least exact distance over the near-ties at that
+        # input, correctly rounded, and the first near-tie attaining it
+        exact = [orc.rational_half_l1(np.diagonal(ch.states, axis1=1, axis2=2).real, n,
+                                      want.worst_input, counts, M)
+                 for counts in want.tie_counts]
+        assert res.error == min(exact)
+        assert np.array_equal(res.argmin.distribution.masses,
+                              want.tie_counts[exact.index(min(exact))] / M)
 
 
 EPS_SWEEP = [round(0.05 * i, 2) for i in range(1, 10)]
@@ -173,6 +177,13 @@ def test_worst_example1_n1_matches_oracle(eps, M, grid):
 def test_worst_example1_n2_matches_oracle(i):
     assert_worst_matches_oracle(build_flip_erase_channel(EPS_SWEEP[i])[0],
                                 (2, 3, 4)[i % 3], 2, 3 + i % 6)
+
+
+@pytest.mark.parametrize("eps, M, grid, least", [(0.1, 4, 10, 0.08), (0.25, 1, 5, 0.15)])
+def test_worst_bound_is_the_least_exact_distance_among_near_ties(eps, M, grid, least):
+    # the float-first near-tie at the worst input is one ulp above the least
+    assert cq.resolution_error_worst(build_flip_erase_channel(eps)[0], M, 2,
+                                     grid=grid).error == least
 
 
 @pytest.mark.parametrize("seed", range(4))

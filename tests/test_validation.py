@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -33,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqresolve as cq
 import cqresolve.channel as channel_module
@@ -223,32 +226,37 @@ def test_request_past_a_budget_raises_before_allocating(site):
     assert peak < 2 ** 20
 
 
-def budget_message(need) -> str:
-    with pytest.raises(cq.ResourceLimitError) as info:
-        cq.errors.check_budget("the request", need, 10)
-    return str(info.value)
+@settings(max_examples=300, deadline=None)
+@given(factor=st.integers(1, 2 ** 20), base=st.integers(1, 2 ** 20),
+       exponent=st.integers(1, 200), budget=st.integers(1, 2 ** 40))
+def test_power_need_is_refused_exactly_when_over_and_names_a_lower_bound(
+        factor, base, exponent, budget):
+    need = factor * base ** exponent
+    try:
+        cq.errors.check_budget("the request", (factor, base, exponent), budget)
+    except cq.ResourceLimitError as exc:
+        message = str(exc)
+    else:
+        assert need <= budget
+        return
+    assert need > budget
+    stated = re.fullmatch(r"the request needs (more than 2\^)?(\d+) bytes, "
+                          rf"over the budget of {budget} bytes", message)
+    assert stated is not None, message
+    if stated[1]:
+        assert 2 ** int(stated[2]) < need
+    else:
+        assert int(stated[2]) == need
 
 
-# Powers factor·base^exponent on both sides of 4096 bits, past which the
-# message gives a power of two and the power is not formed.
-POWER_NEEDS = [(factor, base, exponent) for factor in (1, 16) for base in range(2, 41)
-               for e in [round((4096 - math.log2(factor)) / math.log2(base))]
-               for exponent in (e - 1, e, e + 1)] + [(16, 3, 10007), (8, 12, 2999)]
-
-
-def test_power_need_gets_the_message_of_its_int():
-    assert [budget_message(need) for need in POWER_NEEDS] == [
-        budget_message(need[0] * need[1] ** need[2]) for need in POWER_NEEDS]
-
-
-def test_power_need_past_two_to_the_sixteen_bits_is_bounded_at_once():
-    start = time.perf_counter()
-    cq.errors._log2_floor(16, 12, 10 ** 4000)
-    assert time.perf_counter() - start < 0.1
-    # 16·12^e just past the 2^16-bit estimate: a lower bound within one of the floor
-    for exponent in range(16383, 16483):
-        exact = (16 * 12 ** exponent).bit_length() - 1
-        assert exact - 1 <= cq.errors._log2_floor(16, 12, exponent) <= exact
+def test_absurd_power_need_is_refused_by_its_exponent_at_once():
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(cq.ResourceLimitError, match=r"needs more than 2\^29 bytes"):
+            cq.errors.check_budget("the request", (16, 12, 10 ** 4000), cq.errors.MAX_MATRIX_BYTES)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1e-3
 
 
 # A valid command line for every command

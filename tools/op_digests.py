@@ -5,15 +5,16 @@ Run:  python3 tools/op_digests.py SRC_DIR
 
 SRC_DIR is the directory that holds the ``cqresolve`` package (``src`` of a
 checkout). The ops are those of ``perfbench/workloads.py`` of this checkout,
-for every workload at seeds 0, 1 and 2; the demos are the scripts in
+for every workload at seeds 0, 1 and 2; the refusals are the command lines
+in REFUSALS, requests past a resource budget; the demos are the scripts in
 ``demos/`` next to SRC_DIR, since a demo goes with its library. One
 subprocess, with SRC_DIR first on PYTHONPATH, builds the ops' inputs in a
-temporary directory, calls ``cqresolve.cli.main`` once per op and runs each
-demo as ``__main__``, each in a directory of its own given by a relative
-path, so no output names the temporary directory. Each line is a key and
-the SHA-256 of the exit code, stdout, stderr and the bytes of every file
-the op or demo wrote. Equal output for two trees means byte-identical
-results:
+temporary directory, calls ``cqresolve.cli.main`` once per op and per
+refusal and runs each demo as ``__main__``, each in a directory of its own
+given by a relative path, so no output names the temporary directory. Each
+line is a key and the SHA-256 of the exit code, stdout, stderr and the
+bytes of every file the op or demo wrote. Equal output for two trees means
+byte-identical results:
 
     python3 tools/op_digests.py old/src > old.txt
     python3 tools/op_digests.py src > new.txt
@@ -33,6 +34,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
+EXAMPLE1 = ("--builtin", "example1", "--eps", "0.1")
+# Requests whose need has more digits than str() converts, absurd block
+# lengths, and block lengths on both sides of the matrix budget's bit length
+REFUSALS = {
+    "resolve-n-100000": ("resolve", *EXAMPLE1, "--M", "2", "--n", "100000"),
+    "types-check-n-1000000": ("types-check", "--alphabet-size", "3", "--n", "1000000"),
+    "resolve-M-201-digits": ("resolve", *EXAMPLE1, "--n", "3", "--M", "1" + "0" * 200),
+    "worst-resolve-M-201-digits": ("worst-resolve", *EXAMPLE1, "--n", "3",
+                                   "--M", "1" + "0" * 200),
+    "resolve-n-4300-digits": ("resolve", *EXAMPLE1, "--M", "2", "--n", "9" * 4300),
+    "resolve-n-10000000": ("resolve", *EXAMPLE1, "--M", "2", "--n", "10000000"),
+    "types-check-n-10000000": ("types-check", "--alphabet-size", "3", "--n", "10000000"),
+    "resolve-n-4001-digits": ("resolve", *EXAMPLE1, "--M", "2", "--n", "1" + "0" * 4000),
+    "resolve-n-29": ("resolve", *EXAMPLE1, "--M", "2", "--n", "29"),
+    "resolve-n-30": ("resolve", *EXAMPLE1, "--M", "2", "--n", "30"),
+}
 
 
 def _digest(rc, stdout: str, stderr: str, written: list[Path]) -> str:
@@ -58,7 +75,7 @@ def _call(run) -> tuple[object, str, str]:
 
 
 def _child(src: Path) -> None:
-    """Run every op and demo in the current directory; print key and digest."""
+    """Run every op, refusal and demo in the current directory; print key and digest."""
     sys.path.insert(1, str(ROOT / "perfbench"))
     import workloads
     import cqresolve.cli as cli
@@ -74,6 +91,9 @@ def _child(src: Path) -> None:
                 written = [op.out] if op.out is not None and op.out.is_file() else []
                 print(f"{name}/{seed}/{op.key} {_digest(rc, out, err, written)}",
                       file=sys.__stdout__, flush=True)
+    for key, argv in REFUSALS.items():
+        rc, out, err = _call(lambda: cli.main(list(argv)))
+        print(f"refusal/{key} {_digest(rc, out, err, [])}", file=sys.__stdout__, flush=True)
     for demo in sorted((src.parent / "demos").glob("*.py")):
         folder = Path(f"demo-{demo.stem}")
         folder.mkdir()
