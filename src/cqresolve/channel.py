@@ -241,6 +241,21 @@ def _bar_sequences(bars: int, M: int) -> np.ndarray:
     return seqs
 
 
+def _m_type_total(alphabet_size: int, M: int) -> int:
+    """The number of M-types of alphabet_size letters, C(M + k − 1, k − 1).
+
+    Both arguments must be positive ints. More than MAX_TYPES raises
+    ResourceLimitError; an M past the largest int64 raises ValidationError.
+    """
+    check_positive_int("alphabet_size", alphabet_size)
+    check_positive_int("M", M)
+    total = math.comb(M + alphabet_size - 1, alphabet_size - 1)
+    check_budget(f"enumerating {alphabet_size} letters at M = {M}", total, MAX_TYPES, "M-types")
+    if M > np.iinfo(np.int64).max:
+        raise ValidationError("M must be below 2^63, the largest int64 count")
+    return total
+
+
 def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     """Count matrix of all M-types, rows lexicographic over mass vectors.
 
@@ -249,21 +264,126 @@ def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     order. The result is int64 in C order, k = alphabet_size columns; both
     arguments are positive ints. More than MAX_TYPES rows, or more than
     MAX_COUNT_BYTES, raise ResourceLimitError before any row is built; an M
-    past the largest int64 raises ValidationError.
+    past the largest int64 raises ValidationError. The worst-input search
+    and the type profiles of `types_sanov` enumerate through it; the exact
+    engine walks the same order in blocks with `_m_type_sums` and never
+    holds the matrix.
     """
-    check_positive_int("alphabet_size", alphabet_size)
-    check_positive_int("M", M)
-    total = math.comb(M + alphabet_size - 1, alphabet_size - 1)
-    check_budget(f"enumerating {alphabet_size} letters at M = {M}", total, MAX_TYPES, "M-types")
+    total = _m_type_total(alphabet_size, M)
     check_budget(f"the {total} x {alphabet_size} M-type count matrix",
                  total * alphabet_size * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
-    if M > np.iinfo(np.int64).max:
-        raise ValidationError("M must be below 2^63, the largest int64 count")
     bars = _bar_sequences(alphabet_size - 1, M)
     counts = np.empty((total, alphabet_size), dtype=np.int64)
     np.subtract(bars[:, 1:], bars[:, :-1], out=counts[:, :-1])
     np.subtract(M, bars[:, -1], out=counts[:, -1])
     return counts
+
+
+def _m_type_tree(alphabet_size: int, M: int) -> tuple[bool, int, int]:
+    """(letters, levels, top): the shorter side of stars and bars as a tree.
+
+    Each M-type is a non-decreasing sequence of `levels` values in 0…top.
+    For M < k it is its sorted letters a₁ ≤ … ≤ a_M (top k − 1), and
+    `m_type_counts` order is the descending order of those sequences, so a
+    node's children run from top down to its value. Otherwise it is the
+    k − 1 bars (top M) in ascending order, children from the node's value
+    up to M. The root's value is 0.
+    """
+    letters = M < alphabet_size
+    return (letters, M, alphabet_size - 1) if letters else (letters, alphabet_size - 1, M)
+
+
+def _leaves(room: np.ndarray, depth: int) -> np.ndarray:
+    """C(room + depth, depth): the leaves `depth` levels below nodes `room` below the top.
+
+    int64; after step i the product is C(room + i, i), so every division is
+    exact and no partial product passes depth times the whole tree's size.
+    """
+    out = np.ones(room.shape, dtype=np.int64)
+    for i in range(1, depth + 1):
+        out = out * (room + i) // i
+    return out
+
+
+def _m_type_sums(rows: np.ndarray, M: int, block: int):
+    """Yield Σ_x c_x·rows[x] for every M-type c of len(rows) letters, in blocks.
+
+    The blocks follow `m_type_counts` row order, each at most `block` rows
+    (a positive int). The tree of `_m_type_tree` is walked depth first over
+    chunks of sibling prefixes: a chunk with at most `block` leaves below it
+    is grown level by level to its leaves and yielded; a longer one is cut
+    into runs of at most `block` leaves (a single prefix on its own), and a
+    single prefix with more grows its children in runs of at most `block`.
+    So no array holds more than `block` rows, and at most one per level
+    waits on the stack. A prefix's partial sum is formed once and shared by all
+    its children. On the letters side the root holds 0 and level j adds
+    rows[a_j]. On the bars side the sum Σ_j (b_j − b_{j−1})·rows[j−1] +
+    (M − b_{k−1})·rows[k−1] telescopes to M·rows[k−1] + Σ_j
+    b_j·(rows[j−1] − rows[j]): the root holds the first term and level j
+    adds the j-th. A sum's bits depend only on its M-type, not on `block`.
+    The caller checks the size with `_m_type_total`.
+    """
+    letters, levels, top = _m_type_tree(rows.shape[0], M)
+
+    def grow(level, last, sums, run=None):
+        """The children of every prefix, or children run[0]…run[1] − 1 of a single one."""
+        if run is None:
+            fan = top + 1 - last
+            step = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+        else:
+            fan, step = [run[1] - run[0]], np.arange(*run)
+        sums = np.repeat(sums, fan, axis=0)
+        if letters:
+            child = top - step
+            sums += rows.take(child, axis=0)
+        else:
+            child = np.repeat(last, fan) + step
+            sums += child[:, None] * (rows[level] - rows[level + 1])
+        return child, sums
+
+    root = np.zeros(rows.shape[1], rows.dtype) if letters else M * rows[-1]
+    stack = [(0, np.zeros(1, dtype=np.intp), root[None], None)]
+    while stack:
+        level, last, sums, run = stack.pop()
+        if run is not None:
+            last, sums = grow(level, last, sums, run)
+            level += 1
+        ends = np.cumsum(_leaves(top - last, levels - level))
+        if ends[-1] <= block:
+            for j in range(level, levels):
+                last, sums = grow(j, last, sums)
+            yield sums
+        elif last.size == 1:
+            fan = top + 1 - int(last[0])
+            stack.extend((level, last, sums, (lo, min(lo + block, fan)))
+                         for lo in reversed(range(0, fan, block)))
+        else:
+            cuts, lo = [], 0
+            while lo < last.size:
+                hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + block, "right"))
+                cuts.append((lo, max(hi, lo + 1)))
+                lo = cuts[-1][1]
+            stack.extend((level, last[lo:hi], sums[lo:hi], None) for lo, hi in reversed(cuts))
+
+
+def _m_type_at(alphabet_size: int, M: int, index: int) -> np.ndarray:
+    """The int64 counts of row `index` of `m_type_counts(alphabet_size, M)`.
+
+    One root-to-leaf walk of the `_m_type_tree`: at each level the child
+    whose leaves hold the index.
+    """
+    letters, levels, top = _m_type_tree(alphabet_size, M)
+    seq, last = [], 0
+    for level in range(levels):
+        child = np.arange(top, last - 1, -1) if letters else np.arange(last, top + 1)
+        ends = np.cumsum(_leaves(top - child, levels - level - 1))
+        i = int(np.searchsorted(ends, index, "right"))
+        index -= int(ends[i - 1]) if i else 0
+        last = int(child[i])
+        seq.append(last)
+    if letters:
+        return np.bincount(seq, minlength=alphabet_size)
+    return np.diff(np.array([0, *seq, M], dtype=np.int64))
 
 
 def _parse_complex_matrix(entry, where: str) -> np.ndarray:

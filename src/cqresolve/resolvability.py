@@ -1,10 +1,11 @@
 """Exact and bounded resolution errors.
 
 Exact errors brute-force the finite feasible set of M-types on the product
-alphabet. When every product state is diagonal, the trace distances are ℓ₁
-distances between real diagonals, mixed and summed in plain float
-arithmetic, and the minimum's distance is recomputed in exact arithmetic so
-that it is correctly rounded; otherwise they come from batched eigvalsh.
+alphabet, streamed in blocks whose M-types share their prefixes' sums. When
+every product state is diagonal, the trace distances are ℓ₁ distances
+between real diagonals, mixed and summed in plain float arithmetic, and the
+minimum's distance is recomputed in exact arithmetic so that it is
+correctly rounded; otherwise they come from batched eigvalsh.
 The worst-input search reports a certified lower bound from a simplex grid
 plus local refinement; the grid is searched in byte-sized batches, and
 points whose upper bound from a sampled set of witness candidates falls
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as npl
 
-from .channel import CQChannel, Distribution, MType, m_type_counts, output_state
+from .channel import (CQChannel, Distribution, MType, _m_type_at, _m_type_sums, _m_type_total,
+                      m_type_counts, output_state)
 from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, ResourceLimitError, ValidationError,
                      check_budget, check_positive_int, check_real)
 from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass,
@@ -217,16 +219,20 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     """min over M-types q on X^n of ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁, exactly.
 
     The law p is on the base alphabet, taken i.i.d., or on the product one.
-    The M-types come from `m_type_counts` (stars and bars, lexicographic
-    order), and ties within 1e-12 of the minimum resolve to the
-    lexicographically first one. When every product state is diagonal, the
-    outputs are real diagonals and each distance is ½·Σ|difference|, in
-    float arithmetic; otherwise the outputs are flattened matrices and each
-    distance comes from eigvalsh. Outputs are formed in batches of about
-    EIG_BATCH_BYTES. On the diagonal path the minimum's distance is then
-    recomputed in exact arithmetic, so the reported error is correctly
-    rounded at the argmin. M and n must be positive ints; `_OutputRows` and
-    `m_type_counts` hold the product states and M-types to their budgets.
+    The M-types come from `channel._m_type_sums` in `m_type_counts` order
+    (stars and bars, lexicographic), as blocks of mixed outputs of about
+    EIG_BATCH_BYTES; M-types with a common prefix share its partial sum, and
+    no count matrix is built. Ties within 1e-12 of the minimum resolve to
+    the lexicographically first M-type, whose counts are then found from its
+    index. When every product state is diagonal, the outputs are real
+    diagonals and each distance is ½·Σ|difference|, in float arithmetic, and
+    the argmin's distance is recomputed in exact arithmetic, so the reported
+    error is correctly rounded at the argmin. Otherwise the outputs are
+    flattened matrices and each distance comes from eigvalsh; the reported
+    error is the argmin's distance, with its output mixed from its counts as
+    `_OutputRows.targets` mixes a row. M and n must be positive ints;
+    `_OutputRows` holds the product states to their budget, and more than
+    MAX_TYPES M-types raise ResourceLimitError before any is formed.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
@@ -236,17 +242,19 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
             "distribution labels match neither the base alphabet nor the n-fold product")
     masses = _kron_rows(dist.masses, n) if dist.labels == channel.labels else dist.masses
     target = outputs.targets(masses[None])
-    counts = m_type_counts(len(outputs.labels), M)
-    errors = np.empty(counts.shape[0])
-    step = _batch_rows(counts.shape[1] * np.dtype(float).itemsize
-                       + outputs.rows[0].nbytes)
-    for lo in range(0, counts.shape[0], step):
-        mixed = (counts[lo:lo + step] / M) @ outputs.rows
-        errors[lo:lo + step] = outputs.distance_table(target, mixed)[0]
+    k = len(outputs.labels)
+    errors = np.empty(_m_type_total(k, M))
+    lo = 0
+    for mixed in _m_type_sums(outputs.rows / M, M, _batch_rows(outputs.rows[0].nbytes)):
+        errors[lo:lo + mixed.shape[0]] = outputs.distance_table(target, mixed)[0]
+        lo += mixed.shape[0]
     best, idx = _first_argmin(errors)
+    counts = _m_type_at(k, M, idx)
     if outputs.diagonal:
-        best = _rational_half_l1(channel, dist, n, counts[idx], M)
-    argmin = MType.from_counts(outputs.labels, counts[idx], M)
+        best = _rational_half_l1(channel, dist, n, counts, M)
+    else:
+        best = float(outputs.distance_table(target, outputs.targets(counts[None] / M))[0, 0])
+    argmin = MType.from_counts(outputs.labels, counts, M)
     return ResolutionResult(min(best, 1.0), argmin, M, n)
 
 
@@ -551,8 +559,11 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
                    n_max: int) -> list[tuple[int, int, float]]:
     """Exact ε(p^{⊗n}, W^{⊗n}, ⌊2^{nR}⌋) for n = 1…n_max, as (n, M, error) rows.
 
-    Raises ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a
-    float there, and its M-types are far past any enumeration cap.
+    Each row is one `resolution_error_exact`, which streams its M-types in
+    blocks, so memory peaks at the largest n's error vector (8 bytes per
+    M-type) plus a few blocks, not at its count matrix. Raises
+    ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a float
+    there, and its M-types are far past any enumeration cap.
     """
     check_real("rate", R, 0.0)
     check_positive_int("n_max", n_max)

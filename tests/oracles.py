@@ -623,6 +623,27 @@ def brute_force_resolution_error(states, p, M: int) -> float:
     return best
 
 
+def count_matrix_resolution_error(counts, rows, target, distance_table, M: int,
+                                  step: int) -> tuple[float, int]:
+    """The exact engine's float minimum over a whole M-type count matrix.
+
+    This is the loop the engine ran before it streamed its M-types.
+    ``counts`` is the int64 count matrix in lexicographic order, ``rows``
+    the output rows of the letters, ``target`` the one-row matrix of the
+    target's row and ``distance_table`` the engine's table of ½‖·‖₁
+    distances. The outputs are (counts / M) @ rows, formed ``step`` count
+    rows at a time. Returns the float minimum, which was the reported error
+    on the eigvalsh path, and the first index within 1e-12 of it, which was
+    the argmin.
+    """
+    errors = np.empty(counts.shape[0])
+    for lo in range(0, counts.shape[0], step):
+        mixed = (counts[lo:lo + step] / M) @ rows
+        errors[lo:lo + step] = distance_table(target, mixed)[0]
+    best = float(errors.min())
+    return best, int(np.flatnonzero(errors <= best + 1e-12)[0])
+
+
 def rational_half_l1(diagonals, n: int, word_masses, counts, M: int) -> float:
     """½‖Σ_w (p(w) − c_w/M)·W_w‖₁ for diagonal letter states, rounded once.
 

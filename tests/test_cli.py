@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -185,17 +186,21 @@ class TestExitCodes:
         assert err == (f"resource limit: the {n}-letter channel of 3^{n} states of "
                        f"dimension 2^{n} needs {need}, over the budget of 268435456 bytes\n")
 
-    def test_count_matrix_past_the_byte_budget_is_exit_three(self, tmp_path):
+    def test_count_matrix_past_the_byte_budget_is_not_built(self, tmp_path):
         # 100^3 one-dimensional product letters at M = 1: 10^6 M-types pass
-        # the row cap, but their count matrix would take 8 TB.
+        # the row cap, and their count matrix would take 8 TB; the exact
+        # engine sums their outputs in blocks and never builds it.
         path = tmp_path / "c100.json"
         path.write_text(json.dumps({"dim": 1, "inputs": [
             {"label": str(i), "state": [[[1.0, 0.0]]]} for i in range(100)]}))
         proc = run_module("resolve", "--channel", str(path), "--n", "3", "--M", "1")
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("resource limit: ")
-        assert "bytes" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
+        fields = kv(proc.stdout)
+        assert (fields["M"], fields["n"]) == ("1", "3")
+        # every output is the one state, and the target is s³ for the sum s
+        # of the 100 float masses 1/100, so the exact error is ½|s³ − 1|
+        s = 100 * Fraction(1 / 100)
+        assert fields["exact_error"] == f"{float(abs(s ** 3 - 1) / 2):.12g}"
 
     def test_worst_input_candidates_past_the_matrix_budget_are_exit_three(self, tmp_path):
         # 8,347,680 candidates of 8 letters fit their count budget, but their

@@ -298,6 +298,20 @@ def non_diagonal_channel():
     return cq.CQChannel(labels, states), cq.Distribution(labels, (0.2, 0.5, 0.3))
 
 
+def sweep_channel(name: str):
+    """example1 at ε = 0.2, a binary symmetric channel, or a random qubit channel of 2 or 3 letters."""
+    if name == "example1":
+        ch, _ = build_flip_erase_channel(0.2)
+        return ch, cq.Distribution(ch.labels, (0.5, 0.3, 0.2))
+    if name == "bsc":
+        return build_binary_flip(0.1)
+    k = int(name.split("-")[1])
+    rng = np.random.default_rng(k)
+    labels = tuple("abc"[:k])
+    ch = cq.CQChannel(labels, [orc.random_density(rng, 2) for _ in labels])
+    return ch, cq.Distribution(labels, rng.dirichlet(np.ones(k)))
+
+
 @pytest.mark.parametrize("rows", [1, 7, 200])
 @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "eigvalsh"])
 def test_targets_equal_row_by_row_target(rows, diagonal):
@@ -345,6 +359,53 @@ class TestExactEngine:
             res = cq.resolution_error_exact(ch, dist, M, n)
             want = orc.rational_half_l1(diagonals, n, word_masses, res.argmin.counts, M)
             assert res.error == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["example1", "bsc", "qubit-2", "qubit-3"])
+    def test_matches_count_matrix_oracle(self, name, n):
+        # M on both sides of the product alphabet's size K, so both sides of
+        # stars and bars are walked; laws on the base and product alphabets.
+        ch, p = sweep_channel(name)
+        outputs = rv._OutputRows(ch, n)
+        K = len(outputs.labels)
+        laws = [(p, [math.prod(Fraction(p.masses[x]) for x in w)
+                     for w in np.ndindex(*(ch.size,) * n)])]
+        masses = np.random.default_rng(K).dirichlet(np.ones(K))
+        laws.append((cq.Distribution(outputs.labels, masses), masses))
+        sizes = sorted(M for M in {1, 2, K - 1, K, K + 1} if math.comb(M + K - 1, K - 1) <= 50000)
+        step = rv._batch_rows(K * 8 + outputs.rows[0].nbytes)
+        for M in sizes:
+            counts = cq.m_type_counts(K, M)
+            for dist, word_masses in laws:
+                target = outputs.targets(linalg._kron_rows(dist.masses, n)[None]
+                                         if dist.labels == ch.labels else dist.masses[None])
+                best, idx = orc.count_matrix_resolution_error(
+                    counts, outputs.rows, target, outputs.distance_table, M, step)
+                res = cq.resolution_error_exact(ch, dist, M, n)
+                assert np.array_equal(res.argmin.counts, counts[idx]), (M, dist.labels)
+                if outputs.diagonal:
+                    best = orc.rational_half_l1(np.diagonal(ch.states, axis1=1, axis2=2).real,
+                                                n, word_masses, counts[idx], M)
+                    assert res.error == min(best, 1.0), (M, dist.labels)
+                else:
+                    # the argmin's distance from its own matrix-vector product,
+                    # where the oracle took the float minimum of a batch product
+                    assert res.error == pytest.approx(best, abs=1e-15), (M, dist.labels)
+
+    def test_streamed_m_types_peak_near_one_batch(self):
+        # 906,192 M-types of 27 letters: their count matrix alone would take
+        # 196 MB, and their mixed outputs 58 MB; only the error vector is held
+        # whole, the rest in blocks of about EIG_BATCH_BYTES.
+        ch, _ = build_flip_erase_channel(0.2)
+        p = cq.Distribution(ch.labels, (0.5, 0.3, 0.2))
+        tracemalloc.start()
+        try:
+            res = cq.resolution_error_exact(ch, p, 6, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.error == 0.014568000000000013
+        assert peak <= 4 * rv.EIG_BATCH_BYTES + 8 * math.comb(6 + 26, 26)
 
     @staticmethod
     def assert_diagonal_path_matches_eigvalsh_path(ch, p, n, M):

@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per benchmark op and per demo, to compare two source trees.
+"""Print one SHA-256 per benchmark op, command line and demo, to compare two source trees.
 
 Run:  python3 tools/op_digests.py SRC_DIR
 
 SRC_DIR is the directory that holds the ``cqresolve`` package (``src`` of a
 checkout). The ops are those of ``perfbench/workloads.py`` of this checkout,
-for every workload at seeds 0, 1 and 2; the refusals are the command lines
-in REFUSALS, requests past a resource budget; the demos are the scripts in
+for every workload at seeds 0, 1 and 2. The refusals are the command lines
+in REFUSALS, requests past a resource budget. The frontier commands are the
+command lines in FRONTIER, exact errors at sizes past the benchmark's; on
+older trees they take seconds and over a GiB. The demos are the scripts in
 ``demos/`` next to SRC_DIR, since a demo goes with its library. One
 subprocess, with SRC_DIR first on PYTHONPATH, builds the ops' inputs in a
-temporary directory, calls ``cqresolve.cli.main`` once per op and per
-refusal and runs each demo as ``__main__``, each in a directory of its own
-given by a relative path, so no output names the temporary directory. Each
-line is a key and the SHA-256 of the exit code, stdout, stderr and the
-bytes of every file the op or demo wrote. Equal output for two trees means
-byte-identical results:
+temporary directory, calls ``cqresolve.cli.main`` once per op, refusal and
+frontier command and runs each demo as ``__main__``, each in a directory of
+its own given by a relative path, so no output names the temporary
+directory. Each line is a key and the SHA-256 of the exit code, stdout,
+stderr and the bytes of every file the op or demo wrote. Equal output for
+two trees means byte-identical results:
 
     python3 tools/op_digests.py old/src > old.txt
     python3 tools/op_digests.py src > new.txt
@@ -50,6 +52,16 @@ REFUSALS = {
     "resolve-n-29": ("resolve", *EXAMPLE1, "--M", "2", "--n", "29"),
     "resolve-n-30": ("resolve", *EXAMPLE1, "--M", "2", "--n", "30"),
 }
+# Exact errors on example1 at ε 0.2 with the law (.5, .3, .2): many M-types
+# of many letters, many M-types of few letters, and the trend up to n = 4
+EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
+FRONTIER = {
+    "resolve-n3-M6": ("resolve", *EXAMPLE1_LAW, "--n", "3", "--M", "6"),
+    "resolve-n4-M4": ("resolve", *EXAMPLE1_LAW, "--n", "4", "--M", "4"),
+    "resolve-n1-M2000": ("resolve", *EXAMPLE1_LAW, "--n", "1", "--M", "2000"),
+    "converse-trend-R0.5-n4": ("converse-trend", *EXAMPLE1_LAW, "--rate", "0.5",
+                               "--n-max", "4"),
+}
 
 
 def _digest(rc, stdout: str, stderr: str, written: list[Path]) -> str:
@@ -75,7 +87,7 @@ def _call(run) -> tuple[object, str, str]:
 
 
 def _child(src: Path) -> None:
-    """Run every op, refusal and demo in the current directory; print key and digest."""
+    """Run every op, refusal, frontier command and demo here; print key and digest."""
     sys.path.insert(1, str(ROOT / "perfbench"))
     import workloads
     import cqresolve.cli as cli
@@ -91,9 +103,10 @@ def _child(src: Path) -> None:
                 written = [op.out] if op.out is not None and op.out.is_file() else []
                 print(f"{name}/{seed}/{op.key} {_digest(rc, out, err, written)}",
                       file=sys.__stdout__, flush=True)
-    for key, argv in REFUSALS.items():
-        rc, out, err = _call(lambda: cli.main(list(argv)))
-        print(f"refusal/{key} {_digest(rc, out, err, [])}", file=sys.__stdout__, flush=True)
+    for group, commands in (("refusal", REFUSALS), ("frontier", FRONTIER)):
+        for key, argv in commands.items():
+            rc, out, err = _call(lambda: cli.main(list(argv)))
+            print(f"{group}/{key} {_digest(rc, out, err, [])}", file=sys.__stdout__, flush=True)
     for demo in sorted((src.parent / "demos").glob("*.py")):
         folder = Path(f"demo-{demo.stem}")
         folder.mkdir()
