@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -22,6 +22,8 @@ from .linalg import _check_densities, _kron_rows, as_matrix
 
 DIST_SUM_TOL = 1e-12
 MTYPE_INT_TOL = 1e-9
+# Bytes of walker rows per block of `m_type_counts`
+_COUNT_BLOCK_BYTES = 2 ** 19
 
 Label = Hashable
 
@@ -102,10 +104,15 @@ class Distribution:
 
 @dataclass(frozen=True)
 class MType:
-    """Distribution whose masses are integer multiples of 1/M."""
+    """Distribution whose masses are integer multiples of 1/M.
+
+    `from_counts` keeps the int64 counts it was given, exact at any M below
+    2⁶³; an MType built from a distribution derives them from its masses.
+    """
 
     distribution: Distribution
     resolution: int
+    _counts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.resolution < 1:
@@ -117,13 +124,16 @@ class MType:
 
     @classmethod
     def from_counts(cls, labels: Sequence[Label], counts: Sequence[int], M: int) -> "MType":
-        counts = np.asarray(counts, dtype=int)
+        counts = np.array(counts, dtype=np.int64)
         if counts.sum() != M:
             raise ValidationError(f"counts sum to {int(counts.sum())}, expected {M}")
-        return cls(Distribution(tuple(labels), counts / M), M)
+        counts.setflags(write=False)
+        return cls(Distribution(tuple(labels), counts / M), M, counts)
 
     @property
     def counts(self) -> np.ndarray:
+        if self._counts is not None:
+            return self._counts
         return np.round(self.distribution.masses * self.resolution).astype(int)
 
 
@@ -218,29 +228,6 @@ def empirical_output(channel: CQChannel, w: Word) -> np.ndarray:
     return acc / len(w)
 
 
-def _bar_sequences(bars: int, M: int) -> np.ndarray:
-    """Every row 0 = b₀ ≤ b₁ ≤ … ≤ b_bars ≤ M, in lexicographic order.
-
-    Level j repeats each row once per value from its bar j − 1 up to M and
-    writes those values into column j, so the rows stay lexicographic. Rows
-    are full width from the start, in the narrowest unsigned dtype that holds
-    M. The new bars step by one, and back from M to the row's bar j − 1 at
-    each row's first copy: one cumsum that wraps, but whose partial sums are
-    all bars in 0…M.
-    """
-    dtype = np.min_scalar_type(M)
-    seqs = np.zeros((1, bars + 1), dtype=dtype)
-    for j in range(1, bars + 1):
-        last = seqs[:, j - 1]
-        fan = M + 1 - last.astype(np.intp)
-        steps = np.ones(int(fan.sum()), dtype=dtype)
-        steps[0] = last[0]
-        steps[np.cumsum(fan[:-1])] = last[1:] - M
-        seqs = np.repeat(seqs, fan, axis=0)
-        np.cumsum(steps, dtype=dtype, out=seqs[:, j])
-    return seqs
-
-
 def _m_type_total(alphabet_size: int, M: int) -> int:
     """The number of M-types of alphabet_size letters, C(M + k − 1, k − 1).
 
@@ -259,23 +246,28 @@ def _m_type_total(alphabet_size: int, M: int) -> int:
 def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     """Count matrix of all M-types, rows lexicographic over mass vectors.
 
-    Stars and bars: the bars b₁ ≤ … ≤ b_{k−1} of each `_bar_sequences` row cut
-    M stars into the counts c_j = b_{j+1} − b_j (b₀ = 0, b_k = M), in the same
-    order. The result is int64 in C order, k = alphabet_size columns; both
+    The rows are the blocks of `_m_type_sums` over the k × k identity, on
+    which Σ_x c_x·e_x is the count vector c itself. The walk runs in the
+    narrowest signed dtype that holds −M − 1, so its partial sums, all in
+    −M…M, are exact, and each block, at most _COUNT_BLOCK_BYTES // (8k + 32)
+    rows (a charge for each row's walker temporaries), is cast into place.
+    The result is int64 in C order, k = alphabet_size columns; both
     arguments are positive ints. More than MAX_TYPES rows, or more than
     MAX_COUNT_BYTES, raise ResourceLimitError before any row is built; an M
     past the largest int64 raises ValidationError. The worst-input search
     and the type profiles of `types_sanov` enumerate through it; the exact
-    engine walks the same order in blocks with `_m_type_sums` and never
-    holds the matrix.
+    engine walks the same tree over its outputs and never holds the matrix.
     """
     total = _m_type_total(alphabet_size, M)
     check_budget(f"the {total} x {alphabet_size} M-type count matrix",
                  total * alphabet_size * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
-    bars = _bar_sequences(alphabet_size - 1, M)
     counts = np.empty((total, alphabet_size), dtype=np.int64)
-    np.subtract(bars[:, 1:], bars[:, :-1], out=counts[:, :-1])
-    np.subtract(M, bars[:, -1], out=counts[:, -1])
+    letters = np.eye(alphabet_size, dtype=np.min_scalar_type(-M - 1))
+    block = _COUNT_BLOCK_BYTES // (8 * alphabet_size + 32)
+    lo = 0
+    for rows in _m_type_sums(letters, M, block):
+        counts[lo:lo + rows.shape[0]] = rows
+        lo += rows.shape[0]
     return counts
 
 

@@ -298,8 +298,8 @@ def test_m_type_enumeration_distinct_and_valid(km):
 
 
 # The small grid, then many parts on a small total (the n-letter product
-# alphabets of the exact engine), few parts on a large total, and each
-# total at which the bars need a wider unsigned dtype.
+# alphabets of the exact engine), few parts on a large total, and totals on
+# either side of the 8- and 16-bit integer limits.
 KERNEL_CASES = ([(total, parts) for total in range(1, 7) for parts in range(1, 7)]
                 + [(4, 27), (3, 27), (8, 9), (6, 9), (12, 9), (300, 3), (1000, 2),
                    (255, 3), (256, 3), (65535, 2), (65536, 2)])
@@ -316,6 +316,16 @@ def test_compositions_match_oracle(total, parts):
     if parts <= 6:
         # The brute-force oracle sorts, so equality also checks the lexicographic row order.
         assert [tuple(row) for row in got.tolist()] == orc.all_m_type_count_vectors(parts, total)
+
+
+@pytest.mark.parametrize("total, parts", [
+    (total, parts) for total, parts in KERNEL_CASES
+    if math.comb(total + parts - 1, parts - 1) <= 20_000])
+def test_m_type_at_is_the_count_matrix_row(total, parts):
+    counts = cq.m_type_counts(parts, total)
+    for i, row in enumerate(counts):
+        got = cq.channel._m_type_at(parts, total, i)
+        assert got.dtype == np.int64 and np.array_equal(got, row), i
 
 
 def traced_peak(build) -> int:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -460,6 +461,19 @@ class TestResolveCommands:
         assert code == 0
         payload = json.loads(outp.read_text())
         assert payload["error"] == pytest.approx(0.4, abs=1e-10)
+
+    def test_resolve_argmin_counts_at_the_largest_int64_M(self, capsys, tmp_path):
+        # The one letter holds all 2^63 - 1 counts, past the float's exact ints.
+        chan = tmp_path / "one.json"
+        chan.write_text(json.dumps({"dim": 1, "inputs": [{"label": "x", "state": [[[1, 0]]]}]}))
+        outp = tmp_path / "res.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "resolve", "--channel", str(chan),
+                                   "--M", str(2 ** 63 - 1), "--out", str(outp))
+        assert code == 0
+        assert err == "" and caught == []
+        assert json.loads(outp.read_text())["argmin_counts"] == {"x": 2 ** 63 - 1}
 
     def test_worst_resolve_reports_flag(self, capsys):
         code, out, _ = run_cli(capsys, "worst-resolve", "--builtin", "example1",
