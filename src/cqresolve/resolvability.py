@@ -3,9 +3,10 @@
 Exact errors brute-force the finite feasible set of M-types on the product
 alphabet, streamed in blocks whose M-types share their prefixes' sums. When
 every product state is diagonal, the trace distances are ℓ₁ distances
-between real diagonals, mixed and summed in plain float arithmetic, and the
-minimum's distance is recomputed in exact arithmetic so that it is
-correctly rounded; otherwise they come from batched eigvalsh.
+between real diagonals, mixed in plain float arithmetic and summed in
+numpy's pairwise order (narrow diagonals column by column, as whole-array
+adds), and the minimum's distance is recomputed in exact arithmetic so that
+it is correctly rounded; otherwise they come from batched eigvalsh.
 The worst-input search reports a certified lower bound from a simplex grid
 plus local refinement; the grid is searched in byte-sized batches, and
 points whose upper bound from a sampled set of witness candidates falls
@@ -48,6 +49,12 @@ WORST_SAMPLE_STRIDE = 32
 MAX_RATE_EXPONENT = 1024
 # Bytes of the reused buffer of uniforms that codebook draws become letters in.
 DRAW_CHUNK_BYTES = 2 ** 18
+# Diagonals of at least this many entries are summed by numpy's row
+# reduction, narrower ones column by column (`_half_l1_distances`).
+WIDE_ROW = 16
+# Bytes of the reused |difference| buffer that wide diagonals are summed in:
+# a chunk small enough to stay in a core's cache from subtract to sum.
+WIDE_CHUNK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -116,9 +123,46 @@ def _half_trace_distances(flat_outputs: np.ndarray, target_flat: np.ndarray,
     return 0.5 * np.sum(np.abs(spectra), axis=-1)
 
 
-def _half_l1_distances(diagonals: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """½‖row − target‖₁ over the last axis of real diagonals (broadcasts)."""
-    return 0.5 * np.sum(np.abs(diagonals - target), axis=-1)
+def _half_l1_distances(diagonals: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """½‖row − target‖₁ for every target and row of real diagonals, as a targets × rows table.
+
+    Each sum has the bits of np.sum over its row of |differences|, whose
+    order is numpy's pairwise_sum: fewer than 8 entries in sequence; 8 to
+    128 in eight lanes, added as ((r₀+r₁)+(r₂+r₃))+((r₄+r₅)+(r₆+r₇)), then
+    the rest in sequence; more split in two at half the width rounded down
+    to a multiple of 8. Rows of fewer than WIDE_ROW entries take that order
+    column by column: every |row − target| column of the block goes into
+    one (width, targets, rows) buffer, and the columns are added as whole
+    arrays, so no per-row reduction runs. Wider rows are summed by numpy's
+    own row reduction, which costs less per entry there than whole-array
+    adds of strided columns, over chunks of one reused buffer of about
+    WIDE_CHUNK_BYTES.
+    """
+    (t, width), rows = targets.shape, diagonals.shape[0]
+    if width >= WIDE_ROW:
+        table = np.empty((t, rows))
+        chunk = max(1, WIDE_CHUNK_BYTES // (t * width * diagonals.itemsize))
+        diffs = np.empty((t, min(chunk, rows), width))
+        for lo in range(0, rows, chunk):
+            part = diffs[:, :min(chunk, rows - lo)]
+            np.subtract(diagonals[lo:lo + chunk], targets[:, None], out=part)
+            np.abs(part, out=part)
+            np.add.reduce(part, axis=-1, out=table[:, lo:lo + chunk])
+        table *= 0.5
+        return table
+    cols = np.empty((width, t, rows))
+    np.subtract(diagonals.T[:, None], targets.T[:, :, None], out=cols)
+    np.abs(cols, out=cols)
+    done = 1
+    if width >= 8:
+        # one round of eight lanes, columns 0-7, then their tree in place
+        for step in (1, 2, 4):
+            for j in range(0, 8, 2 * step):
+                cols[j] += cols[j + step]
+        done = 8
+    for j in range(done, width):
+        cols[0] += cols[j]
+    return 0.5 * cols[0]
 
 
 class _OutputRows:
@@ -126,9 +170,11 @@ class _OutputRows:
 
     The states and labels come from `CQChannel.power`, under its budget.
     When every off-diagonal entry is exactly 0, the rows are the real
-    diagonals and ½‖·‖₁ is ½·Σ|difference|, in real arithmetic throughout.
-    Otherwise the rows are the flattened matrices and ½‖·‖₁ comes from
-    eigvalsh. Each distance depends only on its own two rows, so it has the
+    diagonals and ½‖·‖₁ is ½·Σ|difference|, in real arithmetic throughout,
+    with each sum in numpy's pairwise order (`_half_l1_distances`), so it
+    has the bits of np.sum over its row of |differences|. Otherwise the
+    rows are the flattened matrices and ½‖·‖₁ comes from eigvalsh. Each
+    distance depends only on its own two rows, so it has the
     same bits in any batch.
     """
 
@@ -139,9 +185,11 @@ class _OutputRows:
         self.diagonal = not np.any(states[:, ~np.eye(self.dim, dtype=bool)])
         self.rows = np.diagonal(states, axis1=1, axis2=2).real.copy() \
             if self.diagonal else states.reshape(k, -1)
-        # bytes of one distance's temporaries: the difference of two rows, its
-        # eigenvalues and their absolute values (the diagonal path needs no
-        # eigenvalues but is charged the same, so both paths batch alike)
+        # bytes charged per distance: on the eigvalsh path the difference of
+        # two rows, its eigenvalues and their absolute values; the diagonal
+        # path holds at most one |difference| per pair (its column buffer,
+        # or a reused chunk for wide rows) but is charged the same, so both
+        # paths batch alike
         self.pair_bytes = self.rows[0].nbytes + 2 * self.dim * np.dtype(float).itemsize
 
     def targets(self, weights: np.ndarray) -> np.ndarray:
@@ -162,11 +210,11 @@ class _OutputRows:
         cols = min(outputs.shape[0], _batch_rows(self.pair_bytes))
         rows = _batch_rows(cols * self.pair_bytes)
         for lo in range(0, targets.shape[0], rows):
-            block = targets[lo:lo + rows, None]
+            block = targets[lo:lo + rows]
             for c in range(0, outputs.shape[0], cols):
                 table[lo:lo + rows, c:c + cols] = \
                     _half_l1_distances(outputs[c:c + cols], block) if self.diagonal \
-                    else _half_trace_distances(outputs[c:c + cols], block, self.dim)
+                    else _half_trace_distances(outputs[c:c + cols], block[:, None], self.dim)
         return table
 
 
@@ -225,8 +273,9 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     no count matrix is built. Ties within 1e-12 of the minimum resolve to
     the lexicographically first M-type, whose counts are then found from its
     index. When every product state is diagonal, the outputs are real
-    diagonals and each distance is ½·Σ|difference|, in float arithmetic, and
-    the argmin's distance is recomputed in exact arithmetic, so the reported
+    diagonals and each distance is ½·Σ|difference|, in float arithmetic with
+    the sum in numpy's pairwise order (`_half_l1_distances`), and the
+    argmin's distance is recomputed in exact arithmetic, so the reported
     error is correctly rounded at the argmin. Otherwise the outputs are
     flattened matrices and each distance comes from eigvalsh; the reported
     error is the argmin's distance, with its output mixed from its counts as
@@ -306,7 +355,8 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     rounded. Candidates and grid points come from `m_type_counts`, in
     lexicographic order. When every product state is diagonal, the
     candidate outputs are real diagonals and each distance is
-    ½·Σ|difference|, in float arithmetic; otherwise they are flattened
+    ½·Σ|difference|, in float arithmetic with the sum in numpy's pairwise
+    order (`_half_l1_distances`); otherwise they are flattened
     matrices and the distances come from eigvalsh.
 
     The grid phase evaluates every WORST_SAMPLE_STRIDE-th point in full. The

@@ -644,6 +644,15 @@ def count_matrix_resolution_error(counts, rows, target, distance_table, M: int,
     return best, int(np.flatnonzero(errors <= best + 1e-12)[0])
 
 
+def half_l1_distances(diagonals, targets) -> np.ndarray:
+    """½‖row − target‖₁ for every target and row, as a targets × rows table.
+
+    The diagonal path's formula before its column-by-column kernel: one
+    broadcast difference and numpy's own sum over each row.
+    """
+    return 0.5 * np.sum(np.abs(diagonals - targets[:, None]), axis=-1)
+
+
 def rational_half_l1(diagonals, n: int, word_masses, counts, M: int) -> float:
     """½‖Σ_w (p(w) − c_w/M)·W_w‖₁ for diagonal letter states, rounded once.
 

@@ -485,6 +485,78 @@ class TestExactEngine:
 
 
 # ---------------------------------------------------------------------------
+# the diagonal path's distance kernel against the broadcast formula
+# ---------------------------------------------------------------------------
+
+
+def tied_rows(rng, count: int, width: int, targets: np.ndarray) -> np.ndarray:
+    """Random rows, then copies of targets, zeros and rows of eighths."""
+    rows = rng.random((count, width))
+    copies = min(3, len(targets))
+    rows[:copies] = targets[:copies]
+    rows[copies:copies + 2] = 0.0
+    rows[-5:] = rng.integers(0, 9, (5, width)) / 8
+    rows[-1, :width // 2] = targets[0, :width // 2]
+    return rows
+
+
+def strided_copy(rng, a: np.ndarray) -> np.ndarray:
+    """``a`` as a view that is neither the start of its base nor contiguous."""
+    base = rng.random((a.shape[0] + 3, a.shape[1] + 3))
+    base[2:-1, 1:-2] = a
+    return base[2:-1, 1:-2]
+
+
+# At 264 targets the default chunk of wide rows already holds one row.
+@pytest.mark.parametrize("count, chunk_bytes", [(1, None), (1, 3000), (2, None), (2, 3000),
+                                                (264, None)])
+@pytest.mark.parametrize("sliced", [False, True], ids=["contiguous", "sliced"])
+def test_half_l1_kernel_has_the_formula_bits(monkeypatch, count, sliced, chunk_bytes):
+    # Every width up to 300: both sides of 8 (lanes), 16 (WIDE_ROW), 128
+    # (numpy's pairwise block) and 256, and 136, which splits off 64; wide
+    # rows in one chunk or several, the last one short.
+    if chunk_bytes is not None:
+        monkeypatch.setattr(rv, "WIDE_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(count)
+    for width in range(1, 301):
+        targets = rng.integers(0, 9, (count, width)) / 8
+        targets[1::2] = rng.random((count // 2, width))
+        rows = tied_rows(rng, 12, width, targets)
+        if sliced:
+            targets, rows = strided_copy(rng, targets), strided_copy(rng, rows)
+        got = rv._half_l1_distances(rows, targets)
+        assert got.shape == (count, 12)
+        assert np.array_equal(got, orc.half_l1_distances(rows, targets)), width
+
+
+def test_exact_engine_wide_diagonals_have_the_formula_bits(monkeypatch):
+    # A 2-letter diagonal qutrit channel at n = 5: rows of 3^5 = 243 entries,
+    # past numpy's pairwise block of 128, and 528 M-types at M = 2. The
+    # reported error is recomputed exactly, so only the distances show a
+    # change of summation order.
+    rng = np.random.default_rng(23)
+    ch = cq.CQChannel(("a", "b"), [np.diag(rng.dirichlet(np.ones(3))) for _ in "ab"])
+    p = cq.Distribution(ch.labels, (0.3, 0.7))
+    kernel, distances = rv._half_l1_distances, []
+
+    def checked(rows, targets):
+        got = kernel(rows, targets)
+        assert np.array_equal(got, orc.half_l1_distances(rows, targets))
+        distances.append(got)
+        return got
+
+    monkeypatch.setattr(rv, "_half_l1_distances", checked)
+    cq.resolution_error_exact(ch, p, 2, 5)
+    assert sum(d.size for d in distances) == 528
+    outputs = rv._OutputRows(ch, 5)
+    assert outputs.rows.shape == (32, 243)
+    target = outputs.targets(linalg._kron_rows(p.masses, 5)[None])
+    cand = outputs.targets(cq.m_type_counts(32, 2) / 2)
+    assert np.array_equal(outputs.distance_table(target, cand),
+                          orc.half_l1_distances(cand, target))
+
+
+# ---------------------------------------------------------------------------
 # the soft-covering bound, as soft_cover_simulate reports it at n = 1
 # ---------------------------------------------------------------------------
 

@@ -53,8 +53,9 @@ REFUSALS = {
     "resolve-n-30": ("resolve", *EXAMPLE1, "--M", "2", "--n", "30"),
 }
 # Exact errors on example1 at ε 0.2 with the law (.5, .3, .2): many M-types
-# of many letters, many M-types of few letters, and the trend up to n = 4;
-# then a worst-input search whose candidates and grid are count matrices of
+# of many letters, many M-types of few letters, the trend up to n = 4, and
+# 266,085 M-types of diagonals of 64 entries (n = 6), past the kernel's
+# column-by-column widths; then a worst-input search whose candidates and grid are count matrices of
 # 27 letters
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
 FRONTIER = {
@@ -63,6 +64,7 @@ FRONTIER = {
     "resolve-n1-M2000": ("resolve", *EXAMPLE1_LAW, "--n", "1", "--M", "2000"),
     "converse-trend-R0.5-n4": ("converse-trend", *EXAMPLE1_LAW, "--rate", "0.5",
                                "--n-max", "4"),
+    "resolve-n6-M2": ("resolve", *EXAMPLE1_LAW, "--n", "6", "--M", "2"),
     "worst-resolve-n3-M3-grid4": ("worst-resolve", "--builtin", "example1", "--eps", "0.3",
                                   "--n", "3", "--M", "3", "--grid", "4"),
 }
