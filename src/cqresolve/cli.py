@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import (CQChannel, Distribution, Word, channel_from_json,
                       distribution_from_json, format_label, output_state)
-from .errors import (MAX_MATRIX_BYTES, ConvergenceError, ResourceLimitError,
+from .errors import (MAX_MATRIX_BYTES, MAX_TYPES, ConvergenceError, ResourceLimitError,
                      ValidationError, check_budget, check_positive_int, check_real)
 from .info import RenyiOrder
 from .idcodes import bridge_counting_check, idcode_from_json, \
@@ -255,6 +255,11 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
     check_positive_int("--n", n)
     check_budget(f"the {d}^{n} x {d}^{n} type partition",
                  (np.dtype(complex).itemsize, d * d, n), MAX_MATRIX_BYTES)
+    if has_channel:
+        channel = _load_channel(args)
+        dist = _load_dist(args, channel)
+        check_budget(f"the bad-codeword count over {channel.size}^{n} words",
+                     (1, channel.size, n), MAX_TYPES, "words")
     states = all_empirical_states(n, d)
     basis = Basis.standard(d)
     total = np.zeros((d ** n, d ** n), dtype=complex)
@@ -278,8 +283,6 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
               ("rank_sum_ok", rank_sum == d ** n),
               ("twirl_domination_min_margin", min_margin), ("all_ok", ok)]
     if has_channel:
-        channel = _load_channel(args)
-        dist = _load_dist(args, channel)
         count = sum(bad_codeword_test(channel, Word(w), dist, args.delta)
                     for w in itertools.product(channel.labels, repeat=n))
         fields.append(("bad_codewords", f"{count} / {channel.size ** n}"))

@@ -22,8 +22,8 @@ import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution, output_state
 from .errors import DimensionMismatchError, ValidationError, check_real
-from .linalg import (SpectralDecomposition, _check_hermitian, _matrix_pair, as_matrix, eigh,
-                     hermitianize, validate_density, validate_hermitian)
+from .linalg import (SpectralDecomposition, _check_hermitian, _eigh_descending, _matrix_pair,
+                     as_matrix, eigh, hermitianize, validate_density, validate_hermitian)
 
 SUPPORT_EIG_TOL = 1e-12
 KERNEL_MASS_TOL = 1e-10
@@ -65,6 +65,9 @@ def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
                  tr_w_log_w: np.ndarray) -> np.ndarray:
     """D(W_x ‖ target) for every x, where target = W(p), from one eigh of it.
 
+    It reads the descending decomposition that `linalg.eigh` wraps, without
+    the degeneracy blocks, which no divergence needs.
+
     The target's support is its eigenvectors with eigenvalue above
     SUPPORT_EIG_TOL, plus each eigenvector below it on which an input of
     positive mass puts weight above KERNEL_MASS_TOL. On those the
@@ -73,14 +76,14 @@ def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
     finite divergence. An input of mass 0 with weight above
     KERNEL_MASS_TOL off the support reads +inf.
     """
-    dec = eigh(target)
-    support = dec.eigenvalues > SUPPORT_EIG_TOL
-    cols = dec.eigenvectors[:, support]
+    vals, vecs = _eigh_descending(target)
+    support = vals > SUPPORT_EIG_TOL
+    cols = vecs[:, support]
     weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states, cols))
-    cross = weights @ np.log2(dec.eigenvalues[support])
+    cross = weights @ np.log2(vals[support])
     div = tr_w_log_w - cross
     if not np.all(support):
-        kcols = dec.eigenvectors[:, ~support]
+        kcols = vecs[:, ~support]
         kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states, kcols))
         live = p > 0.0
         reached = np.any(kweights[live] > KERNEL_MASS_TOL, axis=0)

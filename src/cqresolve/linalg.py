@@ -1,8 +1,9 @@
 """Dense Hermitian-matrix kernel.
 
-Eigendecompositions with degeneracy blocks, trace norm, support projectors
-of non-negative parts, and the one Kronecker product kernel, which orders
-every product space.
+Eigendecompositions with degeneracy blocks (and, for callers that read no
+blocks, the bare descending decomposition they are built from), trace
+norm, support projectors of non-negative parts, and the one Kronecker
+product kernel, which orders every product space.
 All operations are pure functions on numpy arrays and are safe to call
 from multiple threads.
 """
@@ -122,12 +123,16 @@ class SpectralDecomposition:
         return out
 
 
-def _decompose(eigenvalues: np.ndarray, vectors: np.ndarray) -> SpectralDecomposition:
-    order = np.argsort(eigenvalues)[::-1]
-    vals = np.real(eigenvalues[order]).astype(float)
-    vecs = vectors[:, order]
-    blocks = tuple(tuple(b) for b in _group_blocks(vals))
-    return SpectralDecomposition(vals, vecs, blocks)
+def _eigh_descending(op) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a Hermitian matrix in descending order, and their eigenvector columns.
+
+    numpy's ascending eigenvalues are reordered by argsort(...)[::-1]; every
+    descending decomposition takes this order, ties included. Raises
+    ValidationError on non-Hermitian input.
+    """
+    vals, vecs = npl.eigh(validate_hermitian(op))
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
 
 
 def eigh(op) -> SpectralDecomposition:
@@ -136,9 +141,8 @@ def eigh(op) -> SpectralDecomposition:
     Degenerate eigenvalues are grouped into blocks at the module's grouping
     tolerance. Raises ValidationError on non-Hermitian input.
     """
-    m = validate_hermitian(op)
-    vals, vecs = npl.eigh(m)
-    return _decompose(vals, vecs)
+    vals, vecs = _eigh_descending(op)
+    return SpectralDecomposition(vals, vecs, tuple(tuple(b) for b in _group_blocks(vals)))
 
 
 def trace_norm(op) -> float:

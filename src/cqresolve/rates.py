@@ -27,7 +27,7 @@ import numpy.linalg as npl
 from .channel import CQChannel, Distribution
 from .errors import ConvergenceError, ResourceLimitError, ValidationError, check_real
 from .info import _divergences, _entropy_terms, mutual_info
-from .linalg import trace_norm
+from .linalg import _check_hermitian
 
 CAPACITY_DEFAULT_TOL = 1e-9
 CAPACITY_MAX_ITER = 100000
@@ -170,6 +170,12 @@ def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distributi
     are affinely independent, so all such supports are enumerated and the
     resulting basic solutions filtered for nonnegativity and output match.
     The input alphabet is capped to keep the subset enumeration exact.
+    Each support size is one batch: one stacked rank test of the augmented
+    matrices [A_S; 1ᵀ], one lstsq per full-rank support (numpy has no
+    stacked lstsq), and one Hermiticity check and one batched eigvalsh of
+    the surviving candidates' output gaps W(q) − W(p), whose trace norms
+    are each compared with FEASIBLE_OUTPUT_TOL. Candidates are deduplicated
+    in combination order.
     """
     channel._check_alphabet(dist)
     k = channel.size
@@ -181,26 +187,30 @@ def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distributi
     rhs = np.concatenate([amat @ dist.masses, [1.0]])
     reference = np.einsum("x,xij->ij", dist.masses, states)
     max_support = _span_rank(states) + 1
+    augmented = np.vstack([amat, np.ones((1, k))])
 
     vertices: list[np.ndarray] = []
     for size in range(1, min(max_support, k) + 1):
-        for support in itertools.combinations(range(k), size):
-            sub = amat[:, support]
-            aug = np.vstack([sub, np.ones((1, size))])
-            if npl.matrix_rank(aug, tol=VERTEX_RANK_TOL) < size:
-                continue
+        supports = np.array(list(itertools.combinations(range(k), size)))
+        augs = augmented[:, supports].transpose(1, 0, 2)
+        full = npl.matrix_rank(augs, tol=VERTEX_RANK_TOL) >= size
+        candidates = []
+        for support, aug in zip(supports[full], augs[full]):
             sol, *_ = npl.lstsq(aug, rhs, rcond=None)
             if sol.min() < -1e-9:
                 continue
             q = np.zeros(k)
-            q[list(support)] = np.clip(sol, 0.0, None)
+            q[support] = np.clip(sol, 0.0, None)
             total = q.sum()
             if not math.isfinite(total) or total <= 0.0:
                 continue
-            q /= total
-            out_gap = trace_norm(np.einsum("x,xij->ij", q, states) - reference)
-            if out_gap > FEASIBLE_OUTPUT_TOL:
-                continue
+            candidates.append(q / total)
+        if not candidates:
+            continue
+        qs = np.array(candidates)
+        gaps = _check_hermitian(np.einsum("cx,xij->cij", qs, states) - reference)
+        out_gaps = np.sum(np.abs(npl.eigvalsh(gaps)), axis=-1)
+        for q in qs[out_gaps <= FEASIBLE_OUTPUT_TOL]:
             if any(float(np.max(np.abs(q - v))) <= VERTEX_DEDUP_TOL for v in vertices):
                 continue
             vertices.append(q)

@@ -7,7 +7,7 @@ length with exact integer rank arithmetic wherever counts are involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ class Basis:
     """Orthonormal basis of C^d, stored as the columns of a unitary matrix."""
 
     vectors: np.ndarray
+    _standard: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=complex)
@@ -35,6 +36,8 @@ class Basis:
         if float(np.max(np.abs(gram - np.eye(v.shape[0])))) > BASIS_GRAM_TOL:
             raise ValidationError("basis vectors are not orthonormal")
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "_standard",
+                           bool(np.allclose(v, np.eye(v.shape[0]), atol=1e-14)))
 
     @classmethod
     def standard(cls, d: int) -> "Basis":
@@ -46,7 +49,12 @@ class Basis:
 
     @property
     def is_standard(self) -> bool:
-        return bool(np.allclose(self.vectors, np.eye(self.dim), atol=1e-14))
+        """Whether the vectors are the identity within atol 1e-14 (np.allclose).
+
+        Decided once, when the basis is built; a type projector in the
+        standard basis is a diagonal mask, with no tensor power of the vectors.
+        """
+        return self._standard
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,39 @@ def output_divergences(states, p, tr_w_log_w) -> np.ndarray:
     return div
 
 
+def descending_eigh_divergences(states, p, target, tr_w_log_w) -> np.ndarray:
+    """D(W_x‖target) for every x, by the divergence formula as it read `linalg.eigh`.
+
+    target's eigenpairs in argsort(...)[::-1] order, ties included, then the
+    operations of `info._divergences` in its order: weights and logarithms
+    of the eigenvalues above 1e-12; the kernel eigenvectors that an input
+    of positive mass reaches above 1e-10, with the Rayleigh quotient
+    ⟨a|W(p)|a⟩ as their eigenvalue; +inf for an input of mass 0 that leaks
+    past them by more than 1e-10. Unlike `output_divergences`, it gives
+    that kernel's bits.
+    """
+    states = np.asarray(states, dtype=complex)
+    p = np.asarray(p, float)
+    vals, vecs = np.linalg.eigh(target)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = np.real(vals[order]).astype(float), vecs[:, order]
+    support = vals > 1e-12
+    cols = vecs[:, support]
+    weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states, cols))
+    div = tr_w_log_w - weights @ np.log2(vals[support])
+    if not np.all(support):
+        kcols = vecs[:, ~support]
+        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states, kcols))
+        live = p > 0.0
+        reached = np.any(kweights[live] > 1e-10, axis=0)
+        if np.any(reached):
+            rayleigh = p @ np.maximum(kweights[:, reached], 0.0)
+            div = div - kweights[:, reached] @ np.log2(rayleigh)
+        leak = np.sum(kweights[:, ~reached], axis=1)
+        div = np.where(~live & (leak > 1e-10), math.inf, div)
+    return div
+
+
 def capacity_gap(states, p) -> tuple[float, float]:
     """(I(X;B), max_x D(W_x‖W(p)) − I(X;B)) at the input law p."""
     p = np.asarray(p, float)
@@ -294,6 +327,53 @@ def fixed_rate_grid_search(T, p, denominator: int, slack: float) -> float:
     for q in grid[feas]:
         best = min(best, classical_mutual_info(T, q))
     return best
+
+
+def per_support_feasible_vertices(states, masses) -> list[np.ndarray]:
+    """Vertices of {q : W(q) = W(p)}, one candidate support at a time.
+
+    Supports of up to rank+1 inputs, rank that of the real span of
+    {W_x − W_0} at the SVD threshold 1e-9, in combination order. Per
+    support: one rank test of [A_S; 1ᵀ] at 1e-9, one lstsq, the solution
+    kept if no entry is below −1e-9, clipped at 0 and normalized, and kept
+    if ‖W(q) − W(p)‖₁ (one eigvalsh) is at most 1e-8 and q is more than
+    1e-9 from every vertex kept before it. The vertices come out sorted.
+    """
+    states = np.asarray(states, dtype=complex)
+    masses = np.asarray(masses, float)
+    k, d, _ = states.shape
+
+    def real_columns(stack):
+        flat = stack.reshape(len(stack), d * d)
+        return np.vstack([flat.T.real, flat.T.imag])
+
+    amat = real_columns(states)
+    rhs = np.concatenate([amat @ masses, [1.0]])
+    reference = np.einsum("x,xij->ij", masses, states)
+    max_support = int(np.linalg.matrix_rank(real_columns(states[1:] - states[0]), tol=1e-9)) + 1
+    vertices: list[np.ndarray] = []
+    for size in range(1, min(max_support, k) + 1):
+        for support in itertools.combinations(range(k), size):
+            aug = np.vstack([amat[:, support], np.ones((1, size))])
+            if np.linalg.matrix_rank(aug, tol=1e-9) < size:
+                continue
+            sol, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+            if sol.min() < -1e-9:
+                continue
+            q = np.zeros(k)
+            q[list(support)] = np.clip(sol, 0.0, None)
+            total = q.sum()
+            if not math.isfinite(total) or total <= 0.0:
+                continue
+            q /= total
+            gap = np.einsum("x,xij->ij", q, states) - reference
+            if float(np.sum(np.abs(np.linalg.eigvalsh(gap)))) > 1e-8:
+                continue
+            if any(float(np.max(np.abs(q - v))) <= 1e-9 for v in vertices):
+                continue
+            vertices.append(q)
+    vertices.sort(key=tuple)
+    return vertices
 
 
 def fixed_rate_projected_grid(T, p, denominator: int = 50,
@@ -949,6 +1029,12 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return m / np.real(np.trace(m))
+
+
+def random_density_of_rank(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return (m + m.conj().T) / (2 * np.real(np.trace(m)))
 
 
 def random_projector(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:

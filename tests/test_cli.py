@@ -147,6 +147,23 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    def test_types_check_words_past_the_budget_are_refused_before_any_work(self, capsys,
+                                                                           tmp_path):
+        # The 4^12-square partition fits its byte budget, but the bad-codeword
+        # count would walk all 10^12 words of a 10-letter channel; both are
+        # skipped, the partition's 256 MiB included.
+        path = tmp_path / "diag10.json"
+        path.write_text(json.dumps({"dim": 10, "inputs": [
+            {"label": str(i), "state": [[[float(r == c == i), 0.0] for c in range(10)]
+                                        for r in range(10)]} for i in range(10)]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "12",
+                                 "--delta", "0.1", "--channel", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("resource limit: the bad-codeword count over 10^12 words needs "
+                       "1000000000000 words, over the budget of 10000000 words\n")
+
     @pytest.mark.parametrize("argv", [
         ("resolve", "--builtin", "example1", "--eps", "0.1", "--M", "2", "--n", "100000"),
         ("types-check", "--alphabet-size", "3", "--n", "1000000"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import cqresolve as cq
 from cqresolve import errors
-from cqresolve.info import _entropy_terms, _renyi_fixed_points
+from cqresolve.info import _divergences, _entropy_terms, _renyi_fixed_points
 import oracles as orc
 
 from conftest import assert_psd
@@ -169,6 +169,61 @@ def test_mutual_info_within_dimension_bounds(seed):
                                      labels=labels)
     val = cq.mutual_info(channel, dist)
     assert -1e-10 <= val <= min(math.log2(k), math.log2(d)) + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the divergence vector keeps the bits of the formula that read linalg.eigh
+
+
+def _divergence_cases() -> dict:
+    """(states, p, which divergences are +inf), with W(p) exactly I/d or rank-deficient.
+
+    I/d comes from the d basis projectors at mass 1/d, past numpy's
+    16-element insertion sort at d = 17 and 20; three states of rank 1, 2
+    and d have mass 0. The rank-deficient W(p) lives on two of four levels,
+    in the standard basis or a rotated one. With the letter of mass 1e-13,
+    which reaches a third level below SUPPORT_EIG_TOL, that level is read
+    by its Rayleigh quotient, for the letter of mass 0 on it too; in the
+    standard basis the full-rank letter of mass 0 still leaks onto the
+    fourth (+inf). Rotated, eigh mixes the two small levels, so it reaches
+    both. Without that letter, every letter of mass 0 leaks.
+    """
+    rng = np.random.default_rng(20241)
+    cases = {}
+    for d in (2, 17, 20):
+        eye = np.eye(d, dtype=complex)
+        states = np.concatenate([eye[:, :, None] * eye[:, None, :],
+                                 [orc.random_density_of_rank(rng, d, r) for r in (1, 2, d)]])
+        p = np.concatenate([np.full(d, 1.0 / d), np.zeros(3)])
+        cases[f"identity-over-{d}"] = (states, p, np.zeros(d + 3, dtype=bool))
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for name, u in (("diagonal", np.eye(4)), ("rotated", q * (np.diag(r) / abs(np.diag(r))))):
+        def level_state(*weights):
+            m = (u * np.array(weights)) @ u.conj().T
+            return (m + m.conj().T) / 2
+        states = np.array([level_state(0.7, 0.3, 0.0, 0.0), level_state(0.2, 0.8, 0.0, 0.0),
+                           level_state(0.0, 0.0, 1.0, 0.0), level_state(0.1, 0.2, 0.7, 0.0),
+                           orc.random_density_of_rank(rng, 4, 4)])
+        cases[f"reached-{name}"] = (states, np.array([0.5, 0.5 - 1e-13, 1e-13, 0.0, 0.0]),
+                                    np.array([0, 0, 0, 0, name == "diagonal"], dtype=bool))
+        cases[f"leaks-{name}"] = (states, np.array([0.5, 0.5, 0.0, 0.0, 0.0]),
+                                  np.array([0, 0, 1, 1, 1], dtype=bool))
+    return cases
+
+
+DIVERGENCE_CASES = _divergence_cases()
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGENCE_CASES))
+def test_divergence_vector_keeps_the_bits_of_the_eigh_formula(name):
+    states, p, leaks = DIVERGENCE_CASES[name]
+    target = np.einsum("x,xij->ij", p, states)
+    terms = _entropy_terms(states)
+    div = _divergences(states, p, target, terms)
+    assert np.array_equal(div, orc.descending_eigh_divergences(states, p, target, terms))
+    assert np.array_equal(np.isinf(div), leaks)
+    if name.startswith("identity"):
+        assert np.array_equal(target, np.eye(len(target)) / len(target))
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,59 @@ def test_feasible_vertices_deduplicated():
     assert len(rows) == len(set(rows))
 
 
+def _vertex_sweep_case(k: int, d: int, index: int):
+    """A seeded channel and input law; index mod 5 picks the shape.
+
+    0 and 4: states of mixed ranks; 1: diagonal states, some with zero
+    entries; 2: the last letter is ½(W_0 + W_1), a redundant letter; 3: the
+    last letter repeats W_0, so every support holding both fails the rank
+    test. Every law draws integer weights 0-4, so some masses are zero; a
+    vertex with fewer inputs than its support is then found from several
+    supports, and the dedup keeps the first (on 81 of these channels).
+    """
+    rng = np.random.default_rng([k, d, index, 24])
+    shape = index % 5
+    if shape == 1:
+        rows = rng.integers(0, 4, size=(k, d)).astype(float)
+        rows[np.arange(k), rng.integers(0, d, size=k)] += 1.0
+        states = [np.diag(row / row.sum()).astype(complex) for row in rows]
+    else:
+        states = [orc.random_density_of_rank(rng, d, int(rng.integers(1, d + 1)))
+                  for _ in range(k)]
+    if shape == 2 and k >= 3:
+        states[-1] = (states[0] + states[1]) / 2
+    if shape == 3:
+        states[-1] = states[0].copy()
+    weights = rng.integers(0, 5, size=k).astype(float)
+    weights[rng.integers(0, k)] += 1.0
+    labels = tuple(str(i) for i in range(k))
+    return cq.CQChannel(labels, states), cq.Distribution(labels, weights / weights.sum())
+
+
+# 24 channels for each alphabet of 2-7 letters and 6 at the alphabet cap,
+# on qubits and qutrits: 300 channels.
+VERTEX_SWEEP = [(k, d, 24 if k <= 7 else 6)
+                for k in (2, 3, 4, 5, 6, 7, rates.VERTEX_MAX_ALPHABET) for d in (2, 3)]
+
+
+@pytest.mark.parametrize("k, d, count", VERTEX_SWEEP,
+                         ids=[f"k{k}-d{d}" for k, d, _ in VERTEX_SWEEP])
+def test_batched_vertices_have_the_bits_of_the_per_support_loop(k, d, count):
+    for index in range(count):
+        channel, dist = _vertex_sweep_case(k, d, index)
+        expected = orc.per_support_feasible_vertices(channel.states, dist.masses)
+        got = cq.feasible_vertices(channel, dist)
+        assert len(got) == len(expected) >= 1
+        for vertex, masses in zip(got, expected):
+            assert np.array_equal(vertex.masses, masses)
+        values = [cq.mutual_info(channel, cq.Distribution(channel.labels, q))
+                  for q in expected]
+        best = min(range(len(values)), key=values.__getitem__)
+        res = cq.fixed_input_rate(channel, dist)
+        assert (res.value, res.iterations) == (values[best], len(expected))
+        assert np.array_equal(res.distribution.masses, expected[best])
+
+
 # ---------------------------------------------------------------------------
 # fixed_input_rate
 

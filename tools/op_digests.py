@@ -7,10 +7,11 @@ SRC_DIR is the directory that holds the ``cqresolve`` package (``src`` of a
 checkout). The ops are those of ``perfbench/workloads.py`` of this checkout,
 for every workload at seeds 0, 1 and 2. The refusals are the command lines
 in REFUSALS, requests past a resource budget. The frontier commands are the
-command lines in FRONTIER, exact errors at sizes past the benchmark's; on
-older trees they take seconds and over a GiB. The demos are the scripts in
-``demos/`` next to SRC_DIR, since a demo goes with its library. One
-subprocess, with SRC_DIR first on PYTHONPATH, builds the ops' inputs in a
+command lines in FRONTIER, exact errors and the certify workload's commands
+at sizes past the benchmark's; on older trees the exact errors take seconds
+and over a GiB. The demos are the scripts in ``demos/`` next to SRC_DIR,
+since a demo goes with its library. One subprocess, with SRC_DIR first on
+PYTHONPATH, builds the ops' inputs and the frontier's seeded channel in a
 temporary directory, calls ``cqresolve.cli.main`` once per op, refusal and
 frontier command and runs each demo as ``__main__``, each in a directory of
 its own given by a relative path, so no output names the temporary
@@ -27,12 +28,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import runpy
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
@@ -56,7 +60,11 @@ REFUSALS = {
 # of many letters, many M-types of few letters, the trend up to n = 4, and
 # 266,085 M-types of diagonals of 64 entries (n = 6), past the kernel's
 # column-by-column widths; then a worst-input search whose candidates and grid are count matrices of
-# 27 letters
+# 27 letters. The certify commands follow: the separation figure at 49 points,
+# type checks at (d, n) = (3, 6) and (6, 3), and a fixed-input rate on
+# QUBIT_K12, a channel of 12 seeded qubit states (the vertex enumeration's
+# alphabet cap) that the child writes before the frontier commands run.
+QUBIT_K12 = "qubit-k12.json"
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
 FRONTIER = {
     "resolve-n3-M6": ("resolve", *EXAMPLE1_LAW, "--n", "3", "--M", "6"),
@@ -67,7 +75,24 @@ FRONTIER = {
     "resolve-n6-M2": ("resolve", *EXAMPLE1_LAW, "--n", "6", "--M", "2"),
     "worst-resolve-n3-M3-grid4": ("worst-resolve", "--builtin", "example1", "--eps", "0.3",
                                   "--n", "3", "--M", "3", "--grid", "4"),
+    "separation-figure-eps0.01-step0.01": ("separation-figure", "--eps-grid", "0.01:0.49:0.01"),
+    "types-check-d3-n6": ("types-check", "--alphabet-size", "3", "--n", "6"),
+    "types-check-d6-n3": ("types-check", "--alphabet-size", "6", "--n", "3"),
+    "fixed-rate-qubit-k12": ("fixed-rate", "--channel", QUBIT_K12),
 }
+
+
+def _write_qubit_channel(path: Path, k: int, seed: int) -> None:
+    """Channel JSON of k seeded random qubit states of full rank, labelled 0..k-1."""
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for x in range(k):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = g @ g.conj().T
+        m = (m + m.conj().T) / (2 * np.trace(m).real)
+        inputs.append({"label": str(x),
+                       "state": [[[z.real, z.imag] for z in row] for row in m.tolist()]})
+    path.write_text(json.dumps({"dim": 2, "inputs": inputs}), encoding="utf-8")
 
 
 def _digest(rc, stdout: str, stderr: str, written: list[Path]) -> str:
@@ -109,6 +134,7 @@ def _child(src: Path) -> None:
                 written = [op.out] if op.out is not None and op.out.is_file() else []
                 print(f"{name}/{seed}/{op.key} {_digest(rc, out, err, written)}",
                       file=sys.__stdout__, flush=True)
+    _write_qubit_channel(Path(QUBIT_K12), k=12, seed=20241018)
     for group, commands in (("refusal", REFUSALS), ("frontier", FRONTIER)):
         for key, argv in commands.items():
             rc, out, err = _call(lambda: cli.main(list(argv)))
