@@ -6,11 +6,16 @@ returned as the float infinity sentinel, never as an overflow.
 
 Two spectral kernels live here and nowhere else. `_divergences` gives
 D(W_x‖W(p)) for every input from one eigendecomposition of W(p); relative
-entropy, mutual information and the capacity ascent all read it.
-`_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ of every order in one
-batched eigh and gives the Rényi fixed point both its objective and its next
-proposal; `_renyi_fixed_points` runs that fixed point for all orders as one
-stack.
+entropy, mutual information, the capacity ascent and the fixed-input rate's
+vertices all read it. `_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ
+of every order in one batched eigh and gives the Rényi fixed point both its
+objective and its next proposal; `_renyi_fixed_points` runs that fixed point
+for all orders as one stack. The stack carries no per-order bookkeeping
+beyond the floating-point steps: the powers σ^γ of all running orders are one
+np.power with a column of exponents, the proposals are one stacked array, an
+order leaves the stack when it converges, and the floor step tests its
+Hermitian part for finiteness only, as a Hermitian part is Hermitian bit for
+bit.
 """
 from __future__ import annotations
 
@@ -115,7 +120,12 @@ def mutual_info(channel: CQChannel, dist: Distribution) -> float:
     """
     states = channel.states
     p = dist.masses
-    div = _divergences(states, p, output_state(channel, dist), _entropy_terms(states))
+    return _information(p, _divergences(states, p, output_state(channel, dist),
+                                        _entropy_terms(states)))
+
+
+def _information(p: np.ndarray, div: np.ndarray) -> float:
+    """Σ_x p_x D_x over the inputs of positive mass: I(X;B) from the divergence vector."""
     live = p > 0.0
     return float(np.sum(p[live] * div[live]))
 
@@ -184,45 +194,52 @@ def _floor_and_normalize(mixes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """Per matrix of a (r, d, d) stack: the eigenpairs of its Hermitian part in
     descending order, with the eigenvalues floored at SUPPORT_EIG_TOL and
     renormalized, and the matrix they make. eigh returns ascending
-    eigenvalues, so reversing them sorts them as `linalg.eigh` does."""
-    vals, vecs = npl.eigh(_check_hermitian(hermitianize(mixes)))
-    vals = np.clip(vals[:, ::-1], SUPPORT_EIG_TOL, None)
+    eigenvalues, so reversing them sorts them as `linalg.eigh` does.
+
+    A Hermitian part is Hermitian bit for bit in IEEE arithmetic (entry
+    (j, i) is the conjugate of entry (i, j) as computed), so of
+    `_check_hermitian` only its finiteness test can fail, and only it runs.
+    """
+    part = hermitianize(mixes)
+    if not np.isfinite(part).all():
+        raise ValidationError("matrix has a NaN or infinite entry")
+    vals, vecs = npl.eigh(part)
+    vals = np.maximum(vals[:, ::-1], SUPPORT_EIG_TOL)
     vals = vals / vals.sum(axis=-1, keepdims=True)
     vecs = vecs[..., ::-1]
     return vals, vecs, (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def _renyi_sandwiches(alphas: tuple[float, ...], vals: np.ndarray, vecs: np.ndarray,
-                      states: np.ndarray, masses: np.ndarray) -> tuple[list, list]:
+def _renyi_sandwiches(alphas: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                      states: np.ndarray, masses: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Rényi objective at each σ_j = U_j diag(vals_j) U_j† and the fixed point's proposal.
 
     With γ = (1−α_j)/(2α_j) and A_x = σ_j^γ W_x σ_j^γ over the given (live)
     letters, one batched eigh decomposes every A_x of every order. The
     objective is log₂(Σ_x p_x Tr A_x^α)/(α−1), and the proposal is
-    Σ_x p_x A_x^α over its trace, or None when that trace is not positive.
-    The powers are taken one order at a time, with a scalar exponent as in
-    `_power_on_support`.
+    Σ_x p_x A_x^α over its trace; the third array marks the orders whose
+    trace is positive, and an order without one has objective +inf. The
+    powers σ^γ of all orders are one np.power with a column of exponents,
+    as each entry's bits do not depend on its neighbours; the powers A^α
+    are taken one order at a time, with a scalar exponent, since α = 2 is
+    numpy's square.
     """
     support = vals > SUPPORT_EIG_TOL
     powed = np.zeros_like(vals)
-    for j, alpha in enumerate(alphas):
-        powed[j, support[j]] = vals[j, support[j]] ** ((1.0 - alpha) / (2.0 * alpha))
+    np.power(vals, ((1.0 - alphas) / (2.0 * alphas))[:, None], out=powed, where=support)
     half = ((vecs * powed[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2))[:, None]
     a_vals, a_vecs = npl.eigh(hermitianize(half @ states @ half))
-    a_vals = np.clip(a_vals, 0.0, None)
-    for j, alpha in enumerate(alphas):
+    a_vals = np.maximum(a_vals, 0.0)
+    orders = alphas.tolist()
+    for j, alpha in enumerate(orders):
         a_vals[j] = masses[:, None] * a_vals[j] ** alpha
     acc = np.sum((a_vecs * a_vals[:, :, None, :]) @ np.swapaxes(a_vecs.conj(), -1, -2), axis=1)
-    values, proposals = [], []
-    for j, alpha in enumerate(alphas):
-        total = float(np.sum(a_vals[j]))
-        if total > 0.0:
-            values.append(math.log2(total) / (alpha - 1.0))
-            proposals.append(acc[j] / total)
-        else:
-            values.append(math.inf)
-            proposals.append(None)
-    return values, proposals
+    totals = a_vals.reshape(-1, a_vals.shape[1] * a_vals.shape[2]).sum(axis=1)
+    alive = totals > 0.0
+    values = np.array([math.log2(total) / (alpha - 1.0) if total > 0.0 else math.inf
+                       for total, alpha in zip(totals.tolist(), orders)])
+    return values, acc / np.where(alive, totals, 1.0)[:, None, None], alive
 
 
 def _renyi_fixed_points(alphas: tuple[float, ...], channel: CQChannel,
@@ -231,8 +248,9 @@ def _renyi_fixed_points(alphas: tuple[float, ...], channel: CQChannel,
 
     The iterates of all orders still running form one (r, d, d) stack, so
     each iteration makes one batched eigh of the floored mixes, one batched
-    eigvalsh of the steps and one batched eigh of the r×k sandwiches. Every
-    order gets the bits it gets when run alone.
+    eigvalsh of the steps and one batched eigh of the r×k sandwiches. An
+    order leaves the stack when it converges or its proposal has no
+    positive trace. Every order gets the bits it gets when run alone.
     """
     channel._check_alphabet(dist)
     live = dist.masses > 0.0
@@ -240,33 +258,32 @@ def _renyi_fixed_points(alphas: tuple[float, ...], channel: CQChannel,
     r = len(alphas)
     start = _floor_and_normalize(output_state(channel, dist)[None])
     vals, vecs, sigma = (np.repeat(a, r, axis=0) for a in start)
-    best, proposals = _renyi_sandwiches(alphas, vals, vecs, states, masses)
-    best_sigma = [start[2][0]] * r
-    iterations, converged = [0] * r, [False] * r
-    running = list(range(r))
+    orders = np.array(alphas, dtype=float)
+    best, proposals, alive = _renyi_sandwiches(orders, vals, vecs, states, masses)
+    best_sigma = sigma.copy()
+    iterations, converged = np.zeros(r, dtype=int), np.zeros(r, dtype=bool)
+    # the order of each row of sigma, proposals and alive
+    rows = np.arange(r)
     for iteration in range(1, RENYI_MAX_ITER + 1):
-        for j in running:
-            iterations[j] = iteration
-        running = [j for j in running if proposals[j] is not None]
-        if not running:
+        iterations[rows] = iteration
+        if not alive.all():
+            rows, sigma, proposals = rows[alive], sigma[alive], proposals[alive]
+        if not rows.size:
             break
-        rows = np.array(running)
-        mixes = (1.0 - RENYI_DAMPING) * sigma[rows] \
-            + RENYI_DAMPING * np.stack([proposals[j] for j in running])
+        mixes = (1.0 - RENYI_DAMPING) * sigma + RENYI_DAMPING * proposals
         vals, vecs, nxt = _floor_and_normalize(mixes)
-        steps = 0.5 * np.sum(np.abs(npl.eigvalsh(_check_hermitian(nxt - sigma[rows]))),
-                             axis=-1)
-        sigma[rows] = nxt
-        values, fresh = _renyi_sandwiches(tuple(alphas[j] for j in running),
-                                          vals, vecs, states, masses)
-        for i, j in enumerate(running):
-            proposals[j] = fresh[i]
-            if values[i] < best[j]:
-                best[j], best_sigma[j] = values[i], nxt[i]
-            converged[j] = bool(steps[i] < RENYI_STEP_TOL)
-        running = [j for j in running if not converged[j]]
-    return [RenyiMutualInfo(float(best[j]), best_sigma[j], iterations[j], converged[j])
-            for j in range(r)]
+        steps = 0.5 * np.sum(np.abs(npl.eigvalsh(_check_hermitian(nxt - sigma))), axis=-1)
+        values, proposals, alive = _renyi_sandwiches(orders[rows], vals, vecs, states, masses)
+        better = values < best[rows]
+        best[rows[better]] = values[better]
+        best_sigma[rows[better]] = nxt[better]
+        done = steps < RENYI_STEP_TOL
+        converged[rows] = done
+        sigma = nxt
+        if done.any():
+            rows, sigma, proposals, alive = (a[~done] for a in (rows, sigma, proposals, alive))
+    return [RenyiMutualInfo(float(best[j]), best_sigma[j], int(iterations[j]),
+                            bool(converged[j])) for j in range(r)]
 
 
 def renyi_mutual_info(order: RenyiOrder, channel: CQChannel,

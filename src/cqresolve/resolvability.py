@@ -49,6 +49,11 @@ WORST_SAMPLE_STRIDE = 32
 MAX_RATE_EXPONENT = 1024
 # Bytes of the reused buffer of uniforms that codebook draws become letters in.
 DRAW_CHUNK_BYTES = 2 ** 18
+# Alphabets of at least this many letters turn draws into letters by binary
+# search, smaller ones by counting thresholds in uint8 (`_letters`): one
+# pass per letter, against a search whose branches random draws mispredict.
+# Counting costs less up to about 384 letters, past what uint8 counts hold.
+SEARCHED_LETTERS = 256
 # Diagonals of at least this many entries are summed by numpy's row
 # reduction, narrower ones column by column (`_half_l1_distances`).
 WIDE_ROW = 16
@@ -182,7 +187,10 @@ class _OutputRows:
         product = channel.power(n)
         self.labels, states = product.labels, product.states
         k, self.dim = states.shape[0], states.shape[1]
-        self.diagonal = not np.any(states[:, ~np.eye(self.dim, dtype=bool)])
+        # every off-diagonal entry, as a view: the d − 1 runs of d entries
+        # between successive diagonal entries of each flattened matrix
+        off = states.reshape(k, -1)[:, 1:].reshape(k, self.dim - 1, self.dim + 1)
+        self.diagonal = not np.any(off[:, :, :self.dim])
         self.rows = np.diagonal(states, axis1=1, axis2=2).real.copy() \
             if self.diagonal else states.reshape(k, -1)
         # bytes charged per distance: on the eigvalsh path the difference of
@@ -434,9 +442,29 @@ def _soft_cover_from_info(alpha: float, info_bits: float, M: int) -> float:
     return 2.0 ** exponent
 
 
+def _letters(uniforms: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The letter of each uniform u: how many of the cumulative masses cdf[:-1] are ≤ u.
+
+    That is searchsorted(cdf, u, "right") capped at k − 1, as the cdf is
+    non-decreasing. Below SEARCHED_LETTERS letters it is counted by whole-array
+    compare-adds in uint8, one per threshold; from there on numpy's binary
+    search does it.
+    """
+    k = cdf.size
+    if k >= SEARCHED_LETTERS:
+        letters = np.searchsorted(cdf, uniforms, side="right")
+        return np.minimum(letters, k - 1, out=letters)
+    letters = np.zeros(uniforms.shape, dtype=np.uint8)
+    above = np.empty(uniforms.shape, dtype=bool)
+    for threshold in cdf[:-1]:
+        np.greater_equal(uniforms, threshold, out=above)
+        letters += above.view(np.uint8)
+    return letters
+
+
 def _codeword_indices(seed: int, samples: int, M: int, n: int,
                       cdf: np.ndarray) -> np.ndarray:
-    """(samples, M) C-order indices of the letters searchsorted(cdf, u) of each codeword.
+    """(samples, M) C-order indices of the letters `_letters(u, cdf)` of each codeword.
 
     Row i's uniforms are Philox(key=seed, counter=[0, 0, 0, i]).random((M, n)).
     One generator draws them all, in a reused buffer of about DRAW_CHUNK_BYTES
@@ -461,8 +489,7 @@ def _codeword_indices(seed: int, samples: int, M: int, n: int,
             if end % M == 0:
                 bits.advance(skip)
             start = end
-        letters = np.searchsorted(cdf, buf[:hi - lo], side="right")
-        np.minimum(letters, k - 1, out=letters)
+        letters = _letters(buf[:hi - lo], cdf)
         words[lo:hi] = np.ravel_multi_index(tuple(letters.T), (k,) * n)
     return words.reshape(samples, M)
 
@@ -478,9 +505,13 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     sample i's letters are the same for any ``samples`` ≥ i + 1. One
     generator draws every sample and is advanced to the next sample's
     counter after each one, which gives each sample the uniforms of a
-    generator built at its counter (`_codeword_indices`). The seed must lie
-    in [0, 2¹²⁸). The draws run in one thread; the command line's
-    ``--workers`` flag is checked (≥ 1) and has no effect. More than
+    generator built at its counter (`_codeword_indices`). A uniform u
+    becomes the least letter x with u < cdf[x], or the last letter if there
+    is none: the count of cumulative masses cdf[:-1] at or below u, taken
+    by whole-array compare-adds in uint8 below SEARCHED_LETTERS letters and
+    by binary search from there on, with the same letters either way. The
+    seed must lie in [0, 2¹²⁸). The draws run in one thread; the command
+    line's ``--workers`` flag is checked (≥ 1) and has no effect. More than
     MAX_COUNT_BYTES of draws and codeword counts (8 bytes each,
     samples × (M·n + kⁿ)) raise ResourceLimitError before any is drawn,
     and the draws' peak memory stays near that budget.

@@ -376,6 +376,14 @@ def per_support_feasible_vertices(states, masses) -> list[np.ndarray]:
     return vertices
 
 
+def per_vertex_least(vertices, information) -> tuple[list[float], int]:
+    """information(q) for every vertex in order, one call each, and the first
+    index of the least: the fixed-input rate's loop when it called
+    `mutual_info` once per vertex."""
+    values = [information(q) for q in vertices]
+    return values, min(range(len(values)), key=values.__getitem__)
+
+
 def fixed_rate_projected_grid(T, p, denominator: int = 50,
                               pre_slack: float = 0.08,
                               n_descend: int = 40) -> float:
@@ -624,6 +632,89 @@ def renyi_fixed_point_one_order(states, masses, alpha: float, max_iter: int = 50
     return RenyiIterate(float(best), best_sigma, iterations, converged)
 
 
+def renyi_fixed_points_listed(alphas, states, masses, max_iter: int = 500,
+                              damping: float = 0.5, step_tol: float = 1e-10,
+                              floor: float = 1e-12) -> list[RenyiIterate]:
+    """The library's stacked fixed point for several orders, in the form it
+    had with per-order bookkeeping: the reference for its trimmed loop, bit
+    for bit.
+
+    The iterates of the orders still running form one stack. Per iteration:
+    the mixes' Hermitian parts in one eigh, eigenvalues reversed, floored
+    and renormalized; half of Σ|eigvalsh(next − σ)| as the step; then the
+    half power σ^γ of each order one order at a time, one eigh of every
+    sandwich, the per-order powers A^α, and each order's objective and
+    proposal, a proposal kept in a list and re-stacked. An order whose
+    proposal trace is not positive stops. The library's Hermiticity and
+    finiteness checks change no bit and are left out.
+    """
+    states = np.asarray(states, dtype=complex)
+    masses = np.asarray(masses, dtype=float)
+    live_states, live_masses = states[masses > 0], masses[masses > 0]
+
+    def hermitian(a):
+        return (a + np.swapaxes(a.conj(), -1, -2)) / 2
+
+    def floored(mixes):
+        vals, vecs = np.linalg.eigh(hermitian(mixes))
+        vals = np.clip(vals[:, ::-1], floor, None)
+        vals = vals / vals.sum(axis=-1, keepdims=True)
+        vecs = vecs[..., ::-1]
+        return vals, vecs, (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+    def sandwiches(orders, vals, vecs):
+        support = vals > floor
+        powed = np.zeros_like(vals)
+        for j, alpha in enumerate(orders):
+            powed[j, support[j]] = vals[j, support[j]] ** ((1.0 - alpha) / (2.0 * alpha))
+        half = ((vecs * powed[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2))[:, None]
+        a_vals, a_vecs = np.linalg.eigh(hermitian(half @ live_states @ half))
+        a_vals = np.clip(a_vals, 0.0, None)
+        for j, alpha in enumerate(orders):
+            a_vals[j] = live_masses[:, None] * a_vals[j] ** alpha
+        acc = np.sum((a_vecs * a_vals[:, :, None, :]) @ np.swapaxes(a_vecs.conj(), -1, -2),
+                     axis=1)
+        values, proposals = [], []
+        for j, alpha in enumerate(orders):
+            total = float(np.sum(a_vals[j]))
+            if total > 0.0:
+                values.append(math.log2(total) / (alpha - 1.0))
+                proposals.append(acc[j] / total)
+            else:
+                values.append(math.inf)
+                proposals.append(None)
+        return values, proposals
+
+    r = len(alphas)
+    start = floored(np.einsum("x,xij->ij", masses, states)[None])
+    vals, vecs, sigma = (np.repeat(a, r, axis=0) for a in start)
+    best, proposals = sandwiches(alphas, vals, vecs)
+    best_sigma = [start[2][0]] * r
+    iterations, converged = [0] * r, [False] * r
+    running = list(range(r))
+    for iteration in range(1, max_iter + 1):
+        for j in running:
+            iterations[j] = iteration
+        running = [j for j in running if proposals[j] is not None]
+        if not running:
+            break
+        rows = np.array(running)
+        mixes = (1.0 - damping) * sigma[rows] \
+            + damping * np.stack([proposals[j] for j in running])
+        vals, vecs, nxt = floored(mixes)
+        steps = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(nxt - sigma[rows])), axis=-1)
+        sigma[rows] = nxt
+        values, fresh = sandwiches(tuple(alphas[j] for j in running), vals, vecs)
+        for i, j in enumerate(running):
+            proposals[j] = fresh[i]
+            if values[i] < best[j]:
+                best[j], best_sigma[j] = values[i], nxt[i]
+            converged[j] = bool(steps[i] < step_tol)
+        running = [j for j in running if not converged[j]]
+    return [RenyiIterate(float(best[j]), best_sigma[j], iterations[j], converged[j])
+            for j in range(r)]
+
+
 def soft_cover_bound(states, masses, alpha: float, M: int) -> float:
     """2^{2/α − 2} · 2^{((α−1)/α)·(I_α − log₂ M)} with I_α from `renyi_fixed_point`.
 
@@ -650,6 +741,28 @@ def word_state(states, word) -> np.ndarray:
 def codebook_state(states, words) -> np.ndarray:
     """Uniform average of the word states of the codewords, in order."""
     return sum(word_state(states, w) for w in words) / len(words)
+
+
+def searchsorted_letters(cdf, uniforms) -> np.ndarray:
+    """The letter of each uniform as searchsorted(cdf, u, "right"), capped at k − 1."""
+    cdf = np.asarray(cdf, dtype=float)
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
+
+
+def searchsorted_codeword_indices(seed: int, samples: int, M: int, n: int,
+                                  cdf) -> np.ndarray:
+    """(samples, M) C-order word indices, one generator built per sample.
+
+    Sample i's uniforms are Philox(key=seed, counter=[0, 0, 0, i]).random((M, n)),
+    and each becomes a letter by `searchsorted_letters`.
+    """
+    k = len(cdf)
+    words = []
+    for i in range(samples):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
+        letters = searchsorted_letters(cdf, gen.random((M, n)))
+        words.append(np.ravel_multi_index(tuple(letters.T), (k,) * n))
+    return np.array(words).reshape(samples, M)
 
 
 # ---------------------------------------------------------------------------

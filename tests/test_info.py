@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqresolve as cq
-from cqresolve import errors
+from cqresolve import errors, info, linalg
 from cqresolve.info import _divergences, _entropy_terms, _renyi_fixed_points
 import oracles as orc
 
@@ -431,6 +431,64 @@ def test_stacked_fixed_point_matches_each_order_alone(case):
             assert got.value == want.value
             assert np.array_equal(got.sigma, want.sigma)
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+def _fixed_point_sweep_case(k: int, d: int, index: int):
+    """Seeded letters of every rank (rank-deficient ones included), a law
+    with zero masses on some letters, and one to four orders in [1.01, 2]."""
+    rng = np.random.default_rng([k, d, index, 25])
+    states = [orc.random_density_of_rank(rng, d, int(rng.integers(1, d + 1)))
+              for _ in range(k)]
+    weights = rng.integers(0, 3, size=k).astype(float)
+    weights[rng.integers(0, k)] += 1.0
+    alphas = tuple(float(a) for a in rng.choice(
+        [1.01, 1.1, 1.25, 1.5, 1.75, 2.0, float(rng.uniform(1.01, 2.0))],
+        size=int(rng.integers(1, 5))))
+    labels = tuple(str(i) for i in range(k))
+    return cq.CQChannel(labels, states), cq.Distribution(labels, weights / weights.sum()), alphas
+
+
+FIXED_POINT_SWEEP = [(k, d) for k in range(1, 7) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("k, d", FIXED_POINT_SWEEP,
+                         ids=[f"k{k}-d{d}" for k, d in FIXED_POINT_SWEEP])
+def test_fixed_point_has_the_bits_of_the_listed_loop(k, d):
+    # the trimmed stack against the loop that kept its orders' proposals in
+    # a list and took σ^γ one order at a time, 8 channels per (k, d)
+    for index in range(8):
+        channel, dist, alphas = _fixed_point_sweep_case(k, d, index)
+        got = _renyi_fixed_points(alphas, channel, dist)
+        want = orc.renyi_fixed_points_listed(alphas, channel.states, dist.masses)
+        assert len(got) == len(want) == len(alphas)
+        for g, w in zip(got, want):
+            assert g.value == w.value
+            assert np.array_equal(g.sigma, w.sigma)
+            assert (g.iterations, g.converged) == (w.iterations, w.converged)
+
+
+def test_hermitian_part_is_hermitian_bit_for_bit():
+    # why the floor step tests only finiteness: (A + A†)/2 computes entry
+    # (j, i) as the conjugate of entry (i, j), at any magnitude
+    rng = np.random.default_rng(25)
+    for _ in range(2000):
+        d = int(rng.integers(1, 5))
+        mags = 10.0 ** rng.uniform(-320, 300, size=(2, 3, d, d))
+        signs = rng.choice([-1.0, 1.0], size=mags.shape)
+        part = linalg.hermitianize((signs * mags)[0] + 1j * (signs * mags)[1])
+        assert np.array_equal(part, np.swapaxes(part.conj(), -1, -2))
+
+
+def test_fixed_points_of_no_orders_are_empty():
+    channel, dist, _ = _fixed_point_sweep_case(3, 2, 0)
+    assert _renyi_fixed_points((), channel, dist) == []
+
+
+def test_floor_and_normalize_raises_on_a_nan_mix():
+    mixes = np.repeat(np.eye(2, dtype=complex)[None] / 2, 3, axis=0)
+    mixes[1, 0, 1] = complex(math.nan, 0.0)
+    with pytest.raises(errors.ValidationError, match="NaN or infinite"):
+        info._floor_and_normalize(mixes)
 
 
 def test_renyi_mutual_info_returns_density_minimizer():

@@ -322,9 +322,9 @@ def test_batched_vertices_have_the_bits_of_the_per_support_loop(k, d, count):
         assert len(got) == len(expected) >= 1
         for vertex, masses in zip(got, expected):
             assert np.array_equal(vertex.masses, masses)
-        values = [cq.mutual_info(channel, cq.Distribution(channel.labels, q))
-                  for q in expected]
-        best = min(range(len(values)), key=values.__getitem__)
+        # vertex values, argmin and rate against one mutual_info per vertex
+        values, best = orc.per_vertex_least(got, lambda q: cq.mutual_info(channel, q))
+        assert rates._vertex_informations(channel, got) == values
         res = cq.fixed_input_rate(channel, dist)
         assert (res.value, res.iterations) == (values[best], len(expected))
         assert np.array_equal(res.distribution.masses, expected[best])
@@ -340,6 +340,24 @@ def test_fixed_input_rate_flip_erase_is_zero(flip_erase_channel):
     assert res.value == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(res.distribution.masses, [0.0, 0.0, 1.0],
                                atol=1e-8)
+
+
+def test_fixed_input_rate_decomposes_the_states_once_for_all_vertices(monkeypatch):
+    # one _entropy_terms for the vertex values and one in the mutual_info
+    # of the least, however many vertices there are
+    channel, dist = _vertex_sweep_case(7, 2, 0)
+    assert len(cq.feasible_vertices(channel, dist)) > 2
+    calls = []
+
+    def counted(states):
+        calls.append(len(states))
+        return info_entropy_terms(states)
+
+    info_entropy_terms = info._entropy_terms
+    monkeypatch.setattr(rates, "_entropy_terms", counted)
+    monkeypatch.setattr(info, "_entropy_terms", counted)
+    cq.fixed_input_rate(channel, dist)
+    assert calls == [7, 7]
 
 
 def test_fixed_input_rate_injective_channel_returns_mutual_info():

@@ -325,6 +325,59 @@ def test_targets_equal_row_by_row_target(rows, diagonal):
     assert np.array_equal(got, np.stack([w @ outputs.rows for w in weights]))
 
 
+def _unchecked_channel(states) -> cq.CQChannel:
+    """A channel over any complex stack, built as `CQChannel.power` builds one."""
+    channel = cq.CQChannel.__new__(cq.CQChannel)
+    channel.states = np.asarray(states, dtype=complex)
+    channel.labels = tuple(str(i) for i in range(len(channel.states)))
+    return channel
+
+
+def _has_off_diagonal(states) -> bool:
+    """The diagonal test as a copy of every off-diagonal entry."""
+    dim = states.shape[1]
+    return bool(np.any(states[:, ~np.eye(dim, dtype=bool)]))
+
+
+@pytest.mark.parametrize("case", ["imaginary", "negative-zero", "dimension-1"])
+@pytest.mark.parametrize("n", (1, 2))
+def test_output_rows_diagonal_reads_every_off_diagonal_entry(case, n):
+    if case == "imaginary":
+        # the only off-diagonal nonzeros are ±1e-3j, in the last letter
+        states = [np.diag([0.9, 0.1]), np.diag([0.3, 0.7]),
+                  np.array([[0.5, 1e-3j], [-1e-3j, 0.5]])]
+    elif case == "negative-zero":
+        states = [np.array([[0.9, -0.0], [-0.0, 0.1]]),
+                  np.array([[0.3, complex(0.0, -0.0)], [complex(-0.0, 0.0), 0.7]])]
+    else:
+        states = [np.ones((1, 1)), np.ones((1, 1))]
+    ch = cq.CQChannel(tuple(str(i) for i in range(len(states))), states)
+    if case == "negative-zero":
+        assert np.signbit(ch.states[0, 0, 1].real) and np.signbit(ch.states[1, 0, 1].imag)
+    outputs = rv._OutputRows(ch, n)
+    assert outputs.diagonal is (case != "imaginary")
+    assert outputs.diagonal is not _has_off_diagonal(ch.power(n).states)
+    if outputs.diagonal:
+        assert np.array_equal(outputs.rows,
+                              np.diagonal(ch.power(n).states, axis1=1, axis2=2).real)
+
+
+def test_output_rows_diagonal_sweep_against_the_copying_test():
+    # stacks of 1-5 matrices of dimension 1-6 whose entries are 0, -0.0 or
+    # a real, imaginary or complex nonzero, most of them zero
+    rng = np.random.default_rng(25)
+    values = np.array([0.0, -0.0, complex(-0.0, -0.0), 0.25, -1e-300, 0.5j, -1e-300j, 1 + 1j])
+    seen = set()
+    for _ in range(600):
+        k, d = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        weights = np.r_[np.full(3, 0.9 / 3), np.full(5, 0.1 / 5)]
+        states = values[rng.choice(values.size, p=weights, size=(k, d, d))]
+        outputs = rv._OutputRows(_unchecked_channel(states), 1)
+        assert outputs.diagonal is not _has_off_diagonal(states)
+        seen.add(outputs.diagonal)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_output_rows_are_the_product_channel(n):
     ch = non_diagonal_channel()[0]
@@ -725,6 +778,54 @@ class TestSoftCoverSimulate:
         for rows in (1, 3, M, 5 * M):
             monkeypatch.setattr(rv, "DRAW_CHUNK_BYTES", rows * n * 8)
             assert np.array_equal(rv._codeword_indices(seed, 5, M, n, cdf), want)
+
+    @staticmethod
+    def letter_cdf(k: int, shape: int) -> np.ndarray:
+        """A cumulative law of k letters of one of four shapes.
+
+        0: Dirichlet masses; 1: about a third of the masses zero, so
+        cumulative masses repeat; 2 and 3: the last cumulative mass two ulps
+        below and one above 1. Each entry is then lowered to the least entry
+        after it, so the cdf stays non-decreasing.
+        """
+        rng = np.random.default_rng([k, shape, 25])
+        masses = rng.dirichlet(np.ones(k))
+        if shape == 1:
+            masses[rng.random(k) < 1 / 3] = 0.0
+            masses[rng.integers(0, k)] += 1.0
+            masses /= masses.sum()
+        cdf = np.cumsum(masses)
+        if shape == 2:
+            cdf[-1] = np.nextafter(np.nextafter(1.0, 0.0), 0.0)
+        elif shape == 3:
+            cdf[-1] = np.nextafter(1.0, 2.0)
+        return np.minimum.accumulate(cdf[::-1])[::-1]
+
+    # both sides of SEARCHED_LETTERS, which the sweep straddles
+    @pytest.mark.parametrize("ks", [range(1, 101), range(101, 201), range(201, 301)],
+                             ids=["k1-100", "k101-200", "k201-300"])
+    def test_letters_sweep_equals_searchsorted_words(self, ks):
+        assert 1 < rv.SEARCHED_LETTERS < 300
+        for k in ks:
+            cdf = self.letter_cdf(k, k % 4)
+            n = 1 + k % 3
+            for seed in (k, 2 ** 100 + k):
+                assert np.array_equal(rv._codeword_indices(seed, 3, 7, n, cdf),
+                                      orc.searchsorted_codeword_indices(seed, 3, 7, n, cdf))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 17, rv.SEARCHED_LETTERS - 1,
+                                   rv.SEARCHED_LETTERS, 300])
+    @pytest.mark.parametrize("shape", range(4))
+    def test_letters_at_the_cumulative_masses(self, k, shape):
+        # every cumulative mass, its neighbouring floats, 0 and the largest
+        # uniform below 1
+        cdf = self.letter_cdf(k, shape)
+        u = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
+                            [0.0, 1.0 - 2.0 ** -53]])
+        for uniforms in (u, u.reshape(-1, 1)):
+            got = rv._letters(uniforms, cdf)
+            assert got.shape == uniforms.shape
+            assert np.array_equal(got, orc.searchsorted_letters(cdf, uniforms))
 
     def test_draws_peak_near_their_byte_budget(self):
         # 10^6 draws and 3 counts budget 8,000,024 bytes; holding the uniforms

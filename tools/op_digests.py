@@ -7,17 +7,17 @@ SRC_DIR is the directory that holds the ``cqresolve`` package (``src`` of a
 checkout). The ops are those of ``perfbench/workloads.py`` of this checkout,
 for every workload at seeds 0, 1 and 2. The refusals are the command lines
 in REFUSALS, requests past a resource budget. The frontier commands are the
-command lines in FRONTIER, exact errors and the certify workload's commands
-at sizes past the benchmark's; on older trees the exact errors take seconds
-and over a GiB. The demos are the scripts in ``demos/`` next to SRC_DIR,
-since a demo goes with its library. One subprocess, with SRC_DIR first on
-PYTHONPATH, builds the ops' inputs and the frontier's seeded channel in a
-temporary directory, calls ``cqresolve.cli.main`` once per op, refusal and
-frontier command and runs each demo as ``__main__``, each in a directory of
-its own given by a relative path, so no output names the temporary
-directory. Each line is a key and the SHA-256 of the exit code, stdout,
-stderr and the bytes of every file the op or demo wrote. Equal output for
-two trees means byte-identical results:
+command lines in FRONTIER, exact errors, the certify workload's commands
+and soft covering at sizes past the benchmark's; on older trees the exact
+errors take seconds and over a GiB. The demos are the scripts in ``demos/``
+next to SRC_DIR, since a demo goes with its library. One subprocess, with
+SRC_DIR first on PYTHONPATH, builds the ops' inputs and the frontier's
+seeded channels in a temporary directory, calls ``cqresolve.cli.main`` once
+per op, refusal and frontier command and runs each demo as ``__main__``,
+each in a directory of its own given by a relative path, so no output names
+the temporary directory. Each line is a key and the SHA-256 of the exit
+code, stdout, stderr and the bytes of every file the op or demo wrote.
+Equal output for two trees means byte-identical results:
 
     python3 tools/op_digests.py old/src > old.txt
     python3 tools/op_digests.py src > new.txt
@@ -63,8 +63,12 @@ REFUSALS = {
 # 27 letters. The certify commands follow: the separation figure at 49 points,
 # type checks at (d, n) = (3, 6) and (6, 3), and a fixed-input rate on
 # QUBIT_K12, a channel of 12 seeded qubit states (the vertex enumeration's
-# alphabet cap) that the child writes before the frontier commands run.
+# alphabet cap). Last, soft covering on both sides of the letter kernel:
+# 1.2 M draws of example1's 3 letters, counted, and 6,400 draws of the 300
+# letters of QUBIT_K300, searched. The child writes both channels before
+# the frontier commands run.
 QUBIT_K12 = "qubit-k12.json"
+QUBIT_K300 = "qubit-k300.json"
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
 FRONTIER = {
     "resolve-n3-M6": ("resolve", *EXAMPLE1_LAW, "--n", "3", "--M", "6"),
@@ -79,6 +83,10 @@ FRONTIER = {
     "types-check-d3-n6": ("types-check", "--alphabet-size", "3", "--n", "6"),
     "types-check-d6-n3": ("types-check", "--alphabet-size", "6", "--n", "3"),
     "fixed-rate-qubit-k12": ("fixed-rate", "--channel", QUBIT_K12),
+    "softcover-n3-M4096": ("softcover", *EXAMPLE1_LAW, "--n", "3", "--M", "4096",
+                           "--samples", "100", "--seed", "7"),
+    "softcover-n1-M64-qubit-k300": ("softcover", "--channel", QUBIT_K300, "--n", "1",
+                                    "--M", "64", "--seed", "7"),
 }
 
 
@@ -135,6 +143,7 @@ def _child(src: Path) -> None:
                 print(f"{name}/{seed}/{op.key} {_digest(rc, out, err, written)}",
                       file=sys.__stdout__, flush=True)
     _write_qubit_channel(Path(QUBIT_K12), k=12, seed=20241018)
+    _write_qubit_channel(Path(QUBIT_K300), k=300, seed=20241019)
     for group, commands in (("refusal", REFUSALS), ("frontier", FRONTIER)):
         for key, argv in commands.items():
             rc, out, err = _call(lambda: cli.main(list(argv)))
