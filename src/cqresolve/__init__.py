@@ -10,8 +10,7 @@ from .errors import (ConvergenceError, DimensionMismatchError, ResourceLimitErro
 from .linalg import (SpectralDecomposition, eigh, positive_part_projector, tensor_power,
                      trace_norm, validate_density, validate_hermitian)
 from .channel import (CQChannel, Distribution, MType, Word, channel_from_json,
-                      distribution_from_json, empirical_output, format_label,
-                      m_type_counts, output_state)
+                      distribution_from_json, format_label, m_type_counts, output_state)
 from .info import (PinchingMap, RenyiMutualInfo, RenyiOrder, mutual_info, phi, pinch,
                    pinching_from_spectrum, qrel_entropy, renyi_mutual_info,
                    sandwiched_renyi)
@@ -21,9 +20,8 @@ from .resolvability import (ResolutionResult, SmoothingParams, SoftCoverReport,
                             ll2_bound, resolution_error_exact,
                             resolution_error_worst, soft_cover_simulate)
 from .types_sanov import (Basis, EmpiricalState, TypeProjector, TypesBoundCheck,
-                          all_empirical_states, bad_codeword_test,
-                          commuting_types_bound_check, ee31_margin, type_pinching,
-                          type_projector)
+                          bad_codeword_count, commuting_types_bound_check, ee31_margin,
+                          type_pinching, type_projector)
 from .idcodes import (BridgeCheck, IDCode, IDVerifyReport,
                       PairwiseDistanceReport, bridge_counting_check,
                       idcode_from_json, pairwise_distance_check,

@@ -148,9 +148,6 @@ class Word:
             raise ValidationError("a word needs at least one symbol")
         object.__setattr__(self, "symbols", tuple(self.symbols))
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
 
 class CQChannel:
     """Map from a finite ordered alphabet to density operators of equal dimension."""
@@ -220,14 +217,6 @@ def output_state(channel: CQChannel, dist: Distribution) -> np.ndarray:
     return np.einsum("x,xij->ij", dist.masses, channel.states)
 
 
-def empirical_output(channel: CQChannel, w: Word) -> np.ndarray:
-    """Average single-letter output (1/n) Σ_j W_{x_j}."""
-    acc = np.zeros((channel.dim, channel.dim), dtype=complex)
-    for x in w.symbols:
-        acc += channel.state(x)
-    return acc / len(w)
-
-
 def _m_type_total(alphabet_size: int, M: int) -> int:
     """The number of M-types of alphabet_size letters, C(M + k − 1, k − 1).
 
@@ -255,8 +244,8 @@ def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     arguments are positive ints. More than MAX_TYPES rows, or more than
     MAX_COUNT_BYTES, raise ResourceLimitError before any row is built; an M
     past the largest int64 raises ValidationError. The worst-input search
-    and the type profiles of `types_sanov` enumerate through it; the exact
-    engine walks the same tree over its outputs and never holds the matrix.
+    and the commands' type profiles enumerate through it; the exact engine
+    and the bad-codeword count walk the same tree and never hold the matrix.
     """
     total = _m_type_total(alphabet_size, M)
     check_budget(f"the {total} x {alphabet_size} M-type count matrix",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -28,8 +27,8 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .channel import (CQChannel, Distribution, Word, channel_from_json,
-                      distribution_from_json, format_label, output_state)
+from .channel import (CQChannel, Distribution, channel_from_json, distribution_from_json,
+                      format_label, m_type_counts, output_state)
 from .errors import (MAX_MATRIX_BYTES, MAX_TYPES, ConvergenceError, ResourceLimitError,
                      ValidationError, check_budget, check_positive_int, check_real)
 from .info import RenyiOrder
@@ -39,9 +38,8 @@ from .rates import capacity, fixed_input_rate
 from .resolvability import (SmoothingParams, converse_trend, ll1b_bound,
                             ll2_bound, resolution_error_exact,
                             resolution_error_worst, soft_cover_simulate)
-from .types_sanov import (Basis, all_empirical_states, bad_codeword_test,
-                          commuting_types_bound_check, ee31_margin,
-                          type_projector)
+from .types_sanov import (Basis, EmpiricalState, _twirl_margin, _types_bound_row,
+                          bad_codeword_count, type_projector)
 
 
 # Points of a separation-figure --eps-grid; each runs a capacity ascent and a
@@ -229,14 +227,13 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> _Record:
         raise ValidationError("sanov-sweep requires --dist (the diagonal of the "
                               "reference state)")
     check_positive_int("--n", args.n)
-    dist = distribution_from_json(_inline_or_path(args.dist_path))
-    rho = np.diag(dist.masses).astype(complex)
+    # A law's checks make its diagonal a valid density, the one check of ρ.
+    probs = distribution_from_json(_inline_or_path(args.dist_path)).masses
     rows = []
     for n in range(1, args.n + 1):
-        for t in all_empirical_states(n, len(dist.masses)):
-            check = commuting_types_bound_check(rho, t)
-            rows.append((n, "|".join(str(c) for c in t.counts), check.lhs, check.rhs,
-                         check.ok))
+        for counts in m_type_counts(probs.size, n):
+            check = _types_bound_row(probs, counts)
+            rows.append((n, "|".join(map(str, counts.tolist())), check.lhs, check.rhs, check.ok))
     return [_Table(("n", "type_counts", "lhs", "rhs", "ok"), rows), ("rows", len(rows)),
             ("violations", sum(not row[4] for row in rows))], None
 
@@ -260,31 +257,27 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
         dist = _load_dist(args, channel)
         check_budget(f"the bad-codeword count over {channel.size}^{n} words",
                      (1, channel.size, n), MAX_TYPES, "words")
-    states = all_empirical_states(n, d)
+        count = bad_codeword_count(channel, dist, n, args.delta)
+    types = m_type_counts(d, n)
     basis = Basis.standard(d)
     total = np.zeros((d ** n, d ** n), dtype=complex)
     rank_sum = 0
-    for t in states:
-        proj = type_projector(t, basis)
+    for counts in types:
+        proj = type_projector(EmpiricalState(tuple(counts.tolist()), n), basis)
         total += proj.matrix
         rank_sum += proj.rank
         del proj  # so the next projector is built without this one held
     total[np.diag_indices_from(total)] -= 1
     partition_dev = float(np.max(np.abs(total)))
-    # The margin depends on a word only through its type, so one word per
-    # type gives the same minimum as every word.
-    min_margin = min(
-        ee31_margin(Word(tuple(j for j, c in enumerate(t.counts) for _ in range(c))), d)
-        for t in states)
+    # A word's margin depends only on its type: one count row per type covers every word.
+    min_margin = min(_twirl_margin(counts) for counts in types)
     ok = partition_dev <= 1e-9 and rank_sum == d ** n and min_margin >= -1e-9
-    fields = [("type_count", len(states)),
-              ("type_count_formula_ok", len(states) == math.comb(n + d - 1, d - 1)),
+    fields = [("type_count", len(types)),
+              ("type_count_formula_ok", len(types) == math.comb(n + d - 1, d - 1)),
               ("partition_identity_max_dev", partition_dev), ("rank_sum", rank_sum),
               ("rank_sum_ok", rank_sum == d ** n),
               ("twirl_domination_min_margin", min_margin), ("all_ok", ok)]
     if has_channel:
-        count = sum(bad_codeword_test(channel, Word(w), dist, args.delta)
-                    for w in itertools.product(channel.labels, repeat=n))
         fields.append(("bad_codewords", f"{count} / {channel.size ** n}"))
     return fields, None
 

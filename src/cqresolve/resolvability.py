@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import numpy.linalg as npl
@@ -233,14 +234,14 @@ def _first_argmin(errors: np.ndarray) -> tuple[float, int]:
 
 
 def _rational_half_l1(channel: CQChannel, dist: Distribution, n: int,
-                      counts: np.ndarray, M: int) -> float:
-    """½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁ for diagonal states, correctly rounded.
+                      counts: np.ndarray, M: int) -> Fraction:
+    """½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁ for diagonal states, exactly in the float inputs.
 
     Every float is an integer over a power of two, so on one scale 2^e for
-    all diagonals and masses the sums are exact integer sums, and the one
-    division at the end rounds correctly. For a law on the base alphabet
-    the target is W(p)^{⊗n}, which costs dⁿ·n products instead of kⁿ·dⁿ·n;
-    the M-type q puts mass on at most M words.
+    all diagonals and masses the sums are exact integer sums, and the value
+    is one integer over another, whose float is correctly rounded. For a law
+    on the base alphabet the target is W(p)^{⊗n}, which costs dⁿ·n products
+    instead of kⁿ·dⁿ·n; the M-type q puts mass on at most M words.
     """
     diag = np.diagonal(channel.states, axis1=1, axis2=2).real.tolist()
     ratios = [v.as_integer_ratio() for v in itertools.chain(*diag, dist.masses.tolist())]
@@ -267,7 +268,7 @@ def _rational_half_l1(channel: CQChannel, dist: Distribution, n: int,
     live = np.flatnonzero(counts)
     cand = mixture([int(counts[i]) for i in live], words(live))
     total = sum(abs(M * t - (c << (scale - n * e))) for t, c in zip(target, cand))
-    return total / (M << (scale + 1))
+    return Fraction(total, M << (scale + 1))
 
 
 def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
@@ -308,7 +309,7 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     best, idx = _first_argmin(errors)
     counts = _m_type_at(k, M, idx)
     if outputs.diagonal:
-        best = _rational_half_l1(channel, dist, n, counts, M)
+        best = float(_rational_half_l1(channel, dist, n, counts, M))
     else:
         best = float(outputs.distance_table(target, outputs.targets(counts[None] / M))[0, 0])
     argmin = MType.from_counts(outputs.labels, counts, M)
@@ -421,8 +422,8 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     worst = Distribution(outputs.labels, best_p)
     if outputs.diagonal:
         ties = np.flatnonzero(dists <= final_val + ARGMIN_TIE_TOL)
-        final_val, q_idx = min((_rational_half_l1(channel, worst, n, cand_counts[i], M), int(i))
-                               for i in ties)
+        final_val, q_idx = min(
+            (float(_rational_half_l1(channel, worst, n, cand_counts[i], M)), int(i)) for i in ties)
     argmin = MType.from_counts(outputs.labels, cand_counts[q_idx], M)
     return ResolutionResult(max(final_val, 0.0), argmin, M, n,
                             approximate="lower bound", worst_input=worst)
@@ -490,7 +491,9 @@ def _codeword_indices(seed: int, samples: int, M: int, n: int,
                 bits.advance(skip)
             start = end
         letters = _letters(buf[:hi - lo], cdf)
-        words[lo:hi] = np.ravel_multi_index(tuple(letters.T), (k,) * n)
+        words[lo:hi] = letters[:, 0]
+        for column in letters.T[1:]:  # Horner's rule in int64, first letter most significant
+            words[lo:hi] = words[lo:hi] * k + column
     return words.reshape(samples, M)
 
 

@@ -11,14 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (CQChannel, Distribution, Word, empirical_output, m_type_counts,
-                      output_state)
-from .errors import (MAX_MATRIX_BYTES, DimensionMismatchError, ValidationError,
-                     check_budget, check_positive_int, check_real)
+from .channel import CQChannel, Distribution, Word, _m_type_sums, _m_type_total, m_type_counts
+from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, DimensionMismatchError,
+                     ValidationError, check_budget, check_positive_int, check_real)
 from .info import SUPPORT_EIG_TOL, PinchingMap
-from .linalg import tensor_power, trace_norm, validate_density
+from .linalg import tensor_power, validate_density
+from .resolvability import _OutputRows, _batch_rows, _rational_half_l1
 
 BASIS_GRAM_TOL = 1e-10
+BAD_GAP_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,14 @@ class EmpiricalState:
     def dim(self) -> int:
         return len(self.counts)
 
-    def distribution(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.n
-
     def rank(self) -> int:
         """Exact number of words with this profile: n! / ∏ counts_j!."""
-        num = math.factorial(self.n)
-        for c in self.counts:
-            num //= math.factorial(c)
-        return num
+        return _multinomial(self.counts)
+
+
+def _multinomial(counts) -> int:
+    """n! / ∏_j c_j! for a list of Python ints c summing to n."""
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
 
 
 def _empirical_state(w: Word, d: int) -> EmpiricalState:
@@ -101,14 +101,6 @@ def _empirical_state(w: Word, d: int) -> EmpiricalState:
     return EmpiricalState(tuple(counts), len(w.symbols))
 
 
-def all_empirical_states(n: int, d: int) -> list[EmpiricalState]:
-    """Every feasible count profile for (n, d): the C(n+d-1, d-1) rows of `m_type_counts(d, n)`."""
-    check_positive_int("n", n)
-    check_positive_int("d", d)
-    return [EmpiricalState(tuple(int(c) for c in row), n)
-            for row in m_type_counts(d, n)]
-
-
 @dataclass(frozen=True)
 class TypeProjector:
     """Projector onto all basis words with a fixed letter-count profile."""
@@ -117,13 +109,6 @@ class TypeProjector:
     basis: Basis
     matrix: np.ndarray
     rank: int
-
-
-def _word_mask(t: EmpiricalState) -> np.ndarray:
-    """Which basis words of length n, in C order, have the profile t."""
-    letters = np.array(np.unravel_index(np.arange(t.dim ** t.n), (t.dim,) * t.n))
-    counts = (letters[..., None] == np.arange(t.dim)).sum(axis=0)
-    return np.all(counts == np.asarray(t.counts), axis=1)
 
 
 def type_projector(t: EmpiricalState, basis: Basis) -> TypeProjector:
@@ -137,7 +122,9 @@ def type_projector(t: EmpiricalState, basis: Basis) -> TypeProjector:
     d, n = t.dim, t.n
     check_budget(f"the {d}^{n} x {d}^{n} type projector",
                  (np.dtype(complex).itemsize, d * d, n), MAX_MATRIX_BYTES)
-    mask = _word_mask(t)
+    # which basis words of length n, in C order, have the profile t
+    letters = np.indices((d,) * n).reshape(n, -1, 1) == np.arange(d)
+    mask = np.all(letters.sum(axis=0) == np.asarray(t.counts), axis=1)
     rank = t.rank()
     if int(mask.sum()) != rank:
         raise ValidationError("word enumeration disagrees with the factorial rank")
@@ -150,10 +137,10 @@ def type_projector(t: EmpiricalState, basis: Basis) -> TypeProjector:
 
 
 def type_pinching(basis: Basis, n: int) -> PinchingMap:
-    """Pinching map whose blocks are all type projectors for (n, basis)."""
-    projectors = tuple(type_projector(t, basis).matrix
-                       for t in all_empirical_states(n, basis.dim))
-    return PinchingMap(projectors)
+    """Pinching map whose blocks are the type projectors of the rows of `m_type_counts`."""
+    check_positive_int("n", n)
+    return PinchingMap(tuple(type_projector(EmpiricalState(tuple(c), n), basis).matrix
+                             for c in m_type_counts(basis.dim, n).tolist()))
 
 
 def ee31_margin(w: Word, d: int) -> float:
@@ -171,22 +158,48 @@ def ee31_margin(w: Word, d: int) -> float:
     (n+1)^{d-1} times a positive product is ∞, not an OverflowError.
     """
     check_positive_int("d", d)
-    n = len(w.symbols)
-    emp = _empirical_state(w, d)
-    types = np.array([emp.counts, n * (np.arange(d) == np.argmin(emp.counts))])
-    scale, products = (n + 1) ** (d - 1), np.prod(emp.distribution() ** types, axis=1)
+    return _twirl_margin(np.asarray(_empirical_state(w, d).counts))
+
+
+def _twirl_margin(counts: np.ndarray) -> float:
+    """`ee31_margin` of every word whose int64 letter counts are `counts`."""
+    d, n = counts.size, int(counts.sum())
+    types = np.array([counts, n * (np.arange(d) == np.argmin(counts))])
+    scale, products = (n + 1) ** (d - 1), np.prod((counts / n) ** types, axis=1)
     with np.errstate(over="ignore"):  # the scale as a float mantissa and a power of two
         diag = np.ldexp(scale / 2 ** scale.bit_length() * products, scale.bit_length())
-    diag[np.all(types == np.asarray(emp.counts), axis=1)] -= 1 / emp.rank()
+    diag[np.all(types == counts, axis=1)] -= 1 / _multinomial(counts.tolist())
     return float(diag.min())
 
 
-def bad_codeword_test(channel: CQChannel, w: Word, dist: Distribution,
-                      delta: float) -> bool:
-    """Whether ‖(1/n)Σ_j W_{x_j} − W(p)‖₁ ≥ δ (the word is a bad codeword)."""
+def bad_codeword_count(channel: CQChannel, dist: Distribution, n: int,
+                       delta: float) -> int:
+    """How many words x^n have ‖(1/n)Σ_j W_{x_j} − W(p)‖₁ ≥ δ: the bad codewords.
+
+    A word's gap depends only on its type c, an M-type at M = n walked over
+    the k × k identity, so each bad type adds n!/∏_x c_x! words, a product over
+    its n largest counts (no others are nonzero). A gap is twice a batched
+    distance of `_OutputRows(channel, 1)`; on the diagonal path one within
+    BAD_GAP_TIE_TOL of δ is decided exactly in the float inputs. MAX_TYPES and
+    MAX_COUNT_BYTES (the identity as int64) raise ResourceLimitError first.
+    """
+    check_positive_int("n", n)
     check_real("delta", delta, 0.0, open_lo=True)
-    gap = trace_norm(empirical_output(channel, w) - output_state(channel, dist))
-    return bool(gap >= delta)
+    channel._check_alphabet(dist)
+    outputs, k = _OutputRows(channel, 1), channel.size
+    _m_type_total(k, n)
+    check_budget(f"the {k} x {k} identity of the type walk",
+                 k * k * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
+    identity = np.eye(k, dtype=np.min_scalar_type(-n - 1))
+    target, bad = outputs.targets(dist.masses[None]), 0
+    for counts in _m_type_sums(identity, n, _batch_rows(np.dtype(float).itemsize * k)):
+        gaps = 2 * outputs.distance_table(target, outputs.targets(counts / n))[0]
+        is_bad = gaps >= delta
+        if outputs.diagonal:
+            for i in np.flatnonzero(np.abs(gaps - delta) <= BAD_GAP_TIE_TOL):
+                is_bad[i] = 2 * _rational_half_l1(channel, dist, 1, counts[i], n) >= delta
+        bad += sum(_multinomial(row) for row in np.sort(counts[is_bad], axis=1)[:, -n:].tolist())
+    return bad
 
 
 @dataclass(frozen=True)
@@ -214,18 +227,21 @@ def commuting_types_bound_check(rho, rho_prime: EmpiricalState) -> TypesBoundChe
     if m.shape[0] != rho_prime.dim:
         raise DimensionMismatchError(
             f"state dim {m.shape[0]} vs profile dim {rho_prime.dim}")
-    probs = np.real(np.diag(m))
-    counts = np.asarray(rho_prime.counts)
-    active = counts > 0
+    return _types_bound_row(np.real(np.diag(m)), np.asarray(rho_prime.counts))
+
+
+def _types_bound_row(probs: np.ndarray, counts: np.ndarray) -> TypesBoundCheck:
+    """The row of `commuting_types_bound_check` for a checked diagonal and int64 counts."""
+    n, active = int(counts.sum()), counts > 0
     if np.any(probs[active] <= SUPPORT_EIG_TOL):
         return TypesBoundCheck(0.0, 0.0, True)
     # Each mass is p_num / 2^k, so the left side is num / 2^shift exactly.
-    num, shift = rho_prime.rank(), 0
+    num, shift = _multinomial(counts.tolist()), 0
     for p, c in zip(probs[active].tolist(), counts[active].tolist()):
         p_num, p_den = p.as_integer_ratio()
         num, shift = num * p_num ** c, shift + c * (p_den.bit_length() - 1)
     lhs = num / (1 << shift)
-    freq = counts[active] / rho_prime.n
+    freq = counts[active] / n
     div = float(np.sum(freq * (np.log2(freq) - np.log2(probs[active]))))
-    rhs = 2.0 ** (-rho_prime.n * div)
+    rhs = 2.0 ** (-n * div)
     return TypesBoundCheck(lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9)))

@@ -9,7 +9,8 @@ commuting cases, and dense grid searches where the library iterates.
 
 Some functions here left the package because no command reads them; they
 keep their argument checks, from `cqresolve.errors`, so their tests still
-see the package's exception types.
+see the package's exception types, and `all_empirical_states` still builds
+the package's EmpiricalState records.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from cqresolve.errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
                               check_positive_int, check_real)
+from cqresolve.types_sanov import EmpiricalState
 
 
 # ---------------------------------------------------------------------------
@@ -1000,6 +1002,44 @@ def multinomial_exact(n: int, counts) -> int:
     return num
 
 
+def all_empirical_states(n: int, d: int) -> list:
+    """Every count profile for (n, d) as an EmpiricalState, lexicographic over counts."""
+    check_positive_int("n", n)
+    check_positive_int("d", d)
+    return [EmpiricalState(c, n) for c in all_m_type_count_vectors(d, n)]
+
+
+def empirical_output(channel, w) -> np.ndarray:
+    """(1/n) Σ_j W_{x_j} of a Word, added letter by letter in word order."""
+    acc = np.zeros((channel.dim, channel.dim), dtype=complex)
+    for x in w.symbols:
+        acc += channel.state(x)
+    return acc / len(w.symbols)
+
+
+def bad_codeword_test(channel, w, dist, delta: float) -> bool:
+    """Whether the Word w has ‖(1/n)Σ_j W_{x_j} − W(p)‖₁ ≥ δ, the norm from singular values."""
+    check_real("delta", delta, 0.0, open_lo=True)
+    target = np.einsum("x,xij->ij", dist.masses, channel.states)
+    return bool(trace_norm_svd(empirical_output(channel, w) - target) >= delta)
+
+
+def bad_codeword_count_exact(diagonals, masses, n: int, delta: float) -> int:
+    """The words x^n of Σ_y |(1/n)Σ_j W_{x_j}(y) − W(p)(y)| ≥ δ, word by word in Fractions.
+
+    `diagonals` holds one diagonal state per letter; every float input,
+    δ included, is taken exactly.
+    """
+    rows = [[Fraction(v) for v in row] for row in np.asarray(diagonals, dtype=float).tolist()]
+    target = [sum(Fraction(float(p)) * row[y] for p, row in zip(masses, rows))
+              for y in range(len(rows[0]))]
+    bad = 0
+    for word in itertools.product(range(len(rows)), repeat=n):
+        gap = sum(abs(sum(rows[x][y] for x in word) / n - t) for y, t in enumerate(target))
+        bad += gap >= Fraction(delta)
+    return bad
+
+
 TWIRL_MAX_PERMUTATIONS = 5040
 
 
@@ -1118,7 +1158,7 @@ class SanovQuery:
 
 def sanov_exponent(query: SanovQuery) -> float:
     """D(ρ'‖ρ) + H(ρ') − H(p'), requiring p' to majorize ρ''s spectrum."""
-    spectrum = query.rho_prime.distribution()
+    spectrum = np.asarray(query.rho_prime.counts, dtype=float) / query.rho_prime.n
     if not majorizes(query.p_prime, spectrum):
         raise ValidationError(
             "candidate spectrum does not majorize the empirical profile")

@@ -209,7 +209,7 @@ def test_criterion_06_commuting_types_bound():
         d = 2 if case < 10 else 3
         rho = np.diag(rng.dirichlet(np.ones(d))).astype(complex)
         for n in range(1, 11):
-            for t in cq.all_empirical_states(n, d):
+            for t in orc.all_empirical_states(n, d):
                 res = cq.commuting_types_bound_check(rho, t)
                 checks += 1
                 if not res.ok:

@@ -140,13 +140,13 @@ def test_codebook_state_averages_rows(flip_erase_channel):
 
 def test_empirical_output_constant_word(flip_erase_channel):
     channel, _ = flip_erase_channel
-    e = cq.empirical_output(channel, cq.Word(("1", "1", "1")))
+    e = orc.empirical_output(channel, cq.Word(("1", "1", "1")))
     np.testing.assert_allclose(e, np.diag([0.1, 0.9]), atol=1e-12)
 
 
 def test_empirical_output_mixed_word(flip_erase_channel):
     channel, _ = flip_erase_channel
-    e = cq.empirical_output(channel, cq.Word(("0", "1")))
+    e = orc.empirical_output(channel, cq.Word(("0", "1")))
     np.testing.assert_allclose(e, np.diag([0.5, 0.5]), atol=1e-12)
 
 
@@ -155,7 +155,7 @@ def test_empirical_output_equals_output_of_empirical_distribution(flip_erase_cha
     w = cq.Word(("0", "0", "1", "e"))
     emp = cq.Distribution.from_dict({"0": 0.5, "1": 0.25, "e": 0.25},
                                     labels=channel.labels)
-    np.testing.assert_allclose(cq.empirical_output(channel, w),
+    np.testing.assert_allclose(orc.empirical_output(channel, w),
                                cq.output_state(channel, emp), atol=1e-12)
 
 

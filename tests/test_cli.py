@@ -673,6 +673,17 @@ class TestBoundCommands:
                   for word in itertools.product(range(3), repeat=3))
         assert kv(out)["bad_codewords"] == f"{bad} / 27"
 
+    def test_types_check_counts_words_of_types_on_delta_exactly(self, capsys):
+        # At n 8 six types lie exactly on δ 0.3 in the float inputs; a word's
+        # float gap, summed in its own letter order, put some of their words
+        # on either side (1,688 bad words).
+        code, out, _ = run_cli(capsys, "types-check", "--n", "8", "--builtin",
+                               "example1", "--eps", "0.1", "--delta", "0.3")
+        assert code == 0
+        diagonals = [[1.0 - 0.1, 0.1], [0.1, 1.0 - 0.1], [0.5, 0.5]]
+        bad = orc.bad_codeword_count_exact(diagonals, np.full(3, 1.0 / 3), 8, 0.3)
+        assert kv(out)["bad_codewords"] == f"{bad} / 6561" == "1854 / 6561"
+
     def test_types_check_peak_is_near_two_matrices(self, capsys):
         # The running sum and one projector, each 512² complex entries at
         # (2, 9), are held at once; an older projector or a dense identity

@@ -3,6 +3,7 @@ reference majorization, Sanov exponent and twirl kept in the oracles."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,18 @@ import oracles as orc
 
 def standard_basis(d: int) -> cq.Basis:
     return cq.Basis.standard(d)
+
+
+def orthogonal_pair() -> tuple[cq.CQChannel, cq.Distribution]:
+    """The channel 0 ↦ |0⟩⟨0|, 1 ↦ |1⟩⟨1| and its uniform law."""
+    ch = cq.CQChannel(("0", "1"), (np.diag([1.0, 0.0]).astype(complex),
+                                   np.diag([0.0, 1.0]).astype(complex)))
+    return ch, cq.Distribution.uniform(ch.labels)
+
+
+def diagonal_channel(rows) -> cq.CQChannel:
+    return cq.CQChannel(tuple(str(x) for x in range(len(rows))),
+                        tuple(np.diag(r).astype(complex) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +80,12 @@ class TestBasisAndEmpiricalState:
         )
         w = cq.Word((0, 2, 2, 1, 0, 0))
         es = _empirical_state(w, d)
-        np.testing.assert_allclose(np.diag(es.distribution()),
-                                   cq.empirical_output(ch, w), atol=1e-12)
+        np.testing.assert_allclose(np.diag(np.asarray(es.counts) / es.n),
+                                   orc.empirical_output(ch, w), atol=1e-12)
 
     def test_type_count_formula(self):
         for n, d in [(4, 2), (5, 3), (6, 2), (3, 4)]:
-            states = cq.all_empirical_states(n, d)
+            states = orc.all_empirical_states(n, d)
             assert len(states) == math.comb(n + d - 1, d - 1)
             assert len(set(s.counts for s in states)) == len(states)
 
@@ -107,13 +120,13 @@ class TestTypeProjector:
 
     def test_rank_sum_partitions_word_set(self):
         for n, d in [(4, 2), (3, 3), (5, 2)]:
-            total = sum(t.rank() for t in cq.all_empirical_states(n, d))
+            total = sum(t.rank() for t in orc.all_empirical_states(n, d))
             assert total == d ** n
 
     def test_matrix_partition_of_identity(self):
         n, d = 3, 2
         acc = np.zeros((d ** n, d ** n), dtype=complex)
-        for t in cq.all_empirical_states(n, d):
+        for t in orc.all_empirical_states(n, d):
             acc += cq.type_projector(t, standard_basis(d)).matrix
         np.testing.assert_allclose(acc, np.eye(d ** n), atol=1e-9)
 
@@ -124,7 +137,7 @@ class TestTypeProjector:
         basis = cq.Basis(v)
         n = 2
         acc = np.zeros((4, 4), dtype=complex)
-        for t in cq.all_empirical_states(n, 2):
+        for t in orc.all_empirical_states(n, 2):
             m = cq.type_projector(t, basis).matrix
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             acc += m
@@ -274,18 +287,19 @@ class TestTwirl:
 @pytest.mark.parametrize("bad", [True, False, 0, -1, 2.5, "2"])
 @pytest.mark.parametrize("call", [
     lambda bad: orc.twirl(np.eye(2, dtype=complex), bad),
-    lambda bad: cq.all_empirical_states(bad, 2),
-    lambda bad: cq.all_empirical_states(2, bad),
+    lambda bad: orc.all_empirical_states(bad, 2),
+    lambda bad: orc.all_empirical_states(2, bad),
     lambda bad: cq.EmpiricalState((1, 0), n=bad),
+    lambda bad: cq.bad_codeword_count(*orthogonal_pair(), bad, 0.5),
 ], ids=["twirl-n", "all_empirical_states-n", "all_empirical_states-d",
-        "EmpiricalState-n"])
+        "EmpiricalState-n", "bad_codeword_count-n"])
 def test_integer_arguments_must_be_positive_ints(call, bad):
     with pytest.raises(ValidationError, match="must be a positive integer"):
         call(bad)
 
 
 # ---------------------------------------------------------------------------
-# bad_codeword_test
+# bad_codeword_test (oracle) and bad_codeword_count
 # ---------------------------------------------------------------------------
 
 
@@ -295,7 +309,7 @@ class TestBadCodeword:
         p = cq.Distribution.point_mass(("0", "1", "e"), "e")
         w = cq.Word(("e", "e", "e", "e"))
         for delta in (1e-6, 0.5, 1.9):
-            assert not cq.bad_codeword_test(ch, w, p, delta)
+            assert not orc.bad_codeword_test(ch, w, p, delta)
 
     def test_orthogonal_outputs_constant_word_is_bad(self):
         ch = cq.CQChannel(
@@ -306,9 +320,9 @@ class TestBadCodeword:
         p = cq.Distribution(("0", "1"), (0.5, 0.5))
         w = cq.Word(("0", "0", "0"))
         # ‖W₀ − (W₀+W₁)/2‖₁ = 1
-        assert cq.bad_codeword_test(ch, w, p, 1.0)
-        assert cq.bad_codeword_test(ch, w, p, 0.3)
-        assert not cq.bad_codeword_test(ch, w, p, 1.0 + 1e-9)
+        assert orc.bad_codeword_test(ch, w, p, 1.0)
+        assert orc.bad_codeword_test(ch, w, p, 0.3)
+        assert not orc.bad_codeword_test(ch, w, p, 1.0 + 1e-9)
 
     def test_delta_above_two_never_bad(self):
         rng = np.random.default_rng(3)
@@ -316,12 +330,84 @@ class TestBadCodeword:
         ch = cq.CQChannel(("a", "b", "c"), states)
         p = cq.Distribution(("a", "b", "c"), (0.2, 0.3, 0.5))
         w = cq.Word(("a", "c", "c"))
-        assert not cq.bad_codeword_test(ch, w, p, 2.0 + 1e-12)
+        assert not orc.bad_codeword_test(ch, w, p, 2.0 + 1e-12)
 
     def test_nonpositive_delta_rejected(self, flip_erase_channel):
         ch, p = flip_erase_channel
         with pytest.raises(ValidationError):
-            cq.bad_codeword_test(ch, cq.Word(("0",)), p, 0.0)
+            orc.bad_codeword_test(ch, cq.Word(("0",)), p, 0.0)
+
+
+class TestBadCodewordCount:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dyadic_diagonal_channels_with_types_on_delta(self, seed):
+        # Masses in eighths and a law in quarters make many type gaps dyadic
+        # rationals; each one that a float holds exactly is used as δ, so a
+        # type lies exactly on δ while its float gap, mixed from counts / n,
+        # may round to either side.
+        rng = np.random.default_rng(seed)
+        tied = 0
+        for _ in range(4):
+            k, d, n = (int(v) for v in rng.integers((2, 2, 3), (4, 4, 7)))
+            rows = [np.diff(np.concatenate([[0], np.sort(rng.integers(0, 9, d - 1)), [8]])) / 8
+                    for _ in range(k)]
+            law = np.diff(np.concatenate([[0], np.sort(rng.integers(0, 5, k - 1)), [4]])) / 4
+            ch = diagonal_channel(rows)
+            p = cq.Distribution(ch.labels, law)
+            on_delta = set()
+            for c in orc.all_m_type_count_vectors(k, n):
+                gap = sum(abs(sum(Fraction(c[x]) * Fraction(rows[x][y]) for x in range(k)) / n
+                              - sum(Fraction(law[x]) * Fraction(rows[x][y]) for x in range(k)))
+                          for y in range(d))
+                if gap > 0 and Fraction(float(gap)) == gap:
+                    on_delta.add(float(gap))
+            tied += len(on_delta)
+            for delta in sorted(on_delta):
+                assert (cq.bad_codeword_count(ch, p, n, delta)
+                        == orc.bad_codeword_count_exact(rows, law, n, delta))
+        assert tied
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_non_diagonal_channels_match_every_word(self, seed):
+        # δ sits midway between two neighbouring type gaps, so no type is
+        # within the tie tolerance and the float gaps decide every word.
+        rng = np.random.default_rng(100 + seed)
+        k, n = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        ch = cq.CQChannel(tuple(str(x) for x in range(k)),
+                          tuple(orc.random_density(rng, 2) for _ in range(k)))
+        p = cq.Distribution(ch.labels, rng.dirichlet(np.ones(k)))
+        target = cq.output_state(ch, p)
+        gaps = sorted({orc.trace_norm_svd(np.tensordot(c, ch.states, 1) / n - target)
+                       for c in orc.all_m_type_count_vectors(k, n)})
+        i = int(np.argmax(np.diff(gaps)))
+        delta = (gaps[i] + gaps[i + 1]) / 2
+        assert min(abs(g - delta) for g in gaps) > 1e-6
+        every_word = sum(orc.bad_codeword_test(ch, cq.Word(w), p, delta)
+                         for w in itertools.product(ch.labels, repeat=n))
+        assert cq.bad_codeword_count(ch, p, n, delta) == every_word
+
+    def test_ten_letters_at_n7_by_type_class(self):
+        # 10^7 words, the most the command accepts, in 11,440 types
+        ch = diagonal_channel(np.eye(10))
+        p = cq.Distribution.uniform(ch.labels)
+        start = time.perf_counter()
+        count = cq.bad_codeword_count(ch, p, 7, 1.5)
+        assert time.perf_counter() - start < 1.0
+        tenth = Fraction(0.1)
+        assert count == sum(orc.multinomial_exact(7, c)
+                            for c in orc.stars_and_bars_compositions(7, 10).tolist()
+                            if sum(abs(Fraction(cx, 7) - tenth) for cx in c) >= 1.5)
+
+    def test_identity_past_the_count_budget_is_refused_before_it_is_built(self):
+        # 16,385 letters at n 1: 16,385 types, but a 2^31-byte identity as int64
+        ch = cq.CQChannel(tuple(str(x) for x in range(16385)), np.ones((16385, 1, 1)))
+        with pytest.raises(cq.ResourceLimitError, match="16385 x 16385 identity"):
+            cq.bad_codeword_count(ch, cq.Distribution.uniform(ch.labels), 1, 0.5)
+
+    def test_alphabet_mismatch_rejected(self, flip_erase_channel):
+        ch, _ = flip_erase_channel
+        with pytest.raises(ValidationError, match="alphabet does not match"):
+            cq.bad_codeword_count(ch, cq.Distribution.uniform(("a", "b", "c")), 2, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +439,7 @@ class TestCommutingTypesBound:
             probs = rng.dirichlet(np.ones(d))
             rho = np.diag(probs).astype(complex)
             for n in range(1, 8):
-                for t in cq.all_empirical_states(n, d):
+                for t in orc.all_empirical_states(n, d):
                     assert cq.commuting_types_bound_check(rho, t).ok
 
     def test_support_violation_vacuous(self):

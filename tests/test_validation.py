@@ -74,8 +74,10 @@ REAL_ARGUMENTS = {
     "converse_trend.R": (lambda v: cq.converse_trend(CHANNEL, DIST, v, 1), (-TINY,), (0.0,)),
     "SanovQuery.r": (lambda v: orc.SanovQuery(np.array([0.5, 0.5]), cq.EmpiricalState((1, 1), 2),
                                               SIGMA, v), (0.0,), (TINY,)),
-    "bad_codeword_test.delta": (lambda v: cq.bad_codeword_test(CHANNEL, cq.Word(("0",)), DIST, v),
+    "bad_codeword_test.delta": (lambda v: orc.bad_codeword_test(CHANNEL, cq.Word(("0",)), DIST, v),
                                 (0.0,), (TINY,)),
+    "bad_codeword_count.delta": (lambda v: cq.bad_codeword_count(CHANNEL, DIST, 2, v),
+                                 (0.0,), (TINY,)),
     "IDCode.lambda1": (lambda v: cq.IDCode(ORTHOGONAL, v, 0.1), (0.0, 1.0), (TINY, 1.0 - 1e-12)),
     "IDCode.lambda2": (lambda v: cq.IDCode(ORTHOGONAL, 0.1, v), (0.0, 1.0), (TINY, 1.0 - 1e-12)),
     "bridge_counting_check.lambda1": (lambda v: cq.bridge_counting_check(4, 2, 2, v, 0.1, 0.0),
@@ -280,8 +282,8 @@ def test_cap_flags_are_unrecognized(capsys, code_path, command):
 
 LABEL_CALLS = {
     "CQChannel.state": lambda: CHANNEL.state("z"),
-    "empirical_output": lambda: cq.empirical_output(CHANNEL, cq.Word(("0", "z"))),
-    "bad_codeword_test": lambda: cq.bad_codeword_test(CHANNEL, cq.Word(("z",)), DIST, 0.5),
+    "empirical_output": lambda: orc.empirical_output(CHANNEL, cq.Word(("0", "z"))),
+    "bad_codeword_test": lambda: orc.bad_codeword_test(CHANNEL, cq.Word(("z",)), DIST, 0.5),
     "Distribution.point_mass": lambda: cq.Distribution.point_mass(("0", "1"), "z"),
 }
 

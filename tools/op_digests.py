@@ -7,9 +7,9 @@ SRC_DIR is the directory that holds the ``cqresolve`` package (``src`` of a
 checkout). The ops are those of ``perfbench/workloads.py`` of this checkout,
 for every workload at seeds 0, 1 and 2. The refusals are the command lines
 in REFUSALS, requests past a resource budget. The frontier commands are the
-command lines in FRONTIER, exact errors, the certify workload's commands
-and soft covering at sizes past the benchmark's; on older trees the exact
-errors take seconds and over a GiB. The demos are the scripts in ``demos/``
+command lines in FRONTIER, exact errors, the certify workload's commands,
+soft covering, bad-codeword counts and the types bound at sizes past the
+benchmark's; on older trees the exact errors take seconds and over a GiB. The demos are the scripts in ``demos/``
 next to SRC_DIR, since a demo goes with its library. One subprocess, with
 SRC_DIR first on PYTHONPATH, builds the ops' inputs and the frontier's
 seeded channels in a temporary directory, calls ``cqresolve.cli.main`` once
@@ -63,10 +63,13 @@ REFUSALS = {
 # 27 letters. The certify commands follow: the separation figure at 49 points,
 # type checks at (d, n) = (3, 6) and (6, 3), and a fixed-input rate on
 # QUBIT_K12, a channel of 12 seeded qubit states (the vertex enumeration's
-# alphabet cap). Last, soft covering on both sides of the letter kernel:
+# alphabet cap). Then soft covering on both sides of the letter kernel:
 # 1.2 M draws of example1's 3 letters, counted, and 6,400 draws of the 300
-# letters of QUBIT_K300, searched. The child writes both channels before
-# the frontier commands run.
+# letters of QUBIT_K300, searched. Last, bad codewords counted by type class:
+# on example1 at n 9 (3^9 words), and on QUBIT_K12 at n 4 with a δ whose
+# nearest type gap is 1.7e-3 away; and the commuting types bound over the
+# 12,340 types of three letters up to n 40. The child writes both channels
+# before the frontier commands run.
 QUBIT_K12 = "qubit-k12.json"
 QUBIT_K300 = "qubit-k300.json"
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
@@ -87,6 +90,10 @@ FRONTIER = {
                            "--samples", "100", "--seed", "7"),
     "softcover-n1-M64-qubit-k300": ("softcover", "--channel", QUBIT_K300, "--n", "1",
                                     "--M", "64", "--seed", "7"),
+    "types-check-delta0.3-n9": ("types-check", *EXAMPLE1, "--n", "9", "--delta", "0.3"),
+    "types-check-delta0.2-qubit-k12-n4": ("types-check", "--channel", QUBIT_K12, "--n", "4",
+                                          "--delta", "0.2"),
+    "sanov-sweep-n40": ("sanov-sweep", "--dist", '{"0":0.5,"1":0.3,"2":0.2}', "--n", "40"),
 }
 
 
