@@ -38,8 +38,8 @@ from .rates import capacity, fixed_input_rate
 from .resolvability import (SmoothingParams, converse_trend, ll1b_bound,
                             ll2_bound, resolution_error_exact,
                             resolution_error_worst, soft_cover_simulate)
-from .types_sanov import (Basis, EmpiricalState, _twirl_margin, _types_bound_row,
-                          bad_codeword_count, type_projector)
+from .types_sanov import (_multinomial, _standard_partition, _twirl_margins, _types_bound_row,
+                          bad_codeword_count)
 
 
 # Points of a separation-figure --eps-grid; each runs a capacity ascent and a
@@ -239,6 +239,13 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_types_check(args: argparse.Namespace) -> _Record:
+    """Type partition, ranks and twirl margin over the standard basis, from the word keys.
+
+    No dⁿ×dⁿ matrix is built: `_standard_partition` matches the type rows to
+    the dⁿ word keys and `_twirl_margins` takes every row at once. The
+    dⁿ×dⁿ matrix budget is still checked first, for now only so that the
+    refusals keep their sizes, messages and exit code.
+    """
     has_channel = args.channel_path is not None or args.builtin is not None
     if has_channel != (args.delta is not None):
         raise ValidationError("types-check counts bad codewords only with both "
@@ -259,18 +266,10 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
                      (1, channel.size, n), MAX_TYPES, "words")
         count = bad_codeword_count(channel, dist, n, args.delta)
     types = m_type_counts(d, n)
-    basis = Basis.standard(d)
-    total = np.zeros((d ** n, d ** n), dtype=complex)
-    rank_sum = 0
-    for counts in types:
-        proj = type_projector(EmpiricalState(tuple(counts.tolist()), n), basis)
-        total += proj.matrix
-        rank_sum += proj.rank
-        del proj  # so the next projector is built without this one held
-    total[np.diag_indices_from(total)] -= 1
-    partition_dev = float(np.max(np.abs(total)))
+    ranks = [_multinomial(row) for row in types.tolist()]
+    partition_dev, rank_sum = _standard_partition(types, ranks), sum(ranks)
     # A word's margin depends only on its type: one count row per type covers every word.
-    min_margin = min(_twirl_margin(counts) for counts in types)
+    min_margin = float(_twirl_margins(types, ranks).min())
     ok = partition_dev <= 1e-9 and rank_sum == d ** n and min_margin >= -1e-9
     fields = [("type_count", len(types)),
               ("type_count_formula_ok", len(types) == math.comb(n + d - 1, d - 1)),

@@ -114,33 +114,96 @@ class TypeProjector:
 def type_projector(t: EmpiricalState, basis: Basis) -> TypeProjector:
     """Σ over words with profile t of |v[x^n]⟩⟨v[x^n]|, with exact rank.
 
+    The words are those whose `_word_type_keys` entry is the profile's key.
     A dⁿ×dⁿ projector of more than MAX_MATRIX_BYTES (dⁿ > 4096) raises
-    ResourceLimitError before it is built.
+    ResourceLimitError before any key is formed.
     """
     if basis.dim != t.dim:
         raise DimensionMismatchError(f"basis dim {basis.dim} vs profile dim {t.dim}")
-    d, n = t.dim, t.n
+    _check_projector_budget(t.dim, t.n)
+    return _type_projector(t, basis, _word_type_keys(t.dim, t.n),
+                           _type_keys(np.array([t.counts]))[0])
+
+
+def type_pinching(basis: Basis, n: int) -> PinchingMap:
+    """Pinching map whose blocks are the type projectors of the rows of `m_type_counts`.
+
+    The word keys are formed once for all the types.
+    """
+    check_positive_int("n", n)
+    types = m_type_counts(basis.dim, n)
+    _check_projector_budget(basis.dim, n)
+    words = _word_type_keys(basis.dim, n)
+    return PinchingMap(tuple(_type_projector(EmpiricalState(tuple(c), n), basis, words, key).matrix
+                             for c, key in zip(types.tolist(), _type_keys(types).tolist())))
+
+
+def _check_projector_budget(d: int, n: int) -> None:
     check_budget(f"the {d}^{n} x {d}^{n} type projector",
                  (np.dtype(complex).itemsize, d * d, n), MAX_MATRIX_BYTES)
-    # which basis words of length n, in C order, have the profile t
-    letters = np.indices((d,) * n).reshape(n, -1, 1) == np.arange(d)
-    mask = np.all(letters.sum(axis=0) == np.asarray(t.counts), axis=1)
+
+
+def _type_projector(t: EmpiricalState, basis: Basis, words: np.ndarray,
+                    key: int) -> TypeProjector:
+    """The projector of profile t onto the words whose entry of `words` is `key`."""
+    mask = words == key
     rank = t.rank()
-    if int(mask.sum()) != rank:
+    if int(np.count_nonzero(mask)) != rank:
         raise ValidationError("word enumeration disagrees with the factorial rank")
     if basis.is_standard:
         matrix = np.diag(mask.astype(complex))
     else:
-        cols = tensor_power(basis.vectors, n)[:, mask]
+        cols = tensor_power(basis.vectors, t.n)[:, mask]
         matrix = cols @ cols.conj().T
     return TypeProjector(t, basis, matrix, rank)
 
 
-def type_pinching(basis: Basis, n: int) -> PinchingMap:
-    """Pinching map whose blocks are the type projectors of the rows of `m_type_counts`."""
-    check_positive_int("n", n)
-    return PinchingMap(tuple(type_projector(EmpiricalState(tuple(c), n), basis).matrix
-                             for c in m_type_counts(basis.dim, n).tolist()))
+def _word_type_keys(d: int, n: int) -> np.ndarray:
+    """The type key of every length-n word over d letters, in C order.
+
+    A word's key is its letters sorted ascending, read as n base-d digits,
+    so two words share a key exactly when they share a type; `_type_keys`
+    forms the same key from a count row. Keys are below dⁿ, so int64 holds
+    them for every dⁿ within a budget; the cost is O(dⁿ·n).
+    """
+    letters = np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1)
+    keys = np.zeros(d ** n, dtype=np.int64)
+    for digit in np.sort(letters.T, axis=1).T:
+        keys *= d
+        keys += digit
+    return keys
+
+
+def _type_keys(counts: np.ndarray) -> np.ndarray:
+    """The key of each count row's words (see `_word_type_keys`), from the counts alone.
+
+    Letter a appends c_a digits, each worth a: key·d^{c_a} + a·(1 + d + … + d^{c_a − 1}).
+    """
+    d, n = counts.shape[1], int(counts[0].sum())
+    powers = np.asarray(d, dtype=np.int64) ** np.arange(n + 1)
+    repunits = np.concatenate(([0], np.cumsum(powers[:-1])))
+    keys = np.zeros(len(counts), dtype=np.int64)
+    for letter, column in enumerate(counts.T):
+        keys = keys * powers[column] + letter * repunits[column]
+    return keys
+
+
+def _standard_partition(types: np.ndarray, ranks: list[int]) -> float:
+    """max |Σ_c P_c − 1| entrywise over the standard-basis projectors of the count rows.
+
+    No projector is built. Off the diagonal every P_c is exactly 0, so the
+    deviation is the largest |number of rows whose key is a word's − 1| over
+    the words, with the rows matched to the words by their own keys: a
+    repeated or missing row deviates by 1. First each row must mark exactly
+    its rank `ranks[i]` of words, else ValidationError.
+    """
+    words, keys = np.sort(_word_type_keys(types.shape[1], int(types[0].sum()))), _type_keys(types)
+    marked = np.searchsorted(words, keys, "right") - np.searchsorted(words, keys, "left")
+    if marked.tolist() != ranks:
+        raise ValidationError("word enumeration disagrees with the factorial rank")
+    keys.sort()
+    rows = np.searchsorted(keys, words, "right") - np.searchsorted(keys, words, "left")
+    return float(np.max(np.abs(rows - 1)))
 
 
 def ee31_margin(w: Word, d: int) -> float:
@@ -158,18 +221,30 @@ def ee31_margin(w: Word, d: int) -> float:
     (n+1)^{d-1} times a positive product is ∞, not an OverflowError.
     """
     check_positive_int("d", d)
-    return _twirl_margin(np.asarray(_empirical_state(w, d).counts))
+    t = _empirical_state(w, d)
+    return float(_twirl_margins(np.array([t.counts]), [t.rank()])[0])
 
 
-def _twirl_margin(counts: np.ndarray) -> float:
-    """`ee31_margin` of every word whose int64 letter counts are `counts`."""
-    d, n = counts.size, int(counts.sum())
-    types = np.array([counts, n * (np.arange(d) == np.argmin(counts))])
-    scale, products = (n + 1) ** (d - 1), np.prod((counts / n) ** types, axis=1)
-    with np.errstate(over="ignore"):  # the scale as a float mantissa and a power of two
-        diag = np.ldexp(scale / 2 ** scale.bit_length() * products, scale.bit_length())
-    diag[np.all(types == counts, axis=1)] -= 1 / _multinomial(counts.tolist())
-    return float(diag.min())
+def _twirl_margins(counts: np.ndarray, ranks: list[int]) -> np.ndarray:
+    """`ee31_margin` of the words of each int64 count row, all of one n, of multinomials `ranks`.
+
+    Every row gets the bits it gets alone: each power, product and scaling
+    is elementwise, and each product runs over the letters in order. The
+    rows go in blocks of about EIG_BATCH_BYTES of products.
+    """
+    d, n = counts.shape[1], int(counts[0].sum())
+    scale, inverses = (n + 1) ** (d - 1), np.array([1 / rank for rank in ranks])
+    margins, step = np.empty(len(counts)), _batch_rows(2 * d * np.dtype(float).itemsize)
+    for lo in range(0, len(counts), step):
+        block = counts[lo:lo + step]
+        rarest = n * (np.arange(d) == np.argmin(block, axis=1)[:, None])
+        types = np.stack([block, rarest], axis=1)
+        products = np.prod((block[:, None] / n) ** types, axis=2)
+        with np.errstate(over="ignore"):  # the scale as a float mantissa and a power of two
+            diag = np.ldexp(scale / 2 ** scale.bit_length() * products, scale.bit_length())
+        diag -= np.all(types == block[:, None], axis=2) * inverses[lo:lo + step, None]
+        margins[lo:lo + step] = diag.min(axis=1)
+    return margins
 
 
 def bad_codeword_count(channel: CQChannel, dist: Distribution, n: int,

@@ -1087,6 +1087,34 @@ def twirl_word_margin(symbols, d: int) -> float:
     return float(np.linalg.eigvalsh((n + 1) ** (d - 1) * rhs - lhs)[0])
 
 
+def letter_table_type_mask(counts) -> np.ndarray:
+    """Which length-n words over d letters, in C order, have the letter counts `counts`.
+
+    Every word's count of every letter from one (n, dⁿ, d) letter table;
+    the library's former `type_projector` mask.
+    """
+    d, n = len(counts), int(sum(counts))
+    letters = np.indices((d,) * n).reshape(n, -1, 1) == np.arange(d)
+    return np.all(letters.sum(axis=0) == np.asarray(counts), axis=1)
+
+
+def twirl_margin_one_row(counts) -> float:
+    """The twirl-domination margin of the words with int64 letter counts `counts`, alone.
+
+    The library's former one-row kernel: the closed form at the word's own
+    type and at all n letters on its rarest letter, (n+1)^{d-1} scaled as a
+    float mantissa and a power of two.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    d, n = counts.size, int(counts.sum())
+    types = np.array([counts, n * (np.arange(d) == np.argmin(counts))])
+    scale, products = (n + 1) ** (d - 1), np.prod((counts / n) ** types, axis=1)
+    with np.errstate(over="ignore"):
+        diag = np.ldexp(scale / 2 ** scale.bit_length() * products, scale.bit_length())
+    diag[np.all(types == counts, axis=1)] -= 1 / multinomial_exact(n, counts.tolist())
+    return float(diag.min())
+
+
 def ee31_margin_exact(symbols, d: int) -> Fraction:
     """The twirl-domination margin of a word, in rational arithmetic.
 

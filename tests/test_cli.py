@@ -684,18 +684,50 @@ class TestBoundCommands:
         bad = orc.bad_codeword_count_exact(diagonals, np.full(3, 1.0 / 3), 8, 0.3)
         assert kv(out)["bad_codewords"] == f"{bad} / 6561" == "1854 / 6561"
 
-    def test_types_check_peak_is_near_two_matrices(self, capsys):
-        # The running sum and one projector, each 512² complex entries at
-        # (2, 9), are held at once; an older projector or a dense identity
-        # beside them would lift the peak to three matrices or more.
+    @pytest.mark.parametrize("edit", ["repeat", "drop", "swap"])
+    def test_types_check_partition_sees_a_repeated_or_missing_type(self, capsys,
+                                                                   monkeypatch, edit):
+        # The type rows are matched to the words, not taken on trust: a
+        # repeated row covers its words twice and a dropped one leaves its
+        # words uncovered. "swap" puts (4, 0, 0) in place of (0, 4, 0), both of
+        # rank 1, so the type count and the rank sum stay right and only the
+        # partition check can fail.
+        real = cli.m_type_counts
+
+        def edited(k, M):
+            rows = real(k, M)
+            at = {tuple(row): i for i, row in enumerate(rows.tolist())}
+            if edit == "repeat":
+                return np.concatenate([rows, rows[at[(1, 2, 1)], None]])
+            if edit == "drop":
+                return np.delete(rows, at[(1, 2, 1)], axis=0)
+            rows = rows.copy()
+            rows[at[(0, 4, 0)]] = (4, 0, 0)
+            return rows
+
+        monkeypatch.setattr(cli, "m_type_counts", edited)
+        code, out, _ = run_cli(capsys, "types-check", "--alphabet-size", "3", "--n", "4")
+        assert code == 0
+        vals = kv(out)
+        assert vals["partition_identity_max_dev"] == "1"
+        assert vals["rank_sum_ok"] == ("true" if edit == "swap" else "false")
+        assert vals["all_ok"] == "false"
+
+    def test_types_check_peak_is_near_its_letter_table(self, capsys):
+        # At (2, 12), the largest size the matrix budget admits, no dⁿ × dⁿ
+        # matrix is built (two were 512 MiB): the peak is held to twice the
+        # bytes of an int64 table of the 4096 words' 12 letters. A first run
+        # builds the parser outside the trace.
+        run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "1")
         tracemalloc.start()
         try:
-            code, _, _ = run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "9")
+            code, out, _ = run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "12")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 2.2 * 512 ** 2 * 16
+        assert kv(out)["all_ok"] == "true"
+        assert peak <= 2 * 2 ** 12 * 12 * 8
 
     def test_types_check_cap(self, capsys):
         code, _, _ = run_cli(capsys, "types-check", "--alphabet-size", "2",

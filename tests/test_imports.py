@@ -142,6 +142,8 @@ KEPT_UNREACHED = {
                     "kernel's direct tests of the support rule",
     "renyi_mutual_info": "the one-order form of info._renyi_fixed_points, which "
                          "soft_cover_simulate calls with all its orders at once",
+    "type_projector": "the one-type form of type_pinching, which forms the word keys "
+                      "once for all its types; types-check builds no projector",
 }
 
 

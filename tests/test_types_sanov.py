@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 
 import cqresolve as cq
 from cqresolve import ValidationError
-from cqresolve.types_sanov import _empirical_state
+from cqresolve.types_sanov import (_empirical_state, _standard_partition, _twirl_margins,
+                                   _type_keys, _word_type_keys)
 
 import oracles as orc
+
+
+# every (d, n) with d ≤ 8 and dⁿ within the matrix budget (dⁿ ≤ 4096); n ≤ 12 for d = 1
+KEY_SIZES = [(d, n) for d in range(1, 9) for n in range(1, 13) if d ** n <= 4096]
 
 
 def standard_basis(d: int) -> cq.Basis:
@@ -142,6 +147,40 @@ class TestTypeProjector:
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             acc += m
         np.testing.assert_allclose(acc, np.eye(4), atol=1e-9)
+
+    @pytest.mark.parametrize("d, n", KEY_SIZES)
+    def test_word_keys_mark_the_letter_table_masks(self, d, n):
+        types = cq.m_type_counts(d, n)
+        words, ranks = _word_type_keys(d, n), []
+        for row, key in zip(types.tolist(), _type_keys(types).tolist()):
+            mask = orc.letter_table_type_mask(row)
+            np.testing.assert_array_equal(words == key, mask)
+            ranks.append(int(np.count_nonzero(mask)))
+            assert ranks[-1] == orc.multinomial_exact(n, row)
+            if d ** n <= 64:
+                proj = cq.type_projector(cq.EmpiricalState(tuple(row), n), standard_basis(d))
+                np.testing.assert_array_equal(proj.matrix, np.diag(mask.astype(complex)))
+                assert proj.rank == ranks[-1]
+        assert _standard_partition(types, ranks) == 0.0
+
+    def test_standard_partition_rejects_a_wrong_rank(self):
+        types = cq.m_type_counts(2, 3)
+        with pytest.raises(ValidationError, match="factorial rank"):
+            _standard_partition(types, [1, 3, 3, 2])
+
+    def test_pinching_in_a_rotated_basis_has_the_letter_table_blocks(self):
+        rng = np.random.default_rng(5)
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        basis, n = cq.Basis(v), 3
+        power = cq.tensor_power(basis.vectors, n)
+        blocks = cq.type_pinching(basis, n).projectors
+        rows = cq.m_type_counts(3, n).tolist()
+        assert len(blocks) == len(rows)
+        for block, row in zip(blocks, rows):
+            cols = power[:, orc.letter_table_type_mask(row)]
+            np.testing.assert_array_equal(block, cols @ cols.conj().T)
+            proj = cq.type_projector(cq.EmpiricalState(tuple(row), n), basis)
+            np.testing.assert_array_equal(proj.matrix, block)
 
     def test_dimension_cap(self):
         t = cq.EmpiricalState((13, 0), 13)
@@ -506,6 +545,16 @@ class TestEE31:
         # (n+1)^{d-1} = 2^1099 and |T_c| = C(1100, 550) are past the largest float.
         margin = cq.ee31_margin(cq.Word(symbols), d)
         assert margin == float(orc.ee31_margin_exact(symbols, d))
+
+    @pytest.mark.parametrize("d, n", KEY_SIZES + [(2, 60), (3, 25), (10, 4), (40, 2),
+                                                  (1100, 1)])
+    def test_margin_vector_has_the_bits_of_the_one_row_kernel(self, d, n):
+        # Every type's margin, not only the least one types-check prints.
+        types = cq.m_type_counts(d, n)
+        ranks = [orc.multinomial_exact(n, row) for row in types.tolist()]
+        want = np.array([orc.twirl_margin_one_row(row) for row in types.tolist()])
+        np.testing.assert_array_equal(_twirl_margins(types, ranks).view(np.int64),
+                                      want.view(np.int64))
 
     @pytest.mark.parametrize("d, n", [(2, 4), (2, 6), (3, 3), (3, 4), (4, 2), (5, 3)])
     def test_margin_depends_on_the_word_only_through_its_type(self, d, n):

@@ -61,7 +61,8 @@ REFUSALS = {
 # 266,085 M-types of diagonals of 64 entries (n = 6), past the kernel's
 # column-by-column widths; then a worst-input search whose candidates and grid are count matrices of
 # 27 letters. The certify commands follow: the separation figure at 49 points,
-# type checks at (d, n) = (3, 6) and (6, 3), and a fixed-input rate on
+# type checks at (d, n) = (3, 6), (6, 3), (2, 11), (3, 7) and (6, 4) (the last
+# three held two dense dⁿ × dⁿ matrices in older trees), and a fixed-input rate on
 # QUBIT_K12, a channel of 12 seeded qubit states (the vertex enumeration's
 # alphabet cap). Then soft covering on both sides of the letter kernel:
 # 1.2 M draws of example1's 3 letters, counted, and 6,400 draws of the 300
@@ -85,6 +86,9 @@ FRONTIER = {
     "separation-figure-eps0.01-step0.01": ("separation-figure", "--eps-grid", "0.01:0.49:0.01"),
     "types-check-d3-n6": ("types-check", "--alphabet-size", "3", "--n", "6"),
     "types-check-d6-n3": ("types-check", "--alphabet-size", "6", "--n", "3"),
+    "types-check-d2-n11": ("types-check", "--alphabet-size", "2", "--n", "11"),
+    "types-check-d3-n7": ("types-check", "--alphabet-size", "3", "--n", "7"),
+    "types-check-d6-n4": ("types-check", "--alphabet-size", "6", "--n", "4"),
     "fixed-rate-qubit-k12": ("fixed-rate", "--channel", QUBIT_K12),
     "softcover-n3-M4096": ("softcover", *EXAMPLE1_LAW, "--n", "3", "--M", "4096",
                            "--samples", "100", "--seed", "7"),
