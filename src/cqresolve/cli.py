@@ -38,7 +38,7 @@ from .rates import capacity, fixed_input_rate
 from .resolvability import (SmoothingParams, converse_trend, ll1b_bound,
                             ll2_bound, resolution_error_exact,
                             resolution_error_worst, soft_cover_simulate)
-from .types_sanov import (_multinomial, _standard_partition, _twirl_margins, _types_bound_row,
+from .types_sanov import (_multinomial, _standard_partition, _twirl_margins, _types_bound_sweep,
                           bad_codeword_count)
 
 
@@ -229,11 +229,8 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> _Record:
     check_positive_int("--n", args.n)
     # A law's checks make its diagonal a valid density, the one check of ρ.
     probs = distribution_from_json(_inline_or_path(args.dist_path)).masses
-    rows = []
-    for n in range(1, args.n + 1):
-        for counts in m_type_counts(probs.size, n):
-            check = _types_bound_row(probs, counts)
-            rows.append((n, "|".join(map(str, counts.tolist())), check.lhs, check.rhs, check.ok))
+    rows = [(n, "|".join(map(str, counts)), check.lhs, check.rhs, check.ok)
+            for n, counts, check in _types_bound_sweep(probs, args.n)]
     return [_Table(("n", "type_counts", "lhs", "rhs", "ok"), rows), ("rows", len(rows)),
             ("violations", sum(not row[4] for row in rows))], None
 

@@ -10,17 +10,19 @@ entropy, mutual information, the capacity ascent and the fixed-input rate's
 vertices all read it. `_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ
 of every order in one batched eigh and gives the Rényi fixed point both its
 objective and its next proposal; `_renyi_fixed_points` runs that fixed point
-for all orders as one stack. The stack carries no per-order bookkeeping
-beyond the floating-point steps: the powers σ^γ of all running orders are one
-np.power with a column of exponents, the proposals are one stacked array, an
-order leaves the stack when it converges, and the floor step tests its
-Hermitian part for finiteness only, as a Hermitian part is Hermitian bit for
-bit.
+for all orders as one stack, and keeps the last RENYI_MEMO_ENTRIES results
+in-process, keyed on the bytes of the states, the law and the orders. The
+stack carries no per-order bookkeeping beyond the floating-point steps: the
+powers σ^γ of all running orders are one np.power with a column of
+exponents, the proposals are one stacked array, an order leaves the stack
+when it converges, and the floor step tests its Hermitian part for
+finiteness only, as a Hermitian part is Hermitian bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.linalg as npl
@@ -36,6 +38,9 @@ PINCH_COMPLETENESS_TOL = 1e-9
 RENYI_MAX_ITER = 500
 RENYI_DAMPING = 0.5
 RENYI_STEP_TOL = 1e-10
+# Fixed points kept in-process by `_renyi_fixed_points`: a command, a pass of
+# commands or a sweep over n reuses one channel, law and order list.
+RENYI_MEMO_ENTRIES = 16
 
 
 @dataclass(frozen=True)
@@ -246,17 +251,40 @@ def _renyi_fixed_points(alphas: tuple[float, ...], channel: CQChannel,
                         dist: Distribution) -> list[RenyiMutualInfo]:
     """The damped fixed point of `renyi_mutual_info` for every order at once.
 
+    The alphabets are checked on every call. The results are memoized in
+    `_renyi_memo`, keyed on the orders and the exact bytes of the states and
+    the masses, not on the labels, which the value does not read; every call
+    gets σ arrays of its own.
+    """
+    channel._check_alphabet(dist)
+    states, masses = channel.states, dist.masses
+    found = _renyi_memo(tuple(alphas), states.shape, states.tobytes(), masses.tobytes())
+    return [replace(info, sigma=info.sigma.copy()) for info in found]
+
+
+@functools.lru_cache(maxsize=RENYI_MEMO_ENTRIES)
+def _renyi_memo(alphas: tuple[float, ...], shape: tuple[int, ...], states: bytes,
+                masses: bytes) -> tuple[RenyiMutualInfo, ...]:
+    """`_renyi_stack` of the states and masses given as the bytes of their arrays."""
+    return tuple(_renyi_stack(alphas, np.frombuffer(states, dtype=complex).reshape(shape),
+                              np.frombuffer(masses, dtype=float)))
+
+
+def _renyi_stack(alphas: tuple[float, ...], states: np.ndarray,
+                 masses: np.ndarray) -> list[RenyiMutualInfo]:
+    """The damped fixed point for every order at once, on (k, d, d) states and k masses.
+
     The iterates of all orders still running form one (r, d, d) stack, so
     each iteration makes one batched eigh of the floored mixes, one batched
     eigvalsh of the steps and one batched eigh of the r×k sandwiches. An
     order leaves the stack when it converges or its proposal has no
     positive trace. Every order gets the bits it gets when run alone.
     """
-    channel._check_alphabet(dist)
-    live = dist.masses > 0.0
-    states, masses = channel.states[live], dist.masses[live]
+    # W(p) as `output_state` forms it, over every letter
+    start = _floor_and_normalize(np.einsum("x,xij->ij", masses, states)[None])
+    live = masses > 0.0
+    states, masses = states[live], masses[live]
     r = len(alphas)
-    start = _floor_and_normalize(output_state(channel, dist)[None])
     vals, vecs, sigma = (np.repeat(a, r, axis=0) for a in start)
     orders = np.array(alphas, dtype=float)
     best, proposals, alive = _renyi_sandwiches(orders, vals, vecs, states, masses)

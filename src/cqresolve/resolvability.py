@@ -469,26 +469,30 @@ def _codeword_indices(seed: int, samples: int, M: int, n: int,
 
     Row i's uniforms are Philox(key=seed, counter=[0, 0, 0, i]).random((M, n)).
     One generator draws them all, in a reused buffer of about DRAW_CHUNK_BYTES
-    of whole codewords; successive draws continue its stream. Row i takes
-    ⌈Mn/4⌉ Philox blocks, so advancing by 2¹⁹² − ⌈Mn/4⌉ lands on counter
-    (0, 0, 0, i + 1) with the buffer empty, where a generator built there starts.
+    of whole codewords. At the start of row i its state is set to counter
+    (0, 0, 0, i) with the buffer empty, the state of a generator built there.
     """
     k = cdf.size
     bits = np.random.Philox(key=seed)
     gen = np.random.Generator(bits)
+    # in Python ints, which the state setter reads faster than numpy scalars
+    state = bits.state
+    counter = state["state"]["counter"] = [0, 0, 0, 0]
+    state["state"]["key"] = state["state"]["key"].tolist()
+    state["buffer"], state["buffer_pos"] = [0] * 4, 4
     words = np.empty(samples * M, dtype=np.int64)
     rows = max(1, DRAW_CHUNK_BYTES // (n * np.dtype(float).itemsize))
     buf = np.empty((min(rows, words.size), n))
-    skip = 2 ** 192 - -(-M * n // 4)
     for lo in range(0, words.size, rows):
         hi = min(lo + rows, words.size)
         # codewords lo…hi−1, drawn up to the end of each sample in turn
         start = lo
         while start < hi:
             end = min(hi, start - start % M + M)
+            if start % M == 0:
+                counter[3] = start // M
+                bits.state = state
             gen.random(out=buf[start - lo:end - lo])
-            if end % M == 0:
-                bits.advance(skip)
             start = end
         letters = _letters(buf[:hi - lo], cdf)
         words[lo:hi] = letters[:, 0]
@@ -506,13 +510,14 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     Codebook sample i consists of M codewords drawn i.i.d. from q^{⊗n}
     out of the Philox stream with key ``seed`` and counter (0, 0, 0, i), so
     sample i's letters are the same for any ``samples`` ≥ i + 1. One
-    generator draws every sample and is advanced to the next sample's
-    counter after each one, which gives each sample the uniforms of a
-    generator built at its counter (`_codeword_indices`). A uniform u
-    becomes the least letter x with u < cdf[x], or the last letter if there
-    is none: the count of cumulative masses cdf[:-1] at or below u, taken
-    by whole-array compare-adds in uint8 below SEARCHED_LETTERS letters and
-    by binary search from there on, with the same letters either way. The
+    generator draws every sample and is set to each sample's counter, with
+    an empty buffer, before drawing it, which gives each sample the
+    uniforms of a generator built at its counter (`_codeword_indices`). A
+    uniform u becomes the least letter x with u < cdf[x], or the last letter
+    if there is none: the count of cumulative masses cdf[:-1] at or below u,
+    taken by whole-array compare-adds in uint8 below SEARCHED_LETTERS
+    letters and by binary search from there on, with the same letters
+    either way. The
     seed must lie in [0, 2¹²⁸). The draws run in one thread; the command
     line's ``--workers`` flag is checked (≥ 1) and has no effect. More than
     MAX_COUNT_BYTES of draws and codeword counts (8 bytes each,
@@ -522,7 +527,11 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     The bound for each order uses I_α(X^n;B^n) = n·I_α(X;B), since the
     sandwiched Rényi mutual information is additive for α ≥ 1/2; the
     fixed point runs on the k-letter channel, not on its kⁿ-letter power,
-    and for all orders at once (`info._renyi_fixed_points`).
+    and for all orders at once (`info._renyi_fixed_points`). It depends on
+    neither n nor M, so it is memoized in-process: keyed on the orders and
+    the bytes of the k-letter states and the law, at most RENYI_MEMO_ENTRIES
+    entries, each call given σ arrays of its own. Repeated calls on one
+    channel, law and order list run it once.
     """
     channel._check_alphabet(dist)
     check_positive_int("M", M)

@@ -315,8 +315,41 @@ def _types_bound_row(probs: np.ndarray, counts: np.ndarray) -> TypesBoundCheck:
     for p, c in zip(probs[active].tolist(), counts[active].tolist()):
         p_num, p_den = p.as_integer_ratio()
         num, shift = num * p_num ** c, shift + c * (p_den.bit_length() - 1)
-    lhs = num / (1 << shift)
+    return _types_bound_sides(probs, counts, n, active, num / (1 << shift))
+
+
+def _types_bound_sides(probs: np.ndarray, counts: np.ndarray, n: int, active: np.ndarray,
+                       lhs: float) -> TypesBoundCheck:
+    """A types-bound row from its left side: the right side 2^{−n D(ρ'‖ρ)} and the test."""
     freq = counts[active] / n
     div = float(np.sum(freq * (np.log2(freq) - np.log2(probs[active]))))
     rhs = 2.0 ** (-n * div)
     return TypesBoundCheck(lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9)))
+
+
+def _types_bound_sweep(probs: np.ndarray, n_max: int):
+    """Yield n, the count list and the `_types_bound_row` of every type of n = 1…n_max letters.
+
+    The types of each n come in `m_type_counts` order. The exact left sides
+    read each mass numerator's powers 0…n and the factorials 0…n from tables
+    that grow by one multiplication per n; their integers are exact, so
+    every row has the bits of `_types_bound_row`.
+    """
+    ratios = [p.as_integer_ratio() for p in probs.tolist()]
+    shifts = [p_den.bit_length() - 1 for _, p_den in ratios]
+    dead = np.flatnonzero(probs <= SUPPORT_EIG_TOL).tolist()
+    powers, factorials = [[1] for _ in ratios], [1]
+    for n in range(1, n_max + 1):
+        factorials.append(factorials[-1] * n)
+        for (p_num, _), column in zip(ratios, powers):
+            column.append(column[-1] * p_num)
+        for counts in m_type_counts(probs.size, n):
+            row, active = counts.tolist(), counts > 0
+            if any(row[x] for x in dead):
+                yield n, row, TypesBoundCheck(0.0, 0.0, True)
+                continue
+            num = factorials[n] // math.prod(factorials[c] for c in row)
+            shift = 0
+            for column, bits, c in zip(powers, shifts, row):
+                num, shift = num * column[c], shift + c * bits
+            yield n, row, _types_bound_sides(probs, counts, n, active, num / (1 << shift))

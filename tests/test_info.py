@@ -484,6 +484,115 @@ def test_fixed_points_of_no_orders_are_empty():
     assert _renyi_fixed_points((), channel, dist) == []
 
 
+# ---------------------------------------------------------------------------
+# the in-process memo of the fixed point
+
+
+@pytest.fixture
+def cold_memo():
+    info._renyi_memo.cache_clear()
+    yield info._renyi_memo
+    info._renyi_memo.cache_clear()
+
+
+def assert_same_fixed_points(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.value == w.value
+        assert np.array_equal(g.sigma, w.sigma)
+        assert (g.iterations, g.converged) == (w.iterations, w.converged)
+
+
+@pytest.mark.parametrize("k, d", FIXED_POINT_SWEEP,
+                         ids=[f"k{k}-d{d}" for k, d in FIXED_POINT_SWEEP])
+def test_memo_hit_has_the_bits_of_a_cold_run(k, d, cold_memo):
+    for index in range(8):
+        channel, dist, alphas = _fixed_point_sweep_case(k, d, index)
+        cold_memo.cache_clear()
+        cold = _renyi_fixed_points(alphas, channel, dist)
+        # other labels, same states and masses: the value does not read labels
+        labels = tuple(f"x{i}" for i in range(k))
+        hit = _renyi_fixed_points(alphas, cq.CQChannel(labels, channel.states),
+                                  cq.Distribution(labels, dist.masses))
+        assert cold_memo.cache_info()[:2] == (1, 1)  # hits, misses
+        want = orc.renyi_fixed_points_listed(alphas, channel.states, dist.masses)
+        assert_same_fixed_points(cold, want)
+        assert_same_fixed_points(hit, want)
+
+
+def test_a_caller_mutating_sigma_leaves_the_next_result_unchanged(cold_memo):
+    channel, dist, _ = _fixed_point_sweep_case(3, 2, 1)
+    alphas = (1.5, 2.0)
+    first = _renyi_fixed_points(alphas, channel, dist)
+    kept = [res.sigma.copy() for res in first]
+    for res in first:
+        res.sigma[...] = 7.0
+    again = _renyi_fixed_points(alphas, channel, dist)
+    assert cold_memo.cache_info().hits == 1
+    assert all(np.array_equal(res.sigma, want) for res, want in zip(again, kept))
+    third = _renyi_fixed_points(alphas, channel, dist)
+    assert all(a.sigma is not b.sigma for a, b in zip(again, third))
+
+
+def test_a_state_one_ulp_away_or_two_masses_swapped_miss(cold_memo):
+    rng = np.random.default_rng(28)
+    states = np.array([orc.random_density(rng, 2) for _ in range(3)])
+    bumped = states.copy()
+    bumped[1, 0, 0] = np.nextafter(bumped[1, 0, 0].real, 1.0)
+    labels, alphas = ("a", "b", "c"), (1.25, 2.0)
+    law, swapped = (0.5, 0.3, 0.2), (0.3, 0.5, 0.2)
+    for case_states, masses in ((states, law), (bumped, law), (states, swapped)):
+        got = _renyi_fixed_points(alphas, cq.CQChannel(labels, case_states),
+                                  cq.Distribution(labels, masses))
+        assert_same_fixed_points(got, orc.renyi_fixed_points_listed(alphas, case_states,
+                                                                    masses))
+    assert cold_memo.cache_info()[:2] == (0, 3)
+
+
+def test_an_alphabet_mismatch_raises_with_the_key_cached(cold_memo):
+    channel, dist, alphas = _fixed_point_sweep_case(3, 2, 2)
+    _renyi_fixed_points(alphas, channel, dist)
+    relabelled = cq.Distribution(("x", "y", "z"), dist.masses)
+    with pytest.raises(errors.ValidationError, match="alphabet"):
+        _renyi_fixed_points(alphas, channel, relabelled)
+    with pytest.raises(errors.ValidationError, match="alphabet"):
+        cq.renyi_mutual_info(cq.RenyiOrder(alphas[0]), channel, relabelled)
+    assert cold_memo.cache_info().hits == 0
+
+
+def test_the_memo_holds_at_most_its_entries(cold_memo):
+    for index in range(3 * info.RENYI_MEMO_ENTRIES):
+        channel, dist, alphas = _fixed_point_sweep_case(2, 2, index)
+        _renyi_fixed_points(alphas, channel, dist)
+        assert cold_memo.cache_info().currsize <= info.RENYI_MEMO_ENTRIES
+    assert cold_memo.cache_info().currsize == info.RENYI_MEMO_ENTRIES
+    assert cold_memo.cache_info().misses == 3 * info.RENYI_MEMO_ENTRIES
+
+
+def test_soft_cover_runs_the_fixed_point_once_across_n(monkeypatch, cold_memo):
+    stack, calls = info._renyi_stack, []
+
+    def counted(alphas, states, masses):
+        calls.append(alphas)
+        return stack(alphas, states, masses)
+
+    monkeypatch.setattr(info, "_renyi_stack", counted)
+    rng = np.random.default_rng(281)
+    labels = ("a", "b", "c")
+    channel = cq.CQChannel(labels, [orc.random_density(rng, 2) for _ in labels])
+    dist = cq.Distribution(labels, [0.5, 0.3, 0.2])
+    orders = (cq.RenyiOrder(1.5), cq.RenyiOrder(2.0))
+    reports = [cq.soft_cover_simulate(channel, dist, 4, n, 10, 7, orders=orders)
+               for n in (1, 2, 3)]
+    assert calls == [(1.5, 2.0)]
+    cold_memo.cache_clear()
+    cold = cq.soft_cover_simulate(channel, dist, 4, 3, 10, 7, orders=orders)
+    assert len(calls) == 2
+    assert cold.bounds == reports[-1].bounds
+    assert cold.renyi_iterations == reports[-1].renyi_iterations
+    assert cold.renyi_converged == reports[-1].renyi_converged
+
+
 def test_floor_and_normalize_raises_on_a_nan_mix():
     mixes = np.repeat(np.eye(2, dtype=complex)[None] / 2, 3, axis=0)
     mixes[1, 0, 1] = complex(math.nan, 0.0)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import cqresolve as cq
 from cqresolve import ValidationError
 from cqresolve.types_sanov import (_empirical_state, _standard_partition, _twirl_margins,
-                                   _type_keys, _word_type_keys)
+                                   _type_keys, _types_bound_row, _types_bound_sweep,
+                                   _word_type_keys)
 
 import oracles as orc
 
@@ -503,6 +504,23 @@ class TestCommutingTypesBound:
                  * Fraction(0.7) ** counts[0] * Fraction(0.3) ** counts[1])
         assert res.lhs == float(exact) > 0
         assert res.ok
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.3, 0.2), (0.1, 0.6, 0.3), (1 / 3, 1 / 3, 1 / 3),
+                                       (0.7, 0.3, 0.0), (0.999, 1e-13, 0.001 - 1e-13)],
+                             ids=["example", "shuffled", "thirds", "dead", "below-tol"])
+    def test_sweep_has_the_bits_of_each_row_alone(self, probs):
+        # the sweep's tables of powers and factorials against the row kernel
+        # that raises and multiplies per row, every type of 3 letters up to n 30
+        probs = np.array(probs)
+        got = list(_types_bound_sweep(probs, 30))
+        want = [(n, counts.tolist(), _types_bound_row(probs, counts))
+                for n in range(1, 31) for counts in cq.m_type_counts(3, n)]
+        assert len(got) == len(want) == sum(math.comb(n + 2, 2) for n in range(1, 31))
+        for (n, row, check), (n_want, row_want, check_want) in zip(got, want):
+            assert (n, row) == (n_want, row_want)
+            assert check.lhs == check_want.lhs
+            assert check.rhs == check_want.rhs
+            assert check.ok == check_want.ok
 
 
 # ---------------------------------------------------------------------------

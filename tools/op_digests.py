@@ -69,11 +69,17 @@ REFUSALS = {
 # letters of QUBIT_K300, searched. Last, bad codewords counted by type class:
 # on example1 at n 9 (3^9 words), and on QUBIT_K12 at n 4 with a δ whose
 # nearest type gap is 1.7e-3 away; and the commuting types bound over the
-# 12,340 types of three letters up to n 40. The child writes both channels
-# before the frontier commands run.
+# 12,340 types of three letters up to n 40. Then soft covering on QUBIT_K12
+# at orders 1.25 and 2, listed in both orders (one output, two keys of the
+# in-process Rényi memo), and again with one mass of the law moved by 1e-14,
+# which misses the memo. The child writes both channels before the frontier
+# commands run.
 QUBIT_K12 = "qubit-k12.json"
 QUBIT_K300 = "qubit-k300.json"
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
+K12_LAW = {str(x): 0.1 if x < 8 else 0.05 for x in range(12)}
+K12_SOFTCOVER = ("softcover", "--channel", QUBIT_K12, "--n", "2", "--M", "16", "--samples", "50",
+                 "--seed", "11")
 FRONTIER = {
     "resolve-n3-M6": ("resolve", *EXAMPLE1_LAW, "--n", "3", "--M", "6"),
     "resolve-n4-M4": ("resolve", *EXAMPLE1_LAW, "--n", "4", "--M", "4"),
@@ -98,6 +104,13 @@ FRONTIER = {
     "types-check-delta0.2-qubit-k12-n4": ("types-check", "--channel", QUBIT_K12, "--n", "4",
                                           "--delta", "0.2"),
     "sanov-sweep-n40": ("sanov-sweep", "--dist", '{"0":0.5,"1":0.3,"2":0.2}', "--n", "40"),
+    "softcover-qubit-k12-alpha1.25,2": (*K12_SOFTCOVER, "--dist", json.dumps(K12_LAW),
+                                        "--alpha", "1.25,2"),
+    "softcover-qubit-k12-alpha2,1.25": (*K12_SOFTCOVER, "--dist", json.dumps(K12_LAW),
+                                        "--alpha", "2,1.25"),
+    "softcover-qubit-k12-alpha1.25,2-law-moved": (
+        *K12_SOFTCOVER, "--dist", json.dumps({**K12_LAW, "11": 0.05 + 1e-14}),
+        "--alpha", "1.25,2"),
 }
 
 
