@@ -32,9 +32,10 @@ from .channel import (CQChannel, Distribution, channel_from_json, distribution_f
 from .errors import (MAX_MATRIX_BYTES, MAX_TYPES, ConvergenceError, ResourceLimitError,
                      ValidationError, check_budget, check_positive_int, check_real)
 from .info import RenyiOrder
+from .linalg import _check_densities
 from .idcodes import bridge_counting_check, idcode_from_json, \
     pairwise_distance_check, verify_id_code
-from .rates import capacity, fixed_input_rate
+from .rates import _capacities, _fixed_input_rates, capacity, fixed_input_rate
 from .resolvability import (SmoothingParams, converse_trend, ll1b_bound,
                             ll2_bound, resolution_error_exact,
                             resolution_error_worst, soft_cover_simulate)
@@ -42,9 +43,10 @@ from .types_sanov import (_multinomial, _standard_partition, _twirl_margins, _ty
                           bad_codeword_count)
 
 
-# Points of a separation-figure --eps-grid; each runs a capacity ascent and a
-# vertex enumeration.
+# Points of a separation-figure --eps-grid. Its capacity ascents and vertex
+# enumerations run as one stack, whose arrays and run time grow with the count.
 _MAX_EPS_GRID_POINTS = 10_000
+EXAMPLE1_LABELS = ("0", "1", "e")
 
 
 def _fmt(value) -> str:
@@ -100,19 +102,21 @@ def _write_out(path: str, command: str, lines: list, payload: dict | None) -> No
         raise ValidationError(f"cannot write the --out file: {exc}") from exc
 
 
-def _builtin_example1(eps: float) -> CQChannel:
-    check_real("--eps", eps, 0.0, 1.0)
-    states = [np.diag([1.0 - eps, eps]).astype(complex),
-              np.diag([eps, 1.0 - eps]).astype(complex),
-              np.diag([0.5, 0.5]).astype(complex)]
-    return CQChannel(("0", "1", "e"), states)
+def _example1_states(grid: Sequence[float]) -> np.ndarray:
+    """The (r, 3, 2, 2) stack of example1's states at every ε of the grid, unchecked."""
+    for eps in grid:
+        check_real("--eps", eps, 0.0, 1.0)
+    eps = np.array(grid, dtype=float)[:, None]
+    diagonals = np.stack([np.hstack([1.0 - eps, eps]), np.hstack([eps, 1.0 - eps]),
+                          np.full((len(grid), 2), 0.5)], axis=1)
+    return diagonals[..., None] * np.eye(2, dtype=complex)
 
 
 def _load_channel(args: argparse.Namespace) -> CQChannel:
     if args.builtin is not None:
         if args.eps is None:
             raise ValidationError("--builtin example1 requires --eps")
-        return _builtin_example1(args.eps)
+        return CQChannel(EXAMPLE1_LABELS, _example1_states([args.eps])[0])
     if args.eps is not None:
         raise ValidationError("--eps is read only with --builtin example1")
     if args.channel_path is None:
@@ -336,12 +340,11 @@ def _parse_eps_grid(spec_text: str) -> list[float]:
 
 
 def _cmd_separation_figure(args: argparse.Namespace) -> _Record:
-    rows = []
-    for eps in _parse_eps_grid(args.eps_grid):
-        channel = _builtin_example1(eps)
-        dist = Distribution(channel.labels, np.array([0.5, 0.5, 0.0]))
-        rows.append((eps, capacity(channel, tol=args.tol).value,
-                     fixed_input_rate(channel, dist).value))
+    grid = _parse_eps_grid(args.eps_grid)
+    states = _check_densities(_example1_states(grid).reshape(-1, 2, 2)).reshape(-1, 3, 2, 2)
+    capacities = _capacities(EXAMPLE1_LABELS, states, args.tol)
+    fixed = _fixed_input_rates(EXAMPLE1_LABELS, states, np.tile([0.5, 0.5, 0.0], (len(grid), 1)))
+    rows = [(eps, c.value, f.value) for eps, c, f in zip(grid, capacities, fixed)]
     return [_Table(("epsilon", "capacity", "fixed_rate"), rows), ("points", len(rows))], None
 
 

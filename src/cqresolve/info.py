@@ -5,9 +5,10 @@ treated as zero wherever divergences are computed; infinite divergences are
 returned as the float infinity sentinel, never as an overflow.
 
 Two spectral kernels live here and nowhere else. `_divergences` gives
-D(W_x‖W(p)) for every input from one eigendecomposition of W(p); relative
-entropy, mutual information, the capacity ascent and the fixed-input rate's
-vertices all read it. `_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ
+D(W_x‖W(p)) for every input of every row of a stack of channels, from one
+batched eigendecomposition of the W(p); relative entropy and mutual
+information read it as one row, the capacity ascents and the fixed-input
+rate's vertices as many. `_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ
 of every order in one batched eigh and gives the Rényi fixed point both its
 objective and its next proposal; `_renyi_fixed_points` runs that fixed point
 for all orders as one stack, and keeps the last RENYI_MEMO_ENTRIES results
@@ -29,7 +30,7 @@ import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution, output_state
 from .errors import DimensionMismatchError, ValidationError, check_real
-from .linalg import (SpectralDecomposition, _check_hermitian, _eigh_descending, _matrix_pair,
+from .linalg import (SpectralDecomposition, _check_hermitian, _matrix_pair,
                      as_matrix, eigh, hermitianize, validate_density, validate_hermitian)
 
 SUPPORT_EIG_TOL = 1e-12
@@ -68,40 +69,44 @@ def _kernel_mass(rho: np.ndarray, dec_sigma: SpectralDecomposition) -> float:
 def _entropy_terms(states: np.ndarray) -> np.ndarray:
     """Tr W_x log₂ W_x per input, restricted to each state's support."""
     spectra = [vals[vals > SUPPORT_EIG_TOL] for vals in npl.eigvalsh(states)]
-    return np.array([float(np.sum(vals * np.log2(vals))) for vals in spectra])
+    return np.array([float((vals * np.log2(vals)).sum()) for vals in spectra])
 
 
-def _divergences(states: np.ndarray, p: np.ndarray, target: np.ndarray,
+def _divergences(states: np.ndarray, p: np.ndarray, targets: np.ndarray,
                  tr_w_log_w: np.ndarray) -> np.ndarray:
-    """D(W_x ‖ target) for every x, where target = W(p), from one eigh of it.
-
-    It reads the descending decomposition that `linalg.eigh` wraps, without
-    the degeneracy blocks, which no divergence needs.
-
-    The target's support is its eigenvectors with eigenvalue above
-    SUPPORT_EIG_TOL, plus each eigenvector below it on which an input of
-    positive mass puts weight above KERNEL_MASS_TOL. On those the
+    """D(W_x ‖ target) for every row and input: states (r, k, d, d), p and
+    tr_w_log_w (r, k), targets W(p) (r, d, d); a row's bits do not depend on
+    the other rows. The target's support is its eigenvectors with eigenvalue
+    above SUPPORT_EIG_TOL, plus each eigenvector below it on which an input
+    of positive mass puts weight above KERNEL_MASS_TOL. On those the
     eigenvalue is read as the Rayleigh quotient Σ_x p_x⟨a|W_x|a⟩, which
     W(p) ≥ p_x W_x keeps positive, so every input of positive mass has a
-    finite divergence. An input of mass 0 with weight above
-    KERNEL_MASS_TOL off the support reads +inf.
+    finite divergence. An input of mass 0 with weight above KERNEL_MASS_TOL
+    off the support reads +inf.
     """
-    vals, vecs = _eigh_descending(target)
-    support = vals > SUPPORT_EIG_TOL
-    cols = vecs[:, support]
-    weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states, cols))
-    cross = weights @ np.log2(vals[support])
-    div = tr_w_log_w - cross
-    if not np.all(support):
-        kcols = vecs[:, ~support]
-        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states, kcols))
-        live = p > 0.0
+    vals, vecs = npl.eigh(_check_hermitian(targets))
+    order = np.argsort(vals)[:, ::-1]
+    rows = np.arange(len(vals))[:, None]
+    # vecs[r, a], eigenvector a of row r, sits in memory as one matrix's
+    # descending eigenvector columns do; einsum sums in memory order.
+    vals, vecs = vals[rows, order], vecs[rows, :, order]
+    weights = np.real(np.einsum("rai,rxij,raj->rxa", vecs.conj(), states, vecs))
+    # logarithms clipped only to stay finite: a row they reach is redone alone,
+    # with one einsum over the columns on the support and one off it
+    div = tr_w_log_w - (weights @ np.log2(np.maximum(vals, SUPPORT_EIG_TOL))[..., None])[..., 0]
+    for r in (vals[:, -1] <= SUPPORT_EIG_TOL).nonzero()[0]:
+        on = vals[r] > SUPPORT_EIG_TOL
+        cols, kcols = vecs[r, on].T, vecs[r, ~on].T
+        weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states[r], cols))
+        div[r] = tr_w_log_w[r] - weights @ np.log2(vals[r, on])
+        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states[r], kcols))
+        live = p[r] > 0.0
         reached = np.any(kweights[live] > KERNEL_MASS_TOL, axis=0)
         if np.any(reached):
-            rayleigh = p @ np.maximum(kweights[:, reached], 0.0)
-            div = div - kweights[:, reached] @ np.log2(rayleigh)
+            rayleigh = p[r] @ np.maximum(kweights[:, reached], 0.0)
+            div[r] -= kweights[:, reached] @ np.log2(rayleigh)
         leak = np.sum(kweights[:, ~reached], axis=1)
-        div = np.where(~live & (leak > KERNEL_MASS_TOL), math.inf, div)
+        div[r, ~live & (leak > KERNEL_MASS_TOL)] = math.inf
     return div
 
 
@@ -113,8 +118,8 @@ def qrel_entropy(rho, sigma) -> float:
     vector's one-input case, with the input at mass 0.
     """
     r, s = _matrix_pair(rho, sigma, validate_density, validate_density)
-    states = r[None]
-    return float(_divergences(states, np.zeros(1), s, _entropy_terms(states))[0])
+    return float(_divergences(r[None, None], np.zeros((1, 1)), s[None],
+                              _entropy_terms(r[None])[None])[0, 0])
 
 
 def mutual_info(channel: CQChannel, dist: Distribution) -> float:
@@ -125,14 +130,14 @@ def mutual_info(channel: CQChannel, dist: Distribution) -> float:
     """
     states = channel.states
     p = dist.masses
-    return _information(p, _divergences(states, p, output_state(channel, dist),
-                                        _entropy_terms(states)))
+    return _information(p, _divergences(states[None], p[None], output_state(channel, dist)[None],
+                                        _entropy_terms(states)[None])[0])
 
 
 def _information(p: np.ndarray, div: np.ndarray) -> float:
     """Σ_x p_x D_x over the inputs of positive mass: I(X;B) from the divergence vector."""
     live = p > 0.0
-    return float(np.sum(p[live] * div[live]))
+    return float((p[live] * div[live]).sum())
 
 
 def _power_on_support(vals: np.ndarray, vecs: np.ndarray, exponent: float,

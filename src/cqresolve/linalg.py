@@ -1,9 +1,8 @@
 """Dense Hermitian-matrix kernel.
 
-Eigendecompositions with degeneracy blocks (and, for callers that read no
-blocks, the bare descending decomposition they are built from), trace
-norm, support projectors of non-negative parts, and the one Kronecker
-product kernel, which orders every product space.
+Eigendecompositions with degeneracy blocks, trace norm, support
+projectors of non-negative parts, and the one Kronecker product kernel,
+which orders every product space.
 All operations are pure functions on numpy arrays and are safe to call
 from multiple threads.
 """
@@ -42,9 +41,9 @@ def _check_hermitian(stack: np.ndarray) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise ValidationError("matrix has a NaN or infinite entry")
     # |A - A†| entrywise in real temporaries, half the size of complex ones
-    gap = stack.real - np.swapaxes(stack.real, -1, -2)
-    np.hypot(gap, stack.imag + np.swapaxes(stack.imag, -1, -2), out=gap)
-    dev = float(np.max(gap, initial=0.0))
+    gap = stack.real - stack.real.swapaxes(-1, -2)
+    np.hypot(gap, stack.imag + stack.imag.swapaxes(-1, -2), out=gap)
+    dev = float(gap.max(initial=0.0))
     if dev > HERMITICITY_TOL:
         raise ValidationError(
             f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {HERMITICITY_TOL:.0e}")
@@ -123,25 +122,17 @@ class SpectralDecomposition:
         return out
 
 
-def _eigh_descending(op) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a Hermitian matrix in descending order, and their eigenvector columns.
-
-    numpy's ascending eigenvalues are reordered by argsort(...)[::-1]; every
-    descending decomposition takes this order, ties included. Raises
-    ValidationError on non-Hermitian input.
-    """
-    vals, vecs = npl.eigh(validate_hermitian(op))
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
 def eigh(op) -> SpectralDecomposition:
     """Hermitian eigendecomposition, eigenvalues sorted descending.
 
-    Degenerate eigenvalues are grouped into blocks at the module's grouping
-    tolerance. Raises ValidationError on non-Hermitian input.
+    numpy's ascending eigenvalues are reordered by argsort(...)[::-1]; every
+    descending decomposition takes this order, ties included. Degenerate
+    eigenvalues are grouped into blocks at the module's grouping tolerance.
+    Raises ValidationError on non-Hermitian input.
     """
-    vals, vecs = _eigh_descending(op)
+    vals, vecs = npl.eigh(validate_hermitian(op))
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
     return SpectralDecomposition(vals, vecs, tuple(tuple(b) for b in _group_blocks(vals)))
 
 

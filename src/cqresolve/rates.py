@@ -1,19 +1,11 @@
-"""Capacity and fixed-input resolvability rates.
+"""Capacity and fixed-input resolvability rates, for one channel or a stack.
 
-The capacity solver is an ascent on input distributions whose stopping rule
-doubles as an optimality certificate: the gap max_x D(W_x‖W(p)) - I(X;B) is
-an upper bound on how far the iterate is from the supremum. Squared
-extrapolation accelerates the plain multiplicative step; an extrapolated
-point is kept only if it does not lower I(X;B), and its masses are floored
-at a fraction of the plain step's, so no input is dropped by it. The
-capacity's ``iterations`` counts evaluations of the divergence vector (one
-``eigh`` each), at plain and extrapolated points alike. That vector,
-D(W_x‖W(p)) for every input, is the one `info.mutual_info` sums, with the
-same support rule: an input of positive mass always has a finite
-divergence. The fixed-input rate minimizes mutual information over the
-polytope of input distributions with the same output state; concavity of
-mutual information in the input puts the minimum at a vertex, so vertices
-are enumerated exactly.
+Both run over a stack of channels of one alphabet and dimension, as one
+batch of numpy calls per ascent round or support size across the rows, and
+a row's bits do not depend on the other rows: `capacity`,
+`feasible_vertices` and `fixed_input_rate` are the one-row case, and
+`separation-figure` runs its ε grid as one stack. D(W_x‖W(p)) for every
+input is `info._divergences`, the vector `info.mutual_info` sums.
 """
 from __future__ import annotations
 
@@ -26,7 +18,7 @@ import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution
 from .errors import ConvergenceError, ResourceLimitError, ValidationError, check_real
-from .info import _divergences, _entropy_terms, _information, mutual_info
+from .info import _divergences, _entropy_terms, _information
 from .linalg import _check_hermitian
 
 CAPACITY_DEFAULT_TOL = 1e-9
@@ -74,10 +66,10 @@ def _extrapolate(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray |
     """
     r = p1 - p0
     v = p2 - 2.0 * p1 + p0
-    v_norm = float(npl.norm(v))
+    v_norm = math.sqrt(v.dot(v))
     if not v_norm > 0.0:
         return None
-    alpha = min(-float(npl.norm(r)) / v_norm, -1.0)
+    alpha = min(-math.sqrt(r.dot(r)) / v_norm, -1.0)
     trial = p0 - 2.0 * alpha * r + alpha * alpha * v
     trial = np.where(p2 > 0.0,
                      np.maximum(trial, CAPACITY_EXTRAPOLATION_FLOOR * p2), 0.0)
@@ -105,61 +97,118 @@ def _squarem_points(p: np.ndarray):
                 p, div = trial, div_t
 
 
-def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL) -> RateResult:
-    """sup_p I(X;B) for the joint input-output state, in bits.
+def _capacities(labels: tuple, states: np.ndarray, tol: float) -> list[RateResult]:
+    """`capacity` of each channel of an (r, k, d, d) stack of checked states.
 
-    Multiplicative ascent from the uniform distribution, accelerated by
-    squared extrapolation (SQUAREM, Varadhan & Roland 2008): every two
-    plain steps are followed by one extrapolated point. Two safeguards keep
-    it an ascent: the extrapolated point is kept only if its mutual
-    information is at least that of the second plain step, and each of its
-    masses is floored at a small fraction of that step's mass, so an input
-    squeezed by mistake can recover. Plain steps fix masses below the
-    pruning threshold to zero.
-
-    Every evaluated point is tested by the gap certificate
-    max_x D(W_x‖W(p)) − I(X;B) ≥ C − I(X;B), and the first point whose gap
-    is at most tol is returned. ``iterations`` counts evaluations of the
-    divergence vector (one ``eigh`` each), plain and extrapolated alike, and
-    CAPACITY_MAX_ITER caps them. Raises ConvergenceError, carrying the best
-    point evaluated, if no gap reaches tol within CAPACITY_MAX_ITER evaluations.
+    A round evaluates the point of every row still running with one einsum
+    and one `_divergences` call; a row leaves at its own gap ≤ tol, and the
+    first row still running after CAPACITY_MAX_ITER rounds raises.
     """
     check_real("tol", tol, 0.0, open_lo=True)
-    states = channel.states
-    tr_w_log_w = _entropy_terms(states)
-    points = _squarem_points(np.full(channel.size, 1.0 / channel.size))
-    p = next(points)
-    best_value = -math.inf
-    best_p = p
-    best_gap = math.inf
+    r, k = states.shape[:2]
+    tr_w_log_w = _entropy_terms(states.reshape(r * k, *states.shape[2:])).reshape(r, k)
+    ascents = [_squarem_points(np.full(k, 1.0 / k)) for _ in range(r)]
+    points = {row: next(ascent) for row, ascent in enumerate(ascents)}
+    best = {row: (-math.inf, p, math.inf) for row, p in points.items()}
+    results: list = [None] * r
     for iteration in range(1, CAPACITY_MAX_ITER + 1):
-        target = np.einsum("x,xij->ij", p, states)
-        div = _divergences(states, p, target, tr_w_log_w)
-        info = _information(p, div)
-        gap = float(np.max(div) - info)
-        if info > best_value:
-            best_value, best_p, best_gap = info, p, gap
-        if gap <= tol:
-            dist = Distribution(channel.labels, p)
-            return RateResult(info, max(gap, 0.0), iteration, dist)
-        p = points.send((div, info))
+        stack = np.array(list(points.values()))
+        divs = _divergences(states, stack, np.einsum("rx,rxij->rij", stack, states), tr_w_log_w)
+        running = {}
+        for (row, p), div in zip(points.items(), divs):
+            info = _information(p, div)
+            gap = float(div.max() - info)
+            if info > best[row][0]:
+                best[row] = (info, p, gap)
+            if gap <= tol:
+                results[row] = RateResult(info, max(gap, 0.0), iteration, Distribution(labels, p))
+            else:
+                running[row] = ascents[row].send((div, info))
+        if not running:
+            return results
+        if len(running) < len(points):
+            keep = np.isin(list(points), list(running))
+            states, tr_w_log_w = states[keep], tr_w_log_w[keep]
+        points = running
+    best_value, best_p, best_gap = best[min(points)]
     raise ConvergenceError(
         f"capacity ascent gap {best_gap:.3e} > tol {tol:.3e} after {CAPACITY_MAX_ITER} "
         "iterations", value=best_value, iterations=CAPACITY_MAX_ITER,
-        witness=Distribution(channel.labels, best_p))
+        witness=Distribution(labels, best_p))
+
+
+def capacity(channel: CQChannel, *, tol: float = CAPACITY_DEFAULT_TOL) -> RateResult:
+    """sup_p I(X;B) for the joint input-output state, in bits.
+
+    Multiplicative ascent from the uniform distribution with squared
+    extrapolation (SQUAREM, Varadhan & Roland 2008) after every two plain
+    steps; an extrapolated point is kept only if it does not lower I(X;B),
+    and its masses are floored at a fraction of the plain step's, so no
+    input is dropped by it. The first point whose gap max_x D(W_x‖W(p)) −
+    I(X;B) ≥ C − I(X;B) is at most tol is returned. ``iterations`` counts
+    the points evaluated, plain and extrapolated alike; ConvergenceError,
+    carrying the best point evaluated, if none of the first
+    CAPACITY_MAX_ITER reaches tol.
+    """
+    return _capacities(channel.labels, channel.states[None], tol)[0]
 
 
 def _constraint_matrix(states: np.ndarray) -> np.ndarray:
-    """Real matrix whose columns are the stacked (Re, Im) output states."""
-    k, d, _ = states.shape
-    flat = states.reshape(k, d * d)
-    return np.vstack([flat.T.real, flat.T.imag])
+    """Real matrices whose columns are the stacked (Re, Im) output states, per channel."""
+    flat = np.swapaxes(states.reshape(*states.shape[:-2], states.shape[-1] ** 2), -1, -2)
+    return np.concatenate([flat.real, flat.imag], axis=-2)
 
 
-def _span_rank(states: np.ndarray) -> int:
-    """Rank of the real-linear span of {W_x - W_x0} at the SVD threshold."""
-    diffs = _constraint_matrix(states[1:] - states[0])
-    return int(npl.matrix_rank(diffs, tol=VERTEX_RANK_TOL))
+def _span_rank(states: np.ndarray) -> np.ndarray:
+    """Rank of the real-linear span of {W_x - W_x0} at the SVD threshold, per channel."""
+    diffs = _constraint_matrix(states[..., 1:, :, :] - states[..., :1, :, :])
+    return npl.matrix_rank(diffs, tol=VERTEX_RANK_TOL)
+
+
+def _vertex_sets(states: np.ndarray, masses: np.ndarray) -> list[list[np.ndarray]]:
+    """`feasible_vertices` of each row: (r, k, d, d) checked states, (r, k) laws.
+
+    Per support size, one stacked rank test of the augmented matrices
+    [A_S; 1ᵀ] of all rows that reach it and one lstsq per row and full-rank
+    support (numpy has no stacked lstsq); then one batched eigvalsh of all
+    candidates' output gaps W(q) − W(p).
+    """
+    r, k = masses.shape
+    if k > VERTEX_MAX_ALPHABET:
+        raise ResourceLimitError(
+            f"vertex enumeration supports at most {VERTEX_MAX_ALPHABET} inputs, got {k}")
+    amat = _constraint_matrix(states)
+    rhs = np.concatenate([amat @ masses[..., None], np.ones((r, 1, 1))], axis=1)[..., 0]
+    max_support = _span_rank(states) + 1
+    augmented = np.concatenate([amat, np.ones((r, 1, k))], axis=1)
+    found: list[list[np.ndarray]] = [[] for _ in range(r)]
+    for size in range(1, min(int(max_support.max()), k) + 1):
+        rows = np.flatnonzero(max_support >= size)
+        supports = np.array(list(itertools.combinations(range(k), size)))
+        augs = augmented[rows][:, :, supports].transpose(0, 2, 1, 3)
+        full = npl.matrix_rank(augs, tol=VERTEX_RANK_TOL) >= size
+        for i, j in zip(*np.nonzero(full)):
+            sol, *_ = npl.lstsq(augs[i, j], rhs[rows[i]], rcond=None)
+            if sol.min() < -1e-9:
+                continue
+            q = np.zeros(k)
+            q[supports[j]] = np.clip(sol, 0.0, None)
+            total = q.sum()
+            if math.isfinite(total) and total > 0.0:
+                found[rows[i]].append(q / total)
+    owner = np.repeat(np.arange(r), [len(qs) for qs in found])
+    qs = np.array([q for row in found for q in row]).reshape(-1, k)
+    gaps = _check_hermitian(np.einsum("cx,cxij->cij", qs, states[owner])
+                            - np.einsum("rx,rxij->rij", masses, states)[owner])
+    feasible = iter(np.sum(np.abs(npl.eigvalsh(gaps)), axis=-1) <= FEASIBLE_OUTPUT_TOL)
+    vertex_sets = []
+    for row in found:
+        vertices: list[np.ndarray] = []
+        for q, ok in zip(row, feasible):
+            if ok and not any(float(np.max(np.abs(q - v))) <= VERTEX_DEDUP_TOL for v in vertices):
+                vertices.append(q)
+        vertex_sets.append(sorted(vertices, key=tuple))
+    return vertex_sets
 
 
 def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distribution]:
@@ -167,65 +216,39 @@ def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distributi
 
     Every vertex is supported on at most rank+1 inputs whose output states
     are affinely independent, so all such supports are enumerated and the
-    resulting basic solutions filtered for nonnegativity and output match.
-    The input alphabet is capped to keep the subset enumeration exact.
-    Each support size is one batch: one stacked rank test of the augmented
-    matrices [A_S; 1ᵀ], one lstsq per full-rank support (numpy has no
-    stacked lstsq), and one Hermiticity check and one batched eigvalsh of
-    the surviving candidates' output gaps W(q) − W(p), whose trace norms
-    are each compared with FEASIBLE_OUTPUT_TOL. Candidates are deduplicated
-    in combination order.
+    basic solutions kept if nonnegative with an output within
+    FEASIBLE_OUTPUT_TOL in trace norm, deduplicated in (support size,
+    combination) order and sorted. At most VERTEX_MAX_ALPHABET inputs.
     """
     channel._check_alphabet(dist)
-    k = channel.size
-    if k > VERTEX_MAX_ALPHABET:
-        raise ResourceLimitError(
-            f"vertex enumeration supports at most {VERTEX_MAX_ALPHABET} inputs, got {k}")
-    states = channel.states
-    amat = _constraint_matrix(states)
-    rhs = np.concatenate([amat @ dist.masses, [1.0]])
-    reference = np.einsum("x,xij->ij", dist.masses, states)
-    max_support = _span_rank(states) + 1
-    augmented = np.vstack([amat, np.ones((1, k))])
-
-    vertices: list[np.ndarray] = []
-    for size in range(1, min(max_support, k) + 1):
-        supports = np.array(list(itertools.combinations(range(k), size)))
-        augs = augmented[:, supports].transpose(1, 0, 2)
-        full = npl.matrix_rank(augs, tol=VERTEX_RANK_TOL) >= size
-        candidates = []
-        for support, aug in zip(supports[full], augs[full]):
-            sol, *_ = npl.lstsq(aug, rhs, rcond=None)
-            if sol.min() < -1e-9:
-                continue
-            q = np.zeros(k)
-            q[support] = np.clip(sol, 0.0, None)
-            total = q.sum()
-            if not math.isfinite(total) or total <= 0.0:
-                continue
-            candidates.append(q / total)
-        if not candidates:
-            continue
-        qs = np.array(candidates)
-        gaps = _check_hermitian(np.einsum("cx,xij->cij", qs, states) - reference)
-        out_gaps = np.sum(np.abs(npl.eigvalsh(gaps)), axis=-1)
-        for q in qs[out_gaps <= FEASIBLE_OUTPUT_TOL]:
-            if any(float(np.max(np.abs(q - v))) <= VERTEX_DEDUP_TOL for v in vertices):
-                continue
-            vertices.append(q)
-    vertices.sort(key=lambda v: tuple(v))
-    return [Distribution(channel.labels, v) for v in vertices]
+    return [Distribution(channel.labels, v)
+            for v in _vertex_sets(channel.states[None], dist.masses[None])[0]]
 
 
-def _vertex_informations(channel: CQChannel, vertices: list[Distribution]) -> list[float]:
-    """I(X;B) at every vertex with the bits of `mutual_info`, from one
-    `_entropy_terms` of the states rather than one per vertex."""
-    states = channel.states
-    tr_w_log_w = _entropy_terms(states)
-    return [_information(q.masses, _divergences(states, q.masses,
-                                                np.einsum("x,xij->ij", q.masses, states),
-                                                tr_w_log_w))
-            for q in vertices]
+def _vertex_informations(states: np.ndarray, vertex_sets: list) -> list[list[float]]:
+    """I(X;B) at each row's vertices with the bits of `mutual_info`, from one
+    `_entropy_terms` of the stack and one `_divergences` call for all vertices."""
+    r, k = states.shape[:2]
+    owner = np.repeat(np.arange(r), [len(vs) for vs in vertex_sets])
+    qs = np.array([q for vs in vertex_sets for q in vs]).reshape(-1, k)
+    terms = _entropy_terms(states.reshape(r * k, *states.shape[2:])).reshape(r, k)[owner]
+    div = iter(_divergences(states[owner], qs, np.einsum("vx,vxij->vij", qs, states[owner]),
+                            terms))
+    return [[_information(q, next(div)) for q in vs] for vs in vertex_sets]
+
+
+def _fixed_input_rates(labels: tuple, states: np.ndarray, masses: np.ndarray) -> list[RateResult]:
+    """`fixed_input_rate` of each row of a stack, as `_vertex_sets` takes it."""
+    vertex_sets = _vertex_sets(states, masses)
+    if not all(vertex_sets):
+        raise ValidationError("feasible polytope has no vertices; "
+                              "the reference distribution should always be feasible")
+    results = []
+    for vertices, values in zip(vertex_sets, _vertex_informations(states, vertex_sets)):
+        best = min(range(len(values)), key=values.__getitem__)
+        results.append(RateResult(values[best], float(len(values)), len(values),
+                                  Distribution(labels, vertices[best])))
+    return results
 
 
 def fixed_input_rate(channel: CQChannel, dist: Distribution) -> RateResult:
@@ -233,14 +256,8 @@ def fixed_input_rate(channel: CQChannel, dist: Distribution) -> RateResult:
 
     Mutual information is concave in the input distribution, so the infimum
     over the (compact, convex) feasible polytope is attained at a vertex.
-    The first vertex of least information is returned, its value from
-    `mutual_info`.
+    The first vertex of least information is returned, its value with the
+    bits of `mutual_info`.
     """
-    vertices = feasible_vertices(channel, dist)
-    if not vertices:
-        raise ValidationError("feasible polytope has no vertices; "
-                              "the reference distribution should always be feasible")
-    values = _vertex_informations(channel, vertices)
-    best = min(range(len(vertices)), key=values.__getitem__)
-    return RateResult(mutual_info(channel, vertices[best]), float(len(vertices)),
-                      len(vertices), vertices[best])
+    channel._check_alphabet(dist)
+    return _fixed_input_rates(channel.labels, channel.states[None], dist.masses[None])[0]

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cqresolve.errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
-                              check_positive_int, check_real)
+from cqresolve.errors import (ConvergenceError, DimensionMismatchError, ResourceLimitError,
+                              ValidationError, check_positive_int, check_real)
 from cqresolve.types_sanov import EmpiricalState
 
 
@@ -288,11 +288,7 @@ def plain_capacity_ascent(states, tol: float, max_steps: int = 100000) -> Ascent
         gap = float(div.max() - info)
         if gap <= tol:
             return AscentResult(info, gap, step, p)
-        nxt = np.zeros_like(p)
-        nxt[live] = p[live] * np.exp2(div[live] - div[live].max())
-        nxt /= nxt.sum()
-        nxt[nxt < 1e-15] = 0.0
-        p = nxt / nxt.sum()
+        p = _plain_step(p, div)
     raise RuntimeError(f"plain ascent gap {gap:.3e} > {tol:.3e} after {max_steps} steps")
 
 
@@ -384,6 +380,118 @@ def per_vertex_least(vertices, information) -> tuple[list[float], int]:
     `mutual_info` once per vertex."""
     values = [information(q) for q in vertices]
     return values, min(range(len(values)), key=values.__getitem__)
+
+
+# ---------------------------------------------------------------------------
+# capacity and fixed-input rate one channel at a time, as `rates` ran them
+# before its rows were stacked; bit for bit what the library gave then
+
+
+class PointRate(NamedTuple):
+    value: float
+    certificate: float
+    iterations: int
+    masses: np.ndarray
+
+
+def _plain_step(p, div) -> np.ndarray:
+    live = p > 0.0
+    nxt = np.zeros(p.size)
+    nxt[live] = p[live] * np.exp2(div[live] - div[live].max())
+    nxt /= nxt.sum()
+    nxt[nxt < 1e-15] = 0.0
+    return nxt / nxt.sum()
+
+
+def _squared_extrapolation(p0, p1, p2):
+    r = p1 - p0
+    v = p2 - 2.0 * p1 + p0
+    v_norm = float(np.linalg.norm(v))
+    if not v_norm > 0.0:
+        return None
+    alpha = min(-float(np.linalg.norm(r)) / v_norm, -1.0)
+    trial = p0 - 2.0 * alpha * r + alpha * alpha * v
+    trial = np.where(p2 > 0.0, np.maximum(trial, 1e-12 * p2), 0.0)
+    return trial / trial.sum()
+
+
+def _squarem_path(p):
+    """Yield each point of the accelerated ascent; receive (divergences, I) at it."""
+    div, _ = yield p
+    while True:
+        p1 = _plain_step(p, div)
+        div1, _ = yield p1
+        p2 = _plain_step(p1, div1)
+        div2, info2 = yield p2
+        trial = _squared_extrapolation(p, p1, p2)
+        p, div = p2, div2
+        if trial is not None:
+            div_t, info_t = yield trial
+            if info_t >= info2:
+                p, div = trial, div_t
+
+
+def _information_at(states, q, tr_w_log_w) -> tuple[np.ndarray, float]:
+    """(D(W_x‖W(q)) for every x, I(X;B) at q) from one descending eigh of W(q)."""
+    div = descending_eigh_divergences(states, q, np.einsum("x,xij->ij", q, states), tr_w_log_w)
+    live = q > 0.0
+    return div, float(np.sum(q[live] * div[live]))
+
+
+def per_point_capacity(states, tol: float, max_iter: int = 100000) -> PointRate:
+    """SQUAREM capacity ascent on one channel, one eigh of W(p) per point.
+
+    From the uniform law: two plain steps p_x ∝ p_x·2^{D_x} (masses below
+    1e-15 pruned), then the squared extrapolation, floored at 1e-12 of the
+    second step's masses and kept if its I is at least that step's. The
+    first point whose gap max_x D_x − I is at most tol is returned;
+    ConvergenceError after max_iter points, its witness the masses of the
+    best point.
+    """
+    check_real("tol", tol, 0.0, open_lo=True)
+    states = np.asarray(states, dtype=complex)
+    tr_w_log_w = neg_entropies(states)
+    points = _squarem_path(np.full(len(states), 1.0 / len(states)))
+    p = next(points)
+    best_value, best_p, best_gap = -math.inf, p, math.inf
+    for iteration in range(1, max_iter + 1):
+        div, info = _information_at(states, p, tr_w_log_w)
+        gap = float(np.max(div) - info)
+        if info > best_value:
+            best_value, best_p, best_gap = info, p, gap
+        if gap <= tol:
+            return PointRate(info, max(gap, 0.0), iteration, p)
+        p = points.send((div, info))
+    raise ConvergenceError(
+        f"capacity ascent gap {best_gap:.3e} > tol {tol:.3e} after {max_iter} iterations",
+        value=best_value, iterations=max_iter, witness=best_p)
+
+
+def per_point_fixed_input_rate(states, masses) -> PointRate:
+    """The first least-information vertex of `per_support_feasible_vertices`,
+    with the vertex count as certificate and iterations."""
+    states = np.asarray(states, dtype=complex)
+    vertices = per_support_feasible_vertices(states, masses)
+    if not vertices:
+        raise ValidationError("feasible polytope has no vertices; "
+                              "the reference distribution should always be feasible")
+    tr_w_log_w = neg_entropies(states)
+    values, best = per_vertex_least(vertices, lambda q: _information_at(states, q, tr_w_log_w)[1])
+    return PointRate(values[best], float(len(vertices)), len(vertices), vertices[best])
+
+
+def per_point_separation_figure(grid, tol: float, max_iter: int = 100000) -> list:
+    """(ε, capacity, fixed-input rate at (½, ½, 0)) of example1 at every ε in
+    order, each channel built and solved before the next; the first failure
+    raises."""
+    rows = []
+    for eps in grid:
+        check_real("--eps", eps, 0.0, 1.0)
+        states = np.array([np.diag([1.0 - eps, eps]), np.diag([eps, 1.0 - eps]),
+                           np.diag([0.5, 0.5])], dtype=complex)
+        rows.append((eps, per_point_capacity(states, tol, max_iter),
+                     per_point_fixed_input_rate(states, np.array([0.5, 0.5, 0.0]))))
+    return rows
 
 
 def fixed_rate_projected_grid(T, p, denominator: int = 50,

@@ -818,6 +818,23 @@ class TestSeparationFigure:
                 1.0 - orc.binary_entropy_ref(eps), abs=1e-6)
             assert float(fixed_s) == pytest.approx(0.0, abs=1e-9)
 
+    def test_eps_past_one_exits_two_before_any_ascent(self, capsys, monkeypatch):
+        def no_ascent(*args):
+            raise AssertionError("an ascent ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "_capacities", no_ascent)
+        code, out, err = run_cli(capsys, "separation-figure", "--eps-grid", "0.9:1.1:0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: --eps must be in [0, 1] and finite, got 1.1\n"
+
+    def test_capacity_failure_exits_two_with_the_first_failing_eps(self, capsys, monkeypatch):
+        grid = _parse_eps_grid("0.5:1:0.05")
+        with pytest.raises(cq.ConvergenceError) as want:
+            orc.per_point_separation_figure(grid, 1e-9, max_iter=3)
+        monkeypatch.setattr(cq.rates, "CAPACITY_MAX_ITER", 3)
+        code, out, err = run_cli(capsys, "separation-figure", "--eps-grid", "0.5:1:0.05")
+        assert (code, out, err) == (2, "", f"error: {want.value}\n")
+
     def test_bad_grid_spec(self, capsys):
         code, _, _ = run_cli(capsys, "separation-figure",
                              "--eps-grid", "0.1:0.3")

@@ -219,7 +219,7 @@ def test_divergence_vector_keeps_the_bits_of_the_eigh_formula(name):
     states, p, leaks = DIVERGENCE_CASES[name]
     target = np.einsum("x,xij->ij", p, states)
     terms = _entropy_terms(states)
-    div = _divergences(states, p, target, terms)
+    div = _divergences(states[None], p[None], target[None], terms[None])[0]
     assert np.array_equal(div, orc.descending_eigh_divergences(states, p, target, terms))
     assert np.array_equal(np.isinf(div), leaks)
     if name.startswith("identity"):

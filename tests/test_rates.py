@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqresolve as cq
-from cqresolve import errors, info, rates
+from cqresolve import cli, errors, info, rates
+from cqresolve.linalg import _check_densities
 import oracles as orc
 
 from conftest import build_flip_erase_channel
@@ -164,7 +165,8 @@ def test_divergence_of_a_live_input_off_the_eigenvalue_support_is_finite(w):
     states = np.array(_small_level_states(w) + [np.diag([0.0, 0.5, 0.5])], dtype=complex)
     p = np.array([0.5 - 5e-14, 0.5 - 5e-14, 1e-13, 0.0])
     target = np.einsum("x,xij->ij", p, states)
-    div = info._divergences(states, p, target, info._entropy_terms(states))
+    div = info._divergences(states[None], p[None], target[None],
+                            info._entropy_terms(states)[None])[0]
     out = np.real(np.diag(target))
     for x in range(3):
         assert div[x] == pytest.approx(orc.kl_bits(np.real(np.diag(states[x])), out),
@@ -175,7 +177,8 @@ def test_divergence_of_a_live_input_off_the_eigenvalue_support_is_finite(w):
 def test_divergence_of_a_dead_input_off_the_support_is_infinite():
     states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
     p = np.array([1.0, 0.0])
-    div = info._divergences(states, p, states[0], info._entropy_terms(states))
+    div = info._divergences(states[None], p[None], states[:1],
+                            info._entropy_terms(states)[None])[0]
     assert div[0] == 0.0 and div[1] == np.inf
 
 
@@ -324,10 +327,120 @@ def test_batched_vertices_have_the_bits_of_the_per_support_loop(k, d, count):
             assert np.array_equal(vertex.masses, masses)
         # vertex values, argmin and rate against one mutual_info per vertex
         values, best = orc.per_vertex_least(got, lambda q: cq.mutual_info(channel, q))
-        assert rates._vertex_informations(channel, got) == values
+        vertex_set = [[v.masses for v in got]]
+        assert rates._vertex_informations(channel.states[None], vertex_set) == [values]
         res = cq.fixed_input_rate(channel, dist)
         assert (res.value, res.iterations) == (values[best], len(expected))
         assert np.array_equal(res.distribution.masses, expected[best])
+
+
+# ---------------------------------------------------------------------------
+# stacks of channels against the per-point oracle
+
+
+def _assert_same(result: rates.RateResult, point: orc.PointRate):
+    assert np.array_equal(result.value, point.value)
+    assert np.array_equal(result.certificate, point.certificate)
+    assert np.array_equal(result.iterations, point.iterations)
+    assert np.array_equal(result.distribution.masses, point.masses)
+
+
+def _assert_rows_match(labels, states, masses, tol) -> tuple[list, list]:
+    """Every row's capacity, vertices and fixed-input rate from the stacked
+    kernels against one per-point oracle run each; the rows' results returned."""
+    capacities = rates._capacities(labels, states, tol)
+    vertex_sets = rates._vertex_sets(states, masses)
+    fixed = rates._fixed_input_rates(labels, states, masses)
+    assert len(capacities) == len(vertex_sets) == len(fixed) == len(states)
+    for row in range(len(states)):
+        _assert_same(capacities[row], orc.per_point_capacity(states[row], tol))
+        expected = orc.per_support_feasible_vertices(states[row], masses[row])
+        assert len(vertex_sets[row]) == len(expected)
+        for vertex, masses_ in zip(vertex_sets[row], expected):
+            assert np.array_equal(vertex, masses_)
+        _assert_same(fixed[row], orc.per_point_fixed_input_rate(states[row], masses[row]))
+    return capacities, fixed
+
+
+@pytest.mark.parametrize("tol", (1e-6, 1e-9, 1e-12))
+def test_example1_stack_has_the_bits_of_the_per_point_loop(tol):
+    # pure states at ε 0 and 1, a constant channel at ε 0.5
+    grid = cli._parse_eps_grid("0:1:0.01")
+    assert (grid[0], grid[50], grid[-1], len(grid)) == (0.0, 0.5, 1.0, 101)
+    states = cli._example1_states(grid)
+    masses = np.tile([0.5, 0.5, 0.0], (len(grid), 1))
+    capacities, fixed = _assert_rows_match(cli.EXAMPLE1_LABELS, states, masses, tol)
+    # and against the per-point loop's own example1 states, built by np.diag
+    for (eps, cap, rate), c, f in zip(orc.per_point_separation_figure(grid, tol),
+                                      capacities, fixed):
+        _assert_same(c, cap)
+        _assert_same(f, rate)
+
+
+def _random_stack(seed: int):
+    """r channels of k = 2-6 inputs on qubits or qutrits, and a law per row.
+
+    seed mod 4 picks the shape. 0: states of mixed ranks; 1: every state on
+    one (d − 1)-dimensional subspace, so every W(p) is rank-deficient; 2: the
+    last letter is ½(W₀ + W₁), a redundant letter; 3: diagonal states with
+    zero entries. Laws draw integer weights 0-3, so some letters have mass
+    0. Every fifth stack has one row.
+    """
+    rng = np.random.default_rng([seed, 30])
+    d, k = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+    r = 1 if seed % 5 == 0 else int(rng.integers(2, 5))
+    shape = seed % 4
+    stack = []
+    for _ in range(r):
+        if shape == 1:
+            u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            states = [u[:, 1:] @ orc.random_density(rng, d - 1) @ u[:, 1:].conj().T
+                      for _ in range(k)]
+        elif shape == 3:
+            rows = rng.integers(0, 3, size=(k, d)).astype(float)
+            rows[np.arange(k), rng.integers(0, d, size=k)] += 1.0
+            states = [np.diag(row / row.sum()) for row in rows]
+        else:
+            states = [orc.random_density_of_rank(rng, d, int(rng.integers(1, d + 1)))
+                      for _ in range(k)]
+        if shape == 2 and k >= 3:
+            states[-1] = (states[0] + states[1]) / 2
+        stack.append(states)
+    states = _check_densities(np.array(stack, dtype=complex).reshape(r * k, d, d))
+    weights = rng.integers(0, 4, size=(r, k)).astype(float)
+    weights[np.arange(r), rng.integers(0, k, size=r)] += 1.0
+    return (tuple(str(x) for x in range(k)), states.reshape(r, k, d, d),
+            weights / weights.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("first", range(0, 240, 40))
+def test_random_stacks_have_the_bits_of_the_per_point_loop(first):
+    rounds_differ = 0
+    for seed in range(first, first + 40):
+        labels, states, masses = _random_stack(seed)
+        capacities, _ = _assert_rows_match(labels, states, masses, 1e-9)
+        rounds_differ += len({c.iterations for c in capacities}) > 1
+    assert rounds_differ >= 5
+
+
+def test_stack_raises_the_first_failing_rows_convergence_error(monkeypatch):
+    # ε 0.5 certifies at its first point, every other ε needs 4 points
+    grid = cli._parse_eps_grid("0.5:1:0.05")
+    monkeypatch.setattr(rates, "CAPACITY_MAX_ITER", 3)
+    with pytest.raises(errors.ConvergenceError) as want:
+        orc.per_point_separation_figure(grid, 1e-9, max_iter=3)
+    with pytest.raises(errors.ConvergenceError) as got:
+        rates._capacities(cli.EXAMPLE1_LABELS, cli._example1_states(grid), 1e-9)
+    assert str(got.value) == str(want.value)
+    assert np.array_equal(got.value.value, want.value.value)
+    assert got.value.iterations == want.value.iterations == 3
+    assert np.array_equal(got.value.witness.masses, want.value.witness)
+    one_row = rates._capacities(cli.EXAMPLE1_LABELS, cli._example1_states(grid[:1]), 1e-9)
+    assert one_row[0].iterations == 1
+    channel = cq.CQChannel(cli.EXAMPLE1_LABELS, cli._example1_states(grid[1:2])[0])
+    with pytest.raises(errors.ConvergenceError) as alone:
+        cq.capacity(channel, tol=1e-9)
+    assert str(alone.value) == str(got.value)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +456,8 @@ def test_fixed_input_rate_flip_erase_is_zero(flip_erase_channel):
 
 
 def test_fixed_input_rate_decomposes_the_states_once_for_all_vertices(monkeypatch):
-    # one _entropy_terms for the vertex values and one in the mutual_info
-    # of the least, however many vertices there are
+    # one _entropy_terms for all vertex values, however many vertices there
+    # are; the least value is the rate, with no second mutual_info
     channel, dist = _vertex_sweep_case(7, 2, 0)
     assert len(cq.feasible_vertices(channel, dist)) > 2
     calls = []
@@ -357,7 +470,7 @@ def test_fixed_input_rate_decomposes_the_states_once_for_all_vertices(monkeypatc
     monkeypatch.setattr(rates, "_entropy_terms", counted)
     monkeypatch.setattr(info, "_entropy_terms", counted)
     cq.fixed_input_rate(channel, dist)
-    assert calls == [7, 7]
+    assert calls == [7]
 
 
 def test_fixed_input_rate_injective_channel_returns_mutual_info():

@@ -60,8 +60,9 @@ REFUSALS = {
 # of many letters, many M-types of few letters, the trend up to n = 4, and
 # 266,085 M-types of diagonals of 64 entries (n = 6), past the kernel's
 # column-by-column widths; then a worst-input search whose candidates and grid are count matrices of
-# 27 letters. The certify commands follow: the separation figure at 49 points,
-# type checks at (d, n) = (3, 6), (6, 3), (2, 11), (3, 7) and (6, 4) (the last
+# 27 letters. The certify commands follow: the separation figure at 49 points
+# and at the 101 points of [0, 1] (pure states at ε 0 and 1, a constant channel
+# at ε 0.5), type checks at (d, n) = (3, 6), (6, 3), (2, 11), (3, 7) and (6, 4) (the last
 # three held two dense dⁿ × dⁿ matrices in older trees), and a fixed-input rate on
 # QUBIT_K12, a channel of 12 seeded qubit states (the vertex enumeration's
 # alphabet cap). Then soft covering on both sides of the letter kernel:
@@ -90,6 +91,7 @@ FRONTIER = {
     "worst-resolve-n3-M3-grid4": ("worst-resolve", "--builtin", "example1", "--eps", "0.3",
                                   "--n", "3", "--M", "3", "--grid", "4"),
     "separation-figure-eps0.01-step0.01": ("separation-figure", "--eps-grid", "0.01:0.49:0.01"),
+    "separation-figure-eps0-step0.01": ("separation-figure", "--eps-grid", "0:1:0.01"),
     "types-check-d3-n6": ("types-check", "--alphabet-size", "3", "--n", "6"),
     "types-check-d6-n3": ("types-check", "--alphabet-size", "6", "--n", "3"),
     "types-check-d2-n11": ("types-check", "--alphabet-size", "2", "--n", "11"),
