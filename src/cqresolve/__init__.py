@@ -14,7 +14,7 @@ from .channel import (CQChannel, Distribution, MType, Word, channel_from_json,
 from .info import (PinchingMap, RenyiMutualInfo, RenyiOrder, mutual_info, phi, pinch,
                    pinching_from_spectrum, qrel_entropy, renyi_mutual_info,
                    sandwiched_renyi)
-from .rates import (RateResult, capacity, feasible_vertices, fixed_input_rate)
+from .rates import RateResult, capacity, fixed_input_rate
 from .resolvability import (ResolutionResult, SmoothingParams, SoftCoverReport,
                             ceil_operator, converse_trend, ll1b_bound,
                             ll2_bound, resolution_error_exact,

@@ -43,8 +43,8 @@ from .types_sanov import (_multinomial, _standard_partition, _twirl_margins, _ty
                           bad_codeword_count)
 
 
-# Points of a separation-figure --eps-grid. Its capacity ascents and vertex
-# enumerations run as one stack, whose arrays and run time grow with the count.
+# Points of a separation-figure --eps-grid. Its capacity ascents and linear
+# programs run as one stack, whose arrays and run time grow with the count.
 _MAX_EPS_GRID_POINTS = 10_000
 EXAMPLE1_LABELS = ("0", "1", "e")
 
@@ -165,8 +165,10 @@ def _cmd_capacity(args: argparse.Namespace) -> _Record:
 def _cmd_fixed_rate(args: argparse.Namespace) -> _Record:
     channel = _load_channel(args)
     result = fixed_input_rate(channel, _load_dist(args, channel))
-    fields = [("fixed_input_rate_bits", result.value), ("vertices_examined", result.iterations)]
-    return fields, {"value": result.value, "vertices_examined": result.iterations,
+    fields = [("fixed_input_rate_bits", result.value), ("certificate_gap", result.certificate),
+              ("vertices_examined", result.iterations)]
+    return fields, {"value": result.value, "certificate_gap": result.certificate,
+                    "vertices_examined": result.iterations,
                     "argmin": _dist_payload(result.distribution)}
 
 
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-9)
 
     sp = command("fixed-rate", "minimum mutual information over inputs with "
-                 "the same output state (vertex enumeration)")
+                 "the same output state (linear program)")
     _add_channel_flags(sp)
     _add_dist_flag(sp)
 

@@ -8,7 +8,7 @@ Two spectral kernels live here and nowhere else. `_divergences` gives
 D(W_x‖W(p)) for every input of every row of a stack of channels, from one
 batched eigendecomposition of the W(p); relative entropy and mutual
 information read it as one row, the capacity ascents and the fixed-input
-rate's vertices as many. `_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ
+rate as many. `_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ
 of every order in one batched eigh and gives the Rényi fixed point both its
 objective and its next proposal; `_renyi_fixed_points` runs that fixed point
 for all orders as one stack, and keeps the last RENYI_MEMO_ENTRIES results
@@ -126,7 +126,7 @@ def mutual_info(channel: CQChannel, dist: Distribution) -> float:
     """Mutual information Σ_x p(x) D(W_x ‖ W(p)) of the joint state, in bits.
 
     All divergences come from one eigendecomposition of W(p), so an input
-    of positive mass always has a finite one.
+    of positive mass always has a finite one. A point mass gives exactly 0.
     """
     states = channel.states
     p = dist.masses
@@ -135,9 +135,10 @@ def mutual_info(channel: CQChannel, dist: Distribution) -> float:
 
 
 def _information(p: np.ndarray, div: np.ndarray) -> float:
-    """Σ_x p_x D_x over the inputs of positive mass: I(X;B) from the divergence vector."""
+    """Σ_x p_x D_x over the inputs of positive mass: I(X;B) from the divergence
+    vector. A point mass gives exactly 0: a deterministic X shares nothing with B."""
     live = p > 0.0
-    return float((p[live] * div[live]).sum())
+    return 0.0 if live.sum() == 1 else float((p[live] * div[live]).sum())
 
 
 def _power_on_support(vals: np.ndarray, vecs: np.ndarray, exponent: float,

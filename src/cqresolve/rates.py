@@ -1,15 +1,16 @@
 """Capacity and fixed-input resolvability rates, for one channel or a stack.
 
-Both run over a stack of channels of one alphabet and dimension, as one
-batch of numpy calls per ascent round or support size across the rows, and
-a row's bits do not depend on the other rows: `capacity`,
-`feasible_vertices` and `fixed_input_rate` are the one-row case, and
-`separation-figure` runs its ε grid as one stack. D(W_x‖W(p)) for every
-input is `info._divergences`, the vector `info.mutual_info` sums.
+Both run over a stack of channels of one alphabet and dimension, and a
+row's bits do not depend on the other rows: the capacity ascent makes one
+batch of numpy calls per round across the rows still running, and the
+fixed-input rate is one linear program per row, its costs, row reduction
+and witness values each one batched call. `capacity` and
+`fixed_input_rate` are the one-row case, and `separation-figure` runs its
+ε grid as one stack. D(W_x‖W(p)) for every input is `info._divergences`,
+the vector `info.mutual_info` sums.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,18 +18,14 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution
-from .errors import ConvergenceError, ResourceLimitError, ValidationError, check_real
+from .errors import ConvergenceError, check_real
 from .info import _divergences, _entropy_terms, _information
-from .linalg import _check_hermitian
 
 CAPACITY_DEFAULT_TOL = 1e-9
 CAPACITY_MAX_ITER = 100000
 CAPACITY_PRUNE = 1e-15
 CAPACITY_EXTRAPOLATION_FLOOR = 1e-12
-FEASIBLE_OUTPUT_TOL = 1e-8
-VERTEX_RANK_TOL = 1e-9
-VERTEX_DEDUP_TOL = 1e-9
-VERTEX_MAX_ALPHABET = 12
+LP_PIVOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,8 +35,10 @@ class RateResult:
     For the capacity, ``certificate`` is the final ascent gap (the value is
     within that gap of the supremum), ``distribution`` is the achieving
     input and ``iterations`` is the number of points evaluated. For the
-    fixed-input rate, ``certificate`` is the number of polytope vertices
-    examined and ``distribution`` is the minimizing one.
+    fixed-input rate, ``certificate`` is the linear program's duality gap
+    at the final basis (the value is within that gap of the infimum, up to
+    the rounding of I(X;B)), ``distribution`` is the minimizing vertex and
+    ``iterations`` is 1 + the phase II pivots.
     """
 
     value: float
@@ -159,105 +158,98 @@ def _constraint_matrix(states: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=-2)
 
 
-def _span_rank(states: np.ndarray) -> np.ndarray:
-    """Rank of the real-linear span of {W_x - W_x0} at the SVD threshold, per channel."""
-    diffs = _constraint_matrix(states[..., 1:, :, :] - states[..., :1, :, :])
-    return npl.matrix_rank(diffs, tol=VERTEX_RANK_TOL)
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """One Gauss–Jordan step: column col becomes basic in row."""
+    pivot = tableau[row] / tableau[row, col]
+    tableau -= tableau[:, col, None] * pivot
+    tableau[row] = pivot
+    basis[row] = col
 
 
-def _vertex_sets(states: np.ndarray, masses: np.ndarray) -> list[list[np.ndarray]]:
-    """`feasible_vertices` of each row: (r, k, d, d) checked states, (r, k) laws.
-
-    Per support size, one stacked rank test of the augmented matrices
-    [A_S; 1ᵀ] of all rows that reach it and one lstsq per row and full-rank
-    support (numpy has no stacked lstsq); then one batched eigvalsh of all
-    candidates' output gaps W(q) − W(p).
-    """
-    r, k = masses.shape
-    if k > VERTEX_MAX_ALPHABET:
-        raise ResourceLimitError(
-            f"vertex enumeration supports at most {VERTEX_MAX_ALPHABET} inputs, got {k}")
-    amat = _constraint_matrix(states)
-    rhs = np.concatenate([amat @ masses[..., None], np.ones((r, 1, 1))], axis=1)[..., 0]
-    max_support = _span_rank(states) + 1
-    augmented = np.concatenate([amat, np.ones((r, 1, k))], axis=1)
-    found: list[list[np.ndarray]] = [[] for _ in range(r)]
-    for size in range(1, min(int(max_support.max()), k) + 1):
-        rows = np.flatnonzero(max_support >= size)
-        supports = np.array(list(itertools.combinations(range(k), size)))
-        augs = augmented[rows][:, :, supports].transpose(0, 2, 1, 3)
-        full = npl.matrix_rank(augs, tol=VERTEX_RANK_TOL) >= size
-        for i, j in zip(*np.nonzero(full)):
-            sol, *_ = npl.lstsq(augs[i, j], rhs[rows[i]], rcond=None)
-            if sol.min() < -1e-9:
-                continue
-            q = np.zeros(k)
-            q[supports[j]] = np.clip(sol, 0.0, None)
-            total = q.sum()
-            if math.isfinite(total) and total > 0.0:
-                found[rows[i]].append(q / total)
-    owner = np.repeat(np.arange(r), [len(qs) for qs in found])
-    qs = np.array([q for row in found for q in row]).reshape(-1, k)
-    gaps = _check_hermitian(np.einsum("cx,cxij->cij", qs, states[owner])
-                            - np.einsum("rx,rxij->rij", masses, states)[owner])
-    feasible = iter(np.sum(np.abs(npl.eigvalsh(gaps)), axis=-1) <= FEASIBLE_OUTPUT_TOL)
-    vertex_sets = []
-    for row in found:
-        vertices: list[np.ndarray] = []
-        for q, ok in zip(row, feasible):
-            if ok and not any(float(np.max(np.abs(q - v))) <= VERTEX_DEDUP_TOL for v in vertices):
-                vertices.append(q)
-        vertex_sets.append(sorted(vertices, key=tuple))
-    return vertex_sets
-
-
-def feasible_vertices(channel: CQChannel, dist: Distribution) -> list[Distribution]:
-    """Vertices of {q : W(q) = W(p)}, the input distributions with p's output.
-
-    Every vertex is supported on at most rank+1 inputs whose output states
-    are affinely independent, so all such supports are enumerated and the
-    basic solutions kept if nonnegative with an output within
-    FEASIBLE_OUTPUT_TOL in trace norm, deduplicated in (support size,
-    combination) order and sorted. At most VERTEX_MAX_ALPHABET inputs.
-    """
-    channel._check_alphabet(dist)
-    return [Distribution(channel.labels, v)
-            for v in _vertex_sets(channel.states[None], dist.masses[None])[0]]
-
-
-def _vertex_informations(states: np.ndarray, vertex_sets: list) -> list[list[float]]:
-    """I(X;B) at each row's vertices with the bits of `mutual_info`, from one
-    `_entropy_terms` of the stack and one `_divergences` call for all vertices."""
-    r, k = states.shape[:2]
-    owner = np.repeat(np.arange(r), [len(vs) for vs in vertex_sets])
-    qs = np.array([q for vs in vertex_sets for q in vs]).reshape(-1, k)
-    terms = _entropy_terms(states.reshape(r * k, *states.shape[2:])).reshape(r, k)[owner]
-    div = iter(_divergences(states[owner], qs, np.einsum("vx,vxij->vij", qs, states[owner]),
-                            terms))
-    return [[_information(q, next(div)) for q in vs] for vs in vertex_sets]
+def _bland(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, k: int) -> int:
+    """Pivot until none of the first k columns has a reduced cost below
+    −LP_PIVOT_TOL; the pivots made. Bland's rule (Math. Oper. Res. 2, 1977):
+    the first such column enters and, among the rows of least ratio, the one
+    of least basic column leaves, so no basis repeats."""
+    pivots = 0
+    while True:
+        improving = cost[:k] - cost[basis] @ tableau[:, :k] < -LP_PIVOT_TOL
+        if not improving.any():
+            return pivots
+        col = improving.argmax()
+        column = tableau[:, col]
+        ratios = np.divide(tableau[:, -1], column, out=np.full(len(basis), np.inf),
+                           where=column > LP_PIVOT_TOL)
+        least = ratios <= ratios.min() + LP_PIVOT_TOL
+        _pivot(tableau, basis, np.where(least, basis, len(cost)).argmin(), col)
+        pivots += 1
 
 
 def _fixed_input_rates(labels: tuple, states: np.ndarray, masses: np.ndarray) -> list[RateResult]:
-    """`fixed_input_rate` of each row of a stack, as `_vertex_sets` takes it."""
-    vertex_sets = _vertex_sets(states, masses)
-    if not all(vertex_sets):
-        raise ValidationError("feasible polytope has no vertices; "
-                              "the reference distribution should always be feasible")
-    results = []
-    for vertices, values in zip(vertex_sets, _vertex_informations(states, vertex_sets)):
-        best = min(range(len(values)), key=values.__getitem__)
-        results.append(RateResult(values[best], float(len(values)), len(values),
-                                  Distribution(labels, vertices[best])))
-    return results
+    """`fixed_input_rate` of each row of a stack: (r, k, d, d) checked states, (r, k) laws.
+
+    One `_divergences` call gives every row's costs c_x = D(W_x‖W(p)) and one
+    batched SVD the orthonormal rows V of [A; 1ᵀ] with the columns of letters
+    of infinite cost zeroed: such a letter, at cost 0, never enters a basis,
+    so it is held at q_x = 0. Each row runs a phase I / phase II simplex on
+    V q = V p, q ≥ 0 from a tableau [±V | I | ±V p], signed so its last
+    column starts nonnegative; its witness is the lstsq solution of [A_S; 1ᵀ]
+    q_S = [A p; 1] on the final basis's positive support S, clipped at 0 and
+    normalized, and one more `_divergences` call gives every witness's
+    I(X;B). With the final basis's duals y, any q on the fibre has c·q ≥
+    y·Vp + min(0, minₓ (c − Vᵀy)ₓ), since 1ᵀq = 1 is in the span of V: the
+    certificate is c·q less that bound, floored at 0.
+    """
+    r, k = masses.shape
+    terms = _entropy_terms(states.reshape(r * k, *states.shape[2:])).reshape(r, k)
+    costs = _divergences(states, masses, np.einsum("rx,rxij->rij", masses, states), terms)
+    finite = np.isfinite(costs)
+    amat = _constraint_matrix(states)
+    rhs = np.concatenate([amat @ masses[..., None], np.ones((r, 1, 1))], axis=1)[..., 0]
+    augmented = np.concatenate([amat, np.ones((r, 1, k))], axis=1)
+    _, sing, vt = npl.svd(augmented * finite[:, None, :], full_matrices=False)
+    witnesses, gaps, pivots = np.zeros((r, k)), [], []
+    for row in range(r):
+        rows = vt[row, sing[row] > LP_PIVOT_TOL * sing[row, 0]]
+        m, b = len(rows), rows @ masses[row]
+        sign = np.where(b < 0.0, -1.0, 1.0)
+        tableau = np.hstack([rows * sign[:, None], np.eye(m), (b * sign)[:, None]])
+        basis, cost = np.arange(k, k + m), np.repeat([0.0, 1.0], [k, m])
+        _bland(tableau, basis, cost, k)  # phase I: the artificial columns' sum
+        for i in (basis >= k).nonzero()[0]:
+            # an artificial column left basic at level 0 leaves for any letter
+            out = (np.abs(tableau[i, :k]) > LP_PIVOT_TOL).nonzero()[0]
+            if out.size:
+                _pivot(tableau, basis, i, out[0])
+        cost[:k], cost[k:] = np.where(finite[row], costs[row], 0.0), 0.0
+        pivots.append(_bland(tableau, basis, cost, k))
+        support = np.sort(basis[(basis < k) & (tableau[:, -1] > LP_PIVOT_TOL)])
+        sol, *_ = npl.lstsq(augmented[row][:, support], rhs[row], rcond=None)
+        q = witnesses[row]
+        q[support] = np.clip(sol, 0.0, None)
+        q /= q.sum()
+        y = cost[basis] @ tableau[:, k:-1] * sign
+        bound = y @ b + min(0.0, (cost[:k] - y @ rows).min())
+        gaps.append(max(float(cost[:k] @ q - bound), 0.0))
+    divs = _divergences(states, witnesses, np.einsum("vx,vxij->vij", witnesses, states), terms)
+    return [RateResult(_information(q, div), gap, 1 + steps, Distribution(labels, q))
+            for q, div, gap, steps in zip(witnesses, divs, gaps, pivots)]
 
 
 def fixed_input_rate(channel: CQChannel, dist: Distribution) -> RateResult:
     """inf_{q : W(q) = W(p)} I(X;B) of the joint state under q, in bits.
 
-    Mutual information is concave in the input distribution, so the infimum
-    over the (compact, convex) feasible polytope is attained at a vertex.
-    The first vertex of least information is returned, its value with the
-    bits of `mutual_info`.
+    On that fibre the output W(q) = W(p) is fixed, so I(X;B) = Σ_x q_x
+    D(W_x‖W(p)) is linear in q: the rate is the linear program min c·q
+    subject to A q = A p, 1ᵀq = 1, q ≥ 0, with c_x = D(W_x‖W(p)) and A the
+    real and imaginary parts of the output states. A letter of infinite
+    cost puts weight off the support of W(p), so it has q_x = 0 on the
+    fibre. The witness is the simplex's optimal vertex and the value is
+    its I(X;B) with the bits of `mutual_info`; where several vertices are
+    optimal, which one is returned follows Bland's pivoting, so it can
+    differ from another of values within about 1e-12. ``certificate`` is
+    the duality gap of the final basis and ``iterations`` is 1 + the
+    phase II pivots, the bases examined.
     """
     channel._check_alphabet(dist)
     return _fixed_input_rates(channel.labels, channel.states[None], dist.masses[None])[0]

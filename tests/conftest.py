@@ -44,6 +44,22 @@ def flip_erase_channel():
     return build_flip_erase_channel(0.1)
 
 
+# A two-letter qutrit channel whose Σ_x p_x D(W_x‖W(p)) at the point mass on
+# "b" rounds to −3.3e-16 where it is not forced to 0
+POINT_MASS_CHANNEL = {"dim": 3, "inputs": [
+    {"label": "a", "state": [
+        [[0.28271728271728275, 0.0], [0.18581418581418585, 0.2767232767232768],
+         [0.025974025974025976, 0.013986013986013988]],
+        [[0.18581418581418585, -0.2767232767232768], [0.5594405594405596, 0.0],
+         [0.09290709290709293, -0.08791208791208792]],
+        [[0.025974025974025976, -0.013986013986013988],
+         [0.09290709290709293, 0.08791208791208792], [0.15784215784215785, 0.0]]]},
+    {"label": "b", "state": [
+        [[0.331, 0.0], [-0.102, -0.073], [0.176, 0.043]],
+        [[-0.102, 0.073], [0.2, 0.0], [-0.221, 0.203]],
+        [[0.176, -0.043], [-0.221, -0.203], [0.469, 0.0]]]}]}
+
+
 # ---------------------------------------------------------------------------
 # valid command lines, shared by the CLI and validation sweeps
 

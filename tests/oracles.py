@@ -432,10 +432,11 @@ def _squarem_path(p):
 
 
 def _information_at(states, q, tr_w_log_w) -> tuple[np.ndarray, float]:
-    """(D(W_x‖W(q)) for every x, I(X;B) at q) from one descending eigh of W(q)."""
+    """(D(W_x‖W(q)) for every x, I(X;B) at q) from one descending eigh of W(q);
+    I is exactly 0 at a point mass."""
     div = descending_eigh_divergences(states, q, np.einsum("x,xij->ij", q, states), tr_w_log_w)
     live = q > 0.0
-    return div, float(np.sum(q[live] * div[live]))
+    return div, 0.0 if live.sum() == 1 else float(np.sum(q[live] * div[live]))
 
 
 def per_point_capacity(states, tol: float, max_iter: int = 100000) -> PointRate:

@@ -22,7 +22,7 @@ from cqresolve import ResourceLimitError
 from cqresolve.cli import _DISPATCH, _fmt, _parse_eps_grid, main
 
 import oracles as orc
-from conftest import EXAMPLE1, base_argv, command_parsers
+from conftest import EXAMPLE1, POINT_MASS_CHANNEL, base_argv, command_parsers
 
 
 def run_cli(capsys, *argv):
@@ -440,6 +440,22 @@ class TestRateCommands:
         code, out, _ = run_cli(capsys, "capacity", "--channel", str(path))
         assert code == 0
         assert float(kv(out)["capacity_bits"]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_fixed_rate_at_a_point_mass_is_zero(self, capsys, tmp_path):
+        path = tmp_path / "point-mass.json"
+        path.write_text(json.dumps(POINT_MASS_CHANNEL))
+        code, out, err = run_cli(capsys, "fixed-rate", "--channel", str(path),
+                                 "--dist", '{"a": 0, "b": 1}')
+        assert (code, err) == (0, "")
+        assert kv(out)["fixed_input_rate_bits"] == "0"
+
+    def test_fixed_rate_prints_its_duality_gap(self, capsys):
+        code, out, _ = run_cli(capsys, "fixed-rate", "--builtin", "example1", "--eps", "0.1",
+                               "--dist", '{"0": 0.3, "1": 0.5, "e": 0.2}')
+        assert code == 0
+        fields = kv(out)
+        assert list(fields) == ["fixed_input_rate_bits", "certificate_gap", "vertices_examined"]
+        assert 0.0 <= float(fields["certificate_gap"]) <= 1e-12
 
     def test_fixed_rate_half_half_zero(self, capsys):
         code, out, _ = run_cli(

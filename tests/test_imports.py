@@ -136,8 +136,6 @@ def unreached_exports(exports, sources: list[str], entries: list[str]) -> list[s
 
 # Exports that no command, demo or acceptance test reaches, each kept for a reason.
 KEPT_UNREACHED = {
-    "feasible_vertices": "the one-row form of rates._vertex_sets, which fixed_input_rate "
-                         "and separation-figure call with all their rows at once",
     "sandwiched_renyi": "D̃_α(W_x‖σ) is the divergence kernel of the worst-input "
                         "radius bound on the ROADMAP",
     "mutual_info": "I(X;B) at one law; the capacity ascent and the fixed-input rate sum "

@@ -14,7 +14,7 @@ from cqresolve import errors, info, linalg
 from cqresolve.info import _divergences, _entropy_terms, _renyi_fixed_points
 import oracles as orc
 
-from conftest import assert_psd
+from conftest import POINT_MASS_CHANNEL, assert_psd
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,13 @@ def test_mutual_info_point_mass_is_zero(flip_erase_channel):
     channel, _ = flip_erase_channel
     p = cq.Distribution.point_mass(channel.labels, "0")
     assert cq.mutual_info(channel, p) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mutual_info_of_a_point_mass_is_exactly_zero():
+    # Σ_x p_x D(W_x‖W(p)) at the point mass on "b" rounds to −3.3e-16
+    channel = cq.channel_from_json(POINT_MASS_CHANNEL)
+    for label in channel.labels:
+        assert cq.mutual_info(channel, cq.Distribution.point_mass(channel.labels, label)) == 0.0
 
 
 def test_mutual_info_matches_classical_oracle():

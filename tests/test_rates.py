@@ -1,4 +1,4 @@
-"""Capacity iteration and fixed-input rate via polytope vertices."""
+"""Capacity iteration and the fixed-input rate's linear program."""
 from __future__ import annotations
 
 import numpy as np
@@ -220,22 +220,22 @@ def test_capacity_invariant_under_unitary_conjugation():
 
 
 # ---------------------------------------------------------------------------
-# feasible_vertices
+# the feasible vertices of the per-support oracle
 
 
 def test_feasible_vertices_flip_erase_channel(flip_erase_channel):
     channel, dist = flip_erase_channel
-    vertices = cq.feasible_vertices(channel, dist)
-    rows = sorted(tuple(np.round(v.masses, 9)) for v in vertices)
+    vertices = orc.per_support_feasible_vertices(channel.states, dist.masses)
+    rows = sorted(tuple(np.round(v, 9)) for v in vertices)
     assert rows == [(0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]
 
 
 def test_feasible_vertices_injective_channel_unique():
     channel = cq.CQChannel(("0", "1"), [np.diag([0.9, 0.1]), np.diag([0.1, 0.9])])
     dist = cq.Distribution.from_dict({"0": 0.3, "1": 0.7})
-    vertices = cq.feasible_vertices(channel, dist)
+    vertices = orc.per_support_feasible_vertices(channel.states, dist.masses)
     assert len(vertices) == 1
-    np.testing.assert_allclose(vertices[0].masses, [0.3, 0.7], atol=1e-8)
+    np.testing.assert_allclose(vertices[0], [0.3, 0.7], atol=1e-8)
 
 
 def test_feasible_vertices_outputs_match_target():
@@ -246,37 +246,28 @@ def test_feasible_vertices_outputs_match_target():
     q = rng.dirichlet(np.full(5, 2.0))
     dist = cq.Distribution.from_dict(dict(zip(labels, map(float, q))), labels=labels)
     target = cq.output_state(channel, dist)
-    vertices = cq.feasible_vertices(channel, dist)
+    vertices = orc.per_support_feasible_vertices(channel.states, dist.masses)
     assert vertices
     for v in vertices:
-        out = cq.output_state(channel, v)
+        out = cq.output_state(channel, cq.Distribution(labels, v))
         assert cq.trace_norm(out - target) <= 1e-8
-        assert np.all(np.asarray(v.masses) >= -1e-12)
-
-
-def test_feasible_vertices_alphabet_cap():
-    labels = tuple(str(i) for i in range(13))
-    channel = cq.CQChannel(labels, [np.diag([0.5, 0.5])] * 13)
-    dist = cq.Distribution.uniform(labels)
-    with pytest.raises(errors.ResourceLimitError):
-        cq.feasible_vertices(channel, dist)
+        assert np.all(v >= -1e-12)
 
 
 def test_feasible_vertices_of_a_single_letter_channel_is_the_point_mass():
     channel = cq.CQChannel(("a",), [np.diag([0.3, 0.7])])
     dist = cq.Distribution.point_mass(("a",), "a")
-    assert rates._span_rank(channel.states) == 0
-    vertices = cq.feasible_vertices(channel, dist)
-    assert [v.masses.tolist() for v in vertices] == [[1.0]]
+    vertices = orc.per_support_feasible_vertices(channel.states, dist.masses)
+    assert [v.tolist() for v in vertices] == [[1.0]]
     res = cq.fixed_input_rate(channel, dist)
-    assert res.value == pytest.approx(0.0, abs=1e-12)
+    assert (res.value, res.iterations) == (0.0, 1)
     assert res.distribution.masses.tolist() == [1.0]
 
 
 def test_feasible_vertices_deduplicated():
     channel, dist = build_flip_erase_channel(0.25)
-    vertices = cq.feasible_vertices(channel, dist)
-    rows = [tuple(np.round(v.masses, 8)) for v in vertices]
+    vertices = orc.per_support_feasible_vertices(channel.states, dist.masses)
+    rows = [tuple(np.round(v, 8)) for v in vertices]
     assert len(rows) == len(set(rows))
 
 
@@ -309,10 +300,31 @@ def _vertex_sweep_case(k: int, d: int, index: int):
     return cq.CQChannel(labels, states), cq.Distribution(labels, weights / weights.sum())
 
 
-# 24 channels for each alphabet of 2-7 letters and 6 at the alphabet cap,
-# on qubits and qutrits: 300 channels.
+def _assert_least_vertex(result: rates.RateResult, states, masses) -> None:
+    """The linear program's rate against the per-support loop's first least
+    vertex: value and witness bit for bit, or, where at least two vertices
+    are within 1e-12 of the least (a tie), a witness that is bitwise one of
+    those and a value within 1e-12. The duality gap is at most 1e-12 either
+    way."""
+    assert 0.0 <= result.certificate <= 1e-12
+    point = orc.per_point_fixed_input_rate(states, masses)
+    if np.array_equal(result.distribution.masses, point.masses):
+        assert np.array_equal(result.value, point.value)
+        return
+    vertices = orc.per_support_feasible_vertices(states, masses)
+    terms = orc.neg_entropies(np.asarray(states))
+    values, _ = orc.per_vertex_least(
+        vertices, lambda q: orc._information_at(np.asarray(states), q, terms)[1])
+    tied = [v for v, value in zip(vertices, values) if value - point.value <= 1e-12]
+    assert len(tied) >= 2
+    assert any(np.array_equal(result.distribution.masses, v) for v in tied)
+    assert abs(result.value - point.value) <= 1e-12
+
+
+# 24 channels for each alphabet of 2-7 letters and 6 of 12 letters, on
+# qubits and qutrits: 300 channels.
 VERTEX_SWEEP = [(k, d, 24 if k <= 7 else 6)
-                for k in (2, 3, 4, 5, 6, 7, rates.VERTEX_MAX_ALPHABET) for d in (2, 3)]
+                for k in (2, 3, 4, 5, 6, 7, 12) for d in (2, 3)]
 
 
 @pytest.mark.parametrize("k, d, count", VERTEX_SWEEP,
@@ -320,18 +332,10 @@ VERTEX_SWEEP = [(k, d, 24 if k <= 7 else 6)
 def test_batched_vertices_have_the_bits_of_the_per_support_loop(k, d, count):
     for index in range(count):
         channel, dist = _vertex_sweep_case(k, d, index)
-        expected = orc.per_support_feasible_vertices(channel.states, dist.masses)
-        got = cq.feasible_vertices(channel, dist)
-        assert len(got) == len(expected) >= 1
-        for vertex, masses in zip(got, expected):
-            assert np.array_equal(vertex.masses, masses)
-        # vertex values, argmin and rate against one mutual_info per vertex
-        values, best = orc.per_vertex_least(got, lambda q: cq.mutual_info(channel, q))
-        vertex_set = [[v.masses for v in got]]
-        assert rates._vertex_informations(channel.states[None], vertex_set) == [values]
         res = cq.fixed_input_rate(channel, dist)
-        assert (res.value, res.iterations) == (values[best], len(expected))
-        assert np.array_equal(res.distribution.masses, expected[best])
+        _assert_least_vertex(res, channel.states, dist.masses)
+        # the value has the bits of mutual_info at the witness
+        assert res.value == cq.mutual_info(channel, res.distribution)
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +350,20 @@ def _assert_same(result: rates.RateResult, point: orc.PointRate):
 
 
 def _assert_rows_match(labels, states, masses, tol) -> tuple[list, list]:
-    """Every row's capacity, vertices and fixed-input rate from the stacked
-    kernels against one per-point oracle run each; the rows' results returned."""
+    """Every row's capacity and fixed-input rate from the stacked kernels
+    against one per-point oracle run each, and each row's fixed-input rate
+    the same bits alone as in the stack; the rows' results returned."""
     capacities = rates._capacities(labels, states, tol)
-    vertex_sets = rates._vertex_sets(states, masses)
     fixed = rates._fixed_input_rates(labels, states, masses)
-    assert len(capacities) == len(vertex_sets) == len(fixed) == len(states)
+    assert len(capacities) == len(fixed) == len(states)
     for row in range(len(states)):
         _assert_same(capacities[row], orc.per_point_capacity(states[row], tol))
-        expected = orc.per_support_feasible_vertices(states[row], masses[row])
-        assert len(vertex_sets[row]) == len(expected)
-        for vertex, masses_ in zip(vertex_sets[row], expected):
-            assert np.array_equal(vertex, masses_)
-        _assert_same(fixed[row], orc.per_point_fixed_input_rate(states[row], masses[row]))
+        _assert_least_vertex(fixed[row], states[row], masses[row])
+        alone = rates._fixed_input_rates(labels, states[row:row + 1], masses[row:row + 1])[0]
+        assert np.array_equal(fixed[row].certificate, alone.certificate)
+        assert fixed[row].iterations == alone.iterations
+        assert np.array_equal(fixed[row].value, alone.value)
+        assert np.array_equal(fixed[row].distribution.masses, alone.distribution.masses)
     return capacities, fixed
 
 
@@ -374,7 +379,7 @@ def test_example1_stack_has_the_bits_of_the_per_point_loop(tol):
     for (eps, cap, rate), c, f in zip(orc.per_point_separation_figure(grid, tol),
                                       capacities, fixed):
         _assert_same(c, cap)
-        _assert_same(f, rate)
+        assert np.array_equal(f.value, rate.value)
 
 
 def _random_stack(seed: int):
@@ -456,10 +461,10 @@ def test_fixed_input_rate_flip_erase_is_zero(flip_erase_channel):
 
 
 def test_fixed_input_rate_decomposes_the_states_once_for_all_vertices(monkeypatch):
-    # one _entropy_terms for all vertex values, however many vertices there
-    # are; the least value is the rate, with no second mutual_info
+    # one _entropy_terms for the costs at p and the witness's value, however
+    # many vertices the fibre has; no mutual_info call
     channel, dist = _vertex_sweep_case(7, 2, 0)
-    assert len(cq.feasible_vertices(channel, dist)) > 2
+    assert len(orc.per_support_feasible_vertices(channel.states, dist.masses)) > 2
     calls = []
 
     def counted(states):
@@ -523,6 +528,42 @@ def test_fixed_input_rate_below_capacity():
                                          labels=labels)
         rate = cq.fixed_input_rate(channel, dist)
         assert rate.value <= cap.value + 1e-6
+
+
+def test_fixed_input_rate_of_fifty_mixtures_is_the_concave_envelope():
+    # W_x = t_x W_0 + (1 − t_x) W_1 fixes T = Σ_x q_x t_x on the fibre, and
+    # I = S(W(p)) − Σ_x q_x S(W_x) is least at the upper concave envelope of
+    # the points (t_x, S(W_x)) at T: past the former 12-letter cap
+    rng = np.random.default_rng(31)
+    w0, w1 = orc.random_density(rng, 2), orc.random_density(rng, 2)
+    t = np.concatenate([[0.0, 1.0], rng.uniform(size=48)])
+    labels = tuple(str(x) for x in range(50))
+    channel = cq.CQChannel(labels, [tx * w0 + (1.0 - tx) * w1 for tx in t])
+    p = rng.dirichlet(np.ones(50))
+    res = cq.fixed_input_rate(channel, cq.Distribution(labels, p))
+    entropies = -orc.neg_entropies(channel.states)
+    T = float(p @ t)
+    envelope = max(entropies[i] + (entropies[j] - entropies[i]) * (T - t[i]) / (t[j] - t[i])
+                   if t[j] > t[i] else entropies[i]
+                   for i in range(50) for j in range(50) if t[i] <= T <= t[j])
+    want = -orc.neg_entropies([T * w0 + (1.0 - T) * w1])[0] - envelope
+    assert res.value == pytest.approx(want, abs=1e-12)
+    assert 0.0 <= res.certificate <= 1e-12
+    assert np.count_nonzero(res.distribution.masses) <= 2
+
+
+def test_fixed_input_rate_of_three_hundred_qubit_letters_is_certified():
+    rng = np.random.default_rng(300)
+    labels = tuple(str(x) for x in range(300))
+    channel = cq.CQChannel(labels, [orc.random_density(rng, 2) for _ in labels])
+    dist = cq.Distribution(labels, rng.dirichlet(np.ones(300)))
+    res = cq.fixed_input_rate(channel, dist)
+    assert 0.0 <= res.certificate <= 1e-12
+    assert 0.0 <= res.value <= cq.mutual_info(channel, dist)
+    # the witness has p's output and at most d² + 1 = 5 letters
+    assert cq.trace_norm(cq.output_state(channel, res.distribution)
+                         - cq.output_state(channel, dist)) <= 1e-9
+    assert np.count_nonzero(res.distribution.masses) <= 5
 
 
 def test_strict_separation_at_capacity_achieving_input():

@@ -63,9 +63,10 @@ REFUSALS = {
 # 27 letters. The certify commands follow: the separation figure at 49 points
 # and at the 101 points of [0, 1] (pure states at ε 0 and 1, a constant channel
 # at ε 0.5), type checks at (d, n) = (3, 6), (6, 3), (2, 11), (3, 7) and (6, 4) (the last
-# three held two dense dⁿ × dⁿ matrices in older trees), and a fixed-input rate on
-# QUBIT_K12, a channel of 12 seeded qubit states (the vertex enumeration's
-# alphabet cap). Then soft covering on both sides of the letter kernel:
+# three held two dense dⁿ × dⁿ matrices in older trees), and fixed-input rates on
+# QUBIT_K12, a channel of 12 seeded qubit states (the most letters older trees'
+# vertex enumeration took), and on the 300 letters of QUBIT_K300, which older
+# trees refuse (exit 3). Then soft covering on both sides of the letter kernel:
 # 1.2 M draws of example1's 3 letters, counted, and 6,400 draws of the 300
 # letters of QUBIT_K300, searched. Last, bad codewords counted by type class:
 # on example1 at n 9 (3^9 words), and on QUBIT_K12 at n 4 with a δ whose
@@ -98,6 +99,7 @@ FRONTIER = {
     "types-check-d3-n7": ("types-check", "--alphabet-size", "3", "--n", "7"),
     "types-check-d6-n4": ("types-check", "--alphabet-size", "6", "--n", "4"),
     "fixed-rate-qubit-k12": ("fixed-rate", "--channel", QUBIT_K12),
+    "fixed-rate-qubit-k300": ("fixed-rate", "--channel", QUBIT_K300),
     "softcover-n3-M4096": ("softcover", *EXAMPLE1_LAW, "--n", "3", "--M", "4096",
                            "--samples", "100", "--seed", "7"),
     "softcover-n1-M64-qubit-k300": ("softcover", "--channel", QUBIT_K300, "--n", "1",
