@@ -232,6 +232,14 @@ def _m_type_total(alphabet_size: int, M: int) -> int:
     return total
 
 
+def _m_type_budget(alphabet_size: int, M: int) -> int:
+    """`_m_type_total`, with its count matrix checked against MAX_COUNT_BYTES."""
+    total = _m_type_total(alphabet_size, M)
+    check_budget(f"the {total} x {alphabet_size} M-type count matrix",
+                 total * alphabet_size * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
+    return total
+
+
 def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     """Count matrix of all M-types, rows lexicographic over mass vectors.
 
@@ -247,9 +255,7 @@ def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     and the commands' type profiles enumerate through it; the exact engine
     and the bad-codeword count walk the same tree and never hold the matrix.
     """
-    total = _m_type_total(alphabet_size, M)
-    check_budget(f"the {total} x {alphabet_size} M-type count matrix",
-                 total * alphabet_size * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
+    total = _m_type_budget(alphabet_size, M)
     counts = np.empty((total, alphabet_size), dtype=np.int64)
     letters = np.eye(alphabet_size, dtype=np.min_scalar_type(-M - 1))
     block = _COUNT_BLOCK_BYTES // (8 * alphabet_size + 32)

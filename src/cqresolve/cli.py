@@ -23,12 +23,12 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .channel import (CQChannel, Distribution, channel_from_json, distribution_from_json,
-                      format_label, m_type_counts, output_state)
+from .channel import (CQChannel, Distribution, _m_type_budget, channel_from_json,
+                      distribution_from_json, format_label, m_type_counts, output_state)
 from .errors import (MAX_MATRIX_BYTES, MAX_TYPES, ConvergenceError, ResourceLimitError,
                      ValidationError, check_budget, check_positive_int, check_real)
 from .info import RenyiOrder
@@ -51,6 +51,8 @@ EXAMPLE1_LABELS = ("0", "1", "e")
 
 def _fmt(value) -> str:
     """One printed value: floats at 12 significant digits, booleans in lower case."""
+    if type(value) is float:
+        return f"{value:.12g}"
     if isinstance(value, (bool, np.bool_)):
         return str(value).lower()
     if isinstance(value, float):
@@ -69,15 +71,18 @@ def _json_ready(obj):
 
 
 class _Table(NamedTuple):
-    """A CSV table; each cell is formatted by ``_fmt``."""
+    """A CSV table; each cell is formatted by ``_fmt``. The rows may be an
+    iterator, consumed as the table is written."""
 
     header: tuple[str, ...]
-    rows: list[tuple]
+    rows: Iterable[tuple]
 
 
 # What a command handler returns: the output lines in print order, each a
 # (key, value) field, a verbatim str line or a _Table, and the JSON payload
 # that --out writes (None for the commands whose artifact is their table).
+# A field's value may be a function, called once the lines before it are
+# written: a count over a table whose rows are streamed.
 _Record = tuple[list, dict | None]
 
 
@@ -235,10 +240,21 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> _Record:
     check_positive_int("--n", args.n)
     # A law's checks make its diagonal a valid density, the one check of ρ.
     probs = distribution_from_json(_inline_or_path(args.dist_path)).masses
-    rows = [(n, "|".join(map(str, counts)), check.lhs, check.rhs, check.ok)
-            for n, counts, check in _types_bound_sweep(probs, args.n)]
-    return [_Table(("n", "type_counts", "lhs", "rhs", "ok"), rows), ("rows", len(rows)),
-            ("violations", sum(not row[4] for row in rows))], None
+    d = probs.size
+    # The rows are streamed, so every refusal comes before the first of
+    # them: n = --n has the most types.
+    _m_type_budget(d, args.n)
+    violations = 0
+
+    def rows():
+        nonlocal violations
+        for n, counts, check in _types_bound_sweep(probs, args.n):
+            violations += not check.ok
+            yield n, "|".join(map(str, counts)), check.lhs, check.rhs, check.ok
+
+    # Σ_{n=1}^{N} C(n + d − 1, d − 1) = C(N + d, d) − 1 types
+    return [_Table(("n", "type_counts", "lhs", "rhs", "ok"), rows()),
+            ("rows", math.comb(args.n + d, d) - 1), ("violations", lambda: violations)], None
 
 
 def _cmd_types_check(args: argparse.Namespace) -> _Record:
@@ -344,9 +360,9 @@ def _parse_eps_grid(spec_text: str) -> list[float]:
 def _cmd_separation_figure(args: argparse.Namespace) -> _Record:
     grid = _parse_eps_grid(args.eps_grid)
     states = _check_densities(_example1_states(grid).reshape(-1, 2, 2)).reshape(-1, 3, 2, 2)
-    capacities = _capacities(EXAMPLE1_LABELS, states, args.tol)
-    fixed = _fixed_input_rates(EXAMPLE1_LABELS, states, np.tile([0.5, 0.5, 0.0], (len(grid), 1)))
-    rows = [(eps, c.value, f.value) for eps, c, f in zip(grid, capacities, fixed)]
+    capacities = _capacities(EXAMPLE1_LABELS, states, args.tol).values
+    fixed = _fixed_input_rates(states, np.tile([0.5, 0.5, 0.0], (len(grid), 1))).values
+    rows = list(zip(grid, capacities.tolist(), fixed.tolist()))
     return [_Table(("epsilon", "capacity", "fixed_rate"), rows), ("points", len(rows))], None
 
 
@@ -538,7 +554,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             elif isinstance(line, str):
                 print(line)
             else:
-                print(f"{line[0]} = {_fmt(line[1])}")
+                key, value = line
+                print(f"{key} = {_fmt(value() if callable(value) else value)}")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull so the interpreter's

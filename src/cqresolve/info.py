@@ -66,10 +66,29 @@ def _kernel_mass(rho: np.ndarray, dec_sigma: SpectralDecomposition) -> float:
     return float(np.real(np.einsum("ia,ij,ja->", cols.conj(), rho, cols)))
 
 
+def _live_sums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Σ of each row's live terms, with the bits of the 1-D sum of those terms
+    alone; a dead term must be 0.
+
+    numpy sums fewer than 8 terms in order, so below 8 columns a dead term
+    changes nothing. From 8 columns its pairwise sum would regroup around
+    the dead terms, and the rows that have one are summed compressed,
+    grouped by their count of live terms.
+    """
+    total = np.add.reduce(terms, axis=1)
+    if terms.shape[1] >= 8:
+        count = np.add.reduce(live, axis=1)
+        for n in set(count[count < terms.shape[1]].tolist()):
+            rows = count == n
+            total[rows] = np.add.reduce(terms[rows][live[rows]].reshape(-1, n), axis=1)
+    return total
+
+
 def _entropy_terms(states: np.ndarray) -> np.ndarray:
     """Tr W_x log₂ W_x per input, restricted to each state's support."""
-    spectra = [vals[vals > SUPPORT_EIG_TOL] for vals in npl.eigvalsh(states)]
-    return np.array([float((vals * np.log2(vals)).sum()) for vals in spectra])
+    vals = npl.eigvalsh(states)
+    on = vals > SUPPORT_EIG_TOL
+    return _live_sums(np.where(on, vals * np.log2(np.where(on, vals, 1.0)), 0.0), on)
 
 
 def _divergences(states: np.ndarray, p: np.ndarray, targets: np.ndarray,
@@ -83,8 +102,14 @@ def _divergences(states: np.ndarray, p: np.ndarray, targets: np.ndarray,
     W(p) ≥ p_x W_x keeps positive, so every input of positive mass has a
     finite divergence. An input of mass 0 with weight above KERNEL_MASS_TOL
     off the support reads +inf.
+
+    Every caller's W(p) mixes states checked Hermitian at the boundary, so it
+    is Hermitian within their tolerance: of `_check_hermitian` only the
+    finiteness test can fail here, and only it runs.
     """
-    vals, vecs = npl.eigh(_check_hermitian(targets))
+    if not np.isfinite(targets).all():
+        raise ValidationError("matrix has a NaN or infinite entry")
+    vals, vecs = npl.eigh(targets)
     order = np.argsort(vals)[:, ::-1]
     rows = np.arange(len(vals))[:, None]
     # vecs[r, a], eigenvector a of row r, sits in memory as one matrix's
@@ -130,15 +155,20 @@ def mutual_info(channel: CQChannel, dist: Distribution) -> float:
     """
     states = channel.states
     p = dist.masses
-    return _information(p, _divergences(states[None], p[None], output_state(channel, dist)[None],
-                                        _entropy_terms(states)[None])[0])
+    div = _divergences(states[None], p[None], output_state(channel, dist)[None],
+                       _entropy_terms(states)[None])
+    return float(_information(p[None], div)[0])
 
 
-def _information(p: np.ndarray, div: np.ndarray) -> float:
-    """Σ_x p_x D_x over the inputs of positive mass: I(X;B) from the divergence
-    vector. A point mass gives exactly 0: a deterministic X shares nothing with B."""
+def _information(p: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """Σ_x p_x D_x over the inputs of positive mass, for each row of (r, k) masses
+    and divergences: I(X;B) from the divergence vector, with the bits of the
+    1-D sum over the live inputs. A point mass gives exactly 0: a
+    deterministic X shares nothing with B."""
     live = p > 0.0
-    return 0.0 if live.sum() == 1 else float((p[live] * div[live]).sum())
+    total = _live_sums(p * np.where(live, div, 0.0), live)
+    total[np.add.reduce(live, axis=1) == 1] = 0.0
+    return total
 
 
 def _power_on_support(vals: np.ndarray, vecs: np.ndarray, exponent: float,
@@ -346,18 +376,33 @@ class PinchingMap:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        """Each block Hermitian with Q² = Q, and the blocks summing to I, entrywise
+        within PINCH_COMPLETENESS_TOL. A diagonal block is checked on its
+        diagonal, where Q² − Q and the sum have all their nonzero entries."""
         if not self.projectors:
             raise ValidationError("a pinching map needs at least one block")
         dim = self.projectors[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
+        diagonal_sum, off_diagonal_sum = np.zeros(dim, dtype=complex), None
         for p in self.projectors:
             q = validate_hermitian(p)
             if q.shape[0] != dim:
                 raise DimensionMismatchError("pinching blocks have mixed dimensions")
-            if float(np.max(np.abs(q @ q - q))) > PINCH_COMPLETENESS_TOL:
+            diagonal = np.diagonal(q)
+            if np.count_nonzero(q) == np.count_nonzero(diagonal):
+                excess = diagonal * diagonal - diagonal
+            else:
+                excess = q @ q - q
+                if off_diagonal_sum is None:
+                    off_diagonal_sum = np.zeros_like(q)
+                off_diagonal_sum += q
+            if float(np.max(np.abs(excess))) > PINCH_COMPLETENESS_TOL:
                 raise ValidationError("pinching block is not idempotent")
-            total += q
-        if float(np.max(np.abs(total - np.eye(dim)))) > PINCH_COMPLETENESS_TOL:
+            diagonal_sum += diagonal
+        deviation = np.abs(diagonal_sum - 1.0)
+        if off_diagonal_sum is not None:
+            np.fill_diagonal(off_diagonal_sum, 0.0)
+            deviation = np.append(deviation, np.abs(off_diagonal_sum))
+        if float(np.max(deviation)) > PINCH_COMPLETENESS_TOL:
             raise ValidationError("pinching blocks do not sum to the identity")
 
     @property

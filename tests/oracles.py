@@ -481,6 +481,78 @@ def per_point_fixed_input_rate(states, masses) -> PointRate:
     return PointRate(values[best], float(len(vertices)), len(vertices), vertices[best])
 
 
+def _row_pivot(tableau, basis, row: int, col: int) -> None:
+    pivot = tableau[row] / tableau[row, col]
+    tableau -= tableau[:, col, None] * pivot
+    tableau[row] = pivot
+    basis[row] = col
+
+
+def _row_bland(tableau, basis, cost, k: int) -> int:
+    """Bland's rule on one tableau until no reduced cost of the first k
+    columns is below −1e-9; the pivots made."""
+    pivots = 0
+    while True:
+        improving = cost[:k] - cost[basis] @ tableau[:, :k] < -1e-9
+        if not improving.any():
+            return pivots
+        col = improving.argmax()
+        column = tableau[:, col]
+        ratios = np.divide(tableau[:, -1], column, out=np.full(len(basis), np.inf),
+                           where=column > 1e-9)
+        least = ratios <= ratios.min() + 1e-9
+        _row_pivot(tableau, basis, np.where(least, basis, len(cost)).argmin(), col)
+        pivots += 1
+
+
+def per_row_fixed_input_rate(states, masses) -> PointRate:
+    """The fixed-input rate's linear program on one channel, pivot by pivot, as
+    `rates` solved each row before its simplex was stacked.
+
+    Costs c_x = D(W_x‖W(p)) from one descending eigh of W(p); the rows V of
+    [A; 1ᵀ] (letters of infinite cost zeroed) above 1e-9 of the largest
+    singular value; phase I and phase II of Bland's rule on [±V | I | ±V p],
+    an artificial column left basic after phase I driven out for the first
+    letter with an entry above 1e-9; the witness is lstsq on the final
+    basis's support of level above 1e-9, clipped at 0 and normalized; the
+    certificate is c·q − (y·Vp + min(0, minₓ (c − Vᵀy)ₓ)), floored at 0;
+    iterations is 1 + the phase II pivots.
+    """
+    states = np.asarray(states, dtype=complex)
+    masses = np.asarray(masses, float)
+    k, d, _ = states.shape
+    terms = neg_entropies(states)
+    costs = descending_eigh_divergences(states, masses, np.einsum("x,xij->ij", masses, states),
+                                        terms)
+    finite = np.isfinite(costs)
+    flat = states.reshape(k, d * d).T
+    amat = np.vstack([flat.real, flat.imag])
+    rhs = np.concatenate([amat @ masses, [1.0]])
+    augmented = np.vstack([amat, np.ones((1, k))])
+    _, sing, vt = np.linalg.svd(augmented * finite, full_matrices=False)
+    rows = vt[sing > 1e-9 * sing[0]]
+    m, b = len(rows), rows @ masses
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    tableau = np.hstack([rows * sign[:, None], np.eye(m), (b * sign)[:, None]])
+    basis, cost = np.arange(k, k + m), np.repeat([0.0, 1.0], [k, m])
+    _row_bland(tableau, basis, cost, k)
+    for i in (basis >= k).nonzero()[0]:
+        out = (np.abs(tableau[i, :k]) > 1e-9).nonzero()[0]
+        if out.size:
+            _row_pivot(tableau, basis, i, out[0])
+    cost[:k], cost[k:] = np.where(finite, costs, 0.0), 0.0
+    pivots = _row_bland(tableau, basis, cost, k)
+    support = np.sort(basis[(basis < k) & (tableau[:, -1] > 1e-9)])
+    sol, *_ = np.linalg.lstsq(augmented[:, support], rhs, rcond=None)
+    q = np.zeros(k)
+    q[support] = np.clip(sol, 0.0, None)
+    q /= q.sum()
+    y = cost[basis] @ tableau[:, k:-1] * sign
+    bound = y @ b + min(0.0, (cost[:k] - y @ rows).min())
+    gap = max(float(cost[:k] @ q - bound), 0.0)
+    return PointRate(_information_at(states, q, terms)[1], gap, 1 + pivots, q)
+
+
 def per_point_separation_figure(grid, tol: float, max_iter: int = 100000) -> list:
     """(ε, capacity, fixed-input rate at (½, ½, 0)) of example1 at every ε in
     order, each channel built and solved before the next; the first failure
@@ -1242,6 +1314,25 @@ def ee31_margin_exact(symbols, d: int) -> Fraction:
             value -= Fraction(1, multinomial_exact(n, counts))
         best = value if best is None else min(best, value)
     return best
+
+
+def dense_pinching_refusal(projectors) -> str | None:
+    """Why a family of Hermitian blocks is not a pinching map, by dense matrix
+    products, or None: each block of the first block's size and with
+    max |Q² − Q| ≤ 1e-9, then max |Σ Q − I| ≤ 1e-9; the first failure's
+    exception type and message."""
+    dim = np.asarray(projectors[0]).shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    for p in projectors:
+        q = np.asarray(p, dtype=complex)
+        if q.shape[0] != dim:
+            return "DimensionMismatchError: pinching blocks have mixed dimensions"
+        if float(np.max(np.abs(q @ q - q))) > 1e-9:
+            return "ValidationError: pinching block is not idempotent"
+        total += q
+    if float(np.max(np.abs(total - np.eye(dim)))) > 1e-9:
+        return "ValidationError: pinching blocks do not sum to the identity"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -651,6 +651,28 @@ class TestBoundCommands:
         assert all(line.endswith("true") for line in lines[1:])
         assert kv(out)["violations"] == "0"
 
+    @pytest.mark.parametrize("law", ['{"0": 1}', '{"0": 0.5, "1": 0.5}',
+                                     '{"0": 0.5, "1": 0.3, "2": 0.2}',
+                                     '{"0": 0.4, "1": 0.3, "2": 0.2, "3": 0.1, "4": 0.0}'])
+    def test_sanov_sweep_counts_the_rows_it_streams(self, capsys, law):
+        code, out, _ = run_cli(capsys, "sanov-sweep", "--dist", law, "--n", "6")
+        assert code == 0
+        lines = out.splitlines()
+        table = lines[1:lines.index(next(x for x in lines if x.startswith("rows = ")))]
+        assert kv(out)["rows"] == str(len(table))
+        assert kv(out)["violations"] == str(sum(not x.endswith(",true") for x in table))
+
+    def test_sanov_sweep_refuses_before_the_first_row(self, capsys, tmp_path):
+        # 10 letters have C(39, 9) = 211,915,132 types at n = 30, past
+        # MAX_TYPES; every smaller n is within it
+        outp = tmp_path / "sweep.csv"
+        law = json.dumps({str(x): 0.1 for x in range(10)})
+        code, out, err = run_cli(capsys, "sanov-sweep", "--dist", law, "--n", "30",
+                                 "--out", str(outp))
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: enumerating 10 letters at M = 30 needs 211915132")
+        assert not outp.exists()
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_sanov_sweep_n_must_be_positive(self, capsys, n):
         code, out, err = run_cli(capsys, "sanov-sweep", "--dist",

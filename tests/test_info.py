@@ -233,6 +233,40 @@ def test_divergence_vector_keeps_the_bits_of_the_eigh_formula(name):
         assert np.array_equal(target, np.eye(len(target)) / len(target))
 
 
+def test_divergence_vector_refuses_a_target_that_is_not_finite():
+    # the targets mix checked states, so finiteness is the one test they get
+    states = np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])], dtype=complex)
+    target = np.diag([0.75, complex(math.nan, 0.0)])
+    with pytest.raises(errors.ValidationError, match="NaN or infinite"):
+        _divergences(states[None], np.array([[0.5, 0.5]]), target[None],
+                     _entropy_terms(states)[None])
+
+
+@pytest.mark.parametrize("d", (2, 3, 7, 8, 9, 16))
+def test_entropy_terms_have_the_bits_of_each_spectrum_summed_alone(d):
+    # ranks 1 to d, so from 8 levels a sum over a spectrum with dead
+    # eigenvalues would regroup if the zeros were summed in place
+    rng = np.random.default_rng([d, 32])
+    states = np.array([orc.random_density_of_rank(rng, d, rank) for rank in range(1, d + 1)])
+    assert np.array_equal(_entropy_terms(states), orc.neg_entropies(states))
+
+
+@pytest.mark.parametrize("k", (2, 3, 7, 8, 9, 12, 20))
+def test_information_rows_have_the_bits_of_the_one_dimensional_sum(k):
+    # every live count from 1 (a point mass, exactly 0) to k, in one stack
+    rng = np.random.default_rng([k, 33])
+    p = rng.random((k, k)) * (np.arange(k) < np.arange(1, k + 1)[:, None])
+    p = p[rng.permutation(k)][:, rng.permutation(k)] + 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    div = rng.random((k, k)) * 10.0 ** rng.integers(-3, 3, size=(k, k))
+    div[p == 0.0] = np.inf
+    got = info._information(p, div)
+    for row in range(k):
+        live = p[row] > 0.0
+        want = 0.0 if live.sum() == 1 else float((p[row, live] * div[row, live]).sum())
+        assert np.array_equal(got[row], want)
+
+
 # ---------------------------------------------------------------------------
 # phi and sandwiched Rényi divergence
 
@@ -634,6 +668,49 @@ def test_pinching_from_flat_spectrum_is_identity():
     rng = np.random.default_rng(21)
     rho = orc.random_density(rng, 2)
     np.testing.assert_allclose(cq.pinch(pmap, rho), rho, atol=1e-12)
+
+
+def test_pinching_map_refuses_a_diagonal_block_that_is_not_idempotent():
+    with pytest.raises(errors.ValidationError, match="not idempotent"):
+        cq.PinchingMap((np.diag([1.0, 0.5]), np.diag([0.0, 0.5])))
+
+
+def _pinching_family(rng, index: int):
+    """Three to five blocks of a 4-dimensional family: index mod 4 picks diagonal
+    blocks, blocks rotated by one unitary, or one of each. Entries are moved
+    by ±0.5, ±1 or ±2 times 1e-9 at random, to both sides of the tolerance."""
+    d, shape = 4, index % 4
+    cut = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(2, 4)) - 1, replace=False))
+    blocks = [np.diag((np.arange(d) >= lo) & (np.arange(d) < hi)).astype(complex)
+              for lo, hi in zip([0, *cut], [*cut, d])]
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    if shape == 1:
+        blocks = [u @ b @ u.conj().T for b in blocks]
+    elif shape == 2:
+        blocks[0] = u @ blocks[0] @ u.conj().T
+    nudge = rng.choice([0.0, 0.5e-9, -0.5e-9, 1e-9, -1e-9, 2e-9, -2e-9])
+    at = int(rng.integers(0, d))
+    blocks[int(rng.integers(0, len(blocks)))][at, at] += nudge
+    if shape == 3:
+        blocks.append(np.zeros((d, d), dtype=complex))
+        blocks[-1][at, at] = rng.choice([0.0, 1e-10, 1.0])
+    return tuple(blocks)
+
+
+def test_pinching_map_refuses_what_the_dense_check_refuses():
+    rng = np.random.default_rng(32)
+    outcomes = set()
+    for index in range(400):
+        blocks = _pinching_family(rng, index)
+        want = orc.dense_pinching_refusal(blocks)
+        try:
+            cq.PinchingMap(blocks)
+            got = None
+        except (errors.ValidationError, errors.DimensionMismatchError) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        assert got == want, index
+        outcomes.add(want)
+    assert len(outcomes) == 3
 
 
 def test_pinch_nondegenerate_spectrum_diagonalizes():

@@ -125,7 +125,9 @@ def test_capacity_keeps_plain_step_when_extrapolation_loses(monkeypatch):
     # An extrapolation that always jumps back to the uniform law lowers
     # I(X;B), so each one must be rejected and the plain steps carry on.
     monkeypatch.setattr(rates, "_extrapolate",
-                        lambda p0, p1, p2: np.full(p2.size, 1.0 / p2.size))
+                        lambda p0, p1, p2, rows: (rows.nonzero()[0],
+                                                  np.full((rows.sum(), p2.shape[1]),
+                                                          1.0 / p2.shape[1])))
     channel, _ = build_flip_erase_channel(0.2)
     res = cq.capacity(channel, tol=1e-9)
     plain = orc.plain_capacity_ascent(channel.states, 1e-9)
@@ -143,7 +145,9 @@ def test_extrapolation_floor_keeps_every_mass_of_the_plain_step():
     e1, e2 = 0.5 * q, 0.5 * q * q
     p1 = np.array([(1 - e1) / 2, (1 - e1) / 2, e1])
     p2 = np.array([(1 - e2) / 2, (1 - e2) / 2, e2])
-    trial = rates._extrapolate(p0, p1, p2)
+    tried, trials = rates._extrapolate(p0[None], p1[None], p2[None], np.array([True]))
+    trial = trials[0]
+    assert tried.tolist() == [0]
     assert trial.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.all(trial > 0.0)
     assert trial[2] >= 0.5 * rates.CAPACITY_EXTRAPOLATION_FLOOR * p2[2]
@@ -154,7 +158,19 @@ def test_extrapolation_steps_at_least_as_far_as_the_plain_steps():
     # Steps that turn back (|v| > |r|) give a step length above -1, which is
     # clamped to -1; the extrapolation at -1 is p2 itself.
     p0, p1, p2 = np.array([0.5, 0.5]), np.array([0.6, 0.4]), np.array([0.5, 0.5])
-    np.testing.assert_allclose(rates._extrapolate(p0, p1, p2), p2, atol=1e-15)
+    _, trials = rates._extrapolate(p0[None], p1[None], p2[None], np.array([True]))
+    np.testing.assert_allclose(trials[0], p2, atol=1e-15)
+
+
+def test_extrapolation_skips_the_rows_that_do_not_bend_or_are_not_asked():
+    # row 0 steps in a straight line (p2 − 2p1 + p0 = 0), row 2 is not asked
+    p0 = np.array([[0.25, 0.75], [0.5, 0.5], [0.5, 0.5]])
+    p1 = np.array([[0.375, 0.625], [0.625, 0.375], [0.625, 0.375]])
+    p2 = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+    tried, trials = rates._extrapolate(p0, p1, p2, np.array([True, True, False]))
+    assert tried.tolist() == [1]
+    _, alone = rates._extrapolate(p0[1:2], p1[1:2], p2[1:2], np.array([True]))
+    assert np.array_equal(trials, alone)
 
 
 @pytest.mark.parametrize("w", (1e-3, 1e-4, 1e-5))
@@ -342,44 +358,47 @@ def test_batched_vertices_have_the_bits_of_the_per_support_loop(k, d, count):
 # stacks of channels against the per-point oracle
 
 
-def _assert_same(result: rates.RateResult, point: orc.PointRate):
-    assert np.array_equal(result.value, point.value)
-    assert np.array_equal(result.certificate, point.certificate)
-    assert np.array_equal(result.iterations, point.iterations)
-    assert np.array_equal(result.distribution.masses, point.masses)
+def _assert_row(rows: rates.RateRows, row: int, point: orc.PointRate):
+    assert np.array_equal(rows.values[row], point.value)
+    assert np.array_equal(rows.certificates[row], point.certificate)
+    assert rows.iterations[row] == point.iterations
+    assert np.array_equal(rows.masses[row], point.masses)
 
 
-def _assert_rows_match(labels, states, masses, tol) -> tuple[list, list]:
-    """Every row's capacity and fixed-input rate from the stacked kernels
-    against one per-point oracle run each, and each row's fixed-input rate
-    the same bits alone as in the stack; the rows' results returned."""
+def _assert_rows_match(labels, states, masses, tol, vertices: bool = True
+                       ) -> tuple[rates.RateRows, rates.RateRows]:
+    """Every field of every row of the stacked kernels bit for bit against the
+    per-row oracles: the capacity against the SQUAREM loop of one channel,
+    the fixed-input rate against the pivot-by-pivot simplex of one channel;
+    each row's fixed-input rate the same bits alone as in the stack and,
+    with ``vertices``, against the per-support vertex loop too."""
     capacities = rates._capacities(labels, states, tol)
-    fixed = rates._fixed_input_rates(labels, states, masses)
-    assert len(capacities) == len(fixed) == len(states)
+    fixed = rates._fixed_input_rates(states, masses)
+    assert len(capacities.values) == len(fixed.values) == len(states)
     for row in range(len(states)):
-        _assert_same(capacities[row], orc.per_point_capacity(states[row], tol))
-        _assert_least_vertex(fixed[row], states[row], masses[row])
-        alone = rates._fixed_input_rates(labels, states[row:row + 1], masses[row:row + 1])[0]
-        assert np.array_equal(fixed[row].certificate, alone.certificate)
-        assert fixed[row].iterations == alone.iterations
-        assert np.array_equal(fixed[row].value, alone.value)
-        assert np.array_equal(fixed[row].distribution.masses, alone.distribution.masses)
+        _assert_row(capacities, row, orc.per_point_capacity(states[row], tol))
+        _assert_row(fixed, row, orc.per_row_fixed_input_rate(states[row], masses[row]))
+        if vertices:
+            _assert_least_vertex(rates._first_row(labels, rates.RateRows(
+                *(a[row:row + 1] for a in fixed))), states[row], masses[row])
+        alone = rates._fixed_input_rates(states[row:row + 1], masses[row:row + 1])
+        _assert_row(fixed, row, orc.PointRate(*(a[0] for a in alone)))
     return capacities, fixed
 
 
 @pytest.mark.parametrize("tol", (1e-6, 1e-9, 1e-12))
 def test_example1_stack_has_the_bits_of_the_per_point_loop(tol):
-    # pure states at ε 0 and 1, a constant channel at ε 0.5
+    # pure states at ε 0 and 1, a constant channel at ε 0.5: there the ascent
+    # never extrapolates, and [A; 1ᵀ] has rank 1, not 2
     grid = cli._parse_eps_grid("0:1:0.01")
     assert (grid[0], grid[50], grid[-1], len(grid)) == (0.0, 0.5, 1.0, 101)
     states = cli._example1_states(grid)
     masses = np.tile([0.5, 0.5, 0.0], (len(grid), 1))
     capacities, fixed = _assert_rows_match(cli.EXAMPLE1_LABELS, states, masses, tol)
     # and against the per-point loop's own example1 states, built by np.diag
-    for (eps, cap, rate), c, f in zip(orc.per_point_separation_figure(grid, tol),
-                                      capacities, fixed):
-        _assert_same(c, cap)
-        assert np.array_equal(f.value, rate.value)
+    for row, (eps, cap, rate) in enumerate(orc.per_point_separation_figure(grid, tol)):
+        _assert_row(capacities, row, cap)
+        assert np.array_equal(fixed.values[row], rate.value)
 
 
 def _random_stack(seed: int):
@@ -424,8 +443,36 @@ def test_random_stacks_have_the_bits_of_the_per_point_loop(first):
     for seed in range(first, first + 40):
         labels, states, masses = _random_stack(seed)
         capacities, _ = _assert_rows_match(labels, states, masses, 1e-9)
-        rounds_differ += len({c.iterations for c in capacities}) > 1
+        rounds_differ += len(set(capacities.iterations.tolist())) > 1
     assert rounds_differ >= 5
+
+
+def _wide_stack(seed: int):
+    """r = 2-4 channels of k = 8-12 inputs on qubits or qutrits, and a law per
+    row with integer weights 0-3, so some letters have mass 0; odd seeds give
+    every row the same law. From 8 inputs numpy's pairwise sum regroups
+    around a zero term, so a row's I(X;B) must be summed over its live
+    inputs alone."""
+    rng = np.random.default_rng([seed, 32])
+    d, k, r = int(rng.integers(2, 4)), int(rng.integers(8, 13)), int(rng.integers(2, 5))
+    states = np.array([[orc.random_density_of_rank(rng, d, int(rng.integers(1, d + 1)))
+                        for _ in range(k)] for _ in range(r)], dtype=complex)
+    weights = rng.integers(0, 4, size=(1 if seed % 2 else r, k)).astype(float)
+    weights[:, rng.integers(0, k)] += 1.0
+    weights = np.broadcast_to(weights, (r, k))
+    states = _check_densities(states.reshape(r * k, d, d)).reshape(r, k, d, d)
+    return (tuple(str(x) for x in range(k)), states,
+            weights / weights.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("first", range(0, 24, 8))
+def test_wide_stacks_with_dead_letters_have_the_bits_of_the_per_row_loop(first):
+    dead = 0
+    for seed in range(first, first + 8):
+        labels, states, masses = _wide_stack(seed)
+        _, fixed = _assert_rows_match(labels, states, masses, 1e-9, vertices=False)
+        dead += int(np.count_nonzero(masses == 0.0)) + int(np.count_nonzero(fixed.masses == 0.0))
+    assert dead > 0
 
 
 def test_stack_raises_the_first_failing_rows_convergence_error(monkeypatch):
@@ -441,7 +488,7 @@ def test_stack_raises_the_first_failing_rows_convergence_error(monkeypatch):
     assert got.value.iterations == want.value.iterations == 3
     assert np.array_equal(got.value.witness.masses, want.value.witness)
     one_row = rates._capacities(cli.EXAMPLE1_LABELS, cli._example1_states(grid[:1]), 1e-9)
-    assert one_row[0].iterations == 1
+    assert one_row.iterations[0] == 1
     channel = cq.CQChannel(cli.EXAMPLE1_LABELS, cli._example1_states(grid[1:2])[0])
     with pytest.raises(errors.ConvergenceError) as alone:
         cq.capacity(channel, tol=1e-9)

@@ -56,26 +56,27 @@ REFUSALS = {
     "resolve-n-29": ("resolve", *EXAMPLE1, "--M", "2", "--n", "29"),
     "resolve-n-30": ("resolve", *EXAMPLE1, "--M", "2", "--n", "30"),
 }
-# Exact errors on example1 at ε 0.2 with the law (.5, .3, .2): many M-types
-# of many letters, many M-types of few letters, the trend up to n = 4, and
-# 266,085 M-types of diagonals of 64 entries (n = 6), past the kernel's
-# column-by-column widths; then a worst-input search whose candidates and grid are count matrices of
-# 27 letters. The certify commands follow: the separation figure at 49 points
-# and at the 101 points of [0, 1] (pure states at ε 0 and 1, a constant channel
-# at ε 0.5), type checks at (d, n) = (3, 6), (6, 3), (2, 11), (3, 7) and (6, 4) (the last
-# three held two dense dⁿ × dⁿ matrices in older trees), and fixed-input rates on
-# QUBIT_K12, a channel of 12 seeded qubit states (the most letters older trees'
-# vertex enumeration took), and on the 300 letters of QUBIT_K300, which older
-# trees refuse (exit 3). Then soft covering on both sides of the letter kernel:
-# 1.2 M draws of example1's 3 letters, counted, and 6,400 draws of the 300
-# letters of QUBIT_K300, searched. Last, bad codewords counted by type class:
-# on example1 at n 9 (3^9 words), and on QUBIT_K12 at n 4 with a δ whose
-# nearest type gap is 1.7e-3 away; and the commuting types bound over the
-# 12,340 types of three letters up to n 40. Then soft covering on QUBIT_K12
-# at orders 1.25 and 2, listed in both orders (one output, two keys of the
-# in-process Rényi memo), and again with one mass of the law moved by 1e-14,
-# which misses the memo. The child writes both channels before the frontier
-# commands run.
+# Exact errors on example1 at ε 0.2 with the law (.5, .3, .2): many M-types of
+# many letters, many M-types of few letters, the trend up to n = 4, and 266,085
+# M-types of diagonals of 64 entries (n = 6), past the kernel's column-by-column
+# widths; then a worst-input search whose candidates and grid are count matrices
+# of 27 letters. The certify commands follow: the separation figure at 49
+# points, at the 101 points of [0, 1] (pure states at ε 0 and 1, a constant
+# channel at ε 0.5, where the fixed-input rate's program has one constraint, not
+# two) and at its 1,001 points; type checks at (d, n) = (3, 6), (6, 3), (2, 11),
+# (3, 7) and (6, 4) (the last three held two dense dⁿ × dⁿ matrices in older
+# trees), and fixed-input rates on QUBIT_K12, a channel of 12 seeded qubit
+# states (the most letters older trees' vertex enumeration took), and on the 300
+# letters of QUBIT_K300, which older trees refuse (exit 3). Then soft covering
+# on both sides of the letter kernel: 1.2 M draws of example1's 3 letters,
+# counted, and 6,400 draws of the 300 letters of QUBIT_K300, searched. Last, bad
+# codewords counted by type class: on example1 at n 9 (3^9 words), and on
+# QUBIT_K12 at n 4 with a δ whose nearest type gap is 1.7e-3 away; and the
+# commuting types bound over the 12,340 types of three letters up to n 40. Then
+# soft covering on QUBIT_K12 at orders 1.25 and 2, listed in both orders (one
+# output, two keys of the in-process Rényi memo), and again with one mass of the
+# law moved by 1e-14, which misses the memo. The child writes both channels
+# before the frontier commands run.
 QUBIT_K12 = "qubit-k12.json"
 QUBIT_K300 = "qubit-k300.json"
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
@@ -93,6 +94,7 @@ FRONTIER = {
                                   "--n", "3", "--M", "3", "--grid", "4"),
     "separation-figure-eps0.01-step0.01": ("separation-figure", "--eps-grid", "0.01:0.49:0.01"),
     "separation-figure-eps0-step0.01": ("separation-figure", "--eps-grid", "0:1:0.01"),
+    "separation-figure-eps0-step0.001": ("separation-figure", "--eps-grid", "0:1:0.001"),
     "types-check-d3-n6": ("types-check", "--alphabet-size", "3", "--n", "6"),
     "types-check-d6-n3": ("types-check", "--alphabet-size", "6", "--n", "3"),
     "types-check-d2-n11": ("types-check", "--alphabet-size", "2", "--n", "11"),
