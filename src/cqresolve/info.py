@@ -31,7 +31,7 @@ import numpy.linalg as npl
 from .channel import CQChannel, Distribution, output_state
 from .errors import DimensionMismatchError, ValidationError, check_real
 from .linalg import (SpectralDecomposition, _check_hermitian, _matrix_pair,
-                     as_matrix, eigh, hermitianize, validate_density, validate_hermitian)
+                     as_matrix, eigh, hermitianize, validate_density)
 
 SUPPORT_EIG_TOL = 1e-12
 KERNEL_MASS_TOL = 1e-10
@@ -378,17 +378,20 @@ class PinchingMap:
     def __post_init__(self):
         """Each block Hermitian with Q² = Q, and the blocks summing to I, entrywise
         within PINCH_COMPLETENESS_TOL. A diagonal block is checked on its
-        diagonal, where Q² − Q and the sum have all their nonzero entries."""
+        diagonal, where A − A†, Q² − Q and the sum have all their nonzero
+        entries: as a (d, 1, 1) stack, its Hermiticity gap is |2·Im qᵢᵢ|."""
         if not self.projectors:
             raise ValidationError("a pinching map needs at least one block")
         dim = self.projectors[0].shape[0]
         diagonal_sum, off_diagonal_sum = np.zeros(dim, dtype=complex), None
         for p in self.projectors:
-            q = validate_hermitian(p)
+            q = as_matrix(p)
+            diagonal = np.diagonal(q)
+            is_diagonal = np.count_nonzero(q) == np.count_nonzero(diagonal)
+            _check_hermitian(diagonal[:, None, None] if is_diagonal else q[None])
             if q.shape[0] != dim:
                 raise DimensionMismatchError("pinching blocks have mixed dimensions")
-            diagonal = np.diagonal(q)
-            if np.count_nonzero(q) == np.count_nonzero(diagonal):
+            if is_diagonal:
                 excess = diagonal * diagonal - diagonal
             else:
                 excess = q @ q - q

@@ -656,7 +656,8 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
     blocks, so memory peaks at the largest n's error vector (8 bytes per
     M-type) plus a few blocks, not at its count matrix. Raises
     ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a float
-    there, and its M-types are far past any enumeration cap.
+    there, and its M-types are far past any enumeration cap. Each n's power,
+    then M-type, budget is checked, in order, before the first n runs.
     """
     check_real("rate", R, 0.0)
     check_positive_int("n_max", n_max)
@@ -665,8 +666,8 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
         raise ResourceLimitError(
             f"M = 2^(n*R) at n = {n_max}, R = {R} exceeds 2^{MAX_RATE_EXPONENT}; "
             "its M-types are far past any enumeration cap")
-    rows = []
-    for n in range(1, n_max + 1):
-        M = max(1, math.floor(2.0 ** (n * R)))
-        rows.append((n, M, resolution_error_exact(channel, dist, M, n).error))
-    return rows
+    sizes = [(n, max(1, math.floor(2.0 ** (n * R)))) for n in range(1, n_max + 1)]
+    for n, M in sizes:
+        channel._check_power(n)
+        _m_type_total(channel.size ** n, M)
+    return [(n, M, resolution_error_exact(channel, dist, M, n).error) for n, M in sizes]

@@ -6,7 +6,9 @@ length with exact integer rank arithmetic wherever counts are involved.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from .channel import CQChannel, Distribution, Word, _m_type_sums, _m_type_total, m_type_counts
 from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, DimensionMismatchError,
                      ValidationError, check_budget, check_positive_int, check_real)
-from .info import SUPPORT_EIG_TOL, PinchingMap
+from .info import SUPPORT_EIG_TOL, PinchingMap, _live_sums
 from .linalg import tensor_power, validate_density
 from .resolvability import _OutputRows, _batch_rows, _rational_half_l1
 
@@ -163,15 +165,15 @@ def _word_type_keys(d: int, n: int) -> np.ndarray:
 
     A word's key is its letters sorted ascending, read as n base-d digits,
     so two words share a key exactly when they share a type; `_type_keys`
-    forms the same key from a count row. Keys are below dⁿ, so int64 holds
-    them for every dⁿ within a budget; the cost is O(dⁿ·n).
+    forms the same key from a count row. Word w's letters are its base-d
+    digits, with no array axis per letter, so d = 1 has one word at any n.
+    Keys are below dⁿ, so int64 holds them for every dⁿ within a budget.
     """
-    letters = np.indices((d,) * n, dtype=np.min_scalar_type(d - 1)).reshape(n, -1)
-    keys = np.zeros(d ** n, dtype=np.int64)
-    for digit in np.sort(letters.T, axis=1).T:
-        keys *= d
-        keys += digit
-    return keys
+    places = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    letters = np.arange(d ** n)[:, None] // places
+    letters %= d
+    letters.sort(axis=1)
+    return letters @ places
 
 
 def _type_keys(counts: np.ndarray) -> np.ndarray:
@@ -289,11 +291,9 @@ class TypesBoundCheck:
 def commuting_types_bound_check(rho, rho_prime: EmpiricalState) -> TypesBoundCheck:
     """Exact Tr ρ^{⊗n} T_{ρ'} vs 2^{−n D(ρ'‖ρ)} for diagonal ρ, n the profile's n.
 
-    The left side is multinomial(n; counts)·∏ ρ_i^{counts_i}, computed
-    without building any n-fold matrix, as one correctly rounded division of
-    exact integers, so it underflows only where the value does. A support
-    violation (a counted letter with zero mass in ρ) zeroes both sides, so
-    the bound holds vacuously.
+    The one-row case of `_types_bound_checks`, given only the table entries
+    its row reads; no n-fold matrix is built. A counted letter of mass at
+    most SUPPORT_EIG_TOL in ρ zeroes both sides: the bound holds vacuously.
     """
     m = validate_density(rho)
     off = m - np.diag(np.diag(m))
@@ -302,54 +302,54 @@ def commuting_types_bound_check(rho, rho_prime: EmpiricalState) -> TypesBoundChe
     if m.shape[0] != rho_prime.dim:
         raise DimensionMismatchError(
             f"state dim {m.shape[0]} vs profile dim {rho_prime.dim}")
-    return _types_bound_row(np.real(np.diag(m)), np.asarray(rho_prime.counts))
+    probs, row = np.real(np.diag(m)), rho_prime.counts
+    powers = [{c: p.as_integer_ratio()[0] ** c} for p, c in zip(probs.tolist(), row)]
+    factorials = {c: math.factorial(c) for c in (*row, rho_prime.n)}
+    return next(_types_bound_checks(probs, np.array([row]), factorials, powers))
 
 
-def _types_bound_row(probs: np.ndarray, counts: np.ndarray) -> TypesBoundCheck:
-    """The row of `commuting_types_bound_check` for a checked diagonal and int64 counts."""
-    n, active = int(counts.sum()), counts > 0
-    if np.any(probs[active] <= SUPPORT_EIG_TOL):
-        return TypesBoundCheck(0.0, 0.0, True)
-    # Each mass is p_num / 2^k, so the left side is num / 2^shift exactly.
-    num, shift = _multinomial(counts.tolist()), 0
-    for p, c in zip(probs[active].tolist(), counts[active].tolist()):
-        p_num, p_den = p.as_integer_ratio()
-        num, shift = num * p_num ** c, shift + c * (p_den.bit_length() - 1)
-    return _types_bound_sides(probs, counts, n, active, num / (1 << shift))
+def _types_bound_checks(probs: np.ndarray, counts: np.ndarray, factorials,
+                        powers) -> Iterator[TypesBoundCheck]:
+    """Yield the types-bound row of each int64 count row of one n, against the masses `probs`.
 
-
-def _types_bound_sides(probs: np.ndarray, counts: np.ndarray, n: int, active: np.ndarray,
-                       lhs: float) -> TypesBoundCheck:
-    """A types-bound row from its left side: the right side 2^{−n D(ρ'‖ρ)} and the test."""
-    freq = counts[active] / n
-    div = float(np.sum(freq * (np.log2(freq) - np.log2(probs[active]))))
-    rhs = 2.0 ** (-n * div)
-    return TypesBoundCheck(lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9)))
+    A mass is p_num / 2^k exactly; `factorials[c]` is c! and `powers[x][c]`
+    is letter x's p_num^c, for each c the rows read, so a left side is one
+    correctly rounded division of exact integers and underflows only where
+    the value does. The divergences are one array expression, each summed
+    over its counted letters alone (`_live_sums`); a right side is 2^{−n D}
+    as a Python float. A row counting a letter of mass ≤ SUPPORT_EIG_TOL is
+    (0, 0, True).
+    """
+    n, live = int(counts[0].sum()), counts > 0
+    freq, shifts = counts / n, [p.as_integer_ratio()[1].bit_length() - 1 for p in probs.tolist()]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2 of the zero counts and masses
+        divs = _live_sums(np.where(live, freq * (np.log2(freq) - np.log2(probs)), 0.0), live)
+    vacuous = np.any(live & (probs <= SUPPORT_EIG_TOL), axis=1)
+    for row, div, dead in zip(counts.tolist(), divs.tolist(), vacuous.tolist()):
+        if dead:
+            yield TypesBoundCheck(0.0, 0.0, True)
+            continue
+        num, shift = factorials[n] // math.prod(factorials[c] for c in row), 0
+        for column, bits, c in zip(powers, shifts, row):
+            num, shift = num * column[c], shift + c * bits
+        lhs, rhs = num / (1 << shift), 2.0 ** (-n * div)
+        yield TypesBoundCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))
 
 
 def _types_bound_sweep(probs: np.ndarray, n_max: int):
-    """Yield n, the count list and the `_types_bound_row` of every type of n = 1…n_max letters.
+    """Yield n, the count list and the `_types_bound_checks` row of every type of n = 1…n_max.
 
-    The types of each n come in `m_type_counts` order. The exact left sides
-    read each mass numerator's powers 0…n and the factorials 0…n from tables
-    that grow by one multiplication per n; their integers are exact, so
-    every row has the bits of `_types_bound_row`.
+    The types of each n come in `m_type_counts` order, in blocks of about
+    EIG_BATCH_BYTES of floats; the factorials and each mass numerator's
+    powers, 0…n, come from tables grown by one multiplication per n.
     """
-    ratios = [p.as_integer_ratio() for p in probs.tolist()]
-    shifts = [p_den.bit_length() - 1 for _, p_den in ratios]
-    dead = np.flatnonzero(probs <= SUPPORT_EIG_TOL).tolist()
-    powers, factorials = [[1] for _ in ratios], [1]
+    nums = [p.as_integer_ratio()[0] for p in probs.tolist()]
+    powers, factorials, step = [[1] for _ in nums], [1], _batch_rows(4 * probs.nbytes)
     for n in range(1, n_max + 1):
         factorials.append(factorials[-1] * n)
-        for (p_num, _), column in zip(ratios, powers):
+        for p_num, column in zip(nums, powers):
             column.append(column[-1] * p_num)
-        for counts in m_type_counts(probs.size, n):
-            row, active = counts.tolist(), counts > 0
-            if any(row[x] for x in dead):
-                yield n, row, TypesBoundCheck(0.0, 0.0, True)
-                continue
-            num = factorials[n] // math.prod(factorials[c] for c in row)
-            shift = 0
-            for column, bits, c in zip(powers, shifts, row):
-                num, shift = num * column[c], shift + c * bits
-            yield n, row, _types_bound_sides(probs, counts, n, active, num / (1 << shift))
+        types = m_type_counts(probs.size, n)
+        for block in np.array_split(types, range(step, len(types), step)):
+            yield from zip(itertools.repeat(n), block.tolist(),
+                           _types_bound_checks(probs, block, factorials, powers))

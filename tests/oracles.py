@@ -9,8 +9,9 @@ commuting cases, and dense grid searches where the library iterates.
 
 Some functions here left the package because no command reads them; they
 keep their argument checks, from `cqresolve.errors`, so their tests still
-see the package's exception types, and `all_empirical_states` still builds
-the package's EmpiricalState records.
+see the package's exception types, `all_empirical_states` still builds
+the package's EmpiricalState records, and `_types_bound_row` its
+TypesBoundCheck records.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ import numpy as np
 
 from cqresolve.errors import (ConvergenceError, DimensionMismatchError, ResourceLimitError,
                               ValidationError, check_positive_int, check_real)
-from cqresolve.types_sanov import EmpiricalState
+from cqresolve.info import SUPPORT_EIG_TOL
+from cqresolve.types_sanov import EmpiricalState, TypesBoundCheck
 
 
 # ---------------------------------------------------------------------------
@@ -1314,6 +1316,32 @@ def ee31_margin_exact(symbols, d: int) -> Fraction:
             value -= Fraction(1, multinomial_exact(n, counts))
         best = value if best is None else min(best, value)
     return best
+
+
+def _types_bound_row(probs: np.ndarray, counts: np.ndarray) -> TypesBoundCheck:
+    """The row of `commuting_types_bound_check` for a checked diagonal and int64 counts.
+
+    The library's former one-row kernel, which raised each mass numerator
+    to its count and took the divergence over the counted letters alone.
+    """
+    n, active = int(counts.sum()), counts > 0
+    if np.any(probs[active] <= SUPPORT_EIG_TOL):
+        return TypesBoundCheck(0.0, 0.0, True)
+    # Each mass is p_num / 2^k, so the left side is num / 2^shift exactly.
+    num, shift = multinomial_exact(n, counts.tolist()), 0
+    for p, c in zip(probs[active].tolist(), counts[active].tolist()):
+        p_num, p_den = p.as_integer_ratio()
+        num, shift = num * p_num ** c, shift + c * (p_den.bit_length() - 1)
+    return _types_bound_sides(probs, counts, n, active, num / (1 << shift))
+
+
+def _types_bound_sides(probs: np.ndarray, counts: np.ndarray, n: int, active: np.ndarray,
+                       lhs: float) -> TypesBoundCheck:
+    """A types-bound row from its left side: the right side 2^{−n D(ρ'‖ρ)} and the test."""
+    freq = counts[active] / n
+    div = float(np.sum(freq * (np.log2(freq) - np.log2(probs[active]))))
+    rhs = 2.0 ** (-n * div)
+    return TypesBoundCheck(lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9)))
 
 
 def dense_pinching_refusal(projectors) -> str | None:

@@ -772,6 +772,14 @@ class TestBoundCommands:
                              "--n", "13")
         assert code == 3
 
+    @pytest.mark.parametrize("n", ["63", "64", "1000"])
+    def test_types_check_one_letter_at_any_n(self, capsys, n):
+        # the one word of one letter, past numpy's 64 array axes from n = 64
+        code, out, err = run_cli(capsys, "types-check", "--alphabet-size", "1", "--n", n)
+        assert (code, err) == (0, "")
+        vals = kv(out)
+        assert (vals["type_count"], vals["rank_sum"], vals["all_ok"]) == ("1", "1", "true")
+
 
 # ---------------------------------------------------------------------------
 # id-verify / id-bridge

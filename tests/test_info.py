@@ -675,6 +675,26 @@ def test_pinching_map_refuses_a_diagonal_block_that_is_not_idempotent():
         cq.PinchingMap((np.diag([1.0, 0.5]), np.diag([0.0, 0.5])))
 
 
+@pytest.mark.parametrize("imag", [3e-11, -5e-11, 2e-10, -0.25, float("nan")])
+def test_pinching_map_refuses_a_diagonal_block_as_the_dense_check_does(imag):
+    # A diagonal block is checked on its diagonal alone; its Hermiticity gap
+    # |2·Im qᵢᵢ| is the dense check's, so both accept or refuse alike, in the
+    # same words; a gap of exactly 1e-10 (imag −5e-11) is accepted.
+    blocks = (np.diag([1.0, 0.0, 0.0]) + 0j, np.diag([0.0, 1.0, 1.0 + 1j * imag]))
+
+    def refusal(check):
+        try:
+            check()
+        except errors.ValidationError as exc:
+            return str(exc)
+        return None
+
+    want = next(filter(None, (refusal(lambda b=b: cq.validate_hermitian(b)) for b in blocks)),
+                None)
+    assert refusal(lambda: cq.PinchingMap(blocks)) == want
+    assert (want is None) == (abs(2 * imag) <= 1e-10)
+
+
 def _pinching_family(rng, index: int):
     """Three to five blocks of a 4-dimensional family: index mod 4 picks diagonal
     blocks, blocks rotated by one unitary, or one of each. Entries are moved

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -1051,6 +1052,18 @@ class TestConverseTrend:
         # 2.0 ** (n * R) overflows at n * R >= 1024.
         ch, p = build_binary_flip(0.1)
         with pytest.raises(cq.ResourceLimitError):
+            cq.converse_trend(ch, p, rate, n_max)
+
+    @pytest.mark.parametrize("rate, n_max, first", [
+        (0.5, 5, "enumerating 243 letters at M = 5 needs 7355513529 M-types"),
+        (0.1, 9, "the 7-letter channel of 3^7 states of dimension 2^7 needs 573308928 bytes"),
+        (0.5, 9, "enumerating 243 letters at M = 5 needs")])
+    def test_every_n_is_budgeted_before_the_first_runs(self, monkeypatch, rate, n_max, first):
+        # the refusal is the one the first n past a budget would raise on reaching
+        # it (its power first, then its M-types), and no smaller n runs before it
+        ch, p = build_flip_erase_channel(0.2)
+        monkeypatch.setattr(rv, "resolution_error_exact", lambda *args: pytest.fail("ran"))
+        with pytest.raises(cq.ResourceLimitError, match=re.escape(first)):
             cq.converse_trend(ch, p, rate, n_max)
 
 

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import cqresolve as cq
 from cqresolve import ValidationError
 from cqresolve.types_sanov import (_empirical_state, _standard_partition, _twirl_margins,
-                                   _type_keys, _types_bound_row, _types_bound_sweep,
-                                   _word_type_keys)
+                                   _type_keys, _types_bound_sweep, _word_type_keys)
 
 import oracles as orc
+from oracles import _types_bound_row
 
 
 # every (d, n) with d ≤ 8 and dⁿ within the matrix budget (dⁿ ≤ 4096); n ≤ 12 for d = 1
@@ -187,6 +187,16 @@ class TestTypeProjector:
         t = cq.EmpiricalState((13, 0), 13)
         with pytest.raises(cq.ResourceLimitError):
             cq.type_projector(t, standard_basis(2))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 1000])
+    def test_one_letter_has_one_word_at_any_n(self, n):
+        # one array axis per letter passed numpy's 64 axes from n = 64 on
+        np.testing.assert_array_equal(_word_type_keys(1, n), [0])
+        for basis in (standard_basis(1), cq.Basis(np.array([[1j]]))):
+            proj = cq.type_projector(cq.EmpiricalState((n,), n), basis)
+            assert proj.rank == 1
+            np.testing.assert_allclose(proj.matrix, [[1.0]], atol=1e-12)
+        assert cq.type_pinching(standard_basis(1), n).num_blocks == 1
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +531,32 @@ class TestCommutingTypesBound:
             assert check.lhs == check_want.lhs
             assert check.rhs == check_want.rhs
             assert check.ok == check_want.ok
+
+    @pytest.mark.parametrize("d, n_max", [(2, 30), (3, 20), (4, 12), (5, 8), (6, 6), (7, 5),
+                                          (8, 4)] + [(d, 3) for d in range(9, 13)])
+    def test_every_row_has_the_bits_of_the_former_kernel(self, d, n_max):
+        # laws with a zero mass and a mass of 1e-13 (for d = 2 one of each), and
+        # one of full support: vacuous rows, and from 8 letters up the compressed
+        # sums of `_live_sums`; the one-row check takes the rows up to n = 3
+        rng = np.random.default_rng(d)
+        laws = [rng.dirichlet(np.ones(d))]
+        if d == 2:
+            laws += [np.array([0.0, 1.0]), np.array([1e-13, 1.0 - 1e-13])]
+        else:
+            for _ in range(3):
+                probs, (_, tiny, *rest) = np.zeros(d), rng.permutation(d)
+                probs[tiny], probs[rest] = 1e-13, rng.dirichlet(np.ones(d - 2)) * (1.0 - 1e-13)
+                laws.append(probs)
+        for probs in laws:
+            rows = 0
+            for n, row, check in _types_bound_sweep(probs, n_max):
+                want = _types_bound_row(probs, np.array(row))
+                assert (check.lhs, check.rhs, check.ok) == (want.lhs, want.rhs, want.ok)
+                if n <= 3:
+                    one = cq.commuting_types_bound_check(np.diag(probs), cq.EmpiricalState(row, n))
+                    assert (one.lhs, one.rhs, one.ok) == (want.lhs, want.rhs, want.ok)
+                rows += 1
+            assert rows == math.comb(n_max + d, d) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,10 @@ REFUSALS = {
 # counted, and 6,400 draws of the 300 letters of QUBIT_K300, searched. Last, bad
 # codewords counted by type class: on example1 at n 9 (3^9 words), and on
 # QUBIT_K12 at n 4 with a δ whose nearest type gap is 1.7e-3 away; and the
-# commuting types bound over the 12,340 types of three letters up to n 40. Then
+# commuting types bound over the 12,340 types of three letters up to n 40, and
+# over the 714 types of D9_DEAD_LAW's nine letters up to n 4: two masses of 0
+# and one of 1e-13 give vacuous rows, and from eight letters up a row's
+# divergence is summed over its counted letters alone. Then
 # soft covering on QUBIT_K12 at orders 1.25 and 2, listed in both orders (one
 # output, two keys of the in-process Rényi memo), and again with one mass of the
 # law moved by 1e-14, which misses the memo. The child writes both channels
@@ -81,6 +84,8 @@ QUBIT_K12 = "qubit-k12.json"
 QUBIT_K300 = "qubit-k300.json"
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
 K12_LAW = {str(x): 0.1 if x < 8 else 0.05 for x in range(12)}
+D9_DEAD_LAW = {"0": 0.25, "1": 0.2, "2": 0.0, "3": 0.15, "4": 0.1, "5": 0.0, "6": 0.2,
+               "7": 1e-13, "8": 0.1 - 1e-13}
 K12_SOFTCOVER = ("softcover", "--channel", QUBIT_K12, "--n", "2", "--M", "16", "--samples", "50",
                  "--seed", "11")
 FRONTIER = {
@@ -110,6 +115,7 @@ FRONTIER = {
     "types-check-delta0.2-qubit-k12-n4": ("types-check", "--channel", QUBIT_K12, "--n", "4",
                                           "--delta", "0.2"),
     "sanov-sweep-n40": ("sanov-sweep", "--dist", '{"0":0.5,"1":0.3,"2":0.2}', "--n", "40"),
+    "sanov-sweep-d9-dead-n4": ("sanov-sweep", "--dist", json.dumps(D9_DEAD_LAW), "--n", "4"),
     "softcover-qubit-k12-alpha1.25,2": (*K12_SOFTCOVER, "--dist", json.dumps(K12_LAW),
                                         "--alpha", "1.25,2"),
     "softcover-qubit-k12-alpha2,1.25": (*K12_SOFTCOVER, "--dist", json.dumps(K12_LAW),
