@@ -237,38 +237,43 @@ def _m_type_total(alphabet_size: int, M: int) -> int:
     return total
 
 
-def _m_type_budget(alphabet_size: int, M: int) -> int:
-    """`_m_type_total`, with its count matrix checked against MAX_COUNT_BYTES."""
-    total = _m_type_total(alphabet_size, M)
-    check_budget(f"the {total} x {alphabet_size} M-type count matrix",
-                 total * alphabet_size * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
-    return total
-
-
 def m_type_counts(alphabet_size: int, M: int) -> np.ndarray:
     """Count matrix of all M-types, rows lexicographic over mass vectors.
 
-    The rows are the blocks of `_m_type_sums` over the k × k identity, on
-    which Σ_x c_x·e_x is the count vector c itself. The walk runs in the
-    narrowest signed dtype that holds −M − 1, so its partial sums, all in
-    −M…M, are exact, and each block, at most _COUNT_BLOCK_BYTES // (8k + 32)
-    rows (a charge for each row's walker temporaries), is cast into place.
-    The result is int64 in C order, k = alphabet_size columns; both
-    arguments are positive ints. More than MAX_TYPES rows, or more than
-    MAX_COUNT_BYTES, raise ResourceLimitError before any row is built; an M
-    past the largest int64 raises ValidationError. The worst-input search
-    and the commands' type profiles enumerate through it; the exact engine
-    and the bad-codeword count walk the same tree and never hold the matrix.
+    The blocks of `_m_type_blocks`, at most _COUNT_BLOCK_BYTES // (8k + 32)
+    rows (a charge for each row's walker temporaries), cast into an int64
+    matrix in C order, k = alphabet_size columns; both arguments are positive
+    ints. More than MAX_TYPES rows, or more than MAX_COUNT_BYTES of matrix,
+    raise ResourceLimitError before any row is built; an M past the largest
+    int64 raises ValidationError. The worst-input search and the commands'
+    type profiles enumerate through it; the exact engine, the bad-codeword
+    count and the types-bound sweep walk the tree and never hold the matrix.
     """
-    total = _m_type_budget(alphabet_size, M)
+    total = _m_type_total(alphabet_size, M)
+    check_budget(f"the {total} x {alphabet_size} M-type count matrix",
+                 total * alphabet_size * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
     counts = np.empty((total, alphabet_size), dtype=np.int64)
-    letters = np.eye(alphabet_size, dtype=np.min_scalar_type(-M - 1))
-    block = _COUNT_BLOCK_BYTES // (8 * alphabet_size + 32)
     lo = 0
-    for rows in _m_type_sums(letters, M, block):
+    for rows in _m_type_blocks(alphabet_size, M, _COUNT_BLOCK_BYTES // (8 * alphabet_size + 32)):
         counts[lo:lo + rows.shape[0]] = rows
         lo += rows.shape[0]
     return counts
+
+
+def _m_type_blocks(alphabet_size: int, M: int, block: int):
+    """The count rows of every M-type, in `m_type_counts` order and blocks of at most `block`.
+
+    `_m_type_sums` over the k × k identity, on which Σ_x c_x·e_x is the count
+    vector c itself, in the narrowest signed dtype that holds −M − 1, so its
+    partial sums, all in −M…M, are exact. More than MAX_TYPES rows, or an
+    identity of more than MAX_COUNT_BYTES as int64, raise ResourceLimitError
+    at the call, before any block is drawn; an M past the largest int64
+    raises ValidationError.
+    """
+    _m_type_total(alphabet_size, M)
+    check_budget(f"the {alphabet_size} x {alphabet_size} identity of the type walk",
+                 alphabet_size ** 2 * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
+    return _m_type_sums(np.eye(alphabet_size, dtype=np.min_scalar_type(-M - 1)), M, block)
 
 
 def _m_type_tree(alphabet_size: int, M: int) -> tuple[bool, int, int]:

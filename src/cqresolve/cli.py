@@ -27,9 +27,9 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .channel import (CQChannel, Distribution, _m_type_budget, channel_from_json,
+from .channel import (CQChannel, Distribution, _m_type_blocks, channel_from_json,
                       distribution_from_json, format_label, m_type_counts, output_state)
-from .errors import (MAX_MATRIX_BYTES, MAX_TYPES, ConvergenceError, ResourceLimitError,
+from .errors import (MAX_COUNT_BYTES, MAX_TYPES, ConvergenceError, ResourceLimitError,
                      ValidationError, check_budget, check_positive_int, check_real)
 from .info import RenyiOrder
 from .linalg import _check_densities
@@ -51,12 +51,10 @@ EXAMPLE1_LABELS = ("0", "1", "e")
 
 def _fmt(value) -> str:
     """One printed value: floats at 12 significant digits, booleans in lower case."""
-    if type(value) is float:
+    if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, (bool, np.bool_)):
         return str(value).lower()
-    if isinstance(value, float):
-        return f"{float(value):.12g}"
     return str(value)
 
 
@@ -242,8 +240,8 @@ def _cmd_sanov_sweep(args: argparse.Namespace) -> _Record:
     probs = distribution_from_json(_inline_or_path(args.dist_path)).masses
     d = probs.size
     # The rows are streamed, so every refusal comes before the first of
-    # them: n = --n has the most types.
-    _m_type_budget(d, args.n)
+    # them: n = --n has the most types, and every n walks the same identity.
+    _m_type_blocks(d, args.n, 1)
     violations = 0
 
     def rows():
@@ -261,9 +259,9 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
     """Type partition, ranks and twirl margin over the standard basis, from the word keys.
 
     No dⁿ×dⁿ matrix is built: `_standard_partition` matches the type rows to
-    the dⁿ word keys and `_twirl_margins` takes every row at once. The
-    dⁿ×dⁿ matrix budget is still checked first, for now only so that the
-    refusals keep their sizes, messages and exit code.
+    the dⁿ word keys and `_twirl_margins` takes every row at once. The keys'
+    (dⁿ, n) int64 letter table is checked against MAX_COUNT_BYTES first,
+    before the type rows and their multinomials (at d 2 only n + 1 rows).
     """
     has_channel = args.channel_path is not None or args.builtin is not None
     if has_channel != (args.delta is not None):
@@ -276,8 +274,8 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
     d, n = args.alphabet_size, args.n
     check_positive_int("--alphabet-size", d)
     check_positive_int("--n", n)
-    check_budget(f"the {d}^{n} x {d}^{n} type partition",
-                 (np.dtype(complex).itemsize, d * d, n), MAX_MATRIX_BYTES)
+    check_budget(f"the {d}^{n} x {n} letter table of the words",
+                 (np.dtype(np.int64).itemsize * n, d, n), MAX_COUNT_BYTES)
     if has_channel:
         channel = _load_channel(args)
         dist = _load_dist(args, channel)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CQChannel, Distribution, Word, _m_type_sums, _m_type_total, m_type_counts
-from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, DimensionMismatchError,
-                     ValidationError, check_budget, check_positive_int, check_real)
+from .channel import CQChannel, Distribution, Word, _m_type_blocks, m_type_counts
+from .errors import (MAX_MATRIX_BYTES, DimensionMismatchError, ValidationError, check_budget,
+                     check_positive_int, check_real)
 from .info import SUPPORT_EIG_TOL, PinchingMap, _live_sums
 from .linalg import tensor_power, validate_density
 from .resolvability import _OutputRows, _batch_rows, _rational_half_l1
@@ -253,23 +253,19 @@ def bad_codeword_count(channel: CQChannel, dist: Distribution, n: int,
                        delta: float) -> int:
     """How many words x^n have ‖(1/n)Σ_j W_{x_j} − W(p)‖₁ ≥ δ: the bad codewords.
 
-    A word's gap depends only on its type c, an M-type at M = n walked over
-    the k × k identity, so each bad type adds n!/∏_x c_x! words, a product over
+    A word's gap depends only on its type c, an M-type at M = n from
+    `_m_type_blocks`, so each bad type adds n!/∏_x c_x! words, a product over
     its n largest counts (no others are nonzero). A gap is twice a batched
     distance of `_OutputRows(channel, 1)`; on the diagonal path one within
-    BAD_GAP_TIE_TOL of δ is decided exactly in the float inputs. MAX_TYPES and
-    MAX_COUNT_BYTES (the identity as int64) raise ResourceLimitError first.
+    BAD_GAP_TIE_TOL of δ is decided exactly in the float inputs. The walk's
+    budgets raise ResourceLimitError first.
     """
     check_positive_int("n", n)
     check_real("delta", delta, 0.0, open_lo=True)
     channel._check_alphabet(dist)
     outputs, k = _OutputRows(channel, 1), channel.size
-    _m_type_total(k, n)
-    check_budget(f"the {k} x {k} identity of the type walk",
-                 k * k * np.dtype(np.int64).itemsize, MAX_COUNT_BYTES)
-    identity = np.eye(k, dtype=np.min_scalar_type(-n - 1))
     target, bad = outputs.targets(dist.masses[None]), 0
-    for counts in _m_type_sums(identity, n, _batch_rows(np.dtype(float).itemsize * k)):
+    for counts in _m_type_blocks(k, n, _batch_rows(np.dtype(float).itemsize * k)):
         gaps = 2 * outputs.distance_table(target, outputs.targets(counts / n))[0]
         is_bad = gaps >= delta
         if outputs.diagonal:
@@ -310,7 +306,7 @@ def commuting_types_bound_check(rho, rho_prime: EmpiricalState) -> TypesBoundChe
 
 def _types_bound_checks(probs: np.ndarray, counts: np.ndarray, factorials,
                         powers) -> Iterator[TypesBoundCheck]:
-    """Yield the types-bound row of each int64 count row of one n, against the masses `probs`.
+    """Yield the types-bound row of each count row of one n, against the masses `probs`.
 
     A mass is p_num / 2^k exactly; `factorials[c]` is c! and `powers[x][c]`
     is letter x's p_num^c, for each c the rows read, so a left side is one
@@ -339,9 +335,10 @@ def _types_bound_checks(probs: np.ndarray, counts: np.ndarray, factorials,
 def _types_bound_sweep(probs: np.ndarray, n_max: int):
     """Yield n, the count list and the `_types_bound_checks` row of every type of n = 1…n_max.
 
-    The types of each n come in `m_type_counts` order, in blocks of about
-    EIG_BATCH_BYTES of floats; the factorials and each mass numerator's
-    powers, 0…n, come from tables grown by one multiplication per n.
+    The types of each n come from `_m_type_blocks` in blocks of about
+    EIG_BATCH_BYTES of floats, with no count matrix; the factorials and each
+    mass numerator's powers, 0…n, come from tables grown by one
+    multiplication per n.
     """
     nums = [p.as_integer_ratio()[0] for p in probs.tolist()]
     powers, factorials, step = [[1] for _ in nums], [1], _batch_rows(4 * probs.nbytes)
@@ -349,7 +346,6 @@ def _types_bound_sweep(probs: np.ndarray, n_max: int):
         factorials.append(factorials[-1] * n)
         for p_num, column in zip(nums, powers):
             column.append(column[-1] * p_num)
-        types = m_type_counts(probs.size, n)
-        for block in np.array_split(types, range(step, len(types), step)):
+        for block in _m_type_blocks(probs.size, n, step):
             yield from zip(itertools.repeat(n), block.tolist(),
                            _types_bound_checks(probs, block, factorials, powers))

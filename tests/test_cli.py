@@ -92,18 +92,18 @@ class TestExitCodes:
     def test_stdout_closed_after_one_line_exits_one(self):
         # As `| head -1`: the table (about 350 kB) outgrows the pipe, so the
         # child is still printing when the reader closes its end.
-        proc = start_module(*SWEEP_ARGV, "--n", "120")
-        assert proc.stdout.readline() == "n,type_counts,lhs,rhs,ok\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 1
+        with start_module(*SWEEP_ARGV, "--n", "120") as proc:
+            assert proc.stdout.readline() == "n,type_counts,lhs,rhs,ok\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
         assert err == ""
 
     def test_stdout_closed_at_once_still_writes_the_artifact(self, capsys, tmp_path):
-        proc = start_module(*SWEEP_ARGV, "--n", "20", "--out", str(tmp_path / "closed.csv"))
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 1
+        with start_module(*SWEEP_ARGV, "--n", "20", "--out", str(tmp_path / "closed.csv")) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
         assert err == ""
         assert main([*SWEEP_ARGV, "--n", "20", "--out", str(tmp_path / "open.csv")]) == 0
         capsys.readouterr()
@@ -149,9 +149,9 @@ class TestExitCodes:
 
     def test_types_check_words_past_the_budget_are_refused_before_any_work(self, capsys,
                                                                            tmp_path):
-        # The 4^12-square partition fits its byte budget, but the bad-codeword
-        # count would walk all 10^12 words of a 10-letter channel; both are
-        # skipped, the partition's 256 MiB included.
+        # The letter table of the 2^12 words fits its byte budget, but the
+        # bad-codeword count would walk all 10^12 words of a 10-letter
+        # channel; it is refused before the table and the type rows are built.
         path = tmp_path / "diag10.json"
         path.write_text(json.dumps({"dim": 10, "inputs": [
             {"label": str(i), "state": [[[float(r == c == i), 0.0] for c in range(10)]
@@ -673,6 +673,25 @@ class TestBoundCommands:
         assert err.startswith("resource limit: enumerating 10 letters at M = 30 needs 211915132")
         assert not outp.exists()
 
+    def test_sanov_sweep_holds_no_count_matrix(self, capsys, monkeypatch):
+        # A budget below n 6's 28 x 3 count matrix (672 bytes) but above the
+        # walk's 3 x 3 identity (72 bytes): the sweep writes the same bytes.
+        argv = ("sanov-sweep", "--dist", '{"0": 0.5, "1": 0.3, "2": 0.2}', "--n", "6")
+        _, want, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(cq.channel, "MAX_COUNT_BYTES", 671)
+        with pytest.raises(cq.ResourceLimitError, match="needs 672 bytes"):
+            cq.m_type_counts(3, 6)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, want, "")
+
+    def test_sanov_sweep_refuses_an_identity_past_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cq.channel, "MAX_COUNT_BYTES", 71)
+        code, out, err = run_cli(capsys, "sanov-sweep", "--dist",
+                                 '{"0": 0.5, "1": 0.3, "2": 0.2}', "--n", "1")
+        assert (code, out) == (3, "")
+        assert err == ("resource limit: the 3 x 3 identity of the type walk needs 72 bytes, "
+                       "over the budget of 71 bytes\n")
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_sanov_sweep_n_must_be_positive(self, capsys, n):
         code, out, err = run_cli(capsys, "sanov-sweep", "--dist",
@@ -752,25 +771,40 @@ class TestBoundCommands:
         assert vals["all_ok"] == "false"
 
     def test_types_check_peak_is_near_its_letter_table(self, capsys):
-        # At (2, 12), the largest size the matrix budget admits, no dⁿ × dⁿ
-        # matrix is built (two were 512 MiB): the peak is held to twice the
-        # bytes of an int64 table of the 4096 words' 12 letters. A first run
-        # builds the parser outside the trace.
+        # At (2, 16) no dⁿ × dⁿ matrix is built (one would be 64 GiB): the
+        # peak is held to twice the bytes of the int64 table of the 65,536
+        # words' 16 letters, the table its budget charges. A first run builds
+        # the parser outside the trace.
         run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "1")
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "12")
+            code, out, _ = run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "16")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
         assert kv(out)["all_ok"] == "true"
-        assert peak <= 2 * 2 ** 12 * 12 * 8
+        assert peak <= 2 * 2 ** 16 * 16 * 8
+
+    @pytest.mark.parametrize("d, n, channel", [
+        (2, 13, ()), (3, 8, ()), (2, 13, ("--builtin", "example1", "--eps", "0.1", "--delta", "0.3"))
+    ], ids=["d2", "d3", "d2-delta"])
+    def test_types_check_past_the_former_matrix_budget(self, capsys, d, n, channel):
+        # dⁿ past 4096: a dⁿ × dⁿ complex matrix would pass MAX_MATRIX_BYTES, but none is built
+        code, out, _ = run_cli(capsys, "types-check", "--alphabet-size", str(d), "--n", str(n),
+                               *channel)
+        assert code == 0
+        vals = kv(out)
+        assert (vals["all_ok"], vals["rank_sum"]) == ("true", str(d ** n))
 
     def test_types_check_cap(self, capsys):
-        code, _, _ = run_cli(capsys, "types-check", "--alphabet-size", "2",
-                             "--n", "13")
-        assert code == 3
+        # 8·24·2^24 bytes of word letters, past MAX_COUNT_BYTES; n 23 fits
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "types-check", "--alphabet-size", "2", "--n", "24")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("resource limit: the 2^24 x 24 letter table of the words needs "
+                       "3221225472 bytes, over the budget of 2147483648 bytes\n")
 
     @pytest.mark.parametrize("n", ["63", "64", "1000"])
     def test_types_check_one_letter_at_any_n(self, capsys, n):

@@ -182,7 +182,8 @@ BUDGET_SITES = {
                      4 * 4 * 16),
     "type_projector": (cq.types_sanov, "MAX_MATRIX_BYTES",
                        lambda: cq.type_projector(PROFILE, cq.Basis.standard(2)), 4 * 4 * 16),
-    "types-check": (cli, "MAX_MATRIX_BYTES", lambda: types_check(2, 2), 4 * 4 * 16),
+    # the int64 letters of the 2^2 words of length 2
+    "types-check": (cli, "MAX_COUNT_BYTES", lambda: types_check(2, 2), 2 * 2 ** 2 * 8),
     # 6 M-types of 3 letters at M = 2, each output a real diagonal of 2 floats
     "resolution_error_worst": (cq.resolvability, "MAX_MATRIX_BYTES",
                                lambda: cq.resolution_error_worst(CHANNEL, 2, grid=2), 6 * 16),
@@ -210,7 +211,7 @@ PAST_BUDGET_CALLS = {
     "tensor_power": lambda: cq.tensor_power(np.eye(2), 13),
     "type_projector": lambda: cq.type_projector(cq.EmpiricalState((13, 0), 13),
                                                 cq.Basis.standard(2)),
-    "types-check": lambda: types_check(2, 13),
+    "types-check": lambda: types_check(2, 24),
     "resolution_error_worst": lambda: cq.resolution_error_worst(PLUS_CHANNEL, 29, 3),
     "soft_cover_simulate": lambda: cq.soft_cover_simulate(CHANNEL, DIST, 10 ** 12, 1, 1, 0),
 }

@@ -42,7 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 EXAMPLE1 = ("--builtin", "example1", "--eps", "0.1")
 # Requests whose need has more digits than str() converts, absurd block
-# lengths, and block lengths on both sides of the matrix budget's bit length
+# lengths, block lengths on both sides of the matrix budget's bit length, and
+# the first binary block length whose word letters pass the count budget
 REFUSALS = {
     "resolve-n-100000": ("resolve", *EXAMPLE1, "--M", "2", "--n", "100000"),
     "types-check-n-1000000": ("types-check", "--alphabet-size", "3", "--n", "1000000"),
@@ -55,6 +56,7 @@ REFUSALS = {
     "resolve-n-4001-digits": ("resolve", *EXAMPLE1, "--M", "2", "--n", "1" + "0" * 4000),
     "resolve-n-29": ("resolve", *EXAMPLE1, "--M", "2", "--n", "29"),
     "resolve-n-30": ("resolve", *EXAMPLE1, "--M", "2", "--n", "30"),
+    "types-check-d2-n24": ("types-check", "--alphabet-size", "2", "--n", "24"),
 }
 # Exact errors on example1 at ε 0.2 with the law (.5, .3, .2): many M-types of
 # many letters, many M-types of few letters, the trend up to n = 4, and 266,085
@@ -65,12 +67,14 @@ REFUSALS = {
 # channel at ε 0.5, where the fixed-input rate's program has one constraint, not
 # two) and at its 1,001 points; type checks at (d, n) = (3, 6), (6, 3), (2, 11),
 # (3, 7) and (6, 4) (the last three held two dense dⁿ × dⁿ matrices in older
-# trees), and fixed-input rates on QUBIT_K12, a channel of 12 seeded qubit
-# states (the most letters older trees' vertex enumeration took), and on the 300
-# letters of QUBIT_K300, which older trees refuse (exit 3). Then soft covering
+# trees) and (2, 16) (older trees refuse dⁿ past 4096), and fixed-input rates on
+# QUBIT_K12, a channel of 12 seeded qubit states (the most letters older trees'
+# vertex enumeration took), and on the 300 letters of QUBIT_K300, which older
+# trees refuse (exit 3). Then soft covering
 # on both sides of the letter kernel: 1.2 M draws of example1's 3 letters,
 # counted, and 6,400 draws of the 300 letters of QUBIT_K300, searched. Last, bad
-# codewords counted by type class: on example1 at n 9 (3^9 words), and on
+# codewords counted by type class: on example1 at n 9 (3^9 words) and n 14 (the
+# last n its words budget holds; older trees refuse it), and on
 # QUBIT_K12 at n 4 with a δ whose nearest type gap is 1.7e-3 away; and the
 # commuting types bound over the 12,340 types of three letters up to n 40, and
 # over the 714 types of D9_DEAD_LAW's nine letters up to n 4: two masses of 0
@@ -105,6 +109,7 @@ FRONTIER = {
     "types-check-d2-n11": ("types-check", "--alphabet-size", "2", "--n", "11"),
     "types-check-d3-n7": ("types-check", "--alphabet-size", "3", "--n", "7"),
     "types-check-d6-n4": ("types-check", "--alphabet-size", "6", "--n", "4"),
+    "types-check-d2-n16": ("types-check", "--alphabet-size", "2", "--n", "16"),
     "fixed-rate-qubit-k12": ("fixed-rate", "--channel", QUBIT_K12),
     "fixed-rate-qubit-k300": ("fixed-rate", "--channel", QUBIT_K300),
     "softcover-n3-M4096": ("softcover", *EXAMPLE1_LAW, "--n", "3", "--M", "4096",
@@ -112,6 +117,7 @@ FRONTIER = {
     "softcover-n1-M64-qubit-k300": ("softcover", "--channel", QUBIT_K300, "--n", "1",
                                     "--M", "64", "--seed", "7"),
     "types-check-delta0.3-n9": ("types-check", *EXAMPLE1, "--n", "9", "--delta", "0.3"),
+    "types-check-delta0.3-n14": ("types-check", *EXAMPLE1, "--n", "14", "--delta", "0.3"),
     "types-check-delta0.2-qubit-k12-n4": ("types-check", "--channel", QUBIT_K12, "--n", "4",
                                           "--delta", "0.2"),
     "sanov-sweep-n40": ("sanov-sweep", "--dist", '{"0":0.5,"1":0.3,"2":0.2}', "--n", "40"),
