@@ -115,8 +115,7 @@ class MType:
     _counts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValidationError(f"resolution must be ≥ 1, got {self.resolution}")
+        check_positive_int("resolution", self.resolution)
         scaled = self.distribution.masses * self.resolution
         if np.max(np.abs(scaled - np.round(scaled))) > MTYPE_INT_TOL:
             raise ValidationError(
@@ -124,7 +123,10 @@ class MType:
 
     @classmethod
     def from_counts(cls, labels: Sequence[Label], counts: Sequence[int], M: int) -> "MType":
-        counts = np.array(counts, dtype=np.int64)
+        given = np.asarray(counts)
+        if given.dtype.kind not in "iu":
+            raise ValidationError(f"counts must be integers, got {given.dtype} entries")
+        counts = given.astype(np.int64)
         if counts.sum() != M:
             raise ValidationError(f"counts sum to {int(counts.sum())}, expected {M}")
         counts.setflags(write=False)

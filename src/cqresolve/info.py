@@ -66,29 +66,11 @@ def _kernel_mass(rho: np.ndarray, dec_sigma: SpectralDecomposition) -> float:
     return float(np.real(np.einsum("ia,ij,ja->", cols.conj(), rho, cols)))
 
 
-def _live_sums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Σ of each row's live terms, with the bits of the 1-D sum of those terms
-    alone; a dead term must be 0.
-
-    numpy sums fewer than 8 terms in order, so below 8 columns a dead term
-    changes nothing. From 8 columns its pairwise sum would regroup around
-    the dead terms, and the rows that have one are summed compressed,
-    grouped by their count of live terms.
-    """
-    total = np.add.reduce(terms, axis=1)
-    if terms.shape[1] >= 8:
-        count = np.add.reduce(live, axis=1)
-        for n in set(count[count < terms.shape[1]].tolist()):
-            rows = count == n
-            total[rows] = np.add.reduce(terms[rows][live[rows]].reshape(-1, n), axis=1)
-    return total
-
-
 def _entropy_terms(states: np.ndarray) -> np.ndarray:
     """Tr W_x log₂ W_x per input, restricted to each state's support."""
     vals = npl.eigvalsh(states)
     on = vals > SUPPORT_EIG_TOL
-    return _live_sums(np.where(on, vals * np.log2(np.where(on, vals, 1.0)), 0.0), on)
+    return np.add.reduce(np.where(on, vals * np.log2(np.where(on, vals, 1.0)), 0.0), axis=1)
 
 
 def _divergences(states: np.ndarray, p: np.ndarray, targets: np.ndarray,
@@ -162,11 +144,10 @@ def mutual_info(channel: CQChannel, dist: Distribution) -> float:
 
 def _information(p: np.ndarray, div: np.ndarray) -> np.ndarray:
     """Σ_x p_x D_x over the inputs of positive mass, for each row of (r, k) masses
-    and divergences: I(X;B) from the divergence vector, with the bits of the
-    1-D sum over the live inputs. A point mass gives exactly 0: a
-    deterministic X shares nothing with B."""
+    and divergences: I(X;B) from the divergence vector. A point mass gives
+    exactly 0: a deterministic X shares nothing with B."""
     live = p > 0.0
-    total = _live_sums(p * np.where(live, div, 0.0), live)
+    total = np.add.reduce(p * np.where(live, div, 0.0), axis=1)
     total[np.add.reduce(live, axis=1) == 1] = 0.0
     return total
 

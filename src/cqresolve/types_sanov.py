@@ -16,7 +16,7 @@ import numpy as np
 from .channel import CQChannel, Distribution, Word, _m_type_blocks, m_type_counts
 from .errors import (MAX_MATRIX_BYTES, DimensionMismatchError, ValidationError, check_budget,
                      check_positive_int, check_real)
-from .info import SUPPORT_EIG_TOL, PinchingMap, _live_sums
+from .info import SUPPORT_EIG_TOL, PinchingMap
 from .linalg import tensor_power, validate_density
 from .resolvability import _OutputRows, _batch_rows, _rational_half_l1
 
@@ -311,15 +311,14 @@ def _types_bound_checks(probs: np.ndarray, counts: np.ndarray, factorials,
     A mass is p_num / 2^k exactly; `factorials[c]` is c! and `powers[x][c]`
     is letter x's p_num^c, for each c the rows read, so a left side is one
     correctly rounded division of exact integers and underflows only where
-    the value does. The divergences are one array expression, each summed
-    over its counted letters alone (`_live_sums`); a right side is 2^{−n D}
-    as a Python float. A row counting a letter of mass ≤ SUPPORT_EIG_TOL is
-    (0, 0, True).
+    the value does. The divergences are one array expression, a row's
+    uncounted letters adding 0; a right side is 2^{−n D} as a Python float.
+    A row counting a letter of mass ≤ SUPPORT_EIG_TOL is (0, 0, True).
     """
     n, live = int(counts[0].sum()), counts > 0
     freq, shifts = counts / n, [p.as_integer_ratio()[1].bit_length() - 1 for p in probs.tolist()]
     with np.errstate(divide="ignore", invalid="ignore"):  # log2 of the zero counts and masses
-        divs = _live_sums(np.where(live, freq * (np.log2(freq) - np.log2(probs)), 0.0), live)
+        divs = np.add.reduce(np.where(live, freq * (np.log2(freq) - np.log2(probs)), 0.0), axis=1)
     vacuous = np.any(live & (probs <= SUPPORT_EIG_TOL), axis=1)
     for row, div, dead in zip(counts.tolist(), divs.tolist(), vacuous.tolist()):
         if dead:

@@ -1,17 +1,30 @@
-"""Independent reference implementations used to pin expected test values.
+"""Reference implementations used to pin expected test values.
 
-Nothing in this file imports the package's numerics. Every function is a
-direct, brute-force, or closed-form evaluation of the quantity it names,
-kept deliberately separate from the library's algorithms: singular values
-instead of the library's Hermitian decomposition for norms, explicit
-enumeration instead of vectorized batching, classical formulas for
-commuting cases, and dense grid searches where the library iterates.
+Nothing in this file imports the package's numerics. Each function is of
+one of three kinds:
+
+- An independent reference: a direct, brute-force, rational or closed-form
+  evaluation of the quantity it names, kept separate from the library's
+  algorithms: singular values instead of the library's Hermitian
+  decomposition for norms, explicit enumeration instead of vectorized
+  batching, classical formulas for commuting cases, and dense grid
+  searches where the library iterates. Most functions are of this kind.
+- A former kernel of the library that is the only check of some
+  behaviour, kept for it: `grid_refine_worst` (which points the
+  worst-input search accepts), `half_l1_distances` (the distance bits that
+  search's result depends on), `count_matrix_resolution_error` (the argmin
+  over the whole M-type list) and `searchsorted_codeword_indices` (the
+  Philox stream contract).
+- A former kernel whose replacement agreed with it bit for bit on a sweep,
+  while an independent reference still covers its outputs. None is kept:
+  each stacked kernel that replaced one is checked row by row against the
+  same kernel run on that row alone, and its values against the
+  independent references.
 
 Some functions here left the package because no command reads them; they
 keep their argument checks, from `cqresolve.errors`, so their tests still
-see the package's exception types, `all_empirical_states` still builds
-the package's EmpiricalState records, and `_types_bound_row` its
-TypesBoundCheck records.
+see the package's exception types, and `all_empirical_states` still builds
+the package's EmpiricalState records.
 """
 from __future__ import annotations
 
@@ -25,10 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cqresolve.errors import (ConvergenceError, DimensionMismatchError, ResourceLimitError,
-                              ValidationError, check_positive_int, check_real)
-from cqresolve.info import SUPPORT_EIG_TOL
-from cqresolve.types_sanov import EmpiricalState, TypesBoundCheck
+from cqresolve.errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
+                              check_positive_int, check_real)
+from cqresolve.types_sanov import EmpiricalState
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +206,8 @@ def classical_mutual_infos(T, Q) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cq channel capacity by the plain (unaccelerated) multiplicative ascent
+# cq channel capacity by the plain (unaccelerated) multiplicative ascent, and
+# the fixed-input rate's fibre by its vertices
 
 
 def neg_entropies(states) -> np.ndarray:
@@ -226,45 +239,23 @@ def output_divergences(states, p, tr_w_log_w) -> np.ndarray:
     return div
 
 
-def descending_eigh_divergences(states, p, target, tr_w_log_w) -> np.ndarray:
-    """D(W_x‖target) for every x, by the divergence formula as it read `linalg.eigh`.
-
-    target's eigenpairs in argsort(...)[::-1] order, ties included, then the
-    operations of `info._divergences` in its order: weights and logarithms
-    of the eigenvalues above 1e-12; the kernel eigenvectors that an input
-    of positive mass reaches above 1e-10, with the Rayleigh quotient
-    ⟨a|W(p)|a⟩ as their eigenvalue; +inf for an input of mass 0 that leaks
-    past them by more than 1e-10. Unlike `output_divergences`, it gives
-    that kernel's bits.
-    """
-    states = np.asarray(states, dtype=complex)
-    p = np.asarray(p, float)
-    vals, vecs = np.linalg.eigh(target)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = np.real(vals[order]).astype(float), vecs[:, order]
-    support = vals > 1e-12
-    cols = vecs[:, support]
-    weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states, cols))
-    div = tr_w_log_w - weights @ np.log2(vals[support])
-    if not np.all(support):
-        kcols = vecs[:, ~support]
-        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states, kcols))
-        live = p > 0.0
-        reached = np.any(kweights[live] > 1e-10, axis=0)
-        if np.any(reached):
-            rayleigh = p @ np.maximum(kweights[:, reached], 0.0)
-            div = div - kweights[:, reached] @ np.log2(rayleigh)
-        leak = np.sum(kweights[:, ~reached], axis=1)
-        div = np.where(~live & (leak > 1e-10), math.inf, div)
-    return div
-
-
 def capacity_gap(states, p) -> tuple[float, float]:
     """(I(X;B), max_x D(W_x‖W(p)) − I(X;B)) at the input law p."""
     p = np.asarray(p, float)
     div = output_divergences(states, p, neg_entropies(states))
     info = float(sum(px * dx for px, dx in zip(p, div) if px > 0))
     return info, float(div.max() - info)
+
+
+def _plain_step(p, div) -> np.ndarray:
+    """p_x·2^{D_x − max D} over the inputs of positive mass, normalized, then
+    masses below 1e-15 pruned and normalized again."""
+    live = p > 0.0
+    nxt = np.zeros(p.size)
+    nxt[live] = p[live] * np.exp2(div[live] - div[live].max())
+    nxt /= nxt.sum()
+    nxt[nxt < 1e-15] = 0.0
+    return nxt / nxt.sum()
 
 
 class AscentResult(NamedTuple):
@@ -316,21 +307,12 @@ def simplex_grid(k: int, denominator: int) -> np.ndarray:
     return grid
 
 
-def fixed_rate_grid_search(T, p, denominator: int, slack: float) -> float:
-    """min I(q) over grid q with ||T(q) - T(p)||_1 <= slack (brute force)."""
-    T = np.asarray(T, float)
-    grid = simplex_grid(T.shape[0], denominator)
-    target = classical_output(T, p)
-    outs = grid @ T
-    feas = np.sum(np.abs(outs - target), axis=1) <= slack
-    best = math.inf
-    for q in grid[feas]:
-        best = min(best, classical_mutual_info(T, q))
-    return best
-
-
 def per_support_feasible_vertices(states, masses) -> list[np.ndarray]:
     """Vertices of {q : W(q) = W(p)}, one candidate support at a time.
+
+    The fixed-input rate's independent reference: the library solves a
+    linear program and enumerates no vertex, and on the fibre I(X;B) is
+    linear in q, so its least value is at a vertex.
 
     Supports of up to rank+1 inputs, rank that of the real span of
     {W_x − W_0} at the SVD threshold 1e-9, in combination order. Per
@@ -376,197 +358,8 @@ def per_support_feasible_vertices(states, masses) -> list[np.ndarray]:
     return vertices
 
 
-def per_vertex_least(vertices, information) -> tuple[list[float], int]:
-    """information(q) for every vertex in order, one call each, and the first
-    index of the least: the fixed-input rate's loop when it called
-    `mutual_info` once per vertex."""
-    values = [information(q) for q in vertices]
-    return values, min(range(len(values)), key=values.__getitem__)
-
-
 # ---------------------------------------------------------------------------
-# capacity and fixed-input rate one channel at a time, as `rates` ran them
-# before its rows were stacked; bit for bit what the library gave then
-
-
-class PointRate(NamedTuple):
-    value: float
-    certificate: float
-    iterations: int
-    masses: np.ndarray
-
-
-def _plain_step(p, div) -> np.ndarray:
-    live = p > 0.0
-    nxt = np.zeros(p.size)
-    nxt[live] = p[live] * np.exp2(div[live] - div[live].max())
-    nxt /= nxt.sum()
-    nxt[nxt < 1e-15] = 0.0
-    return nxt / nxt.sum()
-
-
-def _squared_extrapolation(p0, p1, p2):
-    r = p1 - p0
-    v = p2 - 2.0 * p1 + p0
-    v_norm = float(np.linalg.norm(v))
-    if not v_norm > 0.0:
-        return None
-    alpha = min(-float(np.linalg.norm(r)) / v_norm, -1.0)
-    trial = p0 - 2.0 * alpha * r + alpha * alpha * v
-    trial = np.where(p2 > 0.0, np.maximum(trial, 1e-12 * p2), 0.0)
-    return trial / trial.sum()
-
-
-def _squarem_path(p):
-    """Yield each point of the accelerated ascent; receive (divergences, I) at it."""
-    div, _ = yield p
-    while True:
-        p1 = _plain_step(p, div)
-        div1, _ = yield p1
-        p2 = _plain_step(p1, div1)
-        div2, info2 = yield p2
-        trial = _squared_extrapolation(p, p1, p2)
-        p, div = p2, div2
-        if trial is not None:
-            div_t, info_t = yield trial
-            if info_t >= info2:
-                p, div = trial, div_t
-
-
-def _information_at(states, q, tr_w_log_w) -> tuple[np.ndarray, float]:
-    """(D(W_x‖W(q)) for every x, I(X;B) at q) from one descending eigh of W(q);
-    I is exactly 0 at a point mass."""
-    div = descending_eigh_divergences(states, q, np.einsum("x,xij->ij", q, states), tr_w_log_w)
-    live = q > 0.0
-    return div, 0.0 if live.sum() == 1 else float(np.sum(q[live] * div[live]))
-
-
-def per_point_capacity(states, tol: float, max_iter: int = 100000) -> PointRate:
-    """SQUAREM capacity ascent on one channel, one eigh of W(p) per point.
-
-    From the uniform law: two plain steps p_x ∝ p_x·2^{D_x} (masses below
-    1e-15 pruned), then the squared extrapolation, floored at 1e-12 of the
-    second step's masses and kept if its I is at least that step's. The
-    first point whose gap max_x D_x − I is at most tol is returned;
-    ConvergenceError after max_iter points, its witness the masses of the
-    best point.
-    """
-    check_real("tol", tol, 0.0, open_lo=True)
-    states = np.asarray(states, dtype=complex)
-    tr_w_log_w = neg_entropies(states)
-    points = _squarem_path(np.full(len(states), 1.0 / len(states)))
-    p = next(points)
-    best_value, best_p, best_gap = -math.inf, p, math.inf
-    for iteration in range(1, max_iter + 1):
-        div, info = _information_at(states, p, tr_w_log_w)
-        gap = float(np.max(div) - info)
-        if info > best_value:
-            best_value, best_p, best_gap = info, p, gap
-        if gap <= tol:
-            return PointRate(info, max(gap, 0.0), iteration, p)
-        p = points.send((div, info))
-    raise ConvergenceError(
-        f"capacity ascent gap {best_gap:.3e} > tol {tol:.3e} after {max_iter} iterations",
-        value=best_value, iterations=max_iter, witness=best_p)
-
-
-def per_point_fixed_input_rate(states, masses) -> PointRate:
-    """The first least-information vertex of `per_support_feasible_vertices`,
-    with the vertex count as certificate and iterations."""
-    states = np.asarray(states, dtype=complex)
-    vertices = per_support_feasible_vertices(states, masses)
-    if not vertices:
-        raise ValidationError("feasible polytope has no vertices; "
-                              "the reference distribution should always be feasible")
-    tr_w_log_w = neg_entropies(states)
-    values, best = per_vertex_least(vertices, lambda q: _information_at(states, q, tr_w_log_w)[1])
-    return PointRate(values[best], float(len(vertices)), len(vertices), vertices[best])
-
-
-def _row_pivot(tableau, basis, row: int, col: int) -> None:
-    pivot = tableau[row] / tableau[row, col]
-    tableau -= tableau[:, col, None] * pivot
-    tableau[row] = pivot
-    basis[row] = col
-
-
-def _row_bland(tableau, basis, cost, k: int) -> int:
-    """Bland's rule on one tableau until no reduced cost of the first k
-    columns is below −1e-9; the pivots made."""
-    pivots = 0
-    while True:
-        improving = cost[:k] - cost[basis] @ tableau[:, :k] < -1e-9
-        if not improving.any():
-            return pivots
-        col = improving.argmax()
-        column = tableau[:, col]
-        ratios = np.divide(tableau[:, -1], column, out=np.full(len(basis), np.inf),
-                           where=column > 1e-9)
-        least = ratios <= ratios.min() + 1e-9
-        _row_pivot(tableau, basis, np.where(least, basis, len(cost)).argmin(), col)
-        pivots += 1
-
-
-def per_row_fixed_input_rate(states, masses) -> PointRate:
-    """The fixed-input rate's linear program on one channel, pivot by pivot, as
-    `rates` solved each row before its simplex was stacked.
-
-    Costs c_x = D(W_x‖W(p)) from one descending eigh of W(p); the rows V of
-    [A; 1ᵀ] (letters of infinite cost zeroed) above 1e-9 of the largest
-    singular value; phase I and phase II of Bland's rule on [±V | I | ±V p],
-    an artificial column left basic after phase I driven out for the first
-    letter with an entry above 1e-9; the witness is lstsq on the final
-    basis's support of level above 1e-9, clipped at 0 and normalized; the
-    certificate is c·q − (y·Vp + min(0, minₓ (c − Vᵀy)ₓ)), floored at 0;
-    iterations is 1 + the phase II pivots.
-    """
-    states = np.asarray(states, dtype=complex)
-    masses = np.asarray(masses, float)
-    k, d, _ = states.shape
-    terms = neg_entropies(states)
-    costs = descending_eigh_divergences(states, masses, np.einsum("x,xij->ij", masses, states),
-                                        terms)
-    finite = np.isfinite(costs)
-    flat = states.reshape(k, d * d).T
-    amat = np.vstack([flat.real, flat.imag])
-    rhs = np.concatenate([amat @ masses, [1.0]])
-    augmented = np.vstack([amat, np.ones((1, k))])
-    _, sing, vt = np.linalg.svd(augmented * finite, full_matrices=False)
-    rows = vt[sing > 1e-9 * sing[0]]
-    m, b = len(rows), rows @ masses
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    tableau = np.hstack([rows * sign[:, None], np.eye(m), (b * sign)[:, None]])
-    basis, cost = np.arange(k, k + m), np.repeat([0.0, 1.0], [k, m])
-    _row_bland(tableau, basis, cost, k)
-    for i in (basis >= k).nonzero()[0]:
-        out = (np.abs(tableau[i, :k]) > 1e-9).nonzero()[0]
-        if out.size:
-            _row_pivot(tableau, basis, i, out[0])
-    cost[:k], cost[k:] = np.where(finite, costs, 0.0), 0.0
-    pivots = _row_bland(tableau, basis, cost, k)
-    support = np.sort(basis[(basis < k) & (tableau[:, -1] > 1e-9)])
-    sol, *_ = np.linalg.lstsq(augmented[:, support], rhs, rcond=None)
-    q = np.zeros(k)
-    q[support] = np.clip(sol, 0.0, None)
-    q /= q.sum()
-    y = cost[basis] @ tableau[:, k:-1] * sign
-    bound = y @ b + min(0.0, (cost[:k] - y @ rows).min())
-    gap = max(float(cost[:k] @ q - bound), 0.0)
-    return PointRate(_information_at(states, q, terms)[1], gap, 1 + pivots, q)
-
-
-def per_point_separation_figure(grid, tol: float, max_iter: int = 100000) -> list:
-    """(ε, capacity, fixed-input rate at (½, ½, 0)) of example1 at every ε in
-    order, each channel built and solved before the next; the first failure
-    raises."""
-    rows = []
-    for eps in grid:
-        check_real("--eps", eps, 0.0, 1.0)
-        states = np.array([np.diag([1.0 - eps, eps]), np.diag([eps, 1.0 - eps]),
-                           np.diag([0.5, 0.5])], dtype=complex)
-        rows.append((eps, per_point_capacity(states, tol, max_iter),
-                     per_point_fixed_input_rate(states, np.array([0.5, 0.5, 0.0]))))
-    return rows
+# the classical fixed-input rate by projected grid search
 
 
 def fixed_rate_projected_grid(T, p, denominator: int = 50,
@@ -752,154 +545,6 @@ def renyi_fixed_point(states, masses, alpha: float, max_iter: int = 500,
     return RenyiFixedPoint(best, iterations, converged)
 
 
-class RenyiIterate(NamedTuple):
-    value: float
-    sigma: np.ndarray
-    iterations: int
-    converged: bool
-
-
-def renyi_fixed_point_one_order(states, masses, alpha: float, max_iter: int = 500,
-                                damping: float = 0.5, step_tol: float = 1e-10,
-                                floor: float = 1e-12) -> RenyiIterate:
-    """The iteration of `renyi_fixed_point` with the floating-point steps of
-    the library's one-order loop, the reference for its stacked kernel bit
-    for bit.
-
-    Each floored iterate is kept as its eigenpairs in descending order, and
-    its half power is taken on them. One batched eigh of the sandwiches of
-    the letters of positive mass gives both the objective at σ and the next
-    proposal; the step is half the sum of |eigvalsh(next − σ)|. Returns the
-    least value seen with its σ, the iteration count and whether a step fell
-    below step_tol.
-    """
-    states = np.asarray(states, dtype=complex)
-    masses = np.asarray(masses, dtype=float)
-    live_states, live_masses = states[masses > 0], masses[masses > 0]
-
-    def hermitian(a):
-        return (a + np.swapaxes(a.conj(), -1, -2)) / 2
-
-    def floored(m):
-        vals, vecs = np.linalg.eigh(hermitian(m))
-        vals, vecs = np.clip(vals[::-1], floor, None), vecs[:, ::-1]
-        vals = vals / vals.sum()
-        return vals, vecs, (vecs * vals) @ vecs.conj().T
-
-    def objective_and_proposal(vals, vecs):
-        powed = np.zeros_like(vals)
-        powed[vals > floor] = vals[vals > floor] ** ((1.0 - alpha) / (2.0 * alpha))
-        half = (vecs * powed) @ vecs.conj().T
-        a_vals, a_vecs = np.linalg.eigh(hermitian(half @ live_states @ half))
-        weights = live_masses[:, None] * np.clip(a_vals, 0.0, None) ** alpha
-        total = float(np.sum(weights))
-        if not total > 0.0:
-            return math.inf, None
-        acc = np.sum((a_vecs * weights[:, None, :]) @ np.swapaxes(a_vecs.conj(), -1, -2),
-                     axis=0)
-        return math.log2(total) / (alpha - 1.0), acc / total
-
-    vals, vecs, sigma = floored(np.einsum("x,xij->ij", masses, states))
-    best, proposal = objective_and_proposal(vals, vecs)
-    best_sigma, iterations, converged = sigma, 0, False
-    for iterations in range(1, max_iter + 1):
-        if proposal is None:
-            break
-        vals, vecs, nxt = floored((1.0 - damping) * sigma + damping * proposal)
-        step = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(nxt - sigma))))
-        sigma = nxt
-        value, proposal = objective_and_proposal(vals, vecs)
-        if value < best:
-            best, best_sigma = value, sigma
-        if step < step_tol:
-            converged = True
-            break
-    return RenyiIterate(float(best), best_sigma, iterations, converged)
-
-
-def renyi_fixed_points_listed(alphas, states, masses, max_iter: int = 500,
-                              damping: float = 0.5, step_tol: float = 1e-10,
-                              floor: float = 1e-12) -> list[RenyiIterate]:
-    """The library's stacked fixed point for several orders, in the form it
-    had with per-order bookkeeping: the reference for its trimmed loop, bit
-    for bit.
-
-    The iterates of the orders still running form one stack. Per iteration:
-    the mixes' Hermitian parts in one eigh, eigenvalues reversed, floored
-    and renormalized; half of Σ|eigvalsh(next − σ)| as the step; then the
-    half power σ^γ of each order one order at a time, one eigh of every
-    sandwich, the per-order powers A^α, and each order's objective and
-    proposal, a proposal kept in a list and re-stacked. An order whose
-    proposal trace is not positive stops. The library's Hermiticity and
-    finiteness checks change no bit and are left out.
-    """
-    states = np.asarray(states, dtype=complex)
-    masses = np.asarray(masses, dtype=float)
-    live_states, live_masses = states[masses > 0], masses[masses > 0]
-
-    def hermitian(a):
-        return (a + np.swapaxes(a.conj(), -1, -2)) / 2
-
-    def floored(mixes):
-        vals, vecs = np.linalg.eigh(hermitian(mixes))
-        vals = np.clip(vals[:, ::-1], floor, None)
-        vals = vals / vals.sum(axis=-1, keepdims=True)
-        vecs = vecs[..., ::-1]
-        return vals, vecs, (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-
-    def sandwiches(orders, vals, vecs):
-        support = vals > floor
-        powed = np.zeros_like(vals)
-        for j, alpha in enumerate(orders):
-            powed[j, support[j]] = vals[j, support[j]] ** ((1.0 - alpha) / (2.0 * alpha))
-        half = ((vecs * powed[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2))[:, None]
-        a_vals, a_vecs = np.linalg.eigh(hermitian(half @ live_states @ half))
-        a_vals = np.clip(a_vals, 0.0, None)
-        for j, alpha in enumerate(orders):
-            a_vals[j] = live_masses[:, None] * a_vals[j] ** alpha
-        acc = np.sum((a_vecs * a_vals[:, :, None, :]) @ np.swapaxes(a_vecs.conj(), -1, -2),
-                     axis=1)
-        values, proposals = [], []
-        for j, alpha in enumerate(orders):
-            total = float(np.sum(a_vals[j]))
-            if total > 0.0:
-                values.append(math.log2(total) / (alpha - 1.0))
-                proposals.append(acc[j] / total)
-            else:
-                values.append(math.inf)
-                proposals.append(None)
-        return values, proposals
-
-    r = len(alphas)
-    start = floored(np.einsum("x,xij->ij", masses, states)[None])
-    vals, vecs, sigma = (np.repeat(a, r, axis=0) for a in start)
-    best, proposals = sandwiches(alphas, vals, vecs)
-    best_sigma = [start[2][0]] * r
-    iterations, converged = [0] * r, [False] * r
-    running = list(range(r))
-    for iteration in range(1, max_iter + 1):
-        for j in running:
-            iterations[j] = iteration
-        running = [j for j in running if proposals[j] is not None]
-        if not running:
-            break
-        rows = np.array(running)
-        mixes = (1.0 - damping) * sigma[rows] \
-            + damping * np.stack([proposals[j] for j in running])
-        vals, vecs, nxt = floored(mixes)
-        steps = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(nxt - sigma[rows])), axis=-1)
-        sigma[rows] = nxt
-        values, fresh = sandwiches(tuple(alphas[j] for j in running), vals, vecs)
-        for i, j in enumerate(running):
-            proposals[j] = fresh[i]
-            if values[i] < best[j]:
-                best[j], best_sigma[j] = values[i], nxt[i]
-            converged[j] = bool(steps[i] < step_tol)
-        running = [j for j in running if not converged[j]]
-    return [RenyiIterate(float(best[j]), best_sigma[j], iterations[j], converged[j])
-            for j in range(r)]
-
-
 def soft_cover_bound(states, masses, alpha: float, M: int) -> float:
     """2^{2/α − 2} · 2^{((α−1)/α)·(I_α − log₂ M)} with I_α from `renyi_fixed_point`.
 
@@ -939,7 +584,9 @@ def searchsorted_codeword_indices(seed: int, samples: int, M: int, n: int,
     """(samples, M) C-order word indices, one generator built per sample.
 
     Sample i's uniforms are Philox(key=seed, counter=[0, 0, 0, i]).random((M, n)),
-    and each becomes a letter by `searchsorted_letters`.
+    and each becomes a letter by `searchsorted_letters`. Kept, though the
+    library's codebook draws replaced it, because it states the Philox
+    stream contract that the draws must keep.
     """
     k = len(cdf)
     words = []
@@ -971,7 +618,8 @@ def stars_and_bars_compositions(total: int, parts: int) -> np.ndarray:
     stars between neighbouring bars. `itertools.combinations` yields the bar
     positions in lexicographic order, so the rows are in lexicographic
     order too. Shape (C(total+parts-1, parts-1), parts), int64. This was
-    the library's enumeration before the level-by-level kernel.
+    the library's enumeration before the level-by-level kernel; kept as an
+    independent reference, since it shares no step with that kernel's walk.
     """
     slots = total + parts - 1
     rows = math.comb(slots, parts - 1)
@@ -1012,7 +660,8 @@ def count_matrix_resolution_error(counts, rows, target, distance_table, M: int,
     distances. The outputs are (counts / M) @ rows, formed ``step`` count
     rows at a time. Returns the float minimum, which was the reported error
     on the eigvalsh path, and the first index within 1e-12 of it, which was
-    the argmin.
+    the argmin. Kept because no other test pins the argmin over the whole
+    M-type list: the brute-force references give the minimum only.
     """
     errors = np.empty(counts.shape[0])
     for lo in range(0, counts.shape[0], step):
@@ -1026,7 +675,10 @@ def half_l1_distances(diagonals, targets) -> np.ndarray:
     """½‖row − target‖₁ for every target and row, as a targets × rows table.
 
     The diagonal path's formula before its column-by-column kernel: one
-    broadcast difference and numpy's own sum over each row.
+    broadcast difference and numpy's own sum over each row. Kept because
+    the worst-input search's result depends on these bits: a kernel that
+    adds the narrow columns in plain order moves the worst input where grid
+    points tie.
     """
     return 0.5 * np.sum(np.abs(diagonals - targets[:, None]), axis=-1)
 
@@ -1069,6 +721,8 @@ def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
     inner minimum is refined by coordinatewise mass moves with step halving
     down to 1e-6; the argmin is the first candidate within 1e-12 of the
     final minimum, and ``tie_counts`` are every such candidate, in order.
+    Kept because it alone defines which points the worst-input search
+    accepts: its result is a lower bound that no independent reference pins.
     """
     states = np.asarray(states, dtype=complex)
     k, dim = states.shape[0], states.shape[1]
@@ -1129,22 +783,6 @@ def binary_flip_exact_error(eps: float, n: int) -> float:
 
 # ---------------------------------------------------------------------------
 # smoothing, spectra, and types
-
-
-def ceil_diag_reference(values, lam: float, v: int) -> list[float]:
-    """Piecewise rounding of diagonal entries: s → s1·2^{λ·max(−v, ⌈log2(s/s1)/λ⌉)}."""
-    vals = sorted((float(t) for t in values), reverse=True)
-    s1 = vals[0]
-    out = []
-    for s in vals:
-        if s <= s1 * 2.0 ** (-v * lam) + 1e-15:
-            out.append(s1 * 2.0 ** (-v * lam))
-            continue
-        ratio = math.log2(s / s1) / lam
-        nearest = round(ratio)
-        k = nearest if abs(ratio - nearest) <= 1e-9 else math.ceil(ratio)
-        out.append(s1 * 2.0 ** (lam * max(-v, k)))
-    return out
 
 
 def spectral_cdf(rho, sigma, a: float) -> float:
@@ -1274,28 +912,12 @@ def letter_table_type_mask(counts) -> np.ndarray:
     """Which length-n words over d letters, in C order, have the letter counts `counts`.
 
     Every word's count of every letter from one (n, dⁿ, d) letter table;
-    the library's former `type_projector` mask.
+    the library's former `type_projector` mask, kept as an independent
+    reference for the word keys that replaced it.
     """
     d, n = len(counts), int(sum(counts))
     letters = np.indices((d,) * n).reshape(n, -1, 1) == np.arange(d)
     return np.all(letters.sum(axis=0) == np.asarray(counts), axis=1)
-
-
-def twirl_margin_one_row(counts) -> float:
-    """The twirl-domination margin of the words with int64 letter counts `counts`, alone.
-
-    The library's former one-row kernel: the closed form at the word's own
-    type and at all n letters on its rarest letter, (n+1)^{d-1} scaled as a
-    float mantissa and a power of two.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    d, n = counts.size, int(counts.sum())
-    types = np.array([counts, n * (np.arange(d) == np.argmin(counts))])
-    scale, products = (n + 1) ** (d - 1), np.prod((counts / n) ** types, axis=1)
-    with np.errstate(over="ignore"):
-        diag = np.ldexp(scale / 2 ** scale.bit_length() * products, scale.bit_length())
-    diag[np.all(types == counts, axis=1)] -= 1 / multinomial_exact(n, counts.tolist())
-    return float(diag.min())
 
 
 def ee31_margin_exact(symbols, d: int) -> Fraction:
@@ -1318,37 +940,12 @@ def ee31_margin_exact(symbols, d: int) -> Fraction:
     return best
 
 
-def _types_bound_row(probs: np.ndarray, counts: np.ndarray) -> TypesBoundCheck:
-    """The row of `commuting_types_bound_check` for a checked diagonal and int64 counts.
-
-    The library's former one-row kernel, which raised each mass numerator
-    to its count and took the divergence over the counted letters alone.
-    """
-    n, active = int(counts.sum()), counts > 0
-    if np.any(probs[active] <= SUPPORT_EIG_TOL):
-        return TypesBoundCheck(0.0, 0.0, True)
-    # Each mass is p_num / 2^k, so the left side is num / 2^shift exactly.
-    num, shift = multinomial_exact(n, counts.tolist()), 0
-    for p, c in zip(probs[active].tolist(), counts[active].tolist()):
-        p_num, p_den = p.as_integer_ratio()
-        num, shift = num * p_num ** c, shift + c * (p_den.bit_length() - 1)
-    return _types_bound_sides(probs, counts, n, active, num / (1 << shift))
-
-
-def _types_bound_sides(probs: np.ndarray, counts: np.ndarray, n: int, active: np.ndarray,
-                       lhs: float) -> TypesBoundCheck:
-    """A types-bound row from its left side: the right side 2^{−n D(ρ'‖ρ)} and the test."""
-    freq = counts[active] / n
-    div = float(np.sum(freq * (np.log2(freq) - np.log2(probs[active]))))
-    rhs = 2.0 ** (-n * div)
-    return TypesBoundCheck(lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9)))
-
-
 def dense_pinching_refusal(projectors) -> str | None:
     """Why a family of Hermitian blocks is not a pinching map, by dense matrix
     products, or None: each block of the first block's size and with
     max |Q² − Q| ≤ 1e-9, then max |Σ Q − I| ≤ 1e-9; the first failure's
-    exception type and message."""
+    exception type and message. An independent reference for the diagonal
+    shortcuts of `PinchingMap`'s checks."""
     dim = np.asarray(projectors[0]).shape[0]
     total = np.zeros((dim, dim), dtype=complex)
     for p in projectors:

@@ -60,6 +60,21 @@ def test_mtype_accepts_exact_multiples():
     assert t.resolution == 3
 
 
+@pytest.mark.parametrize("resolution", [True, 2.0])
+def test_mtype_resolution_must_be_an_int(resolution):
+    # True is no resolution, and 2.0 would leave a float resolution
+    base = cq.Distribution.from_dict({"a": 0.5, "b": 0.5})
+    with pytest.raises(errors.ValidationError,
+                       match=f"resolution must be a positive integer, got {resolution!r}"):
+        cq.MType(base, resolution)
+
+
+def test_mtype_counts_must_be_integers():
+    # 1.5 would be truncated to 1 and reported as a wrong sum
+    with pytest.raises(errors.ValidationError, match="counts must be integers, got float64"):
+        cq.MType.from_counts(("a", "b"), [1.5, 0.5], 2)
+
+
 # ---------------------------------------------------------------------------
 # output / joint / word / codebook / empirical states
 

@@ -908,10 +908,11 @@ class TestSeparationFigure:
         assert err == "error: --eps must be in [0, 1] and finite, got 1.1\n"
 
     def test_capacity_failure_exits_two_with_the_first_failing_eps(self, capsys, monkeypatch):
-        grid = _parse_eps_grid("0.5:1:0.05")
-        with pytest.raises(cq.ConvergenceError) as want:
-            orc.per_point_separation_figure(grid, 1e-9, max_iter=3)
+        # ε 0.5 certifies at its first point, 0.55 is the first that fails
+        channel = cq.CQChannel(cli.EXAMPLE1_LABELS, cli._example1_states([0.55])[0])
         monkeypatch.setattr(cq.rates, "CAPACITY_MAX_ITER", 3)
+        with pytest.raises(cq.ConvergenceError) as want:
+            cq.capacity(channel, tol=1e-9)
         code, out, err = run_cli(capsys, "separation-figure", "--eps-grid", "0.5:1:0.05")
         assert (code, out, err) == (2, "", f"error: {want.value}\n")
 

@@ -1,6 +1,7 @@
 """Every import in the package and the test suite is used, every private
 module-level name in the package is referenced somewhere in the package,
-every exported name is reached by a command, a demo or an acceptance test,
+every module-level name of `tests/oracles.py` is read by the tests, every
+exported name is reached by a command, a demo or an acceptance test,
 the package makes no Kronecker product outside `linalg._kron_rows`, it
 parses JSON input in one function, it compares byte budgets in
 `errors.check_budget` alone, and no exported callable takes a cap as a
@@ -73,11 +74,14 @@ def _private_definitions(node: ast.stmt) -> list[str]:
     return [n for n in _definitions(node) if n.startswith("_") and not n.startswith("__")]
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions, classes and constants that nothing reads.
+def unreferenced_names(sources: dict[str, str], defined=_private_definitions,
+                       owner: str | None = None) -> list[str]:
+    """Module-level functions, classes and constants that nothing reads.
 
-    A name counts as read when some module-level statement other than its
-    own definition, in any of the modules, uses it as a bare name or as an
+    `defined` gives the names of a module-level statement that are checked,
+    and `owner`, if given, the one module whose statements are checked. A
+    name counts as read when some module-level statement other than its own
+    definition, in any of the modules, uses it as a bare name or as an
     attribute, so recursion alone does not keep a function alive.
     """
     statements = []
@@ -88,21 +92,38 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
             reads |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
             statements.append((module, node, reads))
     return [f"{module}:{node.lineno}: {name}"
-            for module, node, _ in statements for name in _private_definitions(node)
+            for module, node, _ in statements if owner in (None, module)
+            for name in defined(node)
             if not any(name in reads for _, other, reads in statements if other is not node)]
 
 
 def test_every_private_name_in_the_package_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC_MODULES}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources) == []
 
 
 def test_gate_flags_an_unreferenced_private_name():
     sources = {"a.py": "_X = 1\n_Y: int = 2\n__z = 3\n_Z = 4\n"
                        "def _f():\n    return _f()\n\ndef g():\n    return _Y\n",
                "b.py": "import a\nprint(a._X)\nclass _C:\n    pass\n"}
-    assert unreferenced_private_names(sources) == [
-        "a.py:4: _Z", "a.py:5: _f", "b.py:3: _C"]
+    assert unreferenced_names(sources) == ["a.py:4: _Z", "a.py:5: _f", "b.py:3: _C"]
+
+
+def test_every_oracle_is_read_by_the_tests():
+    # an oracle that no test reads checks nothing, and rots unseen
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES if p.parent.name == "tests"}
+    assert unreferenced_names(sources, _definitions, "oracles.py") == []
+
+
+def test_gate_flags_an_unread_oracle():
+    sources = {"oracles.py": "LIMIT = 3\nUNUSED = 4\n\ndef used(x):\n    return x < LIMIT\n\n"
+                             "def helper():\n    return 1\n\n"
+                             "def unused():\n    return helper()\n\nclass Record:\n    pass\n",
+               "test_a.py": "import oracles as orc\nfrom oracles import Record\n"
+                            "def test_x():\n    assert orc.used(1)\n\nRecord()\n"
+                            "def unused_here():\n    pass\n"}
+    assert unreferenced_names(sources, _definitions, "oracles.py") == [
+        "oracles.py:2: UNUSED", "oracles.py:10: unused"]
 
 
 def _reads(node: ast.AST) -> set[str]:

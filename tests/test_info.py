@@ -223,12 +223,21 @@ DIVERGENCE_CASES = _divergence_cases()
 
 @pytest.mark.parametrize("name", sorted(DIVERGENCE_CASES))
 def test_divergence_vector_keeps_the_bits_of_the_eigh_formula(name):
+    # the row's bits are those of the formula run on it alone, whatever row
+    # shares its stack; its values are within 1e-12 of the reference's
     states, p, leaks = DIVERGENCE_CASES[name]
     target = np.einsum("x,xij->ij", p, states)
     terms = _entropy_terms(states)
     div = _divergences(states[None], p[None], target[None], terms[None])[0]
-    assert np.array_equal(div, orc.descending_eigh_divergences(states, p, target, terms))
+    uniform = np.full(len(p), 1.0 / len(p))
+    stacked = _divergences(np.stack([states, states]), np.stack([uniform, p]),
+                           np.stack([np.einsum("x,xij->ij", uniform, states), target]),
+                           np.stack([terms, terms]))
+    assert np.array_equal(stacked[1], div)
+    want = orc.output_divergences(states, p, orc.neg_entropies(states))
+    assert np.array_equal(np.isinf(want), leaks)
     assert np.array_equal(np.isinf(div), leaks)
+    np.testing.assert_allclose(div[~leaks], want[~leaks], rtol=1e-12, atol=0.0)
     if name.startswith("identity"):
         assert np.array_equal(target, np.eye(len(target)) / len(target))
 
@@ -244,11 +253,14 @@ def test_divergence_vector_refuses_a_target_that_is_not_finite():
 
 @pytest.mark.parametrize("d", (2, 3, 7, 8, 9, 16))
 def test_entropy_terms_have_the_bits_of_each_spectrum_summed_alone(d):
-    # ranks 1 to d, so from 8 levels a sum over a spectrum with dead
-    # eigenvalues would regroup if the zeros were summed in place
+    # ranks 1 to d, so from 8 levels numpy sums spectra with dead
+    # eigenvalues pairwise, the zeros in place
     rng = np.random.default_rng([d, 32])
     states = np.array([orc.random_density_of_rank(rng, d, rank) for rank in range(1, d + 1)])
-    assert np.array_equal(_entropy_terms(states), orc.neg_entropies(states))
+    terms = _entropy_terms(states)
+    for row in range(d):
+        assert np.array_equal(terms[row], _entropy_terms(states[row:row + 1])[0])
+    np.testing.assert_allclose(terms, orc.neg_entropies(states), rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("k", (2, 3, 7, 8, 9, 12, 20))
@@ -263,8 +275,13 @@ def test_information_rows_have_the_bits_of_the_one_dimensional_sum(k):
     got = info._information(p, div)
     for row in range(k):
         live = p[row] > 0.0
-        want = 0.0 if live.sum() == 1 else float((p[row, live] * div[row, live]).sum())
-        assert np.array_equal(got[row], want)
+        # the row alone and the one-dimensional sum of its terms, dead ones 0
+        assert np.array_equal(got[row], info._information(p[row:row + 1], div[row:row + 1])[0])
+        if live.sum() == 1:
+            assert got[row] == 0.0
+            continue
+        assert got[row] == np.add.reduce(p[row] * np.where(live, div[row], 0.0))
+        assert got[row] == pytest.approx(math.fsum(p[row, live] * div[row, live]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +476,22 @@ STACKED_CASES = _stacked_cases()
 STACKED_ALPHAS = (1.25, 2.0, 1.5, 1.1, 1.25)
 
 
+def assert_same_fixed_points(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.value == w.value
+        assert np.array_equal(g.sigma, w.sigma)
+        assert (g.iterations, g.converged) == (w.iterations, w.converged)
+
+
 @pytest.mark.parametrize("case", sorted(STACKED_CASES))
 def test_stacked_fixed_point_matches_each_order_alone(case):
     states, masses = STACKED_CASES[case]
     labels = tuple(str(i) for i in range(len(states)))
     channel, dist = cq.CQChannel(labels, states), cq.Distribution(labels, masses)
     stacked = _renyi_fixed_points(STACKED_ALPHAS, channel, dist)
-    for alpha, got in zip(STACKED_ALPHAS, stacked):
-        alone = cq.renyi_mutual_info(cq.RenyiOrder(alpha), channel, dist)
-        loop = orc.renyi_fixed_point_one_order(states, masses, alpha)
-        for want in (alone, loop):
-            assert got.value == want.value
-            assert np.array_equal(got.sigma, want.sigma)
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert_same_fixed_points(stacked, [cq.renyi_mutual_info(cq.RenyiOrder(alpha), channel, dist)
+                                       for alpha in STACKED_ALPHAS])
 
 
 def _fixed_point_sweep_case(k: int, d: int, index: int):
@@ -495,17 +515,14 @@ FIXED_POINT_SWEEP = [(k, d) for k in range(1, 7) for d in (1, 2, 3)]
 @pytest.mark.parametrize("k, d", FIXED_POINT_SWEEP,
                          ids=[f"k{k}-d{d}" for k, d in FIXED_POINT_SWEEP])
 def test_fixed_point_has_the_bits_of_the_listed_loop(k, d):
-    # the trimmed stack against the loop that kept its orders' proposals in
-    # a list and took σ^γ one order at a time, 8 channels per (k, d)
+    # the stack of orders against a loop over the listed orders, each run
+    # alone, 8 channels per (k, d)
     for index in range(8):
         channel, dist, alphas = _fixed_point_sweep_case(k, d, index)
         got = _renyi_fixed_points(alphas, channel, dist)
-        want = orc.renyi_fixed_points_listed(alphas, channel.states, dist.masses)
-        assert len(got) == len(want) == len(alphas)
-        for g, w in zip(got, want):
-            assert g.value == w.value
-            assert np.array_equal(g.sigma, w.sigma)
-            assert (g.iterations, g.converged) == (w.iterations, w.converged)
+        assert len(got) == len(alphas)
+        assert_same_fixed_points(got, [cq.renyi_mutual_info(cq.RenyiOrder(alpha), channel, dist)
+                                       for alpha in alphas])
 
 
 def test_hermitian_part_is_hermitian_bit_for_bit():
@@ -536,14 +553,6 @@ def cold_memo():
     info._renyi_memo.cache_clear()
 
 
-def assert_same_fixed_points(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.value == w.value
-        assert np.array_equal(g.sigma, w.sigma)
-        assert (g.iterations, g.converged) == (w.iterations, w.converged)
-
-
 @pytest.mark.parametrize("k, d", FIXED_POINT_SWEEP,
                          ids=[f"k{k}-d{d}" for k, d in FIXED_POINT_SWEEP])
 def test_memo_hit_has_the_bits_of_a_cold_run(k, d, cold_memo):
@@ -556,7 +565,8 @@ def test_memo_hit_has_the_bits_of_a_cold_run(k, d, cold_memo):
         hit = _renyi_fixed_points(alphas, cq.CQChannel(labels, channel.states),
                                   cq.Distribution(labels, dist.masses))
         assert cold_memo.cache_info()[:2] == (1, 1)  # hits, misses
-        want = orc.renyi_fixed_points_listed(alphas, channel.states, dist.masses)
+        # and a run outside the memo, on the channel's own arrays
+        want = info._renyi_stack(alphas, channel.states, dist.masses)
         assert_same_fixed_points(cold, want)
         assert_same_fixed_points(hit, want)
 
@@ -583,10 +593,9 @@ def test_a_state_one_ulp_away_or_two_masses_swapped_miss(cold_memo):
     labels, alphas = ("a", "b", "c"), (1.25, 2.0)
     law, swapped = (0.5, 0.3, 0.2), (0.3, 0.5, 0.2)
     for case_states, masses in ((states, law), (bumped, law), (states, swapped)):
-        got = _renyi_fixed_points(alphas, cq.CQChannel(labels, case_states),
-                                  cq.Distribution(labels, masses))
-        assert_same_fixed_points(got, orc.renyi_fixed_points_listed(alphas, case_states,
-                                                                    masses))
+        channel, dist = cq.CQChannel(labels, case_states), cq.Distribution(labels, masses)
+        got = _renyi_fixed_points(alphas, channel, dist)
+        assert_same_fixed_points(got, info._renyi_stack(alphas, channel.states, dist.masses))
     assert cold_memo.cache_info()[:2] == (0, 3)
 
 

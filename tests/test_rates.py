@@ -317,24 +317,21 @@ def _vertex_sweep_case(k: int, d: int, index: int):
 
 
 def _assert_least_vertex(result: rates.RateResult, states, masses) -> None:
-    """The linear program's rate against the per-support loop's first least
-    vertex: value and witness bit for bit, or, where at least two vertices
-    are within 1e-12 of the least (a tie), a witness that is bitwise one of
-    those and a value within 1e-12. The duality gap is at most 1e-12 either
-    way."""
+    """The linear program's rate against the per-support vertex loop, its
+    independent reference, with each vertex's I(X;B) from
+    `output_divergences`: a witness that is bitwise one of the vertices
+    within 1e-12 of the least, a value within 1e-12 of the least, and a
+    duality gap of at most 1e-12."""
     assert 0.0 <= result.certificate <= 1e-12
-    point = orc.per_point_fixed_input_rate(states, masses)
-    if np.array_equal(result.distribution.masses, point.masses):
-        assert np.array_equal(result.value, point.value)
-        return
+    states = np.asarray(states)
     vertices = orc.per_support_feasible_vertices(states, masses)
-    terms = orc.neg_entropies(np.asarray(states))
-    values, _ = orc.per_vertex_least(
-        vertices, lambda q: orc._information_at(np.asarray(states), q, terms)[1])
-    tied = [v for v, value in zip(vertices, values) if value - point.value <= 1e-12]
-    assert len(tied) >= 2
-    assert any(np.array_equal(result.distribution.masses, v) for v in tied)
-    assert abs(result.value - point.value) <= 1e-12
+    terms = orc.neg_entropies(states)
+    values = [float(np.sum(q[q > 0] * orc.output_divergences(states, q, terms)[q > 0]))
+              for q in vertices]
+    least = min(values)
+    assert any(np.array_equal(result.distribution.masses, q)
+               for q, value in zip(vertices, values) if value - least <= 1e-12)
+    assert abs(result.value - least) <= 1e-12
 
 
 # 24 channels for each alphabet of 2-7 letters and 6 of 12 letters, on
@@ -355,34 +352,27 @@ def test_batched_vertices_have_the_bits_of_the_per_support_loop(k, d, count):
 
 
 # ---------------------------------------------------------------------------
-# stacks of channels against the per-point oracle
-
-
-def _assert_row(rows: rates.RateRows, row: int, point: orc.PointRate):
-    assert np.array_equal(rows.values[row], point.value)
-    assert np.array_equal(rows.certificates[row], point.certificate)
-    assert rows.iterations[row] == point.iterations
-    assert np.array_equal(rows.masses[row], point.masses)
+# stacks of channels against each row run alone
 
 
 def _assert_rows_match(labels, states, masses, tol, vertices: bool = True
                        ) -> tuple[rates.RateRows, rates.RateRows]:
     """Every field of every row of the stacked kernels bit for bit against the
-    per-row oracles: the capacity against the SQUAREM loop of one channel,
-    the fixed-input rate against the pivot-by-pivot simplex of one channel;
-    each row's fixed-input rate the same bits alone as in the stack and,
-    with ``vertices``, against the per-support vertex loop too."""
+    same kernel run on that row alone, the capacity ascent and the
+    fixed-input rate's simplex alike; with ``vertices``, each row's
+    fixed-input rate against the per-support vertex loop too."""
     capacities = rates._capacities(labels, states, tol)
     fixed = rates._fixed_input_rates(states, masses)
     assert len(capacities.values) == len(fixed.values) == len(states)
     for row in range(len(states)):
-        _assert_row(capacities, row, orc.per_point_capacity(states[row], tol))
-        _assert_row(fixed, row, orc.per_row_fixed_input_rate(states[row], masses[row]))
+        one = slice(row, row + 1)
+        for stacked, alone in ((capacities, rates._capacities(labels, states[one], tol)),
+                               (fixed, rates._fixed_input_rates(states[one], masses[one]))):
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[row], want[0])
         if vertices:
             _assert_least_vertex(rates._first_row(labels, rates.RateRows(
-                *(a[row:row + 1] for a in fixed))), states[row], masses[row])
-        alone = rates._fixed_input_rates(states[row:row + 1], masses[row:row + 1])
-        _assert_row(fixed, row, orc.PointRate(*(a[0] for a in alone)))
+                *(a[one] for a in fixed))), states[row], masses[row])
     return capacities, fixed
 
 
@@ -393,12 +383,11 @@ def test_example1_stack_has_the_bits_of_the_per_point_loop(tol):
     grid = cli._parse_eps_grid("0:1:0.01")
     assert (grid[0], grid[50], grid[-1], len(grid)) == (0.0, 0.5, 1.0, 101)
     states = cli._example1_states(grid)
+    # the stack's rows are example1's states at each ε, built by np.diag
+    for eps, row in zip(grid, states):
+        assert np.array_equal(row, build_flip_erase_channel(eps)[0].states)
     masses = np.tile([0.5, 0.5, 0.0], (len(grid), 1))
-    capacities, fixed = _assert_rows_match(cli.EXAMPLE1_LABELS, states, masses, tol)
-    # and against the per-point loop's own example1 states, built by np.diag
-    for row, (eps, cap, rate) in enumerate(orc.per_point_separation_figure(grid, tol)):
-        _assert_row(capacities, row, cap)
-        assert np.array_equal(fixed.values[row], rate.value)
+    _assert_rows_match(cli.EXAMPLE1_LABELS, states, masses, tol)
 
 
 def _random_stack(seed: int):
@@ -450,9 +439,8 @@ def test_random_stacks_have_the_bits_of_the_per_point_loop(first):
 def _wide_stack(seed: int):
     """r = 2-4 channels of k = 8-12 inputs on qubits or qutrits, and a law per
     row with integer weights 0-3, so some letters have mass 0; odd seeds give
-    every row the same law. From 8 inputs numpy's pairwise sum regroups
-    around a zero term, so a row's I(X;B) must be summed over its live
-    inputs alone."""
+    every row the same law. From 8 inputs numpy sums a row's I(X;B)
+    pairwise, with the terms of its dead inputs as zeros."""
     rng = np.random.default_rng([seed, 32])
     d, k, r = int(rng.integers(2, 4)), int(rng.integers(8, 13)), int(rng.integers(2, 5))
     states = np.array([[orc.random_density_of_rank(rng, d, int(rng.integers(1, d + 1)))
@@ -479,24 +467,31 @@ def test_stack_raises_the_first_failing_rows_convergence_error(monkeypatch):
     # ε 0.5 certifies at its first point, every other ε needs 4 points
     grid = cli._parse_eps_grid("0.5:1:0.05")
     monkeypatch.setattr(rates, "CAPACITY_MAX_ITER", 3)
+    one_row = rates._capacities(cli.EXAMPLE1_LABELS, cli._example1_states(grid[:1]), 1e-9)
+    assert one_row.iterations[0] == 1
     with pytest.raises(errors.ConvergenceError) as want:
-        orc.per_point_separation_figure(grid, 1e-9, max_iter=3)
+        cq.capacity(build_flip_erase_channel(grid[1])[0], tol=1e-9)
     with pytest.raises(errors.ConvergenceError) as got:
         rates._capacities(cli.EXAMPLE1_LABELS, cli._example1_states(grid), 1e-9)
     assert str(got.value) == str(want.value)
     assert np.array_equal(got.value.value, want.value.value)
     assert got.value.iterations == want.value.iterations == 3
-    assert np.array_equal(got.value.witness.masses, want.value.witness)
-    one_row = rates._capacities(cli.EXAMPLE1_LABELS, cli._example1_states(grid[:1]), 1e-9)
-    assert one_row.iterations[0] == 1
-    channel = cq.CQChannel(cli.EXAMPLE1_LABELS, cli._example1_states(grid[1:2])[0])
-    with pytest.raises(errors.ConvergenceError) as alone:
-        cq.capacity(channel, tol=1e-9)
-    assert str(alone.value) == str(got.value)
+    assert np.array_equal(got.value.witness.masses, want.value.witness.masses)
 
 
 # ---------------------------------------------------------------------------
 # fixed_input_rate
+
+
+def test_bland_enters_the_first_improving_column():
+    # min −x₀ − 2x₁ − 3x₂ over x₀ + x₁ + x₂ + s = 1 from the basis {s}: every
+    # letter improves, and the first improving one enters each time, so
+    # Bland's rule walks x₀ → x₁ → x₂ in three pivots, where the last or the
+    # most improving column would enter x₂ at once
+    tableau, basis = np.array([[[1.0, 1.0, 1.0, 1.0, 1.0]]]), np.array([[3]])
+    pivots = rates._bland(tableau, basis, np.array([[-1.0, -2.0, -3.0, 0.0]]), 3)
+    assert pivots.tolist() == [3]
+    assert basis.tolist() == [[2]]
 
 
 def test_fixed_input_rate_flip_erase_is_zero(flip_erase_channel):

@@ -17,7 +17,6 @@ from cqresolve.types_sanov import (_empirical_state, _standard_partition, _twirl
                                    _type_keys, _types_bound_sweep, _word_type_keys)
 
 import oracles as orc
-from oracles import _types_bound_row
 
 
 # every (d, n) with d ≤ 8 and dⁿ within the matrix budget (dⁿ ≤ 4096); n ≤ 12 for d = 1
@@ -519,25 +518,23 @@ class TestCommutingTypesBound:
                                        (0.7, 0.3, 0.0), (0.999, 1e-13, 0.001 - 1e-13)],
                              ids=["example", "shuffled", "thirds", "dead", "below-tol"])
     def test_sweep_has_the_bits_of_each_row_alone(self, probs):
-        # the sweep's tables of powers and factorials against the row kernel
-        # that raises and multiplies per row, every type of 3 letters up to n 30
+        # the sweep's blocks and its tables of powers and factorials against
+        # the one-row check, every type of 3 letters up to n 30, in order
         probs = np.array(probs)
         got = list(_types_bound_sweep(probs, 30))
-        want = [(n, counts.tolist(), _types_bound_row(probs, counts))
-                for n in range(1, 31) for counts in cq.m_type_counts(3, n)]
-        assert len(got) == len(want) == sum(math.comb(n + 2, 2) for n in range(1, 31))
-        for (n, row, check), (n_want, row_want, check_want) in zip(got, want):
-            assert (n, row) == (n_want, row_want)
-            assert check.lhs == check_want.lhs
-            assert check.rhs == check_want.rhs
-            assert check.ok == check_want.ok
+        want = [(n, counts.tolist()) for n in range(1, 31) for counts in cq.m_type_counts(3, n)]
+        assert [(n, row) for n, row, _ in got] == want
+        assert len(got) == sum(math.comb(n + 2, 2) for n in range(1, 31))
+        for n, row, check in got:
+            alone = cq.commuting_types_bound_check(np.diag(probs), cq.EmpiricalState(row, n))
+            assert (check.lhs, check.rhs, check.ok) == (alone.lhs, alone.rhs, alone.ok)
 
     @pytest.mark.parametrize("d, n_max", [(2, 30), (3, 20), (4, 12), (5, 8), (6, 6), (7, 5),
                                           (8, 4)] + [(d, 3) for d in range(9, 13)])
-    def test_every_row_has_the_bits_of_the_former_kernel(self, d, n_max):
+    def test_every_sweep_row_has_its_bits_alone(self, d, n_max):
         # laws with a zero mass and a mass of 1e-13 (for d = 2 one of each), and
-        # one of full support: vacuous rows, and from 8 letters up the compressed
-        # sums of `_live_sums`; the one-row check takes the rows up to n = 3
+        # one of full support: vacuous rows, and from 8 letters up divergences
+        # that numpy sums pairwise, the uncounted letters' terms zeros
         rng = np.random.default_rng(d)
         laws = [rng.dirichlet(np.ones(d))]
         if d == 2:
@@ -550,11 +547,8 @@ class TestCommutingTypesBound:
         for probs in laws:
             rows = 0
             for n, row, check in _types_bound_sweep(probs, n_max):
-                want = _types_bound_row(probs, np.array(row))
-                assert (check.lhs, check.rhs, check.ok) == (want.lhs, want.rhs, want.ok)
-                if n <= 3:
-                    one = cq.commuting_types_bound_check(np.diag(probs), cq.EmpiricalState(row, n))
-                    assert (one.lhs, one.rhs, one.ok) == (want.lhs, want.rhs, want.ok)
+                alone = cq.commuting_types_bound_check(np.diag(probs), cq.EmpiricalState(row, n))
+                assert (check.lhs, check.rhs, check.ok) == (alone.lhs, alone.rhs, alone.ok)
                 rows += 1
             assert rows == math.comb(n_max + d, d) - 1
 
@@ -603,10 +597,12 @@ class TestEE31:
     @pytest.mark.parametrize("d, n", KEY_SIZES + [(2, 60), (3, 25), (10, 4), (40, 2),
                                                   (1100, 1)])
     def test_margin_vector_has_the_bits_of_the_one_row_kernel(self, d, n):
-        # Every type's margin, not only the least one types-check prints.
+        # Every type's margin, not only the least one types-check prints,
+        # against `ee31_margin` on one word of that type.
         types = cq.m_type_counts(d, n)
         ranks = [orc.multinomial_exact(n, row) for row in types.tolist()]
-        want = np.array([orc.twirl_margin_one_row(row) for row in types.tolist()])
+        want = np.array([cq.ee31_margin(cq.Word(tuple(np.repeat(np.arange(d), row).tolist())), d)
+                         for row in types.tolist()])
         np.testing.assert_array_equal(_twirl_margins(types, ranks).view(np.int64),
                                       want.view(np.int64))
 

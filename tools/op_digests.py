@@ -70,7 +70,9 @@ REFUSALS = {
 # trees) and (2, 16) (older trees refuse dⁿ past 4096), and fixed-input rates on
 # QUBIT_K12, a channel of 12 seeded qubit states (the most letters older trees'
 # vertex enumeration took), and on the 300 letters of QUBIT_K300, which older
-# trees refuse (exit 3). Then soft covering
+# trees refuse (exit 3); and the capacity of QUBIT_K12, whose ascent prunes 7
+# of its 12 letters to mass 0, so each I(X;B) sums 12 terms, some of them 0,
+# in numpy's pairwise order. Then soft covering
 # on both sides of the letter kernel: 1.2 M draws of example1's 3 letters,
 # counted, and 6,400 draws of the 300 letters of QUBIT_K300, searched. Last, bad
 # codewords counted by type class: on example1 at n 9 (3^9 words) and n 14 (the
@@ -78,8 +80,8 @@ REFUSALS = {
 # QUBIT_K12 at n 4 with a δ whose nearest type gap is 1.7e-3 away; and the
 # commuting types bound over the 12,340 types of three letters up to n 40, and
 # over the 714 types of D9_DEAD_LAW's nine letters up to n 4: two masses of 0
-# and one of 1e-13 give vacuous rows, and from eight letters up a row's
-# divergence is summed over its counted letters alone. Then
+# and one of 1e-13 give vacuous rows, and from eight letters up numpy sums a
+# row's divergence terms pairwise, its uncounted letters adding 0. Then
 # soft covering on QUBIT_K12 at orders 1.25 and 2, listed in both orders (one
 # output, two keys of the in-process Rényi memo), and again with one mass of the
 # law moved by 1e-14, which misses the memo. The child writes both channels
@@ -112,6 +114,7 @@ FRONTIER = {
     "types-check-d2-n16": ("types-check", "--alphabet-size", "2", "--n", "16"),
     "fixed-rate-qubit-k12": ("fixed-rate", "--channel", QUBIT_K12),
     "fixed-rate-qubit-k300": ("fixed-rate", "--channel", QUBIT_K300),
+    "capacity-qubit-k12": ("capacity", "--channel", QUBIT_K12),
     "softcover-n3-M4096": ("softcover", *EXAMPLE1_LAW, "--n", "3", "--M", "4096",
                            "--samples", "100", "--seed", "7"),
     "softcover-n1-M64-qubit-k300": ("softcover", "--channel", QUBIT_K300, "--n", "1",
