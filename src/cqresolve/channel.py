@@ -189,13 +189,6 @@ class CQChannel:
                 f"({[format_label(x) for x in dist.labels]} vs "
                 f"{[format_label(x) for x in self.labels]})")
 
-    def _check_power(self, n: int) -> None:
-        """Raise ResourceLimitError if `power(n)`, n ≥ 2, passes MAX_MATRIX_BYTES."""
-        if n > 1:
-            check_budget(f"the {n}-letter channel of {self.size}^{n} states of dimension "
-                         f"{self.dim}^{n}", (self.states.itemsize, self.size * self.dim ** 2, n),
-                         MAX_MATRIX_BYTES)
-
     def power(self, n: int) -> "CQChannel":
         """The memoryless n-letter channel over the product alphabet; n a positive int.
 
@@ -208,9 +201,11 @@ class CQChannel:
         else ResourceLimitError before any is built; n = 1 is this channel.
         """
         check_positive_int("n", n)
-        self._check_power(n)
         if n == 1:
             return self
+        check_budget(f"the {n}-letter channel of {self.size}^{n} states of dimension "
+                     f"{self.dim}^{n}", (self.states.itemsize, self.size * self.dim ** 2, n),
+                     MAX_MATRIX_BYTES)
         product = CQChannel.__new__(CQChannel)
         product.labels = tuple(itertools.product(self.labels, repeat=n))
         product.states = _kron_rows(self.states, n)

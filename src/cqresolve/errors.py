@@ -62,6 +62,11 @@ def check_positive_int(name: str, value) -> None:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
                open_lo: bool = False, open_hi: bool = False) -> None:
     """Raise ValidationError unless value is a finite int or float (not a bool) in [lo, hi].

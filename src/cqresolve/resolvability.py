@@ -2,7 +2,7 @@
 
 Exact errors brute-force the finite feasible set of M-types on the product
 alphabet, streamed in blocks whose M-types share their prefixes' sums. When
-every product state is diagonal, the trace distances are ℓ₁ distances
+every letter state is diagonal, the trace distances are ℓ₁ distances
 between real diagonals, mixed in plain float arithmetic and summed in
 numpy's pairwise order (narrow diagonals column by column, as whole-array
 adds), and the minimum's distance is recomputed in exact arithmetic so that
@@ -171,29 +171,45 @@ def _half_l1_distances(diagonals: np.ndarray, targets: np.ndarray) -> np.ndarray
     return 0.5 * cols[0]
 
 
+def _letter_rows(channel: CQChannel, n: int) -> np.ndarray:
+    """The letter rows whose n-fold products are the engines' n-letter rows.
+
+    The real diagonals when every off-diagonal entry of every letter is
+    exactly 0, as then is every product's, else the complex states. (A
+    product of nonzero entries can underflow to 0; it stays on the eigvalsh
+    path, which needs no exactness.) For n ≥ 2 the products, 8·(k·d)ⁿ or
+    16·(k·d²)ⁿ bytes, must fit in MAX_MATRIX_BYTES, else ResourceLimitError.
+    """
+    diagonals = np.diagonal(channel.states, axis1=1, axis2=2)
+    diagonal = np.count_nonzero(channel.states) == np.count_nonzero(diagonals)
+    rows = diagonals.real.copy() if diagonal else channel.states
+    if n > 1:
+        d = channel.dim
+        what = f"diagonals of {d}^{n} entries" if diagonal else f"states of dimension {d}^{n}"
+        check_budget(f"the {n}-letter channel of {channel.size}^{n} {what}",
+                     (rows.itemsize, rows.size, n), MAX_MATRIX_BYTES)
+    return rows
+
+
 class _OutputRows:
     """The n-letter product states as rows that mix into outputs, and their distances.
 
-    The states and labels come from `CQChannel.power`, under its budget.
-    When every off-diagonal entry is exactly 0, the rows are the real
-    diagonals and ½‖·‖₁ is ½·Σ|difference|, in real arithmetic throughout,
-    with each sum in numpy's pairwise order (`_half_l1_distances`), so it
-    has the bits of np.sum over its row of |differences|. Otherwise the
-    rows are the flattened matrices and ½‖·‖₁ comes from eigvalsh. Each
-    distance depends only on its own two rows, so it has the
-    same bits in any batch.
+    The rows are the `_kron_rows` products of `_letter_rows`, with n-tuples
+    of letters as labels in the same C order (n = 1: the letters). On real
+    diagonals ½‖·‖₁ is ½·Σ|difference|, in real arithmetic throughout, with
+    each sum in numpy's pairwise order (`_half_l1_distances`), so it has the
+    bits of np.sum over its row of |differences|. Otherwise the rows are the
+    flattened matrices and ½‖·‖₁ comes from eigvalsh. Each distance depends
+    only on its own two rows, so it has the same bits in any batch.
     """
 
     def __init__(self, channel: CQChannel, n: int):
-        product = channel.power(n)
-        self.labels, states = product.labels, product.states
-        k, self.dim = states.shape[0], states.shape[1]
-        # every off-diagonal entry, as a view: the d − 1 runs of d entries
-        # between successive diagonal entries of each flattened matrix
-        off = states.reshape(k, -1)[:, 1:].reshape(k, self.dim - 1, self.dim + 1)
-        self.diagonal = not np.any(off[:, :, :self.dim])
-        self.rows = np.diagonal(states, axis1=1, axis2=2).real.copy() \
-            if self.diagonal else states.reshape(k, -1)
+        letters = _letter_rows(channel, n)
+        self.diagonal = letters.ndim == 2
+        self.labels = channel.labels if n == 1 else tuple(
+            itertools.product(channel.labels, repeat=n))
+        self.dim = channel.dim ** n
+        self.rows = _kron_rows(letters, n).reshape(channel.size ** n, -1)
         # bytes charged per distance: on the eigvalsh path the difference of
         # two rows, its eigenvalues and their absolute values; the diagonal
         # path holds at most one |difference| per pair (its column buffer,
@@ -281,7 +297,7 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     EIG_BATCH_BYTES; M-types with a common prefix share its partial sum, and
     no count matrix is built. Ties within 1e-12 of the minimum resolve to
     the lexicographically first M-type, whose counts are then found from its
-    index. When every product state is diagonal, the outputs are real
+    index. When every letter state is diagonal, the outputs are real
     diagonals and each distance is ½·Σ|difference|, in float arithmetic with
     the sum in numpy's pairwise order (`_half_l1_distances`), and the
     argmin's distance is recomputed in exact arithmetic, so the reported
@@ -289,7 +305,7 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     flattened matrices and each distance comes from eigvalsh; the reported
     error is the argmin's distance, with its output mixed from its counts as
     `_OutputRows.targets` mixes a row. M and n must be positive ints;
-    `_OutputRows` holds the product states to their budget, and more than
+    `_letter_rows` holds the product rows to their budget, and more than
     MAX_TYPES M-types raise ResourceLimitError before any is formed.
     """
     check_positive_int("M", M)
@@ -362,7 +378,7 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     float minimum at p is recomputed in exact arithmetic, q is the first
     with the least exact distance, and the error is that distance, correctly
     rounded. Candidates and grid points come from `m_type_counts`, in
-    lexicographic order. When every product state is diagonal, the
+    lexicographic order. When every letter state is diagonal, the
     candidate outputs are real diagonals and each distance is
     ½·Σ|difference|, in float arithmetic with the sum in numpy's pairwise
     order (`_half_l1_distances`); otherwise they are flattened
@@ -383,7 +399,7 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     more than 1e-15, and goes on from the new point with the moves after
     it; so it accepts the same points as trying one move at a time. M, n
     and grid must be positive ints. `_OutputRows` and `m_type_counts` hold
-    the product states, candidates and grid points to their budgets; the
+    the product rows, candidates and grid points to their budgets; the
     candidates' outputs, held at once, must fit in MAX_MATRIX_BYTES.
     """
     check_positive_int("M", M)
@@ -519,7 +535,8 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
     letters and by binary search from there on, with the same letters
     either way. The
     seed must lie in [0, 2¹²⁸). The draws run in one thread; the command
-    line's ``--workers`` flag is checked (≥ 1) and has no effect. More than
+    line's ``--workers`` flag is checked (≥ 1) and has no effect. The
+    product rows are held to their budget by `_letter_rows`. More than
     MAX_COUNT_BYTES of draws and codeword counts (8 bytes each,
     samples × (M·n + kⁿ)) raise ResourceLimitError before any is drawn,
     and the draws' peak memory stays near that budget.
@@ -656,8 +673,9 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
     blocks, so memory peaks at the largest n's error vector (8 bytes per
     M-type) plus a few blocks, not at its count matrix. Raises
     ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a float
-    there, and its M-types are far past any enumeration cap. Each n's power,
-    then M-type, budget is checked, in order, before the first n runs.
+    there, and its M-types are far past any enumeration cap. Each n's rows
+    (`_letter_rows`), then M-type, budget is checked, in order, before the
+    first n runs.
     """
     check_real("rate", R, 0.0)
     check_positive_int("n_max", n_max)
@@ -668,6 +686,6 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
             "its M-types are far past any enumeration cap")
     sizes = [(n, max(1, math.floor(2.0 ** (n * R)))) for n in range(1, n_max + 1)]
     for n, M in sizes:
-        channel._check_power(n)
+        _letter_rows(channel, n)
         _m_type_total(channel.size ** n, M)
     return [(n, M, resolution_error_exact(channel, dist, M, n).error) for n, M in sizes]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import CQChannel, Distribution, Word, _m_type_blocks, m_type_counts
 from .errors import (MAX_MATRIX_BYTES, DimensionMismatchError, ValidationError, check_budget,
-                     check_positive_int, check_real)
+                     check_positive_int, check_real, is_integer)
 from .info import SUPPORT_EIG_TOL, PinchingMap
 from .linalg import tensor_power, validate_density
 from .resolvability import _OutputRows, _batch_rows, _rational_half_l1
@@ -69,6 +69,9 @@ class EmpiricalState:
 
     def __post_init__(self):
         check_positive_int("n", self.n)
+        bad = [c for c in self.counts if not is_integer(c)]
+        if bad:
+            raise ValidationError(f"counts must be integers, got {bad[0]!r}")
         counts = tuple(int(c) for c in self.counts)
         if any(c < 0 for c in counts):
             raise ValidationError(f"counts must be nonnegative, got {counts}")
@@ -95,7 +98,7 @@ def _empirical_state(w: Word, d: int) -> EmpiricalState:
     """Occurrence counts of the word's basis indices."""
     counts = [0] * d
     for sym in w.symbols:
-        if not isinstance(sym, (int, np.integer)):
+        if not is_integer(sym):
             raise ValidationError(f"word symbols must be basis indices, got {sym!r}")
         if not (0 <= int(sym) < d):
             raise ValidationError(f"basis index {sym} out of range for d = {d}")

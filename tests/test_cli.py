@@ -139,11 +139,12 @@ class TestExitCodes:
 
     def test_large_block_length_is_exit_three_not_oom(self, capsys,
                                                       channel_file):
-        # 2**12 product states of dimension 4096 would need terabytes; the
-        # footprint cap must refuse cleanly before allocating.
+        # 2**13 product diagonals of 8192 entries would need 512 MiB, twice
+        # the byte budget; the cap must refuse cleanly before allocating.
+        # (At n = 12 they fit, and its 8.4 M M-types would run for a minute.)
         code, _, err = run_cli(capsys, "resolve", "--channel",
                                str(channel_file), "--dist",
-                               '{"0": 0.5, "1": 0.5}', "--M", "2", "--n", "12")
+                               '{"0": 0.5, "1": 0.5}', "--M", "2", "--n", "13")
         assert code == 3
         assert "resource limit" in err
 
@@ -193,16 +194,17 @@ class TestExitCodes:
         assert "needs more than 2^" in err
 
     @pytest.mark.parametrize("n, need", [
-        (29, "316501751733026408438600388575232 bytes"),
+        (29, "294765226294311143866368 bytes"),
         (30, "more than 2^29 bytes"),
     ])
     def test_block_length_past_the_budget_bit_length_is_named_by_it(self, capsys, n, need):
-        # 16·12^n bytes: exact up to n = 29, the bit length of the 2^28 budget
+        # 8·6^n bytes of diagonals: exact up to n = 29, the bit length of the
+        # 2^28 budget
         code, _, err = run_cli(capsys, "resolve", "--builtin", "example1", "--eps", "0.1",
                                "--M", "2", "--n", str(n))
         assert code == 3
-        assert err == (f"resource limit: the {n}-letter channel of 3^{n} states of "
-                       f"dimension 2^{n} needs {need}, over the budget of 268435456 bytes\n")
+        assert err == (f"resource limit: the {n}-letter channel of 3^{n} diagonals of "
+                       f"2^{n} entries needs {need}, over the budget of 268435456 bytes\n")
 
     def test_count_matrix_past_the_byte_budget_is_not_built(self, tmp_path):
         # 100^3 one-dimensional product letters at M = 1: 10^6 M-types pass

@@ -319,6 +319,7 @@ def test_targets_equal_row_by_row_target(rows, diagonal):
     ch = random_diagonal_channel(5)[0] if diagonal else non_diagonal_channel()[0]
     outputs = rv._OutputRows(ch, 2)
     assert outputs.diagonal is diagonal
+    assert outputs.diagonal is not _has_off_diagonal(ch.power(2).states)
     weights = np.random.default_rng(rows).dirichlet(np.ones(9), size=rows)
     got = outputs.targets(weights)
     assert got.dtype == outputs.rows.dtype
@@ -377,6 +378,39 @@ def test_output_rows_diagonal_sweep_against_the_copying_test():
         assert outputs.diagonal is not _has_off_diagonal(states)
         seen.add(outputs.diagonal)
     assert seen == {True, False}
+
+
+def test_underflowed_product_of_off_diagonal_letters_takes_the_eigvalsh_path():
+    # Every off-diagonal entry of the 2-letter product is 5e-324·0.5 or
+    # (5e-324)², both 0 in floats, but the letters' test reads the letters.
+    ch = cq.CQChannel(("a",), [np.array([[0.5, 5e-324], [5e-324, 0.5]])])
+    assert not _has_off_diagonal(ch.power(2).states)
+    outputs = rv._OutputRows(ch, 2)
+    assert not outputs.diagonal
+    assert np.array_equal(outputs.rows, ch.power(2).states.reshape(1, -1))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_diagonal_rows_equal_the_power_diagonals(n):
+    # seeded diagonal channels of 1-4 letters of dimension 1-4, a third of
+    # the letters pure, half of the zero entries -0.0; every case whose
+    # power takes at most 32 MiB. Equal as floats: a complex product's
+    # imaginary part can turn -0.0, and then the sign of a zero real part
+    # can differ from the real product's, which no |difference| reads.
+    rng = np.random.default_rng(36 + n)
+    for k, d in itertools.product(range(1, 5), repeat=2):
+        if 16 * (k * d * d) ** n > 2 ** 25:
+            continue
+        probs = rng.dirichlet(np.ones(d), size=k)
+        pure = rng.random(k) < 1 / 3
+        probs[pure] = np.eye(d)[rng.integers(d, size=pure.sum())]
+        probs[(probs == 0) & (rng.random((k, d)) < 0.5)] = -0.0
+        ch = cq.CQChannel(tuple(range(k)), [np.diag(row) for row in probs])
+        outputs = rv._OutputRows(ch, n)
+        want = np.diagonal(ch.power(n).states, axis1=1, axis2=2).real
+        assert outputs.diagonal
+        assert outputs.rows.dtype == want.dtype
+        assert np.array_equal(outputs.rows, want), (k, d)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -1056,11 +1090,12 @@ class TestConverseTrend:
 
     @pytest.mark.parametrize("rate, n_max, first", [
         (0.5, 5, "enumerating 243 letters at M = 5 needs 7355513529 M-types"),
-        (0.1, 9, "the 7-letter channel of 3^7 states of dimension 2^7 needs 573308928 bytes"),
+        (0.1, 10, "the 10-letter channel of 3^10 diagonals of 2^10 entries needs 483729408 "
+                  "bytes"),
         (0.5, 9, "enumerating 243 letters at M = 5 needs")])
     def test_every_n_is_budgeted_before_the_first_runs(self, monkeypatch, rate, n_max, first):
         # the refusal is the one the first n past a budget would raise on reaching
-        # it (its power first, then its M-types), and no smaller n runs before it
+        # it (its rows first, then its M-types), and no smaller n runs before it
         ch, p = build_flip_erase_channel(0.2)
         monkeypatch.setattr(rv, "resolution_error_exact", lambda *args: pytest.fail("ran"))
         with pytest.raises(cq.ResourceLimitError, match=re.escape(first)):

@@ -62,6 +62,31 @@ class TestBasisAndEmpiricalState:
         with pytest.raises(ValidationError):
             cq.EmpiricalState((-1, 5), 4)
 
+    @pytest.mark.parametrize("counts, n, named", [
+        ((1.9, 0.1), 1, "1.9"),  # would truncate to (1, 0), a profile never given
+        ((1.5, 0.5), 2, "1.5"),  # would truncate to (1, 0) and report a wrong sum
+        ((True, False), 1, "True"),
+        ((1, True), 2, "True"),
+    ])
+    def test_counts_must_be_integers(self, counts, n, named):
+        with pytest.raises(ValidationError, match=f"^counts must be integers, got {named}$"):
+            cq.EmpiricalState(counts, n)
+
+    def test_numpy_integer_counts_are_kept_as_ints(self):
+        es = cq.EmpiricalState((np.int64(1), np.uint8(1)), 2)
+        assert es.counts == (1, 1)
+        assert all(type(c) is int for c in es.counts)
+
+    @pytest.mark.parametrize("symbols, named", [((True, False), "True"), ((0, 1.0), "1.0")])
+    def test_word_symbols_must_be_integer_basis_indices(self, symbols, named):
+        # a bool would be read as the basis index 0 or 1
+        with pytest.raises(ValidationError,
+                           match=f"^word symbols must be basis indices, got {named}$"):
+            cq.ee31_margin(cq.Word(symbols), 2)
+
+    def test_numpy_integer_symbols_are_basis_indices(self):
+        assert _empirical_state(cq.Word((np.int64(0), np.uint8(1), 1)), 2).counts == (1, 2)
+
     def test_word_0010_has_counts_31(self):
         es = _empirical_state(cq.Word((0, 0, 1, 0)), 2)
         assert es.counts == (3, 1)

@@ -178,6 +178,9 @@ BUDGET_SITES = {
     "m_type_counts.MAX_TYPES": (channel_module, "MAX_TYPES", lambda: cq.m_type_counts(3, 2), 6),
     "CQChannel.power": (channel_module, "MAX_MATRIX_BYTES", lambda: CHANNEL.power(2),
                         9 * 4 * 4 * 16),
+    # the 3^2 real diagonals of 2^2 entries of example1's 2-letter rows
+    "_OutputRows": (cq.resolvability, "MAX_MATRIX_BYTES",
+                    lambda: cq.resolvability._OutputRows(CHANNEL, 2), 9 * 4 * 8),
     "tensor_power": (cq.linalg, "MAX_MATRIX_BYTES", lambda: cq.tensor_power(np.eye(2), 2),
                      4 * 4 * 16),
     "type_projector": (cq.types_sanov, "MAX_MATRIX_BYTES",

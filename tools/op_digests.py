@@ -84,8 +84,12 @@ REFUSALS = {
 # row's divergence terms pairwise, its uncounted letters adding 0. Then
 # soft covering on QUBIT_K12 at orders 1.25 and 2, listed in both orders (one
 # output, two keys of the in-process Rényi memo), and again with one mass of the
-# law moved by 1e-14, which misses the memo. The child writes both channels
-# before the frontier commands run.
+# law moved by 1e-14, which misses the memo. Last, the block lengths at which
+# the product rows meet their byte budget: soft covering on example1 at n 7 and
+# the trend at R 0.1 up to n 9, both of which older trees refuse (they budgeted
+# kⁿ complex dⁿ × dⁿ matrices where the rows are kⁿ real diagonals), and soft
+# covering on QUBIT_K12 at n 5, whose non-diagonal rows stay past the budget.
+# The child writes both channels before the frontier commands run.
 QUBIT_K12 = "qubit-k12.json"
 QUBIT_K300 = "qubit-k300.json"
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
@@ -132,6 +136,12 @@ FRONTIER = {
     "softcover-qubit-k12-alpha1.25,2-law-moved": (
         *K12_SOFTCOVER, "--dist", json.dumps({**K12_LAW, "11": 0.05 + 1e-14}),
         "--alpha", "1.25,2"),
+    "softcover-n7-M16": ("softcover", *EXAMPLE1_LAW, "--n", "7", "--M", "16",
+                         "--samples", "50", "--seed", "7"),
+    "converse-trend-R0.1-n9": ("converse-trend", *EXAMPLE1_LAW, "--rate", "0.1",
+                               "--n-max", "9"),
+    "softcover-n5-qubit-k12": ("softcover", "--channel", QUBIT_K12, "--n", "5", "--M", "16",
+                               "--samples", "50", "--seed", "7"),
 }
 
 
