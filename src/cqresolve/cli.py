@@ -12,7 +12,9 @@ standard output closed by its reader before every line was printed (the
 ``--out`` artifact is still written), 2 validation or usage error (an
 unreadable input or unwritable ``--out`` file too), 3 resource-cap error.
 Stochastic commands echo their effective seed. ``main`` builds its parser
-on its first call and reuses it.
+on its first call and reuses it. Importing this module loads only the
+package's ``errors``; each handler imports the library names it calls when
+it runs, so a command loads only the modules it reaches.
 """
 from __future__ import annotations
 
@@ -23,24 +25,16 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .channel import (CQChannel, Distribution, _m_type_blocks, channel_from_json,
-                      distribution_from_json, format_label, m_type_counts, output_state)
 from .errors import (MAX_COUNT_BYTES, MAX_TYPES, ConvergenceError, ResourceLimitError,
                      ValidationError, check_budget, check_positive_int, check_real)
-from .info import RenyiOrder
-from .linalg import _check_densities
-from .idcodes import bridge_counting_check, idcode_from_json, \
-    pairwise_distance_check, verify_id_code
-from .rates import _capacities, _fixed_input_rates, capacity, fixed_input_rate
-from .resolvability import (SmoothingParams, converse_trend, ll1b_bound,
-                            ll2_bound, resolution_error_exact,
-                            resolution_error_worst, soft_cover_simulate)
-from .types_sanov import (_multinomial, _standard_partition, _twirl_margins, _types_bound_sweep,
-                          bad_codeword_count)
+
+if TYPE_CHECKING:
+    from .channel import CQChannel, Distribution
+    from .info import RenyiOrder
 
 
 # Points of a separation-figure --eps-grid. Its capacity ascents and linear
@@ -116,6 +110,8 @@ def _example1_states(grid: Sequence[float]) -> np.ndarray:
 
 
 def _load_channel(args: argparse.Namespace) -> CQChannel:
+    from .channel import CQChannel, channel_from_json
+
     if args.builtin is not None:
         if args.eps is None:
             raise ValidationError("--builtin example1 requires --eps")
@@ -135,6 +131,8 @@ def _inline_or_path(value: str):
 
 
 def _load_dist(args: argparse.Namespace, channel: CQChannel) -> Distribution:
+    from .channel import Distribution, distribution_from_json
+
     if args.dist_path is None:
         return Distribution.uniform(channel.labels)
     return distribution_from_json(_inline_or_path(args.dist_path),
@@ -142,6 +140,8 @@ def _load_dist(args: argparse.Namespace, channel: CQChannel) -> Distribution:
 
 
 def _orders(args: argparse.Namespace) -> tuple[RenyiOrder, ...]:
+    from .info import RenyiOrder
+
     try:
         values = [float(tok) for tok in args.alpha.split(",") if tok.strip()]
     except ValueError as exc:
@@ -152,11 +152,15 @@ def _orders(args: argparse.Namespace) -> tuple[RenyiOrder, ...]:
 
 
 def _dist_payload(dist: Distribution) -> dict:
+    from .channel import format_label
+
     return {format_label(lbl): float(mass)
             for lbl, mass in zip(dist.labels, dist.masses)}
 
 
 def _cmd_capacity(args: argparse.Namespace) -> _Record:
+    from .rates import capacity
+
     result = capacity(_load_channel(args), tol=args.tol)
     fields = [("capacity_bits", result.value), ("certificate_gap", result.certificate),
               ("iterations", result.iterations)]
@@ -166,6 +170,8 @@ def _cmd_capacity(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_fixed_rate(args: argparse.Namespace) -> _Record:
+    from .rates import fixed_input_rate
+
     channel = _load_channel(args)
     result = fixed_input_rate(channel, _load_dist(args, channel))
     fields = [("fixed_input_rate_bits", result.value), ("certificate_gap", result.certificate),
@@ -176,11 +182,15 @@ def _cmd_fixed_rate(args: argparse.Namespace) -> _Record:
 
 
 def _mtype_payload(res) -> dict:
+    from .channel import format_label
+
     return {format_label(lbl): int(c)
             for lbl, c in zip(res.argmin.distribution.labels, res.argmin.counts) if c > 0}
 
 
 def _cmd_resolve(args: argparse.Namespace) -> _Record:
+    from .resolvability import resolution_error_exact
+
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
     result = resolution_error_exact(channel, dist, args.M, args.n)
@@ -190,6 +200,8 @@ def _cmd_resolve(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_worst_resolve(args: argparse.Namespace) -> _Record:
+    from .resolvability import resolution_error_worst
+
     channel = _load_channel(args)
     result = resolution_error_worst(channel, args.M, args.n, grid=args.grid)
     fields = [("worst_error_lower_bound", result.error), ("approximate", result.approximate),
@@ -200,6 +212,8 @@ def _cmd_worst_resolve(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_softcover(args: argparse.Namespace) -> _Record:
+    from .resolvability import soft_cover_simulate
+
     check_positive_int("--workers", args.workers)
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
@@ -217,6 +231,9 @@ def _cmd_softcover(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_bound_ll2(args: argparse.Namespace) -> _Record:
+    from .channel import output_state
+    from .resolvability import ll2_bound
+
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
     value = ll2_bound(channel, dist, output_state(channel, dist), args.cthr, args.M)
@@ -224,6 +241,8 @@ def _cmd_bound_ll2(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_bound_ll1b(args: argparse.Namespace) -> _Record:
+    from .resolvability import SmoothingParams, ll1b_bound
+
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
     value = ll1b_bound(channel, dist, SmoothingParams(args.lam, args.v, args.L), args.M)
@@ -232,6 +251,9 @@ def _cmd_bound_ll1b(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_sanov_sweep(args: argparse.Namespace) -> _Record:
+    from .channel import _m_type_blocks, distribution_from_json
+    from .types_sanov import _types_bound_sweep
+
     if args.dist_path is None:
         raise ValidationError("sanov-sweep requires --dist (the diagonal of the "
                               "reference state)")
@@ -263,6 +285,10 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
     (dⁿ, n) int64 letter table is checked against MAX_COUNT_BYTES first,
     before the type rows and their multinomials (at d 2 only n + 1 rows).
     """
+    from .channel import m_type_counts
+    from .types_sanov import (_multinomial, _standard_partition, _twirl_margins,
+                              bad_codeword_count)
+
     has_channel = args.channel_path is not None or args.builtin is not None
     if has_channel != (args.delta is not None):
         raise ValidationError("types-check counts bad codewords only with both "
@@ -299,6 +325,8 @@ def _cmd_types_check(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_id_verify(args: argparse.Namespace) -> _Record:
+    from .idcodes import idcode_from_json, pairwise_distance_check, verify_id_code
+
     channel = _load_channel(args)
     code = idcode_from_json(args.code_path, labels=channel.labels)
     report = verify_id_code(code, channel)
@@ -316,6 +344,8 @@ def _cmd_id_verify(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_id_bridge(args: argparse.Namespace) -> _Record:
+    from .idcodes import bridge_counting_check
+
     check = bridge_counting_check(args.N, args.alphabet_size, args.M,
                                   args.lambda1, args.lambda2, args.eps)
     lines = [("applicable", check.applicable), ("count_ok", check.count_ok)]
@@ -328,6 +358,8 @@ def _cmd_id_bridge(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_converse_trend(args: argparse.Namespace) -> _Record:
+    from .resolvability import converse_trend
+
     channel = _load_channel(args)
     dist = _load_dist(args, channel)
     rows = converse_trend(channel, dist, args.rate, args.n_max)
@@ -356,6 +388,9 @@ def _parse_eps_grid(spec_text: str) -> list[float]:
 
 
 def _cmd_separation_figure(args: argparse.Namespace) -> _Record:
+    from .linalg import _check_densities
+    from .rates import _capacities, _fixed_input_rates
+
     grid = _parse_eps_grid(args.eps_grid)
     states = _check_densities(_example1_states(grid).reshape(-1, 2, 2)).reshape(-1, 3, 2, 2)
     capacities = _capacities(EXAMPLE1_LABELS, states, args.tol).values

@@ -1,8 +1,8 @@
 """Dense Hermitian-matrix kernel.
 
 Eigendecompositions with degeneracy blocks, trace norm, support
-projectors of non-negative parts, and the one Kronecker product kernel,
-which orders every product space.
+projectors of non-negative parts, the one Kronecker product kernel,
+which orders every product space, and the byte size of a batch of rows.
 All operations are pure functions on numpy arrays and are safe to call
 from multiple threads.
 """
@@ -21,6 +21,9 @@ DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 BLOCK_GROUP_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
+# Operand bytes per batch of candidate outputs. A row count alone would let
+# a batch grow with the output dimension.
+EIG_BATCH_BYTES = 4 * 2 ** 20
 
 
 def as_matrix(a) -> np.ndarray:
@@ -153,6 +156,11 @@ def positive_part_projector(a, b) -> np.ndarray:
     keep = dec.eigenvalues >= -BOUNDARY_TOL
     cols = dec.eigenvectors[:, keep]
     return hermitianize(cols @ cols.conj().T)
+
+
+def _batch_rows(row_bytes: int) -> int:
+    """Rows per batch that keep a batch within EIG_BATCH_BYTES (at least one)."""
+    return max(1, EIG_BATCH_BYTES // row_bytes)
 
 
 def _kron_rows(stack: np.ndarray, n: int) -> np.ndarray:

@@ -34,15 +34,12 @@ from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, ResourceLimitError, Vali
                      check_budget, check_positive_int, check_real)
 from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass,
                    _renyi_fixed_points, pinch, pinching_from_spectrum)
-from .linalg import (_kron_rows, eigh, hermitianize, positive_part_projector,
-                     validate_density)
+from .linalg import (_batch_rows, _kron_rows, eigh, hermitianize,
+                     positive_part_projector, validate_density)
 
 ARGMIN_TIE_TOL = 1e-12
 WORST_REFINE_TOL = 1e-6
 CEIL_GRID_SNAP = 1e-9
-# Operand bytes per batch of candidate outputs. A row count alone would let
-# a batch grow with the output dimension.
-EIG_BATCH_BYTES = 4 * 2 ** 20
 # The worst-input grid search evaluates every this-many-th grid point in full
 # first, for a lower bound and the witnesses that prune the rest.
 WORST_SAMPLE_STRIDE = 32
@@ -116,11 +113,6 @@ class SoftCoverReport:
         check_real("mean error", self.mean_error, -1e-12, 1.0 + 1e-12)
 
 
-def _batch_rows(row_bytes: int) -> int:
-    """Rows per batch that keep a batch within EIG_BATCH_BYTES (at least one)."""
-    return max(1, EIG_BATCH_BYTES // row_bytes)
-
-
 def _half_trace_distances(flat_outputs: np.ndarray, target_flat: np.ndarray,
                           dim: int) -> np.ndarray:
     """½‖row − target‖₁ over the last axis of flattened Hermitian matrices (broadcasts)."""
@@ -189,6 +181,20 @@ def _letter_rows(channel: CQChannel, n: int) -> np.ndarray:
         check_budget(f"the {n}-letter channel of {channel.size}^{n} {what}",
                      (rows.itemsize, rows.size, n), MAX_MATRIX_BYTES)
     return rows
+
+
+def _check_exact_rows(channel: CQChannel, n: int) -> None:
+    """Hold the exact engine's n-letter rows and its copy of them scaled by 1/M to budget.
+
+    `_letter_rows` charges the rows. The copy that the M-type sums start
+    from is as large, so a check of its own charges both together against
+    MAX_MATRIX_BYTES after it, and every refusal of the rows alone keeps its
+    need. At n = 1 neither is charged, as the letters are the channel's.
+    """
+    letters = _letter_rows(channel, n)
+    if n > 1:
+        check_budget(f"the {n}-letter rows plus their copy scaled by 1/M",
+                     (2 * letters.itemsize, letters.size, n), MAX_MATRIX_BYTES)
 
 
 class _OutputRows:
@@ -305,11 +311,13 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     flattened matrices and each distance comes from eigvalsh; the reported
     error is the argmin's distance, with its output mixed from its counts as
     `_OutputRows.targets` mixes a row. M and n must be positive ints;
-    `_letter_rows` holds the product rows to their budget, and more than
-    MAX_TYPES M-types raise ResourceLimitError before any is formed.
+    `_check_exact_rows` holds the product rows and their scaled copy to
+    their budget, and more than MAX_TYPES M-types raise ResourceLimitError
+    before any is formed.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
+    _check_exact_rows(channel, n)
     outputs = _OutputRows(channel, n)
     if dist.labels not in (channel.labels, outputs.labels):
         raise ValidationError(
@@ -674,8 +682,8 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
     M-type) plus a few blocks, not at its count matrix. Raises
     ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a float
     there, and its M-types are far past any enumeration cap. Each n's rows
-    (`_letter_rows`), then M-type, budget is checked, in order, before the
-    first n runs.
+    and their scaled copy (`_check_exact_rows`), then M-type, budget is
+    checked, in order, before the first n runs.
     """
     check_real("rate", R, 0.0)
     check_positive_int("n_max", n_max)
@@ -686,6 +694,6 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
             "its M-types are far past any enumeration cap")
     sizes = [(n, max(1, math.floor(2.0 ** (n * R)))) for n in range(1, n_max + 1)]
     for n, M in sizes:
-        _letter_rows(channel, n)
+        _check_exact_rows(channel, n)
         _m_type_total(channel.size ** n, M)
     return [(n, M, resolution_error_exact(channel, dist, M, n).error) for n, M in sizes]

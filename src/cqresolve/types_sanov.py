@@ -17,8 +17,7 @@ from .channel import CQChannel, Distribution, Word, _m_type_blocks, m_type_count
 from .errors import (MAX_MATRIX_BYTES, DimensionMismatchError, ValidationError, check_budget,
                      check_positive_int, check_real, is_integer)
 from .info import SUPPORT_EIG_TOL, PinchingMap
-from .linalg import tensor_power, validate_density
-from .resolvability import _OutputRows, _batch_rows, _rational_half_l1
+from .linalg import _batch_rows, tensor_power, validate_density
 
 BASIS_GRAM_TOL = 1e-10
 BAD_GAP_TIE_TOL = 1e-9
@@ -263,6 +262,9 @@ def bad_codeword_count(channel: CQChannel, dist: Distribution, n: int,
     BAD_GAP_TIE_TOL of δ is decided exactly in the float inputs. The walk's
     budgets raise ResourceLimitError first.
     """
+    # imported here: the rest of this module needs none of resolvability
+    from .resolvability import _OutputRows, _rational_half_l1
+
     check_positive_int("n", n)
     check_real("delta", delta, 0.0, open_lo=True)
     channel._check_alphabet(dist)

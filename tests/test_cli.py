@@ -751,7 +751,7 @@ class TestBoundCommands:
         # words uncovered. "swap" puts (4, 0, 0) in place of (0, 4, 0), both of
         # rank 1, so the type count and the rank sum stay right and only the
         # partition check can fail.
-        real = cli.m_type_counts
+        real = cq.channel.m_type_counts
 
         def edited(k, M):
             rows = real(k, M)
@@ -764,7 +764,7 @@ class TestBoundCommands:
             rows[at[(0, 4, 0)]] = (4, 0, 0)
             return rows
 
-        monkeypatch.setattr(cli, "m_type_counts", edited)
+        monkeypatch.setattr(cq.channel, "m_type_counts", edited)
         code, out, _ = run_cli(capsys, "types-check", "--alphabet-size", "3", "--n", "4")
         assert code == 0
         vals = kv(out)
@@ -904,7 +904,7 @@ class TestSeparationFigure:
         def no_ascent(*args):
             raise AssertionError("an ascent ran before the grid was checked")
 
-        monkeypatch.setattr(cli, "_capacities", no_ascent)
+        monkeypatch.setattr(cq.rates, "_capacities", no_ascent)
         code, out, err = run_cli(capsys, "separation-figure", "--eps-grid", "0.9:1.1:0.1")
         assert (code, out) == (2, "")
         assert err == "error: --eps must be in [0, 1] and finite, got 1.1\n"

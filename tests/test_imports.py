@@ -4,18 +4,25 @@ every module-level name of `tests/oracles.py` is read by the tests, every
 exported name is reached by a command, a demo or an acceptance test,
 the package makes no Kronecker product outside `linalg._kron_rows`, it
 parses JSON input in one function, it compares byte budgets in
-`errors.check_budget` alone, and no exported callable takes a cap as a
-parameter."""
+`errors.check_budget` alone, no exported callable takes a cap as a
+parameter, the package's names load lazily, and each command loads only
+the modules it reaches."""
 from __future__ import annotations
 
 import ast
 import collections
+import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import cqresolve as cq
+from conftest import EXAMPLE1
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_MODULES = sorted((ROOT / "src" / "cqresolve").glob("*.py"))
@@ -330,3 +337,141 @@ def test_gate_flags_a_cap_knob_parameter():
 
     assert cap_knob_parameters({"f": f, "g": g, "C": C, "K": 3}) == [
         "C(max_types)", "C.build(max_dim)", "C.run(max_iter)", "f(max_dim)"]
+
+
+EXPORTS = [
+    "Basis", "BridgeCheck", "CQChannel", "ConvergenceError", "DimensionMismatchError",
+    "Distribution", "EmpiricalState", "IDCode", "IDVerifyReport", "MType",
+    "PairwiseDistanceReport", "PinchingMap", "RateResult", "RenyiMutualInfo", "RenyiOrder",
+    "ResolutionResult", "ResourceLimitError", "SmoothingParams", "SoftCoverReport",
+    "SpectralDecomposition", "TypeProjector", "TypesBoundCheck", "ValidationError", "Word",
+    "bad_codeword_count", "bridge_counting_check", "capacity", "ceil_operator", "channel",
+    "channel_from_json", "commuting_types_bound_check", "converse_trend",
+    "distribution_from_json", "ee31_margin", "eigh", "errors", "fixed_input_rate",
+    "format_label", "idcode_from_json", "idcodes", "info", "linalg", "ll1b_bound", "ll2_bound",
+    "m_type_counts", "mutual_info", "output_state", "pairwise_distance_check", "phi", "pinch",
+    "pinching_from_spectrum", "positive_part_projector", "qrel_entropy", "rates",
+    "renyi_mutual_info", "resolution_error_exact", "resolution_error_worst", "resolvability",
+    "sandwiched_renyi", "soft_cover_simulate", "tensor_power", "trace_norm", "type_pinching",
+    "type_projector", "types_sanov", "validate_density", "validate_hermitian", "verify_id_code"]
+
+
+def test_package_exports_its_names():
+    assert sorted(cq.__all__) == EXPORTS
+
+
+def test_each_export_is_the_object_of_its_defining_module():
+    for name in cq.__all__:
+        value = getattr(cq, name)
+        if inspect.ismodule(value):
+            assert value is importlib.import_module(f"cqresolve.{name}"), name
+        else:
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from cqresolve import *", namespace)
+    assert set(cq.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        cq.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from cqresolve import no_such_name", {})
+
+
+def loaded_modules(*lines: str) -> tuple[set[str], list[str]]:
+    """The package's modules loaded, and ``dir(cqresolve)``, after running lines.
+
+    The lines run in a fresh interpreter that imports this checkout and
+    writes no bytecode, after ``import cqresolve``.
+    """
+    code = "\n".join(["import json, sys", "import cqresolve", *lines,
+                      "print(json.dumps([sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'cqresolve'), dir(cqresolve)]))"])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                      env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    modules, names = json.loads(proc.stdout.splitlines()[-1])
+    return {m.removeprefix("cqresolve.") for m in modules}, names
+
+
+def test_package_import_loads_no_module_and_lists_every_export():
+    modules, names = loaded_modules()
+    assert modules == {"cqresolve"}
+    assert set(EXPORTS) <= set(names)
+
+
+def test_cli_import_loads_only_errors():
+    assert loaded_modules("import cqresolve.cli")[0] == {"cqresolve", "cli", "errors"}
+
+
+# command line -> modules of the package that running it leaves unloaded
+UNLOADED_BY = {
+    ("id-bridge", "--N", "4", "--alphabet-size", "2", "--M", "2", "--lambda1", "0.1",
+     "--lambda2", "0.1", "--eps", "0.1"): {"info", "rates", "resolvability", "types_sanov"},
+    ("capacity", *EXAMPLE1): {"resolvability", "types_sanov", "idcodes"},
+    ("resolve", *EXAMPLE1, "--M", "2", "--n", "2"): {"rates", "types_sanov", "idcodes"},
+    ("types-check", "--n", "3"): {"resolvability", "rates", "idcodes"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(UNLOADED_BY), ids=lambda argv: argv[0])
+def test_command_loads_only_the_modules_it_reaches(argv):
+    modules, _ = loaded_modules("import cqresolve.cli",
+                                f"assert cqresolve.cli.main({list(argv)!r}) == 0")
+    assert modules & UNLOADED_BY[argv] == set()
+
+
+def eager_package_imports(source: str) -> list[str]:
+    """Package modules that a module imports when it is itself imported.
+
+    Imports inside a function run when it is called and those under ``if
+    TYPE_CHECKING:`` never run; every other relative import, and every
+    import of ``cqresolve``, runs with the module. Relative imports are
+    named with their leading dots.
+    """
+    found = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            children = node.orelse
+        else:
+            children = list(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ImportFrom) and node.level:
+            dots = "." * node.level
+            found.update([dots + node.module] if node.module
+                         else (dots + alias.name for alias in node.names))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            found.update(name for name in names if name.split(".")[0] == "cqresolve")
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_cli_imports_only_errors_at_module_level():
+    # Each handler imports what it calls, so a command loads only what it reaches.
+    source = (ROOT / "src" / "cqresolve" / "cli.py").read_text(encoding="utf-8")
+    assert eager_package_imports(source) == [".errors"]
+
+
+def test_gate_flags_an_eager_package_import():
+    source = ("from typing import TYPE_CHECKING\nimport numpy\nfrom . import rates\n"
+              "from .errors import E\nimport cqresolve.info\n"
+              "if TYPE_CHECKING:\n    from .channel import C\nelse:\n    from .linalg import L\n"
+              "try:\n    from .idcodes import I\nexcept ImportError:\n    pass\n"
+              "class K:\n    from .types_sanov import T\n"
+              "def f():\n    from .resolvability import R\n")
+    assert eager_package_imports(source) == [".errors", ".idcodes", ".linalg", ".rates",
+                                             ".types_sanov", "cqresolve.info"]

@@ -211,7 +211,7 @@ def test_worst_non_diagonal_matches_oracle(make, n, M, grid):
 def test_worst_refinement_split_across_blocks_matches_oracle(monkeypatch):
     # 256 bytes hold less than one pair of 4x4 distance temporaries, so each
     # block of a refinement sweep holds one of its 12 moves.
-    monkeypatch.setattr(rv, "EIG_BATCH_BYTES", 256)
+    monkeypatch.setattr(linalg, "EIG_BATCH_BYTES", 256)
     assert_worst_matches_oracle(random_qubit_channel(1), 2, 2, 4)
 
 
@@ -228,7 +228,7 @@ def tied_channel() -> cq.CQChannel:
 @pytest.mark.parametrize("budget", [None, 256], ids=["default", "tiny-budget"])
 def test_worst_grid_tie_goes_to_first_point(monkeypatch, budget):
     if budget is not None:
-        monkeypatch.setattr(rv, "EIG_BATCH_BYTES", budget)
+        monkeypatch.setattr(linalg, "EIG_BATCH_BYTES", budget)
     ch, M, grid = tied_channel(), 2, 4
     outputs = rv._OutputRows(ch, 1)
     cand = (cq.m_type_counts(3, M) / M) @ outputs.rows
@@ -461,7 +461,7 @@ class TestExactEngine:
         masses = np.random.default_rng(K).dirichlet(np.ones(K))
         laws.append((cq.Distribution(outputs.labels, masses), masses))
         sizes = sorted(M for M in {1, 2, K - 1, K, K + 1} if math.comb(M + K - 1, K - 1) <= 50000)
-        step = rv._batch_rows(K * 8 + outputs.rows[0].nbytes)
+        step = linalg._batch_rows(K * 8 + outputs.rows[0].nbytes)
         for M in sizes:
             counts = cq.m_type_counts(K, M)
             for dist, word_masses in laws:
@@ -493,7 +493,7 @@ class TestExactEngine:
         finally:
             tracemalloc.stop()
         assert res.error == 0.014568000000000013
-        assert peak <= 4 * rv.EIG_BATCH_BYTES + 8 * math.comb(6 + 26, 26)
+        assert peak <= 4 * linalg.EIG_BATCH_BYTES + 8 * math.comb(6 + 26, 26)
 
     @staticmethod
     def assert_diagonal_path_matches_eigvalsh_path(ch, p, n, M):
@@ -566,8 +566,8 @@ class TestExactEngine:
         # batch of pairs holds two (matrices) or eight (diagonals), the seven
         # codebook samples' distances span four batches of matrices, and the
         # worst-input grid phase takes one grid point per block.
-        monkeypatch.setattr(rv, "EIG_BATCH_BYTES", 3 * product.dim ** 2 * 16)
-        assert rv._batch_rows(product.dim ** 2 * 16) == 3
+        monkeypatch.setattr(linalg, "EIG_BATCH_BYTES", 3 * product.dim ** 2 * 16)
+        assert linalg._batch_rows(product.dim ** 2 * 16) == 3
         assert run() == wide
         assert_worst_matches_oracle(ch, 2, 2, 4)
 
@@ -1100,6 +1100,17 @@ class TestConverseTrend:
         monkeypatch.setattr(rv, "resolution_error_exact", lambda *args: pytest.fail("ran"))
         with pytest.raises(cq.ResourceLimitError, match=re.escape(first)):
             cq.converse_trend(ch, p, rate, n_max)
+
+    def test_scaled_copy_is_budgeted_before_the_first_runs(self, monkeypatch):
+        # n 2's 9 diagonals of 4 entries (288 bytes) fit a budget that they
+        # and the exact engine's copy of them scaled by 1/M (576) do not
+        ch, p = build_flip_erase_channel(0.2)
+        monkeypatch.setattr(rv, "MAX_MATRIX_BYTES", 575)
+        monkeypatch.setattr(rv, "resolution_error_exact", lambda *args: pytest.fail("ran"))
+        with pytest.raises(cq.ResourceLimitError,
+                           match=re.escape("the 2-letter rows plus their copy scaled by 1/M "
+                                           "needs 576 bytes, over the budget of 575 bytes")):
+            cq.converse_trend(ch, p, 0.5, 2)
 
 
 # ---------------------------------------------------------------------------
