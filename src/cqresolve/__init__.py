@@ -15,13 +15,12 @@ import importlib
 _EXPORTS = {
     "errors": ("ConvergenceError", "DimensionMismatchError", "ResourceLimitError",
                "ValidationError"),
-    "linalg": ("SpectralDecomposition", "eigh", "positive_part_projector", "tensor_power",
-               "trace_norm", "validate_density", "validate_hermitian"),
+    "linalg": ("SpectralDecomposition", "eigh", "tensor_power", "trace_norm",
+               "validate_density", "validate_hermitian"),
     "channel": ("CQChannel", "Distribution", "MType", "Word", "channel_from_json",
                 "distribution_from_json", "format_label", "m_type_counts", "output_state"),
     "info": ("PinchingMap", "RenyiMutualInfo", "RenyiOrder", "mutual_info", "phi", "pinch",
-             "pinching_from_spectrum", "qrel_entropy", "renyi_mutual_info",
-             "sandwiched_renyi"),
+             "qrel_entropy", "renyi_mutual_info", "sandwiched_renyi"),
     "rates": ("RateResult", "capacity", "fixed_input_rate"),
     "resolvability": ("ResolutionResult", "SmoothingParams", "SoftCoverReport",
                       "ceil_operator", "converse_trend", "ll1b_bound", "ll2_bound",

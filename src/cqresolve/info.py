@@ -30,8 +30,8 @@ import numpy.linalg as npl
 
 from .channel import CQChannel, Distribution, output_state
 from .errors import DimensionMismatchError, ValidationError, check_real
-from .linalg import (SpectralDecomposition, _check_hermitian, _matrix_pair,
-                     as_matrix, eigh, hermitianize, validate_density)
+from .linalg import (_check_finite, _check_hermitian, _matrix_pair, as_matrix, eigh,
+                     hermitianize, validate_density)
 
 SUPPORT_EIG_TOL = 1e-12
 KERNEL_MASS_TOL = 1e-10
@@ -58,12 +58,11 @@ class RenyiOrder:
         return self.alpha - 1.0
 
 
-def _kernel_mass(rho: np.ndarray, dec_sigma: SpectralDecomposition) -> float:
-    kernel = dec_sigma.eigenvalues <= SUPPORT_EIG_TOL
-    if not np.any(kernel):
-        return 0.0
-    cols = dec_sigma.eigenvectors[:, kernel]
-    return float(np.real(np.einsum("ia,ij,ja->", cols.conj(), rho, cols)))
+def _kernel_masses(rotated: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The weight of each matrix U†AU of a stack on the eigenvectors of eigenvalue
+    at or below SUPPORT_EIG_TOL: its diagonal entries there, summed."""
+    return np.real(np.diagonal(rotated, axis1=-2, axis2=-1)[..., vals <= SUPPORT_EIG_TOL]
+                   .sum(axis=-1))
 
 
 def _entropy_terms(states: np.ndarray) -> np.ndarray:
@@ -89,9 +88,7 @@ def _divergences(states: np.ndarray, p: np.ndarray, targets: np.ndarray,
     is Hermitian within their tolerance: of `_check_hermitian` only the
     finiteness test can fail here, and only it runs.
     """
-    if not np.isfinite(targets).all():
-        raise ValidationError("matrix has a NaN or infinite entry")
-    vals, vecs = npl.eigh(targets)
+    vals, vecs = npl.eigh(_check_finite(targets))
     order = np.argsort(vals)[:, ::-1]
     rows = np.arange(len(vals))[:, None]
     # vecs[r, a], eigenvector a of row r, sits in memory as one matrix's
@@ -152,35 +149,28 @@ def _information(p: np.ndarray, div: np.ndarray) -> np.ndarray:
     return total
 
 
-def _power_on_support(vals: np.ndarray, vecs: np.ndarray, exponent: float,
-                      scale: float = 1.0) -> np.ndarray:
-    """U diag((λ/scale)^exponent) U† over the λ above SUPPORT_EIG_TOL, 0 elsewhere."""
-    support = vals > SUPPORT_EIG_TOL
-    powed = np.zeros_like(vals)
-    powed[support] = (vals[support] / scale) ** exponent
-    return (vecs * powed) @ vecs.conj().T
-
-
 def _phi_general(s: float, rho: np.ndarray, sigma: np.ndarray) -> float | None:
     """log₂ Tr (σ^{s/2(1-s)} ρ σ^{s/2(1-s)})^{1-s} on σ's support.
 
     Returns None when ρ's support leaks outside σ's support (the caller maps
     this to the appropriate ±∞ sentinel). Valid for s in (-1, 1), s ≠ 0.
     σ's largest eigenvalue λ is factored out, φ = s·log₂λ + log₂ Tr
-    ((σ/λ)^γ ρ (σ/λ)^γ)^{1-s} with γ = s/2(1-s): near s = 1, γ is huge and
-    σ^γ underflows to zero, while the top block of (σ/λ)^γ stays 1.
+    ((σ/λ)^γ ρ (σ/λ)^γ)^{1-s} with γ = s/2(1-s), and the sandwich is formed
+    in σ's eigenbasis U as h_i (U†ρU)_ij h_j with h = (λ_i/λ)^γ on the
+    support, 0 off it: each entry keeps its relative precision however far
+    the h_i spread, where a dense U diag(h) U† would lose the small ones.
     """
     dec_s = eigh(sigma)
-    if _kernel_mass(rho, dec_s) > KERNEL_MASS_TOL:
+    vals, u = dec_s.eigenvalues, dec_s.eigenvectors
+    rotated = u.conj().T @ rho @ u
+    if _kernel_masses(rotated, vals) > KERNEL_MASS_TOL:
         return None
-    lam = float(dec_s.eigenvalues[0])  # eigh sorts descending
-    half = _power_on_support(dec_s.eigenvalues, dec_s.eigenvectors,
-                             s / (2.0 * (1.0 - s)), scale=lam)
-    sandwich = hermitianize(half @ rho @ half)
-    vals = npl.eigvalsh(sandwich)
-    vals = np.clip(vals, 0.0, None)
-    vals = vals[vals > 0.0]
-    q = float(np.sum(vals ** (1.0 - s)))
+    lam = float(vals[0])  # eigh sorts descending
+    support = vals > SUPPORT_EIG_TOL
+    h = np.zeros_like(vals)
+    h[support] = (vals[support] / lam) ** (s / (2.0 * (1.0 - s)))
+    mu = npl.eigvalsh(hermitianize(h[:, None] * rotated * h))
+    q = float(np.sum(mu[mu > 0.0] ** (1.0 - s)))
     return s * math.log2(lam) + math.log2(q)
 
 
@@ -222,10 +212,7 @@ def _floor_and_normalize(mixes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     (j, i) is the conjugate of entry (i, j) as computed), so of
     `_check_hermitian` only its finiteness test can fail, and only it runs.
     """
-    part = hermitianize(mixes)
-    if not np.isfinite(part).all():
-        raise ValidationError("matrix has a NaN or infinite entry")
-    vals, vecs = npl.eigh(part)
+    vals, vecs = npl.eigh(_check_finite(hermitianize(mixes)))
     vals = np.maximum(vals[:, ::-1], SUPPORT_EIG_TOL)
     vals = vals / vals.sum(axis=-1, keepdims=True)
     vecs = vecs[..., ::-1]
@@ -407,13 +394,3 @@ def pinch(pmap: PinchingMap, op) -> np.ndarray:
     for p in pmap.projectors:
         out += p @ m @ p
     return out
-
-
-def pinching_from_spectrum(sigma) -> PinchingMap:
-    """Pinching onto the degeneracy blocks of a Hermitian operator's spectrum.
-
-    The block count equals the number of distinct eigenvalues at the
-    grouping tolerance.
-    """
-    dec = eigh(sigma)
-    return PinchingMap(tuple(hermitianize(p) for p in dec.block_projectors()))

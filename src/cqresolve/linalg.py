@@ -1,10 +1,10 @@
 """Dense Hermitian-matrix kernel.
 
-Eigendecompositions with degeneracy blocks, trace norm, support
-projectors of non-negative parts, the one Kronecker product kernel,
-which orders every product space, and the byte size of a batch of rows.
-All operations are pure functions on numpy arrays and are safe to call
-from multiple threads.
+Eigendecompositions with degeneracy blocks, trace norm, the one
+finiteness check, the one Kronecker product kernel, which orders every
+product space, the byte size of a batch of rows and of a reused scratch
+buffer. All operations are pure functions on numpy arrays and are safe to
+call from multiple threads.
 """
 from __future__ import annotations
 
@@ -20,10 +20,11 @@ HERMITICITY_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 BLOCK_GROUP_TOL = 1e-10
-BOUNDARY_TOL = 1e-10
 # Operand bytes per batch of candidate outputs. A row count alone would let
 # a batch grow with the output dimension.
 EIG_BATCH_BYTES = 4 * 2 ** 20
+# Bytes of a reused scratch buffer, small enough to stay in a core's cache.
+CHUNK_BYTES = 2 ** 18
 
 
 def as_matrix(a) -> np.ndarray:
@@ -39,10 +40,16 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
-def _check_hermitian(stack: np.ndarray) -> np.ndarray:
-    """A (k, d, d) stack, checked finite and with A = A† entrywise within 1e-10."""
+def _check_finite(stack: np.ndarray) -> np.ndarray:
+    """A stack of matrices, checked free of NaN and infinite entries."""
     if not np.isfinite(stack).all():
         raise ValidationError("matrix has a NaN or infinite entry")
+    return stack
+
+
+def _check_hermitian(stack: np.ndarray) -> np.ndarray:
+    """A (k, d, d) stack, checked finite and with A = A† entrywise within 1e-10."""
+    _check_finite(stack)
     # |A - A†| entrywise in real temporaries, half the size of complex ones
     gap = stack.real - stack.real.swapaxes(-1, -2)
     np.hypot(gap, stack.imag + stack.imag.swapaxes(-1, -2), out=gap)
@@ -116,14 +123,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
-    def block_projectors(self) -> list[np.ndarray]:
-        """Orthogonal projector onto each degeneracy block's eigenspace."""
-        out = []
-        for block in self.blocks:
-            cols = self.eigenvectors[:, list(block)]
-            out.append(cols @ cols.conj().T)
-        return out
-
 
 def eigh(op) -> SpectralDecomposition:
     """Hermitian eigendecomposition, eigenvalues sorted descending.
@@ -145,22 +144,14 @@ def trace_norm(op) -> float:
     return float(np.sum(np.abs(npl.eigvalsh(m))))
 
 
-def positive_part_projector(a, b) -> np.ndarray:
-    """Orthogonal projector onto the non-negative eigenspace of B - A.
-
-    Implements the support projection {A ≤ B}; swap arguments for {A ≥ B}.
-    Boundary convention: eigenvalues of B - A in [-1e-10, ∞) are included.
-    """
-    ma, mb = _matrix_pair(a, b, validate_hermitian, validate_hermitian)
-    dec = eigh(mb - ma)
-    keep = dec.eigenvalues >= -BOUNDARY_TOL
-    cols = dec.eigenvectors[:, keep]
-    return hermitianize(cols @ cols.conj().T)
-
-
 def _batch_rows(row_bytes: int) -> int:
     """Rows per batch that keep a batch within EIG_BATCH_BYTES (at least one)."""
     return max(1, EIG_BATCH_BYTES // row_bytes)
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk that keep a reused buffer within CHUNK_BYTES (at least one)."""
+    return max(1, CHUNK_BYTES // row_bytes)
 
 
 def _kron_rows(stack: np.ndarray, n: int) -> np.ndarray:

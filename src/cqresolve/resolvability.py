@@ -15,8 +15,9 @@ Soft-covering Monte Carlo draws codebook sample i from the Philox stream
 keyed by the seed at counter (0, 0, 0, i), so a sample's letters do not
 depend on how many samples are drawn; its distances take the same diagonal
 or eigvalsh path as the exact errors.
-The one-shot error bounds are evaluated literally from their defining
-expressions.
+The one-shot error bounds decompose their reference state once and read
+every letter in its eigenbasis, where the pinching keeps the diagonal
+blocks and the reference is a multiple of the identity on each.
 """
 from __future__ import annotations
 
@@ -32,21 +33,21 @@ from .channel import (CQChannel, Distribution, MType, _m_type_at, _m_type_sums, 
                       m_type_counts, output_state)
 from .errors import (MAX_COUNT_BYTES, MAX_MATRIX_BYTES, ResourceLimitError, ValidationError,
                      check_budget, check_positive_int, check_real)
-from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_mass,
-                   _renyi_fixed_points, pinch, pinching_from_spectrum)
-from .linalg import (_batch_rows, _kron_rows, eigh, hermitianize,
-                     positive_part_projector, validate_density)
+from .info import (KERNEL_MASS_TOL, SUPPORT_EIG_TOL, RenyiOrder, _kernel_masses,
+                   _renyi_fixed_points)
+from .linalg import (_batch_rows, _chunk_rows, _group_blocks, _kron_rows, eigh, hermitianize,
+                     validate_density)
 
 ARGMIN_TIE_TOL = 1e-12
 WORST_REFINE_TOL = 1e-6
 CEIL_GRID_SNAP = 1e-9
+# {E(W_x) ≥ cR} keeps the eigenvalues of E(W_x) − cR in [−BOUNDARY_TOL, ∞).
+BOUNDARY_TOL = 1e-10
 # The worst-input grid search evaluates every this-many-th grid point in full
 # first, for a lower bound and the witnesses that prune the rest.
 WORST_SAMPLE_STRIDE = 32
 # 2.0 ** x overflows a float from here on.
 MAX_RATE_EXPONENT = 1024
-# Bytes of the reused buffer of uniforms that codebook draws become letters in.
-DRAW_CHUNK_BYTES = 2 ** 18
 # Alphabets of at least this many letters turn draws into letters by binary
 # search, smaller ones by counting thresholds in uint8 (`_letters`): one
 # pass per letter, against a search whose branches random draws mispredict.
@@ -55,9 +56,6 @@ SEARCHED_LETTERS = 256
 # Diagonals of at least this many entries are summed by numpy's row
 # reduction, narrower ones column by column (`_half_l1_distances`).
 WIDE_ROW = 16
-# Bytes of the reused |difference| buffer that wide diagonals are summed in:
-# a chunk small enough to stay in a core's cache from subtract to sum.
-WIDE_CHUNK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -134,12 +132,12 @@ def _half_l1_distances(diagonals: np.ndarray, targets: np.ndarray) -> np.ndarray
     arrays, so no per-row reduction runs. Wider rows are summed by numpy's
     own row reduction, which costs less per entry there than whole-array
     adds of strided columns, over chunks of one reused buffer of about
-    WIDE_CHUNK_BYTES.
+    `linalg.CHUNK_BYTES`.
     """
     (t, width), rows = targets.shape, diagonals.shape[0]
     if width >= WIDE_ROW:
         table = np.empty((t, rows))
-        chunk = max(1, WIDE_CHUNK_BYTES // (t * width * diagonals.itemsize))
+        chunk = _chunk_rows(t * width * diagonals.itemsize)
         diffs = np.empty((t, min(chunk, rows), width))
         for lo in range(0, rows, chunk):
             part = diffs[:, :min(chunk, rows - lo)]
@@ -398,8 +396,9 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     bounds its inner minimum from above, so a point whose bound is strictly
     below an attained value is skipped. The remaining points are evaluated
     in full. Distances are taken in batches of about EIG_BATCH_BYTES, and
-    each point's output comes from its own matrix-vector product, so the
-    result has the same bits as evaluating every grid point in turn.
+    each candidate's and each point's output comes from its own
+    matrix-vector product (`_OutputRows.targets`), so the result has the
+    same bits as evaluating every grid point in turn.
 
     A refinement sweep tries the moves (i, j), mass from j to i, in order.
     It evaluates the moves from the current point in blocks that fit in
@@ -419,7 +418,7 @@ def resolution_error_worst(channel: CQChannel, M: int, n: int = 1, *,
     check_budget(f"the outputs of the M-types of {k} letters at M = {M}",
                  types * outputs.rows[0].nbytes, MAX_MATRIX_BYTES)
     cand_counts = m_type_counts(k, M)
-    cand = (cand_counts / M) @ outputs.rows
+    cand = outputs.targets(cand_counts / M)
     grid_counts = m_type_counts(k, grid)
     best_val, idx = _worst_grid_point(outputs, cand, grid_counts, grid)
     best_p = grid_counts[idx] / grid
@@ -492,9 +491,10 @@ def _codeword_indices(seed: int, samples: int, M: int, n: int,
     """(samples, M) C-order indices of the letters `_letters(u, cdf)` of each codeword.
 
     Row i's uniforms are Philox(key=seed, counter=[0, 0, 0, i]).random((M, n)).
-    One generator draws them all, in a reused buffer of about DRAW_CHUNK_BYTES
-    of whole codewords. At the start of row i its state is set to counter
-    (0, 0, 0, i) with the buffer empty, the state of a generator built there.
+    One generator draws them all, in a reused buffer of about
+    `linalg.CHUNK_BYTES` of whole codewords. At the start of row i its state
+    is set to counter (0, 0, 0, i) with the buffer empty, the state of a
+    generator built there.
     """
     k = cdf.size
     bits = np.random.Philox(key=seed)
@@ -505,7 +505,7 @@ def _codeword_indices(seed: int, samples: int, M: int, n: int,
     state["state"]["key"] = state["state"]["key"].tolist()
     state["buffer"], state["buffer_pos"] = [0] * 4, 4
     words = np.empty(samples * M, dtype=np.int64)
-    rows = max(1, DRAW_CHUNK_BYTES // (n * np.dtype(float).itemsize))
+    rows = _chunk_rows(n * np.dtype(float).itemsize)
     buf = np.empty((min(rows, words.size), n))
     for lo in range(0, words.size, rows):
         hi = min(lo + rows, words.size)
@@ -591,16 +591,10 @@ def soft_cover_simulate(channel: CQChannel, dist: Distribution, M: int, n: int,
                            renyi_iterations=iterations)
 
 
-def ceil_operator(rho, params: SmoothingParams) -> np.ndarray:
-    """Spectral rounding of ρ up onto the geometric grid s₁·2^{λk}, k ≥ −v.
-
-    Each eigenvalue s maps to s₁·2^{λ·max(−v, ⌈log₂(s/s₁)/λ⌉)}; eigenvalues
-    at (or below) the grid floor — including zeros — map to s₁·2^{−vλ}, so
-    the result is full rank with at most v+1 distinct eigenvalues and
-    satisfies ρ ≤ ⌈ρ⌉ ≤ 2^λρ + 2^{−vλ}I.
-    """
-    m = validate_density(rho)
-    dec = eigh(m)
+def _ceil_spectrum(rho, params: SmoothingParams) -> tuple[np.ndarray, np.ndarray]:
+    """⌈ρ⌉_{λ,v} (see `ceil_operator`) as its eigenvalues, in descending order, as
+    the map does not decrease, and ρ's eigenvectors, which it keeps."""
+    dec = eigh(validate_density(rho))
     top = float(dec.eigenvalues[0])
     if top <= 0.0:
         raise ValidationError("cannot smooth the zero operator")
@@ -613,17 +607,41 @@ def ceil_operator(rho, params: SmoothingParams) -> np.ndarray:
         nearest = round(ratio)
         k = nearest if abs(ratio - nearest) <= CEIL_GRID_SNAP else math.ceil(ratio)
         levels[i] = max(-params.v, k)
-    new_vals = top * np.exp2(params.lam * levels)
-    u = dec.eigenvectors
-    return hermitianize((u * new_vals) @ u.conj().T)
+    return top * np.exp2(params.lam * levels), dec.eigenvectors
 
 
-def _pinched_inputs(channel: CQChannel, dist: Distribution, pmap, ref: np.ndarray):
-    """Yield p(x), W_x, E(W_x) and the projector {E(W_x) ≥ ref} for each x with p(x) > 0."""
-    for w, mass in zip(channel.states, dist.masses):
-        if mass > 0.0:
-            pinched = pinch(pmap, w)
-            yield float(mass), w, pinched, positive_part_projector(ref, pinched)
+def ceil_operator(rho, params: SmoothingParams) -> np.ndarray:
+    """Spectral rounding of ρ up onto the geometric grid s₁·2^{λk}, k ≥ −v.
+
+    Each eigenvalue s maps to s₁·2^{λ·max(−v, ⌈log₂(s/s₁)/λ⌉)}; eigenvalues
+    at (or below) the grid floor — including zeros — map to s₁·2^{−vλ}, so
+    the result is full rank with at most v+1 distinct eigenvalues and
+    satisfies ρ ≤ ⌈ρ⌉ ≤ 2^λρ + 2^{−vλ}I.
+    """
+    vals, u = _ceil_spectrum(rho, params)
+    return hermitianize((u * vals) @ u.conj().T)
+
+
+def _pinched_sums(rotated: np.ndarray, masses: np.ndarray, levels: np.ndarray,
+                  blocks, scale: float) -> tuple[float, float]:
+    """Σ_x p_x Tr W_x{E(W_x) ≥ cR} and Σ_x p_x Tr R⁻¹E(W_x)²{E(W_x) < cR}, from the
+    letters of positive mass as the stack U†W_xU, U the eigenbasis of R.
+
+    R is read as t_b·I on each block b of consecutive columns, t_b its first
+    entry of `levels`; E is the pinching onto the blocks and R⁻¹ inverts the
+    blocks with t_b > SUPPORT_EIG_TOL. Per letter, the first sum adds the
+    eigenvalues μ ≥ c·t_b − BOUNDARY_TOL of each block of U†W_xU, floored at
+    0, and the second t_b⁻¹·μ² over the others: one batched eigvalsh per block.
+    """
+    high, low = np.zeros(len(masses)), np.zeros(len(masses))
+    for block in blocks:
+        lo, hi = block[0], block[-1] + 1
+        mu = npl.eigvalsh(rotated[:, lo:hi, lo:hi])
+        kept = mu >= scale * levels[lo] - BOUNDARY_TOL
+        high += np.where(kept, mu, 0.0).sum(axis=1)
+        if levels[lo] > SUPPORT_EIG_TOL:
+            low += np.where(kept, 0.0, mu * mu).sum(axis=1) / levels[lo]
+    return float(masses @ np.maximum(high, 0.0)), float(masses @ low)
 
 
 def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
@@ -631,7 +649,8 @@ def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
     """4√(Σ_x p(x) Tr W_x{E_σ(W_x) ≥ Cσ}) + √((v′/M)Σ_x p(x) Tr σ⁻¹E_σ(W_x)²{E_σ(W_x) < Cσ}).
 
     E_σ is the pinching onto σ's spectral blocks and v′ their count; σ⁻¹ is
-    the pseudo-inverse on σ's support.
+    the inverse on the blocks of σ's support. One eigh of σ gives both, and
+    every letter is read in its eigenbasis (`_pinched_sums`).
     """
     channel._check_alphabet(dist)
     check_real("Cthr", Cthr, 0.0, open_lo=True)
@@ -640,37 +659,26 @@ def ll2_bound(channel: CQChannel, dist: Distribution, sigma, Cthr: float,
     if s.shape[0] != channel.dim:
         raise ValidationError("reference state dimension does not match the channel")
     dec = eigh(s)
-    if any(mass > 0.0 and _kernel_mass(w, dec) > KERNEL_MASS_TOL
-           for w, mass in zip(channel.states, dist.masses)):
+    live = dist.masses > 0.0
+    rotated = dec.eigenvectors.conj().T @ channel.states[live] @ dec.eigenvectors
+    if np.any(_kernel_masses(rotated, dec.eigenvalues) > KERNEL_MASS_TOL):
         raise ValidationError(
             "a channel state with positive mass leaks outside the reference support")
-    pmap = pinching_from_spectrum(s)
-    v_prime = pmap.num_blocks
-    support = dec.eigenvalues > SUPPORT_EIG_TOL
-    inv_vals = np.where(support, 1.0 / np.where(support, dec.eigenvalues, 1.0), 0.0)
-    u = dec.eigenvectors
-    sigma_inv = (u * inv_vals) @ u.conj().T
-
-    term1 = 0.0
-    term2 = 0.0
-    for mass, w, pinched, high in _pinched_inputs(channel, dist, pmap, Cthr * s):
-        low = np.eye(channel.dim) - high
-        term1 += mass * max(0.0, float(np.real(np.trace(w @ high))))
-        quad = float(np.real(np.trace(sigma_inv @ pinched @ pinched @ low)))
-        term2 += mass * max(0.0, quad)
-    return 4.0 * math.sqrt(term1) + math.sqrt(v_prime / M * term2)
+    tail, spread = _pinched_sums(rotated, dist.masses[live], dec.eigenvalues, dec.blocks, Cthr)
+    return 4.0 * math.sqrt(tail) + math.sqrt(len(dec.blocks) / M * spread)
 
 
 def ll1b_bound(channel: CQChannel, dist: Distribution, params: SmoothingParams,
                M: int) -> float:
-    """4√(Σ_x p(x) Tr W_x{E_τ(W_x) ≥ Lτ}) + √(vL/M) with τ = ⌈W(p)⌉_{λ,v}."""
+    """4√(Σ_x p(x) Tr W_x{E_τ(W_x) ≥ Lτ}) + √(vL/M) with τ = ⌈W(p)⌉_{λ,v}, read from
+    its spectrum on W(p)'s eigenvectors (`_ceil_spectrum`), blocked as `eigh` blocks."""
     channel._check_alphabet(dist)
     check_positive_int("M", M)
-    tau = ceil_operator(output_state(channel, dist), params)
-    pmap = pinching_from_spectrum(tau)
-    term1 = sum(mass * max(0.0, float(np.real(np.trace(w @ high))))
-                for mass, w, _, high in _pinched_inputs(channel, dist, pmap, params.L * tau))
-    return 4.0 * math.sqrt(term1) + math.sqrt(params.v * params.L / M)
+    levels, u = _ceil_spectrum(output_state(channel, dist), params)
+    live = dist.masses > 0.0
+    rotated = u.conj().T @ channel.states[live] @ u
+    tail, _ = _pinched_sums(rotated, dist.masses[live], levels, _group_blocks(levels), params.L)
+    return 4.0 * math.sqrt(tail) + math.sqrt(params.v * params.L / M)
 
 
 def converse_trend(channel: CQChannel, dist: Distribution, R: float,

@@ -23,8 +23,11 @@ one of three kinds:
 
 Some functions here left the package because no command reads them; they
 keep their argument checks, from `cqresolve.errors`, so their tests still
-see the package's exception types, and `all_empirical_states` still builds
-the package's EmpiricalState records.
+see the package's exception types, `all_empirical_states` still builds
+the package's EmpiricalState records and `pinching_from_spectrum` its
+PinchingMap records. Among them are the dense pinching primitives, which
+are the reference for the one-shot bounds' sums in a reference state's
+eigenbasis (`dense_pinched_sums`).
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ import numpy as np
 
 from cqresolve.errors import (DimensionMismatchError, ResourceLimitError, ValidationError,
                               check_positive_int, check_real)
+from cqresolve.info import PinchingMap
 from cqresolve.types_sanov import EmpiricalState
 
 
@@ -713,14 +717,15 @@ def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
 
     ``states`` are the product channel's states in label order. Candidates
     and grid points are the M-types and grid-types in ascending
-    lexicographic order. Each point's output is mixed from the rows (the
-    real diagonals when every state is exactly diagonal, the flattened
-    states otherwise) by one matrix-vector product, and its inner minimum
-    is taken over every candidate: ½·Σ|difference| in float arithmetic on
-    diagonals, eigvalsh otherwise. The first grid point with the largest
-    inner minimum is refined by coordinatewise mass moves with step halving
-    down to 1e-6; the argmin is the first candidate within 1e-12 of the
-    final minimum, and ``tie_counts`` are every such candidate, in order.
+    lexicographic order. Each candidate's and each point's output is mixed
+    from the rows (the real diagonals when every state is exactly diagonal,
+    the flattened states otherwise) by its own matrix-vector product, and
+    a point's inner minimum is taken over every candidate: ½·Σ|difference|
+    in float arithmetic on diagonals, eigvalsh otherwise. The first grid
+    point with the largest inner minimum is refined by coordinatewise mass
+    moves with step halving down to 1e-6; the argmin is the first candidate
+    within 1e-12 of the final minimum, and ``tie_counts`` are every such
+    candidate, in order.
     Kept because it alone defines which points the worst-input search
     accepts: its result is a lower bound that no independent reference pins.
     """
@@ -730,7 +735,7 @@ def grid_refine_worst(states, M: int, grid: int) -> WorstSearch:
     rows = np.diagonal(states, axis1=1, axis2=2).real.copy() if diagonal \
         else states.reshape(k, -1)
     cand_counts = np.asarray(_simplex_counts(k, M), dtype=np.int64)
-    cand = (cand_counts / M) @ rows
+    cand = np.array([weights @ rows for weights in cand_counts / M])
 
     def inner(p_vec):
         mixed = p_vec @ rows
@@ -958,6 +963,60 @@ def dense_pinching_refusal(projectors) -> str | None:
     if float(np.max(np.abs(total - np.eye(dim)))) > 1e-9:
         return "ValidationError: pinching blocks do not sum to the identity"
     return None
+
+
+def block_projectors(op) -> list[np.ndarray]:
+    """The orthogonal projector onto each degeneracy block of a Hermitian matrix's
+    spectrum, by dense products of eigenvector columns: numpy's eigenvalues in
+    descending order, a block going on while the gap to the next eigenvalue is
+    within 1e-10·max(1, max |λ|), the rule of `linalg.eigh`'s blocks."""
+    vals, vecs = np.linalg.eigh(np.asarray(op, dtype=complex))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
+    cuts = np.flatnonzero(vals[:-1] - vals[1:] > tol) + 1
+    return [cols @ cols.conj().T for cols in np.split(vecs, cuts, axis=1)]
+
+
+def pinching_from_spectrum(sigma) -> PinchingMap:
+    """The pinching onto the degeneracy blocks of a Hermitian matrix's spectrum,
+    one Hermitian part of a dense projector per block."""
+    return PinchingMap(tuple((p + p.conj().T) / 2 for p in block_projectors(sigma)))
+
+
+def positive_part_projector(a, b) -> np.ndarray:
+    """The orthogonal projector {A ≤ B} onto the eigenspace of B − A of eigenvalue
+    at least −1e-10, by a dense product of eigenvector columns; two shapes
+    raise DimensionMismatchError."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
+    vals, vecs = np.linalg.eigh(b - a)
+    cols = vecs[:, vals >= -1e-10]
+    p = cols @ cols.conj().T
+    return (p + p.conj().T) / 2
+
+
+def dense_pinched_sums(states, masses, ref, scale: float) -> tuple[float, float]:
+    """Σ_x p_x Tr W_x{E(W_x) ≥ cR} and Σ_x p_x Tr R⁻¹E(W_x)²{E(W_x) < cR} by
+    dense products, over the letters of positive mass, each letter's terms
+    floored at 0: E the pinching onto R's degeneracy blocks, {·} from
+    `positive_part_projector` and R⁻¹ the pseudo-inverse over R's eigenvalues
+    above 1e-12. The one-shot bounds' former loop: the pinching bound's two
+    sums with R = σ and c = C, and the smoothing bound's first with R = τ and
+    c = L."""
+    projectors = block_projectors(ref)
+    vals, vecs = np.linalg.eigh(np.asarray(ref, dtype=complex))
+    on = vals > 1e-12
+    inverse = (vecs * np.where(on, 1.0 / np.where(on, vals, 1.0), 0.0)) @ vecs.conj().T
+    tail = spread = 0.0
+    for w, mass in zip(states, masses):
+        if mass > 0.0:
+            pinched = sum(p @ w @ p for p in projectors)
+            high = positive_part_projector(scale * np.asarray(ref), pinched)
+            low = np.eye(len(w)) - high
+            tail += mass * max(0.0, float(np.real(np.trace(w @ high))))
+            spread += mass * max(0.0, float(np.real(np.trace(inverse @ pinched @ pinched @ low))))
+    return tail, spread
 
 
 # ---------------------------------------------------------------------------

@@ -350,10 +350,10 @@ EXPORTS = [
     "distribution_from_json", "ee31_margin", "eigh", "errors", "fixed_input_rate",
     "format_label", "idcode_from_json", "idcodes", "info", "linalg", "ll1b_bound", "ll2_bound",
     "m_type_counts", "mutual_info", "output_state", "pairwise_distance_check", "phi", "pinch",
-    "pinching_from_spectrum", "positive_part_projector", "qrel_entropy", "rates",
-    "renyi_mutual_info", "resolution_error_exact", "resolution_error_worst", "resolvability",
-    "sandwiched_renyi", "soft_cover_simulate", "tensor_power", "trace_norm", "type_pinching",
-    "type_projector", "types_sanov", "validate_density", "validate_hermitian", "verify_id_code"]
+    "qrel_entropy", "rates", "renyi_mutual_info", "resolution_error_exact",
+    "resolution_error_worst", "resolvability", "sandwiched_renyi", "soft_cover_simulate",
+    "tensor_power", "trace_norm", "type_pinching", "type_projector", "types_sanov",
+    "validate_density", "validate_hermitian", "verify_id_code"]
 
 
 def test_package_exports_its_names():

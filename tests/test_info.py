@@ -326,6 +326,21 @@ def test_phi_maximally_mixed_reference_reduces_to_renyi_entropy():
         assert got == pytest.approx(expected, abs=1e-9)
 
 
+def test_phi_keeps_its_digits_near_one_outside_the_standard_basis():
+    # σ = R(π/6)·diag(0.998, 0.002)·R(π/6)ᵀ and ρ = R(π/5)·diag(0.995, 0.005)·R(π/5)ᵀ
+    # with R(t) the real rotation. The values are the closed-form 2 × 2
+    # spectra in 60-digit mpmath. A sandwich of a dense σ^γ, not formed in
+    # σ's eigenbasis, gave −0.0048996 at s 0.9 and erred by 1.8e-10 at 0.75.
+    def turn(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+    sigma = turn(math.pi / 6) @ np.diag([0.998, 0.002]) @ turn(math.pi / 6).T
+    rho = turn(math.pi / 5) @ np.diag([0.995, 0.005]) @ turn(math.pi / 5).T
+    for s, want in ((0.5, -0.00830799612375), (0.75, -0.00426305843519),
+                    (0.9, -0.00172658889127)):
+        assert cq.phi(s, rho, sigma) == pytest.approx(want, abs=1e-12), s
+
+
 def test_phi_support_violation_sentinel():
     val = cq.phi(0.5, np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
     assert math.isinf(val) and val < 0
@@ -672,7 +687,7 @@ def test_pinch_single_block_is_identity_map():
 
 
 def test_pinching_from_flat_spectrum_is_identity():
-    pmap = cq.pinching_from_spectrum(np.eye(2) / 2)
+    pmap = orc.pinching_from_spectrum(np.eye(2) / 2)
     assert pmap.num_blocks == 1
     rng = np.random.default_rng(21)
     rho = orc.random_density(rng, 2)
@@ -743,7 +758,7 @@ def test_pinching_map_refuses_what_the_dense_check_refuses():
 
 
 def test_pinch_nondegenerate_spectrum_diagonalizes():
-    pmap = cq.pinching_from_spectrum(np.diag([0.8, 0.2]))
+    pmap = orc.pinching_from_spectrum(np.diag([0.8, 0.2]))
     assert pmap.num_blocks == 2
     rng = np.random.default_rng(22)
     rho = orc.random_density(rng, 2)
@@ -755,7 +770,7 @@ def test_pinch_nondegenerate_spectrum_diagonalizes():
 def test_pinch_is_idempotent():
     rng = np.random.default_rng(23)
     sigma, rho = orc.random_density(rng, 4), orc.random_density(rng, 4)
-    pmap = cq.pinching_from_spectrum(sigma)
+    pmap = orc.pinching_from_spectrum(sigma)
     once = cq.pinch(pmap, rho)
     np.testing.assert_allclose(cq.pinch(pmap, once), once, atol=1e-10)
 
@@ -766,7 +781,7 @@ def test_pinching_map_requires_complete_blocks():
 
 
 def test_pinch_rejects_dimension_mismatch():
-    pmap = cq.pinching_from_spectrum(np.diag([0.8, 0.2]))
+    pmap = orc.pinching_from_spectrum(np.diag([0.8, 0.2]))
     with pytest.raises(errors.DimensionMismatchError):
         cq.pinch(pmap, np.eye(3) / 3)
 
@@ -777,7 +792,7 @@ def test_pinching_of_smoothed_operator_block_count():
         rho = orc.random_density(rng, 5)
         v = int(rng.integers(1, 6))
         ceil = cq.ceil_operator(rho, cq.SmoothingParams(lam=0.7, v=v, L=1.0))
-        pmap = cq.pinching_from_spectrum(ceil)
+        pmap = orc.pinching_from_spectrum(ceil)
         assert pmap.num_blocks <= v + 1
 
 
@@ -787,7 +802,7 @@ def test_pinching_data_processing_on_500_pairs():
         d = int(rng.integers(2, 5))
         rho, sigma = orc.random_density(rng, d), orc.random_density(rng, d)
         ref = orc.random_density(rng, d)
-        pmap = cq.pinching_from_spectrum(ref)
+        pmap = orc.pinching_from_spectrum(ref)
         before = cq.qrel_entropy(rho, sigma)
         after = cq.qrel_entropy(cq.pinch(pmap, rho), cq.pinch(pmap, sigma))
         if math.isinf(before):
@@ -800,7 +815,7 @@ def test_pinching_inequality_block_count_factor():
     for _ in range(50):
         d = int(rng.integers(2, 5))
         rho, ref = orc.random_density(rng, d), orc.random_density(rng, d)
-        pmap = cq.pinching_from_spectrum(ref)
+        pmap = orc.pinching_from_spectrum(ref)
         k = pmap.num_blocks
         assert_psd(k * cq.pinch(pmap, rho) - rho, slack=1e-9)
 

@@ -133,38 +133,38 @@ def test_trace_norm_dominates_projector_functional(seed):
 
 
 # ---------------------------------------------------------------------------
-# positive_part_projector
+# positive_part_projector, the oracle behind the one-shot bounds' dense reference
 
 
 def test_positive_part_projector_diagonal_comparison():
-    p = cq.positive_part_projector(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]))
+    p = orc.positive_part_projector(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]))
     np.testing.assert_allclose(p, np.diag([0.0, 1.0]), atol=1e-10)
 
 
 def test_positive_part_projector_equal_operators_gives_identity():
     a = np.diag([0.3, 0.7])
-    p = cq.positive_part_projector(a, a)
+    p = orc.positive_part_projector(a, a)
     np.testing.assert_allclose(p, np.eye(2), atol=1e-10)
 
 
 def test_positive_part_projector_psd_argument_gives_identity():
     rng = np.random.default_rng(5)
     b = orc.random_density(rng, 3)
-    p = cq.positive_part_projector(np.zeros((3, 3)), b)
+    p = orc.positive_part_projector(np.zeros((3, 3)), b)
     np.testing.assert_allclose(p, np.eye(3), atol=1e-10)
 
 
 def test_positive_part_projector_is_projector():
     rng = np.random.default_rng(17)
     a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
-    p = cq.positive_part_projector(a, b)
+    p = orc.positive_part_projector(a, b)
     np.testing.assert_allclose(p, p.conj().T, atol=1e-9)
     np.testing.assert_allclose(p @ p, p, atol=1e-9)
 
 
 def test_positive_part_projector_rejects_dimension_mismatch():
     with pytest.raises(errors.DimensionMismatchError):
-        cq.positive_part_projector(np.eye(2), np.eye(3))
+        orc.positive_part_projector(np.eye(2), np.eye(3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,7 +174,7 @@ def test_positive_part_projector_maximizes_trace_functional(seed):
     d = int(rng.integers(2, 6))
     a, b = random_hermitian(rng, d), random_hermitian(rng, d)
     diff = b - a
-    p = cq.positive_part_projector(a, b)
+    p = orc.positive_part_projector(a, b)
     best = float(np.real(np.trace(diff @ p)))
     for _ in range(5):
         q = orc.random_projector(rng, d, int(rng.integers(1, d + 1)))
@@ -264,6 +264,6 @@ def test_positive_part_projector_boundary_includes_small_negatives():
     # eigenvalues of b−a within −1e-10 of zero count as zero and are kept
     a = np.diag([1.0, 1.0])
     b = np.diag([1.0 - 5e-11, 2.0])
-    p = cq.positive_part_projector(a, b)
+    p = orc.positive_part_projector(a, b)
     np.testing.assert_allclose(p, np.eye(2), atol=1e-9)
     assert_psd(p)

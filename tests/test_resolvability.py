@@ -241,6 +241,23 @@ def test_worst_grid_tie_goes_to_first_point(monkeypatch, budget):
     assert_worst_matches_oracle(ch, M, 1, grid)
 
 
+def test_worst_error_is_the_least_distance_to_candidates_mixed_row_by_row():
+    # Each candidate's output is its own vector-matrix product, as every
+    # engine mixes a row, so its bits do not depend on the candidate count;
+    # one matrix product over all candidates missed this bound on 2 of these
+    # 16 channels.
+    rng = np.random.default_rng(85)
+    for case in range(16):
+        k, M = int(rng.integers(5, 9)), int(rng.integers(3, 5))
+        ch = cq.CQChannel(tuple(str(x) for x in range(k)),
+                          tuple(orc.random_density(rng, 2) for _ in range(k)))
+        res = cq.resolution_error_worst(ch, M, grid=4)
+        outputs = rv._OutputRows(ch, 1)
+        cand = np.array([weights @ outputs.rows for weights in cq.m_type_counts(k, M) / M])
+        target = outputs.targets(res.worst_input.masses[None])
+        assert res.error == max(float(outputs.distance_table(target, cand)[0].min()), 0.0), case
+
+
 # ---------------------------------------------------------------------------
 # argument checks shared by resolution_error_exact and resolution_error_worst
 # ---------------------------------------------------------------------------
@@ -604,7 +621,7 @@ def test_half_l1_kernel_has_the_formula_bits(monkeypatch, count, sliced, chunk_b
     # (numpy's pairwise block) and 256, and 136, which splits off 64; wide
     # rows in one chunk or several, the last one short.
     if chunk_bytes is not None:
-        monkeypatch.setattr(rv, "WIDE_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(count)
     for width in range(1, 301):
         targets = rng.integers(0, 9, (count, width)) / 8
@@ -811,7 +828,7 @@ class TestSoftCoverSimulate:
         # buffers of one codeword, of 3 (ending inside and across samples), of
         # one sample, and of every sample
         for rows in (1, 3, M, 5 * M):
-            monkeypatch.setattr(rv, "DRAW_CHUNK_BYTES", rows * n * 8)
+            monkeypatch.setattr(linalg, "CHUNK_BYTES", rows * n * 8)
             assert np.array_equal(rv._codeword_indices(seed, 5, M, n, cdf), want)
 
     @staticmethod
@@ -991,6 +1008,18 @@ class TestLL2Bound:
             bound = cq.ll2_bound(ch, p, sigma, M / (4.0 * vprime), M)
             assert bound >= exact - 1e-12
 
+    def test_a_zero_second_term_adds_nothing(self):
+        # At C = 1e-3 every eigenvalue of each pinched letter is kept, so the
+        # second sum is empty; a dense I − {·} read it as about 1e-16 and
+        # printed 4.000000007072116.
+        turn = np.array([[math.cos(math.pi / 3), -math.sin(math.pi / 3)],
+                         [math.sin(math.pi / 3), math.cos(math.pi / 3)]])
+        ch = cq.CQChannel(("0", "1"), (turn @ np.diag([0.8, 0.2]) @ turn.T,
+                                       np.diag([0.25, 0.75])))
+        p = cq.Distribution(("0", "1"), (0.5, 0.5))
+        assert cq.ll2_bound(ch, p, cq.output_state(ch, p), 1e-3, 1) == pytest.approx(4.0,
+                                                                                   abs=1e-15)
+
     def test_support_violation_rejected(self):
         ch = cq.CQChannel(
             ("0", "1"),
@@ -1043,6 +1072,79 @@ class TestLL1bBound:
             params = cq.SmoothingParams(1.0, v, L=M / (4.0 * v))
             bound = cq.ll1b_bound(ch, p, params, M)
             assert bound >= exact - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one-shot bounds' sums in the reference's eigenbasis against the dense
+# pinching, projectors and pseudo-inverse of oracles.dense_pinched_sums
+# ---------------------------------------------------------------------------
+
+
+def one_shot_case(rng: np.random.Generator, index: int):
+    """Letters, masses and a reference state of 2 to 4 dimensions.
+
+    Each letter is pure, of lower rank or of full rank, and about a third
+    of the masses are 0. The reference is, by index mod 5: W(p); a random
+    state; the maximally mixed state; a state with a repeated eigenvalue;
+    a state of lower rank, on whose support the letters of positive mass
+    are put.
+    """
+    d, k, kind = int(rng.integers(2, 5)), int(rng.integers(1, 5)), index % 5
+    states = np.array([orc.random_density_of_rank(rng, d, int(rng.integers(1, d + 1)))
+                       for _ in range(k)])
+    masses = rng.dirichlet(np.ones(k))
+    masses[rng.random(k) < 1 / 3] = 0.0
+    masses[int(rng.integers(0, k))] += 0.1
+    masses /= masses.sum()
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    if kind == 0:
+        ref = np.einsum("x,xij->ij", masses, states)
+    elif kind == 1:
+        ref = orc.random_density(rng, d)
+    elif kind == 2:
+        ref = np.eye(d) / d
+    else:
+        levels = rng.dirichlet(np.ones(d))
+        if kind == 3:
+            levels[1] = levels[0]
+        else:
+            rank = int(rng.integers(1, d))
+            levels[rank:] = 0.0
+            support = u[:, :rank] @ u[:, :rank].conj().T
+            for x in np.flatnonzero(masses):
+                squeezed = support @ states[x] @ support
+                states[x] = squeezed / np.trace(squeezed).real
+        ref = (u * (levels / levels.sum())) @ u.conj().T
+    return states, masses, ref
+
+
+def test_one_shot_sums_match_the_dense_oracle():
+    rng = np.random.default_rng(38)
+    for index in range(2000):
+        states, masses, ref = one_shot_case(rng, index)
+        labels = tuple(str(x) for x in range(len(masses)))
+        ch, p = cq.CQChannel(labels, states), cq.Distribution(labels, masses)
+        live = masses > 0.0
+        scale, M = float(rng.choice([1.0, 2.0 ** rng.uniform(-4, 3)])), int(rng.integers(1, 65))
+        dec = cq.eigh(ref)
+        u = dec.eigenvectors
+        tail, spread = rv._pinched_sums(u.conj().T @ states[live] @ u, masses[live],
+                                        dec.eigenvalues, dec.blocks, scale)
+        want = orc.dense_pinched_sums(states, masses, ref, scale)
+        assert abs(tail - want[0]) <= 1e-12 and abs(spread - want[1]) <= 1e-12, index
+        assert len(dec.blocks) == len(orc.block_projectors(ref)), index
+        assert cq.ll2_bound(ch, p, ref, scale, M) == \
+            4.0 * math.sqrt(tail) + math.sqrt(len(dec.blocks) / M * spread)
+
+        params = cq.SmoothingParams(float(rng.choice([0.3, 0.5, 1.0, 2.0])),
+                                    int(rng.choice([1, 2, 4, 8])), scale)
+        levels, u = rv._ceil_spectrum(cq.output_state(ch, p), params)
+        tail, _ = rv._pinched_sums(u.conj().T @ states[live] @ u, masses[live], levels,
+                                   linalg._group_blocks(levels), scale)
+        tau = cq.ceil_operator(cq.output_state(ch, p), params)
+        assert abs(tail - orc.dense_pinched_sums(states, masses, tau, scale)[0]) <= 1e-12, index
+        assert cq.ll1b_bound(ch, p, params, M) == \
+            4.0 * math.sqrt(tail) + math.sqrt(params.v * scale / M)
 
 
 # ---------------------------------------------------------------------------

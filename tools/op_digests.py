@@ -89,10 +89,17 @@ REFUSALS = {
 # the trend at R 0.1 up to n 9, both of which older trees refuse (they budgeted
 # kⁿ complex dⁿ × dⁿ matrices where the rows are kⁿ real diagonals), and soft
 # covering on QUBIT_K12 at n 5, whose non-diagonal rows stay past the budget.
+# Then the one-shot bounds, which no op reaches, at 12 digits: the pinching
+# bound with reference W(p) and the smoothing bound on example1 at ε 0, where
+# letters 0 and 1 are pure, and at ε 0.2 with the same law, and on QUBIT_K12 at
+# two (M, C) pairs, C being the pinching bound's threshold and the smoothing
+# bound's L.
 # The child writes both channels before the frontier commands run.
 QUBIT_K12 = "qubit-k12.json"
 QUBIT_K300 = "qubit-k300.json"
-EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", '{"0":0.5,"1":0.3,"e":0.2}')
+LAW = '{"0":0.5,"1":0.3,"e":0.2}'
+EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", LAW)
+EXAMPLE1_EPS0_LAW = ("--builtin", "example1", "--eps", "0", "--dist", LAW)
 K12_LAW = {str(x): 0.1 if x < 8 else 0.05 for x in range(12)}
 D9_DEAD_LAW = {"0": 0.25, "1": 0.2, "2": 0.0, "3": 0.15, "4": 0.1, "5": 0.0, "6": 0.2,
                "7": 1e-13, "8": 0.1 - 1e-13}
@@ -142,6 +149,20 @@ FRONTIER = {
                                "--n-max", "9"),
     "softcover-n5-qubit-k12": ("softcover", "--channel", QUBIT_K12, "--n", "5", "--M", "16",
                                "--samples", "50", "--seed", "7"),
+    "bound-ll2-eps0-M4-C1": ("bound-ll2", *EXAMPLE1_EPS0_LAW, "--M", "4", "--cthr", "1"),
+    "bound-ll2-eps0.2-M4-C1": ("bound-ll2", *EXAMPLE1_LAW, "--M", "4", "--cthr", "1"),
+    "bound-ll2-qubit-k12-M8-C2": ("bound-ll2", "--channel", QUBIT_K12, "--dist",
+                                  json.dumps(K12_LAW), "--M", "8", "--cthr", "2"),
+    "bound-ll2-qubit-k12-M64-C0.5": ("bound-ll2", "--channel", QUBIT_K12, "--dist",
+                                     json.dumps(K12_LAW), "--M", "64", "--cthr", "0.5"),
+    "bound-ll1b-eps0-M4-L1": ("bound-ll1b", *EXAMPLE1_EPS0_LAW, "--M", "4", "--lambda", "0.5",
+                              "--v", "3", "--L", "1"),
+    "bound-ll1b-eps0.2-M4-L1": ("bound-ll1b", *EXAMPLE1_LAW, "--M", "4", "--lambda", "0.5",
+                                "--v", "3", "--L", "1"),
+    "bound-ll1b-qubit-k12-M8-L2": ("bound-ll1b", "--channel", QUBIT_K12, "--dist",
+                                   json.dumps(K12_LAW), "--M", "8", "--v", "4", "--L", "2"),
+    "bound-ll1b-qubit-k12-M64-L0.5": ("bound-ll1b", "--channel", QUBIT_K12, "--dist",
+                                      json.dumps(K12_LAW), "--M", "64", "--v", "4", "--L", "0.5"),
 }
 
 
