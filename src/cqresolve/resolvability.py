@@ -181,20 +181,6 @@ def _letter_rows(channel: CQChannel, n: int) -> np.ndarray:
     return rows
 
 
-def _check_exact_rows(channel: CQChannel, n: int) -> None:
-    """Hold the exact engine's n-letter rows and its copy of them scaled by 1/M to budget.
-
-    `_letter_rows` charges the rows. The copy that the M-type sums start
-    from is as large, so a check of its own charges both together against
-    MAX_MATRIX_BYTES after it, and every refusal of the rows alone keeps its
-    need. At n = 1 neither is charged, as the letters are the channel's.
-    """
-    letters = _letter_rows(channel, n)
-    if n > 1:
-        check_budget(f"the {n}-letter rows plus their copy scaled by 1/M",
-                     (2 * letters.itemsize, letters.size, n), MAX_MATRIX_BYTES)
-
-
 class _OutputRows:
     """The n-letter product states as rows that mix into outputs, and their distances.
 
@@ -296,10 +282,11 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     """min over M-types q on X^n of ½‖W^{⊗n}(p) − W^{⊗n}(q)‖₁, exactly.
 
     The law p is on the base alphabet, taken i.i.d., or on the product one.
-    The M-types come from `channel._m_type_sums` in `m_type_counts` order
-    (stars and bars, lexicographic), as blocks of mixed outputs of about
-    EIG_BATCH_BYTES; M-types with a common prefix share its partial sum, and
-    no count matrix is built. Ties within 1e-12 of the minimum resolve to
+    The M-types come from `channel._m_type_sums` over the n-letter rows in
+    `m_type_counts` order (stars and bars, lexicographic), as blocks of about
+    EIG_BATCH_BYTES of sums Σ_x c_x·W_x, whose distances to M·W^{⊗n}(p) are
+    divided by M once; M-types with a common prefix share its partial sum,
+    and no count matrix is built. Ties within 1e-12 of the minimum resolve to
     the lexicographically first M-type, whose counts are then found from its
     index. When every letter state is diagonal, the outputs are real
     diagonals and each distance is ½·Σ|difference|, in float arithmetic with
@@ -309,13 +296,11 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     flattened matrices and each distance comes from eigvalsh; the reported
     error is the argmin's distance, with its output mixed from its counts as
     `_OutputRows.targets` mixes a row. M and n must be positive ints;
-    `_check_exact_rows` holds the product rows and their scaled copy to
-    their budget, and more than MAX_TYPES M-types raise ResourceLimitError
-    before any is formed.
+    `_letter_rows` holds the product rows to their budget, and more than
+    MAX_TYPES M-types raise ResourceLimitError before any is formed.
     """
     check_positive_int("M", M)
     check_positive_int("n", n)
-    _check_exact_rows(channel, n)
     outputs = _OutputRows(channel, n)
     if dist.labels not in (channel.labels, outputs.labels):
         raise ValidationError(
@@ -325,9 +310,9 @@ def resolution_error_exact(channel: CQChannel, dist: Distribution, M: int,
     k = len(outputs.labels)
     errors = np.empty(_m_type_total(k, M))
     lo = 0
-    for mixed in _m_type_sums(outputs.rows / M, M, _batch_rows(outputs.rows[0].nbytes)):
-        errors[lo:lo + mixed.shape[0]] = outputs.distance_table(target, mixed)[0]
-        lo += mixed.shape[0]
+    for sums in _m_type_sums(outputs.rows, M, _batch_rows(outputs.rows[0].nbytes)):
+        errors[lo:lo + sums.shape[0]] = outputs.distance_table(M * target, sums)[0] / M
+        lo += sums.shape[0]
     best, idx = _first_argmin(errors)
     counts = _m_type_at(k, M, idx)
     if outputs.diagonal:
@@ -686,12 +671,12 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
     """Exact ε(p^{⊗n}, W^{⊗n}, ⌊2^{nR}⌋) for n = 1…n_max, as (n, M, error) rows.
 
     Each row is one `resolution_error_exact`, which streams its M-types in
-    blocks, so memory peaks at the largest n's error vector (8 bytes per
-    M-type) plus a few blocks, not at its count matrix. Raises
+    blocks, so memory peaks at the largest n's rows plus its error vector
+    (8 bytes per M-type) and a few blocks, not at its count matrix. Raises
     ResourceLimitError when n_max·R ≥ 1024: ⌊2^{nR}⌋ no longer fits a float
     there, and its M-types are far past any enumeration cap. Each n's rows
-    and their scaled copy (`_check_exact_rows`), then M-type, budget is
-    checked, in order, before the first n runs.
+    (`_letter_rows`), then M-type, budget is checked, in order, before the
+    first n runs.
     """
     check_real("rate", R, 0.0)
     check_positive_int("n_max", n_max)
@@ -702,6 +687,6 @@ def converse_trend(channel: CQChannel, dist: Distribution, R: float,
             "its M-types are far past any enumeration cap")
     sizes = [(n, max(1, math.floor(2.0 ** (n * R)))) for n in range(1, n_max + 1)]
     for n, M in sizes:
-        _check_exact_rows(channel, n)
+        _letter_rows(channel, n)
         _m_type_total(channel.size ** n, M)
     return [(n, M, resolution_error_exact(channel, dist, M, n).error) for n, M in sizes]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CQChannel, Distribution, Word, _m_type_blocks, m_type_counts
+from .channel import CQChannel, Distribution, Word, _m_type_blocks, _m_type_sums, m_type_counts
 from .errors import (MAX_MATRIX_BYTES, DimensionMismatchError, ValidationError, check_budget,
                      check_positive_int, check_real, is_integer)
 from .info import SUPPORT_EIG_TOL, PinchingMap
@@ -257,10 +257,11 @@ def bad_codeword_count(channel: CQChannel, dist: Distribution, n: int,
 
     A word's gap depends only on its type c, an M-type at M = n from
     `_m_type_blocks`, so each bad type adds n!/∏_x c_x! words, a product over
-    its n largest counts (no others are nonzero). A gap is twice a batched
-    distance of `_OutputRows(channel, 1)`; on the diagonal path one within
-    BAD_GAP_TIE_TOL of δ is decided exactly in the float inputs. The walk's
-    budgets raise ResourceLimitError first.
+    its n largest counts (no others are nonzero). `_m_type_sums` walks the
+    k rows of `_OutputRows(channel, 1)` in the same blocks, into the sums
+    Σ_x c_x·W_x, and a gap is twice a batched distance to n·W(p), over n; on
+    the diagonal path one within BAD_GAP_TIE_TOL of δ is decided exactly in
+    the float inputs. The walk's budgets raise ResourceLimitError first.
     """
     # imported here: the rest of this module needs none of resolvability
     from .resolvability import _OutputRows, _rational_half_l1
@@ -270,8 +271,9 @@ def bad_codeword_count(channel: CQChannel, dist: Distribution, n: int,
     channel._check_alphabet(dist)
     outputs, k = _OutputRows(channel, 1), channel.size
     target, bad = outputs.targets(dist.masses[None]), 0
-    for counts in _m_type_blocks(k, n, _batch_rows(np.dtype(float).itemsize * k)):
-        gaps = 2 * outputs.distance_table(target, outputs.targets(counts / n))[0]
+    step = _batch_rows(np.dtype(float).itemsize * k)
+    for counts, sums in zip(_m_type_blocks(k, n, step), _m_type_sums(outputs.rows, n, step)):
+        gaps = 2 * outputs.distance_table(n * target, sums)[0] / n
         is_bad = gaps >= delta
         if outputs.diagonal:
             for i in np.flatnonzero(np.abs(gaps - delta) <= BAD_GAP_TIE_TOL):

@@ -13,8 +13,11 @@ one of three kinds:
   behaviour, kept for it: `grid_refine_worst` (which points the
   worst-input search accepts), `half_l1_distances` (the distance bits that
   search's result depends on), `count_matrix_resolution_error` (the argmin
-  over the whole M-type list) and `searchsorted_codeword_indices` (the
-  Philox stream contract).
+  over the whole M-type list), `scaled_walk_errors` and
+  `counts_mixed_bad_gaps` (the exact engine's error vector over rows scaled
+  by 1/M and the bad-codeword gaps mixed from counts / n, whose argmin and
+  count the walks of the unscaled rows must give) and
+  `searchsorted_codeword_indices` (the Philox stream contract).
 - A former kernel whose replacement agreed with it bit for bit on a sweep,
   while an independent reference still covers its outputs. None is kept:
   each stacked kernel that replaced one is checked row by row against the
@@ -673,6 +676,32 @@ def count_matrix_resolution_error(counts, rows, target, distance_table, M: int,
         errors[lo:lo + step] = distance_table(target, mixed)[0]
     best = float(errors.min())
     return best, int(np.flatnonzero(errors <= best + 1e-12)[0])
+
+
+def scaled_walk_errors(walk, rows, target, distance_table, M: int, step: int) -> np.ndarray:
+    """The exact engine's error vector from a walk of its rows scaled by 1/M.
+
+    This is the loop the engine ran before it walked the rows as they are:
+    ``walk`` is the channel module's `_m_type_sums`, run over ``rows / M``
+    in blocks of ``step``, and each block of mixed outputs is compared with
+    the one-row ``target`` by the engine's ``distance_table``. Kept because
+    the engine's argmin and printed error must be the ones this vector
+    gives; when M is a power of two the two vectors are equal bit for bit.
+    """
+    return np.concatenate([distance_table(target, mixed)[0]
+                           for mixed in walk(rows / M, M, step)])
+
+
+def counts_mixed_bad_gaps(counts, n: int, targets, distance_table, masses) -> np.ndarray:
+    """The bad-codeword gaps 2·½‖W(c/n) − W(p)‖₁ of count rows, mixed from ``counts / n``.
+
+    This is how the bad-codeword count formed its gaps before it walked the
+    letter rows: ``targets`` and ``distance_table`` are the methods of the
+    one-letter `_OutputRows`, and each type's output is its own
+    matrix-vector product of the k-wide weights c/n. Kept because the count
+    must be the one these gaps give.
+    """
+    return 2 * distance_table(targets(np.asarray(masses)[None]), targets(counts / n))[0]
 
 
 def half_l1_distances(diagonals, targets) -> np.ndarray:

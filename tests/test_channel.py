@@ -1,6 +1,7 @@
 """Channel model: distributions, M-types, words, induced states, JSON parsing."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -341,6 +342,17 @@ def test_m_type_at_is_the_count_matrix_row(total, parts):
     for i, row in enumerate(counts):
         got = cq.channel._m_type_at(parts, total, i)
         assert got.dtype == np.int64 and np.array_equal(got, row), i
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 7, 40])
+def test_type_blocks_and_row_sums_are_cut_alike(step):
+    # the bad-codeword count zips the count rows of k letters with the sums
+    # of k rows, block by block
+    rng = np.random.default_rng(step)
+    for k, n in itertools.product(range(1, 7), range(1, 7)):
+        counts = cq.channel._m_type_blocks(k, n, step)
+        sums = cq.channel._m_type_sums(rng.random((k, 3)), n, step)
+        assert [b.shape[0] for b in counts] == [b.shape[0] for b in sums], (k, n)
 
 
 def traced_peak(build) -> int:

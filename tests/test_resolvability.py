@@ -330,6 +330,27 @@ def sweep_channel(name: str):
     return ch, cq.Distribution(labels, rng.dirichlet(np.ones(k)))
 
 
+def exact_sweep_case(i: int):
+    """Case i of the exact engine's seeded sweep: a channel, its law, n and M.
+
+    k 1–3 letters of dimension 1–3 at n 1–3. Even cases are diagonal, and
+    every 7th case with two letters or more repeats its first letter, so its
+    M-types tie. M is drawn among those up to 40 with at most 20,000
+    M-types of the kⁿ product letters, or 1,000 on the eigvalsh path.
+    """
+    rng = np.random.default_rng(i)
+    k, d, n = (int(v) for v in rng.integers(1, 4, size=3))
+    labels = tuple("abc"[:k])
+    states = [np.diag(rng.dirichlet(np.ones(d))) if i % 2 == 0 else orc.random_density(rng, d)
+              for _ in labels]
+    if i % 7 == 0 and k > 1:
+        states[1] = states[0]
+    most = 20_000 if i % 2 == 0 else 1_000
+    sizes = [M for M in range(1, 41) if math.comb(M + k ** n - 1, k ** n - 1) <= most]
+    return (cq.CQChannel(labels, states), cq.Distribution(labels, rng.dirichlet(np.ones(k))),
+            n, int(rng.choice(sizes)))
+
+
 @pytest.mark.parametrize("rows", [1, 7, 200])
 @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "eigvalsh"])
 def test_targets_equal_row_by_row_target(rows, diagonal):
@@ -511,6 +532,50 @@ class TestExactEngine:
             tracemalloc.stop()
         assert res.error == 0.014568000000000013
         assert peak <= 4 * linalg.EIG_BATCH_BYTES + 8 * math.comb(6 + 26, 26)
+
+    def test_walk_holds_no_second_copy_of_the_rows(self):
+        # example1 at n 9, M 1: 3^9 diagonals of 2^9 floats, 80.6 MB of rows;
+        # the M-type sums start from the rows themselves
+        ch, _ = build_flip_erase_channel(0.2)
+        p = cq.Distribution(ch.labels, (0.5, 0.3, 0.2))
+        tracemalloc.start()
+        try:
+            cq.resolution_error_exact(ch, p, 1, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 3 ** 9 * 2 ** 9 * 8
+
+    def test_matches_the_walk_of_the_rows_scaled_by_one_over_M(self, monkeypatch):
+        # The argmin and the printed error are the ones the former walk of the
+        # rows scaled by 1/M gives; at a power-of-two M, where that scaling is
+        # exact, so is every entry of the error vector.
+        seen, first_argmin = [], rv._first_argmin
+        monkeypatch.setattr(rv, "_first_argmin",
+                            lambda errors: seen.append(errors) or first_argmin(errors))
+        powers = ties = 0
+        for i in range(240):
+            ch, p, n, M = exact_sweep_case(i)
+            outputs = rv._OutputRows(ch, n)
+            target = outputs.targets(linalg._kron_rows(p.masses, n)[None])
+            former = orc.scaled_walk_errors(cq.channel._m_type_sums, outputs.rows, target,
+                                            outputs.distance_table, M,
+                                            linalg._batch_rows(outputs.rows[0].nbytes))
+            counts = cq.channel._m_type_at(len(outputs.labels), M, first_argmin(former)[1])
+            if outputs.diagonal:
+                want = float(rv._rational_half_l1(ch, p, n, counts, M))
+            else:
+                want = float(outputs.distance_table(target, outputs.targets(counts[None] / M))[0, 0])
+            res = cq.resolution_error_exact(ch, p, M, n)
+            errors = seen.pop()
+            assert np.array_equal(res.argmin.counts, counts), i
+            assert res.error == min(want, 1.0), i
+            np.testing.assert_allclose(errors, former, rtol=0, atol=1e-13)
+            if M & (M - 1) == 0:
+                assert errors.tobytes() == former.tobytes(), i
+                powers += 1
+            ties += np.count_nonzero(former <= former.min() + rv.ARGMIN_TIE_TOL) > 1
+        assert 0 < powers < 240 and ties
 
     @staticmethod
     def assert_diagonal_path_matches_eigvalsh_path(ch, p, n, M):
@@ -1202,17 +1267,6 @@ class TestConverseTrend:
         monkeypatch.setattr(rv, "resolution_error_exact", lambda *args: pytest.fail("ran"))
         with pytest.raises(cq.ResourceLimitError, match=re.escape(first)):
             cq.converse_trend(ch, p, rate, n_max)
-
-    def test_scaled_copy_is_budgeted_before_the_first_runs(self, monkeypatch):
-        # n 2's 9 diagonals of 4 entries (288 bytes) fit a budget that they
-        # and the exact engine's copy of them scaled by 1/M (576) do not
-        ch, p = build_flip_erase_channel(0.2)
-        monkeypatch.setattr(rv, "MAX_MATRIX_BYTES", 575)
-        monkeypatch.setattr(rv, "resolution_error_exact", lambda *args: pytest.fail("ran"))
-        with pytest.raises(cq.ResourceLimitError,
-                           match=re.escape("the 2-letter rows plus their copy scaled by 1/M "
-                                           "needs 576 bytes, over the budget of 575 bytes")):
-            cq.converse_trend(ch, p, 0.5, 2)
 
 
 # ---------------------------------------------------------------------------

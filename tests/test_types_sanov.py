@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import cqresolve as cq
 from cqresolve import ValidationError
-from cqresolve.types_sanov import (_empirical_state, _standard_partition, _twirl_margins,
-                                   _type_keys, _types_bound_sweep, _word_type_keys)
+from cqresolve.resolvability import _OutputRows, _rational_half_l1
+from cqresolve.types_sanov import (BAD_GAP_TIE_TOL, _empirical_state, _standard_partition,
+                                   _twirl_margins, _type_keys, _types_bound_sweep,
+                                   _word_type_keys)
 
 import oracles as orc
 
@@ -417,8 +419,7 @@ class TestBadCodewordCount:
     def test_dyadic_diagonal_channels_with_types_on_delta(self, seed):
         # Masses in eighths and a law in quarters make many type gaps dyadic
         # rationals; each one that a float holds exactly is used as δ, so a
-        # type lies exactly on δ while its float gap, mixed from counts / n,
-        # may round to either side.
+        # type lies exactly on δ while its float gap may round to either side.
         rng = np.random.default_rng(seed)
         tied = 0
         for _ in range(4):
@@ -459,6 +460,30 @@ class TestBadCodewordCount:
         every_word = sum(orc.bad_codeword_test(ch, cq.Word(w), p, delta)
                          for w in itertools.product(ch.labels, repeat=n))
         assert cq.bad_codeword_count(ch, p, n, delta) == every_word
+
+    def test_count_is_the_one_the_gaps_mixed_from_counts_give(self):
+        # 400 seeded channels of 1-6 letters of dimension 1-3 at n 1-5; even
+        # ones are diagonal, and every 7th with two letters or more repeats
+        # its first letter, so its types tie
+        for i in range(400):
+            rng = np.random.default_rng(i)
+            k, d, n = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            states = [np.diag(rng.dirichlet(np.ones(d))) if i % 2 == 0
+                      else orc.random_density(rng, d) for _ in range(k)]
+            if i % 7 == 0 and k > 1:
+                states[1] = states[0]
+            ch = cq.CQChannel(tuple(str(x) for x in range(k)), states)
+            p = cq.Distribution(ch.labels, rng.dirichlet(np.ones(k)))
+            outputs, counts = _OutputRows(ch, 1), cq.m_type_counts(k, n)
+            gaps = orc.counts_mixed_bad_gaps(counts, n, outputs.targets, outputs.distance_table,
+                                             p.masses)
+            for delta in (0.05, 0.2, 0.5):
+                is_bad = gaps >= delta
+                if outputs.diagonal:
+                    for j in np.flatnonzero(np.abs(gaps - delta) <= BAD_GAP_TIE_TOL):
+                        is_bad[j] = 2 * _rational_half_l1(ch, p, 1, counts[j], n) >= delta
+                want = sum(orc.multinomial_exact(n, c) for c in counts[is_bad].tolist())
+                assert cq.bad_codeword_count(ch, p, n, delta) == want, (i, delta)
 
     def test_ten_letters_at_n7_by_type_class(self):
         # 10^7 words, the most the command accepts, in 11,440 types

@@ -181,10 +181,10 @@ BUDGET_SITES = {
     # the 3^2 real diagonals of 2^2 entries of example1's 2-letter rows
     "_OutputRows": (cq.resolvability, "MAX_MATRIX_BYTES",
                     lambda: cq.resolvability._OutputRows(CHANNEL, 2), 9 * 4 * 8),
-    # those rows plus the exact engine's copy of them scaled by 1/M
+    # the same rows, which the exact engine walks as they are
     "resolution_error_exact": (cq.resolvability, "MAX_MATRIX_BYTES",
                                lambda: cq.resolution_error_exact(CHANNEL, DIST, 1, 2),
-                               2 * 9 * 4 * 8),
+                               9 * 4 * 8),
     "tensor_power": (cq.linalg, "MAX_MATRIX_BYTES", lambda: cq.tensor_power(np.eye(2), 2),
                      4 * 4 * 16),
     "type_projector": (cq.types_sanov, "MAX_MATRIX_BYTES",

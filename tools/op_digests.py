@@ -88,13 +88,17 @@ REFUSALS = {
 # the product rows meet their byte budget: soft covering on example1 at n 7 and
 # the trend at R 0.1 up to n 9, both of which older trees refuse (they budgeted
 # kⁿ complex dⁿ × dⁿ matrices where the rows are kⁿ real diagonals), and soft
-# covering on QUBIT_K12 at n 5, whose non-diagonal rows stay past the budget.
+# covering on QUBIT_K12 at n 5, whose non-diagonal rows stay past the budget,
+# and the exact error on QUBIT_K4 at n 6, M 1, whose 4^6 complex 64 x 64 rows
+# take exactly the budget (older trees, which also held a copy of the rows
+# scaled by 1/M, refuse it).
 # Then the one-shot bounds, which no op reaches, at 12 digits: the pinching
 # bound with reference W(p) and the smoothing bound on example1 at ε 0, where
 # letters 0 and 1 are pure, and at ε 0.2 with the same law, and on QUBIT_K12 at
 # two (M, C) pairs, C being the pinching bound's threshold and the smoothing
 # bound's L.
-# The child writes both channels before the frontier commands run.
+# The child writes the channels before the frontier commands run.
+QUBIT_K4 = "qubit-k4.json"
 QUBIT_K12 = "qubit-k12.json"
 QUBIT_K300 = "qubit-k300.json"
 LAW = '{"0":0.5,"1":0.3,"e":0.2}'
@@ -149,6 +153,7 @@ FRONTIER = {
                                "--n-max", "9"),
     "softcover-n5-qubit-k12": ("softcover", "--channel", QUBIT_K12, "--n", "5", "--M", "16",
                                "--samples", "50", "--seed", "7"),
+    "resolve-n6-M1-qubit-k4": ("resolve", "--channel", QUBIT_K4, "--n", "6", "--M", "1"),
     "bound-ll2-eps0-M4-C1": ("bound-ll2", *EXAMPLE1_EPS0_LAW, "--M", "4", "--cthr", "1"),
     "bound-ll2-eps0.2-M4-C1": ("bound-ll2", *EXAMPLE1_LAW, "--M", "4", "--cthr", "1"),
     "bound-ll2-qubit-k12-M8-C2": ("bound-ll2", "--channel", QUBIT_K12, "--dist",
@@ -218,6 +223,7 @@ def _child(src: Path) -> None:
                 written = [op.out] if op.out is not None and op.out.is_file() else []
                 print(f"{name}/{seed}/{op.key} {_digest(rc, out, err, written)}",
                       file=sys.__stdout__, flush=True)
+    _write_qubit_channel(Path(QUBIT_K4), k=4, seed=20241020)
     _write_qubit_channel(Path(QUBIT_K12), k=12, seed=20241018)
     _write_qubit_channel(Path(QUBIT_K300), k=300, seed=20241019)
     for group, commands in (("refusal", REFUSALS), ("frontier", FRONTIER)):
