@@ -6,18 +6,19 @@ returned as the float infinity sentinel, never as an overflow.
 
 Two spectral kernels live here and nowhere else. `_divergences` gives
 D(W_x‖W(p)) for every input of every row of a stack of channels, from one
-batched eigendecomposition of the W(p); relative entropy and mutual
-information read it as one row, the capacity ascents and the fixed-input
-rate as many. `_renyi_sandwiches` decomposes every A_x = σ^γ W_x σ^γ
-of every order in one batched eigh and gives the Rényi fixed point both its
-objective and its next proposal; `_renyi_fixed_points` runs that fixed point
-for all orders as one stack, and keeps the last RENYI_MEMO_ENTRIES results
-in-process, keyed on the bytes of the states, the law and the orders. The
-stack carries no per-order bookkeeping beyond the floating-point steps: the
-powers σ^γ of all running orders are one np.power with a column of
-exponents, the proposals are one stacked array, an order leaves the stack
-when it converges, and the floor step tests its Hermitian part for
-finiteness only, as a Hermitian part is Hermitian bit for bit.
+batched eigendecomposition of the W(p), its support rule masks over the
+stack; relative entropy and mutual information read it as one row, the
+capacity ascents and the fixed-input rate as many. `_renyi_sandwiches`
+decomposes every A_x = σ^γ W_x σ^γ of every order in one batched eigh and
+gives the Rényi fixed point both its objective and its next proposal;
+`_renyi_fixed_points` runs that fixed point for all orders as one stack, and
+keeps the last RENYI_MEMO_ENTRIES results in-process, keyed on the bytes of
+the states, the law and the orders. The stack carries no per-order
+bookkeeping beyond the floating-point steps: the powers σ^γ of all running
+orders are one np.power with a column of exponents, the proposals are one
+stacked array, an order leaves the stack when it converges, and the floor
+step tests its Hermitian part for finiteness only, as a Hermitian part is
+Hermitian bit for bit.
 """
 from __future__ import annotations
 
@@ -81,8 +82,10 @@ def _divergences(states: np.ndarray, p: np.ndarray, targets: np.ndarray,
     of positive mass puts weight above KERNEL_MASS_TOL. On those the
     eigenvalue is read as the Rayleigh quotient Σ_x p_x⟨a|W_x|a⟩, which
     W(p) ≥ p_x W_x keeps positive, so every input of positive mass has a
-    finite divergence. An input of mass 0 with weight above KERNEL_MASS_TOL
-    off the support reads +inf.
+    finite divergence; a level below it that no such input reaches adds
+    log₂ 1 = 0. An input of mass 0 with weight above KERNEL_MASS_TOL off the
+    support reads +inf. These rules are masks over the whole stack, formed
+    only when some row has a level at or below SUPPORT_EIG_TOL.
 
     Every caller's W(p) mixes states checked Hermitian at the boundary, so it
     is Hermitian within their tolerance: of `_check_hermitian` only the
@@ -95,23 +98,14 @@ def _divergences(states: np.ndarray, p: np.ndarray, targets: np.ndarray,
     # descending eigenvector columns do; einsum sums in memory order.
     vals, vecs = vals[rows, order], vecs[rows, :, order]
     weights = np.real(np.einsum("rai,rxij,raj->rxa", vecs.conj(), states, vecs))
-    # logarithms clipped only to stay finite: a row they reach is redone alone,
-    # with one einsum over the columns on the support and one off it
-    div = tr_w_log_w - (weights @ np.log2(np.maximum(vals, SUPPORT_EIG_TOL))[..., None])[..., 0]
-    for r in (vals[:, -1] <= SUPPORT_EIG_TOL).nonzero()[0]:
-        on = vals[r] > SUPPORT_EIG_TOL
-        cols, kcols = vecs[r, on].T, vecs[r, ~on].T
-        weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states[r], cols))
-        div[r] = tr_w_log_w[r] - weights @ np.log2(vals[r, on])
-        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states[r], kcols))
-        live = p[r] > 0.0
-        reached = np.any(kweights[live] > KERNEL_MASS_TOL, axis=0)
-        if np.any(reached):
-            rayleigh = p[r] @ np.maximum(kweights[:, reached], 0.0)
-            div[r] -= kweights[:, reached] @ np.log2(rayleigh)
-        leak = np.sum(kweights[:, ~reached], axis=1)
-        div[r, ~live & (leak > KERNEL_MASS_TOL)] = math.inf
-    return div
+    logs, kernel, leaks = np.log2(np.maximum(vals, SUPPORT_EIG_TOL)), vals <= SUPPORT_EIG_TOL, False
+    if kernel.any():
+        live = p > 0.0
+        reached = kernel & np.any(live[..., None] & (weights > KERNEL_MASS_TOL), axis=1)
+        logs[kernel] = 0.0
+        np.log2((p[:, None] @ np.maximum(weights, 0.0))[:, 0], out=logs, where=reached)
+        leaks = ~live & (np.sum(weights * (kernel & ~reached)[:, None], axis=-1) > KERNEL_MASS_TOL)
+    return np.where(leaks, math.inf, tr_w_log_w - (weights @ logs[..., None])[..., 0])
 
 
 def qrel_entropy(rho, sigma) -> float:

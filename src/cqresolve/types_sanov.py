@@ -89,8 +89,8 @@ class EmpiricalState:
 
 
 def _multinomial(counts) -> int:
-    """n! / ∏_j c_j! for a list of Python ints c summing to n."""
-    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+    """n! / ∏_j c_j! = ∏_j C(c₁ + … + c_j, c_j) for Python ints c, in any order; no n!."""
+    return math.prod(map(math.comb, itertools.accumulate(counts), counts))
 
 
 def _empirical_state(w: Word, d: int) -> EmpiricalState:
@@ -179,17 +179,15 @@ def _word_type_keys(d: int, n: int) -> np.ndarray:
 
 
 def _type_keys(counts: np.ndarray) -> np.ndarray:
-    """The key of each count row's words (see `_word_type_keys`), from the counts alone.
+    """The key of each count row's words (see `_word_type_keys`): that of its least word.
 
-    Letter a appends c_a digits, each worth a: key·d^{c_a} + a·(1 + d + … + d^{c_a − 1}).
+    The least word repeats each nonzero letter of the row by its count, in
+    ascending order, and is read with the places of `_word_type_keys`.
     """
     d, n = counts.shape[1], int(counts[0].sum())
-    powers = np.asarray(d, dtype=np.int64) ** np.arange(n + 1)
-    repunits = np.concatenate(([0], np.cumsum(powers[:-1])))
-    keys = np.zeros(len(counts), dtype=np.int64)
-    for letter, column in enumerate(counts.T):
-        keys = keys * powers[column] + letter * repunits[column]
-    return keys
+    rows, letters = np.nonzero(counts)
+    least = np.repeat(letters, counts[rows, letters]).reshape(len(counts), n)
+    return least @ d ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def _standard_partition(types: np.ndarray, ranks: list[int]) -> float:
@@ -256,12 +254,13 @@ def bad_codeword_count(channel: CQChannel, dist: Distribution, n: int,
     """How many words x^n have ‖(1/n)Σ_j W_{x_j} − W(p)‖₁ ≥ δ: the bad codewords.
 
     A word's gap depends only on its type c, an M-type at M = n from
-    `_m_type_blocks`, so each bad type adds n!/∏_x c_x! words, a product over
-    its n largest counts (no others are nonzero). `_m_type_sums` walks the
-    k rows of `_OutputRows(channel, 1)` in the same blocks, into the sums
-    Σ_x c_x·W_x, and a gap is twice a batched distance to n·W(p), over n; on
-    the diagonal path one within BAD_GAP_TIE_TOL of δ is decided exactly in
-    the float inputs. The walk's budgets raise ResourceLimitError first.
+    `_m_type_blocks`, so each bad type adds n!/∏_x c_x! words, a product of
+    binomials over its n largest counts (no others are nonzero), which
+    `np.partition` gives unordered. `_m_type_sums` walks the k rows of
+    `_OutputRows(channel, 1)` in the same blocks, into the sums Σ_x c_x·W_x,
+    and a gap is twice a batched distance to n·W(p), over n; on the diagonal
+    path one within BAD_GAP_TIE_TOL of δ is decided exactly in the float
+    inputs. The walk's budgets raise ResourceLimitError first.
     """
     # imported here: the rest of this module needs none of resolvability
     from .resolvability import _OutputRows, _rational_half_l1
@@ -278,7 +277,8 @@ def bad_codeword_count(channel: CQChannel, dist: Distribution, n: int,
         if outputs.diagonal:
             for i in np.flatnonzero(np.abs(gaps - delta) <= BAD_GAP_TIE_TOL):
                 is_bad[i] = 2 * _rational_half_l1(channel, dist, 1, counts[i], n) >= delta
-        bad += sum(_multinomial(row) for row in np.sort(counts[is_bad], axis=1)[:, -n:].tolist())
+        largest = np.partition(counts[is_bad], max(k - n, 0), axis=1)[:, -n:]
+        bad += sum(map(_multinomial, largest.tolist()))
     return bad
 
 
@@ -294,9 +294,9 @@ class TypesBoundCheck:
 def commuting_types_bound_check(rho, rho_prime: EmpiricalState) -> TypesBoundCheck:
     """Exact Tr ρ^{⊗n} T_{ρ'} vs 2^{−n D(ρ'‖ρ)} for diagonal ρ, n the profile's n.
 
-    The one-row case of `_types_bound_checks`, given only the table entries
-    its row reads; no n-fold matrix is built. A counted letter of mass at
-    most SUPPORT_EIG_TOL in ρ zeroes both sides: the bound holds vacuously.
+    The one-row case of `_types_bound_checks`, given only the powers its row
+    reads; no n-fold matrix is built. A counted letter of mass at most
+    SUPPORT_EIG_TOL in ρ zeroes both sides: the bound holds vacuously.
     """
     m = validate_density(rho)
     off = m - np.diag(np.diag(m))
@@ -307,18 +307,16 @@ def commuting_types_bound_check(rho, rho_prime: EmpiricalState) -> TypesBoundChe
             f"state dim {m.shape[0]} vs profile dim {rho_prime.dim}")
     probs, row = np.real(np.diag(m)), rho_prime.counts
     powers = [{c: p.as_integer_ratio()[0] ** c} for p, c in zip(probs.tolist(), row)]
-    factorials = {c: math.factorial(c) for c in (*row, rho_prime.n)}
-    return next(_types_bound_checks(probs, np.array([row]), factorials, powers))
+    return next(_types_bound_checks(probs, np.array([row]), powers))
 
 
-def _types_bound_checks(probs: np.ndarray, counts: np.ndarray, factorials,
-                        powers) -> Iterator[TypesBoundCheck]:
+def _types_bound_checks(probs: np.ndarray, counts: np.ndarray, powers) -> Iterator[TypesBoundCheck]:
     """Yield the types-bound row of each count row of one n, against the masses `probs`.
 
-    A mass is p_num / 2^k exactly; `factorials[c]` is c! and `powers[x][c]`
-    is letter x's p_num^c, for each c the rows read, so a left side is one
-    correctly rounded division of exact integers and underflows only where
-    the value does. The divergences are one array expression, a row's
+    A mass is p_num / 2^k exactly and `powers[x][c]` is letter x's p_num^c,
+    for each c the rows read; with the row's `_multinomial` a left side is
+    one correctly rounded division of exact integers and underflows only
+    where the value does. The divergences are one array expression, a row's
     uncounted letters adding 0; a right side is 2^{−n D} as a Python float.
     A row counting a letter of mass ≤ SUPPORT_EIG_TOL is (0, 0, True).
     """
@@ -331,7 +329,7 @@ def _types_bound_checks(probs: np.ndarray, counts: np.ndarray, factorials,
         if dead:
             yield TypesBoundCheck(0.0, 0.0, True)
             continue
-        num, shift = factorials[n] // math.prod(factorials[c] for c in row), 0
+        num, shift = _multinomial(row), 0
         for column, bits, c in zip(powers, shifts, row):
             num, shift = num * column[c], shift + c * bits
         lhs, rhs = num / (1 << shift), 2.0 ** (-n * div)
@@ -342,16 +340,14 @@ def _types_bound_sweep(probs: np.ndarray, n_max: int):
     """Yield n, the count list and the `_types_bound_checks` row of every type of n = 1…n_max.
 
     The types of each n come from `_m_type_blocks` in blocks of about
-    EIG_BATCH_BYTES of floats, with no count matrix; the factorials and each
-    mass numerator's powers, 0…n, come from tables grown by one
-    multiplication per n.
+    EIG_BATCH_BYTES of floats, with no count matrix; each mass numerator's
+    powers, 0…n, come from a table grown by one multiplication per n.
     """
     nums = [p.as_integer_ratio()[0] for p in probs.tolist()]
-    powers, factorials, step = [[1] for _ in nums], [1], _batch_rows(4 * probs.nbytes)
+    powers, step = [[1] for _ in nums], _batch_rows(4 * probs.nbytes)
     for n in range(1, n_max + 1):
-        factorials.append(factorials[-1] * n)
         for p_num, column in zip(nums, powers):
             column.append(column[-1] * p_num)
         for block in _m_type_blocks(probs.size, n, step):
             yield from zip(itertools.repeat(n), block.tolist(),
-                           _types_bound_checks(probs, block, factorials, powers))
+                           _types_bound_checks(probs, block, powers))

@@ -16,8 +16,12 @@ one of three kinds:
   over the whole M-type list), `scaled_walk_errors` and
   `counts_mixed_bad_gaps` (the exact engine's error vector over rows scaled
   by 1/M and the bad-codeword gaps mixed from counts / n, whose argmin and
-  count the walks of the unscaled rows must give) and
-  `searchsorted_codeword_indices` (the Philox stream contract).
+  count the walks of the unscaled rows must give),
+  `searchsorted_codeword_indices` (the Philox stream contract),
+  `per_row_divergences` (the divergence vector's support rule row by row,
+  whose ±inf pattern and values the stacked masks must keep) and
+  `repunit_type_keys` (the type keys by a recurrence over the letter
+  columns, which the keys of the least words must equal).
 - A former kernel whose replacement agreed with it bit for bit on a sweep,
   while an independent reference still covers its outputs. None is kept:
   each stacked kernel that replaced one is checked row by row against the
@@ -244,6 +248,40 @@ def output_divergences(states, p, tr_w_log_w) -> np.ndarray:
     div = tr_w_log_w - weights[:, on] @ np.log2(s_vals[on])
     div[(p <= 0) & (weights[:, ~on].sum(axis=1) > 1e-10)] = math.inf
     return div
+
+
+def per_row_divergences(states, p, targets, tr_w_log_w) -> tuple[np.ndarray, np.ndarray]:
+    """The divergence vector's former kernel, its support rule run row by row, and
+    which rows have an input of positive mass reaching a level below 1e-12.
+
+    One stacked eigh of the targets W(p), descending; the logarithms are
+    clipped at 1e-12, and each row with a level at or below it is redone
+    alone, with one einsum over the columns on the support and one off it.
+    Kept because the stacked masks must give its ±inf pattern, its bits on
+    every row with no kernel level and its values on the others.
+    """
+    vals, vecs = np.linalg.eigh(targets)
+    order = np.argsort(vals)[:, ::-1]
+    rows = np.arange(len(vals))[:, None]
+    vals, vecs = vals[rows, order], vecs[rows, :, order]
+    weights = np.real(np.einsum("rai,rxij,raj->rxa", vecs.conj(), states, vecs))
+    div = tr_w_log_w - (weights @ np.log2(np.maximum(vals, 1e-12))[..., None])[..., 0]
+    reaching = np.zeros(len(vals), dtype=bool)
+    for r in (vals[:, -1] <= 1e-12).nonzero()[0]:
+        on = vals[r] > 1e-12
+        cols, kcols = vecs[r, on].T, vecs[r, ~on].T
+        weights = np.real(np.einsum("ia,xij,ja->xa", cols.conj(), states[r], cols))
+        div[r] = tr_w_log_w[r] - weights @ np.log2(vals[r, on])
+        kweights = np.real(np.einsum("ia,xij,ja->xa", kcols.conj(), states[r], kcols))
+        live = p[r] > 0.0
+        reached = np.any(kweights[live] > 1e-10, axis=0)
+        if np.any(reached):
+            reaching[r] = True
+            rayleigh = p[r] @ np.maximum(kweights[:, reached], 0.0)
+            div[r] -= kweights[:, reached] @ np.log2(rayleigh)
+        leak = np.sum(kweights[:, ~reached], axis=1)
+        div[r, ~live & (leak > 1e-10)] = math.inf
+    return div, reaching
 
 
 def capacity_gap(states, p) -> tuple[float, float]:
@@ -848,6 +886,22 @@ def spectral_cdf_classical(rho_diag, sigma_diag, a: float) -> float:
         if r <= 2.0 ** a * g:
             total += r
     return total
+
+
+def repunit_type_keys(counts) -> np.ndarray:
+    """The type keys' former recurrence over the d letter columns of count rows.
+
+    Letter a appends c_a digits, each worth a: key·d^{c_a} + a·(1 + d + … + d^{c_a − 1}),
+    so a row's key is its least word read as n base-d digits.
+    """
+    counts = np.asarray(counts)
+    d, n = counts.shape[1], int(counts[0].sum())
+    powers = np.asarray(d, dtype=np.int64) ** np.arange(n + 1)
+    repunits = np.concatenate(([0], np.cumsum(powers[:-1])))
+    keys = np.zeros(len(counts), dtype=np.int64)
+    for letter, column in enumerate(counts.T):
+        keys = keys * powers[column] + letter * repunits[column]
+    return keys
 
 
 def multinomial_exact(n: int, counts) -> int:

@@ -808,6 +808,14 @@ class TestBoundCommands:
         assert err == ("resource limit: the 2^24 x 24 letter table of the words needs "
                        "3221225472 bytes, over the budget of 2147483648 bytes\n")
 
+    def test_types_check_one_letter_forms_no_factorial(self, capsys):
+        # ranks formed as n!/n! took minutes at n 4,000,000 (19 s at 10^6)
+        want = run_cli(capsys, "types-check", "--alphabet-size", "1", "--n", "100000")
+        start = time.perf_counter()
+        got = run_cli(capsys, "types-check", "--alphabet-size", "1", "--n", "4000000")
+        assert time.perf_counter() - start < 2.0
+        assert got == want and got[0] == 0
+
     @pytest.mark.parametrize("n", ["63", "64", "1000"])
     def test_types_check_one_letter_at_any_n(self, capsys, n):
         # the one word of one letter, past numpy's 64 array axes from n = 64

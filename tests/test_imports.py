@@ -2,8 +2,8 @@
 module-level name in the package is referenced somewhere in the package,
 every module-level name of `tests/oracles.py` is read by the tests, every
 exported name is reached by a command, a demo or an acceptance test,
-the package makes no Kronecker product outside `linalg._kron_rows`, it
-parses JSON input in one function, it compares byte budgets in
+the package makes no Kronecker product outside `linalg._kron_rows` and
+no factorial call, it parses JSON input in one function, it compares byte budgets in
 `errors.check_budget` alone, no exported callable takes a cap as a
 parameter, the package's names load lazily, and each command loads only
 the modules it reaches."""
@@ -215,6 +215,27 @@ def test_gate_flags_a_kron_call():
     source = ("import numpy as np\nfrom numpy import kron\n"
               "a = np.kron(x, y)\nb = kron(x, y)\nc = _kron_rows(x, 2)\nf = np.linalg.kron\n")
     assert kron_references(source) == ["line 3", "line 4", "line 6"]
+
+
+def factorial_references(source: str) -> list[str]:
+    """Lines that name ``factorial``, bare or as an attribute (``math.factorial``)."""
+    lines = {node.lineno for node in ast.walk(ast.parse(source))
+             if (isinstance(node, ast.Name) and node.id == "factorial")
+             or (isinstance(node, ast.Attribute) and node.attr == "factorial")}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_package_makes_no_factorial_call():
+    # A multinomial is a product of binomials, `types_sanov._multinomial`: n!
+    # alone has millions of digits at the block lengths a one-letter type allows.
+    assert {p.name: factorial_references(p.read_text(encoding="utf-8"))
+            for p in SRC_MODULES} == {p.name: [] for p in SRC_MODULES}
+
+
+def test_gate_flags_a_factorial_call():
+    source = ("import math\nfrom math import factorial\n"
+              "a = math.factorial(n)\nb = factorial(n)\nc = math.comb(n, k)\nf = math.factorial\n")
+    assert factorial_references(source) == ["line 3", "line 4", "line 6"]
 
 
 def json_load_callers(source: str) -> list[str]:

@@ -1,6 +1,7 @@
 """Entropies, divergences, Rényi quantities, pinching, and the reference spectral CDF."""
 from __future__ import annotations
 
+import collections
 import math
 import warnings
 
@@ -249,6 +250,71 @@ def test_divergence_vector_refuses_a_target_that_is_not_finite():
     with pytest.raises(errors.ValidationError, match="NaN or infinite"):
         _divergences(states[None], np.array([[0.5, 0.5]]), target[None],
                      _entropy_terms(states)[None])
+
+
+def _support_rule_row(rng, k: int, d: int, kind: str):
+    """(states, p) of one channel row: of full rank, or its W(p) on a subspace
+    of rank 1 to d − 1, in the standard basis or a rotated one.
+
+    Off full rank about 30% of the masses are 0, and each letter leaks onto
+    further levels with probability 0.4; a leaking letter of positive mass
+    gets mass 1e-13 when the row is to reach a kernel level ("reach"), and 0
+    otherwise ("singular")."""
+    if kind == "full":
+        return np.array([orc.random_density(rng, d) for _ in range(k)]), rng.dirichlet(np.ones(k))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = np.eye(d) if rng.random() < 0.5 else q
+    rank = int(rng.integers(1, d))
+
+    def on_levels(levels):
+        m = np.zeros((d, d), dtype=complex)
+        m[:levels, :levels] = orc.random_density(rng, levels)
+        m = u @ m @ u.conj().T
+        return (m + m.conj().T) / 2
+
+    states, p = [on_levels(rank) for _ in range(k)], rng.dirichlet(np.ones(k))
+    p[rng.random(k) < 0.3] = 0.0
+    for x in range(k):
+        if rng.random() < 0.4:
+            states[x] = on_levels(int(rng.integers(rank + 1, d + 1)))
+            p[x] = 1e-13 if kind == "reach" and p[x] > 0.0 else 0.0
+    if not p.any():
+        states[0], p[0] = on_levels(rank), 1.0
+    return np.array(states), p / p.sum()
+
+
+def test_support_rule_masks_keep_the_per_row_path():
+    # 400 seeded stacks of 1-4 rows, k 2-5, d 2-4, mixing full-rank rows with
+    # rows whose W(p) has kernel levels, reached by a letter of mass 1e-13 or
+    # not: against the former row-by-row kernel, a row with no kernel level
+    # keeps its bits, and one with a kernel level is within 1e-15 when no
+    # input of positive mass reaches it (the weights are one stacked einsum,
+    # summed in another memory order) and within 1e-13 when one does
+    counts = collections.Counter()
+    for seed in range(400):
+        rng = np.random.default_rng([seed, 40])
+        k, d, r = int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        rows = [_support_rule_row(rng, k, d, kind)
+                for kind in rng.choice(["full", "singular", "reach"], size=r)]
+        states, p = np.array([s for s, _ in rows]), np.array([q for _, q in rows])
+        targets = np.einsum("rx,rxij->rij", p, states)
+        terms = _entropy_terms(states.reshape(-1, d, d)).reshape(r, k)
+        got = _divergences(states, p, targets, terms)
+        want, reaching = orc.per_row_divergences(states, p, targets, terms)
+        assert np.array_equal(np.isinf(got), np.isinf(want)), seed
+        assert np.array_equal(got == -np.inf, want == -np.inf), seed
+        kernel = np.linalg.eigvalsh(targets)[:, 0] <= info.SUPPORT_EIG_TOL
+        for row in range(r):
+            finite = np.isfinite(want[row])
+            if not kernel[row]:
+                assert np.array_equal(got[row], want[row]), (seed, row)
+            else:
+                bound = 1e-13 if reaching[row] else 1e-15
+                np.testing.assert_allclose(got[row, finite], want[row, finite], rtol=0.0,
+                                           atol=bound, err_msg=f"{seed}, {row}")
+            counts["reached" if reaching[row] else "unreached" if kernel[row] else "full"] += 1
+            counts["inf"] += int(np.sum(~finite))
+    assert min(counts.values()) >= 100, counts
 
 
 @pytest.mark.parametrize("d", (2, 3, 7, 8, 9, 16))

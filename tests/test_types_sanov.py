@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 import cqresolve as cq
 from cqresolve import ValidationError
 from cqresolve.resolvability import _OutputRows, _rational_half_l1
-from cqresolve.types_sanov import (BAD_GAP_TIE_TOL, _empirical_state, _standard_partition,
-                                   _twirl_margins, _type_keys, _types_bound_sweep,
-                                   _word_type_keys)
+from cqresolve.types_sanov import (BAD_GAP_TIE_TOL, _empirical_state, _multinomial,
+                                   _standard_partition, _twirl_margins, _type_keys,
+                                   _types_bound_sweep, _word_type_keys)
 
 import oracles as orc
 
@@ -189,6 +189,28 @@ class TestTypeProjector:
                 np.testing.assert_array_equal(proj.matrix, np.diag(mask.astype(complex)))
                 assert proj.rank == ranks[-1]
         assert _standard_partition(types, ranks) == 0.0
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (1, 50), (2, 16), (3, 7), (6, 4), (4096, 1)])
+    def test_type_keys_are_the_keys_of_the_repunit_recurrence(self, d, n):
+        # every type's least word, against the former recurrence over the d columns
+        types = cq.m_type_counts(d, n)
+        np.testing.assert_array_equal(_type_keys(types), orc.repunit_type_keys(types))
+
+    def test_multinomial_is_the_factorial_quotient(self):
+        # 20,000 seeded rows of 1-8 letters, counts 0-30 with zeros anywhere,
+        # in their order and reversed
+        rng = np.random.default_rng(40)
+        for _ in range(20000):
+            d = int(rng.integers(1, 9))
+            row = (rng.integers(0, 31, size=d) * (rng.random(d) < 0.7)).tolist()
+            want = orc.multinomial_exact(sum(row), row)
+            assert _multinomial(row) == _multinomial(row[::-1]) == want, row
+
+    def test_multinomial_of_one_letter_forms_no_factorial(self):
+        # 10^7! has about 65.7 million digits
+        start = time.perf_counter()
+        assert [_multinomial([10 ** e]) for e in range(8)] == [1] * 8
+        assert time.perf_counter() - start < 0.1
 
     def test_standard_partition_rejects_a_wrong_rank(self):
         types = cq.m_type_counts(2, 3)

@@ -91,7 +91,13 @@ REFUSALS = {
 # covering on QUBIT_K12 at n 5, whose non-diagonal rows stay past the budget,
 # and the exact error on QUBIT_K4 at n 6, M 1, whose 4^6 complex 64 x 64 rows
 # take exactly the budget (older trees, which also held a copy of the rows
-# scaled by 1/M, refuse it).
+# scaled by 1/M, refuse it). Then type classes that no factorial table holds
+# and kernel levels of W(p): types-check on one letter at n 10^6 (about 19 s
+# on older trees, which formed n! for a rank of 1), the bad-codeword count at
+# n 2, δ 0.3 on DIAGONAL_K1000, 1,000 seeded diagonal qutrit states under the
+# uniform law, and the capacity and fixed-input rate of PLANE_K6, six seeded
+# qutrit states on one plane of C^3, so every W(p) has a level that no input
+# reaches.
 # Then the one-shot bounds, which no op reaches, at 12 digits: the pinching
 # bound with reference W(p) and the smoothing bound on example1 at ε 0, where
 # letters 0 and 1 are pure, and at ε 0.2 with the same law, and on QUBIT_K12 at
@@ -101,6 +107,8 @@ REFUSALS = {
 QUBIT_K4 = "qubit-k4.json"
 QUBIT_K12 = "qubit-k12.json"
 QUBIT_K300 = "qubit-k300.json"
+DIAGONAL_K1000 = "diagonal-k1000.json"
+PLANE_K6 = "plane-k6.json"
 LAW = '{"0":0.5,"1":0.3,"e":0.2}'
 EXAMPLE1_LAW = ("--builtin", "example1", "--eps", "0.2", "--dist", LAW)
 EXAMPLE1_EPS0_LAW = ("--builtin", "example1", "--eps", "0", "--dist", LAW)
@@ -154,6 +162,11 @@ FRONTIER = {
     "softcover-n5-qubit-k12": ("softcover", "--channel", QUBIT_K12, "--n", "5", "--M", "16",
                                "--samples", "50", "--seed", "7"),
     "resolve-n6-M1-qubit-k4": ("resolve", "--channel", QUBIT_K4, "--n", "6", "--M", "1"),
+    "types-check-d1-n1000000": ("types-check", "--alphabet-size", "1", "--n", "1000000"),
+    "types-check-delta0.3-n2-diagonal-k1000": ("types-check", "--channel", DIAGONAL_K1000,
+                                               "--n", "2", "--delta", "0.3"),
+    "capacity-plane-k6": ("capacity", "--channel", PLANE_K6),
+    "fixed-rate-plane-k6": ("fixed-rate", "--channel", PLANE_K6),
     "bound-ll2-eps0-M4-C1": ("bound-ll2", *EXAMPLE1_EPS0_LAW, "--M", "4", "--cthr", "1"),
     "bound-ll2-eps0.2-M4-C1": ("bound-ll2", *EXAMPLE1_LAW, "--M", "4", "--cthr", "1"),
     "bound-ll2-qubit-k12-M8-C2": ("bound-ll2", "--channel", QUBIT_K12, "--dist",
@@ -171,17 +184,40 @@ FRONTIER = {
 }
 
 
+def _write_states(path: Path, states) -> None:
+    """Channel JSON of the given density matrices, labelled 0..k-1."""
+    inputs = [{"label": str(x), "state": [[[z.real, z.imag] for z in row] for row in m.tolist()]}
+              for x, m in enumerate(states)]
+    path.write_text(json.dumps({"dim": len(states[0]), "inputs": inputs}), encoding="utf-8")
+
+
 def _write_qubit_channel(path: Path, k: int, seed: int) -> None:
     """Channel JSON of k seeded random qubit states of full rank, labelled 0..k-1."""
     rng = np.random.default_rng(seed)
-    inputs = []
-    for x in range(k):
+    states = []
+    for _ in range(k):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m = g @ g.conj().T
-        m = (m + m.conj().T) / (2 * np.trace(m).real)
-        inputs.append({"label": str(x),
-                       "state": [[[z.real, z.imag] for z in row] for row in m.tolist()]})
-    path.write_text(json.dumps({"dim": 2, "inputs": inputs}), encoding="utf-8")
+        states.append((m + m.conj().T) / (2 * np.trace(m).real))
+    _write_states(path, states)
+
+
+def _write_diagonal_channel(path: Path, k: int, d: int, seed: int) -> None:
+    """Channel JSON of k seeded diagonal states of dimension d, Dirichlet(1) spectra."""
+    rng = np.random.default_rng(seed)
+    _write_states(path, [np.diag(rng.dirichlet(np.ones(d))).astype(complex) for _ in range(k)])
+
+
+def _write_plane_channel(path: Path, k: int, seed: int) -> None:
+    """Channel JSON of k seeded random qutrit states on one seeded plane of C^3."""
+    rng = np.random.default_rng(seed)
+    plane, _ = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+    states = []
+    for _ in range(k):
+        g = plane @ (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        m = g @ g.conj().T
+        states.append((m + m.conj().T) / (2 * np.trace(m).real))
+    _write_states(path, states)
 
 
 def _digest(rc, stdout: str, stderr: str, written: list[Path]) -> str:
@@ -226,6 +262,8 @@ def _child(src: Path) -> None:
     _write_qubit_channel(Path(QUBIT_K4), k=4, seed=20241020)
     _write_qubit_channel(Path(QUBIT_K12), k=12, seed=20241018)
     _write_qubit_channel(Path(QUBIT_K300), k=300, seed=20241019)
+    _write_diagonal_channel(Path(DIAGONAL_K1000), k=1000, d=3, seed=1000)
+    _write_plane_channel(Path(PLANE_K6), k=6, seed=20241040)
     for group, commands in (("refusal", REFUSALS), ("frontier", FRONTIER)):
         for key, argv in commands.items():
             rc, out, err = _call(lambda: cli.main(list(argv)))
